@@ -1,9 +1,11 @@
 """Command-line experiment harness.
 
 Subcommands generate demo corpora, label criticality, run rollouts, and run
-the sweep experiments, each emitting CSV suitable for plotting. A plain-text
-config file (INI key = value under section headers) can preset any flag;
-command-line flags win. SAILX_LOG sets the log level. Exit code 0 means all
+the sweep experiments, each emitting CSV suitable for plotting. Each
+subcommand declares only the flags it reads. A plain-text config file (INI
+key = value under section headers) can preset any of them: only the section
+named after the subcommand applies, and command-line flags win. SAILX_LOG
+sets the log level. Exit code 0 means all
 requested trials completed (regardless of task success); usage errors exit
 with code 2, internal faults with 1.
 """
@@ -18,13 +20,10 @@ from configparser import ConfigParser
 import numpy as np
 
 from . import experiments as ex
-from .baselines import aggregate_actions  # re-exported harness operation
 from .errors import SailxError, InvalidInputError
 from .io import load_demos, save_demos, write_rollout, read_rollout
 from .metrics import aggregate
 from .speedmod import label_critical, gripper_event_flags
-
-__all__ = ["main", "aggregate_actions"]
 
 log = logging.getLogger("sailx")
 
@@ -41,7 +40,7 @@ def _strings(text: str) -> list[str]:
 
 
 def _corpus(args):
-    if getattr(args, "demos", None):
+    if args.demos:
         demos = load_demos(args.demos)
         log.info("loaded %d demos from %s", len(demos), args.demos)
         return demos
@@ -82,7 +81,6 @@ def cmd_label(args) -> int:
 
 def cmd_rollout(args) -> int:
     demos = _corpus(args)
-    exit_code = 0
     for t in range(args.trials):
         seed = args.seed + t
         rollout = ex.run_method_rollout(args.method, args.c, demos, seed)
@@ -92,7 +90,7 @@ def cmd_rollout(args) -> int:
             path = args.out if args.trials == 1 else \
                 f"{args.out.rsplit('.', 1)[0]}_{t:03d}.jsonl"
             write_rollout(rollout, path)
-    return exit_code
+    return 0
 
 
 def cmd_metrics(args) -> int:
@@ -141,7 +139,7 @@ def cmd_sweep_noise(args) -> int:
 def cmd_report(args) -> int:
     import csv as _csv
     rows = []
-    with open(args.inputs[0], newline="") as fh:
+    with open(args.input, newline="") as fh:
         for row in _csv.DictReader(fh):
             rows.append(row)
     if not rows:
@@ -156,69 +154,69 @@ def cmd_report(args) -> int:
     return 0
 
 
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0),
+    "--out": dict(help="output path (CSV unless noted)"),
+    "--demos": dict(help="directory of saved demos; generated fresh when "
+                         "omitted"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sailx", description="speed-adaptive execution experiments")
     parser.add_argument("--config", help="INI config presetting any flag")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=20):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=trials)
-        p.add_argument("--out", help="output path (CSV unless noted)")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--demos", help="directory of saved demos")
+    def command(name, func, help, flags=(), trials=None):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        if trials is not None:
+            p.add_argument("--trials", type=int, default=trials)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("gen-demos", help="generate and save a demo corpus")
-    common(p, trials=50)
-    p.set_defaults(func=cmd_gen_demos)
+    corpus = ("--seed", "--out", "--demos")
+    command("gen-demos", cmd_gen_demos, "generate and save a demo corpus",
+            ("--seed", "--out"), trials=50)
+    command("label", cmd_label, "criticality labels per demo", corpus)
 
-    p = sub.add_parser("label", help="criticality labels per demo")
-    common(p)
-    p.set_defaults(func=cmd_label)
-
-    p = sub.add_parser("rollout", help="closed-loop rollouts of one method")
-    common(p, trials=1)
+    p = command("rollout", cmd_rollout, "closed-loop rollouts of one method",
+                corpus, trials=1)
     p.add_argument("--method", default="sail", choices=ex.METHODS)
     p.add_argument("--c", type=float, default=1.0)
-    p.set_defaults(func=cmd_rollout)
 
-    p = sub.add_parser("metrics", help="aggregate saved rollouts")
-    common(p)
+    p = command("metrics", cmd_metrics, "aggregate saved rollouts",
+                ("--out",))
     p.add_argument("inputs", nargs="+", help="rollout .jsonl files")
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("diagnose", help="single-step OOD score trials")
-    common(p, trials=200)
+    p = command("diagnose", cmd_diagnose, "single-step OOD score trials",
+                corpus, trials=200)
     p.add_argument("--c-values", type=_floats, default=[1.0, 0.33, 0.2])
-    p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("sweep-speed", help="method x speedup sweep")
-    common(p)
+    p = command("sweep-speed", cmd_sweep_speed, "method x speedup sweep",
+                corpus, trials=20)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--method", type=_strings, default=["sail", "dp-fast"])
     p.add_argument("--c-values", type=_floats,
                    default=[1.0, 0.5, 0.33, 0.2, 0.1])
-    p.set_defaults(func=cmd_sweep_speed)
 
-    p = sub.add_parser("sweep-gain-replay", help="gain x target x speedup replay")
-    common(p)
+    p = command("sweep-gain-replay", cmd_sweep_gain_replay,
+                "gain x target x speedup replay", corpus)
     p.add_argument("--c-values", type=_floats, default=[1.0, 0.5, 0.33, 0.2])
-    p.set_defaults(func=cmd_sweep_gain_replay)
 
-    p = sub.add_parser("sweep-noise", help="reference-noise x gain replay")
-    common(p, trials=100)
+    p = command("sweep-noise", cmd_sweep_noise,
+                "reference-noise x gain replay", corpus, trials=100)
     p.add_argument("--scales", type=_floats, default=[0.0, 0.002, 0.005, 0.01])
-    p.set_defaults(func=cmd_sweep_noise)
 
-    p = sub.add_parser("report", help="summary table from a sweep CSV")
-    common(p)
-    p.add_argument("inputs", nargs="+", help="sweep CSV file")
-    p.set_defaults(func=cmd_report)
+    p = command("report", cmd_report, "summary table from a sweep CSV")
+    p.add_argument("input", help="sweep CSV file")
     return parser
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold config-file values in as extra leading flags after the command."""
+    """Fold the subcommand's config section in as flags after the command."""
     probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
@@ -228,17 +226,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         parser.error(f"config file not found: {known.config}")
     ini = ConfigParser()
     ini.read(known.config)
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    i = next((i for i, token in enumerate(argv) if token in commands), None)
+    if i is None or not ini.has_section(argv[i]):
+        return argv
     extra: list[str] = []
-    for section in ini.sections():
-        for key, value in ini.items(section):
-            extra += [f"--{key.replace('_', '-')}", value]
+    for key, value in ini.items(argv[i]):
+        extra += [f"--{key.replace('_', '-')}", value]
     # insert right after the subcommand so explicit flags still override
-    for i, token in enumerate(argv):
-        if token in ("gen-demos", "label", "rollout", "metrics", "diagnose",
-                     "sweep-speed", "sweep-gain-replay", "sweep-noise",
-                     "report"):
-            return argv[:i + 1] + extra + argv[i + 1:]
-    return argv
+    return argv[:i + 1] + extra + argv[i + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .core import Pose, Twist
-from .errors import InvalidInputError
+from .core import Pose
+from .errors import InvalidInputError, SimFault
 from .kernels import quat_slerp, rotvec_between, track_loop
 from .sim import DynamicsParams, WorldState
 
@@ -66,6 +66,8 @@ class ReferenceTrack:
         n = len(times)
         if n < 2:
             raise InvalidInputError("a reference needs at least 2 waypoints")
+        if not np.all(np.isfinite(times)):
+            raise InvalidInputError("waypoint times must be finite")
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("waypoint times must be strictly increasing")
         self.times = times
@@ -137,10 +139,6 @@ class ReferenceTrack:
         pos, _, quat, _, _ = self.sample(np.array([t]))
         return Pose(pos[0], quat[0])
 
-    def twist_at(self, t: float) -> Twist:
-        _, vel, _, angvel, _ = self.sample(np.array([t]))
-        return Twist(vel[0], angvel[0])
-
 
 def fit_reference(chunk, interval: float) -> ReferenceTrack:
     """Spline a chunk's waypoints at uniform spacing ``interval``.
@@ -156,18 +154,6 @@ def fit_reference(chunk, interval: float) -> ReferenceTrack:
     times = np.arange(n) * interval
     return ReferenceTrack(times, chunk.positions, chunk.orientations,
                           chunk.grippers, chunk.flags)
-
-
-def compute_wrench(ref_pose: Pose, ref_twist: Twist, pose: Pose, twist: Twist,
-                   gains: GainProfile, params: DynamicsParams) -> np.ndarray:
-    """f = m (kp e_p + kv e_v); torque uses the axis-angle orientation error."""
-    e_p = ref_pose.position - pose.position
-    e_v = ref_twist.linear - twist.linear
-    force = params.mass * (gains.kp_pos * e_p + gains.kv_pos * e_v)
-    e_r = rotvec_between(pose.orientation, ref_pose.orientation)
-    e_w = ref_twist.angular - twist.angular
-    torque = params.inertia * (gains.kp_ori * e_r + gains.kv_ori * e_w)
-    return np.concatenate([force, torque])
 
 
 @dataclass
@@ -207,7 +193,6 @@ def track(world: WorldState, ref: ReferenceTrack, gains: GainProfile,
                        params.gripper_slew, grasp_radius, params.wrench_limit,
                        out_pos, out_quat, out_epos, out_eori, out_events)
     if fault >= 0:
-        from .errors import SimFault
         raise SimFault(f"non-finite wrench at t={times[fault]:.4f}")
     trace = TrackTrace(times, out_pos, out_quat, out_epos, out_eori, out_events)
     return WorldState.from_vector(state), trace

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import quat_slerp
 
 QUAT_NORM_TOL = 1e-6
 IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
@@ -35,6 +34,8 @@ class Pose:
         q = np.asarray(self.orientation, dtype=float)
         if q.shape != (4,):
             raise InvalidInputError(f"orientation must be a quaternion, got {q.shape}")
+        if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(q))):
+            raise InvalidInputError("pose components must be finite")
         n = np.linalg.norm(q)
         if abs(n - 1.0) > QUAT_NORM_TOL:
             raise InvalidInputError(f"quaternion norm {n} is not 1")
@@ -70,16 +71,6 @@ class Twist:
 
 
 @dataclass(frozen=True)
-class GripperState:
-    """Gripper command, 0 = open, 1 = closed; clamped to [0, 1]."""
-
-    command: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "command", float(np.clip(self.command, 0.0, 1.0)))
-
-
-@dataclass(frozen=True)
 class TrackingError:
     """Position distance (m) and geodesic orientation angle (rad)."""
 
@@ -103,14 +94,3 @@ def tracking_error(desired: Pose, current: Pose) -> TrackingError:
     trace_arg = np.clip(2.0 * d * d - 1.0, -1.0, 1.0)
     return TrackingError(e_pos=e_pos, e_ori=float(np.arccos(trace_arg)))
 
-
-def interpolate_pose(a: Pose, b: Pose, s: float) -> Pose:
-    """Linear position / shortest-arc slerp orientation interpolation."""
-    if not 0.0 <= s <= 1.0:
-        raise InvalidInputError(f"interpolation parameter {s} outside [0, 1]")
-    if s == 0.0:
-        return a
-    if s == 1.0:
-        return b
-    pos = a.position + s * (b.position - a.position)
-    return Pose(pos, quat_slerp(a.orientation, b.orientation, s))

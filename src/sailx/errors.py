@@ -38,6 +38,3 @@ class ParseError(SailxError, ValueError):
 class FormatError(SailxError, ValueError):
     """A file carries an unknown or mismatched format version."""
 
-
-class AlignmentError(SailxError, ValueError):
-    """Observation alignment failed (e.g. an empty modality cache)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,10 @@ from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError
 from .io import generate_demos
-from .metrics import MetricReport, SparcParams, aggregate
+from .metrics import aggregate
 from .policy import MockPolicy, PolicyConfig, infer_unconditional
-from .scheduler import ExecutorConfig, RolloutLog, run_rollout
-from .sim import DynamicsParams, TaskSpec, WorldState, initial_world, success
+from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
+from .sim import DynamicsParams, TaskSpec, initial_world, success
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
 
@@ -129,18 +129,10 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
                          until=float(times[-1]) + 0.5,
                          grasp_radius=task.grasp_radius)
     ok = success(world, task)
-    events = [(float(trace.times[i]), "grasp" if trace.events[i] > 0
-               else "release") for i in np.nonzero(trace.events)[0]]
-    stride = 10
-    rp, _, rq, _, _ = ref.sample(trace.times[::stride])
+    samples, events = sample_trace(trace, ref)
     return RolloutLog(success=ok, duration=float(times[-1]) if ok else task.t_max,
                       stall_count=0, con_values=[], wed_values=[],
-                      times=trace.times[::stride],
-                      positions=trace.positions[::stride],
-                      orientations=trace.orientations[::stride],
-                      ref_positions=rp, ref_orientations=rq,
-                      e_pos=trace.e_pos[::stride], e_ori=trace.e_ori[::stride],
-                      events=events, chunks=[], guidance=[], seed=seed)
+                      events=events, seed=seed, **samples)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +311,3 @@ def rows_to_csv(rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([format_value(row.get(k)) for k in header])
     return buf.getvalue()
-
-
-def write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))

@@ -1,8 +1,10 @@
-"""Demonstration/rollout persistence, synthetic demo generation, alignment.
+"""Demonstration/rollout persistence and synthetic demo generation.
 
 Files are line-delimited JSON: a header line carrying the format version
 ("sailx-v1") and per-file metadata, followed by one record per line. Poses
-serialize as 7 numbers (px, py, pz, qw, qx, qy, qz).
+serialize as 7 numbers (px, py, pz, qw, qx, qy, qz). Readers reject the
+non-standard JSON constants NaN and Infinity with the offending line, and a
+rollout file reads back as the ``scheduler.RolloutLog`` it was written from.
 
 Demonstrations are produced by a scripted teleoperator executed through the
 simulator with the low-gain profile, so commanded and reached poses genuinely
@@ -12,7 +14,6 @@ smooth, lagged closed-loop response.
 """
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from .controller import ReferenceTrack, gain_profile, track
 from .core import IDENTITY_QUAT, Pose
-from .errors import (AlignmentError, FormatError, GenerationError,
-                     InvalidInputError, ParseError)
+from .errors import FormatError, GenerationError, InvalidInputError, ParseError
+from .scheduler import RolloutLog
 from .sim import DynamicsParams, TaskSpec, initial_world, success
 from .speedmod import gripper_event_flags, label_critical
 
@@ -90,6 +91,10 @@ def write_demo(demo: Demonstration, path: str) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def _read_lines(path: str, kind: str):
     """Yield (line_no, parsed) for records; validates the header line."""
     with open(path) as fh:
@@ -99,10 +104,11 @@ def _read_lines(path: str, kind: str):
     parsed = []
     for no, line in enumerate(lines, start=1):
         try:
-            parsed.append((no, json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: malformed record: {exc.msg}",
-                             line=no) from None
+            parsed.append((no, json.loads(line,
+                                          parse_constant=_reject_constant)))
+        except ValueError as exc:  # malformed JSON, or NaN / Infinity
+            raise ParseError(f"{path}: malformed record: "
+                             f"{getattr(exc, 'msg', exc)}", line=no) from None
     header = parsed[0][1]
     if header.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: format {header.get('format')!r}, "
@@ -115,6 +121,9 @@ def _read_lines(path: str, kind: str):
 
 def read_demo(path: str) -> Demonstration:
     header, records = _read_lines(path, "demo")
+    if header.get("n") != len(records):
+        raise ParseError(f"{path}: header n={header.get('n')!r} but "
+                         f"{len(records)} records", line=1)
     cmd, reached, grip, k, obj = [], [], [], [], []
     for no, rec in records:
         try:
@@ -176,34 +185,11 @@ def write_rollout(log, path: str) -> None:
             fh.write(json.dumps({"event": tag, "time": float(t)}) + "\n")
 
 
-@dataclass
-class SavedRollout:
-    seed: int
-    success: bool
-    duration: float
-    stall_count: int
-    con_values: list
-    wed_values: list
-    times: np.ndarray
-    ref: np.ndarray      # (N, 7)
-    state: np.ndarray    # (N, 7)
-    e_pos: np.ndarray
-    e_ori: np.ndarray
-    events: list
-
-    @property
-    def speed(self) -> np.ndarray:
-        from .metrics import speed_profile
-        if len(self.times) < 2:
-            return np.zeros(0)
-        dt = float(self.times[1] - self.times[0])
-        return speed_profile(self.state[:, :3], dt)
-
-
 _EVENT_TAGS = ("splice", "stall", "grasp", "release")
 
 
-def read_rollout(path: str) -> SavedRollout:
+def read_rollout(path: str) -> RolloutLog:
+    """The RolloutLog a file was written from, minus chunks and guidance."""
     header, records = _read_lines(path, "rollout")
     times, ref, state, e_pos, e_ori, events = [], [], [], [], [], []
     for no, rec in records:
@@ -221,15 +207,17 @@ def read_rollout(path: str) -> SavedRollout:
                 e_ori.append(rec["e_ori"])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: missing field {exc}", line=no) from None
-    return SavedRollout(
+    ref = np.array(ref, dtype=float).reshape(-1, 7)
+    state = np.array(state, dtype=float).reshape(-1, 7)
+    return RolloutLog(
         seed=int(header["seed"]), success=bool(header["success"]),
         duration=float(header["duration"]),
         stall_count=int(header["stall_count"]),
         con_values=list(header.get("con_values", [])),
         wed_values=list(header.get("wed_values", [])),
         times=np.array(times, dtype=float),
-        ref=np.array(ref, dtype=float).reshape(-1, 7),
-        state=np.array(state, dtype=float).reshape(-1, 7),
+        positions=state[:, :3], orientations=state[:, 3:],
+        ref_positions=ref[:, :3], ref_orientations=ref[:, 3:],
         e_pos=np.array(e_pos, dtype=float),
         e_ori=np.array(e_ori, dtype=float), events=events)
 
@@ -372,57 +360,3 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
             goal=np.asarray(task.goal_position, dtype=float)))
     return demos
 
-
-# ---------------------------------------------------------------------------
-# observation alignment
-
-class ModalityCache:
-    """Ring buffer of the most recent (timestamp, sample id) per modality."""
-
-    def __init__(self, name: str, capacity: int = 100):
-        if capacity < 1:
-            raise InvalidInputError("capacity must be >= 1")
-        self.name = name
-        self.capacity = capacity
-        self._times: list[float] = []
-        self._ids: list = []
-
-    def push(self, timestamp: float, sample_id) -> None:
-        if self._times and timestamp < self._times[-1]:
-            raise InvalidInputError("timestamps must be non-decreasing")
-        self._times.append(float(timestamp))
-        self._ids.append(sample_id)
-        if len(self._times) > self.capacity:
-            self._times.pop(0)
-            self._ids.pop(0)
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    def nearest(self, t: float):
-        if not self._times:
-            raise AlignmentError(f"modality {self.name!r} has no samples")
-        i = int(np.argmin(np.abs(np.asarray(self._times) - t)))
-        return self._times[i], self._ids[i]
-
-
-@dataclass(frozen=True)
-class Alignment:
-    anchor: float
-    picks: dict  # modality name -> (timestamp, sample id)
-
-
-def align_observations(caches, t: float) -> Alignment:
-    """Two-phase multi-rate alignment.
-
-    Phase 1 picks each modality's sample nearest to ``t``; the anchor is the
-    phase-1 timestamp farthest from ``t`` (the laggiest modality). Phase 2
-    re-picks every modality nearest to that anchor.
-    """
-    caches = list(caches)
-    if not caches:
-        raise AlignmentError("no modalities to align")
-    phase1 = [cache.nearest(t)[0] for cache in caches]
-    anchor = max(phase1, key=lambda ts: abs(ts - t))
-    picks = {cache.name: cache.nearest(anchor) for cache in caches}
-    return Alignment(anchor=anchor, picks=picks)

@@ -1,8 +1,9 @@
 """Hot numeric kernels: quaternion algebra, plant integration, tracking loop.
 
 Everything here is written against plain float64 ndarrays so it can be
-compiled with numba. Set SAILX_NUMBA=0 to force the pure numpy/python
-fallback (the benchmark script compares both paths).
+compiled with numba, which is an optional extra (``pip install .[numba]``).
+Without numba the same functions run as plain numpy/python;
+``NUMBA_ENABLED`` says which path is in use.
 
 Quaternions are (w, x, y, z), unit norm. The packed plant state vector used
 by ``step_state``/``track_loop`` has layout::
@@ -20,20 +21,16 @@ by ``step_state``/``track_loop`` has layout::
     [29]    simulation time (s)
 """
 
-import os
-
 import numpy as np
 
 STATE_SIZE = 30
 
-NUMBA_ENABLED = os.environ.get("SAILX_NUMBA", "1") != "0"
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
+try:
+    from numba import njit
+    NUMBA_ENABLED = True
+except ImportError:
+    NUMBA_ENABLED = False
 
-if not NUMBA_ENABLED:
     def njit(*args, **kwargs):
         if args and callable(args[0]):
             return args[0]
@@ -275,15 +272,3 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         out_quat[i, 3] = state[6]
     return -1
 
-
-def warmup():
-    """Trigger JIT compilation of the kernels (no-op on the numpy path)."""
-    state = np.zeros(STATE_SIZE)
-    state[3] = 1.0
-    state[18] = 1.0
-    n = 2
-    track_loop(state, np.zeros((n, 3)), np.zeros((n, 3)),
-               np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (n, 1)),
-               np.zeros((n, 3)), np.zeros(n), 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-               0.002, 10.0, 0.02, 0.0, np.zeros((n, 3)), np.zeros((n, 4)),
-               np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int8))

@@ -5,7 +5,7 @@ is better. Smoothness metrics operate on scalar speed profiles, by default
 the finite-difference speed of executed positions downsampled to 50 Hz.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,6 @@ class MetricReport:
     sparc: float | None = None
     ldlj: float | None = None
     stalls: float | None = None
-    extras: dict = field(default_factory=dict)
 
     COLUMNS = ("n", "sr", "tpr", "atr", "sod", "con", "wed", "sparc", "ldlj",
                "stalls")

@@ -8,7 +8,7 @@ the current tracking error and blends the two draws with the guidance
 weight.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +26,15 @@ class ActionChunk:
     grippers: np.ndarray       # (H,)
     flags: np.ndarray          # (H,) in {0, 1}
     t_obs: float = 0.0
-    t_ready: float = 0.0
-
-    def __post_init__(self):
-        if self.t_ready < self.t_obs:
-            raise InvalidInputError("t_ready must be >= t_obs")
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def pose(self, i: int) -> Pose:
-        return Pose(self.positions[i], self.orientations[i])
 
     def segment(self, start: int, stop: int) -> "ActionChunk":
         return ActionChunk(self.positions[start:stop],
                            self.orientations[start:stop],
                            self.grippers[start:stop], self.flags[start:stop],
-                           self.t_obs, self.t_ready)
+                           self.t_obs)
 
 
 @dataclass(frozen=True)
@@ -66,11 +58,10 @@ class PolicyConfig:
             raise ConfigurationError(f"unknown target_mode {self.target_mode!r}")
 
 
-@dataclass(frozen=True)
-class RetrievalWeights:
-    pos: float = 1.0
-    grip: float = 0.02
-    obj: float = 1.0
+# retrieval state-distance weights: robot position, gripper, object position
+POS_WEIGHT = 1.0
+GRIP_WEIGHT = 0.02
+OBJ_WEIGHT = 1.0
 
 
 class MockPolicy:
@@ -81,15 +72,13 @@ class MockPolicy:
     safe and repeated runs produce identical sequences.
     """
 
-    def __init__(self, demos, config: PolicyConfig, seed: int = 0,
-                 weights: RetrievalWeights = RetrievalWeights()):
+    def __init__(self, demos, config: PolicyConfig, seed: int = 0):
         demos = list(demos)
         if not demos:
             raise ConfigurationError("demo library must be non-empty")
         self.demos = demos
         self.config = config
         self.seed = int(seed)
-        self.weights = weights
         self._calls = 0
 
         key = "reached" if config.target_mode == "reached" else "commanded"
@@ -110,12 +99,11 @@ class MockPolicy:
         q_pos = obs.robot.position
         q_obj = obs.object_pose.position
         q_grip = obs.gripper
-        w = self.weights
         per_demo = []
         for pos, obj, grip in zip(self._feat_pos, self._feat_obj, self._grip):
-            d = (w.pos * np.sum((pos - q_pos) ** 2, axis=1)
-                 + w.grip * (grip - q_grip) ** 2
-                 + w.obj * np.sum((obj - q_obj) ** 2, axis=1))
+            d = (POS_WEIGHT * np.sum((pos - q_pos) ** 2, axis=1)
+                 + GRIP_WEIGHT * (grip - q_grip) ** 2
+                 + OBJ_WEIGHT * np.sum((obj - q_obj) ** 2, axis=1))
             per_demo.append(d)
         return per_demo
 
@@ -130,8 +118,7 @@ class MockPolicy:
             positions += rng.normal(0.0, noise_sigma, size=positions.shape)
         return ActionChunk(positions, self._out_quat[demo_idx][idx].copy(),
                            self._grip[demo_idx][idx].copy(),
-                           self._flags[demo_idx][idx].copy(), t_obs=t_obs,
-                           t_ready=t_obs)
+                           self._flags[demo_idx][idx].copy(), t_obs=t_obs)
 
 
 BRANCH_SLACK = 0.02  # m-equivalent; demos eligible for branch switching
@@ -222,7 +209,7 @@ def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:
             quat_mul(quat_from_rotvec(w * rv), uncond.orientations[i]))
     flags = cond.flags if w > 0.5 else uncond.flags
     return ActionChunk(positions, orientations, grippers, flags.copy(),
-                       uncond.t_obs, uncond.t_ready)
+                       uncond.t_obs)
 
 
 def infer_eag(policy: MockPolicy, obs, prev_chunk: ActionChunk,

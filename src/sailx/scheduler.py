@@ -22,7 +22,7 @@ from .controller import GainProfile, ReferenceTrack, track
 from .errors import ConfigurationError
 from .metrics import con, speed_profile, wed
 from .policy import ActionChunk, MockPolicy, infer_eag, infer_unconditional
-from .sim import DynamicsParams, Pose, TaskSpec, WorldState, initial_world, success
+from .sim import DynamicsParams, Pose, TaskSpec, initial_world, success
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class RolloutLog:
     e_pos: np.ndarray
     e_ori: np.ndarray
     events: list[tuple[float, str]]
-    chunks: list[ActionChunk]
-    guidance: list[bool]
+    chunks: list[ActionChunk] = field(default_factory=list)
+    guidance: list[bool] = field(default_factory=list)
     seed: int = 0
 
     @property
@@ -131,7 +131,28 @@ class RolloutLog:
         return speed_profile(self.positions, dt)
 
 
-_TRACE_STRIDE = 10  # physics steps per logged sample (2 ms -> 50 Hz)
+TRACE_STRIDE = 10  # physics steps per logged sample (2 ms -> 50 Hz)
+
+
+def sample_trace(trace, ref: ReferenceTrack):
+    """The 50 Hz log of one tracked stretch, and its grasp/release events.
+
+    Returns a dict of the RolloutLog sample arrays (times, positions,
+    orientations, ref_positions, ref_orientations, e_pos, e_ori), taken every
+    TRACE_STRIDE physics steps, and the (time, tag) events of every step.
+    """
+    times = trace.times[::TRACE_STRIDE]
+    ref_pos, _, ref_quat, _, _ = ref.sample(times)
+    samples = {"times": times,
+               "positions": trace.positions[::TRACE_STRIDE],
+               "orientations": trace.orientations[::TRACE_STRIDE],
+               "ref_positions": ref_pos, "ref_orientations": ref_quat,
+               "e_pos": trace.e_pos[::TRACE_STRIDE],
+               "e_ori": trace.e_ori[::TRACE_STRIDE]}
+    events = [(float(trace.times[i]),
+               "grasp" if trace.events[i] > 0 else "release")
+              for i in np.nonzero(trace.events)[0]]
+    return samples, events
 
 
 def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
@@ -143,8 +164,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     exec_n = h_p - h_c
     world = initial_world(start_pose, task)
 
-    log_t, log_p, log_q, log_ep, log_eo = [], [], [], [], []
-    log_rp, log_rq = [], []
+    samples: list[dict] = []
     events: list[tuple[float, str]] = []
     con_values: list[float] = []
     wed_values: list[float] = []
@@ -153,20 +173,9 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     stall_count = 0
 
     def collect(trace, ref):
-        if len(trace.times) == 0:
-            return
-        ts = trace.times[::_TRACE_STRIDE]
-        log_t.append(ts)
-        log_p.append(trace.positions[::_TRACE_STRIDE])
-        log_q.append(trace.orientations[::_TRACE_STRIDE])
-        log_ep.append(trace.e_pos[::_TRACE_STRIDE])
-        log_eo.append(trace.e_ori[::_TRACE_STRIDE])
-        rp, _, rq, _, _ = ref.sample(ts)
-        log_rp.append(rp)
-        log_rq.append(rq)
-        for i in np.nonzero(trace.events)[0]:
-            tag = "grasp" if trace.events[i] > 0 else "release"
-            events.append((float(trace.times[i]), tag))
+        stretch, stretch_events = sample_trace(trace, ref)
+        samples.append(stretch)
+        events.extend(stretch_events)
 
     # first inference launched at t = 0; hold the start pose until it lands
     chunk = infer_unconditional(policy, world)
@@ -254,16 +263,10 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         stall_count=stall_count,
         con_values=con_values,
         wed_values=wed_values,
-        times=np.concatenate(log_t) if log_t else np.zeros(0),
-        positions=np.concatenate(log_p) if log_p else np.zeros((0, 3)),
-        orientations=np.concatenate(log_q) if log_q else np.zeros((0, 4)),
-        ref_positions=np.concatenate(log_rp) if log_rp else np.zeros((0, 3)),
-        ref_orientations=(np.concatenate(log_rq) if log_rq
-                          else np.zeros((0, 4))),
-        e_pos=np.concatenate(log_ep) if log_ep else np.zeros(0),
-        e_ori=np.concatenate(log_eo) if log_eo else np.zeros(0),
         events=events,
         chunks=chunks,
         guidance=guidance,
         seed=seed,
+        **{name: np.concatenate([stretch[name] for stretch in samples])
+           for name in samples[0]},
     )

@@ -6,13 +6,13 @@ the end effector is within ``grasp_radius`` of the object, the object is
 rigidly attached; opening past 0.5 detaches it wherever it is.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import IDENTITY_QUAT, Pose, Twist
-from .errors import ConfigurationError, SimFault
-from .kernels import STATE_SIZE, step_state
+from .errors import ConfigurationError
+from .kernels import STATE_SIZE
 
 PHYSICS_DT = 0.002  # 2 ms per physics step
 
@@ -92,19 +92,6 @@ def initial_world(robot: Pose, task: TaskSpec) -> WorldState:
     return WorldState(robot=robot, object_pose=task.object_start)
 
 
-def step(world: WorldState, wrench, gripper_cmd: float, params: DynamicsParams,
-         grasp_radius: float = 0.015) -> WorldState:
-    """One semi-implicit Euler step; raises SimFault on non-finite wrench."""
-    wrench = np.asarray(wrench, dtype=float)
-    v = world.to_vector()
-    event = step_state(v, wrench, float(gripper_cmd), params.mass,
-                       params.inertia, params.physics_dt, params.gripper_slew,
-                       grasp_radius, params.wrench_limit)
-    if event == 2:
-        raise SimFault("non-finite wrench")
-    return WorldState.from_vector(v)
-
-
 def success(world: WorldState, spec: TaskSpec) -> bool:
     """Object placed within tolerance, released, and within the time limit."""
     if world.attached or world.sim_time > spec.t_max:
@@ -112,6 +99,3 @@ def success(world: WorldState, spec: TaskSpec) -> bool:
     dist = np.linalg.norm(world.object_pose.position - spec.goal_position)
     return bool(dist <= spec.place_tolerance)
 
-
-def with_object(world: WorldState, object_pose: Pose) -> WorldState:
-    return replace(world, object_pose=object_pose)

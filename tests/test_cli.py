@@ -80,6 +80,16 @@ class TestConfigFile:
         assert code == 0
         assert text.count("trial ") == 1
 
+    def test_config_applies_only_the_commands_section(self, demo_dir,
+                                                      tmp_path, capsys):
+        cfg = tmp_path / "sailx.ini"
+        cfg.write_text(f"[label]\ndemos = {demo_dir}\n"
+                       "[sweep-noise]\nscales = 0,0.01\n"
+                       "[sweep-speed]\njobs = 2\n")
+        code, text = run(capsys, "--config", str(cfg), "label")
+        assert code == 0
+        assert len(text.splitlines()) == 7  # header + one row per demo
+
     def test_missing_config_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["--config", "/nonexistent.ini", "rollout"])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from sailx.controller import (GAIN_PRESETS, GainProfile, ReferenceTrack,
-                              compute_wrench, fit_reference, gain_profile,
-                              track)
-from sailx.core import IDENTITY_QUAT, Pose, Twist
+                              fit_reference, gain_profile, track)
+from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import InvalidInputError
-from sailx.sim import DynamicsParams, TaskSpec, initial_world
+from sailx.kernels import pd_wrench
+from sailx.sim import DynamicsParams, TaskSpec, WorldState, initial_world
 
 
 def rotz(theta):
@@ -27,6 +27,13 @@ class TestReferenceTrack:
         with pytest.raises(InvalidInputError):
             ReferenceTrack([0.0, 0.0], np.zeros((2, 3)),
                            np.tile(IDENTITY_QUAT, (2, 1)))
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [0.0, 0.5, np.inf],
+                                       [-np.inf, 0.0, 1.0]])
+    def test_rejects_non_finite_times(self, times):
+        with pytest.raises(InvalidInputError):
+            ReferenceTrack(times, np.zeros((3, 3)),
+                           np.tile(IDENTITY_QUAT, (3, 1)))
 
     def test_linear_two_point_fallback(self):
         ref = _line_track(n=2, dt=1.0, speed=2.0)
@@ -77,13 +84,21 @@ class TestReferenceTrack:
             fit_reference(Chunk, 0.0)
 
 
+def _wrench(ref: Pose, cur: Pose, gains: GainProfile, params: DynamicsParams):
+    """kernels.pd_wrench from rest at ``cur`` towards a static ``ref``."""
+    state = WorldState(robot=cur).to_vector()
+    return pd_wrench(state, ref.position, np.zeros(3), ref.orientation,
+                     np.zeros(3), gains.kp_pos, gains.kv_pos, gains.kp_ori,
+                     gains.kv_ori, params.mass, params.inertia)
+
+
 class TestComputeWrench:
     def test_pd_force_at_rest(self):
         gains = GainProfile(100.0, 20.0, 100.0, 20.0)
         params = DynamicsParams(mass=2.0)
         ref = Pose(np.array([1.0, 0.0, 0.0]))
         cur = Pose(np.zeros(3))
-        wrench = compute_wrench(ref, Twist(), cur, Twist(), gains, params)
+        wrench = _wrench(ref, cur, gains, params)
         assert wrench[:3] == pytest.approx([200.0, 0.0, 0.0])
         assert wrench[3:] == pytest.approx(np.zeros(3))
 
@@ -92,7 +107,7 @@ class TestComputeWrench:
         params = DynamicsParams()
         ref = Pose(np.zeros(3), rotz(0.2))
         cur = Pose(np.zeros(3))
-        wrench = compute_wrench(ref, Twist(), cur, Twist(), gains, params)
+        wrench = _wrench(ref, cur, gains, params)
         assert wrench[3:] == pytest.approx([0.0, 0.0, 50.0 * 0.2], abs=1e-9)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sailx.core import IDENTITY_QUAT, Pose, interpolate_pose, tracking_error
+from sailx.core import IDENTITY_QUAT, Pose, tracking_error
 from sailx.errors import InvalidInputError
 from sailx.kernels import (quat_angle, quat_from_rotvec, quat_mul,
                            quat_normalize, quat_rotate, quat_slerp,
@@ -43,27 +43,6 @@ class TestTrackingError:
             tracking_error(a, c).e_ori, abs=1e-12)
 
 
-class TestInterpolatePose:
-    def test_endpoints_exact(self):
-        a = _pose([0, 0, 0], rotz(0.3))
-        b = _pose([1, 2, 3], rotz(1.2))
-        assert interpolate_pose(a, b, 0.0) is a
-        assert interpolate_pose(a, b, 1.0) is b
-
-    def test_midpoint(self):
-        a = _pose([0, 0, 0])
-        b = _pose([1, 0, 0], rotz(1.0))
-        mid = interpolate_pose(a, b, 0.5)
-        assert mid.position == pytest.approx([0.5, 0, 0])
-        assert quat_angle(mid.orientation, rotz(0.5)) == pytest.approx(
-            0.0, abs=1e-9)
-
-    def test_out_of_range_rejected(self):
-        a, b = _pose([0, 0, 0]), _pose([1, 0, 0])
-        with pytest.raises(InvalidInputError):
-            interpolate_pose(a, b, 1.5)
-
-
 class TestQuaternionKernels:
     def test_mul_composes_rotations(self):
         q = quat_mul(rotz(0.4), rotz(0.3))
@@ -98,3 +77,13 @@ class TestPose:
         p = _pose([1, 2, 3])
         with pytest.raises(ValueError):
             p.position[0] = 9.0
+
+    @pytest.mark.parametrize("position, orientation", [
+        ([np.nan, 0.0, 0.0], [np.nan] * 4),
+        ([np.nan, 0.0, 0.0], IDENTITY_QUAT),
+        ([0.0, np.inf, 0.0], IDENTITY_QUAT),
+        ([0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]),
+    ])
+    def test_non_finite_rejected(self, position, orientation):
+        with pytest.raises(InvalidInputError):
+            Pose(np.array(position), np.array(orientation))

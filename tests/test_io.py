@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from sailx.errors import (AlignmentError, FormatError, InvalidInputError,
-                          ParseError)
-from sailx.io import (ModalityCache, align_observations, load_demos,
-                      read_demo, read_rollout, save_demos, write_demo,
-                      write_rollout)
+from sailx.errors import FormatError, ParseError
+from sailx.io import (load_demos, read_demo, read_rollout, save_demos,
+                      write_demo, write_rollout)
 from sailx.experiments import replay_rollout, run_method_rollout
+from sailx.metrics import aggregate
+from sailx.scheduler import RolloutLog
 
 
 class TestDemoRoundTrip:
@@ -57,6 +57,36 @@ class TestDemoRoundTrip:
             read_demo(path)
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_reports_line(self, demos20, tmp_path, token):
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[4])
+        rec["reached"][1] = float(token.replace("Infinity", "inf"))
+        lines[4] = json.dumps(rec)
+        assert token in lines[4]
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_demo(path)
+        assert exc.value.line == 5
+
+    @pytest.mark.parametrize("drop", [True, False])
+    def test_header_count_mismatch_rejected(self, demos20, tmp_path, drop):
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        lines = open(path).read().splitlines()
+        if drop:
+            del lines[-1]
+        else:
+            header = json.loads(lines[0])
+            header["n"] += 1
+            lines[0] = json.dumps(header)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_demo(path)
+        assert exc.value.line == 1
+
     def test_wrong_kind_rejected(self, demos20, tmp_path):
         path = str(tmp_path / "d.jsonl")
         write_demo(demos20[0], path)
@@ -82,23 +112,30 @@ class TestDemoRoundTrip:
 
 class TestRolloutRoundTrip:
     def test_roundtrip(self, demos20, tmp_path):
-        log = run_method_rollout("dp", 1.0, demos20, seed=0)
-        path = str(tmp_path / "r.jsonl")
-        write_rollout(log, path)
-        back = read_rollout(path)
-        assert back.success == log.success
-        assert back.duration == pytest.approx(log.duration, abs=1e-12)
-        assert back.stall_count == log.stall_count
-        assert back.times == pytest.approx(log.times, abs=1e-12)
-        assert back.state[:, :3] == pytest.approx(log.positions, abs=1e-12)
-        assert back.ref[:, 3:] == pytest.approx(log.ref_orientations,
-                                                abs=1e-12)
-        assert back.e_pos == pytest.approx(log.e_pos, abs=1e-12)
-        assert back.con_values == pytest.approx(log.con_values, abs=1e-12)
-        assert back.wed_values == pytest.approx(log.wed_values, abs=1e-12)
-        assert back.events == [(pytest.approx(t, abs=1e-12), tag)
-                               for t, tag in log.events]
-        assert len(back.speed) > 0
+        for method in ("dp", "replay"):
+            log = run_method_rollout(method, 1.0, demos20, seed=0)
+            path = str(tmp_path / f"{method}.jsonl")
+            write_rollout(log, path)
+            back = read_rollout(path)
+            assert isinstance(back, RolloutLog)
+            assert back.success == log.success
+            assert back.duration == pytest.approx(log.duration, abs=1e-12)
+            assert back.stall_count == log.stall_count
+            assert back.times == pytest.approx(log.times, abs=1e-12)
+            assert back.positions == pytest.approx(log.positions, abs=1e-12)
+            assert back.ref_orientations == pytest.approx(
+                log.ref_orientations, abs=1e-12)
+            assert back.e_pos == pytest.approx(log.e_pos, abs=1e-12)
+            assert back.con_values == pytest.approx(log.con_values,
+                                                    abs=1e-12)
+            assert back.wed_values == pytest.approx(log.wed_values,
+                                                    abs=1e-12)
+            assert back.events == [(pytest.approx(t, abs=1e-12), tag)
+                                   for t, tag in log.events]
+            assert len(back.speed) > 0
+            # the `sailx metrics` path reports what the live log would
+            assert (aggregate([back], t_max=30.0).as_row()
+                    == aggregate([log], t_max=30.0).as_row())
 
     def test_unknown_event_tag_rejected(self, demos20, tmp_path):
         log = run_method_rollout("dp", 1.0, demos20, seed=0)
@@ -108,58 +145,6 @@ class TestRolloutRoundTrip:
             fh.write(json.dumps({"event": "explode", "time": 1.0}) + "\n")
         with pytest.raises(ParseError):
             read_rollout(path)
-
-
-class TestModalityCache:
-    def test_capacity_evicts_oldest(self):
-        cache = ModalityCache("rgb", capacity=3)
-        for i in range(5):
-            cache.push(0.1 * i, sample_id=i)
-        t, sid = cache.nearest(0.0)
-        assert sid == 2  # samples 0 and 1 evicted
-
-    def test_rejects_decreasing_timestamps(self):
-        cache = ModalityCache("rgb")
-        cache.push(1.0, sample_id=0)
-        with pytest.raises(InvalidInputError):
-            cache.push(0.5, sample_id=1)
-
-    def test_nearest(self):
-        cache = ModalityCache("rgb")
-        for i, t in enumerate([0.0, 0.1, 0.25]):
-            cache.push(t, sample_id=i)
-        assert cache.nearest(0.12)[1] == 1
-        assert cache.nearest(0.2)[1] == 2
-
-    def test_empty_nearest_rejected(self):
-        with pytest.raises(AlignmentError):
-            ModalityCache("rgb").nearest(0.0)
-
-
-class TestAlignObservations:
-    def test_anchor_repick(self):
-        # nearest to t=1.0: rgb at 0.99, depth at 0.97, prop at 1.005;
-        # the anchor is depth (farthest), and rgb/prop re-pick nearest 0.97.
-        rgb = ModalityCache("rgb")
-        depth = ModalityCache("depth")
-        prop = ModalityCache("prop")
-        for t, sid in [(0.96, 0), (0.99, 1), (1.04, 2)]:
-            rgb.push(t, sample_id=sid)
-        for t, sid in [(0.90, 0), (0.97, 1)]:
-            depth.push(t, sample_id=sid)
-        for t, sid in [(0.965, 0), (1.005, 1)]:
-            prop.push(t, sample_id=sid)
-        result = align_observations([rgb, depth, prop], 1.0)
-        assert result.anchor == pytest.approx(0.97)
-        assert result.picks["depth"] == (pytest.approx(0.97), 1)
-        assert result.picks["rgb"][1] == 0      # 0.96 nearest to 0.97
-        assert result.picks["prop"][1] == 0     # 0.965 nearest to 0.97
-
-    def test_empty_cache_rejected(self):
-        rgb = ModalityCache("rgb")
-        rgb.push(0.0, sample_id=0)
-        with pytest.raises(AlignmentError):
-            align_observations([rgb, ModalityCache("depth")], 0.0)
 
 
 class TestGenerateDemos:

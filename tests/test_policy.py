@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sailx.core import IDENTITY_QUAT, Pose
+from sailx.core import Pose
 from sailx.errors import ConfigurationError, InvalidInputError
 from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig, cfg_blend,
                           infer_conditional, infer_eag, infer_unconditional)
@@ -19,7 +19,7 @@ def _chunk(n=8, seed=0, theta=0.0):
                        np.tile(rotz(theta), (n, 1)),
                        rng.uniform(size=n),
                        rng.integers(0, 2, size=n).astype(np.int8),
-                       t_obs=0.0, t_ready=0.0)
+                       t_obs=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +41,6 @@ class TestActionChunk:
         seg = c.segment(2, 6)
         assert len(seg) == 4
         assert seg.positions == pytest.approx(c.positions[2:6])
-
-    def test_invalid_ready_time_rejected(self):
-        with pytest.raises(InvalidInputError):
-            ActionChunk(np.zeros((4, 3)), np.tile(IDENTITY_QUAT, (4, 1)),
-                        np.zeros(4), np.zeros(4, dtype=np.int8),
-                        t_obs=1.0, t_ready=0.5)
 
 
 class TestPolicyConfig:
@@ -104,7 +98,7 @@ class TestConditional:
         tail = ActionChunk(demo.reached[start:start + h_c, :3].copy(),
                            demo.reached[start:start + h_c, 3:7].copy(),
                            np.ones(h_c), np.zeros(h_c, dtype=np.int8),
-                           t_obs=0.0, t_ready=0.0)
+                           t_obs=0.0)
         cond = infer_conditional(policy, _obs(demo), tail)
         assert np.all(cond.grippers[:h_c] >= 0.5)
 

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sailx.core import IDENTITY_QUAT, Pose
-from sailx.errors import ConfigurationError, SimFault
+from sailx.core import Pose
+from sailx.errors import ConfigurationError
+from sailx.kernels import step_state
 from sailx.sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
-                       step, success, with_object)
+                       success)
 
 
 def _task(**kwargs):
@@ -14,6 +17,16 @@ def _task(**kwargs):
 
 def _world(robot_pos=(0.3, 0.0, 0.02)):
     return initial_world(Pose(np.array(robot_pos, dtype=float)), _task())
+
+
+def _step(w, wrench, gripper_cmd, params, grasp_radius=0.015):
+    """One kernels.step_state on the packed state, as track_loop runs it."""
+    v = w.to_vector()
+    event = step_state(v, np.asarray(wrench, dtype=float), float(gripper_cmd),
+                       params.mass, params.inertia, params.physics_dt,
+                       params.gripper_slew, grasp_radius, params.wrench_limit)
+    assert event != 2
+    return WorldState.from_vector(v)
 
 
 class TestStateVector:
@@ -31,14 +44,14 @@ class TestStep:
     def test_time_advances_by_physics_dt(self):
         params = DynamicsParams()
         w = _world()
-        w2 = step(w, np.zeros(6), 0.0, params)
+        w2 = _step(w, np.zeros(6), 0.0, params)
         assert w2.sim_time == pytest.approx(params.physics_dt)
 
     def test_constant_force_accelerates(self):
         params = DynamicsParams()
         w = _world()
         for _ in range(100):
-            w = step(w, np.array([1.0, 0, 0, 0, 0, 0]), 0.0, params)
+            w = _step(w, np.array([1.0, 0, 0, 0, 0, 0]), 0.0, params)
         # semi-implicit Euler under constant force: x ~ a t^2 / 2
         t = w.sim_time
         assert w.robot.position[0] - 0.3 == pytest.approx(0.5 * t**2, rel=0.02)
@@ -47,13 +60,19 @@ class TestStep:
     def test_gripper_slew_rate(self):
         params = DynamicsParams(gripper_slew=8.0)
         w = _world()
-        w = step(w, np.zeros(6), 1.0, params)
+        w = _step(w, np.zeros(6), 1.0, params)
         assert w.gripper == pytest.approx(8.0 * params.physics_dt)
 
     def test_nonfinite_wrench_faults(self):
-        with pytest.raises(SimFault):
-            step(_world(), np.array([np.nan, 0, 0, 0, 0, 0]), 0.0,
-                 DynamicsParams())
+        params = DynamicsParams()
+        for bad in (np.nan, np.inf):
+            v = _world().to_vector()
+            before = v.copy()
+            event = step_state(v, np.array([bad, 0, 0, 0, 0, 0]), 0.0,
+                               params.mass, params.inertia, params.physics_dt,
+                               params.gripper_slew, 0.015, params.wrench_limit)
+            assert event == 2
+            assert np.array_equal(v, before)
 
     def test_determinism(self):
         params = DynamicsParams()
@@ -61,7 +80,7 @@ class TestStep:
         for _ in range(2):
             w = _world()
             for i in range(50):
-                w = step(w, np.array([0.1, -0.05, 0.2, 0, 0, 0.01]),
+                w = _step(w, np.array([0.1, -0.05, 0.2, 0, 0, 0.01]),
                          0.5, params)
             runs.append(w.to_vector())
         assert np.array_equal(runs[0], runs[1])
@@ -70,7 +89,7 @@ class TestStep:
 class TestGrasp:
     def _close_gripper(self, w, params, steps=400):
         for _ in range(steps):
-            w = step(w, np.zeros(6), 1.0, params)
+            w = _step(w, np.zeros(6), 1.0, params)
         return w
 
     def test_attach_within_radius(self):
@@ -88,7 +107,7 @@ class TestGrasp:
         w = self._close_gripper(_world(robot_pos=(0.3, 0.0, 0.025)), params)
         rel = w.object_pose.position - w.robot.position
         for _ in range(200):
-            w = step(w, np.array([0.5, 0.2, 0.3, 0, 0, 0]), 1.0, params)
+            w = _step(w, np.array([0.5, 0.2, 0.3, 0, 0, 0]), 1.0, params)
         assert w.object_pose.position - w.robot.position == pytest.approx(
             rel, abs=1e-9)
 
@@ -96,7 +115,7 @@ class TestGrasp:
         params = DynamicsParams()
         w = self._close_gripper(_world(robot_pos=(0.3, 0.0, 0.025)), params)
         for _ in range(400):
-            w = step(w, np.zeros(6), 0.0, params)
+            w = _step(w, np.zeros(6), 0.0, params)
         assert not w.attached
 
 
@@ -104,7 +123,7 @@ class TestSuccess:
     def test_requires_release_and_tolerance(self):
         task = _task()
         goal_pose = Pose(task.goal_position.copy())
-        w = with_object(_world(), goal_pose)
+        w = replace(_world(), object_pose=goal_pose)
         assert success(w, task)
         assert not success(
             WorldState(robot=w.robot, object_pose=goal_pose, attached=True),
@@ -113,7 +132,7 @@ class TestSuccess:
     def test_fails_outside_tolerance_or_after_t_max(self):
         task = _task()
         off = Pose(task.goal_position + np.array([0.03, 0, 0]))
-        assert not success(with_object(_world(), off), task)
+        assert not success(replace(_world(), object_pose=off), task)
         late = WorldState(robot=_world().robot,
                           object_pose=Pose(task.goal_position.copy()),
                           sim_time=task.t_max + 1.0)
