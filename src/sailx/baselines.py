@@ -95,7 +95,7 @@ def aggregate_chunk(chunk: ActionChunk) -> ActionChunk:
     orientations[m:] = orientations[m - 1]
     grippers[m:] = grippers[m - 1]
     flags[m:] = flags[m - 1]
-    return ActionChunk(positions, orientations, grippers, flags, chunk.t_obs)
+    return ActionChunk(positions, orientations, grippers, flags)
 
 
 class AggregatedActionsPolicy(MockPolicy):

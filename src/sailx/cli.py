@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     corpus = ("--seed", "--out", "--demos")
-    command("gen-demos", cmd_gen_demos, "generate and save a demo corpus",
-            ("--seed", "--out"), trials=50)
+    p = command("gen-demos", cmd_gen_demos, "generate and save a demo corpus",
+                ("--seed",), trials=50)
+    p.add_argument("--out", required=True, help="directory for the demo files")
     command("label", cmd_label, "criticality labels per demo", corpus)
 
     p = command("rollout", cmd_rollout, "closed-loop rollouts of one method",

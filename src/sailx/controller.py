@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import quat_slerp, rotvec_between, track_loop
+from .kernels import rotvec_between, track_loop
 from .sim import DynamicsParams, WorldState
 
 
@@ -120,16 +120,11 @@ class ReferenceTrack:
         outside = (t < self.times[0]) | (t > self.times[-1])
         vel[outside] = 0.0
 
-        n = len(t)
-        quat = np.empty((n, 4))
-        angvel = np.empty((n, 3))
         seg = np.clip(np.searchsorted(self.times, tc, side="right") - 1,
                       0, len(self.times) - 2)
         frac = (tc - self.times[seg]) / (self.times[seg + 1] - self.times[seg])
-        for i in range(n):
-            quat[i] = quat_slerp(self.orientations[seg[i]],
-                                 self.orientations[seg[i] + 1], frac[i])
-            angvel[i] = self._seg_angvel[seg[i]]
+        quat = _slerp(self.orientations, seg, frac)
+        angvel = self._seg_angvel[seg]
         angvel[outside] = 0.0
         grip = self.grippers[np.clip(seg + (frac >= 1.0), 0,
                                      len(self.times) - 1)]
@@ -138,6 +133,42 @@ class ReferenceTrack:
     def pose_at(self, t: float) -> Pose:
         pos, _, quat, _, _ = self.sample(np.array([t]))
         return Pose(pos[0], quat[0])
+
+
+def _slerp(quats, seg, s):
+    """Shortest-arc slerp from quats[seg] to quats[seg + 1] at fractions s.
+
+    Row by row this takes the branches of a scalar slerp from a to b in
+    the same operation order: b is negated when dot(a, b) < 0, the dot is
+    clamped at 1, angles below 1e-10 fall back to a normalised lerp, and
+    the result is normalised and flipped to w >= 0. The branches depend on
+    the segment alone, so they are decided once per segment.
+    """
+    a = quats[:-1]
+    b = quats[1:].copy()
+    d = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+         + a[:, 3] * b[:, 3])
+    flip = d < 0.0
+    b[flip] *= -1.0
+    d[flip] *= -1.0
+    theta = np.arccos(np.minimum(d, 1.0, out=d))
+    s = s[:, None]
+    out = (b - a)[seg]
+    out *= s
+    out += a[seg]  # a + s * (b - a): both operations commute exactly
+    rows = ~(theta < 1e-10)[seg]
+    if np.any(rows):
+        arc = seg[rows]
+        th = theta[arc][:, None]
+        sa = s[rows]
+        st = np.sin(th)
+        out[rows] = (np.sin((1.0 - sa) * th) / st * a[arc]
+                     + np.sin(sa * th) / st * b[arc])
+    norm = np.sqrt(out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1]
+                   + out[:, 2] * out[:, 2] + out[:, 3] * out[:, 3])
+    out /= norm[:, None]
+    out[out[:, 0] < 0.0] *= -1.0
+    return out
 
 
 def fit_reference(chunk, interval: float) -> ReferenceTrack:

@@ -14,6 +14,7 @@ smooth, lagged closed-loop response.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -95,6 +96,13 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):  # a literal such as 1e400 overflows to inf
+        _reject_constant(token)
+    return value
+
+
 def _read_lines(path: str, kind: str):
     """Yield (line_no, parsed) for records; validates the header line."""
     with open(path) as fh:
@@ -104,9 +112,9 @@ def _read_lines(path: str, kind: str):
     parsed = []
     for no, line in enumerate(lines, start=1):
         try:
-            parsed.append((no, json.loads(line,
+            parsed.append((no, json.loads(line, parse_float=_finite_float,
                                           parse_constant=_reject_constant)))
-        except ValueError as exc:  # malformed JSON, or NaN / Infinity
+        except ValueError as exc:  # malformed JSON, or a non-finite number
             raise ParseError(f"{path}: malformed record: "
                              f"{getattr(exc, 'msg', exc)}", line=no) from None
     header = parsed[0][1]

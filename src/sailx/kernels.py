@@ -1,12 +1,25 @@
-"""Hot numeric kernels: quaternion algebra, plant integration, tracking loop.
+"""Hot numeric kernels: quaternion algebra and the plant tracking loop.
 
-Everything here is written against plain float64 ndarrays so it can be
-compiled with numba, which is an optional extra (``pip install .[numba]``).
-Without numba the same functions run as plain numpy/python;
-``NUMBA_ENABLED`` says which path is in use.
+Everything here is written in the subset of numpy that numba compiles, and
+numba is an optional extra (``pip install .[numba]``). Without numba the
+same functions run as plain numpy/python; ``NUMBA_ENABLED`` says which path
+is in use. numba's compile of ``track_loop`` has not been verified: numba
+is not importable where the loop was written.
+
+``track_loop`` is the plant: a task-space PD law and a semi-implicit Euler
+step per physics step, fused into one loop that keeps the state and the
+current reference row in scalar Python floats, so that a step allocates
+no array: on the plain-python path, allocating small arrays was most of
+the cost of a step. The loop repeats the array helpers' expressions in
+their operation order, so its results are the same bits. ``math.sqrt``,
+``math.sin`` and ``math.cos`` give numpy's results, but ``np.arctan2`` and
+``np.arccos`` must not become ``math.atan2`` and ``math.acos``: numpy's
+SIMD (SVML) versions differ from libm in the last bit for several percent
+of inputs, which would change every rollout and every sweep digest.
+``tests/plant_oracle.py`` keeps the array helpers as the reference.
 
 Quaternions are (w, x, y, z), unit norm. The packed plant state vector used
-by ``step_state``/``track_loop`` has layout::
+by ``track_loop`` has layout::
 
     [0:3]   robot position (m)
     [3:7]   robot orientation quaternion
@@ -20,6 +33,8 @@ by ``step_state``/``track_loop`` has layout::
     [25:29] object orientation in gripper frame (valid while attached)
     [29]    simulation time (s)
 """
+
+import math
 
 import numpy as np
 
@@ -67,21 +82,6 @@ def quat_normalize(q):
 
 
 @njit(cache=True)
-def quat_rotate(q, v):
-    """Rotate vector v by unit quaternion q."""
-    w, x, y, z = q[0], q[1], q[2], q[3]
-    # t = 2 * cross(q_vec, v)
-    tx = 2.0 * (y * v[2] - z * v[1])
-    ty = 2.0 * (z * v[0] - x * v[2])
-    tz = 2.0 * (x * v[1] - y * v[0])
-    out = np.empty(3)
-    out[0] = v[0] + w * tx + (y * tz - z * ty)
-    out[1] = v[1] + w * ty + (z * tx - x * tz)
-    out[2] = v[2] + w * tz + (x * ty - y * tx)
-    return out
-
-
-@njit(cache=True)
 def quat_from_rotvec(rv):
     angle = np.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
     out = np.empty(4)
@@ -122,123 +122,6 @@ def rotvec_between(q_from, q_to):
 
 
 @njit(cache=True)
-def quat_angle(a, b):
-    """Geodesic angle between two orientations, via the rotation-matrix trace.
-
-    tr(R_delta) = 4*dot(a,b)^2 - 1, so arccos((tr-1)/2) = arccos(2*dot^2 - 1);
-    the squared dot makes the result independent of quaternion sign.
-    """
-    d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-    c = 2.0 * d * d - 1.0
-    if c > 1.0:
-        c = 1.0
-    elif c < -1.0:
-        c = -1.0
-    return np.arccos(c)
-
-
-@njit(cache=True)
-def quat_slerp(a, b, s):
-    """Shortest-arc spherical interpolation."""
-    d = a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
-    bb = b.copy()
-    if d < 0.0:
-        bb = -bb
-        d = -d
-    if d > 1.0:
-        d = 1.0
-    theta = np.arccos(d)
-    if theta < 1e-10:
-        out = a + s * (bb - a)
-        return quat_normalize(out)
-    st = np.sin(theta)
-    wa = np.sin((1.0 - s) * theta) / st
-    wb = np.sin(s * theta) / st
-    return quat_normalize(wa * a + wb * bb)
-
-
-@njit(cache=True)
-def pd_wrench(state, ref_pos, ref_vel, ref_quat, ref_angvel,
-              kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia):
-    """Task-space PD law: f = m(kp e_p + kv e_v), torque analogous on SO(3)."""
-    out = np.empty(6)
-    for i in range(3):
-        e_p = ref_pos[i] - state[i]
-        e_v = ref_vel[i] - state[7 + i]
-        out[i] = mass * (kp_pos * e_p + kv_pos * e_v)
-    e_r = rotvec_between(state[3:7], ref_quat)
-    for i in range(3):
-        e_w = ref_angvel[i] - state[10 + i]
-        out[3 + i] = inertia * (kp_ori * e_r[i] + kv_ori * e_w)
-    return out
-
-
-@njit(cache=True)
-def step_state(state, wrench, grip_cmd, mass, inertia, dt, grip_slew,
-               grasp_radius, wrench_limit):
-    """Semi-implicit Euler step of the free-floating end effector.
-
-    Mutates ``state`` in place. Returns an event code: 0 none, 1 attach,
-    -1 detach, 2 fault (non-finite wrench).
-    """
-    for i in range(6):
-        if not np.isfinite(wrench[i]):
-            return 2
-    w = wrench
-    if wrench_limit > 0.0:
-        w = wrench.copy()
-        for i in range(6):
-            if w[i] > wrench_limit:
-                w[i] = wrench_limit
-            elif w[i] < -wrench_limit:
-                w[i] = -wrench_limit
-
-    for i in range(3):
-        state[7 + i] += (w[i] / mass) * dt
-        state[i] += state[7 + i] * dt
-        state[10 + i] += (w[3 + i] / inertia) * dt
-    rv = np.empty(3)
-    for i in range(3):
-        rv[i] = state[10 + i] * dt
-    state[3:7] = quat_normalize(quat_mul(quat_from_rotvec(rv), state[3:7]))
-
-    prev_grip = state[13]
-    delta = grip_cmd - prev_grip
-    max_step = grip_slew * dt
-    if delta > max_step:
-        delta = max_step
-    elif delta < -max_step:
-        delta = -max_step
-    state[13] = prev_grip + delta
-
-    event = 0
-    if prev_grip < 0.5 and state[13] >= 0.5 and state[21] == 0.0:
-        dx = state[14] - state[0]
-        dy = state[15] - state[1]
-        dz = state[16] - state[2]
-        if np.sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
-            state[21] = 1.0
-            inv = quat_conj(state[3:7])
-            rel = np.empty(3)
-            rel[0] = dx
-            rel[1] = dy
-            rel[2] = dz
-            state[22:25] = quat_rotate(inv, rel)
-            state[25:29] = quat_normalize(quat_mul(inv, state[17:21]))
-            event = 1
-    elif prev_grip >= 0.5 and state[13] < 0.5 and state[21] == 1.0:
-        state[21] = 0.0
-        event = -1
-
-    if state[21] == 1.0:
-        state[14:17] = state[0:3] + quat_rotate(state[3:7], state[22:25])
-        state[17:21] = quat_normalize(quat_mul(state[3:7], state[25:29]))
-
-    state[29] += dt
-    return event
-
-
-@njit(cache=True)
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt, grip_slew,
                grasp_radius, wrench_limit, out_pos, out_quat, out_epos,
@@ -246,29 +129,216 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     """Closed-loop tracking of a pre-sampled reference for len(ref_pos) steps.
 
     The wrench for step i is computed from the state before the step against
-    reference sample i. Returns the index of a fault, or -1 if none occurred.
+    reference sample i: the task-space PD law f = m(kp e_p + kv e_v), with
+    the torque analogous on SO(3). A semi-implicit Euler step then advances
+    the state, slews the gripper and attaches or detaches the object. Step i
+    writes out_pos[i], out_quat[i], out_events[i] (+1 attach, -1 detach)
+    and the tracking errors out_epos[i], out_eori[i] against sample i.
+    ``state`` is updated in place. Returns the index of the step whose
+    wrench was non-finite, with the state as it was before that step, or -1.
     """
-    n = ref_pos.shape[0]
-    for i in range(n):
-        wrench = pd_wrench(state, ref_pos[i], ref_vel[i], ref_quat[i],
-                           ref_angvel[i], kp_pos, kv_pos, kp_ori, kv_ori,
-                           mass, inertia)
-        event = step_state(state, wrench, ref_grip[i], mass, inertia, dt,
-                           grip_slew, grasp_radius, wrench_limit)
-        if event == 2:
-            return i
-        out_events[i] = event
-        dx = ref_pos[i, 0] - state[0]
-        dy = ref_pos[i, 1] - state[1]
-        dz = ref_pos[i, 2] - state[2]
-        out_epos[i] = np.sqrt(dx * dx + dy * dy + dz * dz)
-        out_eori[i] = quat_angle(ref_quat[i], state[3:7])
-        out_pos[i, 0] = state[0]
-        out_pos[i, 1] = state[1]
-        out_pos[i, 2] = state[2]
-        out_quat[i, 0] = state[3]
-        out_quat[i, 1] = state[4]
-        out_quat[i, 2] = state[5]
-        out_quat[i, 3] = state[6]
-    return -1
+    # float() everything read from an array or passed in: arithmetic on a
+    # numpy scalar yields another, several times slower than on a float
+    kp_pos = float(kp_pos)
+    kv_pos = float(kv_pos)
+    kp_ori = float(kp_ori)
+    kv_ori = float(kv_ori)
+    mass = float(mass)
+    inertia = float(inertia)
+    dt = float(dt)
+    grasp_radius = float(grasp_radius)
+    lim = float(wrench_limit)
+    max_step = float(grip_slew) * dt
+    px, py, pz = float(state[0]), float(state[1]), float(state[2])
+    qw, qx = float(state[3]), float(state[4])
+    qy, qz = float(state[5]), float(state[6])
+    vx, vy, vz = float(state[7]), float(state[8]), float(state[9])
+    wx, wy, wz = float(state[10]), float(state[11]), float(state[12])
+    grip = float(state[13])
+    ox, oy, oz = float(state[14]), float(state[15]), float(state[16])
+    ow, oqx = float(state[17]), float(state[18])
+    oqy, oqz = float(state[19]), float(state[20])
+    attached = float(state[21])
+    rx, ry, rz = float(state[22]), float(state[23]), float(state[24])
+    rw, rqx = float(state[25]), float(state[26])
+    rqy, rqz = float(state[27]), float(state[28])
+    t = float(state[29])
 
+    n = ref_pos.shape[0]
+    fault = -1
+    for i in range(n):
+        # PD wrench; the orientation error is the rotation vector of
+        # ref * conj(q), taken on the shortest arc
+        aw, ax = float(ref_quat[i, 0]), float(ref_quat[i, 1])
+        ay, az = float(ref_quat[i, 2]), float(ref_quat[i, 3])
+        bx, by, bz = -qx, -qy, -qz
+        m0 = aw * qw - ax * bx - ay * by - az * bz
+        m1 = aw * bx + ax * qw + ay * bz - az * by
+        m2 = aw * by - ax * bz + ay * qw + az * bx
+        m3 = aw * bz + ax * by - ay * bx + az * qw
+        if m0 < 0.0:
+            m0, m1, m2, m3 = -m0, -m1, -m2, -m3
+        vec_norm = math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        if vec_norm < 1e-12:
+            ex, ey, ez = 2.0 * m1, 2.0 * m2, 2.0 * m3
+        else:
+            # np.arctan2, not math.atan2: the two differ in the last bit
+            scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
+            ex, ey, ez = scale * m1, scale * m2, scale * m3
+        f0 = mass * (kp_pos * (float(ref_pos[i, 0]) - px)
+                     + kv_pos * (float(ref_vel[i, 0]) - vx))
+        f1 = mass * (kp_pos * (float(ref_pos[i, 1]) - py)
+                     + kv_pos * (float(ref_vel[i, 1]) - vy))
+        f2 = mass * (kp_pos * (float(ref_pos[i, 2]) - pz)
+                     + kv_pos * (float(ref_vel[i, 2]) - vz))
+        f3 = inertia * (kp_ori * ex + kv_ori * (float(ref_angvel[i, 0]) - wx))
+        f4 = inertia * (kp_ori * ey + kv_ori * (float(ref_angvel[i, 1]) - wy))
+        f5 = inertia * (kp_ori * ez + kv_ori * (float(ref_angvel[i, 2]) - wz))
+        if not (math.isfinite(f0) and math.isfinite(f1)
+                and math.isfinite(f2) and math.isfinite(f3)
+                and math.isfinite(f4) and math.isfinite(f5)):
+            fault = i
+            break
+        if lim > 0.0:
+            f0 = lim if f0 > lim else (-lim if f0 < -lim else f0)
+            f1 = lim if f1 > lim else (-lim if f1 < -lim else f1)
+            f2 = lim if f2 > lim else (-lim if f2 < -lim else f2)
+            f3 = lim if f3 > lim else (-lim if f3 < -lim else f3)
+            f4 = lim if f4 > lim else (-lim if f4 < -lim else f4)
+            f5 = lim if f5 > lim else (-lim if f5 < -lim else f5)
+
+        # semi-implicit Euler step
+        vx += (f0 / mass) * dt
+        vy += (f1 / mass) * dt
+        vz += (f2 / mass) * dt
+        px += vx * dt
+        py += vy * dt
+        pz += vz * dt
+        wx += (f3 / inertia) * dt
+        wy += (f4 / inertia) * dt
+        wz += (f5 / inertia) * dt
+        # q <- normalize(exp(w dt) * q)
+        rv0, rv1, rv2 = wx * dt, wy * dt, wz * dt
+        angle = math.sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
+        if angle < 1e-12:
+            hx, hy, hz = 0.5 * rv0, 0.5 * rv1, 0.5 * rv2
+            norm = math.sqrt(1.0 + hx * hx + hy * hy + hz * hz)
+            cw, cx, cy, cz = 1.0 / norm, hx / norm, hy / norm, hz / norm
+        else:
+            half = 0.5 * angle
+            if half < math.inf:
+                s = math.sin(half) / angle
+                cw = math.cos(half)
+            else:  # numpy's sin and cos of inf are nan; math's raise
+                s = cw = math.nan
+            cx, cy, cz = s * rv0, s * rv1, s * rv2
+        m0 = cw * qw - cx * qx - cy * qy - cz * qz
+        m1 = cw * qx + cx * qw + cy * qz - cz * qy
+        m2 = cw * qy - cx * qz + cy * qw + cz * qx
+        m3 = cw * qz + cx * qy - cy * qx + cz * qw
+        norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+        qw, qx, qy, qz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
+        if qw < 0.0:
+            qw, qx, qy, qz = -qw, -qx, -qy, -qz
+
+        prev_grip = grip
+        delta = float(ref_grip[i]) - prev_grip
+        if delta > max_step:
+            delta = max_step
+        elif delta < -max_step:
+            delta = -max_step
+        grip = prev_grip + delta
+
+        event = 0
+        if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
+            dx, dy, dz = ox - px, oy - py, oz - pz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
+                attached = 1.0
+                # object pose in the gripper frame: conj(q) applied to both
+                bx, by, bz = -qx, -qy, -qz
+                tx = 2.0 * (by * dz - bz * dy)
+                ty = 2.0 * (bz * dx - bx * dz)
+                tz = 2.0 * (bx * dy - by * dx)
+                rx = dx + qw * tx + (by * tz - bz * ty)
+                ry = dy + qw * ty + (bz * tx - bx * tz)
+                rz = dz + qw * tz + (bx * ty - by * tx)
+                m0 = qw * ow - bx * oqx - by * oqy - bz * oqz
+                m1 = qw * oqx + bx * ow + by * oqz - bz * oqy
+                m2 = qw * oqy - bx * oqz + by * ow + bz * oqx
+                m3 = qw * oqz + bx * oqy - by * oqx + bz * ow
+                norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+                rw, rqx = m0 / norm, m1 / norm
+                rqy, rqz = m2 / norm, m3 / norm
+                if rw < 0.0:
+                    rw, rqx, rqy, rqz = -rw, -rqx, -rqy, -rqz
+                event = 1
+        elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
+            attached = 0.0
+            event = -1
+
+        if attached == 1.0:
+            # the object rides along: pose = robot pose * relative pose
+            tx = 2.0 * (qy * rz - qz * ry)
+            ty = 2.0 * (qz * rx - qx * rz)
+            tz = 2.0 * (qx * ry - qy * rx)
+            ox = px + (rx + qw * tx + (qy * tz - qz * ty))
+            oy = py + (ry + qw * ty + (qz * tx - qx * tz))
+            oz = pz + (rz + qw * tz + (qx * ty - qy * tx))
+            m0 = qw * rw - qx * rqx - qy * rqy - qz * rqz
+            m1 = qw * rqx + qx * rw + qy * rqz - qz * rqy
+            m2 = qw * rqy - qx * rqz + qy * rw + qz * rqx
+            m3 = qw * rqz + qx * rqy - qy * rqx + qz * rw
+            norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+            ow, oqx = m0 / norm, m1 / norm
+            oqy, oqz = m2 / norm, m3 / norm
+            if ow < 0.0:
+                ow, oqx, oqy, oqz = -ow, -oqx, -oqy, -oqz
+        t += dt
+
+        out_events[i] = event
+        out_pos[i, 0] = px
+        out_pos[i, 1] = py
+        out_pos[i, 2] = pz
+        out_quat[i, 0] = qw
+        out_quat[i, 1] = qx
+        out_quat[i, 2] = qy
+        out_quat[i, 3] = qz
+
+    state[0], state[1], state[2] = px, py, pz
+    state[3], state[4], state[5], state[6] = qw, qx, qy, qz
+    state[7], state[8], state[9] = vx, vy, vz
+    state[10], state[11], state[12] = wx, wy, wz
+    state[13] = grip
+    state[14], state[15], state[16] = ox, oy, oz
+    state[17], state[18], state[19], state[20] = ow, oqx, oqy, oqz
+    state[21] = attached
+    state[22], state[23], state[24] = rx, ry, rz
+    state[25], state[26], state[27], state[28] = rw, rqx, rqy, rqz
+    state[29] = t
+
+    # tracking errors of every completed step, vectorised in the per-step
+    # operation order (elementwise numpy gives the same bits), accumulated
+    # in place so that one temporary row of floats is the only allocation
+    done = n if fault < 0 else fault
+    e = out_epos[:done]
+    tmp = np.empty(done)
+    np.subtract(ref_pos[:done, 0], out_pos[:done, 0], e)
+    np.multiply(e, e, e)
+    for k in (1, 2):
+        np.subtract(ref_pos[:done, k], out_pos[:done, k], tmp)
+        np.multiply(tmp, tmp, tmp)
+        np.add(e, tmp, e)
+    np.sqrt(e, e)
+    # geodesic angle arccos(2 dot^2 - 1) via the trace of the relative
+    # rotation, independent of quaternion sign
+    dot = out_eori[:done]
+    np.multiply(ref_quat[:done, 0], out_quat[:done, 0], dot)
+    for k in (1, 2, 3):
+        np.multiply(ref_quat[:done, k], out_quat[:done, k], tmp)
+        np.add(dot, tmp, dot)
+    np.multiply(dot, 2.0, tmp)
+    np.multiply(tmp, dot, tmp)
+    np.subtract(tmp, 1.0, tmp)
+    np.clip(tmp, -1.0, 1.0, tmp)
+    np.arccos(tmp, dot)
+    return fault

@@ -25,7 +25,6 @@ class ActionChunk:
     orientations: np.ndarray   # (H, 4)
     grippers: np.ndarray       # (H,)
     flags: np.ndarray          # (H,) in {0, 1}
-    t_obs: float = 0.0
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -33,8 +32,7 @@ class ActionChunk:
     def segment(self, start: int, stop: int) -> "ActionChunk":
         return ActionChunk(self.positions[start:stop],
                            self.orientations[start:stop],
-                           self.grippers[start:stop], self.flags[start:stop],
-                           self.t_obs)
+                           self.grippers[start:stop], self.flags[start:stop])
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class MockPolicy:
         return per_demo
 
     def _extract(self, demo_idx: int, start: int, rng=None,
-                 noise_sigma: float = 0.0, t_obs: float = 0.0) -> ActionChunk:
+                 noise_sigma: float = 0.0) -> ActionChunk:
         h = self.config.h_p
         pos_src = self._out_pos[demo_idx]
         n = len(pos_src)
@@ -118,7 +116,7 @@ class MockPolicy:
             positions += rng.normal(0.0, noise_sigma, size=positions.shape)
         return ActionChunk(positions, self._out_quat[demo_idx][idx].copy(),
                            self._grip[demo_idx][idx].copy(),
-                           self._flags[demo_idx][idx].copy(), t_obs=t_obs)
+                           self._flags[demo_idx][idx].copy())
 
 
 BRANCH_SLACK = 0.02  # m-equivalent; demos eligible for branch switching
@@ -145,7 +143,7 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> Action
     _, demo_idx, step = best[choice]
     start = step + 1 + delay_steps
     return policy._extract(demo_idx, start, rng=rng,
-                           noise_sigma=cfg.noise_sigma, t_obs=obs.sim_time)
+                           noise_sigma=cfg.noise_sigma)
 
 
 GRIP_MATCH_WEIGHT = 0.01  # m^2 per mismatched gripper step in window scores
@@ -183,7 +181,7 @@ def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk
         j = int(np.argmin(scores))
         if scores[j] < best_score:
             best_score, best_demo, best_start = float(scores[j]), i, j
-    return policy._extract(best_demo, best_start, t_obs=obs.sim_time)
+    return policy._extract(best_demo, best_start)
 
 
 def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:
@@ -208,8 +206,7 @@ def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:
         orientations[i] = quat_normalize(
             quat_mul(quat_from_rotvec(w * rv), uncond.orientations[i]))
     flags = cond.flags if w > 0.5 else uncond.flags
-    return ActionChunk(positions, orientations, grippers, flags.copy(),
-                       uncond.t_obs)
+    return ActionChunk(positions, orientations, grippers, flags.copy())
 
 
 def infer_eag(policy: MockPolicy, obs, prev_chunk: ActionChunk,

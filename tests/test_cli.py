@@ -46,6 +46,14 @@ class TestBasicCommands:
             main(["rollout", "--demos", demo_dir, "--method", "teleport"])
         assert exc.value.code == 2
 
+    def test_gen_demos_without_out_exits_2_before_work(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("the corpus was built")
+        monkeypatch.setattr("sailx.experiments.build_demo_corpus", build)
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-demos", "--trials", "1"])
+        assert exc.value.code == 2
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])

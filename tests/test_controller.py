@@ -5,8 +5,9 @@ from sailx.controller import (GAIN_PRESETS, GainProfile, ReferenceTrack,
                               fit_reference, gain_profile, track)
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import InvalidInputError
-from sailx.kernels import pd_wrench
 from sailx.sim import DynamicsParams, TaskSpec, WorldState, initial_world
+
+from plant_oracle import pd_wrench
 
 
 def rotz(theta):
@@ -85,7 +86,7 @@ class TestReferenceTrack:
 
 
 def _wrench(ref: Pose, cur: Pose, gains: GainProfile, params: DynamicsParams):
-    """kernels.pd_wrench from rest at ``cur`` towards a static ``ref``."""
+    """plant_oracle.pd_wrench from rest at ``cur`` towards a static ``ref``."""
     state = WorldState(robot=cur).to_vector()
     return pd_wrench(state, ref.position, np.zeros(3), ref.orientation,
                      np.zeros(3), gains.kp_pos, gains.kv_pos, gains.kp_ori,

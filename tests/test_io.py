@@ -57,14 +57,15 @@ class TestDemoRoundTrip:
             read_demo(path)
         assert exc.value.line == 3
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e400", "-1e400"])
     def test_non_finite_number_reports_line(self, demos20, tmp_path, token):
         path = str(tmp_path / "d.jsonl")
         write_demo(demos20[0], path)
         lines = open(path).read().splitlines()
         rec = json.loads(lines[4])
-        rec["reached"][1] = float(token.replace("Infinity", "inf"))
-        lines[4] = json.dumps(rec)
+        rec["reached"][1] = 12345.5
+        lines[4] = json.dumps(rec).replace("12345.5", token)
         assert token in lines[4]
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(ParseError) as exc:
@@ -136,6 +137,20 @@ class TestRolloutRoundTrip:
             # the `sailx metrics` path reports what the live log would
             assert (aggregate([back], t_max=30.0).as_row()
                     == aggregate([log], t_max=30.0).as_row())
+
+    def test_overflowing_number_reports_line(self, demos20, tmp_path):
+        log = run_method_rollout("dp", 1.0, demos20, seed=0)
+        path = str(tmp_path / "r.jsonl")
+        write_rollout(log, path)
+        lines = open(path).read().splitlines()
+        rec = json.loads(lines[3])
+        rec["time"] = 12345.5
+        lines[3] = json.dumps(rec).replace("12345.5", "1e400")
+        assert "1e400" in lines[3]
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_rollout(path)
+        assert exc.value.line == 4
 
     def test_unknown_event_tag_rejected(self, demos20, tmp_path):
         log = run_method_rollout("dp", 1.0, demos20, seed=0)

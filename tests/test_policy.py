@@ -18,8 +18,7 @@ def _chunk(n=8, seed=0, theta=0.0):
     return ActionChunk(rng.normal(size=(n, 3)),
                        np.tile(rotz(theta), (n, 1)),
                        rng.uniform(size=n),
-                       rng.integers(0, 2, size=n).astype(np.int8),
-                       t_obs=0.0)
+                       rng.integers(0, 2, size=n).astype(np.int8))
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +96,7 @@ class TestConditional:
         h_c = policy.config.h_c
         tail = ActionChunk(demo.reached[start:start + h_c, :3].copy(),
                            demo.reached[start:start + h_c, 3:7].copy(),
-                           np.ones(h_c), np.zeros(h_c, dtype=np.int8),
-                           t_obs=0.0)
+                           np.ones(h_c), np.zeros(h_c, dtype=np.int8))
         cond = infer_conditional(policy, _obs(demo), tail)
         assert np.all(cond.grippers[:h_c] >= 0.5)
 

@@ -5,9 +5,10 @@ import pytest
 
 from sailx.core import Pose
 from sailx.errors import ConfigurationError
-from sailx.kernels import step_state
 from sailx.sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
                        success)
+
+from plant_oracle import step_state
 
 
 def _task(**kwargs):
@@ -20,7 +21,7 @@ def _world(robot_pos=(0.3, 0.0, 0.02)):
 
 
 def _step(w, wrench, gripper_cmd, params, grasp_radius=0.015):
-    """One kernels.step_state on the packed state, as track_loop runs it."""
+    """One plant_oracle.step_state on the packed state: one track_loop step."""
     v = w.to_vector()
     event = step_state(v, np.asarray(wrench, dtype=float), float(gripper_cmd),
                        params.mass, params.inertia, params.physics_dt,
