@@ -250,13 +250,9 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
 
     # the tail that will be handed to the policy: the positions traversed
     # next at speed c, anchored at the retrieval match for the current state
-    dists = policy._state_distances(world)
-    match = min((float(np.min(d)), i, int(np.argmin(d)))
-                for i, d in enumerate(dists))
-    src = policy._out_pos[match[1]]
-    tail_idx = np.minimum(match[2] + 1 + stride * np.arange(cfg.h_c),
-                          len(src) - 1)
-    query = src[tail_idx].reshape(-1)
+    _, demo_idx, near_step = policy.nearest_states(world)[0]
+    query = policy.positions(
+        demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
     chunks = [infer_unconditional(policy, world) for _ in range(64)]
     samples = SampleSet.from_chunks(chunks, cfg.h_c)
     return {"c": c, "e_pos": e_pos,

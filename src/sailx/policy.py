@@ -11,6 +11,7 @@ weight.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Pose, tracking_error
 from .errors import ConfigurationError, InvalidInputError
@@ -68,6 +69,10 @@ class MockPolicy:
     Deterministic given its seed: every inference call derives its own RNG
     from (seed, call counter), so concurrent use of the returned chunks is
     safe and repeated runs produce identical sequences.
+
+    The arrays retrieval scans are packed once into (D, L, ...) arrays, D
+    demos by the longest demo's L steps (at least h_c), with the steps
+    past a demo's end set to +inf so that they never match.
     """
 
     def __init__(self, demos, config: PolicyConfig, seed: int = 0):
@@ -80,46 +85,94 @@ class MockPolicy:
         self._calls = 0
 
         key = "reached" if config.target_mode == "reached" else "commanded"
-        self._out_pos = [np.asarray(getattr(d, key))[:, :3] for d in demos]
-        self._out_quat = [np.asarray(getattr(d, key))[:, 3:7] for d in demos]
-        self._grip = [np.asarray(d.grippers, dtype=float) for d in demos]
-        self._flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        self._lengths = [len(d.grippers) for d in demos]
+        width = max(max(self._lengths), config.h_c)
+
+        def pack(rows):
+            out = np.full((len(demos), width) + rows[0].shape[1:], np.inf)
+            for i, row in enumerate(rows):
+                out[i, :len(row)] = row
+            out.setflags(write=False)
+            return out
+
         # retrieval features: robot position, gripper, object position
-        self._feat_pos = [np.asarray(d.reached)[:, :3] for d in demos]
-        self._feat_obj = [np.asarray(d.objects)[:, :3] for d in demos]
+        self._feat_pos = pack([np.asarray(d.reached)[:, :3] for d in demos])
+        self._grip = pack([np.asarray(d.grippers, dtype=float) for d in demos])
+        self._feat_obj = pack([np.asarray(d.objects)[:, :3] for d in demos])
+        self._out_pos = (self._feat_pos if key == "reached" else
+                         pack([np.asarray(d.commanded)[:, :3] for d in demos]))
+        self._out_quat = [np.asarray(getattr(d, key))[:, 3:7] for d in demos]
+        self._flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        self._last_query = None
+        self._last_dists = None
 
     def _rng(self) -> np.random.Generator:
         rng = np.random.default_rng((self.seed, self._calls))
         self._calls += 1
         return rng
 
-    def _state_distances(self, obs):
+    def _state_distances(self, obs) -> np.ndarray:
+        """Weighted squared distances of obs to every demo state, (D, L).
+
+        The read-only matrix of the last query is served again while the
+        robot position, object position and gripper are the same floats.
+        """
         q_pos = obs.robot.position
         q_obj = obs.object_pose.position
         q_grip = obs.gripper
-        per_demo = []
-        for pos, obj, grip in zip(self._feat_pos, self._feat_obj, self._grip):
-            d = (POS_WEIGHT * np.sum((pos - q_pos) ** 2, axis=1)
-                 + GRIP_WEIGHT * (grip - q_grip) ** 2
-                 + OBJ_WEIGHT * np.sum((obj - q_obj) ** 2, axis=1))
-            per_demo.append(d)
-        return per_demo
+        query = (*q_pos.tolist(), *q_obj.tolist(), float(q_grip))
+        if query == self._last_query:
+            return self._last_dists
+        # (POS_WEIGHT |dpos|^2 + GRIP_WEIGHT dgrip^2) + OBJ_WEIGHT |dobj|^2
+        sq = self._feat_pos - q_pos
+        sq *= sq
+        d = np.sum(sq, axis=2)
+        d *= POS_WEIGHT
+        grip = self._grip - q_grip
+        grip *= grip
+        grip *= GRIP_WEIGHT
+        d += grip
+        np.subtract(self._feat_obj, q_obj, out=sq)
+        sq *= sq
+        obj = np.sum(sq, axis=2)
+        obj *= OBJ_WEIGHT
+        d += obj
+        d.setflags(write=False)
+        self._last_query, self._last_dists = query, d
+        return d
+
+    def nearest_states(self, obs, k: int = 1) -> list[tuple[float, int, int]]:
+        """(distance, demo, step) of the k demos nearest to obs, nearest first.
+
+        Each demo is represented by its nearest state, the earliest one on
+        a tie; demos at equal distance keep their library order.
+        """
+        dists = self._state_distances(obs)
+        steps = np.argmin(dists, axis=1)
+        best = np.take_along_axis(dists, steps[:, None], axis=1)[:, 0]
+        return [(float(best[i]), int(i), int(steps[i]))
+                for i in np.argsort(best, kind="stable")[:k]]
+
+    def _clamp(self, demo_idx: int, steps) -> np.ndarray:
+        return np.minimum(steps, self._lengths[demo_idx] - 1)
+
+    def positions(self, demo_idx: int, steps) -> np.ndarray:
+        """Output positions of one demo at the given steps, held at its end."""
+        return self._out_pos[demo_idx, self._clamp(demo_idx, steps)]
 
     def _extract(self, demo_idx: int, start: int, rng=None,
                  noise_sigma: float = 0.0) -> ActionChunk:
-        h = self.config.h_p
-        pos_src = self._out_pos[demo_idx]
-        n = len(pos_src)
-        idx = np.minimum(np.arange(start, start + h), n - 1)
-        positions = pos_src[idx].copy()
+        idx = self._clamp(demo_idx, np.arange(start, start + self.config.h_p))
+        positions = self._out_pos[demo_idx, idx]
         if noise_sigma > 0.0 and rng is not None:
             positions += rng.normal(0.0, noise_sigma, size=positions.shape)
-        return ActionChunk(positions, self._out_quat[demo_idx][idx].copy(),
-                           self._grip[demo_idx][idx].copy(),
-                           self._flags[demo_idx][idx].copy())
+        return ActionChunk(positions, self._out_quat[demo_idx][idx],
+                           self._grip[demo_idx, idx],
+                           self._flags[demo_idx][idx])
 
 
 BRANCH_SLACK = 0.02  # m-equivalent; demos eligible for branch switching
+BRANCH_CANDIDATES = 3  # nearest demos a branch switch may pick from
 
 
 def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> ActionChunk:
@@ -132,13 +185,11 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> Action
     """
     cfg = policy.config
     rng = policy._rng()
-    dists = policy._state_distances(obs)
-    best = [(float(np.min(d)), i, int(np.argmin(d))) for i, d in enumerate(dists)]
-    best.sort()
+    best = policy.nearest_states(obs, BRANCH_CANDIDATES)
     choice = 0
     if cfg.p_branch > 0.0 and len(best) > 1 and rng.random() < cfg.p_branch:
         cutoff = best[0][0] + BRANCH_SLACK ** 2
-        eligible = sum(1 for b in best[:3] if b[0] <= cutoff)
+        eligible = sum(1 for b in best if b[0] <= cutoff)
         choice = int(rng.integers(0, eligible))
     _, demo_idx, step = best[choice]
     start = step + 1 + delay_steps
@@ -147,6 +198,7 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> Action
 
 
 GRIP_MATCH_WEIGHT = 0.01  # m^2 per mismatched gripper step in window scores
+WINDOW_BLOCK = 16384  # window elements scored at once; bounds the temporaries
 
 
 def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk:
@@ -157,31 +209,35 @@ def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk
     state-distance tiebreak; the gripper term disambiguates spatially
     overlapping phases (e.g. the approach descent and the post-grasp lift
     traverse the same region with opposite gripper states). The returned
-    chunk starts at the best-matching window, so its first h_c waypoints
-    continue the tail.
+    chunk starts at the best-matching window, the first in library order
+    on a tie, so its first h_c waypoints continue the tail.
     """
-    cfg = policy.config
-    h_c = cfg.h_c
-    tail_pos = np.asarray(tail.positions[:h_c])
+    h_c = policy.config.h_c
+    tail_pos = np.asarray(tail.positions[:h_c]).reshape(-1)
     tail_grip = np.asarray(tail.grippers[:h_c])
-    state_dists = policy._state_distances(obs)
-    best_score, best_demo, best_start = np.inf, 0, 0
-    for i, pos in enumerate(policy._out_pos):
-        n = len(pos)
-        if n < h_c:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(pos, (h_c, 3))
-        windows = windows.reshape(-1, h_c, 3)
-        scores = np.sum((windows - tail_pos[None]) ** 2, axis=(1, 2))
-        grip_windows = np.lib.stride_tricks.sliding_window_view(
-            policy._grip[i], h_c)[:len(scores)]
-        scores = scores + GRIP_MATCH_WEIGHT * np.sum(
-            (grip_windows - tail_grip[None]) ** 2, axis=1)
-        scores = scores + 0.01 * state_dists[i][:len(scores)]
-        j = int(np.argmin(scores))
-        if scores[j] < best_score:
-            best_score, best_demo, best_start = float(scores[j]), i, j
-    return policy._extract(best_demo, best_start)
+    n_demos, width = policy._grip.shape
+    # window j of demo i: its h_c positions as one contiguous row, so each
+    # score sums its 3 * h_c squares in one pairwise reduction; windows
+    # that run into the +inf padding score +inf
+    pos_windows = sliding_window_view(
+        policy._out_pos.reshape(n_demos, 3 * width), 3 * h_c, axis=1)[:, ::3]
+    grip_windows = sliding_window_view(policy._grip, h_c, axis=1)
+    n_windows = width - h_c + 1
+    scores = np.empty((n_demos, n_windows))
+    rows = max(1, WINDOW_BLOCK // (n_windows * 3 * h_c))
+    for lo in range(0, n_demos, rows):
+        block = scores[lo:lo + rows]
+        sq = pos_windows[lo:lo + rows] - tail_pos
+        sq *= sq
+        np.sum(sq, axis=2, out=block)
+        sq = grip_windows[lo:lo + rows] - tail_grip
+        sq *= sq
+        grip = np.sum(sq, axis=2)
+        grip *= GRIP_MATCH_WEIGHT
+        block += grip
+    scores += 0.01 * policy._state_distances(obs)[:, :n_windows]
+    demo_idx, start = divmod(int(np.argmin(scores)), n_windows)
+    return policy._extract(demo_idx, start)
 
 
 def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:

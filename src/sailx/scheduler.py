@@ -213,7 +213,8 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
             events.append((float(wp_times[-1]), "stall"))
 
         # snapshot at t_a and launch the next inference, landing at t_next
-        desired = prev_ref.pose_at(t_a)
+        pos_now, _, quat_now, _, grip_now = prev_ref.sample(np.array([t_a]))
+        desired = Pose(pos_now[0], quat_now[0])
         # waypoints of this chunk consumed by the time the next one lands
         delay_steps = int(np.searchsorted(wp_times, t_next + 1e-12))
         exec_offset = min(delay_steps, exec_n)
@@ -231,7 +232,6 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         guidance.append(applied)
 
         # splice: continue from the superseded reference at t_a
-        _, _, _, _, grip_now = prev_ref.sample(np.array([t_a]))
         ref = ReferenceTrack(
             np.concatenate([[t_a], wp_times]),
             np.vstack([desired.position, chunk.positions[:exec_n]]),

@@ -1,0 +1,122 @@
+"""Reference retrieval: the per-demo loops that ``sailx.policy`` vectorises.
+
+These are the state-distance, nearest-state, unconditional and conditional
+retrieval loops the packed demo library was written from, kept unchanged
+so tests can require the vectorised draws to reproduce them bit for bit.
+``OraclePolicy`` holds the library as per-demo arrays, as ``MockPolicy``
+did before it packed them.
+"""
+
+import numpy as np
+
+from sailx.baselines import aggregate_chunk
+from sailx.policy import (BRANCH_SLACK, GRIP_MATCH_WEIGHT, GRIP_WEIGHT,
+                          OBJ_WEIGHT, POS_WEIGHT, ActionChunk)
+
+
+class OraclePolicy:
+    """Nearest-demonstration retrieval over per-demo arrays."""
+
+    def __init__(self, demos, config, seed: int = 0):
+        demos = list(demos)
+        self.demos = demos
+        self.config = config
+        self.seed = int(seed)
+        self._calls = 0
+
+        key = "reached" if config.target_mode == "reached" else "commanded"
+        self._out_pos = [np.asarray(getattr(d, key))[:, :3] for d in demos]
+        self._out_quat = [np.asarray(getattr(d, key))[:, 3:7] for d in demos]
+        self._grip = [np.asarray(d.grippers, dtype=float) for d in demos]
+        self._flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        # retrieval features: robot position, gripper, object position
+        self._feat_pos = [np.asarray(d.reached)[:, :3] for d in demos]
+        self._feat_obj = [np.asarray(d.objects)[:, :3] for d in demos]
+
+    def _rng(self) -> np.random.Generator:
+        rng = np.random.default_rng((self.seed, self._calls))
+        self._calls += 1
+        return rng
+
+    def _state_distances(self, obs):
+        q_pos = obs.robot.position
+        q_obj = obs.object_pose.position
+        q_grip = obs.gripper
+        per_demo = []
+        for pos, obj, grip in zip(self._feat_pos, self._feat_obj, self._grip):
+            d = (POS_WEIGHT * np.sum((pos - q_pos) ** 2, axis=1)
+                 + GRIP_WEIGHT * (grip - q_grip) ** 2
+                 + OBJ_WEIGHT * np.sum((obj - q_obj) ** 2, axis=1))
+            per_demo.append(d)
+        return per_demo
+
+    def _extract(self, demo_idx: int, start: int, rng=None,
+                 noise_sigma: float = 0.0) -> ActionChunk:
+        h = self.config.h_p
+        pos_src = self._out_pos[demo_idx]
+        n = len(pos_src)
+        idx = np.minimum(np.arange(start, start + h), n - 1)
+        positions = pos_src[idx].copy()
+        if noise_sigma > 0.0 and rng is not None:
+            positions += rng.normal(0.0, noise_sigma, size=positions.shape)
+        return ActionChunk(positions, self._out_quat[demo_idx][idx].copy(),
+                           self._grip[demo_idx][idx].copy(),
+                           self._flags[demo_idx][idx].copy())
+
+
+class OracleAggregatedPolicy(OraclePolicy):
+    """OraclePolicy whose every drawn chunk is delta-aggregated."""
+
+    def _extract(self, demo_idx, start, **kwargs):
+        return aggregate_chunk(super()._extract(demo_idx, start, **kwargs))
+
+
+def nearest_match(policy: OraclePolicy, obs):
+    """(distance, demo, step) of the demo state nearest to obs."""
+    dists = policy._state_distances(obs)
+    return min((float(np.min(d)), i, int(np.argmin(d)))
+               for i, d in enumerate(dists))
+
+
+def infer_unconditional(policy: OraclePolicy, obs,
+                        delay_steps: int = 0) -> ActionChunk:
+    cfg = policy.config
+    rng = policy._rng()
+    dists = policy._state_distances(obs)
+    best = [(float(np.min(d)), i, int(np.argmin(d))) for i, d in enumerate(dists)]
+    best.sort()
+    choice = 0
+    if cfg.p_branch > 0.0 and len(best) > 1 and rng.random() < cfg.p_branch:
+        cutoff = best[0][0] + BRANCH_SLACK ** 2
+        eligible = sum(1 for b in best[:3] if b[0] <= cutoff)
+        choice = int(rng.integers(0, eligible))
+    _, demo_idx, step = best[choice]
+    start = step + 1 + delay_steps
+    return policy._extract(demo_idx, start, rng=rng,
+                           noise_sigma=cfg.noise_sigma)
+
+
+def infer_conditional(policy: OraclePolicy, obs,
+                      tail: ActionChunk) -> ActionChunk:
+    cfg = policy.config
+    h_c = cfg.h_c
+    tail_pos = np.asarray(tail.positions[:h_c])
+    tail_grip = np.asarray(tail.grippers[:h_c])
+    state_dists = policy._state_distances(obs)
+    best_score, best_demo, best_start = np.inf, 0, 0
+    for i, pos in enumerate(policy._out_pos):
+        n = len(pos)
+        if n < h_c:
+            continue
+        windows = np.lib.stride_tricks.sliding_window_view(pos, (h_c, 3))
+        windows = windows.reshape(-1, h_c, 3)
+        scores = np.sum((windows - tail_pos[None]) ** 2, axis=(1, 2))
+        grip_windows = np.lib.stride_tricks.sliding_window_view(
+            policy._grip[i], h_c)[:len(scores)]
+        scores = scores + GRIP_MATCH_WEIGHT * np.sum(
+            (grip_windows - tail_grip[None]) ** 2, axis=1)
+        scores = scores + 0.01 * state_dists[i][:len(scores)]
+        j = int(np.argmin(scores))
+        if scores[j] < best_score:
+            best_score, best_demo, best_start = float(scores[j]), i, j
+    return policy._extract(best_demo, best_start)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sailx.baselines import (DOT_THRESHOLD, NORM_THRESHOLD,
                              AggregatedActionsPolicy, aggregate_actions,
                              aggregate_chunk)
 from sailx.errors import InvalidInputError
-from sailx.policy import MockPolicy, PolicyConfig, infer_unconditional
+from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig,
+                          infer_unconditional)
 from sailx.sim import Pose, WorldState
 
 
@@ -77,6 +80,21 @@ class TestAggregateChunk:
         # net displacement up to the last distinct waypoint is conserved
         assert agg.positions[-1] == pytest.approx(raw.positions[-1],
                                                   abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2]))
+    def test_keeps_length_and_total_displacement(self, seed, n, step):
+        rng = np.random.default_rng(seed)
+        quats = rng.normal(size=(n, 4))
+        raw = ActionChunk(np.cumsum(rng.normal(0.0, step, (n, 3)), axis=0),
+                          quats / np.linalg.norm(quats, axis=1)[:, None],
+                          rng.uniform(size=n),
+                          rng.integers(0, 2, size=n).astype(np.int8))
+        agg = aggregate_chunk(raw)
+        assert len(agg) == n
+        assert np.array_equal(agg.positions[-1] - agg.positions[0],
+                              raw.positions[-1] - raw.positions[0])
 
     def test_flags_survive_merging(self, demos20):
         raw = MockPolicy(demos20, PolicyConfig(), seed=0)._extract(0, 20)

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sailx.core import Pose
 from sailx.errors import ConfigurationError, InvalidInputError
@@ -7,6 +11,10 @@ from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig, cfg_blend,
                           infer_conditional, infer_eag, infer_unconditional)
 from sailx.sim import initial_world
 from sailx.experiments import task_for_demo
+
+
+# a fixed example sequence keeps every tier-1 run repeatable
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 def rotz(theta):
@@ -79,6 +87,57 @@ class TestUnconditional:
         assert chunk.orientations.shape == (policy.config.h_p, 4)
 
 
+class TestLastQueryCache:
+    @pytest.mark.parametrize("change", ["gripper", "object"])
+    def test_never_serves_a_stale_matrix(self, demos20, change):
+        cfg = PolicyConfig()
+        obs = _obs(demos20[3])
+        if change == "gripper":
+            other = replace(obs, gripper=obs.gripper + 0.5)
+        else:
+            other = replace(obs, object_pose=Pose(
+                obs.object_pose.position + np.array([0.0, 0.0, 0.01])))
+        warm = MockPolicy(demos20, cfg, seed=0)
+        first = warm._state_distances(obs)
+        second = warm._state_distances(other)
+        assert not np.array_equal(first, second)
+        cold = MockPolicy(demos20, cfg, seed=0)._state_distances(other)
+        assert second.tobytes() == cold.tobytes()
+        assert warm._state_distances(obs).tobytes() == first.tobytes()
+
+    def test_matrix_is_read_only(self, policy, demos20):
+        dists = policy._state_distances(_obs(demos20[0]))
+        assert not dists.flags.writeable
+        with pytest.raises(ValueError):
+            dists[0, 0] = 0.0
+
+    def test_warm_and_cold_caches_draw_the_same_chunks(self, demos20):
+        cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.5)
+        observations = [_obs(demos20[i]) for i in (0, 0, 5, 5, 0)]
+        elsewhere = _obs(demos20[9])
+
+        def draws(policy, evict):
+            chunks = []
+            for obs in observations:
+                evict()
+                chunks.append(infer_unconditional(policy, obs))
+                evict()
+                chunks.append(infer_unconditional(policy, obs))
+                evict()
+                tail = chunks[-2].segment(0, cfg.h_c)
+                chunks.append(infer_conditional(policy, obs, tail))
+            return chunks
+
+        warm = draws(MockPolicy(demos20, cfg, seed=4), lambda: None)
+        cold_policy = MockPolicy(demos20, cfg, seed=4)
+        cold = draws(cold_policy,
+                     lambda: cold_policy._state_distances(elsewhere))
+        assert len(warm) == len(cold) == 3 * len(observations)
+        for a, b in zip(warm, cold):
+            assert a.positions.tobytes() == b.positions.tobytes()
+            assert a.grippers.tobytes() == b.grippers.tobytes()
+
+
 class TestConditional:
     def test_continues_tail(self, policy, demos20):
         obs = _obs(demos20[2])
@@ -102,8 +161,10 @@ class TestConditional:
 
 
 class TestCfgBlend:
-    def test_endpoints_exact(self):
-        a, b = _chunk(seed=1), _chunk(seed=2)
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_endpoints_exact(self, seed, n):
+        a, b = _chunk(n, seed=seed), _chunk(n, seed=seed + 1, theta=0.7)
         assert cfg_blend(a, b, 0.0) is a
         assert cfg_blend(a, b, 1.0) is b
 
@@ -118,11 +179,15 @@ class TestCfgBlend:
         mid = cfg_blend(a, b, 0.5)
         assert mid.orientations[0] == pytest.approx(rotz(0.5), abs=1e-9)
 
-    def test_grippers_clamped(self):
-        a, b = _chunk(seed=1), _chunk(seed=2)
-        wide = cfg_blend(a, b, 3.0)
-        assert np.all(wide.grippers >= 0.0)
-        assert np.all(wide.grippers <= 1.0)
+    @SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+           st.floats(-10.0, 10.0))
+    @example(seed=1, n=8, w=3.0)
+    def test_grippers_clamped(self, seed, n, w):
+        a, b = _chunk(n, seed=seed), _chunk(n, seed=seed + 1, theta=0.7)
+        blended = cfg_blend(a, b, w)
+        assert np.all(blended.grippers >= 0.0)
+        assert np.all(blended.grippers <= 1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
