@@ -95,7 +95,11 @@ def cmd_rollout(args) -> int:
 
 def cmd_metrics(args) -> int:
     rollouts = [read_rollout(p) for p in args.inputs]
-    report = aggregate(rollouts, t_max=30.0)
+    mean_demo = None
+    if args.demos:
+        mean_demo = float(np.mean([d.duration
+                                   for d in load_demos(args.demos)]))
+    report = aggregate(rollouts, t_max=30.0, mean_demo_duration=mean_demo)
     _emit([report.as_row()], args.out)
     return 0
 
@@ -190,6 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("metrics", cmd_metrics, "aggregate saved rollouts",
                 ("--out",))
+    p.add_argument("--demos", help="directory of saved demos; their mean "
+                                   "duration fills sod, left empty when "
+                                   "omitted")
     p.add_argument("inputs", nargs="+", help="rollout .jsonl files")
 
     p = command("diagnose", cmd_diagnose, "single-step OOD score trials",

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import rotvec_between, track_loop
+from .kernels import track_loop
 from .sim import DynamicsParams, WorldState
 
 
@@ -70,24 +70,30 @@ class ReferenceTrack:
             raise InvalidInputError("waypoint times must be finite")
         if np.any(np.diff(times) <= 0):
             raise InvalidInputError("waypoint times must be strictly increasing")
+        grippers = (np.zeros(n) if grippers is None
+                    else np.asarray(grippers, dtype=float))
+        flags = (np.zeros(n, dtype=np.int8) if flags is None
+                 else np.asarray(flags, dtype=np.int8))
+        for name, array, shape in (("times", times, (n,)),
+                                   ("positions", positions, (n, 3)),
+                                   ("orientations", orientations, (n, 4)),
+                                   ("grippers", grippers, (n,)),
+                                   ("flags", flags, (n,))):
+            if array.shape != shape:
+                raise InvalidInputError(f"{name} must have shape {shape}, "
+                                        f"got {array.shape}")
         self.times = times
         self.positions = positions
         self.orientations = orientations
-        self.grippers = (np.zeros(n) if grippers is None
-                         else np.asarray(grippers, dtype=float))
-        self.flags = (np.zeros(n, dtype=np.int8) if flags is None
-                      else np.asarray(flags, dtype=np.int8))
+        self.grippers = grippers
+        self.flags = flags
         if n == 2:
             self._spline = None
             self._slope = (positions[1] - positions[0]) / (times[1] - times[0])
         else:
             self._spline = CubicSpline(times, positions, bc_type="natural")
         # angular rate per segment, world frame
-        self._seg_angvel = np.zeros((n - 1, 3))
-        for i in range(n - 1):
-            dt = times[i + 1] - times[i]
-            self._seg_angvel[i] = rotvec_between(
-                orientations[i], orientations[i + 1]) / dt
+        self._seg_angvel = _segment_rates(times, orientations)
 
     @property
     def t_start(self) -> float:
@@ -133,6 +139,34 @@ class ReferenceTrack:
     def pose_at(self, t: float) -> Pose:
         pos, _, quat, _, _ = self.sample(np.array([t]))
         return Pose(pos[0], quat[0])
+
+
+def _segment_rates(times, quats):
+    """Per segment, ``rotvec_between(quats[i], quats[i + 1]) / dt_i``.
+
+    Row by row this is the scalar kernel in its operation order: the
+    product quats[i + 1] * conj(quats[i]), flipped to w >= 0, the angle
+    2 arctan2(|v|, w), and 2 v in place of angle / |v| * v when
+    |v| < 1e-12.
+    """
+    a = quats[1:]
+    b = quats[:-1]
+    b1, b2, b3 = -b[:, 1], -b[:, 2], -b[:, 3]
+    rel = np.empty((len(a), 4))
+    rel[:, 0] = a[:, 0] * b[:, 0] - a[:, 1] * b1 - a[:, 2] * b2 - a[:, 3] * b3
+    rel[:, 1] = a[:, 0] * b1 + a[:, 1] * b[:, 0] + a[:, 2] * b3 - a[:, 3] * b2
+    rel[:, 2] = a[:, 0] * b2 - a[:, 1] * b3 + a[:, 2] * b[:, 0] + a[:, 3] * b1
+    rel[:, 3] = a[:, 0] * b3 + a[:, 1] * b2 - a[:, 2] * b1 + a[:, 3] * b[:, 0]
+    rel[rel[:, 0] < 0.0] *= -1.0
+    vec = rel[:, 1:]
+    vec_norm = np.sqrt(vec[:, 0] * vec[:, 0] + vec[:, 1] * vec[:, 1]
+                       + vec[:, 2] * vec[:, 2])
+    scale = np.full(len(a), 2.0)
+    arc = ~(vec_norm < 1e-12)
+    scale[arc] = 2.0 * np.arctan2(vec_norm[arc], rel[arc, 0]) / vec_norm[arc]
+    rates = scale[:, None] * vec
+    rates /= np.diff(times)[:, None]
+    return rates
 
 
 def _slerp(quats, seg, s):
@@ -202,28 +236,66 @@ class TrackTrace:
                    np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))
 
 
+def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
+                 params: DynamicsParams, untils, grasp_radius: float = 0.015):
+    """Track ``ref`` from the packed plant ``state`` to each of ``untils``.
+
+    The slices compose as one ``track`` call per time in ``untils`` would:
+    slice k runs n_k = round((until_k - t_k) / physics_dt) physics steps at
+    the times t_k + physics_dt * (1, ..., n_k), where t_k is the plant clock
+    after slice k - 1, advanced by the same sequential additions that
+    ``track_loop`` makes; a slice with n_k <= 0 runs no step. The reference
+    is sampled once for all slices, and ``state`` is updated in place. A
+    generator: it yields each slice's TrackTrace once ``state`` has reached
+    the end of the slice, and the caller may change ``state`` before the
+    next slice runs.
+    """
+    dt = params.physics_dt
+    t = float(state[29])
+    slices = []
+    for until in untils:
+        n = max(int(round((until - t) / dt)), 0)
+        slices.append(t + dt * (np.arange(n) + 1))
+        for _ in range(n):
+            t += dt
+    times = np.concatenate(slices)
+    total = len(times)
+    if total == 0:
+        for _ in slices:
+            yield TrackTrace.empty()
+        return
+    pos, vel, quat, angvel, grip = ref.sample(times)
+    out_pos = np.empty((total, 3))
+    out_quat = np.empty((total, 4))
+    out_epos = np.empty(total)
+    out_eori = np.empty(total)
+    out_events = np.zeros(total, dtype=np.int8)
+    start = 0
+    for step_times in slices:
+        end = start + len(step_times)
+        s = slice(start, end)
+        if end > start:
+            fault = track_loop(state, pos[s], vel[s], quat[s], angvel[s],
+                               grip[s], gains.kp_pos, gains.kv_pos,
+                               gains.kp_ori, gains.kv_ori, params.mass,
+                               params.inertia, dt, params.gripper_slew,
+                               grasp_radius, params.wrench_limit, out_pos[s],
+                               out_quat[s], out_epos[s], out_eori[s],
+                               out_events[s])
+            if fault >= 0:
+                raise SimFault(
+                    f"non-finite wrench at t={step_times[fault]:.4f}")
+        yield TrackTrace(step_times, out_pos[s], out_quat[s], out_epos[s],
+                         out_eori[s], out_events[s])
+        start = end
+
+
 def track(world: WorldState, ref: ReferenceTrack, gains: GainProfile,
           params: DynamicsParams, until: float,
           grasp_radius: float = 0.015) -> tuple[WorldState, TrackTrace]:
     """Run the inner control loop at physics_dt until ``until``."""
-    n = int(round((until - world.sim_time) / params.physics_dt))
-    if n <= 0:
-        return world, TrackTrace.empty()
-    times = world.sim_time + params.physics_dt * (np.arange(n) + 1)
-    pos, vel, quat, angvel, grip = ref.sample(times)
-
     state = world.to_vector()
-    out_pos = np.empty((n, 3))
-    out_quat = np.empty((n, 4))
-    out_epos = np.empty(n)
-    out_eori = np.empty(n)
-    out_events = np.zeros(n, dtype=np.int8)
-    fault = track_loop(state, pos, vel, quat, angvel, grip,
-                       gains.kp_pos, gains.kv_pos, gains.kp_ori, gains.kv_ori,
-                       params.mass, params.inertia, params.physics_dt,
-                       params.gripper_slew, grasp_radius, params.wrench_limit,
-                       out_pos, out_quat, out_epos, out_eori, out_events)
-    if fault >= 0:
-        raise SimFault(f"non-finite wrench at t={times[fault]:.4f}")
-    trace = TrackTrace(times, out_pos, out_quat, out_epos, out_eori, out_events)
+    trace, = track_slices(state, ref, gains, params, (until,), grasp_radius)
+    if len(trace.times) == 0:
+        return world, trace
     return WorldState.from_vector(state), trace

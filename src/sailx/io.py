@@ -20,11 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ReferenceTrack, gain_profile, track
+from .controller import ReferenceTrack, gain_profile, track_slices
+from .controller import track  # noqa: F401 (perfbench wraps sailx.io.track)
 from .core import IDENTITY_QUAT, Pose
 from .errors import FormatError, GenerationError, InvalidInputError, ParseError
 from .scheduler import RolloutLog
-from .sim import DynamicsParams, TaskSpec, initial_world, success
+from .sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
+                  success)
 from .speedmod import gripper_event_flags, label_critical
 
 FORMAT_VERSION = "sailx-v1"
@@ -280,16 +282,23 @@ def _nominal_trajectory(segments, home_pos, dt: float):
     n = int(round(total / dt)) + 1
     times = np.arange(n) * dt
 
-    positions = np.empty((n, 3))
-    for i, t in enumerate(times):
-        t = min(max(t, 0.0), total)
-        seg = min(int(np.searchsorted(knots_t, t, side="right") - 1),
-                  len(knots_t) - 2)
-        s = (t - knots_t[seg]) / (knots_t[seg + 1] - knots_t[seg])
-        w = _smoothstep(s) if eased[seg] else s
-        positions[i] = (1.0 - w) * knots_p[seg] + w * knots_p[seg + 1]
+    knots_t = np.array(knots_t)
+    knots_p = np.array(knots_p)
+    t = np.clip(times, 0.0, total)
+    seg = np.minimum(np.searchsorted(knots_t, t, side="right") - 1,
+                     len(knots_t) - 2)
+    s = (t - knots_t[seg]) / (knots_t[seg + 1] - knots_t[seg])
+    w = np.where(np.array(eased)[seg], _smoothstep(s), s)[:, None]
+    positions = (1.0 - w) * knots_p[seg] + w * knots_p[seg + 1]
     grips = ((times >= t_close) & (times < t_open)).astype(float)
     return times, positions, grips
+
+
+def _as_pose_quat(q) -> None:
+    """Renormalise quaternion ``q`` in place in the operation order of Pose."""
+    q /= np.linalg.norm(q)
+    if q[0] < 0.0:
+        q *= -1.0
 
 
 def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
@@ -340,20 +349,23 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
 
         ref = ReferenceTrack(times, commanded_pos, quat,
                              grippers=commanded_grip)
-        world = initial_world(Pose(home), demo_task)
+        state = initial_world(Pose(home), demo_task).to_vector()
         reached = np.empty((n_steps, 7))
         objects = np.empty((n_steps, 7))
         reached[0] = np.concatenate([home, IDENTITY_QUAT])
         objects[0] = np.concatenate([obj_pos,
                                      task.object_start.orientation])
-        for i in range(1, n_steps):
-            world, _ = track(world, ref, profile, dynamics, until=times[i],
-                             grasp_radius=demo_task.grasp_radius)
-            reached[i] = np.concatenate([world.robot.position,
-                                         world.robot.orientation])
-            objects[i] = np.concatenate([world.object_pose.position,
-                                         world.object_pose.orientation])
-        if not success(world, demo_task):
+        slices = track_slices(state, ref, profile, dynamics, times[1:],
+                              grasp_radius=demo_task.grasp_radius)
+        for i, trace in enumerate(slices, start=1):
+            if len(trace.times):
+                # as between two track calls, whose WorldState passes both
+                # quaternions through Pose
+                _as_pose_quat(state[3:7])
+                _as_pose_quat(state[17:21])
+            reached[i] = state[0:7]
+            objects[i] = state[14:21]
+        if not success(WorldState.from_vector(state), demo_task):
             raise GenerationError(
                 f"scripted demo {d} failed the task predicate")
 

@@ -2,8 +2,9 @@
 
 These are the array-based PD law, semi-implicit Euler step and quaternion
 helpers the fused scalar loop was written from, kept unchanged so tests can
-require the fused loop and the vectorised slerp in
-``ReferenceTrack.sample`` to reproduce them bit for bit. ``track_loop`` here
+require the fused loop, the vectorised slerp in ``ReferenceTrack.sample``
+and the vectorised segment rates of ``ReferenceTrack`` to reproduce them
+bit for bit. ``track_loop`` here
 is the reference loop: ``pd_wrench`` then ``step_state`` once per reference
 row, with the tracking errors taken after each step.
 """
@@ -60,6 +61,15 @@ def quat_slerp(a, b, s):
     wa = np.sin((1.0 - s) * theta) / st
     wb = np.sin(s * theta) / st
     return quat_normalize(wa * a + wb * bb)
+
+
+def segment_rates(times, quats):
+    """World-frame angular rate of each segment, one segment at a time."""
+    out = np.zeros((len(times) - 1, 3))
+    for i in range(len(times) - 1):
+        dt = times[i + 1] - times[i]
+        out[i] = rotvec_between(quats[i], quats[i + 1]) / dt
+    return out
 
 
 def pd_wrench(state, ref_pos, ref_vel, ref_quat, ref_angvel,

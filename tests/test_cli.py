@@ -1,8 +1,11 @@
 import csv
+import io
 
+import numpy as np
 import pytest
 
 from sailx.cli import main
+from sailx.io import load_demos
 
 
 def run(capsys, *argv):
@@ -40,6 +43,23 @@ class TestBasicCommands:
         assert {"n", "sr", "tpr", "sparc"} <= set(header)
         row = dict(zip(header, text.splitlines()[1].split(",")))
         assert row["n"] == "1" and row["sr"] == "1"
+
+    def test_metrics_fills_sod_from_demos(self, demo_dir, tmp_path, capsys):
+        rollout_path = str(tmp_path / "r.jsonl")
+        run(capsys, "rollout", "--demos", demo_dir, "--method", "sail",
+            "--c", "0.5", "--out", rollout_path)
+        code, plain = run(capsys, "metrics", rollout_path)
+        assert code == 0
+        code, text = run(capsys, "metrics", "--demos", demo_dir,
+                         rollout_path)
+        assert code == 0
+        plain_row, row = (next(csv.DictReader(io.StringIO(t)))
+                          for t in (plain, text))
+        assert plain_row.pop("sod") == ""
+        mean = np.mean([d.duration for d in load_demos(demo_dir)])
+        assert float(row.pop("sod")) == pytest.approx(mean
+                                                      / float(row["atr"]))
+        assert row == plain_row
 
     def test_unknown_method_exits_2(self, demo_dir):
         with pytest.raises(SystemExit) as exc:

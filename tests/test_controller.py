@@ -36,6 +36,21 @@ class TestReferenceTrack:
             ReferenceTrack(times, np.zeros((3, 3)),
                            np.tile(IDENTITY_QUAT, (3, 1)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("positions", np.zeros((3, 2))),
+        ("positions", np.zeros((2, 3))),
+        ("orientations", np.tile(IDENTITY_QUAT, (2, 1))),
+        ("orientations", np.zeros((3, 3))),
+        ("grippers", np.zeros(4)),
+        ("flags", np.zeros(2)),
+    ])
+    def test_rejects_misshapen_waypoints(self, field, value):
+        args = {"positions": np.zeros((3, 3)),
+                "orientations": np.tile(IDENTITY_QUAT, (3, 1)),
+                field: value}
+        with pytest.raises(InvalidInputError, match=field):
+            ReferenceTrack([0.0, 0.5, 1.0], **args)
+
     def test_linear_two_point_fallback(self):
         ref = _line_track(n=2, dt=1.0, speed=2.0)
         pos, vel, _, _, _ = ref.sample(np.array([0.25]))

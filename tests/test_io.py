@@ -1,14 +1,42 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sailx.errors import FormatError, ParseError
-from sailx.io import (load_demos, read_demo, read_rollout, save_demos,
-                      write_demo, write_rollout)
-from sailx.experiments import replay_rollout, run_method_rollout
+from sailx.core import Pose
+from sailx.errors import FormatError, GenerationError, ParseError
+from sailx.io import (_EVENT_TAGS, Demonstration, generate_demos, load_demos,
+                      read_demo, read_rollout, save_demos, write_demo,
+                      write_rollout)
+from sailx.experiments import (build_demo_corpus, make_task, replay_rollout,
+                               run_method_rollout)
 from sailx.metrics import aggregate
 from sailx.scheduler import RolloutLog
+from sailx.sim import PHYSICS_DT, TaskSpec
+
+import demo_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402
+
+# a fixed example sequence keeps every tier-1 run repeatable
+SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow,
+                           HealthCheck.function_scoped_fixture])
+DEMO_FIELDS = ("commanded", "reached", "grippers", "k", "objects",
+               "object_start", "goal")
+
+
+def _same(a, b) -> bool:
+    """Equal dtype, shape and bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
 
 
 class TestDemoRoundTrip:
@@ -18,11 +46,8 @@ class TestDemoRoundTrip:
         write_demo(demo, path)
         back = read_demo(path)
         assert back.dt == demo.dt
-        for name in ("commanded", "reached", "grippers", "objects",
-                     "object_start", "goal"):
-            assert getattr(back, name) == pytest.approx(
-                getattr(demo, name), abs=1e-12)
-        assert np.array_equal(back.k, demo.k)
+        for name in DEMO_FIELDS:
+            assert _same(getattr(back, name), getattr(demo, name)), name
 
     def test_save_load_directory_order(self, demos20, tmp_path):
         save_demos(demos20[:4], str(tmp_path))
@@ -177,3 +202,139 @@ class TestGenerateDemos:
         log = replay_rollout(demos20[0], c=1.0, gains="high",
                              target="reached")
         assert log.success
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _rows(draw, n, width):
+    """An (n, width) array of finite floats."""
+    return np.array(draw(st.lists(_finite, min_size=n * width,
+                                  max_size=n * width)),
+                    dtype=float).reshape(n, width)
+
+
+@st.composite
+def demos(draw):
+    n = draw(st.integers(1, 5))
+    rows = lambda width: _rows(draw, n, width)  # noqa: E731
+    return Demonstration(
+        dt=draw(st.floats(1e-6, 1.0)), commanded=rows(7), reached=rows(7),
+        grippers=rows(1)[:, 0], k=draw(st.lists(st.integers(0, 1),
+                                                min_size=n, max_size=n)),
+        objects=rows(7), object_start=_rows(draw, 1, 7)[0],
+        goal=_rows(draw, 1, 3)[0])
+
+
+@st.composite
+def rollouts(draw):
+    n = draw(st.integers(0, 5))
+    rows = lambda width: _rows(draw, n, width)  # noqa: E731
+    floats = lambda: draw(st.lists(_finite, max_size=4))  # noqa: E731
+    return RolloutLog(
+        success=draw(st.booleans()), duration=draw(_finite),
+        stall_count=draw(st.integers(0, 10**6)), con_values=floats(),
+        wed_values=floats(), times=rows(1)[:, 0], positions=rows(3),
+        orientations=rows(4), ref_positions=rows(3),
+        ref_orientations=rows(4), e_pos=rows(1)[:, 0], e_ori=rows(1)[:, 0],
+        events=draw(st.lists(st.tuples(_finite,
+                                       st.sampled_from(_EVENT_TAGS)),
+                             max_size=4)),
+        seed=draw(st.integers(-2**63, 2**63 - 1)))
+
+
+class TestRoundTripProperties:
+    """Writers emit repr floats, so every finite value reads back exactly."""
+
+    @SETTINGS
+    @given(demos())
+    def test_demo(self, tmp_path, demo):
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demo, path)
+        back = read_demo(path)
+        assert _same(back.dt, demo.dt)
+        for name in DEMO_FIELDS:
+            assert _same(getattr(back, name), getattr(demo, name)), name
+
+    @SETTINGS
+    @given(rollouts())
+    def test_rollout(self, tmp_path, log):
+        path = str(tmp_path / "r.jsonl")
+        write_rollout(log, path)
+        back = read_rollout(path)
+        assert (back.seed, back.success, back.stall_count) == \
+            (log.seed, log.success, log.stall_count)
+        for name in ("duration", "con_values", "wed_values", "times",
+                     "positions", "orientations", "ref_positions",
+                     "ref_orientations", "e_pos", "e_ori"):
+            assert _same(np.asarray(getattr(back, name), dtype=float),
+                         np.asarray(getattr(log, name), dtype=float)), name
+        assert [tag for _, tag in back.events] == \
+            [tag for _, tag in log.events]
+        assert _same([t for t, _ in back.events], [t for t, _ in log.events])
+
+
+def _rotated_task():
+    """An object orientation that a second renormalisation changes.
+
+    ``Pose`` renormalises on every construction, so the generator must
+    renormalise between slices where per-step ``WorldState``s did.
+    """
+    task = make_task()
+    quat = np.array([-0.7, 0.9, 1.0, 0.9])
+    return TaskSpec(Pose(task.object_start.position,
+                         quat / np.linalg.norm(quat)), task.goal_position)
+
+
+def _generate(generator, task, **kwargs):
+    try:
+        return generator(task, n=3, **kwargs)
+    except GenerationError as exc:
+        return exc
+
+
+class TestGenerationOracle:
+    """``generate_demos`` against the per-step generator in demo_oracle."""
+
+    @pytest.mark.parametrize("task, kwargs", [
+        # slices alternate 22 and 23 physics steps
+        (make_task(), dict(seed=0, dt=0.045, jitter=0.0, gains="real-exec")),
+        (make_task(), dict(seed=5, dt=0.045, jitter=0.0, gains="real-exec")),
+        (_rotated_task(), dict(seed=1)),
+        (make_task(place_tolerance=1e-4), dict(seed=0)),
+        (make_task(t_max=3.0), dict(seed=0)),
+    ])
+    def test_matches_per_step_generator_bit_for_bit(self, task, kwargs):
+        want = _generate(demo_oracle.generate_demos, task, **kwargs)
+        got = _generate(generate_demos, task, **kwargs)
+        if isinstance(want, GenerationError):
+            assert type(got) is GenerationError
+            assert str(got) == str(want)
+            return
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dt == b.dt
+            for name in DEMO_FIELDS:
+                assert _same(getattr(a, name), getattr(b, name)), name
+
+    def test_traced_setup_keeps_the_oracle_totals(self):
+        def traced(build):
+            tracer = tracing.Tracer()
+            with tracer.installed():
+                build()
+            steps = sum(info for name, *_, info in tracer.spans
+                        if name == "kernels.track_loop")
+            samples = [info for name, *_, info in tracer.spans
+                       if name == tracing.SAMPLE_SPAN]
+            return tracer.spans, steps, samples
+
+        spans, steps, samples = traced(lambda: build_demo_corpus(n=2))
+        _, want_steps, want_samples = traced(
+            lambda: demo_oracle.generate_demos(make_task(), n=2))
+        assert steps == want_steps > 0
+        assert sum(samples) == sum(want_samples)
+        assert len(samples) == 2  # one reference sample per demo
+        setup = tracing.layer_metrics([], spans, PHYSICS_DT)
+        for name in ("setup.io.generate_demos.s", "setup.kernels.track_loop.s",
+                     "setup.controller.reference.sample.s"):
+            assert setup[name] > 0.0, name

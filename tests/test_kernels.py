@@ -1,7 +1,8 @@
-"""The fused plant loop and the vectorised slerp against the reference plant.
+"""The fused plant loop and the vectorised reference against the oracle.
 
 ``kernels.track_loop`` runs the PD law and the Euler step on scalar locals,
-and ``ReferenceTrack.sample`` interpolates every point at once. Both must
+``ReferenceTrack.sample`` interpolates every point at once and
+``ReferenceTrack`` computes every segment's angular rate at once. All must
 give the same bits as the per-step array kernels in ``plant_oracle``; NaN
 payloads are the only bits not compared.
 """
@@ -140,7 +141,7 @@ class TestTrackLoop:
 
 def _waypoints(draw, n):
     kinds = draw(st.lists(st.sampled_from(["free", "antipodal", "same",
-                                           "near"]),
+                                           "flipped", "near"]),
                           min_size=n - 1, max_size=n - 1))
     quats = [draw(_quat)]
     for kind in kinds:
@@ -149,7 +150,10 @@ def _waypoints(draw, n):
             quats.append(-_unit(prev + 0.3 * np.array(draw(_quat))))
         elif kind == "same":
             quats.append(prev.copy())
-        elif kind == "near":  # dot rounds to 1 (lerp) or to 1 - 1 ulp
+        elif kind == "flipped":  # the same rotation with the opposite sign
+            quats.append(-prev)
+        elif kind == "near":  # dot rounds to 1 (lerp) or to 1 - 1 ulp, and
+            # the relative rotation's vector part is below 1e-12
             quats.append(_unit(prev + np.array([0.0, 1e-13, 0.0, -1e-13])))
         else:
             quats.append(draw(_quat))
@@ -187,3 +191,14 @@ class TestReferenceSample:
         want = np.array([plant_oracle.quat_slerp(quats[s], quats[s + 1], f)
                          for s, f in zip(seg, frac)])
         assert _bits(quat) == _bits(want)
+
+
+class TestSegmentRates:
+    @SETTINGS
+    @given(slerp_cases())
+    def test_match_per_segment_rotvec_bit_for_bit(self, case):
+        times, quats, _ = case
+        ref = ReferenceTrack(times, np.zeros((len(times), 3)), quats)
+        # at a waypoint time the sampled rate is the segment that starts there
+        _, _, _, angvel, _ = ref.sample(times[:-1])
+        assert _bits(angvel) == _bits(plant_oracle.segment_rates(times, quats))
