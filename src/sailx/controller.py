@@ -6,6 +6,7 @@ velocity targets from the spline derivative / finite-difference geodesic
 rates. The damping convention for the presets is kv = 2 * damping * sqrt(kp).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,8 @@ from scipy.interpolate import CubicSpline
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import track_loop
+from .kernels import (REF_GRIP, REF_POS, REF_QUAT, REF_ROWS, REF_TWIST,
+                      track_loop, track_loop_batch)
 from .sim import DynamicsParams, WorldState
 
 
@@ -30,7 +32,10 @@ class GainProfile:
     label: str = "low_gain"
 
     def __post_init__(self):
-        if min(self.kp_pos, self.kv_pos, self.kp_ori, self.kv_ori) < 0:
+        gains = (self.kp_pos, self.kv_pos, self.kp_ori, self.kv_ori)
+        if not all(math.isfinite(g) for g in gains):
+            raise InvalidInputError("gains must be finite")
+        if min(gains) < 0:
             raise InvalidInputError("gains must be non-negative")
 
 
@@ -82,6 +87,13 @@ class ReferenceTrack:
             if array.shape != shape:
                 raise InvalidInputError(f"{name} must have shape {shape}, "
                                         f"got {array.shape}")
+        for name, array in (("positions", positions),
+                            ("orientations", orientations),
+                            ("grippers", grippers)):
+            if not np.isfinite(array).all():
+                raise InvalidInputError(f"{name} must be finite")
+        if not (orientations != 0.0).any(axis=1).all():
+            raise InvalidInputError("orientations must not be all zero")
         self.times = times
         self.positions = positions
         self.orientations = orientations
@@ -205,22 +217,6 @@ def _slerp(quats, seg, s):
     return out
 
 
-def fit_reference(chunk, interval: float) -> ReferenceTrack:
-    """Spline a chunk's waypoints at uniform spacing ``interval``.
-
-    ``chunk`` is anything exposing positions (N,3), orientations (N,4),
-    grippers (N,) and flags (N,) arrays (see policy.ActionChunk).
-    """
-    if interval <= 0:
-        raise InvalidInputError("interval must be positive")
-    n = len(chunk.positions)
-    if n < 2:
-        raise InvalidInputError("chunk must contain at least 2 waypoints")
-    times = np.arange(n) * interval
-    return ReferenceTrack(times, chunk.positions, chunk.orientations,
-                          chunk.grippers, chunk.flags)
-
-
 @dataclass
 class TrackTrace:
     times: np.ndarray
@@ -234,6 +230,26 @@ class TrackTrace:
     def empty(cls) -> "TrackTrace":
         return cls(np.empty(0), np.empty((0, 3)), np.empty((0, 4)),
                    np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))
+
+
+def _slice_steps(t, untils, dt):
+    """(t_k, n_k) per slice: the plant clock at its start and its step count.
+
+    n_k = round((until_k - t_k) / dt), at least 0, and t_k advances by the
+    same sequential additions ``track_loop`` makes.
+    """
+    steps = []
+    for until in untils:
+        n = max(int(round((until - t) / dt)), 0)
+        steps.append((t, n))
+        for _ in range(n):
+            t += dt
+    return steps
+
+
+def _step_times(t, dt, n):
+    """The times of the n steps of a slice that starts at ``t``."""
+    return t + dt * (np.arange(n) + 1)
 
 
 def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
@@ -251,13 +267,8 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
     next slice runs.
     """
     dt = params.physics_dt
-    t = float(state[29])
-    slices = []
-    for until in untils:
-        n = max(int(round((until - t) / dt)), 0)
-        slices.append(t + dt * (np.arange(n) + 1))
-        for _ in range(n):
-            t += dt
+    slices = [_step_times(t, dt, n)
+              for t, n in _slice_steps(float(state[29]), untils, dt)]
     times = np.concatenate(slices)
     total = len(times)
     if total == 0:
@@ -288,6 +299,119 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
         yield TrackTrace(step_times, out_pos[s], out_quat[s], out_epos[s],
                          out_eori[s], out_events[s])
         start = end
+
+
+# Row-steps per reference block of a lockstep group: a block holds
+# REF_ROWS floats per row and step, 0.69 MB whatever the group's width.
+LOCKSTEP_BLOCK = 256 * 24
+# Columns per lockstep run in the callers. Each reference sample call costs
+# a fixed ~0.15 ms, and a group of B columns samples LOCKSTEP_BLOCK // B
+# steps per call: past about 64 columns a wider run pays more for sampling
+# than it saves on the plant. This also bounds the reference tracks a
+# caller holds at once.
+LOCKSTEP_MAX_ROWS = 64
+# Groups of fewer columns run row by row on track_loop, the faster plant
+# below about 8 rows. perfbench/test_perfbench.py requires kernels.track_loop
+# steps in a traced replay-open-loop pass of 6 rows, which holds only while
+# 6 rows run row by row: perfbench has no binding for track_loop_batch.
+LOCKSTEP_MIN_ROWS = 8
+
+
+def _reference_block(refs, columns, times):
+    """refs[r] sampled at ``times`` for each r in ``columns``, as a block."""
+    block = np.empty((len(times), REF_ROWS, len(columns)))
+    for j, r in enumerate(columns):
+        pos, vel, quat, angvel, grip = refs[r].sample(times)
+        block[:, REF_POS, j] = pos
+        block[:, REF_TWIST, j] = np.hstack((vel, angvel))
+        block[:, REF_QUAT, j] = quat
+        block[:, REF_GRIP, j] = grip
+    return block
+
+
+def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
+                   grasp_radii):
+    """Track column r of the (30, B) ``states`` along ``refs[r]``.
+
+    Column r runs ``track_slices``'s slices to each time in ``untils[r]``
+    under ``gains[r]`` and ``grasp_radii[r]``, with the same bits. Columns
+    with equal start times and untils share one time grid and step in
+    lockstep on ``track_loop_batch``; each reference is sampled one block
+    of LOCKSTEP_BLOCK row-steps at a time, at the times ``track_slices``
+    uses. Groups of fewer than LOCKSTEP_MIN_ROWS columns run column by
+    column through ``track_slices``. No per-step trace is kept. Callers
+    pass at most LOCKSTEP_MAX_ROWS columns at a time.
+
+    A generator: after slice k of a group it yields (columns, k, n_k) once
+    those columns reached the end of the slice, and the caller may change
+    them before the next slice runs. A column whose wrench turns non-finite
+    stops there. Once every column is done, the ``SimFault`` of the first
+    such column is raised, as a loop over the columns would raise it, with
+    the column index in its ``row``.
+    """
+    dt = params.physics_dt
+    groups = {}
+    for r in range(states.shape[1]):
+        key = (float(states[29, r]), tuple(untils[r]))
+        groups.setdefault(key, []).append(r)
+    gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
+                          for g in gains]).T
+    radii = np.asarray(grasp_radii, dtype=float)
+    faults = {}
+    for (t0, group_untils), rows in groups.items():
+        if len(rows) < LOCKSTEP_MIN_ROWS:
+            for r in rows:
+                state = states[:, r].copy()
+                try:
+                    for k, trace in enumerate(track_slices(
+                            state, refs[r], gains[r], params, group_untils,
+                            radii[r])):
+                        states[:, r] = state
+                        yield np.array([r]), k, len(trace.times)
+                        state[:] = states[:, r]
+                except SimFault as fault:
+                    states[:, r] = state
+                    faults[r] = fault
+            continue
+        live = np.array(rows)
+        grid = _slice_steps(t0, group_untils, dt)
+        times = np.concatenate([_step_times(t, dt, n) for t, n in grid])
+        block = np.empty((0, REF_ROWS, len(live)))
+        block_start = start = 0
+        for k, (_, n) in enumerate(grid):
+            state = states[:, live]
+            end = start + n
+            while start < end and len(live):
+                if start == block_start + len(block):
+                    # drop the spent block before sampling the next one
+                    block_start, block = start, None
+                    steps = max(1, LOCKSTEP_BLOCK // len(live))
+                    block = _reference_block(
+                        refs, live, times[start:start + steps])
+                stop = min(end, block_start + len(block))
+                fault = track_loop_batch(
+                    state, block[start - block_start:stop - block_start],
+                    *gain_rows[:, live], params.mass, params.inertia, dt,
+                    params.gripper_slew, radii[live], params.wrench_limit)
+                stopped = fault >= 0
+                if np.count_nonzero(stopped):
+                    for j in np.flatnonzero(stopped):
+                        faults[live[j]] = SimFault(
+                            "non-finite wrench at "
+                            f"t={times[start + fault[j]]:.4f}")
+                    states[:, live] = state
+                    live, state = live[~stopped], state[:, ~stopped]
+                    block = block[:, :, ~stopped]
+                start = stop
+            states[:, live] = state
+            if not len(live):
+                break
+            yield live, k, n
+    if faults:
+        row = min(faults)
+        fault = faults[row]
+        fault.row = row
+        raise fault
 
 
 def track(world: WorldState, ref: ReferenceTrack, gains: GainProfile,

@@ -18,7 +18,12 @@ class UndefinedMetricError(SailxError, ValueError):
 
 
 class SimFault(SailxError, RuntimeError):
-    """The plant received non-finite input; the rollout must abort."""
+    """The plant received non-finite input; the rollout must abort.
+
+    ``row`` is the faulted column of a lockstep run, None elsewhere.
+    """
+
+    row = None
 
 
 class GenerationError(SailxError, RuntimeError):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import AggregatedActionsPolicy
-from .controller import GAIN_PRESETS, ReferenceTrack, track
+from .controller import (GAIN_PRESETS, LOCKSTEP_MAX_ROWS, ReferenceTrack,
+                         track, track_lockstep)
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError
@@ -22,7 +23,7 @@ from .io import generate_demos
 from .metrics import aggregate
 from .policy import MockPolicy, PolicyConfig, infer_unconditional
 from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
-from .sim import DynamicsParams, TaskSpec, initial_world, success
+from .sim import DynamicsParams, TaskSpec, WorldState, initial_world, success
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
 
@@ -101,16 +102,9 @@ def run_method_rollout(method: str, c: float, demos, seed: int,
                        start, seed=seed)
 
 
-def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
-                   target: str = "reached", noise_scale: float = 0.0,
-                   seed: int = 0,
-                   dynamics: DynamicsParams | None = None) -> RolloutLog:
-    """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog.
-
-    The commanded or reached stream is rescheduled at interval c * dt and
-    tracked with the requested controller gains; optional Gaussian noise
-    perturbs the reference positions before tracking.
-    """
+def _replay_setup(demo, c: float, target: str, noise_scale: float,
+                  seed: int):
+    """The reference, task, start world and last waypoint time of a replay."""
     stream = demo.reached if target == "reached" else demo.commanded
     positions = stream[:, :3].copy()
     orientations = stream[:, 3:7].copy()
@@ -124,15 +118,55 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
     task = task_for_demo(demo)
     world = initial_world(Pose(stream[0, :3].copy(), stream[0, 3:7].copy()),
                           task)
+    return ref, task, world, float(times[-1])
+
+
+def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
+                   target: str = "reached", noise_scale: float = 0.0,
+                   seed: int = 0,
+                   dynamics: DynamicsParams | None = None) -> RolloutLog:
+    """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog.
+
+    The commanded or reached stream is rescheduled at interval c * dt and
+    tracked with the requested controller gains; optional Gaussian noise
+    perturbs the reference positions before tracking.
+    """
+    ref, task, world, end = _replay_setup(demo, c, target, noise_scale, seed)
     world, trace = track(world, ref, GAIN_PRESETS[gains],
-                         dynamics or DynamicsParams(),
-                         until=float(times[-1]) + 0.5,
+                         dynamics or DynamicsParams(), until=end + 0.5,
                          grasp_radius=task.grasp_radius)
     ok = success(world, task)
     samples, events = sample_trace(trace, ref)
-    return RolloutLog(success=ok, duration=float(times[-1]) if ok else task.t_max,
+    return RolloutLog(success=ok, duration=end if ok else task.t_max,
                       stall_count=0, con_values=[], wed_values=[],
                       events=events, seed=seed, **samples)
+
+
+def _replay_successes(replays) -> list[bool]:
+    """Whether each replay succeeds, the replays run in lockstep.
+
+    Each replay is (demo, c, gains, target, noise_scale, seed) and succeeds
+    exactly when ``replay_rollout`` with those arguments does. The replays
+    run LOCKSTEP_MAX_ROWS at a time, so memory does not grow with their
+    number.
+    """
+    ok = []
+    for first in range(0, len(replays), LOCKSTEP_MAX_ROWS):
+        chunk = replays[first:first + LOCKSTEP_MAX_ROWS]
+        setups = [_replay_setup(demo, c, target, noise, seed)
+                  for demo, c, _, target, noise, seed in chunk]
+        states = np.stack([world.to_vector() for _, _, world, _ in setups],
+                          axis=1)
+        for _ in track_lockstep(states, [ref for ref, *_ in setups],
+                                [GAIN_PRESETS[r[2]] for r in chunk],
+                                DynamicsParams(),
+                                [(end + 0.5,) for *_, end in setups],
+                                [task.grasp_radius
+                                 for _, task, *_ in setups]):
+            pass
+        ok += [success(WorldState.from_vector(states[:, r]), task)
+               for r, (_, task, _, _) in enumerate(setups)]
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +218,40 @@ def sweep_gain_replay(demos, c_values=(1.0, 0.5, 0.33, 0.2),
                       gains=("high", "low"),
                       targets=("reached", "commanded"),
                       seed: int = 0) -> list[dict]:
-    """Replay SR for every (gain, target stream, speedup) combination."""
-    rows = []
-    for gain in gains:
-        for target in targets:
-            for c in c_values:
-                logs = [replay_rollout(d, c=c, gains=gain, target=target,
-                                       seed=seed + i)
-                        for i, d in enumerate(demos)]
-                sr = float(np.mean([l.success for l in logs]))
-                rows.append({"gain": gain, "target": target, "c": c,
-                             "n": len(logs), "sr": sr})
-    return rows
+    """Replay SR for every (gain, target stream, speedup) combination.
+
+    The replays of one speedup run in lockstep batches.
+    """
+    cells = [(gain, target) for gain in gains for target in targets]
+    sr = {}
+    for c in c_values:
+        ok = _replay_successes([(d, c, gain, target, 0.0, seed + i)
+                               for gain, target in cells
+                               for i, d in enumerate(demos)])
+        for k, cell in enumerate(cells):
+            sr[cell, c] = float(np.mean(ok[k * len(demos):
+                                           (k + 1) * len(demos)]))
+    return [{"gain": gain, "target": target, "c": c, "n": len(demos),
+             "sr": sr[(gain, target), c]}
+            for gain, target in cells for c in c_values]
 
 
 def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
                 gains=("high", "low"), trials: int = 100,
                 seed: int = 0) -> list[dict]:
-    """Replay SR under reference noise for high vs low controller gains."""
-    rows = []
-    for gain in gains:
-        for cell, scale in enumerate(scales):
-            logs = [replay_rollout(demos[t % len(demos)], c=1.0, gains=gain,
-                                   target="reached", noise_scale=scale,
-                                   seed=_trial_seed(seed, cell, t))
-                    for t in range(trials)]
-            sr = float(np.mean([l.success for l in logs]))
-            rows.append({"gain": gain, "noise": scale, "n": trials, "sr": sr})
-    return rows
+    """Replay SR under reference noise for high vs low controller gains.
+
+    The replays of the sweep run in lockstep batches.
+    """
+    cells = [(gain, cell, scale) for gain in gains
+             for cell, scale in enumerate(scales)]
+    ok = _replay_successes([(demos[t % len(demos)], 1.0, gain, "reached",
+                            scale, _trial_seed(seed, cell, t))
+                           for gain, cell, scale in cells
+                           for t in range(trials)])
+    return [{"gain": gain, "noise": scale, "n": trials,
+             "sr": float(np.mean(ok[k * trials:(k + 1) * trials]))}
+            for k, (gain, _, scale) in enumerate(cells)]
 
 
 # ---------------------------------------------------------------------------

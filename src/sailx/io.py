@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import ReferenceTrack, gain_profile, track_slices
+from .controller import (LOCKSTEP_MAX_ROWS, ReferenceTrack, gain_profile,
+                         track_lockstep)
 from .controller import track  # noqa: F401 (perfbench wraps sailx.io.track)
 from .core import IDENTITY_QUAT, Pose
-from .errors import FormatError, GenerationError, InvalidInputError, ParseError
+from .errors import (FormatError, GenerationError, InvalidInputError,
+                     ParseError, SimFault)
 from .scheduler import RolloutLog
 from .sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
                   success)
@@ -321,62 +323,99 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     dynamics = DynamicsParams()
     rng = np.random.default_rng(seed)
     demos = []
-    for d in range(n):
-        offset = np.concatenate([rng.uniform(-scatter, scatter, size=2),
-                                 [0.0]])
-        obj_pos = task.object_start.position + offset
-        obj_pose = Pose(obj_pos, task.object_start.orientation)
-        demo_task = TaskSpec(obj_pose, task.goal_position,
-                             grasp_radius=task.grasp_radius,
-                             place_tolerance=task.place_tolerance,
-                             t_max=task.t_max)
-        home = np.concatenate([obj_pos[:2], [obj_pos[2] + home_height]])
-        segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
-                                  home)
-        times, nominal, grips = _nominal_trajectory(segments, home, dt)
-        n_steps = len(times)
-        if times[-1] > task.t_max:
-            raise GenerationError("scripted plan exceeds the task time limit")
+    # the demos are tracked LOCKSTEP_MAX_ROWS at a time
+    for first in range(0, n, LOCKSTEP_MAX_ROWS):
+        scripts = []
+        for _ in range(min(n - first, LOCKSTEP_MAX_ROWS)):
+            offset = np.concatenate([rng.uniform(-scatter, scatter, size=2),
+                                     [0.0]])
+            obj_pos = task.object_start.position + offset
+            obj_pose = Pose(obj_pos, task.object_start.orientation)
+            demo_task = TaskSpec(obj_pose, task.goal_position,
+                                 grasp_radius=task.grasp_radius,
+                                 place_tolerance=task.place_tolerance,
+                                 t_max=task.t_max)
+            home = np.concatenate([obj_pos[:2], [obj_pos[2] + home_height]])
+            segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
+                                      home)
+            times, nominal, grips = _nominal_trajectory(segments, home, dt)
+            n_steps = len(times)
+            # the segment durations, and so the times, are the same for
+            # every demo: this raises at the first demo or never
+            if times[-1] > task.t_max:
+                raise GenerationError(
+                    "scripted plan exceeds the task time limit")
 
-        # teleoperator: lead the pose stream, keep gripper at nominal timing
-        lead_steps = int(round(lead / dt))
-        src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
-        commanded_pos = nominal[src].copy()
-        if jitter > 0:
-            commanded_pos += rng.normal(0.0, jitter, size=commanded_pos.shape)
-        commanded_grip = grips.copy()
-        quat = np.tile(IDENTITY_QUAT, (n_steps, 1))
+            # teleoperator: lead the pose stream, keep gripper at nominal
+            # timing
+            lead_steps = int(round(lead / dt))
+            src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
+            commanded_pos = nominal[src].copy()
+            if jitter > 0:
+                commanded_pos += rng.normal(0.0, jitter,
+                                            size=commanded_pos.shape)
+            commanded_grip = grips.copy()
+            quat = np.tile(IDENTITY_QUAT, (n_steps, 1))
+            ref = ReferenceTrack(times, commanded_pos, quat,
+                                 grippers=commanded_grip)
+            object_start = np.concatenate([obj_pos,
+                                           task.object_start.orientation])
+            scripts.append((demo_task, ref, home, object_start))
 
-        ref = ReferenceTrack(times, commanded_pos, quat,
-                             grippers=commanded_grip)
-        state = initial_world(Pose(home), demo_task).to_vector()
-        reached = np.empty((n_steps, 7))
-        objects = np.empty((n_steps, 7))
-        reached[0] = np.concatenate([home, IDENTITY_QUAT])
-        objects[0] = np.concatenate([obj_pos,
-                                     task.object_start.orientation])
-        slices = track_slices(state, ref, profile, dynamics, times[1:],
-                              grasp_radius=demo_task.grasp_radius)
-        for i, trace in enumerate(slices, start=1):
-            if len(trace.times):
-                # as between two track calls, whose WorldState passes both
-                # quaternions through Pose
-                _as_pose_quat(state[3:7])
-                _as_pose_quat(state[17:21])
-            reached[i] = state[0:7]
-            objects[i] = state[14:21]
-        if not success(WorldState.from_vector(state), demo_task):
-            raise GenerationError(
-                f"scripted demo {d} failed the task predicate")
-
-        flags = label_critical(commanded_pos)
-        flags = np.maximum(flags, gripper_event_flags(commanded_grip))
-        demos.append(Demonstration(
-            dt=dt, commanded=np.hstack([commanded_pos, quat]),
-            reached=reached, grippers=commanded_grip, k=flags,
-            objects=objects,
-            object_start=np.concatenate([obj_pos,
-                                         task.object_start.orientation]),
-            goal=np.asarray(task.goal_position, dtype=float)))
+        reached, objects = _track_scripts(scripts, profile, dynamics, first)
+        for (_, ref, _, object_start), reached_d, objects_d in zip(
+                scripts, reached, objects):
+            flags = label_critical(ref.positions)
+            flags = np.maximum(flags, gripper_event_flags(ref.grippers))
+            demos.append(Demonstration(
+                dt=dt, commanded=np.hstack([ref.positions, ref.orientations]),
+                reached=reached_d, grippers=ref.grippers, k=flags,
+                objects=objects_d, object_start=object_start,
+                goal=np.asarray(task.goal_position, dtype=float)))
     return demos
 
+
+def _track_scripts(scripts, profile, dynamics, first):
+    """Track scripted demos first, first + 1, ... in one lockstep run.
+
+    ``scripts`` holds (demo_task, ref, home, object_start) per demo, the
+    last the object's start pose as a 7-vector. Returns the reached and
+    object poses at every reference time, or raises what a loop over the
+    demos would have raised first.
+    """
+    # every demo's reference steps are slices of the lockstep run
+    states = np.stack([initial_world(Pose(home), demo_task).to_vector()
+                       for demo_task, _, home, _ in scripts], axis=1)
+    reached = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
+    objects = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
+    for d, (_, _, home, object_start) in enumerate(scripts):
+        reached[d][0] = np.concatenate([home, IDENTITY_QUAT])
+        objects[d][0] = object_start
+    fault = None
+    try:
+        for rows, k, steps in track_lockstep(
+                states, [ref for _, ref, _, _ in scripts],
+                [profile] * len(scripts), dynamics,
+                [ref.times[1:] for _, ref, _, _ in scripts],
+                [demo_task.grasp_radius for demo_task, *_ in scripts]):
+            block = states[:, rows].T.copy()
+            if steps:
+                # as between two track calls, whose WorldState passes both
+                # quaternions through Pose
+                for row in block:
+                    _as_pose_quat(row[3:7])
+                    _as_pose_quat(row[17:21])
+                states[:, rows] = block.T
+            for row, r in zip(block, rows):
+                reached[r][k + 1] = row[0:7]
+                objects[r][k + 1] = row[14:21]
+    except SimFault as exc:
+        fault = exc
+    # a demo loop would have stopped at the first failing demo
+    for d in range(len(scripts) if fault is None else fault.row):
+        if not success(WorldState.from_vector(states[:, d]), scripts[d][0]):
+            raise GenerationError(
+                f"scripted demo {first + d} failed the task predicate")
+    if fault is not None:
+        raise fault
+    return reached, objects

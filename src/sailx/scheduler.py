@@ -14,6 +14,7 @@ inference delay. The executor floors its intervals at
 (1 + safety_margin) * delta_lb so closed-loop runs never stall by design.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,11 @@ class ExecutorConfig:
     use_eag: bool = True         # error-adaptive guidance at replanning
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (
+                self.delta_star, self.delta_delay, self.c_slow, self.c_fast,
+                self.safety_margin, self.fixed_c)):
+            raise ConfigurationError("executor intervals and speed factors "
+                                     "must be finite")
         if self.delta_star <= 0 or self.delta_delay < 0:
             raise ConfigurationError("delta_star > 0 and delta_delay >= 0 required")
         if not 0 < self.c_fast <= self.c_slow:

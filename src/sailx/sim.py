@@ -6,6 +6,7 @@ the end effector is within ``grasp_radius`` of the object, the object is
 rigidly attached; opening past 0.5 detaches it wherever it is.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,14 @@ class DynamicsParams:
     wrench_limit: float = 0.0         # saturation per component; 0 disables
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (
+                self.mass, self.inertia, self.physics_dt, self.gripper_slew,
+                self.wrench_limit)):
+            raise ConfigurationError("dynamics parameters must be finite")
         if self.mass <= 0 or self.inertia <= 0 or self.physics_dt <= 0:
             raise ConfigurationError("mass, inertia, physics_dt must be positive")
+        if self.gripper_slew < 0:
+            raise ConfigurationError("gripper_slew must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,10 @@ class TaskSpec:
         goal = np.asarray(self.goal_position, dtype=float).copy()
         goal.setflags(write=False)
         object.__setattr__(self, "goal_position", goal)
+        if not (np.all(np.isfinite(goal)) and all(math.isfinite(v) for v in (
+                self.grasp_radius, self.place_tolerance, self.t_max))):
+            raise ConfigurationError("task goal, tolerances and t_max must "
+                                     "be finite")
         if self.grasp_radius <= 0 or self.place_tolerance <= 0 or self.t_max <= 0:
             raise ConfigurationError("task tolerances and t_max must be positive")
 

@@ -1,0 +1,135 @@
+"""Per-row references for the lockstep sweeps and the lockstep corpus build.
+
+``sweep_gain_replay`` and ``sweep_noise`` here run one ``replay_rollout``
+per replay, and ``generate_demos`` runs ``controller.track_slices`` over one
+demo at a time: the loops ``sailx.experiments`` and ``sailx.io`` replaced
+with ``controller.track_lockstep``. They are kept unchanged so tests can
+require the lockstep versions to reproduce them exactly.
+"""
+
+import numpy as np
+
+from sailx.controller import ReferenceTrack, gain_profile, track_slices
+from sailx.core import IDENTITY_QUAT, Pose
+from sailx.errors import GenerationError, InvalidInputError
+from sailx.experiments import _trial_seed, replay_rollout
+from sailx.io import (Demonstration, _as_pose_quat, _nominal_trajectory,
+                      _scripted_path)
+from sailx.sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
+                       success)
+from sailx.speedmod import gripper_event_flags, label_critical
+
+
+def sweep_gain_replay(demos, c_values=(1.0, 0.5, 0.33, 0.2),
+                      gains=("high", "low"),
+                      targets=("reached", "commanded"),
+                      seed: int = 0) -> list[dict]:
+    """Replay SR for every (gain, target stream, speedup) combination."""
+    rows = []
+    for gain in gains:
+        for target in targets:
+            for c in c_values:
+                logs = [replay_rollout(d, c=c, gains=gain, target=target,
+                                       seed=seed + i)
+                        for i, d in enumerate(demos)]
+                sr = float(np.mean([l.success for l in logs]))
+                rows.append({"gain": gain, "target": target, "c": c,
+                             "n": len(logs), "sr": sr})
+    return rows
+
+
+def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
+                gains=("high", "low"), trials: int = 100,
+                seed: int = 0) -> list[dict]:
+    """Replay SR under reference noise for high vs low controller gains."""
+    rows = []
+    for gain in gains:
+        for cell, scale in enumerate(scales):
+            logs = [replay_rollout(demos[t % len(demos)], c=1.0, gains=gain,
+                                   target="reached", noise_scale=scale,
+                                   seed=_trial_seed(seed, cell, t))
+                    for t in range(trials)]
+            sr = float(np.mean([l.success for l in logs]))
+            rows.append({"gain": gain, "noise": scale, "n": trials, "sr": sr})
+    return rows
+
+
+def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
+                   dt: float = 0.05, lead: float = 0.25,
+                   jitter: float = 0.001, scatter: float = 0.05,
+                   home_height: float = 0.20,
+                   gains: str = "real-demo") -> list:
+    """Scripted teleoperation through the low-gain simulator.
+
+    Each demo randomizes the object start within a ``scatter`` box in x/y.
+    The operator model anticipates the sluggish arm by commanding the pose
+    stream ``lead`` seconds ahead (with per-step hand ``jitter``), so the
+    reached trace is the smooth, roughly lag-cancelled closed-loop response;
+    gripper toggles are issued at nominal (unled) timing, when the operator
+    sees the arm settled. Both streams are logged at ``dt``.
+    """
+    if n < 1:
+        raise InvalidInputError("need n >= 1 demos")
+    profile = gain_profile(gains)
+    dynamics = DynamicsParams()
+    rng = np.random.default_rng(seed)
+    demos = []
+    for d in range(n):
+        offset = np.concatenate([rng.uniform(-scatter, scatter, size=2),
+                                 [0.0]])
+        obj_pos = task.object_start.position + offset
+        obj_pose = Pose(obj_pos, task.object_start.orientation)
+        demo_task = TaskSpec(obj_pose, task.goal_position,
+                             grasp_radius=task.grasp_radius,
+                             place_tolerance=task.place_tolerance,
+                             t_max=task.t_max)
+        home = np.concatenate([obj_pos[:2], [obj_pos[2] + home_height]])
+        segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
+                                  home)
+        times, nominal, grips = _nominal_trajectory(segments, home, dt)
+        n_steps = len(times)
+        if times[-1] > task.t_max:
+            raise GenerationError("scripted plan exceeds the task time limit")
+
+        # teleoperator: lead the pose stream, keep gripper at nominal timing
+        lead_steps = int(round(lead / dt))
+        src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
+        commanded_pos = nominal[src].copy()
+        if jitter > 0:
+            commanded_pos += rng.normal(0.0, jitter, size=commanded_pos.shape)
+        commanded_grip = grips.copy()
+        quat = np.tile(IDENTITY_QUAT, (n_steps, 1))
+
+        ref = ReferenceTrack(times, commanded_pos, quat,
+                             grippers=commanded_grip)
+        state = initial_world(Pose(home), demo_task).to_vector()
+        reached = np.empty((n_steps, 7))
+        objects = np.empty((n_steps, 7))
+        reached[0] = np.concatenate([home, IDENTITY_QUAT])
+        objects[0] = np.concatenate([obj_pos,
+                                     task.object_start.orientation])
+        slices = track_slices(state, ref, profile, dynamics, times[1:],
+                              grasp_radius=demo_task.grasp_radius)
+        for i, trace in enumerate(slices, start=1):
+            if len(trace.times):
+                # as between two track calls, whose WorldState passes both
+                # quaternions through Pose
+                _as_pose_quat(state[3:7])
+                _as_pose_quat(state[17:21])
+            reached[i] = state[0:7]
+            objects[i] = state[14:21]
+        if not success(WorldState.from_vector(state), demo_task):
+            raise GenerationError(
+                f"scripted demo {d} failed the task predicate")
+
+        flags = label_critical(commanded_pos)
+        flags = np.maximum(flags, gripper_event_flags(commanded_grip))
+        demos.append(Demonstration(
+            dt=dt, commanded=np.hstack([commanded_pos, quat]),
+            reached=reached, grippers=commanded_grip, k=flags,
+            objects=objects,
+            object_start=np.concatenate([obj_pos,
+                                         task.object_start.orientation]),
+            goal=np.asarray(task.goal_position, dtype=float)))
+    return demos
+

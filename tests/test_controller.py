@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sailx.controller import (GAIN_PRESETS, GainProfile, ReferenceTrack,
-                              fit_reference, gain_profile, track)
+                              gain_profile, track)
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import InvalidInputError
 from sailx.sim import DynamicsParams, TaskSpec, WorldState, initial_world
@@ -87,17 +87,14 @@ class TestReferenceTrack:
         pose = ref.pose_at(0.5)
         assert pose.orientation == pytest.approx(rotz(0.5), abs=1e-9)
 
-    def test_fit_reference_spacing(self):
-        class Chunk:
-            positions = np.random.default_rng(0).normal(size=(8, 3))
-            orientations = np.tile(IDENTITY_QUAT, (8, 1))
-            grippers = np.zeros(8)
-            flags = np.zeros(8, dtype=np.int8)
-
-        ref = fit_reference(Chunk, 0.05)
+    def test_uniform_spacing(self):
+        # a chunk's waypoints splined at one interval keep that spacing
+        positions = np.random.default_rng(0).normal(size=(8, 3))
+        orientations = np.tile(IDENTITY_QUAT, (8, 1))
+        ref = ReferenceTrack(np.arange(8) * 0.05, positions, orientations)
         assert np.diff(ref.times) == pytest.approx(np.full(7, 0.05))
         with pytest.raises(InvalidInputError):
-            fit_reference(Chunk, 0.0)
+            ReferenceTrack(np.arange(8) * 0.0, positions, orientations)
 
 
 def _wrench(ref: Pose, cur: Pose, gains: GainProfile, params: DynamicsParams):

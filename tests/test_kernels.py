@@ -1,10 +1,12 @@
 """The fused plant loop and the vectorised reference against the oracle.
 
 ``kernels.track_loop`` runs the PD law and the Euler step on scalar locals,
+``kernels.track_loop_batch`` runs the same plant on the columns of a batch,
 ``ReferenceTrack.sample`` interpolates every point at once and
 ``ReferenceTrack`` computes every segment's angular rate at once. All must
-give the same bits as the per-step array kernels in ``plant_oracle``; NaN
-payloads are the only bits not compared.
+give the same bits as the per-step array kernels in ``plant_oracle`` (the
+batched plant: as ``track_loop`` on each column); NaN payloads are the
+only bits not compared.
 """
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -33,6 +35,7 @@ def _unit(v):
     return -q if q[0] < 0.0 else q
 
 
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
 _coord = st.floats(-1.0, 1.0)
 _quat = st.lists(_coord, min_size=4, max_size=4).filter(
     lambda v: np.linalg.norm(v) > 0.1).map(_unit)
@@ -137,6 +140,102 @@ class TestTrackLoop:
         params = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.0)
         fault, _ = _assert_same_run(state, refs, params)
         assert fault == 4
+
+
+def _block(refs):
+    """One row's references as lockstep block rows, (n, REF_ROWS)."""
+    pos, vel, quat, angvel, grip = refs
+    block = np.empty((len(pos), kernels.REF_ROWS))
+    block[:, kernels.REF_POS] = pos
+    block[:, kernels.REF_TWIST] = np.hstack((vel, angvel))
+    block[:, kernels.REF_QUAT] = quat
+    block[:, kernels.REF_GRIP] = grip
+    return block
+
+
+@st.composite
+def batch_cases(draw):
+    """B plant cases cut to one step count, with the first case's dynamics.
+
+    Gains, grasp radii and states stay per row, faults included.
+    """
+    b = draw(st.sampled_from([1, 2, 5]))
+    cases = [draw(plant_cases()) for _ in range(b)]
+    n = min(len(refs[0]) for _, refs, _ in cases)
+    dynamics = cases[0][2][4:8] + cases[0][2][9:]
+    rows = []
+    for state, refs, params in cases:
+        rows.append((state, [r[:n] for r in refs],
+                     params[:4] + dynamics[:4] + (params[8], dynamics[4])))
+    return rows
+
+
+def _assert_columns_match_track_loop(rows):
+    """Every column of the lockstep kernel against track_loop on that row."""
+    states = np.stack([state for state, _, _ in rows], axis=1)
+    block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
+    params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
+    shared = [float(p[0]) for p in params[4:8] + params[9:]]
+    faults = kernels.track_loop_batch(
+        states, block, *params[:4], *shared[:4], params[8], shared[4])
+    for j, (state, refs, params) in enumerate(rows):
+        fault, final, _ = _run(kernels.track_loop, state, refs, params)
+        assert faults[j] == fault
+        assert _bits(states[:, j]) == _bits(final)
+    return faults, states
+
+
+def _attached_state(rng):
+    state = np.zeros(kernels.STATE_SIZE)
+    state[0:3] = rng.normal(0.0, 0.02, 3)
+    state[3:7] = _unit(rng.normal(size=4))
+    state[13] = 1.0
+    # an object pose that does not follow from the robot pose
+    state[14:17] = [0.5, -0.5, 0.5]
+    state[17:21] = _unit(rng.normal(size=4))
+    state[21] = 1.0
+    state[22:25] = rng.normal(0.0, 0.01, 3)
+    state[25:29] = _unit(rng.normal(size=4))
+    return state
+
+
+class TestTrackLoopBatch:
+    @SETTINGS
+    @given(batch_cases())
+    def test_every_column_matches_track_loop_bit_for_bit(self, rows):
+        _assert_columns_match_track_loop(rows)
+
+    def test_release_at_the_first_step_keeps_the_incoming_object_pose(self):
+        rng = np.random.default_rng(4)
+        n = 30
+        rows = []
+        for release_at in (0, 5, n):  # the last row stays attached
+            grip = np.where(np.arange(n) < release_at, 1.0, 0.0)
+            refs = [np.zeros((n, 3)), np.zeros((n, 3)),
+                    np.tile(_unit([0.9, 0.1, 0.2, -0.1]), (n, 1)),
+                    np.zeros((n, 3)), grip]
+            params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 400.0,
+                      0.015, 0.0)
+            rows.append((_attached_state(rng), refs, params))
+        _, states = _assert_columns_match_track_loop(rows)
+        assert _bits(states[14:21, 0]) == _bits(rows[0][0][14:21])
+        assert states[21].tolist() == [0.0, 0.0, 1.0]
+
+    def test_a_faulted_column_stops_and_the_others_run_on(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        rows = []
+        for bad_step in (None, 7, None, 0, 39):
+            refs = [rng.normal(0.0, 0.01, (n, 3)), np.zeros((n, 3)),
+                    np.tile(IDENTITY, (n, 1)), np.zeros((n, 3)),
+                    np.where(np.arange(n) < 20, 1.0, 0.0)]
+            if bad_step is not None:
+                refs[1][bad_step, 1] = np.inf
+            params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0,
+                      0.015, 0.5)
+            rows.append((_attached_state(rng), refs, params))
+        faults, _ = _assert_columns_match_track_loop(rows)
+        assert faults.tolist() == [-1, 7, -1, 0, 39]
 
 
 def _waypoints(draw, n):

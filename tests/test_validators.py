@@ -1,0 +1,173 @@
+"""Every validator rejects NaN and inf with the package's own error types.
+
+The lockstep plant takes per-row gain arrays and shared dynamics, so a
+non-finite gain, dynamics value or waypoint must not get past construction.
+The ``hypothesis`` properties cover ``Pose``, ``ReferenceTrack`` and
+``read_demo`` over arbitrary positions of the bad value.
+"""
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sailx.controller import GainProfile, ReferenceTrack
+from sailx.core import IDENTITY_QUAT, Pose
+from sailx.errors import ConfigurationError, InvalidInputError, ParseError
+from sailx.io import Demonstration, read_demo, write_demo
+from sailx.scheduler import ExecutorConfig
+from sailx.sim import DynamicsParams, TaskSpec
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    suppress_health_check=[
+                        HealthCheck.too_slow,
+                        HealthCheck.function_scoped_fixture])
+
+BAD = (np.nan, np.inf, -np.inf)
+_bad = st.sampled_from(BAD)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("slot", range(4))
+def test_gain_profile_rejects_non_finite_gains(slot, bad):
+    gains = [100.0, 20.0, 100.0, 20.0]
+    gains[slot] = bad
+    with pytest.raises(InvalidInputError):
+        GainProfile(*gains)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["mass", "inertia", "physics_dt",
+                                   "gripper_slew", "wrench_limit"])
+def test_dynamics_params_reject_non_finite_values(field, bad):
+    with pytest.raises(ConfigurationError):
+        DynamicsParams(**{field: bad})
+
+
+def _task(**kwargs):
+    return TaskSpec(Pose(np.zeros(3)), np.array([0.3, 0.25, 0.02]), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(grasp_radius=np.nan), dict(grasp_radius=np.inf),
+    dict(place_tolerance=np.nan), dict(t_max=np.inf), dict(t_max=np.nan)])
+def test_task_spec_rejects_non_finite_tolerances(kwargs):
+    with pytest.raises(ConfigurationError):
+        _task(**kwargs)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_task_spec_rejects_a_non_finite_goal(bad):
+    with pytest.raises(ConfigurationError):
+        TaskSpec(Pose(np.zeros(3)), np.array([0.3, bad, 0.02]))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["delta_star", "delta_delay", "c_slow",
+                                   "c_fast", "safety_margin", "fixed_c"])
+def test_executor_config_rejects_non_finite_values(field, bad):
+    with pytest.raises(ConfigurationError):
+        ExecutorConfig(**{field: bad})
+
+
+def _waypoints(n=3):
+    return (np.arange(n) * 0.5, np.zeros((n, 3)),
+            np.tile(IDENTITY_QUAT, (n, 1)), np.zeros(n))
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+@pytest.mark.parametrize("bad", BAD)
+def test_reference_track_rejects_non_finite_waypoints(which, bad):
+    args = list(_waypoints())
+    args[which][1] = bad  # a whole row for positions and orientations
+    with pytest.raises(InvalidInputError):
+        ReferenceTrack(*args)
+
+
+def test_reference_track_rejects_an_all_zero_quaternion():
+    times, positions, orientations, grippers = _waypoints()
+    orientations[2] = 0.0
+    with pytest.raises(InvalidInputError, match="orientations"):
+        ReferenceTrack(times, positions, orientations, grippers)
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+_coord = st.floats(-10.0, 10.0)
+_quat = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda v: np.linalg.norm(v) > 0.1).map(lambda v: np.array(v)
+                                           / np.linalg.norm(v))
+
+
+@SETTINGS
+@given(st.lists(_coord, min_size=3, max_size=3), _quat,
+       st.integers(0, 6), _bad)
+def test_pose_rejects_any_non_finite_component(position, quat, slot, bad):
+    values = np.concatenate([position, quat])
+    pose = Pose(values[:3], values[3:])
+    assert pose.orientation[0] >= 0.0
+    assert np.linalg.norm(pose.orientation) == pytest.approx(1.0)
+    values[slot] = bad
+    with pytest.raises(InvalidInputError):
+        Pose(values[:3], values[3:])
+
+
+@st.composite
+def _tracks(draw):
+    n = draw(st.integers(2, 6))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1,
+                          max_size=n - 1))
+    times = np.cumsum([0.0] + steps)
+    positions = np.array(draw(st.lists(_coord, min_size=3 * n,
+                                       max_size=3 * n))).reshape(n, 3)
+    orientations = np.array([draw(_quat) for _ in range(n)])
+    grippers = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                      max_size=n)))
+    return [times, positions, orientations, grippers]
+
+
+@SETTINGS
+@given(_tracks(), st.integers(0, 3), st.integers(0, 100), _bad)
+def test_reference_track_rejects_any_non_finite_entry(args, which, at, bad):
+    ReferenceTrack(*args)
+    flat = args[which].reshape(-1)
+    flat[at % len(flat)] = bad
+    with pytest.raises(InvalidInputError):
+        ReferenceTrack(*args)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(0, 100), st.sampled_from(
+    ["cmd", "reached", "obj", "grip"]), st.integers(0, 6),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-2e308"]))
+def test_read_demo_reports_the_line_of_any_non_finite_number(
+        tmp_path, n, at, field, slot, token):
+    rng = np.random.default_rng(n)
+    demo = Demonstration(dt=0.05, commanded=rng.normal(size=(n, 7)),
+                         reached=rng.normal(size=(n, 7)),
+                         grippers=rng.uniform(size=n), k=np.zeros(n),
+                         objects=rng.normal(size=(n, 7)))
+    path = tmp_path / "d.jsonl"
+    write_demo(demo, str(path))
+    lines = path.read_text().splitlines()
+    line = 2 + at % n
+    rec = json.loads(lines[line - 1])
+    marker = 12345.5
+    if field == "grip":
+        rec[field] = marker
+    else:
+        rec[field][slot] = marker
+    lines[line - 1] = json.dumps(rec).replace(repr(marker), token)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        read_demo(str(path))
+    assert exc.value.line == line
+
+
+def test_dynamics_params_reject_a_negative_gripper_slew():
+    # a slew rate is a speed; the plants clamp each step to [-slew dt, slew dt]
+    with pytest.raises(ConfigurationError):
+        DynamicsParams(gripper_slew=-8.0)
+    assert DynamicsParams(gripper_slew=0.0).gripper_slew == 0.0
