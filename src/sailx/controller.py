@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
+from scipy.linalg import solve_banded
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
@@ -71,9 +72,10 @@ class ReferenceTrack:
         n = len(times)
         if n < 2:
             raise InvalidInputError("a reference needs at least 2 waypoints")
-        if not np.all(np.isfinite(times)):
+        if not np.isfinite(times).all():
             raise InvalidInputError("waypoint times must be finite")
-        if np.any(np.diff(times) <= 0):
+        seg_dt = times[1:] - times[:-1]
+        if (seg_dt <= 0).any():
             raise InvalidInputError("waypoint times must be strictly increasing")
         grippers = (np.zeros(n) if grippers is None
                     else np.asarray(grippers, dtype=float))
@@ -103,9 +105,11 @@ class ReferenceTrack:
             self._spline = None
             self._slope = (positions[1] - positions[0]) / (times[1] - times[0])
         else:
-            self._spline = CubicSpline(times, positions, bc_type="natural")
+            self._spline = _natural_spline(times, positions)
+        self._seg_dt = seg_dt
         # angular rate per segment, world frame
         self._seg_angvel = _segment_rates(times, orientations)
+        self._slerp_segments = _slerp_segments(orientations)
 
     @property
     def t_start(self) -> float:
@@ -138,14 +142,15 @@ class ReferenceTrack:
         outside = (t < self.times[0]) | (t > self.times[-1])
         vel[outside] = 0.0
 
-        seg = np.clip(np.searchsorted(self.times, tc, side="right") - 1,
-                      0, len(self.times) - 2)
-        frac = (tc - self.times[seg]) / (self.times[seg + 1] - self.times[seg])
-        quat = _slerp(self.orientations, seg, frac)
+        # tc >= times[0], so the segment is at least 0, and a step to the
+        # next waypoint's gripper at frac >= 1 stays within the waypoints
+        seg = np.searchsorted(self.times, tc, side="right") - 1
+        np.minimum(seg, len(self.times) - 2, out=seg)
+        frac = (tc - self.times[seg]) / self._seg_dt[seg]
+        quat = _slerp(self._slerp_segments, seg, frac)
         angvel = self._seg_angvel[seg]
         angvel[outside] = 0.0
-        grip = self.grippers[np.clip(seg + (frac >= 1.0), 0,
-                                     len(self.times) - 1)]
+        grip = self.grippers[seg + (frac >= 1.0)]
         return pos, vel, quat, angvel, grip
 
     def pose_at(self, t: float) -> Pose:
@@ -153,27 +158,32 @@ class ReferenceTrack:
         return Pose(pos[0], quat[0])
 
 
+# quats[i + 1] * conj(quats[i]) as four sums of four products: component j
+# sums a[k] * conj[_PRODUCT_INDEX[j, k]] * _PRODUCT_SIGN[j, k] over k in order
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_PRODUCT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
+                           [3, 2, 1, 0]])
+_PRODUCT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                          [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
 def _segment_rates(times, quats):
     """Per segment, ``rotvec_between(quats[i], quats[i + 1]) / dt_i``.
 
     Row by row this is the scalar kernel in its operation order: the
-    product quats[i + 1] * conj(quats[i]), flipped to w >= 0, the angle
-    2 arctan2(|v|, w), and 2 v in place of angle / |v| * v when
-    |v| < 1e-12.
+    product quats[i + 1] * conj(quats[i]), each component summed left to
+    right (subtracting a product adds its negation, with the same bits),
+    flipped to w >= 0, the angle 2 arctan2(|v|, w), and 2 v in place of
+    angle / |v| * v when |v| < 1e-12.
     """
-    a = quats[1:]
-    b = quats[:-1]
-    b1, b2, b3 = -b[:, 1], -b[:, 2], -b[:, 3]
-    rel = np.empty((len(a), 4))
-    rel[:, 0] = a[:, 0] * b[:, 0] - a[:, 1] * b1 - a[:, 2] * b2 - a[:, 3] * b3
-    rel[:, 1] = a[:, 0] * b1 + a[:, 1] * b[:, 0] + a[:, 2] * b3 - a[:, 3] * b2
-    rel[:, 2] = a[:, 0] * b2 - a[:, 1] * b3 + a[:, 2] * b[:, 0] + a[:, 3] * b1
-    rel[:, 3] = a[:, 0] * b3 + a[:, 1] * b2 - a[:, 2] * b1 + a[:, 3] * b[:, 0]
+    conj = quats[:-1] * _CONJ
+    terms = quats[1:, None, :] * conj[:, _PRODUCT_INDEX]
+    terms *= _PRODUCT_SIGN
+    rel = np.sum(terms, axis=2)  # np.sum adds 4 values left to right
     rel[rel[:, 0] < 0.0] *= -1.0
     vec = rel[:, 1:]
-    vec_norm = np.sqrt(vec[:, 0] * vec[:, 0] + vec[:, 1] * vec[:, 1]
-                       + vec[:, 2] * vec[:, 2])
-    scale = np.full(len(a), 2.0)
+    vec_norm = np.sqrt(np.sum(vec * vec, axis=1))
+    scale = np.full(len(rel), 2.0)
     arc = ~(vec_norm < 1e-12)
     scale[arc] = 2.0 * np.arctan2(vec_norm[arc], rel[arc, 0]) / vec_norm[arc]
     rates = scale[:, None] * vec
@@ -181,28 +191,86 @@ def _segment_rates(times, quats):
     return rates
 
 
-def _slerp(quats, seg, s):
-    """Shortest-arc slerp from quats[seg] to quats[seg + 1] at fractions s.
+def _natural_spline(x, y) -> PPoly:
+    """The natural cubic spline through the rows of y at the knots x.
 
-    Row by row this takes the branches of a scalar slerp from a to b in
-    the same operation order: b is negated when dot(a, b) < 0, the dot is
-    clamped at 1, angles below 1e-10 fall back to a normalised lerp, and
-    the result is normalised and flipped to w >= 0. The branches depend on
-    the segment alone, so they are decided once per segment.
+    These are the steps of scipy's ``CubicSpline(x, y, bc_type="natural")``
+    in its operation order, without its input checks and set-up: the
+    banded system for the knot slopes with zero second derivatives at both
+    ends, its one ``solve_banded`` call, and the Hermite coefficients.
+    Knot slopes that overflow raise InvalidInputError, where CubicSpline
+    raised ValueError; finite slopes with overflowing coefficients build,
+    as they did, and fault in the plant.
+    """
+    n = len(x)
+    dx = x[1:] - x[:-1]
+    dxr = dx[:, None]
+    slope = (y[1:] - y[:-1]) / dxr
+    A = np.zeros((3, n))
+    b = np.empty((n, 3))
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # natural ends: second derivative 0.0 at both
+    A[1, 0] = 2 * dx[0]
+    A[0, 1] = dx[0]
+    b[0] = -0.5 * 0.0 * dx[0]**2 + 3 * (y[1] - y[0])
+    A[1, -1] = 2 * dx[-1]
+    A[-1, -2] = dx[-1]
+    b[-1] = 0.5 * 0.0 * dx[-1]**2 + 3 * (y[-1] - y[-2])
+    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    if not np.isfinite(s).all():
+        raise InvalidInputError("positions overflow the spline's knot slopes")
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    c = np.empty((4, n - 1, 3))
+    np.divide(t, dxr, out=c[0])
+    np.subtract(slope, s[:-1], out=c[1])
+    c[1] /= dxr
+    c[1] -= t
+    c[2] = s[:-1]
+    c[3] = y[:-1]
+    return PPoly.construct_fast(c, x)
+
+
+def _slerp_segments(quats):
+    """Per segment, what a slerp from quats[i] to quats[i + 1] needs.
+
+    (a, b, theta, arc): b negated where dot(a, b) < 0, theta the arccos of
+    the dot clamped at 1, and arc false where theta < 1e-10, on the
+    segments a slerp lerps instead.
     """
     a = quats[:-1]
-    b = quats[1:].copy()
+    b = quats[1:]
     d = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
          + a[:, 3] * b[:, 3])
     flip = d < 0.0
-    b[flip] *= -1.0
-    d[flip] *= -1.0
+    if flip.any():  # b stays a view of quats otherwise
+        b = b.copy()
+        b[flip] *= -1.0
+        d[flip] *= -1.0
     theta = np.arccos(np.minimum(d, 1.0, out=d))
+    return a, b, theta, ~(theta < 1e-10)
+
+
+def _slerp(segments, seg, s):
+    """Shortest-arc slerp along segments ``seg`` at fractions s.
+
+    ``segments`` is ``_slerp_segments(quats)``. Row by row this takes the
+    branches of a scalar slerp from a to b in the same operation order:
+    b is negated when dot(a, b) < 0, the dot is clamped at 1, angles below
+    1e-10 fall back to a normalised lerp, and the result is normalised and
+    flipped to w >= 0.
+    """
+    a, b, theta, arc = segments
     s = s[:, None]
-    out = (b - a)[seg]
+    start = a[seg]
+    out = b[seg]
+    out -= start
     out *= s
-    out += a[seg]  # a + s * (b - a): both operations commute exactly
-    rows = ~(theta < 1e-10)[seg]
+    out += start  # a + s * (b - a): both operations commute exactly
+    rows = arc[seg]
     if np.any(rows):
         arc = seg[rows]
         th = theta[arc][:, None]
@@ -210,8 +278,7 @@ def _slerp(quats, seg, s):
         st = np.sin(th)
         out[rows] = (np.sin((1.0 - sa) * th) / st * a[arc]
                      + np.sin(sa * th) / st * b[arc])
-    norm = np.sqrt(out[:, 0] * out[:, 0] + out[:, 1] * out[:, 1]
-                   + out[:, 2] * out[:, 2] + out[:, 3] * out[:, 3])
+    norm = np.sqrt(np.sum(out * out, axis=1))  # adds 4 values left to right
     out /= norm[:, None]
     out[out[:, 0] < 0.0] *= -1.0
     return out
@@ -225,11 +292,15 @@ class TrackTrace:
     e_pos: np.ndarray
     e_ori: np.ndarray
     events: np.ndarray  # per-step attach(+1)/detach(-1) codes
+    # the tracked reference's position and orientation at each step time
+    ref_positions: np.ndarray
+    ref_orientations: np.ndarray
 
     @classmethod
     def empty(cls) -> "TrackTrace":
         return cls(np.empty(0), np.empty((0, 3)), np.empty((0, 4)),
-                   np.empty(0), np.empty(0), np.empty(0, dtype=np.int8))
+                   np.empty(0), np.empty(0), np.empty(0, dtype=np.int8),
+                   np.empty((0, 3)), np.empty((0, 4)))
 
 
 def _slice_steps(t, untils, dt):
@@ -297,7 +368,7 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
                 raise SimFault(
                     f"non-finite wrench at t={step_times[fault]:.4f}")
         yield TrackTrace(step_times, out_pos[s], out_quat[s], out_epos[s],
-                         out_eori[s], out_events[s])
+                         out_eori[s], out_events[s], pos[s], quat[s])
         start = end
 
 
@@ -305,7 +376,7 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
 # REF_ROWS floats per row and step, 0.69 MB whatever the group's width.
 LOCKSTEP_BLOCK = 256 * 24
 # Columns per lockstep run in the callers. Each reference sample call costs
-# a fixed ~0.15 ms, and a group of B columns samples LOCKSTEP_BLOCK // B
+# a fixed ~0.1 ms, and a group of B columns samples LOCKSTEP_BLOCK // B
 # steps per call: past about 64 columns a wider run pays more for sampling
 # than it saves on the plant. This also bounds the reference tracks a
 # caller holds at once.

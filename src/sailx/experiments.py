@@ -21,7 +21,7 @@ from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError
 from .io import generate_demos
 from .metrics import aggregate
-from .policy import MockPolicy, PolicyConfig, infer_unconditional
+from .policy import DemoLibrary, MockPolicy, PolicyConfig, infer_unconditional
 from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
 from .sim import DynamicsParams, TaskSpec, WorldState, initial_world, success
 
@@ -87,8 +87,13 @@ def task_for_demo(demo) -> TaskSpec:
 
 def run_method_rollout(method: str, c: float, demos, seed: int,
                        dynamics: DynamicsParams | None = None,
+                       library: DemoLibrary | None = None,
                        **setup_kwargs) -> RolloutLog:
-    """One closed-loop rollout of a named method on a demo-aligned task."""
+    """One closed-loop rollout of a named method on a demo-aligned task.
+
+    ``library``, when given, is the DemoLibrary of ``demos`` the policy
+    retrieves from, shared with the other rollouts of a sweep.
+    """
     if method == "replay":
         return replay_rollout(demos[seed % len(demos)], c=c, seed=seed,
                               dynamics=dynamics)
@@ -96,7 +101,8 @@ def run_method_rollout(method: str, c: float, demos, seed: int,
     demo = demos[seed % len(demos)]
     task = task_for_demo(demo)
     start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
-    policy = setup.policy_class(demos, setup.policy_config, seed=seed)
+    policy = setup.policy_class(demos, setup.policy_config, seed=seed,
+                                library=library)
     return run_rollout(policy, task, setup.exec_config,
                        GAIN_PRESETS[setup.gains], dynamics or DynamicsParams(),
                        start, seed=seed)
@@ -136,7 +142,7 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
                          dynamics or DynamicsParams(), until=end + 0.5,
                          grasp_radius=task.grasp_radius)
     ok = success(world, task)
-    samples, events = sample_trace(trace, ref)
+    samples, events = sample_trace(trace)
     return RolloutLog(success=ok, duration=end if ok else task.t_max,
                       stall_count=0, con_values=[], wed_values=[],
                       events=events, seed=seed, **samples)
@@ -178,21 +184,25 @@ def _trial_seed(seed: int, cell: int, trial: int) -> int:
 
 
 _POOL_DEMOS = None
+_POOL_LIBRARY = None
 
 
 def _pool_init(demos):
-    global _POOL_DEMOS
+    global _POOL_DEMOS, _POOL_LIBRARY
     _POOL_DEMOS = demos
+    _POOL_LIBRARY = DemoLibrary(demos)
 
 
 def _pool_rollout(args):
     method, c, seed, kwargs = args
-    return run_method_rollout(method, c, _POOL_DEMOS, seed, **kwargs)
+    return run_method_rollout(method, c, _POOL_DEMOS, seed,
+                              library=_POOL_LIBRARY, **kwargs)
 
 
-def _run_cell(method, c, demos, seeds, jobs, **kwargs):
+def _run_cell(method, c, demos, seeds, jobs, library, **kwargs):
     if jobs <= 1:
-        return [run_method_rollout(method, c, demos, s, **kwargs)
+        return [run_method_rollout(method, c, demos, s, library=library,
+                                   **kwargs)
                 for s in seeds]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
                              initargs=(demos,)) as pool:
@@ -205,10 +215,11 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
                 t_max: float = 30.0) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point."""
     mean_demo = float(np.mean([d.duration for d in demos]))
+    library = DemoLibrary(demos)
     rows = []
     for cell, (method, c) in enumerate((m, c) for m in methods for c in c_values):
         seeds = [_trial_seed(seed, cell, t) for t in range(trials)]
-        logs = _run_cell(method, c, demos, seeds, jobs)
+        logs = _run_cell(method, c, demos, seeds, jobs, library)
         report = aggregate(logs, t_max=t_max, mean_demo_duration=mean_demo)
         rows.append({"method": method, "c": c, **report.as_row()})
     return rows
@@ -305,10 +316,12 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
                     seed: int = 0) -> list[dict]:
     """Pooled single-step reset trials across speedup factors."""
     pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
+    library = DemoLibrary(demos)
     rows = []
     for t in range(trials):
         c = c_values[t % len(c_values)]
-        policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t))
+        policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
+                            library=library)
         rows.append({"trial": t,
                      **diagnostics_trial(demos, policy, c,
                                          _trial_seed(seed, 13, t))})

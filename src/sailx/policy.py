@@ -11,7 +11,6 @@ weight.
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Pose, tracking_error
 from .errors import ConfigurationError, InvalidInputError
@@ -63,6 +62,56 @@ GRIP_WEIGHT = 0.02
 OBJ_WEIGHT = 1.0
 
 
+class DemoLibrary:
+    """A demo library packed once for retrieval, shared by its policies.
+
+    Each array holds D demos by the longest demo's L steps, with the steps
+    past a demo's end set to +inf so that they never match, and is
+    read-only. Positions are packed as per-axis planes (3, D, L): summing
+    squares plane by plane, (x*x + y*y) + z*z, takes the order in which
+    np.sum adds the last axis of a (D, L, 3) array.
+    """
+
+    def __init__(self, demos):
+        demos = list(demos)
+        if not demos:
+            raise ConfigurationError("demo library must be non-empty")
+        self.demos = demos
+        self.lengths = [len(d.grippers) for d in demos]
+        self.width = max(self.lengths)
+        self.grippers = self._pack([np.asarray(d.grippers, dtype=float)
+                                    for d in demos])
+        self.flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        self.object_planes = self._pack([np.asarray(d.objects)[:, :3].T
+                                         for d in demos])
+        self._streams = {}
+
+    def _pack(self, rows) -> np.ndarray:
+        """Per-demo arrays (..., L_i) stacked as (..., D, L)."""
+        out = np.full(rows[0].shape[:-1] + (len(rows), self.width), np.inf)
+        for i, row in enumerate(rows):
+            out[..., i, :row.shape[-1]] = row
+        out.setflags(write=False)
+        return out
+
+    def stream(self, key: str):
+        """The "reached" or "commanded" pose stream, packed on first use.
+
+        Returns its position planes (3, D, L) and each demo's orientations.
+        """
+        if key not in self._streams:
+            self._streams[key] = (
+                self._pack([np.asarray(getattr(d, key))[:, :3].T
+                            for d in self.demos]),
+                [np.asarray(getattr(d, key))[:, 3:7] for d in self.demos])
+        return self._streams[key]
+
+    @property
+    def position_planes(self) -> np.ndarray:
+        """The planes of the reached positions, the robot's state feature."""
+        return self.stream("reached")[0]
+
+
 class MockPolicy:
     """Nearest-demonstration retrieval over a library of demos.
 
@@ -70,41 +119,32 @@ class MockPolicy:
     from (seed, call counter), so concurrent use of the returned chunks is
     safe and repeated runs produce identical sequences.
 
-    The arrays retrieval scans are packed once into (D, L, ...) arrays, D
-    demos by the longest demo's L steps (at least h_c), with the steps
-    past a demo's end set to +inf so that they never match.
+    ``library`` is a DemoLibrary packed from ``demos``, for policies that
+    share one; it is packed here when not given.
     """
 
-    def __init__(self, demos, config: PolicyConfig, seed: int = 0):
+    def __init__(self, demos, config: PolicyConfig, seed: int = 0,
+                 library: DemoLibrary | None = None):
         demos = list(demos)
-        if not demos:
-            raise ConfigurationError("demo library must be non-empty")
+        if library is None:
+            library = DemoLibrary(demos)
+        elif (len(library.demos) != len(demos)
+              or any(a is not b for a, b in zip(library.demos, demos))):
+            raise ConfigurationError("library was packed from other demos")
         self.demos = demos
         self.config = config
         self.seed = int(seed)
         self._calls = 0
-
+        self._lengths = library.lengths
+        self._grip = library.grippers
+        self._flags = library.flags
         key = "reached" if config.target_mode == "reached" else "commanded"
-        self._lengths = [len(d.grippers) for d in demos]
-        width = max(max(self._lengths), config.h_c)
-
-        def pack(rows):
-            out = np.full((len(demos), width) + rows[0].shape[1:], np.inf)
-            for i, row in enumerate(rows):
-                out[i, :len(row)] = row
-            out.setflags(write=False)
-            return out
-
-        # retrieval features: robot position, gripper, object position
-        self._feat_pos = pack([np.asarray(d.reached)[:, :3] for d in demos])
-        self._grip = pack([np.asarray(d.grippers, dtype=float) for d in demos])
-        self._feat_obj = pack([np.asarray(d.objects)[:, :3] for d in demos])
-        self._out_pos = (self._feat_pos if key == "reached" else
-                         pack([np.asarray(d.commanded)[:, :3] for d in demos]))
-        self._out_quat = [np.asarray(getattr(d, key))[:, 3:7] for d in demos]
-        self._flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        self._out_planes, self._out_quat = library.stream(key)
+        self._pos_planes = library.position_planes
+        self._obj_planes = library.object_planes
         self._last_query = None
         self._last_dists = None
+        self._last_rank = None
 
     def _rng(self) -> np.random.Generator:
         rng = np.random.default_rng((self.seed, self._calls))
@@ -117,58 +157,110 @@ class MockPolicy:
         The read-only matrix of the last query is served again while the
         robot position, object position and gripper are the same floats.
         """
-        q_pos = obs.robot.position
-        q_obj = obs.object_pose.position
-        q_grip = obs.gripper
-        query = (*q_pos.tolist(), *q_obj.tolist(), float(q_grip))
+        q_pos = obs.robot.position.tolist()
+        q_obj = obs.object_pose.position.tolist()
+        q_grip = float(obs.gripper)
+        query = (*q_pos, *q_obj, q_grip)
         if query == self._last_query:
             return self._last_dists
         # (POS_WEIGHT |dpos|^2 + GRIP_WEIGHT dgrip^2) + OBJ_WEIGHT |dobj|^2
-        sq = self._feat_pos - q_pos
-        sq *= sq
-        d = np.sum(sq, axis=2)
+        d = _squared_distances(self._pos_planes, q_pos)
         d *= POS_WEIGHT
         grip = self._grip - q_grip
         grip *= grip
         grip *= GRIP_WEIGHT
         d += grip
-        np.subtract(self._feat_obj, q_obj, out=sq)
-        sq *= sq
-        obj = np.sum(sq, axis=2)
+        obj = _squared_distances(self._obj_planes, q_obj)
         obj *= OBJ_WEIGHT
         d += obj
         d.setflags(write=False)
         self._last_query, self._last_dists = query, d
+        self._last_rank = None
         return d
 
     def nearest_states(self, obs, k: int = 1) -> list[tuple[float, int, int]]:
         """(distance, demo, step) of the k demos nearest to obs, nearest first.
 
         Each demo is represented by its nearest state, the earliest one on
-        a tie; demos at equal distance keep their library order.
+        a tie; demos at equal distance keep their library order. The
+        ranking is kept with the last query's distance matrix.
         """
         dists = self._state_distances(obs)
-        steps = np.argmin(dists, axis=1)
-        best = np.take_along_axis(dists, steps[:, None], axis=1)[:, 0]
-        return [(float(best[i]), int(i), int(steps[i]))
-                for i in np.argsort(best, kind="stable")[:k]]
+        if self._last_rank is None:
+            steps = np.argmin(dists, axis=1)
+            best = np.take_along_axis(dists, steps[:, None], axis=1)[:, 0]
+            self._last_rank = (steps, best,
+                               np.argsort(best, kind="stable"))
+        steps, best, order = self._last_rank
+        return [(float(best[i]), int(i), int(steps[i])) for i in order[:k]]
 
     def _clamp(self, demo_idx: int, steps) -> np.ndarray:
         return np.minimum(steps, self._lengths[demo_idx] - 1)
 
     def positions(self, demo_idx: int, steps) -> np.ndarray:
         """Output positions of one demo at the given steps, held at its end."""
-        return self._out_pos[demo_idx, self._clamp(demo_idx, steps)]
+        steps = self._clamp(demo_idx, steps)
+        return np.ascontiguousarray(self._out_planes[:, demo_idx, steps].T)
 
     def _extract(self, demo_idx: int, start: int, rng=None,
                  noise_sigma: float = 0.0) -> ActionChunk:
         idx = self._clamp(demo_idx, np.arange(start, start + self.config.h_p))
-        positions = self._out_pos[demo_idx, idx]
+        positions = np.ascontiguousarray(self._out_planes[:, demo_idx, idx].T)
         if noise_sigma > 0.0 and rng is not None:
             positions += rng.normal(0.0, noise_sigma, size=positions.shape)
         return ActionChunk(positions, self._out_quat[demo_idx][idx],
                            self._grip[demo_idx, idx],
                            self._flags[demo_idx][idx])
+
+
+def _pairwise_sum(term, n: int) -> np.ndarray:
+    """term(0) + ... + term(n - 1), elementwise, in numpy's pairwise order.
+
+    This is the order in which np.sum adds n contiguous float64 values:
+    one after another below 8 values; up to 128 values, into 8 interleaved
+    partial sums r0..r7, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), and the last n % 8 one after another; above 128, the
+    sums of two halves. Each ``term(i)`` is a new array, made when it is
+    added, so that only a few are alive at once.
+    """
+    if n < 8:
+        total = term(0)
+        for i in range(1, n):
+            total += term(i)
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(term, half)
+        total += _pairwise_sum(lambda i: term(half + i), n - half)
+        return total
+    blocked = n - n % 8
+    total = _partial_sums(term, blocked, 0, 8)
+    for i in range(blocked, n):
+        total += term(i)
+    return total
+
+
+def _partial_sums(term, blocked: int, j: int, width: int) -> np.ndarray:
+    """r_j + ... + r_(j + width - 1) as a balanced tree, where r_j sums
+    term(j), term(j + 8), ... below ``blocked``."""
+    if width == 1:
+        total = term(j)
+        for i in range(j + 8, blocked, 8):
+            total += term(i)
+        return total
+    total = _partial_sums(term, blocked, j, width // 2)
+    total += _partial_sums(term, blocked, j + width // 2, width // 2)
+    return total
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    a *= a
+    return a
+
+
+def _squared_distances(planes, point) -> np.ndarray:
+    """(x*x + y*y) + z*z per element of the (3, ...) planes, from point."""
+    return _pairwise_sum(lambda c: _squares(planes[c] - point[c]), 3)
 
 
 BRANCH_SLACK = 0.02  # m-equivalent; demos eligible for branch switching
@@ -198,7 +290,6 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> Action
 
 
 GRIP_MATCH_WEIGHT = 0.01  # m^2 per mismatched gripper step in window scores
-WINDOW_BLOCK = 16384  # window elements scored at once; bounds the temporaries
 
 
 def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk:
@@ -212,32 +303,47 @@ def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk
     chunk starts at the best-matching window, the first in library order
     on a tie, so its first h_c waypoints continue the tail.
     """
+    return policy._extract(*_best_window(policy, obs, tail))
+
+
+def _best_window(policy: MockPolicy, obs, tail: ActionChunk):
+    """(demo, start) of the lowest-scoring window, the first on a tie."""
+    n_windows = policy._grip.shape[1] - policy.config.h_c + 1
+    if n_windows < 1:  # no demo has h_c steps: every window scores +inf
+        return 0, 0
+    return divmod(int(np.argmin(_window_scores(policy, obs, tail))),
+                  n_windows)
+
+
+def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
+    """The score of window j of demo i, (D, L - h_c + 1).
+
+    It is the sum of the 3 h_c squared position differences of the
+    window's steps j .. j + h_c - 1 to the tail, in the order np.sum adds
+    them as one contiguous row, plus GRIP_MATCH_WEIGHT times the sum of
+    its h_c squared gripper differences, plus 0.01 times the state
+    distance of step j. A window that runs into the +inf padding scores
+    +inf. The sums run plane by plane over all windows at once.
+    """
     h_c = policy.config.h_c
-    tail_pos = np.asarray(tail.positions[:h_c]).reshape(-1)
-    tail_grip = np.asarray(tail.grippers[:h_c])
-    n_demos, width = policy._grip.shape
-    # window j of demo i: its h_c positions as one contiguous row, so each
-    # score sums its 3 * h_c squares in one pairwise reduction; windows
-    # that run into the +inf padding score +inf
-    pos_windows = sliding_window_view(
-        policy._out_pos.reshape(n_demos, 3 * width), 3 * h_c, axis=1)[:, ::3]
-    grip_windows = sliding_window_view(policy._grip, h_c, axis=1)
-    n_windows = width - h_c + 1
-    scores = np.empty((n_demos, n_windows))
-    rows = max(1, WINDOW_BLOCK // (n_windows * 3 * h_c))
-    for lo in range(0, n_demos, rows):
-        block = scores[lo:lo + rows]
-        sq = pos_windows[lo:lo + rows] - tail_pos
-        sq *= sq
-        np.sum(sq, axis=2, out=block)
-        sq = grip_windows[lo:lo + rows] - tail_grip
-        sq *= sq
-        grip = np.sum(sq, axis=2)
-        grip *= GRIP_MATCH_WEIGHT
-        block += grip
+    n_windows = policy._grip.shape[1] - h_c + 1
+    planes = policy._out_planes
+    tail_pos = np.asarray(tail.positions[:h_c]).tolist()
+    tail_grip = np.asarray(tail.grippers[:h_c]).tolist()
+
+    def position_term(i):
+        k, axis = divmod(i, 3)
+        return _squares(planes[axis, :, k:k + n_windows] - tail_pos[k][axis])
+
+    def grip_term(k):
+        return _squares(policy._grip[:, k:k + n_windows] - tail_grip[k])
+
+    scores = _pairwise_sum(position_term, 3 * h_c)
+    grip = _pairwise_sum(grip_term, h_c)
+    grip *= GRIP_MATCH_WEIGHT
+    scores += grip
     scores += 0.01 * policy._state_distances(obs)[:, :n_windows]
-    demo_idx, start = divmod(int(np.argmin(scores)), n_windows)
-    return policy._extract(demo_idx, start)
+    return scores
 
 
 def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:

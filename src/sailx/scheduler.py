@@ -140,21 +140,18 @@ class RolloutLog:
 TRACE_STRIDE = 10  # physics steps per logged sample (2 ms -> 50 Hz)
 
 
-def sample_trace(trace, ref: ReferenceTrack):
+def sample_trace(trace):
     """The 50 Hz log of one tracked stretch, and its grasp/release events.
 
     Returns a dict of the RolloutLog sample arrays (times, positions,
     orientations, ref_positions, ref_orientations, e_pos, e_ori), taken every
     TRACE_STRIDE physics steps, and the (time, tag) events of every step.
+    The arrays are copies, so the per-step trace can be freed.
     """
-    times = trace.times[::TRACE_STRIDE]
-    ref_pos, _, ref_quat, _, _ = ref.sample(times)
-    samples = {"times": times,
-               "positions": trace.positions[::TRACE_STRIDE],
-               "orientations": trace.orientations[::TRACE_STRIDE],
-               "ref_positions": ref_pos, "ref_orientations": ref_quat,
-               "e_pos": trace.e_pos[::TRACE_STRIDE],
-               "e_ori": trace.e_ori[::TRACE_STRIDE]}
+    samples = {name: getattr(trace, name)[::TRACE_STRIDE].copy()
+               for name in ("times", "positions", "orientations",
+                            "ref_positions", "ref_orientations", "e_pos",
+                            "e_ori")}
     events = [(float(trace.times[i]),
                "grasp" if trace.events[i] > 0 else "release")
               for i in np.nonzero(trace.events)[0]]
@@ -178,8 +175,8 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     guidance: list[bool] = []
     stall_count = 0
 
-    def collect(trace, ref):
-        stretch, stretch_events = sample_trace(trace, ref)
+    def collect(trace):
+        stretch, stretch_events = sample_trace(trace)
         samples.append(stretch)
         events.extend(stretch_events)
 
@@ -195,7 +192,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     world, trace = track(world, hold, gains, dynamics,
                          until=exec_cfg.delta_delay,
                          grasp_radius=task.grasp_radius)
-    collect(trace, hold)
+    collect(trace)
 
     t_a = exec_cfg.delta_delay
     prev_chunk: ActionChunk | None = None
@@ -247,7 +244,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         until = min(t_next, task.t_max)
         world, trace = track(world, ref, gains, dynamics, until=until,
                              grasp_radius=task.grasp_radius)
-        collect(trace, ref)
+        collect(trace)
 
         if success(world, task):
             releases = [t for t, tag in events if tag == "release"]

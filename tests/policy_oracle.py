@@ -4,10 +4,12 @@ These are the state-distance, nearest-state, unconditional and conditional
 retrieval loops the packed demo library was written from, kept unchanged
 so tests can require the vectorised draws to reproduce them bit for bit.
 ``OraclePolicy`` holds the library as per-demo arrays, as ``MockPolicy``
-did before it packed them.
+did before it packed them. ``PackedOracle`` is the packed library and
+full window scoring the per-axis planes replaced.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from sailx.baselines import aggregate_chunk
 from sailx.policy import (BRANCH_SLACK, GRIP_MATCH_WEIGHT, GRIP_WEIGHT,
@@ -120,3 +122,84 @@ def infer_conditional(policy: OraclePolicy, obs,
         if scores[j] < best_score:
             best_score, best_demo, best_start = float(scores[j]), i, j
     return policy._extract(best_demo, best_start)
+
+
+class PackedOracle:
+    """The packed library and the full window scoring of ``MockPolicy``
+    before it kept per-axis planes and shared one ``DemoLibrary``.
+
+    Arrays are (D, L, ...) with L the longest demo's steps, at least h_c,
+    padded with +inf. ``state_distances`` sums each (D, L, 3) block over
+    its last axis, and ``window_scores`` scores every window of every demo
+    in blocks, each window's 3 h_c squared position differences summed as
+    one contiguous row.
+    """
+
+    WINDOW_BLOCK = 16384  # window elements scored at once
+
+    def __init__(self, demos, config):
+        self.config = config
+        key = "reached" if config.target_mode == "reached" else "commanded"
+        self._lengths = [len(d.grippers) for d in demos]
+        width = max(max(self._lengths), config.h_c)
+
+        def pack(rows):
+            out = np.full((len(demos), width) + rows[0].shape[1:], np.inf)
+            for i, row in enumerate(rows):
+                out[i, :len(row)] = row
+            out.setflags(write=False)
+            return out
+
+        self._feat_pos = pack([np.asarray(d.reached)[:, :3] for d in demos])
+        self._grip = pack([np.asarray(d.grippers, dtype=float) for d in demos])
+        self._feat_obj = pack([np.asarray(d.objects)[:, :3] for d in demos])
+        self._out_pos = (self._feat_pos if key == "reached" else
+                         pack([np.asarray(d.commanded)[:, :3] for d in demos]))
+
+    def state_distances(self, obs) -> np.ndarray:
+        q_pos = obs.robot.position
+        q_obj = obs.object_pose.position
+        q_grip = obs.gripper
+        sq = self._feat_pos - q_pos
+        sq *= sq
+        d = np.sum(sq, axis=2)
+        d *= POS_WEIGHT
+        grip = self._grip - q_grip
+        grip *= grip
+        grip *= GRIP_WEIGHT
+        d += grip
+        np.subtract(self._feat_obj, q_obj, out=sq)
+        sq *= sq
+        obj = np.sum(sq, axis=2)
+        obj *= OBJ_WEIGHT
+        d += obj
+        return d
+
+    def window_scores(self, obs, tail) -> np.ndarray:
+        h_c = self.config.h_c
+        tail_pos = np.asarray(tail.positions[:h_c]).reshape(-1)
+        tail_grip = np.asarray(tail.grippers[:h_c])
+        n_demos, width = self._grip.shape
+        pos_windows = sliding_window_view(
+            self._out_pos.reshape(n_demos, 3 * width), 3 * h_c, axis=1)[:, ::3]
+        grip_windows = sliding_window_view(self._grip, h_c, axis=1)
+        n_windows = width - h_c + 1
+        scores = np.empty((n_demos, n_windows))
+        rows = max(1, self.WINDOW_BLOCK // (n_windows * 3 * h_c))
+        for lo in range(0, n_demos, rows):
+            block = scores[lo:lo + rows]
+            sq = pos_windows[lo:lo + rows] - tail_pos
+            sq *= sq
+            np.sum(sq, axis=2, out=block)
+            sq = grip_windows[lo:lo + rows] - tail_grip
+            sq *= sq
+            grip = np.sum(sq, axis=2)
+            grip *= GRIP_MATCH_WEIGHT
+            block += grip
+        scores += 0.01 * self.state_distances(obs)[:, :n_windows]
+        return scores
+
+    def best_window(self, obs, tail) -> tuple[int, int]:
+        """(demo, start) of the window the conditional draw continues."""
+        scores = self.window_scores(obs, tail)
+        return divmod(int(np.argmin(scores)), scores.shape[1])

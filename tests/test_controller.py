@@ -51,6 +51,18 @@ class TestReferenceTrack:
         with pytest.raises(InvalidInputError, match=field):
             ReferenceTrack([0.0, 0.5, 1.0], **args)
 
+    @pytest.mark.parametrize("huge", [5e307, -5e307, 1.7e308])
+    @pytest.mark.parametrize("at", [0, 2, 3])
+    def test_rejects_finite_waypoints_whose_spline_overflows(self, huge, at):
+        # the knot slopes overflow to inf; 3e306 would build, and fault in
+        # the plant
+        positions = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                              [0.02, 0.1, 0.0], [0.05, 0.1, 0.0]])
+        positions[at, 0] = huge
+        with pytest.raises(InvalidInputError, match="positions"):
+            ReferenceTrack([0.0, 0.05, 0.1, 0.15], positions,
+                           np.tile(IDENTITY_QUAT, (4, 1)))
+
     def test_linear_two_point_fallback(self):
         ref = _line_track(n=2, dt=1.0, speed=2.0)
         pos, vel, _, _, _ = ref.sample(np.array([0.25]))

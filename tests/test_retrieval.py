@@ -12,13 +12,16 @@ check their summation order.
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sailx.baselines import AggregatedActionsPolicy
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.io import Demonstration
-from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig,
+from sailx.errors import ConfigurationError
+from sailx.policy import (ActionChunk, DemoLibrary, MockPolicy, PolicyConfig,
+                          _best_window, _pairwise_sum, _window_scores,
                           infer_conditional, infer_unconditional)
 
 import policy_oracle
@@ -127,3 +130,84 @@ def test_draws_match_the_per_demo_loops(case):
         tail = _tail(rng, chunk, cfg.h_c)
         assert _same(infer_conditional(fast, obs, tail),
                      policy_oracle.infer_conditional(slow, obs, tail))
+
+
+def _tails(rng, demos, chunk, h_c):
+    """Tails a conditional draw may get, exact windows among them."""
+    yield _tail(rng, chunk, h_c)
+    # an exact window of a demo, which a duplicate of the demo ties, or
+    # its last steps, which the windows running into the padding overlap
+    demo = demos[int(rng.integers(0, len(demos)))]
+    stream = demo.reached if rng.random() < 0.5 else demo.commanded
+    start = int(rng.integers(0, len(demo)))
+    steps = np.minimum(np.arange(start, start + h_c), len(demo) - 1)
+    yield ActionChunk(stream[steps, :3], stream[steps, 3:7],
+                      demo.grippers[steps], demo.k[steps])
+
+
+@SETTINGS
+@given(retrieval_cases())
+def test_planes_score_as_the_packed_library(case):
+    cfg, demos, _, seed, rng = case
+    policy = MockPolicy(demos, cfg, seed=seed)
+    packed = policy_oracle.PackedOracle(demos, cfg)
+    width = policy._grip.shape[1]
+    for _ in range(4):
+        obs = _query(rng, demos)
+        want = packed.state_distances(obs)
+        assert policy._state_distances(obs).tobytes() == \
+            np.ascontiguousarray(want[:, :width]).tobytes()
+        assert np.all(want[:, width:] == np.inf)
+        chunk = infer_unconditional(policy, obs)
+        for tail in _tails(rng, demos, chunk, cfg.h_c):
+            if width >= cfg.h_c:
+                assert _window_scores(policy, obs, tail).tobytes() == \
+                    packed.window_scores(obs, tail).tobytes()
+            assert _best_window(policy, obs, tail) == \
+                packed.best_window(obs, tail)
+
+
+@SETTINGS
+@given(st.one_of(st.integers(1, 20), st.integers(1, 300)),
+       st.integers(0, 2**32 - 1))
+def test_pairwise_sum_adds_in_the_order_of_np_sum(n, seed):
+    rng = np.random.default_rng(seed)
+    # magnitudes far apart make every order of addition round differently
+    values = rng.random((n, 5)) * 10.0 ** rng.integers(-8, 9, (n, 5))
+    got = _pairwise_sum(lambda i: values[i].copy(), n)
+    want = np.sum(np.ascontiguousarray(values.T), axis=1)
+    assert got.tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(retrieval_cases())
+def test_the_ranking_kept_with_a_query_is_a_fresh_ranking(case):
+    cfg, demos, _, seed, rng = case
+    warm = MockPolicy(demos, cfg, seed=seed)
+    for _ in range(4):
+        obs = _query(rng, demos)
+        k = int(rng.integers(1, len(demos) + 1))
+        warm.nearest_states(obs, int(rng.integers(1, len(demos) + 1)))
+        cold = MockPolicy(demos, cfg, seed=seed)
+        assert warm.nearest_states(obs, k) == cold.nearest_states(obs, k)
+
+
+def test_a_shared_library_draws_as_an_own_one(demos20):
+    library = DemoLibrary(demos20)
+    for mode in ("reached", "commanded"):
+        cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.5, target_mode=mode)
+        shared = MockPolicy(demos20, cfg, seed=3, library=library)
+        own = MockPolicy(demos20, cfg, seed=3)
+        for demo in demos20[:5]:
+            obs = _query(np.random.default_rng(len(demo)), [demo])
+            a = infer_unconditional(shared, obs)
+            assert _same(a, infer_unconditional(own, obs))
+            tail = a.segment(0, cfg.h_c)
+            assert _same(infer_conditional(shared, obs, tail),
+                         infer_conditional(own, obs, tail))
+
+
+def test_a_library_of_other_demos_is_refused(demos20):
+    with pytest.raises(ConfigurationError, match="library"):
+        MockPolicy(demos20[:10], PolicyConfig(),
+                   library=DemoLibrary(demos20[10:]))
