@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PPoly
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
@@ -191,16 +191,21 @@ def _segment_rates(times, quats):
     return rates
 
 
+# LAPACK's tridiagonal solver for float64, fetched as solve_banded fetches it
+_GTSV, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+
 def _natural_spline(x, y) -> PPoly:
     """The natural cubic spline through the rows of y at the knots x.
 
     These are the steps of scipy's ``CubicSpline(x, y, bc_type="natural")``
     in its operation order, without its input checks and set-up: the
     banded system for the knot slopes with zero second derivatives at both
-    ends, its one ``solve_banded`` call, and the Hermite coefficients.
-    Knot slopes that overflow raise InvalidInputError, where CubicSpline
-    raised ValueError; finite slopes with overflowing coefficients build,
-    as they did, and fault in the plant.
+    ends, the LAPACK ``gtsv`` call its ``solve_banded`` makes, and the
+    Hermite coefficients. Knot slopes that overflow raise
+    InvalidInputError, where CubicSpline raised ValueError; finite slopes
+    with overflowing coefficients build, as they did, and fault in the
+    plant.
     """
     n = len(x)
     dx = x[1:] - x[:-1]
@@ -219,8 +224,16 @@ def _natural_spline(x, y) -> PPoly:
     A[1, -1] = 2 * dx[-1]
     A[-1, -2] = dx[-1]
     b[-1] = 0.5 * 0.0 * dx[-1]**2 + 3 * (y[-1] - y[-2])
-    s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
-                     check_finite=False)
+    # solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+    # check_finite=False) makes this one call, on these diagonal views with
+    # these overwrite flags, after argument checks the built system passes
+    _, _, _, s, info = _GTSV(A[2, :-1], A[1, :], A[0, 1:], b,
+                             True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of "
+                         "internal gbsv/gtsv")
     if not np.isfinite(s).all():
         raise InvalidInputError("positions overflow the spline's knot slopes")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
@@ -381,10 +394,13 @@ LOCKSTEP_BLOCK = 256 * 24
 # than it saves on the plant. This also bounds the reference tracks a
 # caller holds at once.
 LOCKSTEP_MAX_ROWS = 64
-# Groups of fewer columns run row by row on track_loop, the faster plant
-# below about 8 rows. perfbench/test_perfbench.py requires kernels.track_loop
-# steps in a traced replay-open-loop pass of 6 rows, which holds only while
-# 6 rows run row by row: perfbench has no binding for track_loop_batch.
+# Groups of fewer columns run row by row on track_loop. A lockstep step
+# costs a fixed ~80 us and a scalar row-step ~5.5 us (2-core x86-64 VM,
+# numpy 2.4), so the scalar loop is the faster plant below about 15 rows;
+# this threshold was set at 8 when a scalar row-step cost ~10 us.
+# perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
+# replay-open-loop pass of 6 rows, which holds only while 6 rows run row by
+# row: perfbench has no binding for track_loop_batch.
 LOCKSTEP_MIN_ROWS = 8
 
 

@@ -1,29 +1,32 @@
 """Hot numeric kernels: quaternion algebra and the plant tracking loop.
 
-Everything here except ``track_loop_batch`` is written in the subset of
-numpy that numba compiles, and numba is an optional extra
-(``pip install .[numba]``). Without numba the same functions run as plain
-numpy/python; ``NUMBA_ENABLED`` says which path is in use. numba's compile
-of ``track_loop`` has not been verified: numba is not importable where the
-loop was written.
+The quaternion helpers are written in the subset of numpy that numba
+compiles, and numba is an optional extra (``pip install .[numba]``).
+Without numba they run as plain numpy/python; ``NUMBA_ENABLED`` says which
+path is in use. Neither plant kernel is compiled: ``track_loop`` reads its
+references as Python lists and collects its output rows in lists, and
+``track_loop_batch`` is plain numpy.
 
 ``track_loop`` is the plant: a task-space PD law and a semi-implicit Euler
 step per physics step, fused into one loop that keeps the state and the
 current reference row in scalar Python floats, so that a step allocates
-no array: on the plain-python path, allocating small arrays was most of
-the cost of a step. The loop repeats the array helpers' expressions in
-their operation order, so its results are the same bits. ``math.sqrt``,
-``math.sin`` and ``math.cos`` give numpy's results, but ``np.arctan2`` and
-``np.arccos`` must not become ``math.atan2`` and ``math.acos``: numpy's
-SIMD (SVML) versions differ from libm in the last bit for several percent
-of inputs, which would change every rollout and every sweep digest.
+no array: on the plain-python path, allocating small arrays and reading
+or writing single array elements was most of the cost of a step. The
+reference rows come from one ``tolist()`` per array, and the pose of every
+step is written into the out arrays once, after the loop. The loop
+repeats the array helpers' expressions in their operation order, so its
+results are the same bits. ``math.sqrt``, ``math.sin`` and ``math.cos``
+give numpy's results, but ``np.arctan2`` and ``np.arccos`` must not become
+``math.atan2`` and ``math.acos``: numpy's SIMD (SVML) versions differ from
+libm in the last bit for several percent of inputs, which would change
+every rollout and every sweep digest.
 ``tests/plant_oracle.py`` keeps the array helpers as the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains and grasp radii, with each
 column's bits equal to ``track_loop`` on that row. On a 2-core x86-64 VM
 with numpy 2.4, a step costs a fixed ~80 us of numpy calls whatever B is,
-against ~10 us per row for the scalar loop, so it wins from about 8 rows
+against ~5.5 us per row for the scalar loop, so it wins from about 15 rows
 up. It keeps the scalar operation
 order: quaternion products are a[0] * b plus signed permutations of b, in
 the scalar term order, and the rare branches (sign flips, the < 1e-12
@@ -139,7 +142,6 @@ def rotvec_between(q_from, q_to):
     return out
 
 
-@njit(cache=True)
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt, grip_slew,
                grasp_radius, wrench_limit, out_pos, out_quat, out_epos,
@@ -153,10 +155,12 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     writes out_pos[i], out_quat[i], out_events[i] (+1 attach, -1 detach)
     and the tracking errors out_epos[i], out_eori[i] against sample i.
     ``state`` is updated in place. Returns the index of the step whose
-    wrench was non-finite, with the state as it was before that step, or -1.
+    wrench was non-finite, with the state as it was before that step, or -1;
+    the out rows of that step and after are left as they were.
     """
-    # float() everything read from an array or passed in: arithmetic on a
-    # numpy scalar yields another, several times slower than on a float
+    # float() everything passed in, and read the references as lists:
+    # arithmetic on a numpy scalar yields another, several times slower
+    # than on a float
     kp_pos = float(kp_pos)
     kv_pos = float(kv_pos)
     kp_ori = float(kp_ori)
@@ -167,28 +171,22 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     grasp_radius = float(grasp_radius)
     lim = float(wrench_limit)
     max_step = float(grip_slew) * dt
-    px, py, pz = float(state[0]), float(state[1]), float(state[2])
-    qw, qx = float(state[3]), float(state[4])
-    qy, qz = float(state[5]), float(state[6])
-    vx, vy, vz = float(state[7]), float(state[8]), float(state[9])
-    wx, wy, wz = float(state[10]), float(state[11]), float(state[12])
-    grip = float(state[13])
-    ox, oy, oz = float(state[14]), float(state[15]), float(state[16])
-    ow, oqx = float(state[17]), float(state[18])
-    oqy, oqz = float(state[19]), float(state[20])
-    attached = float(state[21])
-    rx, ry, rz = float(state[22]), float(state[23]), float(state[24])
-    rw, rqx = float(state[25]), float(state[26])
-    rqy, rqz = float(state[27]), float(state[28])
-    t = float(state[29])
+    (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip, ox, oy, oz,
+     ow, oqx, oqy, oqz, attached, rx, ry, rz, rw, rqx, rqy, rqz,
+     t) = state.tolist()
+    isfinite = math.isfinite
+    sqrt = math.sqrt
 
-    n = ref_pos.shape[0]
+    # px, py, pz, qw, qx, qy, qz of every completed step, so that the
+    # current step is len(poses) // 7
+    poses = []
+    events = []  # (step, +1 or -1) of every attach and detach
     fault = -1
-    for i in range(n):
+    for ((rpx, rpy, rpz), (rvx, rvy, rvz), (aw, ax, ay, az), (rwx, rwy, rwz),
+         rgrip) in zip(ref_pos.tolist(), ref_vel.tolist(), ref_quat.tolist(),
+                       ref_angvel.tolist(), ref_grip.tolist()):
         # PD wrench; the orientation error is the rotation vector of
         # ref * conj(q), taken on the shortest arc
-        aw, ax = float(ref_quat[i, 0]), float(ref_quat[i, 1])
-        ay, az = float(ref_quat[i, 2]), float(ref_quat[i, 3])
         bx, by, bz = -qx, -qy, -qz
         m0 = aw * qw - ax * bx - ay * by - az * bz
         m1 = aw * bx + ax * qw + ay * bz - az * by
@@ -196,26 +194,25 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         m3 = aw * bz + ax * by - ay * bx + az * qw
         if m0 < 0.0:
             m0, m1, m2, m3 = -m0, -m1, -m2, -m3
-        vec_norm = math.sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+        vec_norm = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
         if vec_norm < 1e-12:
             ex, ey, ez = 2.0 * m1, 2.0 * m2, 2.0 * m3
         else:
             # np.arctan2, not math.atan2: the two differ in the last bit
             scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
             ex, ey, ez = scale * m1, scale * m2, scale * m3
-        f0 = mass * (kp_pos * (float(ref_pos[i, 0]) - px)
-                     + kv_pos * (float(ref_vel[i, 0]) - vx))
-        f1 = mass * (kp_pos * (float(ref_pos[i, 1]) - py)
-                     + kv_pos * (float(ref_vel[i, 1]) - vy))
-        f2 = mass * (kp_pos * (float(ref_pos[i, 2]) - pz)
-                     + kv_pos * (float(ref_vel[i, 2]) - vz))
-        f3 = inertia * (kp_ori * ex + kv_ori * (float(ref_angvel[i, 0]) - wx))
-        f4 = inertia * (kp_ori * ey + kv_ori * (float(ref_angvel[i, 1]) - wy))
-        f5 = inertia * (kp_ori * ez + kv_ori * (float(ref_angvel[i, 2]) - wz))
-        if not (math.isfinite(f0) and math.isfinite(f1)
-                and math.isfinite(f2) and math.isfinite(f3)
-                and math.isfinite(f4) and math.isfinite(f5)):
-            fault = i
+        f0 = mass * (kp_pos * (rpx - px) + kv_pos * (rvx - vx))
+        f1 = mass * (kp_pos * (rpy - py) + kv_pos * (rvy - vy))
+        f2 = mass * (kp_pos * (rpz - pz) + kv_pos * (rvz - vz))
+        f3 = inertia * (kp_ori * ex + kv_ori * (rwx - wx))
+        f4 = inertia * (kp_ori * ey + kv_ori * (rwy - wy))
+        f5 = inertia * (kp_ori * ez + kv_ori * (rwz - wz))
+        # a finite sum means finite terms; an overflowing one is checked
+        # term by term
+        if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
+                isfinite(f0) and isfinite(f1) and isfinite(f2)
+                and isfinite(f3) and isfinite(f4) and isfinite(f5)):
+            fault = len(poses) // 7
             break
         if lim > 0.0:
             f0 = lim if f0 > lim else (-lim if f0 < -lim else f0)
@@ -237,10 +234,10 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         wz += (f5 / inertia) * dt
         # q <- normalize(exp(w dt) * q)
         rv0, rv1, rv2 = wx * dt, wy * dt, wz * dt
-        angle = math.sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
+        angle = sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
         if angle < 1e-12:
             hx, hy, hz = 0.5 * rv0, 0.5 * rv1, 0.5 * rv2
-            norm = math.sqrt(1.0 + hx * hx + hy * hy + hz * hz)
+            norm = sqrt(1.0 + hx * hx + hy * hy + hz * hz)
             cw, cx, cy, cz = 1.0 / norm, hx / norm, hy / norm, hz / norm
         else:
             half = 0.5 * angle
@@ -254,23 +251,22 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         m1 = cw * qx + cx * qw + cy * qz - cz * qy
         m2 = cw * qy - cx * qz + cy * qw + cz * qx
         m3 = cw * qz + cx * qy - cy * qx + cz * qw
-        norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+        norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
         qw, qx, qy, qz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
         if qw < 0.0:
             qw, qx, qy, qz = -qw, -qx, -qy, -qz
 
         prev_grip = grip
-        delta = float(ref_grip[i]) - prev_grip
+        delta = rgrip - prev_grip
         if delta > max_step:
             delta = max_step
         elif delta < -max_step:
             delta = -max_step
         grip = prev_grip + delta
 
-        event = 0
         if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
             dx, dy, dz = ox - px, oy - py, oz - pz
-            if math.sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
+            if sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
                 attached = 1.0
                 # object pose in the gripper frame: conj(q) applied to both
                 bx, by, bz = -qx, -qy, -qz
@@ -284,15 +280,15 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                 m1 = qw * oqx + bx * ow + by * oqz - bz * oqy
                 m2 = qw * oqy - bx * oqz + by * ow + bz * oqx
                 m3 = qw * oqz + bx * oqy - by * oqx + bz * ow
-                norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+                norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
                 rw, rqx = m0 / norm, m1 / norm
                 rqy, rqz = m2 / norm, m3 / norm
                 if rw < 0.0:
                     rw, rqx, rqy, rqz = -rw, -rqx, -rqy, -rqz
-                event = 1
+                events.append((len(poses) // 7, 1))
         elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
             attached = 0.0
-            event = -1
+            events.append((len(poses) // 7, -1))
 
         if attached == 1.0:
             # the object rides along: pose = robot pose * relative pose
@@ -306,38 +302,29 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             m1 = qw * rqx + qx * rw + qy * rqz - qz * rqy
             m2 = qw * rqy - qx * rqz + qy * rw + qz * rqx
             m3 = qw * rqz + qx * rqy - qy * rqx + qz * rw
-            norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+            norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
             ow, oqx = m0 / norm, m1 / norm
             oqy, oqz = m2 / norm, m3 / norm
             if ow < 0.0:
                 ow, oqx, oqy, oqz = -ow, -oqx, -oqy, -oqz
         t += dt
+        poses += (px, py, pz, qw, qx, qy, qz)
 
+    state[:] = (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip,
+                ox, oy, oz, ow, oqx, oqy, oqz, attached, rx, ry, rz,
+                rw, rqx, rqy, rqz, t)
+
+    done = len(poses) // 7
+    rows = np.array(poses).reshape(done, 7)
+    out_pos[:done] = rows[:, :3]
+    out_quat[:done] = rows[:, 3:]
+    out_events[:done] = 0
+    for i, event in events:
         out_events[i] = event
-        out_pos[i, 0] = px
-        out_pos[i, 1] = py
-        out_pos[i, 2] = pz
-        out_quat[i, 0] = qw
-        out_quat[i, 1] = qx
-        out_quat[i, 2] = qy
-        out_quat[i, 3] = qz
-
-    state[0], state[1], state[2] = px, py, pz
-    state[3], state[4], state[5], state[6] = qw, qx, qy, qz
-    state[7], state[8], state[9] = vx, vy, vz
-    state[10], state[11], state[12] = wx, wy, wz
-    state[13] = grip
-    state[14], state[15], state[16] = ox, oy, oz
-    state[17], state[18], state[19], state[20] = ow, oqx, oqy, oqz
-    state[21] = attached
-    state[22], state[23], state[24] = rx, ry, rz
-    state[25], state[26], state[27], state[28] = rw, rqx, rqy, rqz
-    state[29] = t
 
     # tracking errors of every completed step, vectorised in the per-step
     # operation order (elementwise numpy gives the same bits), accumulated
     # in place so that one temporary row of floats is the only allocation
-    done = n if fault < 0 else fault
     e = out_epos[:done]
     tmp = np.empty(done)
     np.subtract(ref_pos[:done, 0], out_pos[:done, 0], e)
@@ -360,8 +347,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     np.clip(tmp, -1.0, 1.0, tmp)
     np.arccos(tmp, dot)
     return fault
-
-
 
 
 # Rows of one step of a lockstep reference block; each row is (B,) wide.

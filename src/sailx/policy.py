@@ -19,7 +19,10 @@ from .kernels import quat_from_rotvec, quat_mul, quat_normalize, rotvec_between
 
 @dataclass(frozen=True)
 class ActionChunk:
-    """A policy prediction: timed pose + gripper waypoints with critical flags."""
+    """A policy prediction: timed pose + gripper waypoints with critical flags.
+
+    A drawn chunk's arrays may be read-only views of the demo library.
+    """
 
     positions: np.ndarray      # (H, 3)
     orientations: np.ndarray   # (H, 4)
@@ -48,8 +51,8 @@ class PolicyConfig:
     target_mode: str = "reached"  # or "commanded"
 
     def __post_init__(self):
-        if not self.h_c < self.h_e < self.h_p:
-            raise ConfigurationError("require h_c < h_e < h_p")
+        if not 1 <= self.h_c < self.h_e < self.h_p:
+            raise ConfigurationError("require 1 <= h_c < h_e < h_p")
         if self.w_cfg < 0 or self.rho_pos <= 0 or self.rho_ori <= 0:
             raise ConfigurationError("invalid guidance parameters")
         if self.target_mode not in ("reached", "commanded"):
@@ -65,11 +68,12 @@ OBJ_WEIGHT = 1.0
 class DemoLibrary:
     """A demo library packed once for retrieval, shared by its policies.
 
-    Each array holds D demos by the longest demo's L steps, with the steps
-    past a demo's end set to +inf so that they never match, and is
+    Each packed array holds D demos by the longest demo's L steps, with the
+    steps past a demo's end set to +inf so that they never match, and is
     read-only. Positions are packed as per-axis planes (3, D, L): summing
     squares plane by plane, (x*x + y*y) + z*z, takes the order in which
-    np.sum adds the last axis of a (D, L, 3) array.
+    np.sum adds the last axis of a (D, L, 3) array. Drawn chunks are cut
+    from read-only per-demo rows, so a window inside a demo is a view.
     """
 
     def __init__(self, demos):
@@ -81,7 +85,8 @@ class DemoLibrary:
         self.width = max(self.lengths)
         self.grippers = self._pack([np.asarray(d.grippers, dtype=float)
                                     for d in demos])
-        self.flags = [np.asarray(d.k, dtype=np.int8) for d in demos]
+        self.flags = [_read_only(np.array(d.k, dtype=np.int8))
+                      for d in demos]
         self.object_planes = self._pack([np.asarray(d.objects)[:, :3].T
                                          for d in demos])
         self._streams = {}
@@ -91,25 +96,34 @@ class DemoLibrary:
         out = np.full(rows[0].shape[:-1] + (len(rows), self.width), np.inf)
         for i, row in enumerate(rows):
             out[..., i, :row.shape[-1]] = row
-        out.setflags(write=False)
-        return out
+        return _read_only(out)
 
     def stream(self, key: str):
         """The "reached" or "commanded" pose stream, packed on first use.
 
-        Returns its position planes (3, D, L) and each demo's orientations.
+        Returns its position planes (3, D, L) and, per demo, the rows a
+        chunk is cut from: positions (L_i, 3), orientations (L_i, 4),
+        grippers and flags, each contiguous and read-only.
         """
         if key not in self._streams:
+            poses = [np.asarray(getattr(d, key)) for d in self.demos]
             self._streams[key] = (
-                self._pack([np.asarray(getattr(d, key))[:, :3].T
-                            for d in self.demos]),
-                [np.asarray(getattr(d, key))[:, 3:7] for d in self.demos])
+                self._pack([p[:, :3].T for p in poses]),
+                [(_read_only(np.ascontiguousarray(p[:, :3])),
+                  _read_only(np.ascontiguousarray(p[:, 3:7])),
+                  self.grippers[i, :n], self.flags[i])
+                 for i, (p, n) in enumerate(zip(poses, self.lengths))])
         return self._streams[key]
 
     @property
     def position_planes(self) -> np.ndarray:
         """The planes of the reached positions, the robot's state feature."""
         return self.stream("reached")[0]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class MockPolicy:
@@ -135,11 +149,9 @@ class MockPolicy:
         self.config = config
         self.seed = int(seed)
         self._calls = 0
-        self._lengths = library.lengths
         self._grip = library.grippers
-        self._flags = library.flags
         key = "reached" if config.target_mode == "reached" else "commanded"
-        self._out_planes, self._out_quat = library.stream(key)
+        self._out_planes, self._rows = library.stream(key)
         self._pos_planes = library.position_planes
         self._obj_planes = library.object_planes
         self._last_query = None
@@ -190,27 +202,42 @@ class MockPolicy:
             steps = np.argmin(dists, axis=1)
             best = np.take_along_axis(dists, steps[:, None], axis=1)[:, 0]
             self._last_rank = (steps, best,
-                               np.argsort(best, kind="stable"))
-        steps, best, order = self._last_rank
-        return [(float(best[i]), int(i), int(steps[i])) for i in order[:k]]
-
-    def _clamp(self, demo_idx: int, steps) -> np.ndarray:
-        return np.minimum(steps, self._lengths[demo_idx] - 1)
+                               np.argsort(best, kind="stable"), {})
+        steps, best, order, nearest = self._last_rank
+        if k not in nearest:
+            nearest[k] = [(float(best[i]), int(i), int(steps[i]))
+                          for i in order[:k]]
+        return nearest[k].copy()
 
     def positions(self, demo_idx: int, steps) -> np.ndarray:
         """Output positions of one demo at the given steps, held at its end."""
-        steps = self._clamp(demo_idx, steps)
-        return np.ascontiguousarray(self._out_planes[:, demo_idx, steps].T)
+        positions = self._rows[demo_idx][0]
+        return positions[np.minimum(steps, len(positions) - 1)]
 
     def _extract(self, demo_idx: int, start: int, rng=None,
                  noise_sigma: float = 0.0) -> ActionChunk:
-        idx = self._clamp(demo_idx, np.arange(start, start + self.config.h_p))
-        positions = np.ascontiguousarray(self._out_planes[:, demo_idx, idx].T)
+        """The chunk of h_p steps of one demo from ``start``, held at its end.
+
+        A window inside the demo is cut as read-only views of its rows;
+        only one that runs past the demo's last step is gathered.
+        """
+        positions, orientations, grippers, flags = self._rows[demo_idx]
+        stop = start + self.config.h_p
+        if 0 <= start and stop <= len(flags):
+            positions = positions[start:stop]
+            orientations = orientations[start:stop]
+            grippers = grippers[start:stop]
+            flags = flags[start:stop]
+        else:
+            idx = np.minimum(np.arange(start, stop), len(flags) - 1)
+            positions = positions[idx]
+            orientations = orientations[idx]
+            grippers = grippers[idx]
+            flags = flags[idx]
         if noise_sigma > 0.0 and rng is not None:
-            positions += rng.normal(0.0, noise_sigma, size=positions.shape)
-        return ActionChunk(positions, self._out_quat[demo_idx][idx],
-                           self._grip[demo_idx, idx],
-                           self._flags[demo_idx][idx])
+            positions = positions + rng.normal(0.0, noise_sigma,
+                                               size=positions.shape)
+        return ActionChunk(positions, orientations, grippers, flags)
 
 
 def _pairwise_sum(term, n: int) -> np.ndarray:

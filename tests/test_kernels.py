@@ -141,6 +141,54 @@ class TestTrackLoop:
         fault, _ = _assert_same_run(state, refs, params)
         assert fault == 4
 
+    PARAMS = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.0)
+
+    @staticmethod
+    def _refs(n):
+        return [np.full((n, 3), 0.01), np.zeros((n, 3)),
+                np.tile(_unit([0.9, 0.1, 0.0, 0.2]), (n, 1)),
+                np.zeros((n, 3)), np.ones(n)]
+
+    @staticmethod
+    def _nan_outs(n):
+        return [np.full((n, 3), np.nan), np.full((n, 4), np.nan),
+                np.full(n, np.nan), np.full(n, np.nan),
+                np.full(n, 5, dtype=np.int8)]
+
+    def test_zero_steps_leave_the_state_alone(self):
+        state = np.zeros(kernels.STATE_SIZE)
+        state[3] = state[17] = state[25] = 1.0
+        state[29] = 0.25
+        for loop in (kernels.track_loop, plant_oracle.track_loop):
+            final = state.copy()
+            outs = self._nan_outs(0)
+            assert loop(final, *self._refs(0), *self.PARAMS, *outs) == -1
+            assert final.tobytes() == state.tobytes()
+            assert all(out.size == 0 for out in outs)
+
+    def test_a_fault_leaves_the_out_rows_from_its_step_on_alone(self):
+        state = np.zeros(kernels.STATE_SIZE)
+        state[3] = state[17] = state[25] = 1.0
+        n, fault_step = 12, 7
+        refs = self._refs(n)
+        refs[3][fault_step, 1] = np.inf
+        runs = []
+        for loop in (kernels.track_loop, plant_oracle.track_loop):
+            final = state.copy()
+            outs = self._nan_outs(n)
+            assert loop(final, *refs, *self.PARAMS, *outs) == fault_step
+            runs.append((final, outs))
+            # rows the loop completed are written, the rest kept as given
+            for out in outs[:4]:
+                assert not np.isnan(out[:fault_step]).any()
+                assert np.isnan(out[fault_step:]).all()
+            assert (outs[4][:fault_step] != 5).all()
+            assert (outs[4][fault_step:] == 5).all()
+        (got, got_outs), (want, want_outs) = runs
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_outs, want_outs):
+            assert _bits(a) == _bits(b)
+
 
 def _block(refs):
     """One row's references as lockstep block rows, (n, REF_ROWS)."""

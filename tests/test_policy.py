@@ -57,6 +57,12 @@ class TestPolicyConfig:
         with pytest.raises(ConfigurationError):
             PolicyConfig(h_p=32, h_e=8, h_c=8)
 
+    @pytest.mark.parametrize("h_c", [0, -1])
+    def test_conditioning_length_must_be_positive(self, h_c):
+        # an empty tail used to pass and fail later, in the window scores
+        with pytest.raises(ConfigurationError):
+            PolicyConfig(h_p=32, h_e=8, h_c=h_c)
+
 
 class TestUnconditional:
     def test_deterministic_per_seed(self, demos20):

@@ -211,3 +211,89 @@ def test_a_library_of_other_demos_is_refused(demos20):
     with pytest.raises(ConfigurationError, match="library"):
         MockPolicy(demos20[:10], PolicyConfig(),
                    library=DemoLibrary(demos20[10:]))
+
+
+def _library_demos():
+    """Three demos of unequal length along one path, and a duplicate."""
+    rng = np.random.default_rng(8)
+    base = np.cumsum(rng.normal(0.0, 0.01, (60, 3)), axis=0)
+    demos = [_demo(rng, base, n, rng.normal(0.0, 0.02, 3), 20)
+             for n in (40, 52, 60)]
+    return demos + [demos[1]]
+
+
+def _at_state(demo, step):
+    return SimpleNamespace(robot=Pose(demo.reached[step, :3]),
+                           object_pose=Pose(demo.objects[step, :3]),
+                           gripper=float(demo.grippers[step]))
+
+
+# where a drawn window [start, start + h_p) ends against its demo's last
+# step: one step before it, exactly at it, one step past it, and with
+# start itself past the demo
+WINDOW_ENDS = {"inside": -1, "at_last_step": 0, "one_past": 1,
+               "start_past_the_demo": 100}
+
+
+@pytest.mark.parametrize("mode", ["reached", "commanded"])
+@pytest.mark.parametrize("aggregated", [False, True])
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
+@pytest.mark.parametrize("end", list(WINDOW_ENDS))
+def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
+                                                        aggregated, mode):
+    demos = _library_demos()
+    cfg = PolicyConfig(h_p=16, h_e=6, h_c=3, noise_sigma=noise_sigma,
+                       target_mode=mode)
+    if aggregated:
+        fast = AggregatedActionsPolicy(demos, cfg, seed=5)
+        slow = policy_oracle.OracleAggregatedPolicy(demos, cfg, seed=5)
+    else:
+        fast = MockPolicy(demos, cfg, seed=5)
+        slow = policy_oracle.OraclePolicy(demos, cfg, seed=5)
+    for demo in demos:
+        obs = _at_state(demo, len(demo) // 2)
+        _, nearest, step = fast.nearest_states(obs)[0]
+        # the draw starts at step + 1 + delay_steps
+        start = len(demos[nearest]) - cfg.h_p + WINDOW_ENDS[end]
+        delay = start - step - 1
+        assert delay >= 0
+        chunk = infer_unconditional(fast, obs, delay_steps=delay)
+        assert _same(chunk, policy_oracle.infer_unconditional(
+            slow, obs, delay_steps=delay))
+
+
+def test_a_window_inside_a_demo_is_a_read_only_view_of_the_library():
+    demos = _library_demos()
+    policy = MockPolicy(demos, PolicyConfig(h_p=16, h_e=6, h_c=3))
+    obs = _at_state(demos[0], 5)
+    _, nearest, step = policy.nearest_states(obs)[0]
+    first = infer_unconditional(policy, obs)
+    tail = ActionChunk(*(getattr(first, f)[:3] for f in FIELDS))
+    for chunk in (first, infer_conditional(policy, obs, tail)):
+        for field, rows in zip(FIELDS, policy._rows[nearest]):
+            part = getattr(chunk, field)
+            assert np.shares_memory(part, rows)
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 0
+    again = infer_unconditional(policy, obs)
+    assert _same(again, first)
+    assert again.positions.tobytes() == \
+        demos[nearest].reached[step + 1:step + 17, :3].tobytes()
+
+
+def test_nearest_states_under_alternating_queries_match_the_per_demo_loops():
+    demos = _library_demos()
+    cfg = PolicyConfig()
+    fast = MockPolicy(demos, cfg)
+    slow = policy_oracle.OraclePolicy(demos, cfg)
+    queries = [_at_state(demos[0], 10), _at_state(demos[1], 30)]
+    for obs in queries * 3:
+        for k in (1, 3, 1):
+            ranked = sorted((float(np.min(d)), i, int(np.argmin(d)))
+                            for i, d in enumerate(slow._state_distances(obs)))
+            got = fast.nearest_states(obs, k)
+            assert got == ranked[:k]
+            # a caller's changes to its list stay out of the next result
+            got[0] = None
+            got.append(got[-1])
+            assert fast.nearest_states(obs, k) == ranked[:k]
