@@ -23,6 +23,7 @@ from . import experiments as ex
 from .errors import SailxError, InvalidInputError
 from .io import load_demos, save_demos, write_rollout, read_rollout
 from .metrics import aggregate
+from .sim import T_MAX
 from .speedmod import label_critical, gripper_event_flags
 
 log = logging.getLogger("sailx")
@@ -99,7 +100,7 @@ def cmd_metrics(args) -> int:
     if args.demos:
         mean_demo = float(np.mean([d.duration
                                    for d in load_demos(args.demos)]))
-    report = aggregate(rollouts, t_max=30.0, mean_demo_duration=mean_demo)
+    report = aggregate(rollouts, t_max=T_MAX, mean_demo_duration=mean_demo)
     _emit([report.as_row()], args.out)
     return 0
 

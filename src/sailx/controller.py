@@ -15,8 +15,9 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import (REF_GRIP, REF_POS, REF_QUAT, REF_ROWS, REF_TWIST,
-                      track_loop, track_loop_batch)
+from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
+                      REF_TWIST, _hamilton, _rotvec, _signed, track_loop,
+                      track_loop_batch)
 from .sim import DynamicsParams, WorldState
 
 
@@ -111,14 +112,6 @@ class ReferenceTrack:
         self._seg_angvel = _segment_rates(times, orientations)
         self._slerp_segments = _slerp_segments(orientations)
 
-    @property
-    def t_start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
     def _eval_pos(self, t):
         if self._spline is None:
             return self.positions[0] + np.outer(t - self.times[0], self._slope)
@@ -158,37 +151,15 @@ class ReferenceTrack:
         return Pose(pos[0], quat[0])
 
 
-# quats[i + 1] * conj(quats[i]) as four sums of four products: component j
-# sums a[k] * conj[_PRODUCT_INDEX[j, k]] * _PRODUCT_SIGN[j, k] over k in order
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_PRODUCT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1],
-                           [3, 2, 1, 0]])
-_PRODUCT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
-                          [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
-
-
 def _segment_rates(times, quats):
     """Per segment, ``rotvec_between(quats[i], quats[i + 1]) / dt_i``.
 
-    Row by row this is the scalar kernel in its operation order: the
-    product quats[i + 1] * conj(quats[i]), each component summed left to
-    right (subtracting a product adds its negation, with the same bits),
-    flipped to w >= 0, the angle 2 arctan2(|v|, w), and 2 v in place of
-    angle / |v| * v when |v| < 1e-12.
+    The product quats[i + 1] * conj(quats[i]) and its rotation vector are
+    taken on the columns of the transposed waypoints, with the bits of the
+    per-segment product and rotation vector.
     """
-    conj = quats[:-1] * _CONJ
-    terms = quats[1:, None, :] * conj[:, _PRODUCT_INDEX]
-    terms *= _PRODUCT_SIGN
-    rel = np.sum(terms, axis=2)  # np.sum adds 4 values left to right
-    rel[rel[:, 0] < 0.0] *= -1.0
-    vec = rel[:, 1:]
-    vec_norm = np.sqrt(np.sum(vec * vec, axis=1))
-    scale = np.full(len(rel), 2.0)
-    arc = ~(vec_norm < 1e-12)
-    scale[arc] = 2.0 * np.arctan2(vec_norm[arc], rel[arc, 0]) / vec_norm[arc]
-    rates = scale[:, None] * vec
-    rates /= np.diff(times)[:, None]
-    return rates
+    rel = _hamilton(quats[1:].T, _signed(quats[:-1].T), _CONJ)
+    return (_rotvec(rel) / np.diff(times)).T
 
 
 # LAPACK's tridiagonal solver for float64, fetched as solve_banded fetches it
@@ -394,14 +365,15 @@ LOCKSTEP_BLOCK = 256 * 24
 # than it saves on the plant. This also bounds the reference tracks a
 # caller holds at once.
 LOCKSTEP_MAX_ROWS = 64
-# Groups of fewer columns run row by row on track_loop. A lockstep step
-# costs a fixed ~80 us and a scalar row-step ~5.5 us (2-core x86-64 VM,
-# numpy 2.4), so the scalar loop is the faster plant below about 15 rows;
-# this threshold was set at 8 when a scalar row-step cost ~10 us.
+# Groups of fewer columns run row by row on track_loop. Timed on whole
+# sweep_gain_replay cells of B replays on one time grid (2-core x86-64 VM,
+# numpy 2.4, c = 1, 0.5, 0.33 and 0.2, median of 9 runs), row by row was
+# faster at every c up to B = 9, lockstep at two or three of the four c at
+# B = 10 and 11 and at nearly every c from B = 12 up.
 # perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
 # replay-open-loop pass of 6 rows, which holds only while 6 rows run row by
 # row: perfbench has no binding for track_loop_batch.
-LOCKSTEP_MIN_ROWS = 8
+LOCKSTEP_MIN_ROWS = 10
 
 
 def _reference_block(refs, columns, times):

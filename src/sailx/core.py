@@ -45,14 +45,6 @@ class Pose:
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", _frozen(q))
 
-    @classmethod
-    def from_array(cls, a) -> "Pose":
-        a = np.asarray(a, dtype=float)
-        return cls(a[:3], a[3:7])
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.position, self.orientation])
-
 
 @dataclass(frozen=True)
 class Twist:

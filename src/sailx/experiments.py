@@ -23,7 +23,8 @@ from .io import generate_demos
 from .metrics import aggregate
 from .policy import DemoLibrary, MockPolicy, PolicyConfig, infer_unconditional
 from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
-from .sim import DynamicsParams, TaskSpec, WorldState, initial_world, success
+from .sim import (T_MAX, DynamicsParams, TaskSpec, WorldState, initial_world,
+                  success)
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
 
@@ -212,7 +213,7 @@ def _run_cell(method, c, demos, seeds, jobs, library, **kwargs):
 
 def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.2, 0.1),
                 trials: int = 20, seed: int = 0, jobs: int = 1,
-                t_max: float = 30.0) -> list[dict]:
+                t_max: float = T_MAX) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point."""
     mean_demo = float(np.mean([d.duration for d in demos]))
     library = DemoLibrary(demos)

@@ -69,10 +69,6 @@ class Demonstration:
         return len(self.commanded)
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) * self.dt
-
-    @property
     def duration(self) -> float:
         return (len(self) - 1) * self.dt
 

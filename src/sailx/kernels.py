@@ -1,43 +1,47 @@
-"""Hot numeric kernels: quaternion algebra and the plant tracking loop.
+"""Hot numeric kernels: the plant tracking loop and quaternion algebra.
 
-The quaternion helpers are written in the subset of numpy that numba
-compiles, and numba is an optional extra (``pip install .[numba]``).
-Without numba they run as plain numpy/python; ``NUMBA_ENABLED`` says which
-path is in use. Neither plant kernel is compiled: ``track_loop`` reads its
-references as Python lists and collects its output rows in lists, and
-``track_loop_batch`` is plain numpy.
+Nothing here is compiled. ``track_loop`` reads its references as Python
+lists and collects its output rows in lists, and ``track_loop_batch`` and
+the quaternion column helpers are plain numpy.
 
 ``track_loop`` is the plant: a task-space PD law and a semi-implicit Euler
 step per physics step, fused into one loop that keeps the state and the
 current reference row in scalar Python floats, so that a step allocates
-no array: on the plain-python path, allocating small arrays and reading
-or writing single array elements was most of the cost of a step. The
-reference rows come from one ``tolist()`` per array, and the pose of every
-step is written into the out arrays once, after the loop. The loop
-repeats the array helpers' expressions in their operation order, so its
-results are the same bits. ``math.sqrt``, ``math.sin`` and ``math.cos``
-give numpy's results, but ``np.arctan2`` and ``np.arccos`` must not become
-``math.atan2`` and ``math.acos``: numpy's SIMD (SVML) versions differ from
-libm in the last bit for several percent of inputs, which would change
-every rollout and every sweep digest.
-``tests/plant_oracle.py`` keeps the array helpers as the reference.
+no array: allocating small arrays and reading or writing single array
+elements was most of the cost of a step. The reference rows come from one
+``tolist()`` per array, and the pose of every step is written into the out
+arrays once, after the loop. The loop repeats the array helpers'
+expressions in their operation order, so its results are the same bits.
+``math.sqrt``, ``math.sin`` and ``math.cos`` give numpy's results, but
+``np.arctan2`` and ``np.arccos`` must not become ``math.atan2`` and
+``math.acos``: numpy's SIMD (SVML) versions differ from libm in the last
+bit for several percent of inputs, which would change every rollout and
+every sweep digest. ``tests/plant_oracle.py`` keeps the array helpers as
+the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains and grasp radii, with each
-column's bits equal to ``track_loop`` on that row. On a 2-core x86-64 VM
-with numpy 2.4, a step costs a fixed ~80 us of numpy calls whatever B is,
-against ~5.5 us per row for the scalar loop, so it wins from about 15 rows
-up. It keeps the scalar operation
-order: quaternion products are a[0] * b plus signed permutations of b, in
-the scalar term order, and the rare branches (sign flips, the < 1e-12
-angle branches, gripper crossings, grasps and faults) run only on the
-columns that take them. An attached object's pose is a pure function of
-the robot pose and the stored relative pose, so it is formed only at a
-release, from the robot pose before that step, and at the end of a call;
-a release at a call's first step keeps the incoming object pose, as the
-scalar loop does. It writes no per-step trace. The scalar loop stays as
-the plant for single rollouts and small batches, and as the batched
-kernel's test oracle.
+column's bits equal to ``track_loop`` on that row. A step costs a fixed
+~80 us of numpy calls whatever B is, against ~5.5 us per row for the scalar
+loop; timed on whole replay sweeps, it wins from about 10 rows up
+(``controller.LOCKSTEP_MIN_ROWS``). It keeps the scalar operation order:
+quaternion products are a[0] * b plus signed permutations of b, in the
+scalar term order, and the rare branches (sign flips, the < 1e-12 angle
+branches, gripper crossings, grasps and faults) run only on the columns
+that take them. An attached object's pose is a pure function of the robot
+pose and the stored relative pose, so it is formed only at a release, from
+the robot pose before that step, and at the end of a call; a release at a
+call's first step keeps the incoming object pose, as the scalar loop does.
+It writes no per-step trace. The scalar loop stays as the plant for single
+rollouts and small batches, and as the batched kernel's test oracle.
+
+The column helpers ``_hamilton``, ``_rotvec``, ``_exp`` and ``_normalise``
+are the package's one vectorised quaternion algebra: they act on (4, B)
+quaternion or (3, B) rotation-vector columns, in the scalar loop's
+operation order, so each column has the bits of the per-quaternion helpers
+in ``tests/plant_oracle.py``. The batched plant, the segment rates of
+``controller.ReferenceTrack`` and the guided orientations of
+``policy.cfg_blend`` all use them.
 
 Quaternions are (w, x, y, z), unit norm. The packed plant state vector used
 by ``track_loop`` (a column of ``track_loop_batch``'s state) has layout::
@@ -61,85 +65,8 @@ import numpy as np
 
 STATE_SIZE = 30
 
-try:
-    from numba import njit
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda fn: fn
-
-
-@njit(cache=True)
-def quat_mul(a, b):
-    out = np.empty(4)
-    out[0] = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
-    out[1] = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
-    out[2] = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
-    out[3] = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
-    return out
-
-
-@njit(cache=True)
-def quat_conj(a):
-    out = np.empty(4)
-    out[0] = a[0]
-    out[1] = -a[1]
-    out[2] = -a[2]
-    out[3] = -a[3]
-    return out
-
-
-@njit(cache=True)
-def quat_normalize(q):
-    n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    out = q / n
-    if out[0] < 0.0:
-        out = -out
-    return out
-
-
-@njit(cache=True)
-def quat_from_rotvec(rv):
-    angle = np.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
-    out = np.empty(4)
-    if angle < 1e-12:
-        out[0] = 1.0
-        out[1] = 0.5 * rv[0]
-        out[2] = 0.5 * rv[1]
-        out[3] = 0.5 * rv[2]
-        return quat_normalize(out)
-    half = 0.5 * angle
-    s = np.sin(half) / angle
-    out[0] = np.cos(half)
-    out[1] = s * rv[0]
-    out[2] = s * rv[1]
-    out[3] = s * rv[2]
-    return out
-
-
-@njit(cache=True)
-def rotvec_between(q_from, q_to):
-    """World-frame rotation vector r with exp(r) * q_from = q_to (shortest arc)."""
-    rel = quat_mul(q_to, quat_conj(q_from))
-    if rel[0] < 0.0:
-        rel = -rel
-    vec_norm = np.sqrt(rel[1] * rel[1] + rel[2] * rel[2] + rel[3] * rel[3])
-    angle = 2.0 * np.arctan2(vec_norm, rel[0])
-    out = np.empty(3)
-    if vec_norm < 1e-12:
-        out[0] = 2.0 * rel[1]
-        out[1] = 2.0 * rel[2]
-        out[2] = 2.0 * rel[3]
-        return out
-    scale = angle / vec_norm
-    out[0] = scale * rel[1]
-    out[1] = scale * rel[2]
-    out[2] = scale * rel[3]
-    return out
+# No kernel is compiled; perfbench's environment record still reads this.
+NUMBA_ENABLED = False
 
 
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
@@ -415,15 +342,50 @@ def _gripper_frame_pose(p, q, o, oq):
     return r, _normalise(_hamilton(np.array([qw, bx, by, bz]), _signed(oq)))
 
 
-def _small_rotation(rv):
-    # (1, h) / |(1, h)| with h = rv / 2; 1.0 * 1.0 keeps the scalar sum order
-    h = np.concatenate((np.ones((1, rv.shape[1])), 0.5 * rv))
-    return h / np.sqrt(np.add.reduce(h * h))
-
-
 def _rotation(rv, angle):
     half = 0.5 * angle
     return np.concatenate((np.cos(half)[None], (np.sin(half) / angle) * rv))
+
+
+def _exp(rv):
+    """exp(rv) of (3, B) rotation vector columns, as (4, B) quaternions.
+
+    Columns with an angle below 1e-12 take the normalised first-order
+    form (1, rv / 2).
+    """
+    angle = np.sqrt(np.add.reduce(rv * rv))
+    small = angle < 1e-12
+    k = np.count_nonzero(small)
+    if k == 0:
+        return _rotation(rv, angle)
+    # (1, h) / |(1, h)| with h = rv / 2; 1.0 * 1.0 keeps the scalar sum order
+    c = np.concatenate((np.ones((1, rv.shape[1])), 0.5 * rv))
+    c /= np.sqrt(np.add.reduce(c * c))
+    if k < len(small):
+        arc = ~small
+        c[:, arc] = _rotation(rv[:, arc], angle[arc])
+    return c
+
+
+def _rotvec(m):
+    """Rotation vectors (3, B) of the (4, B) quaternion columns ``m``.
+
+    ``m`` is flipped to w >= 0 in place, so each vector takes the shortest
+    arc: 2 arctan2(|v|, w) / |v| * v, or 2 v where |v| < 1e-12.
+    """
+    m = _flip_negative_w(m)
+    v = m[1:]
+    vec_norm = np.sqrt(np.add.reduce(v * v))
+    small = vec_norm < 1e-12
+    k = np.count_nonzero(small)
+    if k == 0:
+        return (2.0 * np.arctan2(vec_norm, m[0]) / vec_norm) * v
+    e = 2.0 * v
+    if k < len(small):
+        arc = ~small
+        e[:, arc] = (2.0 * np.arctan2(vec_norm[arc], m[0, arc])
+                     / vec_norm[arc]) * v[:, arc]
+    return e
 
 
 def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass,
@@ -479,19 +441,7 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
         # PD wrench; the orientation error is the rotation vector of
         # ref * conj(q), taken on the shortest arc
         qq = _signed(q)
-        m = _flip_negative_w(_hamilton(step[REF_QUAT], qq, _CONJ))
-        v = m[1:]
-        vec_norm = np.sqrt(np.add.reduce(v * v))
-        small = vec_norm < 1e-12
-        k = np.count_nonzero(small)
-        if k == 0:
-            e = (2.0 * np.arctan2(vec_norm, m[0]) / vec_norm) * v
-        else:
-            e = 2.0 * v
-            if k < b:
-                arc = ~small
-                e[:, arc] = (2.0 * np.arctan2(vec_norm[arc], m[0, arc])
-                             / vec_norm[arc]) * v[:, arc]
+        e = _rotvec(_hamilton(step[REF_QUAT], qq, _CONJ))
         f = mi * (kp * np.concatenate((step[REF_POS] - p, e))
                   + kv * (step[REF_TWIST] - vw))
         if not math.isfinite(f.sum()):
@@ -519,18 +469,7 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
         vw = vw + (f / mi) * dt
         p = p + vw[:3] * dt
         # q <- normalize(exp(w dt) * q)
-        rv = vw[3:] * dt
-        angle = np.sqrt(np.add.reduce(rv * rv))
-        small = angle < 1e-12
-        k = np.count_nonzero(small)
-        if k == 0:
-            c = _rotation(rv, angle)
-        else:
-            c = _small_rotation(rv)
-            if k < b:
-                arc = ~small
-                c[:, arc] = _rotation(rv[:, arc], angle[arc])
-        q = _normalise(_hamilton(c, qq))
+        q = _normalise(_hamilton(_exp(vw[3:] * dt), qq))
 
         prev_grip = grip
         delta = np.minimum(np.maximum(step[REF_GRIP] - prev_grip, -max_step),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import Pose, tracking_error
 from .errors import ConfigurationError, InvalidInputError
-from .kernels import quat_from_rotvec, quat_mul, quat_normalize, rotvec_between
+from .kernels import _CONJ, _exp, _hamilton, _normalise, _rotvec, _signed
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,6 @@ class DemoLibrary:
                  for i, (p, n) in enumerate(zip(poses, self.lengths))])
         return self._streams[key]
 
-    @property
-    def position_planes(self) -> np.ndarray:
-        """The planes of the reached positions, the robot's state feature."""
-        return self.stream("reached")[0]
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -152,7 +147,8 @@ class MockPolicy:
         self._grip = library.grippers
         key = "reached" if config.target_mode == "reached" else "commanded"
         self._out_planes, self._rows = library.stream(key)
-        self._pos_planes = library.position_planes
+        # the reached positions are the robot's state feature
+        self._pos_planes = library.stream("reached")[0]
         self._obj_planes = library.object_planes
         self._last_query = None
         self._last_dists = None
@@ -389,11 +385,11 @@ def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:
     positions = uncond.positions + w * (cond.positions - uncond.positions)
     grippers = np.clip(uncond.grippers + w * (cond.grippers - uncond.grippers),
                        0.0, 1.0)
-    orientations = np.empty_like(uncond.orientations)
-    for i in range(len(uncond)):
-        rv = rotvec_between(uncond.orientations[i], cond.orientations[i])
-        orientations[i] = quat_normalize(
-            quat_mul(quat_from_rotvec(w * rv), uncond.orientations[i]))
+    # exp(w * rotvec(cond * conj(uncond))) * uncond on the columns of all
+    # waypoints at once
+    uu = _signed(uncond.orientations.T)
+    rv = _rotvec(_hamilton(cond.orientations.T, uu, _CONJ))
+    orientations = _normalise(_hamilton(_exp(w * rv), uu)).T.copy()
     flags = cond.flags if w > 0.5 else uncond.flags
     return ActionChunk(positions, orientations, grippers, flags.copy())
 

@@ -37,6 +37,11 @@ class DynamicsParams:
             raise ConfigurationError("gripper_slew must be non-negative")
 
 
+# The time limit of a task (s): rollouts end there, and the metrics charge
+# a failed rollout -1 / T_MAX.
+T_MAX = 30.0
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Scripted pick-and-place: move the object to the goal and let go."""
@@ -45,7 +50,7 @@ class TaskSpec:
     goal_position: np.ndarray
     grasp_radius: float = 0.015   # m
     place_tolerance: float = 0.02  # m
-    t_max: float = 30.0            # s
+    t_max: float = T_MAX           # s
 
     def __post_init__(self):
         goal = np.asarray(self.goal_position, dtype=float).copy()

@@ -3,16 +3,78 @@
 These are the array-based PD law, semi-implicit Euler step and quaternion
 helpers the fused scalar loop was written from, kept unchanged so tests can
 require the fused loop, the vectorised slerp in ``ReferenceTrack.sample``
-and the vectorised segment rates of ``ReferenceTrack`` to reproduce them
-bit for bit. ``track_loop`` here
+and the quaternion column helpers of ``sailx.kernels`` (the batched plant,
+the segment rates of ``ReferenceTrack``, ``policy.cfg_blend``) to
+reproduce them bit for bit. ``track_loop`` here
 is the reference loop: ``pd_wrench`` then ``step_state`` once per reference
 row, with the tracking errors taken after each step.
 """
 
 import numpy as np
 
-from sailx.kernels import (quat_conj, quat_from_rotvec, quat_mul,
-                           quat_normalize, rotvec_between)
+
+def quat_mul(a, b):
+    out = np.empty(4)
+    out[0] = a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
+    out[1] = a[0] * b[1] + a[1] * b[0] + a[2] * b[3] - a[3] * b[2]
+    out[2] = a[0] * b[2] - a[1] * b[3] + a[2] * b[0] + a[3] * b[1]
+    out[3] = a[0] * b[3] + a[1] * b[2] - a[2] * b[1] + a[3] * b[0]
+    return out
+
+
+def quat_conj(a):
+    out = np.empty(4)
+    out[0] = a[0]
+    out[1] = -a[1]
+    out[2] = -a[2]
+    out[3] = -a[3]
+    return out
+
+
+def quat_normalize(q):
+    n = np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    out = q / n
+    if out[0] < 0.0:
+        out = -out
+    return out
+
+
+def quat_from_rotvec(rv):
+    angle = np.sqrt(rv[0] * rv[0] + rv[1] * rv[1] + rv[2] * rv[2])
+    out = np.empty(4)
+    if angle < 1e-12:
+        out[0] = 1.0
+        out[1] = 0.5 * rv[0]
+        out[2] = 0.5 * rv[1]
+        out[3] = 0.5 * rv[2]
+        return quat_normalize(out)
+    half = 0.5 * angle
+    s = np.sin(half) / angle
+    out[0] = np.cos(half)
+    out[1] = s * rv[0]
+    out[2] = s * rv[1]
+    out[3] = s * rv[2]
+    return out
+
+
+def rotvec_between(q_from, q_to):
+    """World-frame rotation vector r with exp(r) * q_from = q_to (shortest arc)."""
+    rel = quat_mul(q_to, quat_conj(q_from))
+    if rel[0] < 0.0:
+        rel = -rel
+    vec_norm = np.sqrt(rel[1] * rel[1] + rel[2] * rel[2] + rel[3] * rel[3])
+    angle = 2.0 * np.arctan2(vec_norm, rel[0])
+    out = np.empty(3)
+    if vec_norm < 1e-12:
+        out[0] = 2.0 * rel[1]
+        out[1] = 2.0 * rel[2]
+        out[2] = 2.0 * rel[3]
+        return out
+    scale = angle / vec_norm
+    out[0] = scale * rel[1]
+    out[1] = scale * rel[2]
+    out[2] = scale * rel[3]
+    return out
 
 
 def quat_rotate(q, v):

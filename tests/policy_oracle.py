@@ -5,7 +5,8 @@ retrieval loops the packed demo library was written from, kept unchanged
 so tests can require the vectorised draws to reproduce them bit for bit.
 ``OraclePolicy`` holds the library as per-demo arrays, as ``MockPolicy``
 did before it packed them. ``PackedOracle`` is the packed library and
-full window scoring the per-axis planes replaced.
+full window scoring the per-axis planes replaced. ``blend_orientations``
+is the per-waypoint loop ``policy.cfg_blend`` formed its orientations with.
 """
 
 import numpy as np
@@ -14,6 +15,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from sailx.baselines import aggregate_chunk
 from sailx.policy import (BRANCH_SLACK, GRIP_MATCH_WEIGHT, GRIP_WEIGHT,
                           OBJ_WEIGHT, POS_WEIGHT, ActionChunk)
+
+from plant_oracle import (quat_from_rotvec, quat_mul, quat_normalize,
+                          rotvec_between)
 
 
 class OraclePolicy:
@@ -203,3 +207,14 @@ class PackedOracle:
         """(demo, start) of the window the conditional draw continues."""
         scores = self.window_scores(obs, tail)
         return divmod(int(np.argmin(scores)), scores.shape[1])
+
+
+def blend_orientations(uncond: ActionChunk, cond: ActionChunk,
+                       w: float) -> np.ndarray:
+    """``cfg_blend``'s orientations, one waypoint at a time."""
+    orientations = np.empty_like(uncond.orientations)
+    for i in range(len(uncond)):
+        rv = rotvec_between(uncond.orientations[i], cond.orientations[i])
+        orientations[i] = quat_normalize(
+            quat_mul(quat_from_rotvec(w * rv), uncond.orientations[i]))
+    return orientations

@@ -14,7 +14,6 @@ from sailx.core import tracking_error
 from sailx.diagnostics import SampleSet, knn_distance
 from sailx.experiments import (run_diagnostics, run_method_rollout, spearman,
                                sweep_gain_replay, sweep_noise, sweep_speed)
-from sailx.kernels import quat_from_rotvec, quat_mul, quat_normalize
 from sailx.metrics import (SparcParams, aggregate, ldlj, sparc, tpr, wed)
 from sailx.policy import (MockPolicy, PolicyConfig, cfg_blend, infer_eag,
                           infer_unconditional)
@@ -22,6 +21,8 @@ from sailx.scheduler import lower_bound_interval, simulate_timeline
 from sailx.sim import Pose, WorldState
 from sailx.speedmod import (NOISE, LabelParams, dbscan, extract_waypoints,
                             label_critical)
+
+from plant_oracle import quat_from_rotvec, quat_mul, quat_normalize
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

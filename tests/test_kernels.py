@@ -349,3 +349,84 @@ class TestSegmentRates:
         # at a waypoint time the sampled rate is the segment that starts there
         _, _, _, angvel, _ = ref.sample(times[:-1])
         assert _bits(angvel) == _bits(plant_oracle.segment_rates(times, quats))
+
+
+_raw = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).map(np.array)
+
+
+@st.composite
+def quat_pairs(draw):
+    """(a, b) quaternion rows of any norm and sign: random, identical,
+    antipodal and near pairs, whose product b * conj(a) has a vector part
+    below 1e-12 or between 1e-12 and 1e-10."""
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        q = draw(_raw)
+        kind = draw(st.sampled_from(["random", "identical", "antipodal",
+                                     "near"]))
+        if kind == "random":
+            other = draw(_raw)
+        elif kind == "identical":
+            other = q.copy()
+        elif kind == "antipodal":
+            other = -q
+        else:
+            step = draw(st.sampled_from([1e-14, 1e-13, 3e-12, 2e-11]))
+            other = q + step * np.array([0.0, 1.0, -1.0, 0.5])
+        a.append(q)
+        b.append(other)
+    return np.array(a), np.array(b)
+
+
+@st.composite
+def rotation_vectors(draw):
+    """(B, 3) rows whose angles lie above 1e-12, below it, or at 0.
+
+    Below about 1e-8 both forms of exp give the same bits, so the angles
+    of 3e-7 are the ones that tell a misplaced threshold apart."""
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                   max_size=3)))
+        scale = draw(st.sampled_from([0.0, 1e-14, 3e-13, 5e-12, 3e-11, 3e-7,
+                                      1.0, 4.0]))
+        rows.append(scale * v)
+    return np.array(rows)
+
+
+class TestColumnHelpers:
+    """The kernels' column helpers against the per-quaternion oracle."""
+
+    @SETTINGS
+    @given(quat_pairs())
+    def test_hamilton_is_quat_mul(self, case):
+        a, b = case
+        got = kernels._hamilton(a.T, kernels._signed(b.T))
+        want = [plant_oracle.quat_mul(p, q) for p, q in zip(a, b)]
+        assert _bits(got.T) == _bits(want)
+        got = kernels._hamilton(a.T, kernels._signed(b.T), kernels._CONJ)
+        want = [plant_oracle.quat_mul(p, plant_oracle.quat_conj(q))
+                for p, q in zip(a, b)]
+        assert _bits(got.T) == _bits(want)
+
+    @SETTINGS
+    @given(quat_pairs())
+    def test_rotvec_is_rotvec_between(self, case):
+        a, b = case
+        rel = kernels._hamilton(b.T, kernels._signed(a.T), kernels._CONJ)
+        want = [plant_oracle.rotvec_between(p, q) for p, q in zip(a, b)]
+        assert _bits(kernels._rotvec(rel).T) == _bits(want)
+
+    @SETTINGS
+    @given(rotation_vectors())
+    def test_exp_is_quat_from_rotvec(self, rv):
+        want = [plant_oracle.quat_from_rotvec(v) for v in rv]
+        assert _bits(kernels._exp(rv.T).T) == _bits(want)
+
+    @SETTINGS
+    @given(quat_pairs())
+    def test_normalise_is_quat_normalize(self, case):
+        q = np.concatenate(case)
+        q = q[np.linalg.norm(q, axis=1) > 0.0]
+        want = [plant_oracle.quat_normalize(p) for p in q]
+        assert _bits(kernels._normalise(q.T).T) == _bits(want)

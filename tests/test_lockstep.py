@@ -127,9 +127,10 @@ class TestGenerateDemos:
         _assert_same_demos(got, want)
 
     def test_a_full_corpus_batches_and_matches(self):
-        assert controller.LOCKSTEP_MIN_ROWS <= 9
-        want = lockstep_oracle.generate_demos(make_task(), n=9, seed=6)
-        _assert_same_demos(generate_demos(make_task(), n=9, seed=6), want)
+        n = controller.LOCKSTEP_MIN_ROWS + 1
+        assert n <= controller.LOCKSTEP_MAX_ROWS
+        want = lockstep_oracle.generate_demos(make_task(), n=n, seed=6)
+        _assert_same_demos(generate_demos(make_task(), n=n, seed=6), want)
 
     def test_reference_blocks_stay_under_1_mb(self, monkeypatch):
         """The blocks of a 50-demo corpus build, one run as in perfbench."""

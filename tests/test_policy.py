@@ -12,6 +12,8 @@ from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig, cfg_blend,
 from sailx.sim import initial_world
 from sailx.experiments import task_for_demo
 
+import policy_oracle
+
 
 # a fixed example sequence keeps every tier-1 run repeatable
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -166,7 +168,49 @@ class TestConditional:
         assert np.all(cond.grippers[:h_c] >= 0.5)
 
 
+@st.composite
+def orientation_pairs(draw):
+    """(uncond, cond) chunks whose orientations pair up randomly, equal,
+    antipodal or near each other, with relative rotations whose vector
+    part lies below 1e-12 or between 1e-12 and 1e-10."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uncond = rng.normal(size=(n, 4))
+    uncond /= np.linalg.norm(uncond, axis=1)[:, None]
+    cond = np.empty_like(uncond)
+    for i, q in enumerate(uncond):
+        kind = draw(st.sampled_from(["random", "identical", "antipodal",
+                                     "near"]))
+        if kind == "random":
+            cond[i] = rng.normal(size=4)
+        elif kind == "identical":
+            cond[i] = q
+        elif kind == "antipodal":
+            cond[i] = -q
+        else:
+            step = draw(st.sampled_from([1e-14, 1e-13, 3e-12, 2e-11]))
+            cond[i] = q + rng.normal(0.0, step, 4)
+        cond[i] /= np.linalg.norm(cond[i])
+    chunk = _chunk(n)
+    return (replace(chunk, orientations=uncond),
+            replace(chunk, orientations=cond))
+
+
 class TestCfgBlend:
+    @SETTINGS
+    @given(orientation_pairs(),
+           st.floats(-10.0, 10.0).filter(lambda w: w not in (0.0, 1.0)))
+    @example(case=(replace(_chunk(2), orientations=np.array(
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])),
+        replace(_chunk(2), orientations=np.array(
+            [[-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))), w=0.5)
+    def test_orientations_match_the_per_waypoint_loop(self, case, w):
+        uncond, cond = case
+        got = cfg_blend(uncond, cond, w).orientations
+        want = policy_oracle.blend_orientations(uncond, cond, w)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     @SETTINGS
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
     def test_endpoints_exact(self, seed, n):
