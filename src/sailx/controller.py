@@ -103,8 +103,10 @@ class ReferenceTrack:
         self.grippers = grippers
         self.flags = flags
         if n == 2:
+            # the line through both waypoints: its start and its slope
             self._spline = None
-            self._slope = (positions[1] - positions[0]) / (times[1] - times[0])
+            slope = (positions[1] - positions[0]) / (times[1] - times[0])
+            self._line = (positions[0], slope)
         else:
             self._spline = _natural_spline(times, positions)
         self._seg_dt = seg_dt
@@ -112,39 +114,13 @@ class ReferenceTrack:
         self._seg_angvel = _segment_rates(times, orientations)
         self._slerp_segments = _slerp_segments(orientations)
 
-    def _eval_pos(self, t):
-        if self._spline is None:
-            return self.positions[0] + np.outer(t - self.times[0], self._slope)
-        return self._spline(t)
-
-    def _eval_vel(self, t):
-        if self._spline is None:
-            return np.tile(self._slope, (len(t), 1))
-        return self._spline(t, 1)
-
     def sample(self, times):
         """Reference arrays at arbitrary times, clamped to the track span.
 
         Returns (pos, vel, quat, angvel, grip) arrays; beyond the span the
         endpoint pose is held with zero velocity.
         """
-        t = np.asarray(times, dtype=float)
-        tc = np.clip(t, self.times[0], self.times[-1])
-        pos = self._eval_pos(tc)
-        vel = self._eval_vel(tc)
-        outside = (t < self.times[0]) | (t > self.times[-1])
-        vel[outside] = 0.0
-
-        # tc >= times[0], so the segment is at least 0, and a step to the
-        # next waypoint's gripper at frac >= 1 stays within the waypoints
-        seg = np.searchsorted(self.times, tc, side="right") - 1
-        np.minimum(seg, len(self.times) - 2, out=seg)
-        frac = (tc - self.times[seg]) / self._seg_dt[seg]
-        quat = _slerp(self._slerp_segments, seg, frac)
-        angvel = self._seg_angvel[seg]
-        angvel[outside] = 0.0
-        grip = self.grippers[seg + (frac >= 1.0)]
-        return pos, vel, quat, angvel, grip
+        return _sample(self, times)
 
     def pose_at(self, t: float) -> Pose:
         pos, _, quat, _, _ = self.sample(np.array([t]))
@@ -241,14 +217,15 @@ def _slerp_segments(quats):
 def _slerp(segments, seg, s):
     """Shortest-arc slerp along segments ``seg`` at fractions s.
 
-    ``segments`` is ``_slerp_segments(quats)``. Row by row this takes the
-    branches of a scalar slerp from a to b in the same operation order:
-    b is negated when dot(a, b) < 0, the dot is clamped at 1, angles below
-    1e-10 fall back to a normalised lerp, and the result is normalised and
-    flipped to w >= 0.
+    ``segments`` is ``_slerp_segments(quats)``, or several of them stacked
+    on a trailing column axis, which the result then has too. Element by
+    element this takes the branches of a scalar slerp from a to b in the
+    same operation order: b is negated when dot(a, b) < 0, the dot is
+    clamped at 1, angles below 1e-10 fall back to a normalised lerp, and
+    the result is normalised and flipped to w >= 0.
     """
     a, b, theta, arc = segments
-    s = s[:, None]
+    s = s.reshape(s.shape + (1,) * (a.ndim - 1))
     start = a[seg]
     out = b[seg]
     out -= start
@@ -256,16 +233,76 @@ def _slerp(segments, seg, s):
     out += start  # a + s * (b - a): both operations commute exactly
     rows = arc[seg]
     if np.any(rows):
-        arc = seg[rows]
-        th = theta[arc][:, None]
-        sa = s[rows]
+        # the step and column of every element on an arc, and its segment
+        i, *j = np.nonzero(rows)
+        at = (seg[i], slice(None), *j)
+        th = theta[(seg[i], *j)][:, None]
+        sa = s[i].reshape(-1, 1)
         st = np.sin(th)
-        out[rows] = (np.sin((1.0 - sa) * th) / st * a[arc]
-                     + np.sin(sa * th) / st * b[arc])
-    norm = np.sqrt(np.sum(out * out, axis=1))  # adds 4 values left to right
+        out[(i, slice(None), *j)] = (np.sin((1.0 - sa) * th) / st * a[at]
+                                     + np.sin(sa * th) / st * b[at])
+    # adds the 4 values left to right, along either axis
+    norm = np.sqrt(np.sum(out * out, axis=1))
     out /= norm[:, None]
-    out[out[:, 0] < 0.0] *= -1.0
+    np.negative(out, out=out, where=out[:, :1] < 0.0)
     return out
+
+
+def _sample(track, times):
+    """``ReferenceTrack.sample`` of ``track``, a ReferenceTrack, or of every
+    reference of ``track``, a _ReferenceGroup, each in its trailing column."""
+    t = np.asarray(times, dtype=float)
+    knots = track.times
+    tc = np.clip(t, knots[0], knots[-1])
+    if track._spline is None:
+        start, slope = track._line
+        pos = start + np.multiply.outer(tc - knots[0], slope)
+        vel = np.repeat(slope[None], len(t), axis=0)
+    else:
+        pos = track._spline(tc)
+        vel = track._spline(tc, 1)
+    outside = (t < knots[0]) | (t > knots[-1])
+    vel[outside] = 0.0
+
+    # tc >= knots[0], so the segment is at least 0, and a step to the
+    # next waypoint's gripper at frac >= 1 stays within the waypoints
+    seg = np.searchsorted(knots, tc, side="right") - 1
+    np.minimum(seg, len(knots) - 2, out=seg)
+    frac = (tc - knots[seg]) / track._seg_dt[seg]
+    quat = _slerp(track._slerp_segments, seg, frac)
+    angvel = track._seg_angvel[seg]
+    angvel[outside] = 0.0
+    grip = track.grippers[seg + (frac >= 1.0)]
+    return pos, vel, quat, angvel, grip
+
+
+class _ReferenceGroup:
+    """ReferenceTracks on one knot grid, stacked on a trailing column axis.
+
+    It holds what ``_sample`` reads of a ReferenceTrack, reference j's
+    arrays as column j, so that one ``_sample`` call samples them all. Each
+    column has the bits of that reference's ``sample``: scipy's PPoly
+    evaluates every trailing element of its coefficients by the same
+    routine, and the rest is elementwise or shared by the grid.
+    """
+
+    def __init__(self, refs):
+        def stack(arrays):
+            return np.stack(arrays, axis=-1)
+
+        first = refs[0]
+        self.times = first.times
+        self._seg_dt = first._seg_dt
+        if first._spline is None:
+            self._spline = None
+            self._line = tuple(map(stack, zip(*(r._line for r in refs))))
+        else:
+            self._spline = PPoly.construct_fast(
+                stack([r._spline.c for r in refs]), first.times)
+        self._slerp_segments = tuple(
+            map(stack, zip(*(r._slerp_segments for r in refs))))
+        self._seg_angvel = stack([r._seg_angvel for r in refs])
+        self.grippers = stack([r.grippers for r in refs])
 
 
 @dataclass
@@ -357,34 +394,39 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
 
 
 # Row-steps per reference block of a lockstep group: a block holds
-# REF_ROWS floats per row and step, 0.69 MB whatever the group's width.
-LOCKSTEP_BLOCK = 256 * 24
-# Columns per lockstep run in the callers. Each reference sample call costs
-# a fixed ~0.1 ms, and a group of B columns samples LOCKSTEP_BLOCK // B
-# steps per call: past about 64 columns a wider run pays more for sampling
-# than it saves on the plant. This also bounds the reference tracks a
-# caller holds at once.
+# REF_ROWS floats per row and step, 0.17 MB whatever the group's width, and
+# costs one sample call for the whole group. Timed on replay-open-loop
+# passes (24 columns, 64 steps a block) and 50-demo corpus builds (30) on a
+# 2-core x86-64 VM, 1,024-2,048 row-steps ran fastest, and 6,144, the
+# size used while each column cost a sample call, 40-70 % slower.
+LOCKSTEP_BLOCK = 64 * 24
+# Columns per lockstep run in the callers, which bounds the reference
+# tracks a caller holds at once and their stacked copy: about 55 kB a
+# column at 115 waypoints. Wider runs step fewer times per row: the
+# 800-replay noise sweep took 3.3 s at 64 columns and 2.4 s at 128, at
+# twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
 # Groups of fewer columns run row by row on track_loop. Timed on whole
-# sweep_gain_replay cells of B replays on one time grid (2-core x86-64 VM,
-# numpy 2.4, c = 1, 0.5, 0.33 and 0.2, median of 9 runs), row by row was
-# faster at every c up to B = 9, lockstep at two or three of the four c at
-# B = 10 and 11 and at nearly every c from B = 12 up.
+# replay cells of B replays on one time grid (2-core x86-64 VM, numpy 2.4,
+# c = 1, 0.5, 0.33 and 0.2, median of 7 runs, two sessions), row by row was
+# faster in 46 of the 48 cells with B = 4 to 9, lockstep in five of the
+# eight at B = 10 and in 14 of the 16 at B = 11 and 12.
 # perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
 # replay-open-loop pass of 6 rows, which holds only while 6 rows run row by
 # row: perfbench has no binding for track_loop_batch.
 LOCKSTEP_MIN_ROWS = 10
 
 
-def _reference_block(refs, columns, times):
-    """refs[r] sampled at ``times`` for each r in ``columns``, as a block."""
-    block = np.empty((len(times), REF_ROWS, len(columns)))
-    for j, r in enumerate(columns):
-        pos, vel, quat, angvel, grip = refs[r].sample(times)
-        block[:, REF_POS, j] = pos
-        block[:, REF_TWIST, j] = np.hstack((vel, angvel))
-        block[:, REF_QUAT, j] = quat
-        block[:, REF_GRIP, j] = grip
+def _reference_block(group, times):
+    """The references of a _ReferenceGroup sampled at ``times``, as a block."""
+    pos, vel, quat, angvel, grip = _sample(group, times)
+    block = np.empty((len(times), REF_ROWS, pos.shape[2]))
+    block[:, REF_POS] = pos
+    twist = block[:, REF_TWIST]
+    twist[:, :3] = vel
+    twist[:, 3:] = angvel
+    block[:, REF_QUAT] = quat
+    block[:, REF_GRIP] = grip
     return block
 
 
@@ -395,11 +437,13 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
     Column r runs ``track_slices``'s slices to each time in ``untils[r]``
     under ``gains[r]`` and ``grasp_radii[r]``, with the same bits. Columns
     with equal start times and untils share one time grid and step in
-    lockstep on ``track_loop_batch``; each reference is sampled one block
-    of LOCKSTEP_BLOCK row-steps at a time, at the times ``track_slices``
-    uses. Groups of fewer than LOCKSTEP_MIN_ROWS columns run column by
-    column through ``track_slices``. No per-step trace is kept. Callers
-    pass at most LOCKSTEP_MAX_ROWS columns at a time.
+    lockstep on ``track_loop_batch``, grouped also by their references'
+    knot times, so that one ``_ReferenceGroup`` samples a group's
+    references together, one block of LOCKSTEP_BLOCK row-steps at a time,
+    at the times ``track_slices`` uses. Groups of fewer than
+    LOCKSTEP_MIN_ROWS columns run column by column through
+    ``track_slices``. No per-step trace is kept. Callers pass at most
+    LOCKSTEP_MAX_ROWS columns at a time.
 
     A generator: after slice k of a group it yields (columns, k, n_k) once
     those columns reached the end of the slice, and the caller may change
@@ -411,13 +455,14 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
     dt = params.physics_dt
     groups = {}
     for r in range(states.shape[1]):
-        key = (float(states[29, r]), tuple(untils[r]))
+        key = (float(states[29, r]), tuple(untils[r]),
+               refs[r].times.tobytes())
         groups.setdefault(key, []).append(r)
     gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
                           for g in gains]).T
     radii = np.asarray(grasp_radii, dtype=float)
     faults = {}
-    for (t0, group_untils), rows in groups.items():
+    for (t0, group_untils, _), rows in groups.items():
         if len(rows) < LOCKSTEP_MIN_ROWS:
             for r in rows:
                 state = states[:, r].copy()
@@ -433,6 +478,7 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
                     faults[r] = fault
             continue
         live = np.array(rows)
+        group = _ReferenceGroup([refs[r] for r in rows])
         grid = _slice_steps(t0, group_untils, dt)
         times = np.concatenate([_step_times(t, dt, n) for t, n in grid])
         block = np.empty((0, REF_ROWS, len(live)))
@@ -446,7 +492,7 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
                     block_start, block = start, None
                     steps = max(1, LOCKSTEP_BLOCK // len(live))
                     block = _reference_block(
-                        refs, live, times[start:start + steps])
+                        group, times[start:start + steps])
                 stop = min(end, block_start + len(block))
                 fault = track_loop_batch(
                     state, block[start - block_start:stop - block_start],
@@ -461,6 +507,8 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
                     states[:, live] = state
                     live, state = live[~stopped], state[:, ~stopped]
                     block = block[:, :, ~stopped]
+                    if len(live):
+                        group = _ReferenceGroup([refs[r] for r in live])
                 start = stop
             states[:, live] = state
             if not len(live):

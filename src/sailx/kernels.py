@@ -21,10 +21,17 @@ the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains and grasp radii, with each
-column's bits equal to ``track_loop`` on that row. A step costs a fixed
-~80 us of numpy calls whatever B is, against ~5.5 us per row for the scalar
-loop; timed on whole replay sweeps, it wins from about 10 rows up
-(``controller.LOCKSTEP_MIN_ROWS``). It keeps the scalar operation order:
+column's bits equal to ``track_loop`` on that row. A step is about 50 numpy
+calls whatever B is, ~45 us on a 2-core x86-64 VM for 12-50 columns (~60
+us before its buffers), against ~5.5 us per row for the scalar loop; timed
+on whole replay cells, it wins from about 10 rows up
+(``controller.LOCKSTEP_MIN_ROWS``). Every per-step value lives in a buffer
+allocated once per call and written with ``out``, since a Python float
+operand or a broadcast costs more than the arithmetic on a few columns:
+constants are 0-d arrays, the mass and inertia rows are full (6, B) rows,
+q sits inside its signed (8, B) buffer, and the pose and gripper alternate
+between two buffers, so that a release still reads the pose from before
+its step. It keeps the scalar operation order:
 quaternion products are a[0] * b plus signed permutations of b, in the
 scalar term order, and the rare branches (sign flips, the < 1e-12 angle
 branches, gripper crossings, grasps and faults) run only on the columns
@@ -286,18 +293,30 @@ REF_GRIP = 13
 # The Hamilton product a * b is a[0] * b + a[1] * b' + a[2] * b'' + a[3] * b'''
 # with b', b'', b''' signed permutations of b: row k of _HAMILTON picks the
 # rows of (b; -b) that a[k] multiplies, in the scalar loop's term order.
-# _CONJ picks them for a * conj(b).
+# _CONJ picks them for a * conj(b), and _FACTOR the rows of a that multiply
+# them.
 _HAMILTON = np.array([[0, 1, 2, 3], [5, 0, 7, 2], [6, 3, 0, 5], [7, 6, 1, 0]])
 _CONJ = np.array([0, 5, 6, 7, 4, 1, 2, 3])[_HAMILTON]
+_FACTOR = np.repeat(np.arange(4), 4).reshape(4, 4)
+
+# Operands as 0-d arrays: numpy converts a Python float on every call, which
+# costs more than the operation on a few columns.
+_ZERO, _HALF, _TWO, _TINY = (np.array(v) for v in (0.0, 0.5, 2.0, 1e-12))
 
 
-def _hamilton(a, bb, index=_HAMILTON):
+def _hamilton(a, bb, index=_HAMILTON, out=None, work=(None, None)):
     """a * b (a * conj(b) with ``_CONJ``) of (4, B) quaternion columns.
 
     ``bb`` is (b; -b). The four terms are summed in order: ``add.reduce``
-    over the leading axis adds its rows one after another.
+    over the leading axis adds its rows one after another. ``out`` (4, B)
+    and the pair ``work`` of (4, 4, B) arrays are optional buffers. Both
+    factors are gathered into full (4, 4, B) blocks, as a broadcast product
+    costs more than a second gather.
     """
-    return np.add.reduce(a[:, None] * bb.take(index, axis=0))
+    factors = a.take(_FACTOR, 0, work[0], "clip")
+    terms = bb.take(index, 0, work[1], "clip")
+    np.multiply(factors, terms, terms)
+    return np.add.reduce(terms, 0, None, out)
 
 
 def _signed(q):
@@ -305,14 +324,20 @@ def _signed(q):
 
 
 def _flip_negative_w(q):
-    neg = q[0] < 0.0
+    neg = np.less(q[0], _ZERO)
     if np.count_nonzero(neg):
         q[:, neg] = -q[:, neg]
     return q
 
 
-def _normalise(m):
-    return _flip_negative_w(m / np.sqrt(np.add.reduce(m * m)))
+def _norm(v):
+    """The Euclidean norms of the columns of v, summed row after row."""
+    norm = np.add.reduce(np.multiply(v, v), 0)
+    return np.sqrt(norm, norm)
+
+
+def _normalise(m, out=None):
+    return _flip_negative_w(np.divide(m, _norm(m), out))
 
 
 def _carried_pose(p, q, r, rq):
@@ -342,45 +367,59 @@ def _gripper_frame_pose(p, q, o, oq):
     return r, _normalise(_hamilton(np.array([qw, bx, by, bz]), _signed(oq)))
 
 
-def _rotation(rv, angle):
-    half = 0.5 * angle
-    return np.concatenate((np.cos(half)[None], (np.sin(half) / angle) * rv))
+def _rotation(rv, angle, out=None):
+    if out is None:
+        out = np.empty((4,) + angle.shape)
+    half = np.multiply(_HALF, angle)
+    np.cos(half, out[0])
+    np.sin(half, half)
+    np.divide(half, angle, half)
+    np.multiply(half, rv, out[1:])
+    return out
 
 
-def _exp(rv):
+def _exp(rv, out=None, small_out=None):
     """exp(rv) of (3, B) rotation vector columns, as (4, B) quaternions.
 
     Columns with an angle below 1e-12 take the normalised first-order
-    form (1, rv / 2).
+    form (1, rv / 2), formed in ``small_out`` when it is given: a (4, B)
+    buffer whose first row is 1.0. ``out`` is an optional (4, B) buffer
+    for the result.
     """
-    angle = np.sqrt(np.add.reduce(rv * rv))
-    small = angle < 1e-12
+    angle = _norm(rv)
+    small = np.less(angle, _TINY)
     k = np.count_nonzero(small)
     if k == 0:
-        return _rotation(rv, angle)
+        return _rotation(rv, angle, out)
     # (1, h) / |(1, h)| with h = rv / 2; 1.0 * 1.0 keeps the scalar sum order
-    c = np.concatenate((np.ones((1, rv.shape[1])), 0.5 * rv))
-    c /= np.sqrt(np.add.reduce(c * c))
+    if small_out is None:
+        small_out = np.ones((4, rv.shape[1]))
+    np.multiply(_HALF, rv, small_out[1:])
+    c = np.divide(small_out, _norm(small_out), out)
     if k < len(small):
         arc = ~small
         c[:, arc] = _rotation(rv[:, arc], angle[arc])
     return c
 
 
-def _rotvec(m):
+def _rotvec(m, out=None):
     """Rotation vectors (3, B) of the (4, B) quaternion columns ``m``.
 
     ``m`` is flipped to w >= 0 in place, so each vector takes the shortest
-    arc: 2 arctan2(|v|, w) / |v| * v, or 2 v where |v| < 1e-12.
+    arc: 2 arctan2(|v|, w) / |v| * v, or 2 v where |v| < 1e-12. ``out`` is
+    an optional (3, B) buffer for the result.
     """
     m = _flip_negative_w(m)
     v = m[1:]
-    vec_norm = np.sqrt(np.add.reduce(v * v))
-    small = vec_norm < 1e-12
+    vec_norm = _norm(v)
+    small = np.less(vec_norm, _TINY)
     k = np.count_nonzero(small)
     if k == 0:
-        return (2.0 * np.arctan2(vec_norm, m[0]) / vec_norm) * v
-    e = 2.0 * v
+        scale = np.arctan2(vec_norm, m[0])
+        np.multiply(_TWO, scale, scale)
+        np.divide(scale, vec_norm, scale)
+        return np.multiply(scale, v, out)
+    e = np.multiply(_TWO, v, out)
     if k < len(small):
         arc = ~small
         e[:, arc] = (2.0 * np.arctan2(vec_norm[arc], m[0, arc])
@@ -412,16 +451,40 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
     gains = np.stack((kp_pos, kv_pos, kp_ori, kv_ori))
     kp = np.repeat(gains[0::2], 3, axis=0)
     kv = np.repeat(gains[1::2], 3, axis=0)
-    mi = np.array([[mass]] * 3 + [[inertia]] * 3)
-    max_step = grip_slew * dt
+    mi = np.repeat([mass, inertia], 3 * b).reshape(6, b)
+    dt_ = np.array(dt)
+    max_step = np.array(grip_slew * dt)
+    neg_max_step = -max_step
+    lim_, neg_lim = np.array(lim), np.array(-lim)
 
-    p, q, vw = state[0:3].copy(), state[3:7].copy(), state[7:13].copy()
-    grip = state[13].copy()
+    # Every per-step value lives in a buffer allocated here. Step i reads
+    # the robot pose and gripper from one half of each buffer and writes
+    # the other, so a release still sees the pose from before its step;
+    # q sits in the first half of its signed (8, B) buffer (q; -q).
+    p2 = np.empty((2, 3, b))
+    qq2 = np.empty((2, 8, b))
+    grip2 = np.empty((2, b))
+    below2 = np.empty((2, b), dtype=bool)
+    p2[0], qq2[0, :4], grip2[0] = state[0:3], state[3:7], state[13]
+    np.less(grip2[0], _HALF, below2[0])
+    # (p, qq, q, -q, grip, grip < 0.5) of each half, as views taken once
+    halves = [(p2[k], qq2[k], qq2[k, :4], qq2[k, 4:], grip2[k], below2[k])
+              for k in (0, 1)]
+    vw = state[7:13].copy()
     o, oq = state[14:17].copy(), state[17:21].copy()
     attached = state[21].copy()
     r, rq, t = state[22:25].copy(), state[25:29].copy(), state[29].copy()
-    below = grip < 0.5
-    p_prev = q_prev = None
+    ref_pos, ref_twist = ref[:, REF_POS], ref[:, REF_TWIST]
+    ref_quat, ref_grip = ref[:, REF_QUAT], ref[:, REF_GRIP]
+    f = np.empty((6, b))
+    err = np.empty((6, b))  # the position error, then the rotation vector
+    move = np.empty((6, b))  # vw * dt
+    e_pos, e_rot, move_p, move_w = err[:3], err[3:], move[:3], move[3:]
+    m = np.empty((4, b))
+    c = np.empty((4, b))
+    c_small = np.ones((4, b))
+    work = np.empty((2, 4, 4, b))
+    crossed = np.empty(b, dtype=bool)
 
     def store(steps):
         # An attached object's pose is a function of the robot pose, so it
@@ -437,14 +500,19 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
         state[22:25], state[25:29], state[29] = r, rq, t
 
     for i in range(n):
-        step = ref[i]
+        p, qq, q, neg_q, grip, below = halves[i & 1]
+        new_p, _, new_q, _, new_grip, now_below = halves[1 - (i & 1)]
+        np.negative(q, neg_q)
         # PD wrench; the orientation error is the rotation vector of
         # ref * conj(q), taken on the shortest arc
-        qq = _signed(q)
-        e = _rotvec(_hamilton(step[REF_QUAT], qq, _CONJ))
-        f = mi * (kp * np.concatenate((step[REF_POS] - p, e))
-                  + kv * (step[REF_TWIST] - vw))
-        if not math.isfinite(f.sum()):
+        _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
+        np.subtract(ref_pos[i], p, e_pos)
+        np.multiply(kp, err, err)
+        np.subtract(ref_twist[i], vw, f)
+        np.multiply(kv, f, f)
+        np.add(err, f, f)
+        np.multiply(mi, f, f)
+        if not math.isfinite(np.add.reduce(f, None)):
             bad = ~np.isfinite(f).all(axis=0)
             if np.count_nonzero(bad):
                 # store the state before this step, then go on without the
@@ -462,43 +530,49 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
                     fault[live] = np.where(sub_fault < 0, -1, sub_fault + i)
                 return fault
         if lim > 0.0:
-            f = np.minimum(np.maximum(f, -lim), lim)
+            np.maximum(f, neg_lim, out=f)
+            np.minimum(f, lim_, out=f)
 
         # semi-implicit Euler step
-        p_prev, q_prev = p, q
-        vw = vw + (f / mi) * dt
-        p = p + vw[:3] * dt
+        np.divide(f, mi, f)
+        np.multiply(f, dt_, f)
+        np.add(vw, f, vw)
+        np.multiply(vw, dt_, move)
+        np.add(p, move_p, new_p)
         # q <- normalize(exp(w dt) * q)
-        q = _normalise(_hamilton(_exp(vw[3:] * dt), qq))
+        _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
+                             work), new_q)
 
-        prev_grip = grip
-        delta = np.minimum(np.maximum(step[REF_GRIP] - prev_grip, -max_step),
-                           max_step)
-        grip = prev_grip + delta
+        # the step's gripper change, clamped to the slew, goes to new_grip
+        np.subtract(ref_grip[i], grip, new_grip)
+        np.maximum(new_grip, neg_max_step, out=new_grip)
+        np.minimum(new_grip, max_step, out=new_grip)
+        np.add(grip, new_grip, new_grip)
 
         # a grasp or a release needs the command to cross 0.5
-        was_below = below
-        below = grip < 0.5
-        if np.count_nonzero(below != was_below):
-            grasp = np.flatnonzero(was_below & (grip >= 0.5)
+        np.less(new_grip, _HALF, now_below)
+        if np.count_nonzero(np.not_equal(now_below, below, crossed)):
+            grasp = np.flatnonzero(below & (new_grip >= 0.5)
                                    & (attached == 0.0))
             if len(grasp):
-                d = o[:, grasp] - p[:, grasp]
+                d = o[:, grasp] - new_p[:, grasp]
                 sq = d * d
                 near = np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius[grasp]
                 grasp = grasp[near]
                 attached[grasp] = 1.0
                 r[:, grasp], rq[:, grasp] = _gripper_frame_pose(
-                    p[:, grasp], q[:, grasp], o[:, grasp], oq[:, grasp])
-            release = np.flatnonzero((prev_grip >= 0.5) & below
+                    new_p[:, grasp], new_q[:, grasp], o[:, grasp],
+                    oq[:, grasp])
+            release = np.flatnonzero((grip >= 0.5) & now_below
                                      & (attached == 1.0))
             if len(release):
                 attached[release] = 0.0
                 if i:  # the object was carried through the last step
                     o[:, release], oq[:, release] = _carried_pose(
-                        p_prev[:, release], q_prev[:, release],
-                        r[:, release], rq[:, release])
-        t = t + dt
+                        p[:, release], q[:, release], r[:, release],
+                        rq[:, release])
+        np.add(t, dt_, t)
 
+    p, _, q, _, grip, _ = halves[n & 1]
     store(n)
     return np.full(b, -1)

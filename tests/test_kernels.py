@@ -2,17 +2,19 @@
 
 ``kernels.track_loop`` runs the PD law and the Euler step on scalar locals,
 ``kernels.track_loop_batch`` runs the same plant on the columns of a batch,
-``ReferenceTrack.sample`` interpolates every point at once and
-``ReferenceTrack`` computes every segment's angular rate at once. All must
-give the same bits as the per-step array kernels in ``plant_oracle`` (the
-batched plant: as ``track_loop`` on each column); NaN payloads are the
-only bits not compared.
+``ReferenceTrack.sample`` interpolates every point at once,
+``ReferenceTrack`` computes every segment's angular rate at once, and a
+lockstep reference block samples the references of one knot grid at once.
+All must give the same bits as the per-step array kernels in
+``plant_oracle`` (the batched plant: as ``track_loop`` on each column; a
+block: as each reference's ``sample``); NaN payloads are the only bits not
+compared.
 """
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from sailx import kernels
+from sailx import controller, kernels
 from sailx.controller import ReferenceTrack
 
 import plant_oracle
@@ -205,11 +207,15 @@ def _block(refs):
 def batch_cases(draw):
     """B plant cases cut to one step count, with the first case's dynamics.
 
-    Gains, grasp radii and states stay per row, faults included.
+    Gains, grasp radii and states stay per row, faults included. The step
+    count is odd or even as drawn, so that the kernel ends on either half
+    of its swapped buffers.
     """
-    b = draw(st.sampled_from([1, 2, 5]))
+    b = draw(st.integers(1, 12))
     cases = [draw(plant_cases()) for _ in range(b)]
     n = min(len(refs[0]) for _, refs, _ in cases)
+    if n > 1 and n % 2 != draw(st.integers(0, 1)):
+        n -= 1
     dynamics = cases[0][2][4:8] + cases[0][2][9:]
     rows = []
     for state, refs, params in cases:
@@ -338,6 +344,35 @@ class TestReferenceSample:
         want = np.array([plant_oracle.quat_slerp(quats[s], quats[s + 1], f)
                          for s, f in zip(seg, frac)])
         assert _bits(quat) == _bits(want)
+
+
+@st.composite
+def group_cases(draw):
+    """B references on one knot grid (2-waypoint lines included), with
+    sample times inside and outside the span and at the knots."""
+    times, _, at = draw(slerp_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    refs = []
+    for _ in range(draw(st.integers(1, 6))):
+        positions = rng.normal(0.0, draw(st.sampled_from([0.01, 1.0])),
+                               (len(times), 3))
+        grippers = rng.choice([0.0, 0.4, 1.0], size=len(times))
+        refs.append(ReferenceTrack(times, positions,
+                                   _waypoints(draw, len(times)),
+                                   grippers=grippers))
+    return refs, at
+
+
+class TestReferenceGroup:
+    @SETTINGS
+    @given(group_cases())
+    def test_block_columns_match_each_sample_bit_for_bit(self, case):
+        refs, at = case
+        block = controller._reference_block(controller._ReferenceGroup(refs),
+                                            at)
+        assert block.shape == (len(at), kernels.REF_ROWS, len(refs))
+        for j, ref in enumerate(refs):
+            assert _bits(block[:, :, j]) == _bits(_block(ref.sample(at)))
 
 
 class TestSegmentRates:

@@ -137,8 +137,8 @@ class TestGenerateDemos:
         sample = controller._reference_block
         sizes = set()
 
-        def spy(refs, columns, times):
-            block = sample(refs, columns, times)
+        def spy(group, times):
+            block = sample(group, times)
             sizes.add((block.shape[2], block.nbytes))
             return block
 
@@ -146,6 +146,60 @@ class TestGenerateDemos:
         generate_demos(make_task(), n=50, seed=0)
         assert {columns for columns, _ in sizes} == {50}
         assert max(nbytes for _, nbytes in sizes) < 1e6
+
+
+def _spaced_refs(rng, spacings, per_grid):
+    """``per_grid`` references on each of the knot grids ``spacings``: every
+    grid spans 0 to 1 s in its number of waypoints, so the grids share their
+    start and end but not their knots. Each reference closes the gripper
+    halfway, on an object it starts beside."""
+    refs = []
+    for n in spacings:
+        times = np.linspace(0.0, 1.0, n)
+        for _ in range(per_grid):
+            positions = np.cumsum(rng.normal(0.0, 0.003, (n, 3)), axis=0)
+            quats = rng.normal(size=(n, 4))
+            quats /= np.linalg.norm(quats, axis=1)[:, None]
+            refs.append(controller.ReferenceTrack(
+                times, positions, quats,
+                grippers=np.where(times < 0.5, 0.0, 1.0)))
+    return refs
+
+
+class TestGrouping:
+    def test_references_on_different_knots_match_their_slices(self, plant):
+        """One call whose rows share start time and untils but fall on
+        three knot grids, a 2-waypoint line among them."""
+        rng = np.random.default_rng(8)
+        # under the module defaults, each grid is just wide enough to batch
+        per_grid = controller.LOCKSTEP_MIN_ROWS if plant == "default" else 3
+        refs = _spaced_refs(rng, (6, 2, 9), per_grid)
+        n_rows = len(refs)
+        gains = [GAIN_PRESETS["high" if r % 3 else "low"]
+                 for r in range(n_rows)]
+        radii = rng.uniform(0.01, 0.05, n_rows)
+        params = DynamicsParams()
+        untils = (0.3, 0.7, 1.3)
+        states = np.zeros((30, n_rows))
+        states[3] = states[17] = states[25] = 1.0
+        states[14:17] = rng.normal(0.0, 0.005, (3, n_rows))
+        want = states.copy()
+        want_steps = []
+        for r in range(n_rows):
+            state = want[:, r].copy()
+            want_steps.append([len(trace.times) for trace in track_slices(
+                state, refs[r], gains[r], params, untils, radii[r])])
+            want[:, r] = state
+        got_steps = [[] for _ in range(n_rows)]
+        for rows, k, steps in track_lockstep(states, refs, gains, params,
+                                             [untils] * n_rows, radii):
+            for r in rows:
+                assert len(got_steps[r]) == k
+                got_steps[r].append(steps)
+        assert got_steps == want_steps
+        assert states.tobytes() == want.tobytes()
+        # some rows grasped their object, and some did not
+        assert 0 < np.count_nonzero(states[21]) < n_rows
 
 
 def _line_refs(n_rows, bad_rows):
