@@ -36,6 +36,16 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad float list: {text!r}") from e
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _strings(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip() != ""]
 
@@ -160,7 +170,7 @@ def cmd_report(args) -> int:
 
 
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--out": dict(help="output path (CSV unless noted)"),
     "--demos": dict(help="directory of saved demos; generated fresh when "
                          "omitted"),

@@ -285,7 +285,13 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
     n = len(demo)
     stride = max(1, int(round(1.0 / c)))
     horizon = int(round(0.4 / (c * demo.dt)))
-    step = int(rng.integers(5, n - horizon - cfg.h_c * stride - 1))
+    tail = cfg.h_c * stride
+    if n < horizon + tail + 7:
+        raise InvalidInputError(
+            f"diagnostics at c={c:g} need {horizon + tail + 7} demo steps "
+            f"(horizon {horizon}, tail {tail}, margin 7), but the drawn "
+            f"demo has {n}")
+    step = int(rng.integers(5, n - horizon - tail - 1))
 
     start = Pose(demo.reached[step, :3].copy(), demo.reached[step, 3:7].copy())
     task = task_for_demo(demo)
@@ -305,7 +311,7 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
     _, demo_idx, near_step = policy.nearest_states(world)[0]
     query = policy.positions(
         demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
-    chunks = [infer_unconditional(policy, world) for _ in range(64)]
+    chunks = infer_unconditional(policy, world, size=64)
     samples = SampleSet.from_chunks(chunks, cfg.h_c)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),

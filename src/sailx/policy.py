@@ -121,12 +121,112 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# ---------------------------------------------------------------------------
+# seeding many calls at once
+#
+# default_rng((seed, call)) hashes the key's uint32 words, the seed's low
+# word first and then the call's, with numpy's SeedSequence, and seeds PCG64
+# with four of the 64-bit words it generates. _pcg64_states runs the same
+# arithmetic on arrays, one column per call: SeedSequence's pool mixing and
+# generate_state(4, uint64), then PCG64's seeding step in Python ints. It
+# covers seeds below 2**96 with calls below 2**32, the keys that fit the
+# pool's 4 words and so skip SeedSequence's mixing of words past the pool.
+
+# keys from which seeding them together is faster: the vectorised pass
+# costs about 100 us plus 5 us a key, default_rng about 20 us a key
+# (numpy 2.4, 2-core x86-64 host)
+BATCH_SEEDING_MIN = 7
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# each pool word is mixed into the 3 others
+_OTHERS = [np.array([d for d in range(4) if d != s]) for s in range(4)]
+_CYCLE = np.arange(8) % 4  # the pool word each generated word hashes
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0 .. n, as a uint32 column."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+# one per hash: 4 to fill the pool and 3 for each of its 4 words mixed,
+# then 8 generated words
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of row k of ``values`` with constants h[k], h[k+1]."""
+    out = values ^ h[:-1]
+    out *= h[1:]
+    out ^= out >> _SHIFT
+    return out
+
+
+def _pcg64_states(seed: int, first: int, n: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) as default_rng((seed, call)) seeds it, for each
+    call in first .. first + n - 1; requires 0 <= seed < 2**96 and
+    first + n <= 2**32."""
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append(seed >> 32 * len(words) & _MASK32)
+    pool = np.zeros((4, n), dtype=np.uint32)
+    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    pool[len(words)] = np.arange(first, first + n, dtype=np.uint32)
+    pool = _hash(pool, _HASH_A[:5])
+    for s, others in enumerate(_OTHERS):
+        k = 4 + 3 * s
+        mixed = (_MIX_L * pool[others]
+                 - _MIX_R * _hash(pool[s], _HASH_A[k:k + 4]))
+        mixed ^= mixed >> _SHIFT
+        pool[others] = mixed
+    half = _hash(pool[_CYCLE], _HASH_B).astype(np.uint64)
+    # little-endian uint32 pairs: the seed's high and low 64 bits, then
+    # the stream's
+    words64 = half[1::2] << np.uint64(32) | half[0::2]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words64.T.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
+
+def _generators(seed: int, first: int, n: int):
+    """default_rng((seed, call)) for each call in first .. first + n - 1.
+
+    A batch of at least BATCH_SEEDING_MIN keys that _pcg64_states covers
+    is served by one Generator, set to each key's state in turn, so each
+    must be done with before the next is taken; other keys get their own
+    default_rng.
+    """
+    if n < BATCH_SEEDING_MIN or seed >= 2**96 or first + n > 2**32:
+        for call in range(first, first + n):
+            yield np.random.default_rng((seed, call))
+        return
+    bits = np.random.PCG64(0)  # its state is replaced before each key
+    rng = np.random.Generator(bits)
+    for state, inc in _pcg64_states(seed, first, n):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 class MockPolicy:
     """Nearest-demonstration retrieval over a library of demos.
 
-    Deterministic given its seed: every inference call derives its own RNG
-    from (seed, call counter), so concurrent use of the returned chunks is
-    safe and repeated runs produce identical sequences.
+    Deterministic given its seed, which must be >= 0: every drawn chunk
+    derives its own RNG from (seed, call counter), so concurrent use of the
+    returned chunks is safe and repeated runs produce identical sequences.
+    ``infer_unconditional(..., size=n)`` draws n chunks in one call,
+    advancing the counter by n, with the chunks n single calls would give.
 
     ``library`` is a DemoLibrary packed from ``demos``, for policies that
     share one; it is packed here when not given.
@@ -143,6 +243,8 @@ class MockPolicy:
         self.demos = demos
         self.config = config
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         self._calls = 0
         self._grip = library.grippers
         key = "reached" if config.target_mode == "reached" else "commanded"
@@ -154,10 +256,11 @@ class MockPolicy:
         self._last_dists = None
         self._last_rank = None
 
-    def _rng(self) -> np.random.Generator:
-        rng = np.random.default_rng((self.seed, self._calls))
-        self._calls += 1
-        return rng
+    def _rngs(self, n: int):
+        """The generators of the next n calls; the counter advances now."""
+        first = self._calls
+        self._calls += n
+        return _generators(self.seed, first, n)
 
     def _state_distances(self, obs) -> np.ndarray:
         """Weighted squared distances of obs to every demo state, (D, L).
@@ -290,26 +393,39 @@ BRANCH_SLACK = 0.02  # m-equivalent; demos eligible for branch switching
 BRANCH_CANDIDATES = 3  # nearest demos a branch switch may pick from
 
 
-def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0) -> ActionChunk:
+def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
+                        size: int | None = None
+                        ) -> ActionChunk | list[ActionChunk]:
     """Unconditional draw: nearest demo state, optional branch + noise.
 
     Branching models retrieval multimodality: with probability p_branch the
     draw switches to one of the nearest demos whose best state distance is
     within BRANCH_SLACK of the minimum, so alternatives are genuinely
     plausible continuations rather than detours.
+
+    ``size`` follows numpy's Generator: None returns one chunk, and n
+    returns a list of n chunks, the ones n successive single calls would
+    give. The nearest states and the eligible branches are found once for
+    all n, and their generators are seeded together (see _generators).
     """
+    if size is not None and size < 0:
+        raise InvalidInputError(f"size must be >= 0, got {size}")
     cfg = policy.config
-    rng = policy._rng()
+    rngs = policy._rngs(1 if size is None else size)
     best = policy.nearest_states(obs, BRANCH_CANDIDATES)
-    choice = 0
-    if cfg.p_branch > 0.0 and len(best) > 1 and rng.random() < cfg.p_branch:
+    branching = cfg.p_branch > 0.0 and len(best) > 1
+    if branching:
         cutoff = best[0][0] + BRANCH_SLACK ** 2
         eligible = sum(1 for b in best if b[0] <= cutoff)
-        choice = int(rng.integers(0, eligible))
-    _, demo_idx, step = best[choice]
-    start = step + 1 + delay_steps
-    return policy._extract(demo_idx, start, rng=rng,
-                           noise_sigma=cfg.noise_sigma)
+    chunks = []
+    for rng in rngs:
+        choice = 0
+        if branching and rng.random() < cfg.p_branch:
+            choice = int(rng.integers(0, eligible))
+        _, demo_idx, step = best[choice]
+        chunks.append(policy._extract(demo_idx, step + 1 + delay_steps,
+                                      rng=rng, noise_sigma=cfg.noise_sigma))
+    return chunks[0] if size is None else chunks
 
 
 GRIP_MATCH_WEIGHT = 0.01  # m^2 per mismatched gripper step in window scores

@@ -74,6 +74,30 @@ class TestBasicCommands:
             main(["gen-demos", "--trials", "1"])
         assert exc.value.code == 2
 
+    def test_diagnose_past_the_demos_length_exits_2(self, demo_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--demos", demo_dir, "--c-values", "0.1",
+                  "--trials", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error:") and "c=0.1" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["label", "--seed", "-1"],
+        ["diagnose", "--trials", "1", "--seed", "-2"],
+        ["gen-demos", "--seed", "-1", "--out", "unused"],
+    ])
+    def test_negative_seed_exits_2_before_work(self, argv, monkeypatch,
+                                               capsys):
+        def build(*args, **kwargs):
+            raise AssertionError("the corpus was built")
+        monkeypatch.setattr("sailx.experiments.build_demo_corpus", build)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -117,6 +141,15 @@ class TestConfigFile:
         code, text = run(capsys, "--config", str(cfg), "label")
         assert code == 0
         assert len(text.splitlines()) == 7  # header + one row per demo
+
+    def test_negative_seed_from_config_exits_2(self, demo_dir, tmp_path,
+                                               capsys):
+        cfg = tmp_path / "sailx.ini"
+        cfg.write_text(f"[label]\ndemos = {demo_dir}\nseed = -1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "label"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self):
         with pytest.raises(SystemExit) as exc:

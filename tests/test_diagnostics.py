@@ -113,3 +113,17 @@ class TestMmd:
         s = SampleSet(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             mmd(s, np.zeros(2), bandwidth=0.0)
+
+
+class TestDiagnosticsTrial:
+    def test_a_demo_too_short_for_the_speedup_is_refused(self, demos20):
+        from sailx.experiments import diagnostics_trial
+        from sailx.policy import MockPolicy, PolicyConfig
+        # at c = 0.1 a trial tracks an 80-step horizon and scores a
+        # 40-step tail, more than a 115-step demo holds
+        demo = demos20[0]
+        policy = MockPolicy([demo], PolicyConfig(), seed=0)
+        with pytest.raises(InvalidInputError,
+                           match=rf"c=0\.1 need 127 .* has {len(demo)}$"):
+            diagnostics_trial([demo], policy, 0.1, seed=0)
+        assert policy._calls == 0  # refused before any draw

@@ -67,6 +67,11 @@ class TestPolicyConfig:
 
 
 class TestUnconditional:
+    def test_negative_seed_rejected(self, demos20):
+        # default_rng refuses negative keys, and only at the first draw
+        with pytest.raises(ConfigurationError, match="seed"):
+            MockPolicy(demos20, PolicyConfig(), seed=-1)
+
     def test_deterministic_per_seed(self, demos20):
         cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.2)
         obs = _obs(demos20[0])

@@ -6,9 +6,11 @@ draws, its nearest-state match and its state distances must give the same
 bits as the per-demo loops in ``policy_oracle``, over demos of unequal
 length, demos shorter than the conditioning length, duplicated demos
 (exact ties), branch switching among up to three eligible demos, and the
-aggregated baseline. The window scores are not exposed; the sweep digests
-check their summation order.
+aggregated baseline. A batch of unconditional draws must give the chunks
+as many single draws give. The window scores are not exposed; the sweep
+digests check their summation order.
 """
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,10 +21,11 @@ from hypothesis import strategies as st
 from sailx.baselines import AggregatedActionsPolicy
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.io import Demonstration
-from sailx.errors import ConfigurationError
-from sailx.policy import (ActionChunk, DemoLibrary, MockPolicy, PolicyConfig,
-                          _best_window, _pairwise_sum, _window_scores,
-                          infer_conditional, infer_unconditional)
+from sailx.errors import ConfigurationError, InvalidInputError
+from sailx.policy import (BATCH_SEEDING_MIN, ActionChunk, DemoLibrary,
+                          MockPolicy, PolicyConfig, _best_window,
+                          _pairwise_sum, _window_scores, infer_conditional,
+                          infer_unconditional)
 
 import policy_oracle
 
@@ -130,6 +133,54 @@ def test_draws_match_the_per_demo_loops(case):
         tail = _tail(rng, chunk, cfg.h_c)
         assert _same(infer_conditional(fast, obs, tail),
                      policy_oracle.infer_conditional(slow, obs, tail))
+
+
+@st.composite
+def batch_cases(draw):
+    cfg, demos, aggregated, _, rng = draw(retrieval_cases())
+    cfg = replace(cfg, p_branch=draw(st.sampled_from([0.0, 0.2, 1.0])))
+    # policy seeds of 1, 2 and 3 uint32 words, and calls made before
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1),
+                          st.integers(2**32, 2**96 - 1)))
+    size = draw(st.sampled_from([1, BATCH_SEEDING_MIN - 1,
+                                 BATCH_SEEDING_MIN, 64]))
+    # demos hold at most 60 steps: large delays run windows past their end
+    delay = draw(st.sampled_from([0, 1, 30, 70]))
+    return cfg, demos, aggregated, seed, draw(st.integers(0, 3)), size, \
+        delay, rng
+
+
+@SETTINGS
+@given(batch_cases())
+def test_a_batch_of_draws_is_the_single_draws(case):
+    cfg, demos, aggregated, seed, before, size, delay, rng = case
+    fast_class = AggregatedActionsPolicy if aggregated else MockPolicy
+    slow_class = (policy_oracle.OracleAggregatedPolicy if aggregated
+                  else policy_oracle.OraclePolicy)
+    batched, twin = (fast_class(demos, cfg, seed=seed) for _ in range(2))
+    slow = slow_class(demos, cfg, seed=seed)
+    obs = _query(rng, demos)
+    for _ in range(before):
+        infer_unconditional(batched, obs)
+        infer_unconditional(twin, obs)
+        policy_oracle.infer_unconditional(slow, obs)
+    chunks = infer_unconditional(batched, obs, delay_steps=delay, size=size)
+    assert isinstance(chunks, list) and len(chunks) == size
+    for chunk in chunks:
+        assert _same(chunk, infer_unconditional(twin, obs,
+                                                delay_steps=delay))
+        assert _same(chunk, policy_oracle.infer_unconditional(
+            slow, obs, delay_steps=delay))
+    assert batched._calls == twin._calls == slow._calls == before + size
+
+
+def test_an_empty_batch_draws_nothing(demos20):
+    policy = MockPolicy(demos20, PolicyConfig())
+    obs = _query(np.random.default_rng(0), demos20)
+    assert infer_unconditional(policy, obs, size=0) == []
+    assert policy._calls == 0
+    with pytest.raises(InvalidInputError, match="size"):
+        infer_unconditional(policy, obs, size=-1)
 
 
 def _tails(rng, demos, chunk, h_c):
