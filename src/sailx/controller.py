@@ -6,6 +6,7 @@ velocity targets from the spline derivative / finite-difference geodesic
 rates. The damping convention for the presets is kv = 2 * damping * sqrt(kp).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -393,12 +394,12 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
         start = end
 
 
-# Row-steps per reference block of a lockstep group: a block holds
-# REF_ROWS floats per row and step, 0.17 MB whatever the group's width, and
-# costs one sample call for the whole group. Timed on replay-open-loop
-# passes (24 columns, 64 steps a block) and 50-demo corpus builds (30) on a
-# 2-core x86-64 VM, 1,024-2,048 row-steps ran fastest, and 6,144, the
-# size used while each column cost a sample call, 40-70 % slower.
+# Row-steps per reference block of a lockstep batch: a block holds
+# REF_ROWS floats per row and step, 0.17 MB whatever the batch's width, and
+# costs one sample call per subgroup. Timed on replay-open-loop passes (24
+# columns, 64 steps a block) and 50-demo corpus builds (30) on a 2-core
+# x86-64 VM, 1,024-2,048 row-steps ran fastest, and 6,144, the size used
+# while each column cost a sample call, 40-70 % slower.
 LOCKSTEP_BLOCK = 64 * 24
 # Columns per lockstep run in the callers, which bounds the reference
 # tracks a caller holds at once and their stacked copy: about 55 kB a
@@ -406,28 +407,49 @@ LOCKSTEP_BLOCK = 64 * 24
 # 800-replay noise sweep took 3.3 s at 64 columns and 2.4 s at 128, at
 # twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
-# Groups of fewer columns run row by row on track_loop. Timed on whole
+# Batches of fewer columns run row by row on track_loop. Timed on whole
 # replay cells of B replays on one time grid (2-core x86-64 VM, numpy 2.4,
 # c = 1, 0.5, 0.33 and 0.2, median of 7 runs, two sessions), row by row was
 # faster in 46 of the 48 cells with B = 4 to 9, lockstep in five of the
 # eight at B = 10 and in 14 of the 16 at B = 11 and 12.
 # perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
-# replay-open-loop pass of 6 rows, which holds only while 6 rows run row by
-# row: perfbench has no binding for track_loop_batch.
+# replay-open-loop pass of 6 rows and a traced ood-diagnose pass of 3
+# trials, which holds only while both run row by row: perfbench has no
+# binding for track_loop_batch, so the threshold must stay above 6.
 LOCKSTEP_MIN_ROWS = 10
 
 
-def _reference_block(group, times):
-    """The references of a _ReferenceGroup sampled at ``times``, as a block."""
+def _reference_block(group, times, out):
+    """Sample the references of a _ReferenceGroup at ``times`` into ``out``,
+    a (len(times), REF_ROWS, columns) view of a block."""
     pos, vel, quat, angvel, grip = _sample(group, times)
-    block = np.empty((len(times), REF_ROWS, pos.shape[2]))
-    block[:, REF_POS] = pos
-    twist = block[:, REF_TWIST]
+    out[:, REF_POS] = pos
+    twist = out[:, REF_TWIST]
     twist[:, :3] = vel
     twist[:, 3:] = angvel
-    block[:, REF_QUAT] = quat
-    block[:, REF_GRIP] = grip
-    return block
+    out[:, REF_QUAT] = quat
+    out[:, REF_GRIP] = grip
+
+
+class _Subgroup:
+    """The columns of a lockstep batch on one knot grid and one slice grid:
+    their references stacked, their step times and the steps at which each
+    of their slices ends."""
+
+    def __init__(self, rows, refs, grid, dt):
+        self.rows = np.array(rows)
+        self.refs = refs
+        self.group = _ReferenceGroup([refs[r] for r in rows])
+        self.steps = [n for _, n in grid]
+        self.ends = list(itertools.accumulate(self.steps))
+        self.times = np.concatenate([_step_times(t, dt, n) for t, n in grid])
+        self.k = 0  # the next slice to end
+
+    def drop(self, rows):
+        """Take ``rows`` out of the subgroup."""
+        self.rows = self.rows[~np.isin(self.rows, rows)]
+        if len(self.rows):
+            self.group = _ReferenceGroup([self.refs[r] for r in self.rows])
 
 
 def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
@@ -436,89 +458,131 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
 
     Column r runs ``track_slices``'s slices to each time in ``untils[r]``
     under ``gains[r]`` and ``grasp_radii[r]``, with the same bits. Columns
-    with equal start times and untils share one time grid and step in
-    lockstep on ``track_loop_batch``, grouped also by their references'
-    knot times, so that one ``_ReferenceGroup`` samples a group's
-    references together, one block of LOCKSTEP_BLOCK row-steps at a time,
-    at the times ``track_slices`` uses. Groups of fewer than
-    LOCKSTEP_MIN_ROWS columns run column by column through
-    ``track_slices``. No per-step trace is kept. Callers pass at most
-    LOCKSTEP_MAX_ROWS columns at a time.
+    with equal start times form a batch that steps in lockstep on
+    ``track_loop_batch``, from one slice end of any column to the next, one
+    block of LOCKSTEP_BLOCK row-steps of reference at a time. A batch's
+    columns on equal knot times and equal slices form a subgroup, whose
+    references one ``_ReferenceGroup`` samples together into the
+    subgroup's columns of each block, at the times ``track_slices`` uses:
+    those are built from each slice's start clock, so columns on other
+    slices would step at other times. A column leaves its batch after its
+    last slice. Batches of fewer than LOCKSTEP_MIN_ROWS columns run column
+    by column through ``track_slices``. No per-step trace is kept. Callers
+    pass at most LOCKSTEP_MAX_ROWS columns at a time.
 
-    A generator: after slice k of a group it yields (columns, k, n_k) once
-    those columns reached the end of the slice, and the caller may change
-    them before the next slice runs. A column whose wrench turns non-finite
-    stops there. Once every column is done, the ``SimFault`` of the first
-    such column is raised, as a loop over the columns would raise it, with
-    the column index in its ``row``.
+    A generator: after slice k of a subgroup it yields (columns, k, n_k)
+    once those columns reached the end of the slice, and the caller may
+    change them before the next slice runs. A column whose wrench turns
+    non-finite stops there. Once every column is done, the ``SimFault`` of
+    the first such column is raised, as a loop over the columns would raise
+    it, with the column index in its ``row``.
     """
-    dt = params.physics_dt
-    groups = {}
+    batches = {}
     for r in range(states.shape[1]):
-        key = (float(states[29, r]), tuple(untils[r]),
-               refs[r].times.tobytes())
-        groups.setdefault(key, []).append(r)
+        batches.setdefault(float(states[29, r]), []).append(r)
     gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
                           for g in gains]).T
     radii = np.asarray(grasp_radii, dtype=float)
     faults = {}
-    for (t0, group_untils, _), rows in groups.items():
-        if len(rows) < LOCKSTEP_MIN_ROWS:
-            for r in rows:
-                state = states[:, r].copy()
-                try:
-                    for k, trace in enumerate(track_slices(
-                            state, refs[r], gains[r], params, group_untils,
-                            radii[r])):
-                        states[:, r] = state
-                        yield np.array([r]), k, len(trace.times)
-                        state[:] = states[:, r]
-                except SimFault as fault:
-                    states[:, r] = state
-                    faults[r] = fault
+    for t0, rows in batches.items():
+        if len(rows) >= LOCKSTEP_MIN_ROWS:
+            yield from _track_batch(states, refs, gain_rows, radii, params,
+                                    untils, t0, rows, faults)
             continue
-        live = np.array(rows)
-        group = _ReferenceGroup([refs[r] for r in rows])
-        grid = _slice_steps(t0, group_untils, dt)
-        times = np.concatenate([_step_times(t, dt, n) for t, n in grid])
-        block = np.empty((0, REF_ROWS, len(live)))
-        block_start = start = 0
-        for k, (_, n) in enumerate(grid):
-            state = states[:, live]
-            end = start + n
-            while start < end and len(live):
-                if start == block_start + len(block):
-                    # drop the spent block before sampling the next one
-                    block_start, block = start, None
-                    steps = max(1, LOCKSTEP_BLOCK // len(live))
-                    block = _reference_block(
-                        group, times[start:start + steps])
-                stop = min(end, block_start + len(block))
-                fault = track_loop_batch(
-                    state, block[start - block_start:stop - block_start],
-                    *gain_rows[:, live], params.mass, params.inertia, dt,
-                    params.gripper_slew, radii[live], params.wrench_limit)
-                stopped = fault >= 0
-                if np.count_nonzero(stopped):
-                    for j in np.flatnonzero(stopped):
-                        faults[live[j]] = SimFault(
-                            "non-finite wrench at "
-                            f"t={times[start + fault[j]]:.4f}")
-                    states[:, live] = state
-                    live, state = live[~stopped], state[:, ~stopped]
-                    block = block[:, :, ~stopped]
-                    if len(live):
-                        group = _ReferenceGroup([refs[r] for r in live])
-                start = stop
-            states[:, live] = state
-            if not len(live):
-                break
-            yield live, k, n
+        for r in rows:
+            state = states[:, r].copy()
+            try:
+                for k, trace in enumerate(track_slices(
+                        state, refs[r], gains[r], params, untils[r],
+                        radii[r])):
+                    states[:, r] = state
+                    yield np.array([r]), k, len(trace.times)
+                    state[:] = states[:, r]
+            except SimFault as fault:
+                states[:, r] = state
+                faults[r] = fault
     if faults:
         row = min(faults)
         fault = faults[row]
         fault.row = row
         raise fault
+
+
+def _track_batch(states, refs, gain_rows, radii, params, untils, t0, rows,
+                 faults):
+    """``track_lockstep``'s lockstep run of the columns ``rows``, which all
+    start at the plant clock t0; faults go to ``faults`` by column."""
+    dt = params.physics_dt
+    grids, members = {}, {}
+    for r in rows:
+        key = tuple(untils[r])
+        if key not in grids:
+            grids[key] = tuple(_slice_steps(t0, key, dt))
+        members.setdefault((refs[r].times.tobytes(), grids[key]),
+                           []).append(r)
+    subs = [_Subgroup(sub_rows, refs, grid, dt)
+            for (_, grid), sub_rows in members.items()]
+    # the columns in subgroup order, so that each subgroup's columns of a
+    # block are one slice of it
+    live = np.concatenate([s.rows for s in subs])
+    state = states[:, live]
+    block = np.empty((0, REF_ROWS, len(live)))
+    block_start = start = 0
+    while True:
+        if any(s.ends[s.k] == start for s in subs):
+            states[:, live] = state
+            for s in subs:
+                while s.k < len(s.ends) and s.ends[s.k] == start:
+                    yield s.rows, s.k, s.steps[s.k]
+                    s.k += 1
+            subs = [s for s in subs if s.k < len(s.ends)]
+            state = states[:, live]
+        if not subs:
+            return
+        remaining = np.concatenate([s.rows for s in subs])
+        if len(remaining) < len(live):
+            keep = np.isin(live, remaining)
+            live, state = live[keep], state[:, keep]
+            block = block[start - block_start:, :, keep]
+            block_start = start
+        end = min(s.ends[s.k] for s in subs)
+        while start < end:
+            if start == block_start + len(block):
+                # drop the spent block before sampling the next one
+                block_start, block = start, None
+                steps = max(1, LOCKSTEP_BLOCK // len(live))
+                last = max(s.ends[-1] for s in subs)
+                block = np.empty((min(steps, last - start), REF_ROWS,
+                                  len(live)))
+                column = 0
+                for s in subs:
+                    times = s.times[start:start + len(block)]
+                    width = len(s.rows)
+                    _reference_block(
+                        s.group, times,
+                        block[:len(times), :, column:column + width])
+                    column += width
+            stop = min(end, block_start + len(block))
+            fault = track_loop_batch(
+                state, block[start - block_start:stop - block_start],
+                *gain_rows[:, live], params.mass, params.inertia, dt,
+                params.gripper_slew, radii[live], params.wrench_limit)
+            faulted = np.flatnonzero(fault >= 0)
+            if len(faulted):
+                # the faulted columns leave at the next pass of the loop
+                states[:, live] = state
+                owner = np.repeat(np.arange(len(subs)),
+                                  [len(s.rows) for s in subs])
+                for j in faulted:
+                    faults[live[j]] = SimFault(
+                        "non-finite wrench at "
+                        f"t={subs[owner[j]].times[start + fault[j]]:.4f}")
+                for i in set(owner[faulted]):
+                    subs[i].drop(live[faulted])
+                subs = [s for s in subs if len(s.rows)]
+            start = stop
+            if len(faulted):
+                break
 
 
 def track(world: WorldState, ref: ReferenceTrack, gains: GainProfile,

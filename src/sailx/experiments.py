@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -270,22 +271,46 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
 # diagnostics trials
 # ---------------------------------------------------------------------------
 
-def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
-                      dynamics: DynamicsParams | None = None) -> dict:
-    """One single-step reset trial: track one sped-up cycle, score the tail.
+def _horizon(c: float, dt: float) -> int:
+    """Demo steps of interval dt that one 0.4 s inference latency covers at
+    speed c: the waypoint steps a diagnostics trial tracks."""
+    return int(round(0.4 / (c * dt)))
 
-    The robot is reset onto a random demo state, tracks the next stretch of
-    that demo rescheduled at interval c * dt for one inference latency, and
-    the conditioning tail it would hand to the policy (the positions it will
-    traverse next at speed c) is scored against N unconditional draws.
+
+def _check_speedups(demos, c_values) -> None:
+    """Refuse a c at which no diagnostics trial on ``demos`` can run."""
+    if not c_values:
+        raise InvalidInputError("diagnostics need at least one c value")
+    dt = max(demo.dt for demo in demos)
+    for c in c_values:
+        if not (math.isfinite(c) and c > 0.0):
+            raise InvalidInputError(
+                f"diagnostics need a finite c > 0, got c={c:g}")
+        try:
+            horizon = _horizon(c, dt)
+        except (ZeroDivisionError, OverflowError):
+            raise InvalidInputError(
+                f"diagnostics at c={c:g} would track an unbounded number "
+                "of demo steps") from None
+        if horizon < 1:
+            raise InvalidInputError(
+                f"diagnostics at c={c:g} track no {dt:g} s demo step in "
+                "one 0.4 s latency")
+
+
+def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
+    """A diagnostics trial's reset onto a random demo state.
+
+    Returns (state, ref, stride): the packed plant state on the drawn demo
+    step, the next stretch of that demo rescheduled at interval c * dt for
+    one inference latency, and the step stride of the tail at speed c.
     """
     rng = np.random.default_rng((seed, 11))
-    cfg = policy.config
     demo = demos[int(rng.integers(0, len(demos)))]
     n = len(demo)
     stride = max(1, int(round(1.0 / c)))
-    horizon = int(round(0.4 / (c * demo.dt)))
-    tail = cfg.h_c * stride
+    horizon = _horizon(c, demo.dt)
+    tail = h_c * stride
     if n < horizon + tail + 7:
         raise InvalidInputError(
             f"diagnostics at c={c:g} need {horizon + tail + 7} demo steps "
@@ -294,20 +319,40 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
     step = int(rng.integers(5, n - horizon - tail - 1))
 
     start = Pose(demo.reached[step, :3].copy(), demo.reached[step, 3:7].copy())
-    task = task_for_demo(demo)
-    world = initial_world(start, task)
+    world = initial_world(start, task_for_demo(demo))
     idx = np.arange(step, step + horizon + 1)
     times = world.sim_time + np.arange(len(idx)) * (c * demo.dt)
     ref = ReferenceTrack(times, demo.reached[idx, :3].copy(),
                          demo.reached[idx, 3:7].copy(),
                          grippers=demo.grippers[idx].copy())
-    world, _ = track(world, ref, GAIN_PRESETS["real-exec"],
-                     dynamics or DynamicsParams(), until=float(times[-1]))
-    desired = ref.pose_at(float(times[-1]))
+    return world.to_vector(), ref, stride
+
+
+def _track_stretches(setups, dynamics: DynamicsParams) -> np.ndarray:
+    """Track every set-up trial's stretch to its end in one lockstep run,
+    under the real-exec gains; returns the (30, trials) end states."""
+    states = np.stack([state for state, _, _ in setups], axis=1)
+    refs = [ref for _, ref, _ in setups]
+    for _ in track_lockstep(states, refs,
+                            [GAIN_PRESETS["real-exec"]] * len(refs),
+                            dynamics, [(float(ref.times[-1]),)
+                                       for ref in refs],
+                            [0.015] * len(refs)):
+        pass
+    return states
+
+
+def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
+                       stride: int) -> dict:
+    """A trial's row, its stretch tracked to ``state``: the tracking error,
+    and the tail it would hand to the policy (the positions it will
+    traverse next at speed c) scored against 64 unconditional draws."""
+    cfg = policy.config
+    world = WorldState.from_vector(state)
+    desired = ref.pose_at(float(ref.times[-1]))
     e_pos = float(np.linalg.norm(desired.position - world.robot.position))
 
-    # the tail that will be handed to the policy: the positions traversed
-    # next at speed c, anchored at the retrieval match for the current state
+    # the tail is anchored at the retrieval match for the current state
     _, demo_idx, near_step = policy.nearest_states(world)[0]
     query = policy.positions(
         demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
@@ -319,19 +364,49 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
             "mmd": mmd(samples, query)}
 
 
+def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
+                      dynamics: DynamicsParams | None = None) -> dict:
+    """One single-step reset trial: track one sped-up cycle, score the tail.
+
+    The robot is reset onto a random demo state, tracks the next stretch of
+    that demo rescheduled at interval c * dt for one inference latency, and
+    the conditioning tail it would hand to the policy (the positions it will
+    traverse next at speed c) is scored against N unconditional draws.
+    ``run_diagnostics`` runs the same steps for many trials at once.
+    """
+    _check_speedups(demos, (c,))
+    setup = _diagnostics_setup(demos, c, seed, policy.config.h_c)
+    states = _track_stretches([setup], dynamics or DynamicsParams())
+    return _diagnostics_score(policy, c, states[:, 0], *setup[1:])
+
+
 def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
                     seed: int = 0) -> list[dict]:
-    """Pooled single-step reset trials across speedup factors."""
+    """Pooled single-step reset trials across speedup factors.
+
+    Trial t runs ``diagnostics_trial`` at c_values[t % len(c_values)] with
+    its own policy, with the same results. Every c is checked before any
+    trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: set up in trial
+    order, so that the first trial that cannot run raises, tracked in one
+    lockstep run, then scored in trial order.
+    """
     pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
+    _check_speedups(demos, c_values)
+    dynamics = DynamicsParams()
     rows = []
-    for t in range(trials):
-        c = c_values[t % len(c_values)]
-        policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
-                            library=library)
-        rows.append({"trial": t,
-                     **diagnostics_trial(demos, policy, c,
-                                         _trial_seed(seed, 13, t))})
+    for first in range(0, trials, LOCKSTEP_MAX_ROWS):
+        chunk = [(t, c_values[t % len(c_values)])
+                 for t in range(first, min(trials, first + LOCKSTEP_MAX_ROWS))]
+        setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t),
+                                     pc.h_c)
+                  for t, c in chunk]
+        states = _track_stretches(setups, dynamics)
+        for (t, c), state, (_, ref, stride) in zip(chunk, states.T, setups):
+            policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
+                                library=library)
+            rows.append({"trial": t, **_diagnostics_score(policy, c, state,
+                                                          ref, stride)})
     return rows
 
 

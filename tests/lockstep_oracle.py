@@ -1,18 +1,24 @@
-"""Per-row references for the lockstep sweeps and the lockstep corpus build.
+"""Per-row references for the lockstep sweeps, corpus build and diagnostics.
 
 ``sweep_gain_replay`` and ``sweep_noise`` here run one ``replay_rollout``
-per replay, and ``generate_demos`` runs ``controller.track_slices`` over one
-demo at a time: the loops ``sailx.experiments`` and ``sailx.io`` replaced
-with ``controller.track_lockstep``. They are kept unchanged so tests can
-require the lockstep versions to reproduce them exactly.
+per replay, ``generate_demos`` runs ``controller.track_slices`` over one
+demo at a time, and ``run_diagnostics`` runs one ``diagnostics_trial`` after
+another, each tracking its stretch with ``controller.track``: the loops
+``sailx.experiments`` and ``sailx.io`` replaced with
+``controller.track_lockstep``. They are kept unchanged so tests can require
+the lockstep versions to reproduce them exactly.
 """
 
 import numpy as np
 
-from sailx.controller import ReferenceTrack, gain_profile, track_slices
+from sailx.controller import (GAIN_PRESETS, ReferenceTrack, gain_profile,
+                              track, track_slices)
 from sailx.core import IDENTITY_QUAT, Pose
+from sailx.diagnostics import SampleSet, kde_score, knn_distance, mmd
 from sailx.errors import GenerationError, InvalidInputError
-from sailx.experiments import _trial_seed, replay_rollout
+from sailx.experiments import _trial_seed, replay_rollout, task_for_demo
+from sailx.policy import (DemoLibrary, MockPolicy, PolicyConfig,
+                          infer_unconditional)
 from sailx.io import (Demonstration, _as_pose_quat, _nominal_trajectory,
                       _scripted_path)
 from sailx.sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
@@ -133,3 +139,68 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
             goal=np.asarray(task.goal_position, dtype=float)))
     return demos
 
+
+
+def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
+                      dynamics: DynamicsParams | None = None) -> dict:
+    """One single-step reset trial: track one sped-up cycle, score the tail.
+
+    The robot is reset onto a random demo state, tracks the next stretch of
+    that demo rescheduled at interval c * dt for one inference latency, and
+    the conditioning tail it would hand to the policy (the positions it will
+    traverse next at speed c) is scored against N unconditional draws.
+    """
+    rng = np.random.default_rng((seed, 11))
+    cfg = policy.config
+    demo = demos[int(rng.integers(0, len(demos)))]
+    n = len(demo)
+    stride = max(1, int(round(1.0 / c)))
+    horizon = int(round(0.4 / (c * demo.dt)))
+    tail = cfg.h_c * stride
+    if n < horizon + tail + 7:
+        raise InvalidInputError(
+            f"diagnostics at c={c:g} need {horizon + tail + 7} demo steps "
+            f"(horizon {horizon}, tail {tail}, margin 7), but the drawn "
+            f"demo has {n}")
+    step = int(rng.integers(5, n - horizon - tail - 1))
+
+    start = Pose(demo.reached[step, :3].copy(), demo.reached[step, 3:7].copy())
+    task = task_for_demo(demo)
+    world = initial_world(start, task)
+    idx = np.arange(step, step + horizon + 1)
+    times = world.sim_time + np.arange(len(idx)) * (c * demo.dt)
+    ref = ReferenceTrack(times, demo.reached[idx, :3].copy(),
+                         demo.reached[idx, 3:7].copy(),
+                         grippers=demo.grippers[idx].copy())
+    world, _ = track(world, ref, GAIN_PRESETS["real-exec"],
+                     dynamics or DynamicsParams(), until=float(times[-1]))
+    desired = ref.pose_at(float(times[-1]))
+    e_pos = float(np.linalg.norm(desired.position - world.robot.position))
+
+    # the tail that will be handed to the policy: the positions traversed
+    # next at speed c, anchored at the retrieval match for the current state
+    _, demo_idx, near_step = policy.nearest_states(world)[0]
+    query = policy.positions(
+        demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
+    chunks = infer_unconditional(policy, world, size=64)
+    samples = SampleSet.from_chunks(chunks, cfg.h_c)
+    return {"c": c, "e_pos": e_pos,
+            "knn": knn_distance(samples, query),
+            "kde": kde_score(samples, query),
+            "mmd": mmd(samples, query)}
+
+
+def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
+                    seed: int = 0) -> list[dict]:
+    """Pooled single-step reset trials across speedup factors."""
+    pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
+    library = DemoLibrary(demos)
+    rows = []
+    for t in range(trials):
+        c = c_values[t % len(c_values)]
+        policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
+                            library=library)
+        rows.append({"trial": t,
+                     **diagnostics_trial(demos, policy, c,
+                                         _trial_seed(seed, 13, t))})
+    return rows

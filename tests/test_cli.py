@@ -83,6 +83,16 @@ class TestBasicCommands:
         assert err.startswith("sailx: usage error:") and "c=0.1" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("c", ["0", "nan", "-0.5", "100"])
+    def test_diagnose_at_a_bad_speedup_exits_2(self, demo_dir, capsys, c):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--demos", demo_dir, "--c-values", c,
+                  "--trials", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error:")
+        assert f"c={float(c):g}" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["label", "--seed", "-1"],
         ["diagnose", "--trials", "1", "--seed", "-2"],

@@ -127,3 +127,22 @@ class TestDiagnosticsTrial:
                            match=rf"c=0\.1 need 127 .* has {len(demo)}$"):
             diagnostics_trial([demo], policy, 0.1, seed=0)
         assert policy._calls == 0  # refused before any draw
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, float("nan"), float("inf"),
+                                   100.0, 1e-320])
+    def test_bad_speedups_are_refused_before_any_trial(self, demos20,
+                                                       monkeypatch, c):
+        from sailx import experiments
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a trial was scored")
+        monkeypatch.setattr(experiments, "infer_unconditional", draw)
+        with pytest.raises(InvalidInputError, match=rf"c={c:g}") as exc:
+            experiments.run_diagnostics(demos20, c_values=(1.0, c),
+                                        trials=4)
+        assert len(str(exc.value).splitlines()) == 1
+
+    def test_an_empty_speedup_list_is_refused(self, demos20):
+        from sailx.experiments import run_diagnostics
+        with pytest.raises(InvalidInputError, match="at least one c"):
+            run_diagnostics(demos20, c_values=(), trials=1)

@@ -368,9 +368,9 @@ class TestReferenceGroup:
     @given(group_cases())
     def test_block_columns_match_each_sample_bit_for_bit(self, case):
         refs, at = case
-        block = controller._reference_block(controller._ReferenceGroup(refs),
-                                            at)
-        assert block.shape == (len(at), kernels.REF_ROWS, len(refs))
+        block = np.empty((len(at), kernels.REF_ROWS, len(refs)))
+        controller._reference_block(controller._ReferenceGroup(refs), at,
+                                    block)
         for j, ref in enumerate(refs):
             assert _bits(block[:, :, j]) == _bits(_block(ref.sample(at)))
 

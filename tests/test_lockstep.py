@@ -1,8 +1,8 @@
-"""The lockstep sweeps and corpus build against their per-row loops.
+"""The lockstep sweeps, corpus build and diagnostics against their loops.
 
-``sweep_noise``, ``sweep_gain_replay`` and ``generate_demos`` run their rows
-through ``controller.track_lockstep``; ``lockstep_oracle`` keeps the loops
-they replaced. Outputs must be equal, raised errors too. The group size at
+``sweep_noise``, ``sweep_gain_replay``, ``generate_demos`` and
+``run_diagnostics`` run their rows through ``controller.track_lockstep``;
+``lockstep_oracle`` keeps the loops they replaced. Outputs must be equal, raised errors too. The group size at
 which ``track_lockstep`` batches, the size of its reference blocks and the
 number of columns its callers pass per run are module constants, varied
 here so that both plants, several grid groups, several runs per call and
@@ -10,12 +10,14 @@ slices that straddle blocks are all compared.
 """
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sailx import controller, experiments, io
 from sailx.controller import GAIN_PRESETS, track_lockstep, track_slices
-from sailx.errors import GenerationError, SimFault
-from sailx.experiments import (make_task, rows_to_csv, sweep_gain_replay,
-                               sweep_noise)
+from sailx.errors import GenerationError, InvalidInputError, SimFault
+from sailx.experiments import (make_task, rows_to_csv, run_diagnostics,
+                               sweep_gain_replay, sweep_noise)
 from sailx.io import generate_demos
 from sailx.core import Pose
 from sailx.sim import DynamicsParams, TaskSpec
@@ -104,6 +106,29 @@ class TestSweeps:
             rows_to_csv(lockstep_oracle.sweep_gain_replay([]))
 
 
+class TestDiagnostics:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_trial_loop(self, plant, demos20, seed):
+        # 12 trials: six runs of 2 when batched, one batched run of 12
+        # under the module defaults
+        kwargs = dict(c_values=(1.0, 0.33, 0.2), trials=12, seed=seed)
+        got = run_diagnostics(demos20, **kwargs)
+        want = lockstep_oracle.run_diagnostics(demos20, **kwargs)
+        assert rows_to_csv(got) == rows_to_csv(want)
+
+    def test_a_too_short_demo_raises_as_in_the_trial_loop(self, plant,
+                                                          demos20):
+        # trial 1, at c = 0.1, is the first that the demo cannot hold
+        kwargs = dict(c_values=(1.0, 0.1, 0.05), trials=3, seed=0)
+        errors = []
+        for fn in (run_diagnostics, lockstep_oracle.run_diagnostics):
+            with pytest.raises(InvalidInputError) as exc:
+                fn(demos20[:1], **kwargs)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert "c=0.1 " in errors[0]
+
+
 def _rotated_task():
     task = make_task()
     quat = np.array([-0.7, 0.9, 1.0, 0.9])
@@ -137,10 +162,9 @@ class TestGenerateDemos:
         sample = controller._reference_block
         sizes = set()
 
-        def spy(group, times):
-            block = sample(group, times)
-            sizes.add((block.shape[2], block.nbytes))
-            return block
+        def spy(group, times, out):
+            sample(group, times, out)
+            sizes.add((out.base.shape[2], out.base.nbytes))
 
         monkeypatch.setattr(controller, "_reference_block", spy)
         generate_demos(make_task(), n=50, seed=0)
@@ -171,7 +195,7 @@ class TestGrouping:
         """One call whose rows share start time and untils but fall on
         three knot grids, a 2-waypoint line among them."""
         rng = np.random.default_rng(8)
-        # under the module defaults, each grid is just wide enough to batch
+        # under the module defaults, each grid alone is wide enough to batch
         per_grid = controller.LOCKSTEP_MIN_ROWS if plant == "default" else 3
         refs = _spaced_refs(rng, (6, 2, 9), per_grid)
         n_rows = len(refs)
@@ -200,6 +224,97 @@ class TestGrouping:
         assert states.tobytes() == want.tobytes()
         # some rows grasped their object, and some did not
         assert 0 < np.count_nonzero(states[21]) < n_rows
+
+
+@st.composite
+def mixed_grid_cases(draw):
+    """Columns on one start clock, on two or three knot grids and on slice
+    lists of different lengths, one of which ends a few physics steps
+    before the longest; the references of one column overflow the PD
+    force. The plant step is PHYSICS_DT = 0.002 s."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacings = draw(st.lists(st.integers(2, 9), min_size=2, max_size=3,
+                             unique=True))
+    t0 = draw(st.sampled_from([0.0, 0.05, 0.1234]))
+    # the slices of one list end where the others' do not; sorted, so that
+    # the last time is the end of the longest list; repeats and times
+    # before the clock make empty slices
+    longest = sorted(draw(st.lists(st.floats(0.0, 0.3), min_size=2,
+                                   max_size=4)))
+    shorter = sorted(draw(st.lists(st.floats(0.0, 0.3), min_size=1,
+                                   max_size=len(longest) - 1)))
+    early = draw(st.integers(1, 5))
+    untils = [tuple(t0 + t for t in longest),
+              tuple(t0 + t for t in shorter),
+              tuple(t0 + t for t in longest[:-1])
+              + (t0 + longest[-1] - 0.002 * early,)]
+    n_rows = draw(st.integers(10, 13))
+    grid_of = draw(st.lists(st.integers(0, len(spacings) - 1),
+                            min_size=n_rows, max_size=n_rows))
+    untils_of = draw(st.lists(st.integers(0, len(untils) - 1),
+                              min_size=n_rows, max_size=n_rows))
+    bad = draw(st.integers(0, n_rows - 1))
+    refs = []
+    for r in range(n_rows):
+        n = spacings[grid_of[r]]
+        times = np.linspace(0.0, 1.0, n)
+        positions = np.cumsum(rng.normal(0.0, 0.003, (n, 3)), axis=0)
+        if r == bad:
+            positions[1:] = 1e306
+        quats = rng.normal(size=(n, 4))
+        quats /= np.linalg.norm(quats, axis=1)[:, None]
+        refs.append(controller.ReferenceTrack(
+            times, positions, quats,
+            grippers=np.where(times < 0.1, 0.0, 1.0)))
+    # the overflowing column runs the longest slices under high gains
+    untils_of[bad] = 0
+    gains = [GAIN_PRESETS["high" if r == bad or rng.random() < 0.5
+                          else "low"] for r in range(n_rows)]
+    states = np.zeros((30, n_rows))
+    states[3] = states[17] = states[25] = 1.0
+    states[14:17] = rng.normal(0.0, 0.005, (3, n_rows))
+    states[29] = t0
+    return (states, refs, gains, [untils[i] for i in untils_of],
+            rng.uniform(0.01, 0.05, n_rows))
+
+
+class TestMixedGrids:
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(mixed_grid_cases())
+    def test_every_column_matches_its_slices(self, plant, case):
+        states, refs, gains, untils, radii = case
+        n_rows = len(refs)
+        params = DynamicsParams()
+        want = states.copy()
+        want_slices = []
+        want_faults = {}
+        for r in range(n_rows):
+            state = want[:, r].copy()
+            slices = []
+            try:
+                for k, trace in enumerate(track_slices(
+                        state, refs[r], gains[r], params, untils[r],
+                        radii[r])):
+                    slices.append((k, len(trace.times)))
+            except SimFault as exc:
+                want_faults[r] = str(exc)
+            want_slices.append(slices)
+            want[:, r] = state
+        got_slices = [[] for _ in range(n_rows)]
+        try:
+            for rows, k, steps in track_lockstep(states, refs, gains, params,
+                                                 untils, radii):
+                for r in rows:
+                    got_slices[r].append((k, steps))
+        except SimFault as exc:
+            first = min(want_faults)
+            assert exc.row == first and str(exc) == want_faults[first]
+        else:
+            assert not want_faults
+        assert got_slices == want_slices
+        assert states.tobytes() == want.tobytes()
 
 
 def _line_refs(n_rows, bad_rows):
