@@ -456,19 +456,21 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
                    grasp_radii):
     """Track column r of the (30, B) ``states`` along ``refs[r]``.
 
-    Column r runs ``track_slices``'s slices to each time in ``untils[r]``
-    under ``gains[r]`` and ``grasp_radii[r]``, with the same bits. Columns
-    with equal start times form a batch that steps in lockstep on
+    Every column starts on one plant clock, states[29]; a call whose
+    columns start on two raises InvalidInputError before any step. Column
+    r runs ``track_slices``'s slices to each time in ``untils[r]`` under
+    ``gains[r]`` and ``grasp_radii[r]``, with the same bits. A batch of at
+    least LOCKSTEP_MIN_ROWS columns steps in lockstep on
     ``track_loop_batch``, from one slice end of any column to the next, one
-    block of LOCKSTEP_BLOCK row-steps of reference at a time. A batch's
-    columns on equal knot times and equal slices form a subgroup, whose
-    references one ``_ReferenceGroup`` samples together into the
-    subgroup's columns of each block, at the times ``track_slices`` uses:
-    those are built from each slice's start clock, so columns on other
-    slices would step at other times. A column leaves its batch after its
-    last slice. Batches of fewer than LOCKSTEP_MIN_ROWS columns run column
-    by column through ``track_slices``. No per-step trace is kept. Callers
-    pass at most LOCKSTEP_MAX_ROWS columns at a time.
+    block of LOCKSTEP_BLOCK row-steps of reference at a time. Its columns
+    on equal knot times and equal slices form a subgroup, whose references
+    one ``_ReferenceGroup`` samples together into the subgroup's columns of
+    each block, at the times ``track_slices`` uses: those are built from
+    each slice's start clock, so columns on other slices would step at
+    other times. A column leaves the batch after its last slice. Fewer
+    columns run column by column through ``track_slices``. No per-step
+    trace is kept. Callers pass at most LOCKSTEP_MAX_ROWS columns at a
+    time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     once those columns reached the end of the slice, and the caller may
@@ -477,19 +479,18 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
     the first such column is raised, as a loop over the columns would raise
     it, with the column index in its ``row``.
     """
-    batches = {}
-    for r in range(states.shape[1]):
-        batches.setdefault(float(states[29, r]), []).append(r)
-    gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
-                          for g in gains]).T
+    clocks = len(np.unique(states[29]))
+    if clocks > 1:
+        raise InvalidInputError(
+            f"lockstep columns start on {clocks} plant clocks; a call "
+            "takes columns on one start clock")
     radii = np.asarray(grasp_radii, dtype=float)
     faults = {}
-    for t0, rows in batches.items():
-        if len(rows) >= LOCKSTEP_MIN_ROWS:
-            yield from _track_batch(states, refs, gain_rows, radii, params,
-                                    untils, t0, rows, faults)
-            continue
-        for r in rows:
+    if states.shape[1] >= LOCKSTEP_MIN_ROWS:
+        yield from _track_batch(states, refs, gains, radii, params, untils,
+                                faults)
+    else:
+        for r in range(states.shape[1]):
             state = states[:, r].copy()
             try:
                 for k, trace in enumerate(track_slices(
@@ -508,13 +509,15 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
         raise fault
 
 
-def _track_batch(states, refs, gain_rows, radii, params, untils, t0, rows,
-                 faults):
-    """``track_lockstep``'s lockstep run of the columns ``rows``, which all
-    start at the plant clock t0; faults go to ``faults`` by column."""
+def _track_batch(states, refs, gains, radii, params, untils, faults):
+    """``track_lockstep``'s lockstep run of every column of ``states``;
+    faults go to ``faults`` by column."""
     dt = params.physics_dt
+    t0 = float(states[29, 0])
+    gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
+                          for g in gains]).T
     grids, members = {}, {}
-    for r in rows:
+    for r in range(states.shape[1]):
         key = tuple(untils[r])
         if key not in grids:
             grids[key] = tuple(_slice_steps(t0, key, dt))

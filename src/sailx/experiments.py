@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import AggregatedActionsPolicy
-from .controller import (GAIN_PRESETS, LOCKSTEP_MAX_ROWS, ReferenceTrack,
+from .controller import (LOCKSTEP_MAX_ROWS, ReferenceTrack, gain_profile,
                          track, track_lockstep)
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
@@ -41,9 +41,9 @@ def make_task(object_position=None, goal_position=None, **kwargs) -> TaskSpec:
                     goal_position=goal.astype(float), **kwargs)
 
 
-def build_demo_corpus(n: int = 50, seed: int = 0, task: TaskSpec | None = None):
+def build_demo_corpus(n: int = 50, seed: int = 0):
     """Generate the demo corpus used by all experiments."""
-    return generate_demos(task or make_task(), n=n, seed=seed)
+    return generate_demos(make_task(), n=n, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -54,27 +54,30 @@ class MethodSetup:
     policy_class: type = MockPolicy
 
 
-def method_setup(method: str, c: float = 1.0, *, use_eag: bool | None = None,
-                 noise_sigma: float = 0.002, p_branch: float = 0.2) -> MethodSetup:
+def method_setup(method: str, c: float = 1.0, *,
+                 use_eag: bool | None = None) -> MethodSetup:
     """Map a named method onto policy/executor/controller settings.
 
-    sail: high-gain controller, reached-pose targets, adaptive speed with
-    error-adaptive guidance. dp: the unsped baseline (always c = 1), low
-    gain, commanded targets, no guidance. dp-fast: dp naively sped up to c.
-    agg-actions: dp-fast drawing delta-aggregated chunks. replay is handled
-    by replay_rollout, not here.
+    Every method draws with noise_sigma = 0.002 and p_branch = 0.2.
+    sail: high-gain controller, reached-pose targets, speed c_fast = c off
+    and c_slow = max(c, 0.5) on critical waypoints, with error-adaptive
+    guidance. dp: the unsped baseline (always c = 1), low gain, commanded
+    targets, no guidance. dp-fast: dp naively sped up to c on every
+    waypoint. agg-actions: dp-fast drawing delta-aggregated chunks.
+    ``use_eag``, when given, overrides the method's guidance. replay is
+    handled by replay_rollout, not here.
     """
     if method == "sail":
-        pc = PolicyConfig(noise_sigma=noise_sigma, p_branch=p_branch,
+        pc = PolicyConfig(noise_sigma=0.002, p_branch=0.2,
                           target_mode="reached")
-        ec = ExecutorConfig(adaptive_speed=True, c_slow=max(c, 0.5), c_fast=c,
+        ec = ExecutorConfig(c_slow=max(c, 0.5), c_fast=c,
                             use_eag=True if use_eag is None else use_eag)
         return MethodSetup(pc, ec, "real-exec")
     if method in ("dp", "dp-fast", "agg-actions"):
         fixed = 1.0 if method == "dp" else c
-        pc = PolicyConfig(noise_sigma=noise_sigma, p_branch=p_branch,
+        pc = PolicyConfig(noise_sigma=0.002, p_branch=0.2,
                           target_mode="commanded")
-        ec = ExecutorConfig(adaptive_speed=False, fixed_c=fixed,
+        ec = ExecutorConfig(c_slow=fixed, c_fast=fixed,
                             use_eag=False if use_eag is None else use_eag)
         cls = AggregatedActionsPolicy if method == "agg-actions" else MockPolicy
         return MethodSetup(pc, ec, "real-demo", cls)
@@ -88,26 +91,25 @@ def task_for_demo(demo) -> TaskSpec:
 
 
 def run_method_rollout(method: str, c: float, demos, seed: int,
-                       dynamics: DynamicsParams | None = None,
                        library: DemoLibrary | None = None,
-                       **setup_kwargs) -> RolloutLog:
+                       use_eag: bool | None = None) -> RolloutLog:
     """One closed-loop rollout of a named method on a demo-aligned task.
 
     ``library``, when given, is the DemoLibrary of ``demos`` the policy
-    retrieves from, shared with the other rollouts of a sweep.
+    retrieves from, shared with the other rollouts of a sweep; ``use_eag``
+    is passed to ``method_setup``.
     """
     if method == "replay":
-        return replay_rollout(demos[seed % len(demos)], c=c, seed=seed,
-                              dynamics=dynamics)
-    setup = method_setup(method, c, **setup_kwargs)
+        return replay_rollout(demos[seed % len(demos)], c=c, seed=seed)
+    setup = method_setup(method, c, use_eag=use_eag)
     demo = demos[seed % len(demos)]
     task = task_for_demo(demo)
     start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
     policy = setup.policy_class(demos, setup.policy_config, seed=seed,
                                 library=library)
     return run_rollout(policy, task, setup.exec_config,
-                       GAIN_PRESETS[setup.gains], dynamics or DynamicsParams(),
-                       start, seed=seed)
+                       gain_profile(setup.gains), DynamicsParams(), start,
+                       seed=seed)
 
 
 def _replay_setup(demo, c: float, target: str, noise_scale: float,
@@ -131,18 +133,17 @@ def _replay_setup(demo, c: float, target: str, noise_scale: float,
 
 def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
                    target: str = "reached", noise_scale: float = 0.0,
-                   seed: int = 0,
-                   dynamics: DynamicsParams | None = None) -> RolloutLog:
+                   seed: int = 0) -> RolloutLog:
     """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog.
 
     The commanded or reached stream is rescheduled at interval c * dt and
     tracked with the requested controller gains; optional Gaussian noise
     perturbs the reference positions before tracking.
     """
+    profile = gain_profile(gains)
     ref, task, world, end = _replay_setup(demo, c, target, noise_scale, seed)
-    world, trace = track(world, ref, GAIN_PRESETS[gains],
-                         dynamics or DynamicsParams(), until=end + 0.5,
-                         grasp_radius=task.grasp_radius)
+    world, trace = track(world, ref, profile, DynamicsParams(),
+                         until=end + 0.5, grasp_radius=task.grasp_radius)
     ok = success(world, task)
     samples, events = sample_trace(trace)
     return RolloutLog(success=ok, duration=end if ok else task.t_max,
@@ -166,7 +167,7 @@ def _replay_successes(replays) -> list[bool]:
         states = np.stack([world.to_vector() for _, _, world, _ in setups],
                           axis=1)
         for _ in track_lockstep(states, [ref for ref, *_ in setups],
-                                [GAIN_PRESETS[r[2]] for r in chunk],
+                                [gain_profile(r[2]) for r in chunk],
                                 DynamicsParams(),
                                 [(end + 0.5,) for *_, end in setups],
                                 [task.grasp_radius
@@ -196,20 +197,19 @@ def _pool_init(demos):
 
 
 def _pool_rollout(args):
-    method, c, seed, kwargs = args
+    method, c, seed = args
     return run_method_rollout(method, c, _POOL_DEMOS, seed,
-                              library=_POOL_LIBRARY, **kwargs)
+                              library=_POOL_LIBRARY)
 
 
-def _run_cell(method, c, demos, seeds, jobs, library, **kwargs):
+def _run_cell(method, c, demos, seeds, jobs, library):
     if jobs <= 1:
-        return [run_method_rollout(method, c, demos, s, library=library,
-                                   **kwargs)
+        return [run_method_rollout(method, c, demos, s, library=library)
                 for s in seeds]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
                              initargs=(demos,)) as pool:
         return list(pool.map(_pool_rollout,
-                             [(method, c, s, kwargs) for s in seeds]))
+                             [(method, c, s) for s in seeds]))
 
 
 def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.2, 0.1),
@@ -328,15 +328,15 @@ def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
     return world.to_vector(), ref, stride
 
 
-def _track_stretches(setups, dynamics: DynamicsParams) -> np.ndarray:
+def _track_stretches(setups) -> np.ndarray:
     """Track every set-up trial's stretch to its end in one lockstep run,
     under the real-exec gains; returns the (30, trials) end states."""
     states = np.stack([state for state, _, _ in setups], axis=1)
     refs = [ref for _, ref, _ in setups]
     for _ in track_lockstep(states, refs,
-                            [GAIN_PRESETS["real-exec"]] * len(refs),
-                            dynamics, [(float(ref.times[-1]),)
-                                       for ref in refs],
+                            [gain_profile("real-exec")] * len(refs),
+                            DynamicsParams(), [(float(ref.times[-1]),)
+                                               for ref in refs],
                             [0.015] * len(refs)):
         pass
     return states
@@ -364,8 +364,8 @@ def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
             "mmd": mmd(samples, query)}
 
 
-def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
-                      dynamics: DynamicsParams | None = None) -> dict:
+def diagnostics_trial(demos, policy: MockPolicy, c: float,
+                      seed: int) -> dict:
     """One single-step reset trial: track one sped-up cycle, score the tail.
 
     The robot is reset onto a random demo state, tracks the next stretch of
@@ -376,7 +376,7 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
     """
     _check_speedups(demos, (c,))
     setup = _diagnostics_setup(demos, c, seed, policy.config.h_c)
-    states = _track_stretches([setup], dynamics or DynamicsParams())
+    states = _track_stretches([setup])
     return _diagnostics_score(policy, c, states[:, 0], *setup[1:])
 
 
@@ -393,7 +393,6 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
     _check_speedups(demos, c_values)
-    dynamics = DynamicsParams()
     rows = []
     for first in range(0, trials, LOCKSTEP_MAX_ROWS):
         chunk = [(t, c_values[t % len(c_values)])
@@ -401,19 +400,13 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
         setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t),
                                      pc.h_c)
                   for t, c in chunk]
-        states = _track_stretches(setups, dynamics)
+        states = _track_stretches(setups)
         for (t, c), state, (_, ref, stride) in zip(chunk, states.T, setups):
             policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
                                 library=library)
             rows.append({"trial": t, **_diagnostics_score(policy, c, state,
                                                           ref, stride)})
     return rows
-
-
-def spearman(x, y) -> float:
-    """Spearman rank correlation of two equal-length sequences."""
-    from scipy.stats import spearmanr
-    return float(spearmanr(x, y).statistic)
 
 
 # ---------------------------------------------------------------------------

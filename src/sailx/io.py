@@ -8,7 +8,7 @@ rollout file reads back as the ``scheduler.RolloutLog`` it was written from.
 
 Demonstrations are produced by a scripted teleoperator executed through the
 simulator with the low-gain profile, so commanded and reached poses genuinely
-differ: the script leads the nominal path by ``lead`` seconds (the way an
+differ: the script leads the nominal path by _LEAD seconds (the way an
 operator anticipates a sluggish arm), and the logged reached trace is the
 smooth, lagged closed-loop response.
 """
@@ -149,19 +149,19 @@ def read_demo(path: str) -> Demonstration:
                          goal=np.array(header["goal"]))
 
 
-def save_demos(demos, directory: str, prefix: str = "demo") -> list:
+def save_demos(demos, directory: str) -> list:
     os.makedirs(directory, exist_ok=True)
     paths = []
     for i, demo in enumerate(demos):
-        path = os.path.join(directory, f"{prefix}_{i:03d}.jsonl")
+        path = os.path.join(directory, f"demo_{i:03d}.jsonl")
         write_demo(demo, path)
         paths.append(path)
     return paths
 
 
-def load_demos(directory: str, prefix: str = "demo") -> list:
+def load_demos(directory: str) -> list:
     names = sorted(n for n in os.listdir(directory)
-                   if n.startswith(prefix) and n.endswith(".jsonl"))
+                   if n.startswith("demo") and n.endswith(".jsonl"))
     if not names:
         raise FormatError(f"no demo files under {directory}")
     return [read_demo(os.path.join(directory, n)) for n in names]
@@ -243,6 +243,9 @@ def _smoothstep(s: float) -> float:
 # expensive.
 _DWELL = 0.5
 _GRIP_OFFSET = 0.0  # operator toggles this long after the dwell begins
+_LEAD = 0.25  # s, how far the commanded pose stream runs ahead of the path
+_SCATTER = 0.05  # m, half-width of the object's x/y start box
+_HOME_HEIGHT = 0.20  # m, start height of the arm above the object
 
 
 def _scripted_path(obj_pos, goal_pos, home_pos, hover: float = 0.12):
@@ -300,18 +303,17 @@ def _as_pose_quat(q) -> None:
 
 
 def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
-                   dt: float = 0.05, lead: float = 0.25,
-                   jitter: float = 0.001, scatter: float = 0.05,
-                   home_height: float = 0.20,
+                   dt: float = 0.05, jitter: float = 0.001,
                    gains: str = "real-demo") -> list:
-    """Scripted teleoperation through the low-gain simulator.
+    """Scripted teleoperation through the simulator under ``gains``.
 
-    Each demo randomizes the object start within a ``scatter`` box in x/y.
-    The operator model anticipates the sluggish arm by commanding the pose
-    stream ``lead`` seconds ahead (with per-step hand ``jitter``), so the
-    reached trace is the smooth, roughly lag-cancelled closed-loop response;
-    gripper toggles are issued at nominal (unled) timing, when the operator
-    sees the arm settled. Both streams are logged at ``dt``.
+    Each demo randomizes the object start within a +-_SCATTER box in x/y,
+    and starts the arm _HOME_HEIGHT above it. The operator model
+    anticipates the sluggish arm by commanding the pose stream _LEAD
+    seconds ahead (with per-step hand ``jitter``), so the reached trace is
+    the smooth, roughly lag-cancelled closed-loop response; gripper toggles
+    are issued at nominal (unled) timing, when the operator sees the arm
+    settled. Both streams are logged at ``dt``.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
@@ -323,15 +325,15 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     for first in range(0, n, LOCKSTEP_MAX_ROWS):
         scripts = []
         for _ in range(min(n - first, LOCKSTEP_MAX_ROWS)):
-            offset = np.concatenate([rng.uniform(-scatter, scatter, size=2),
-                                     [0.0]])
+            offset = np.concatenate([rng.uniform(-_SCATTER, _SCATTER,
+                                                 size=2), [0.0]])
             obj_pos = task.object_start.position + offset
             obj_pose = Pose(obj_pos, task.object_start.orientation)
             demo_task = TaskSpec(obj_pose, task.goal_position,
                                  grasp_radius=task.grasp_radius,
                                  place_tolerance=task.place_tolerance,
                                  t_max=task.t_max)
-            home = np.concatenate([obj_pos[:2], [obj_pos[2] + home_height]])
+            home = np.concatenate([obj_pos[:2], [obj_pos[2] + _HOME_HEIGHT]])
             segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
                                       home)
             times, nominal, grips = _nominal_trajectory(segments, home, dt)
@@ -344,7 +346,7 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
 
             # teleoperator: lead the pose stream, keep gripper at nominal
             # timing
-            lead_steps = int(round(lead / dt))
+            lead_steps = int(round(_LEAD / dt))
             src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
             commanded_pos = nominal[src].copy()
             if jitter > 0:

@@ -33,22 +33,20 @@ class ExecutorConfig:
     c_slow: float = 0.5          # speed factor on critical waypoints
     c_fast: float = 0.2          # speed factor elsewhere
     safety_margin: float = 0.05  # interval floor margin over delta_lb
-    adaptive_speed: bool = True  # modulate by critical flags
-    fixed_c: float = 1.0         # speed factor when adaptive_speed is False
     use_eag: bool = True         # error-adaptive guidance at replanning
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (
                 self.delta_star, self.delta_delay, self.c_slow, self.c_fast,
-                self.safety_margin, self.fixed_c)):
+                self.safety_margin)):
             raise ConfigurationError("executor intervals and speed factors "
                                      "must be finite")
         if self.delta_star <= 0 or self.delta_delay < 0:
             raise ConfigurationError("delta_star > 0 and delta_delay >= 0 required")
         if not 0 < self.c_fast <= self.c_slow:
             raise ConfigurationError("require 0 < c_fast <= c_slow")
-        if self.safety_margin < 0 or self.fixed_c <= 0:
-            raise ConfigurationError("safety_margin >= 0 and fixed_c > 0 required")
+        if self.safety_margin < 0:
+            raise ConfigurationError("safety_margin >= 0 required")
 
 
 def lower_bound_interval(delta_delay: float, h_p: int, h_c: int) -> float:
@@ -66,11 +64,12 @@ def speed_factor(flags, cfg: ExecutorConfig):
 
 
 def plan_intervals(flags, cfg: ExecutorConfig, h_p: int, h_c: int) -> np.ndarray:
-    """Per-waypoint execution intervals with the stall-safety floor applied."""
-    if cfg.adaptive_speed:
-        c = speed_factor(flags, cfg)
-    else:
-        c = np.full(len(np.asarray(flags)), cfg.fixed_c)
+    """Per-waypoint execution intervals with the stall-safety floor applied.
+
+    A fixed speed c is c_slow = c_fast = c: for flags in {0, 1} the speed
+    factor is then exactly c.
+    """
+    c = speed_factor(flags, cfg)
     floor = (1.0 + cfg.safety_margin) * lower_bound_interval(
         cfg.delta_delay, h_p, h_c)
     return np.maximum(c * cfg.delta_star, floor)

@@ -46,12 +46,12 @@ def _point_segment_distances(points, a, b):
 def extract_waypoints(positions, tau: float) -> WaypointSet:
     """Recursive maximal-deviation split until all points lie within tau.
 
-    ``positions`` is an (N, 3) array (or a list of Pose, from which positions
-    are taken). The first and last points are always waypoints.
+    ``positions`` is an (N, 3) array-like of points. The first and last
+    points are always waypoints.
     """
     if tau <= 0:
         raise InvalidInputError("tau must be positive")
-    pts = _as_positions(positions)
+    pts = np.asarray(positions, dtype=float)
     n = len(pts)
     if n < 2:
         raise InvalidInputError("trajectory must contain at least 2 points")
@@ -120,7 +120,7 @@ def label_critical(positions, params: LabelParams = LabelParams()) -> np.ndarray
     of waypoints that are both assigned to a cluster, every step from the
     first to the second (inclusive) is critical.
     """
-    pts = _as_positions(positions)
+    pts = np.asarray(positions, dtype=float)
     wps = extract_waypoints(pts, params.tau)
     labels = dbscan(wps.positions, params.eps, params.min_pts)
     k = np.zeros(len(pts), dtype=np.int8)
@@ -135,23 +135,10 @@ def gripper_event_flags(grippers, window: int = 2) -> np.ndarray:
 
     ``window`` dilates each toggle to [t - window, t + window].
     """
-    g = np.asarray(_as_grippers(grippers), dtype=float)
+    g = np.asarray(grippers, dtype=float)
     binary = g >= 0.5
     k = np.zeros(len(g), dtype=np.int8)
     toggles = np.nonzero(binary[1:] != binary[:-1])[0] + 1
     for t in toggles:
         k[max(0, t - window):t + window + 1] = 1
     return k
-
-
-def _as_positions(traj):
-    traj = list(traj) if not isinstance(traj, np.ndarray) else traj
-    if len(traj) and hasattr(traj[0], "position"):
-        return np.array([p.position for p in traj])
-    return np.asarray(traj, dtype=float)
-
-
-def _as_grippers(chunk):
-    if hasattr(chunk, "grippers"):
-        return chunk.grippers
-    return chunk

@@ -7,12 +7,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from sailx.baselines import aggregate_actions
 from sailx.cli import main
 from sailx.core import tracking_error
 from sailx.diagnostics import SampleSet, knn_distance
-from sailx.experiments import (run_diagnostics, run_method_rollout, spearman,
+from sailx.experiments import (run_diagnostics, run_method_rollout,
                                sweep_gain_replay, sweep_noise, sweep_speed)
 from sailx.metrics import (SparcParams, aggregate, ldlj, sparc, tpr, wed)
 from sailx.policy import (MockPolicy, PolicyConfig, cfg_blend, infer_eag,
@@ -279,7 +280,8 @@ def test_criterion_08_consistency_effect(demos50):
 def test_criterion_09_ood_correlation(demos50):
     c_values = (1.0, 0.33, 0.2)
     rows = run_diagnostics(demos50, c_values=c_values, trials=200, seed=0)
-    rho = spearman([r["e_pos"] for r in rows], [r["knn"] for r in rows])
+    rho = spearmanr([r["e_pos"] for r in rows],
+                    [r["knn"] for r in rows]).statistic
     medians = [float(np.median([r["knn"] for r in rows if r["c"] == c]))
                for c in c_values]
     monotone = all(b >= a for a, b in zip(medians, medians[1:]))

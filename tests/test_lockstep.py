@@ -331,6 +331,23 @@ def _line_refs(n_rows, bad_rows):
     return refs
 
 
+class TestClocks:
+    def test_columns_on_two_start_clocks_are_refused(self, plant):
+        n_rows = 4
+        refs = _line_refs(n_rows, ())
+        states = np.zeros((30, n_rows))
+        states[3] = states[17] = states[25] = 1.0
+        states[29, 2] = 0.1
+        before = states.copy()
+        with pytest.raises(InvalidInputError, match="start clock"):
+            for _ in track_lockstep(states, refs,
+                                    [GAIN_PRESETS["high"]] * n_rows,
+                                    DynamicsParams(), [(0.4, 1.2)] * n_rows,
+                                    [0.015] * n_rows):
+                pass
+        assert states.tobytes() == before.tobytes()
+
+
 class TestFaults:
     @pytest.mark.parametrize("bad_rows", [(3,), (6, 3), (0, 1, 2, 3, 4, 5,
                                                          6, 7, 8)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sailx.controller import GAIN_PRESETS
 from sailx.core import Pose
@@ -51,9 +53,25 @@ class TestPlanIntervals:
 
     def test_fixed_c(self):
         cfg = ExecutorConfig(delta_star=0.05, delta_delay=0.0,
-                             adaptive_speed=False, fixed_c=1.0)
+                             c_slow=1.0, c_fast=1.0)
         out = plan_intervals(np.ones(3, dtype=np.int8), cfg, 32, 4)
         assert out == pytest.approx([0.05, 0.05, 0.05])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1e300, exclude_min=True),
+           st.floats(1e-3, 1.0), st.floats(0.0, 2.0),
+           st.lists(st.integers(0, 1), max_size=40))
+    def test_equal_speed_factors_give_the_fixed_speed_bytes(
+            self, c, delta_star, delta_delay, flags):
+        """c_slow == c_fast == c plans the constant-speed intervals
+        bit for bit, whatever the flags."""
+        cfg = ExecutorConfig(delta_star=delta_star, delta_delay=delta_delay,
+                             c_slow=c, c_fast=c)
+        flags = np.array(flags, dtype=np.int8)
+        floor = (1.0 + cfg.safety_margin) * lower_bound_interval(
+            delta_delay, 32, 4)
+        want = np.maximum(np.full(len(flags), c) * delta_star, floor)
+        assert plan_intervals(flags, cfg, 32, 4).tobytes() == want.tobytes()
 
 
 class TestSimulateTimeline:
@@ -85,8 +103,7 @@ def rollout(demos20):
     demo = demos20[0]
     cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.2, target_mode="reached")
     policy = MockPolicy(demos20, cfg, seed=0)
-    ec = ExecutorConfig(adaptive_speed=True, c_slow=0.5, c_fast=0.2,
-                        use_eag=True)
+    ec = ExecutorConfig(c_slow=0.5, c_fast=0.2, use_eag=True)
     start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
     return run_rollout(policy, task_for_demo(demo), ec,
                        GAIN_PRESETS["real-exec"], DynamicsParams(),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sailx.controller import GainProfile, ReferenceTrack
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import ConfigurationError, InvalidInputError, ParseError
+from sailx.experiments import replay_rollout, sweep_gain_replay, sweep_noise
 from sailx.io import Demonstration, read_demo, write_demo
 from sailx.scheduler import ExecutorConfig
 from sailx.sim import DynamicsParams, TaskSpec
@@ -65,10 +66,22 @@ def test_task_spec_rejects_a_non_finite_goal(bad):
 
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("field", ["delta_star", "delta_delay", "c_slow",
-                                   "c_fast", "safety_margin", "fixed_c"])
+                                   "c_fast", "safety_margin"])
 def test_executor_config_rejects_non_finite_values(field, bad):
     with pytest.raises(ConfigurationError):
         ExecutorConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("run", [
+    lambda demos: replay_rollout(demos[0], gains="bogus"),
+    lambda demos: sweep_gain_replay(demos[:2], c_values=(1.0,),
+                                    gains=("high", "bogus")),
+    lambda demos: sweep_noise(demos[:2], scales=(0.0,), gains=("bogus",),
+                              trials=2),
+], ids=["replay_rollout", "sweep_gain_replay", "sweep_noise"])
+def test_replays_reject_an_unknown_gain_preset(demos20, run):
+    with pytest.raises(InvalidInputError, match="unknown gain preset 'bogus'"):
+        run(demos20)
 
 
 def _waypoints(n=3):
