@@ -408,15 +408,16 @@ LOCKSTEP_BLOCK = 64 * 24
 # twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
 # Batches of fewer columns run row by row on track_loop. Timed on whole
-# replay cells of B replays on one time grid (2-core x86-64 VM, numpy 2.4,
-# c = 1, 0.5, 0.33 and 0.2, median of 7 runs, two sessions), row by row was
-# faster in 46 of the 48 cells with B = 4 to 9, lockstep in five of the
-# eight at B = 10 and in 14 of the 16 at B = 11 and 12.
+# replay cells of B replays on one time grid, the plants at rest (2-core
+# x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7 and of 9
+# alternated runs, two sessions), row by row was faster in all 8 cells at
+# B = 6 (lockstep took 1.04-1.26x its time), lockstep in all 8 at B = 7
+# (0.93-0.97x) and at B = 8 (0.81-0.92x), and in all 12 at B = 9 to 12.
 # perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
 # replay-open-loop pass of 6 rows and a traced ood-diagnose pass of 3
 # trials, which holds only while both run row by row: perfbench has no
 # binding for track_loop_batch, so the threshold must stay above 6.
-LOCKSTEP_MIN_ROWS = 10
+LOCKSTEP_MIN_ROWS = 7
 
 
 def _reference_block(group, times, out):

@@ -21,10 +21,12 @@ the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains and grasp radii, with each
-column's bits equal to ``track_loop`` on that row. A step is about 50 numpy
-calls whatever B is, ~45 us on a 2-core x86-64 VM for 12-50 columns (~60
-us before its buffers), against ~5.5 us per row for the scalar loop; timed
-on whole replay cells, it wins from about 10 rows up
+column's bits equal to ``track_loop`` on that row. A step is about 55 numpy
+calls whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns,
+against ~4.5-6 us per row for the scalar loop. At rest (below), the
+common case, a batched step is about 20 numpy calls, ~10-17 us, and a
+scalar step ~1.6-2.4 us (~3.3-4.9 us without the skip); timed on whole
+replay cells at rest, lockstep wins from 7 rows up
 (``controller.LOCKSTEP_MIN_ROWS``). Every per-step value lives in a buffer
 allocated once per call and written with ``out``, since a Python float
 operand or a broadcast costs more than the arithmetic on a few columns:
@@ -41,6 +43,24 @@ the robot pose before that step, and at the end of a call; a release at a
 call's first step keeps the incoming object pose, as the scalar loop does.
 It writes no per-step trace. The scalar loop stays as the plant for single
 rollouts and small batches, and as the batched kernel's test oracle.
+
+Both plants skip the rotational half of every step of a call that starts
+at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
+its angular velocity +0.0, every reference orientation of the call is the
+identity and every reference rate zero, zeros of either sign there, dt is
+finite and the inertia non-zero. The scalar loop, which then forms no
+torque, also requires finite orientation gains and inertia, since a
+non-finite one makes the torque NaN, a fault; the batched step still
+multiplies the zero error by them. Each call checks this once, on its own
+inputs, at its start. Such a step is an exact fixed point: the
+orientation error and the torque are signed zeros, so ω + torque /
+inertia * dt stays +0.0; the exp map of that zero rotation is
+(1, ±0, ±0, ±0), and its product with q adds zeros to q's +0.0 vector
+part, which leaves +0.0, and normalises to q bit for bit. Only that
+orientation qualifies: the update turns a -0.0 in q's vector part or in ω
+into +0.0, flips q = (-1, 0, 0, 0) to w > 0, and can move any other
+constant quaternion by an ulp when it normalises it. Every demo, task and
+chunk in the corpus keeps the identity orientation.
 
 The column helpers ``_hamilton``, ``_rotvec``, ``_exp`` and ``_normalise``
 are the package's one vectorised quaternion algebra: they act on (4, B)
@@ -66,6 +86,7 @@ by ``track_loop`` (a column of ``track_loop_batch``'s state) has layout::
     [29]    simulation time (s)
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +95,21 @@ STATE_SIZE = 30
 
 # No kernel is compiled; perfbench's environment record still reads this.
 NUMBA_ENABLED = False
+
+
+# The state rows of the orientation's vector part and the angular velocity.
+_SPIN = [4, 5, 6, 10, 11, 12]
+
+
+def _positive_zero(a):
+    """Whether every element of ``a`` is +0.0."""
+    return not (a.any() or np.signbit(a).any())
+
+
+def _identity_rows(quat, rate):
+    """Whether every (4, ...) ``quat`` column is the identity and every
+    ``rate`` element zero, zeros of either sign."""
+    return (quat[0] == 1.0).all() and not (quat[1:].any() or rate.any())
 
 
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
@@ -110,37 +146,51 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
      t) = state.tolist()
     isfinite = math.isfinite
     sqrt = math.sqrt
+    # at rest (see the module docstring) the rotational update is skipped
+    at_rest = (qw == 1.0 and _positive_zero(state[_SPIN])
+               and isfinite(kp_ori) and isfinite(kv_ori) and isfinite(dt)
+               and isfinite(inertia) and inertia != 0.0
+               and _identity_rows(ref_quat.T, ref_angvel.T))
+    if at_rest:
+        quats = rates = itertools.repeat(None)
+        f3 = f4 = f5 = 0.0
+    else:
+        quats, rates = ref_quat.tolist(), ref_angvel.tolist()
 
     # px, py, pz, qw, qx, qy, qz of every completed step, so that the
     # current step is len(poses) // 7
     poses = []
     events = []  # (step, +1 or -1) of every attach and detach
     fault = -1
-    for ((rpx, rpy, rpz), (rvx, rvy, rvz), (aw, ax, ay, az), (rwx, rwy, rwz),
-         rgrip) in zip(ref_pos.tolist(), ref_vel.tolist(), ref_quat.tolist(),
-                       ref_angvel.tolist(), ref_grip.tolist()):
-        # PD wrench; the orientation error is the rotation vector of
-        # ref * conj(q), taken on the shortest arc
-        bx, by, bz = -qx, -qy, -qz
-        m0 = aw * qw - ax * bx - ay * by - az * bz
-        m1 = aw * bx + ax * qw + ay * bz - az * by
-        m2 = aw * by - ax * bz + ay * qw + az * bx
-        m3 = aw * bz + ax * by - ay * bx + az * qw
-        if m0 < 0.0:
-            m0, m1, m2, m3 = -m0, -m1, -m2, -m3
-        vec_norm = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
-        if vec_norm < 1e-12:
-            ex, ey, ez = 2.0 * m1, 2.0 * m2, 2.0 * m3
-        else:
-            # np.arctan2, not math.atan2: the two differ in the last bit
-            scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
-            ex, ey, ez = scale * m1, scale * m2, scale * m3
+    for (rpx, rpy, rpz), (rvx, rvy, rvz), quat, rate, rgrip in zip(
+            ref_pos.tolist(), ref_vel.tolist(), quats, rates,
+            ref_grip.tolist()):
+        # PD wrench
         f0 = mass * (kp_pos * (rpx - px) + kv_pos * (rvx - vx))
         f1 = mass * (kp_pos * (rpy - py) + kv_pos * (rvy - vy))
         f2 = mass * (kp_pos * (rpz - pz) + kv_pos * (rvz - vz))
-        f3 = inertia * (kp_ori * ex + kv_ori * (rwx - wx))
-        f4 = inertia * (kp_ori * ey + kv_ori * (rwy - wy))
-        f5 = inertia * (kp_ori * ez + kv_ori * (rwz - wz))
+        if not at_rest:
+            # the orientation error is the rotation vector of
+            # ref * conj(q), taken on the shortest arc
+            aw, ax, ay, az = quat
+            bx, by, bz = -qx, -qy, -qz
+            m0 = aw * qw - ax * bx - ay * by - az * bz
+            m1 = aw * bx + ax * qw + ay * bz - az * by
+            m2 = aw * by - ax * bz + ay * qw + az * bx
+            m3 = aw * bz + ax * by - ay * bx + az * qw
+            if m0 < 0.0:
+                m0, m1, m2, m3 = -m0, -m1, -m2, -m3
+            vec_norm = sqrt(m1 * m1 + m2 * m2 + m3 * m3)
+            if vec_norm < 1e-12:
+                ex, ey, ez = 2.0 * m1, 2.0 * m2, 2.0 * m3
+            else:
+                # np.arctan2, not math.atan2: the two differ in the last bit
+                scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
+                ex, ey, ez = scale * m1, scale * m2, scale * m3
+            rwx, rwy, rwz = rate
+            f3 = inertia * (kp_ori * ex + kv_ori * (rwx - wx))
+            f4 = inertia * (kp_ori * ey + kv_ori * (rwy - wy))
+            f5 = inertia * (kp_ori * ez + kv_ori * (rwz - wz))
         # a finite sum means finite terms; an overflowing one is checked
         # term by term
         if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
@@ -152,9 +202,10 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             f0 = lim if f0 > lim else (-lim if f0 < -lim else f0)
             f1 = lim if f1 > lim else (-lim if f1 < -lim else f1)
             f2 = lim if f2 > lim else (-lim if f2 < -lim else f2)
-            f3 = lim if f3 > lim else (-lim if f3 < -lim else f3)
-            f4 = lim if f4 > lim else (-lim if f4 < -lim else f4)
-            f5 = lim if f5 > lim else (-lim if f5 < -lim else f5)
+            if not at_rest:
+                f3 = lim if f3 > lim else (-lim if f3 < -lim else f3)
+                f4 = lim if f4 > lim else (-lim if f4 < -lim else f4)
+                f5 = lim if f5 > lim else (-lim if f5 < -lim else f5)
 
         # semi-implicit Euler step
         vx += (f0 / mass) * dt
@@ -163,32 +214,33 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         px += vx * dt
         py += vy * dt
         pz += vz * dt
-        wx += (f3 / inertia) * dt
-        wy += (f4 / inertia) * dt
-        wz += (f5 / inertia) * dt
-        # q <- normalize(exp(w dt) * q)
-        rv0, rv1, rv2 = wx * dt, wy * dt, wz * dt
-        angle = sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
-        if angle < 1e-12:
-            hx, hy, hz = 0.5 * rv0, 0.5 * rv1, 0.5 * rv2
-            norm = sqrt(1.0 + hx * hx + hy * hy + hz * hz)
-            cw, cx, cy, cz = 1.0 / norm, hx / norm, hy / norm, hz / norm
-        else:
-            half = 0.5 * angle
-            if half < math.inf:
-                s = math.sin(half) / angle
-                cw = math.cos(half)
-            else:  # numpy's sin and cos of inf are nan; math's raise
-                s = cw = math.nan
-            cx, cy, cz = s * rv0, s * rv1, s * rv2
-        m0 = cw * qw - cx * qx - cy * qy - cz * qz
-        m1 = cw * qx + cx * qw + cy * qz - cz * qy
-        m2 = cw * qy - cx * qz + cy * qw + cz * qx
-        m3 = cw * qz + cx * qy - cy * qx + cz * qw
-        norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
-        qw, qx, qy, qz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
-        if qw < 0.0:
-            qw, qx, qy, qz = -qw, -qx, -qy, -qz
+        if not at_rest:
+            wx += (f3 / inertia) * dt
+            wy += (f4 / inertia) * dt
+            wz += (f5 / inertia) * dt
+            # q <- normalize(exp(w dt) * q)
+            rv0, rv1, rv2 = wx * dt, wy * dt, wz * dt
+            angle = sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
+            if angle < 1e-12:
+                hx, hy, hz = 0.5 * rv0, 0.5 * rv1, 0.5 * rv2
+                norm = sqrt(1.0 + hx * hx + hy * hy + hz * hz)
+                cw, cx, cy, cz = 1.0 / norm, hx / norm, hy / norm, hz / norm
+            else:
+                half = 0.5 * angle
+                if half < math.inf:
+                    s = math.sin(half) / angle
+                    cw = math.cos(half)
+                else:  # numpy's sin and cos of inf are nan; math's raise
+                    s = cw = math.nan
+                cx, cy, cz = s * rv0, s * rv1, s * rv2
+            m0 = cw * qw - cx * qx - cy * qy - cz * qz
+            m1 = cw * qx + cx * qw + cy * qz - cz * qy
+            m2 = cw * qy - cx * qz + cy * qw + cz * qx
+            m3 = cw * qz + cx * qy - cy * qx + cz * qw
+            norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+            qw, qx, qy, qz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
+            if qw < 0.0:
+                qw, qx, qy, qz = -qw, -qx, -qy, -qz
 
         prev_grip = grip
         delta = rgrip - prev_grip
@@ -485,6 +537,16 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
     c_small = np.ones((4, b))
     work = np.empty((2, 4, 4, b))
     crossed = np.empty(b, dtype=bool)
+    # At rest (see the module docstring) the torque rows still multiply the
+    # zero error by the gains and the inertia, so a non-finite one faults
+    # there as in the full update and needs no check here.
+    at_rest = ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
+               and math.isfinite(dt) and inertia != 0.0
+               and _identity_rows(ref_quat.swapaxes(0, 1), ref_twist[:, 3:]))
+    if at_rest:
+        # both halves hold the identity, and kp * e_rot stays a zero
+        qq2[1, :4] = qq2[0, :4]
+        e_rot[:] = 0.0
 
     def store(steps):
         # An attached object's pose is a function of the robot pose, so it
@@ -502,10 +564,11 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
     for i in range(n):
         p, qq, q, neg_q, grip, below = halves[i & 1]
         new_p, _, new_q, _, new_grip, now_below = halves[1 - (i & 1)]
-        np.negative(q, neg_q)
         # PD wrench; the orientation error is the rotation vector of
         # ref * conj(q), taken on the shortest arc
-        _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
+        if not at_rest:
+            np.negative(q, neg_q)
+            _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
         np.subtract(ref_pos[i], p, e_pos)
         np.multiply(kp, err, err)
         np.subtract(ref_twist[i], vw, f)
@@ -540,8 +603,9 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
         np.multiply(vw, dt_, move)
         np.add(p, move_p, new_p)
         # q <- normalize(exp(w dt) * q)
-        _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
-                             work), new_q)
+        if not at_rest:
+            _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
+                                 work), new_q)
 
         # the step's gripper change, clamped to the slew, goes to new_grip
         np.subtract(ref_grip[i], grip, new_grip)

@@ -20,6 +20,12 @@ class SparcParams:
     sample_interval: float = 0.02  # s (50 Hz)
 
 
+# The metric definitions' fixed constants: WED's weight decay per step and
+# the rate a speed profile is downsampled to.
+WED_DECAY = 0.9
+SPEED_PROFILE_HZ = 50.0
+
+
 def tpr(outcomes, t_max: float) -> float:
     """Throughput-with-regret: mean of 1/t_i over successes, -1/t_max per failure."""
     outcomes = list(outcomes)
@@ -102,12 +108,11 @@ def con(next_chunk, prev_chunk, h_e: int, h_f: int) -> float:
     return float(np.linalg.norm(nxt[h_f] - prv[h_e + h_f]))
 
 
-def wed(next_chunk, prev_chunk, overlap: int, decay: float = 0.9,
-        offset: int = 0) -> float:
+def wed(next_chunk, prev_chunk, overlap: int, offset: int = 0) -> float:
     """Weighted Euclidean distance over the overlapping chunk segment.
 
     Compares next[0:overlap] with prev[offset:offset+overlap] using
-    exponentially decaying weights decay**i.
+    exponentially decaying weights WED_DECAY**i.
     """
     if overlap <= 0:
         raise UndefinedMetricError("WED needs a positive overlap")
@@ -115,17 +120,18 @@ def wed(next_chunk, prev_chunk, overlap: int, decay: float = 0.9,
     prv = _positions(prev_chunk)
     if overlap > len(nxt) or offset + overlap > len(prv):
         raise InvalidInputError("overlap exceeds chunk length")
-    weights = decay ** np.arange(overlap)
+    weights = WED_DECAY ** np.arange(overlap)
     dists = np.linalg.norm(nxt[:overlap] - prv[offset:offset + overlap], axis=1)
     return float(np.sum(weights * dists))
 
 
-def speed_profile(positions, dt: float, target_hz: float = 50.0) -> np.ndarray:
-    """Finite-difference speed of a position trace, downsampled to target_hz."""
+def speed_profile(positions, dt: float) -> np.ndarray:
+    """Finite-difference speed of a position trace, downsampled to
+    SPEED_PROFILE_HZ."""
     p = np.asarray(positions, dtype=float)
     if len(p) < 2:
         return np.zeros(0)
-    stride = max(1, int(round(1.0 / (dt * target_hz))))
+    stride = max(1, int(round(1.0 / (dt * SPEED_PROFILE_HZ))))
     p = p[::stride]
     return np.linalg.norm(np.diff(p, axis=0), axis=1) / (dt * stride)
 
@@ -150,12 +156,13 @@ class MetricReport:
         return {c: getattr(self, c) for c in self.COLUMNS}
 
 
-def aggregate(rollouts, t_max: float, mean_demo_duration: float | None = None,
-              sparc_params: SparcParams = SparcParams()) -> MetricReport:
+def aggregate(rollouts, t_max: float,
+              mean_demo_duration: float | None = None) -> MetricReport:
     """Aggregate a list of RolloutLog-like objects into one report.
 
     Each rollout must expose success, duration, and may expose con_values,
-    wed_values, speed (50 Hz profile), and stall_count.
+    wed_values, speed (50 Hz profile), and stall_count. SPARC and LDLJ use
+    the default SparcParams.
     """
     rollouts = list(rollouts)
     if not rollouts:
@@ -179,8 +186,8 @@ def aggregate(rollouts, t_max: float, mean_demo_duration: float | None = None,
     for r in rollouts:
         speed = getattr(r, "speed", None)
         if speed is not None and len(speed) >= 4 and np.max(speed) > 0:
-            sparcs.append(sparc(speed, sparc_params))
-            ldljs.append(ldlj(speed, sparc_params.sample_interval))
+            sparcs.append(sparc(speed))
+            ldljs.append(ldlj(speed, SparcParams.sample_interval))
     if sparcs:
         report.sparc = float(np.mean(sparcs))
         report.ldlj = float(np.mean(ldljs))

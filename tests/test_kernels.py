@@ -11,6 +11,7 @@ block: as each reference's ``sample``); NaN payloads are the only bits not
 compared.
 """
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -76,15 +77,19 @@ def plant_cases(draw):
         refs[which][draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = \
             draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e160, -1e170]))
 
+    return state, refs, _params(draw)
+
+
+def _params(draw):
+    """Gains, dynamics, grasp radius and wrench limit of a plant case."""
     kp_pos = draw(st.floats(0.0, 3000.0))
     kp_ori = draw(st.floats(0.0, 3000.0))
-    params = (kp_pos, np.float64(2.0 * np.sqrt(kp_pos)), kp_ori,
-              draw(st.floats(0.0, 120.0)), draw(st.floats(0.1, 5.0)),
-              draw(st.floats(0.01, 2.0)), 0.002,
-              draw(st.sampled_from([8.0, 400.0])),
-              draw(st.sampled_from([0.015, 0.05])),
-              draw(st.sampled_from([0.0, 0.5, 40.0])))
-    return state, refs, params
+    return (kp_pos, np.float64(2.0 * np.sqrt(kp_pos)), kp_ori,
+            draw(st.floats(0.0, 120.0)), draw(st.floats(0.1, 5.0)),
+            draw(st.floats(0.01, 2.0)), 0.002,
+            draw(st.sampled_from([8.0, 400.0])),
+            draw(st.sampled_from([0.015, 0.05])),
+            draw(st.sampled_from([0.0, 0.5, 40.0])))
 
 
 def _run(loop, state, refs, params):
@@ -212,7 +217,12 @@ def batch_cases(draw):
     of its swapped buffers.
     """
     b = draw(st.integers(1, 12))
-    cases = [draw(plant_cases()) for _ in range(b)]
+    return _lockstep_rows(draw, [draw(plant_cases()) for _ in range(b)])
+
+
+def _lockstep_rows(draw, cases):
+    """``cases`` cut to their shortest step count, or one step fewer, as
+    drawn, under the first case's dynamics."""
     n = min(len(refs[0]) for _, refs, _ in cases)
     if n > 1 and n % 2 != draw(st.integers(0, 1)):
         n -= 1
@@ -224,8 +234,9 @@ def batch_cases(draw):
     return rows
 
 
-def _assert_columns_match_track_loop(rows):
-    """Every column of the lockstep kernel against track_loop on that row."""
+def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
+    """Every column of the lockstep kernel against track_loop (or ``loop``)
+    on that row."""
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
@@ -233,7 +244,7 @@ def _assert_columns_match_track_loop(rows):
     faults = kernels.track_loop_batch(
         states, block, *params[:4], *shared[:4], params[8], shared[4])
     for j, (state, refs, params) in enumerate(rows):
-        fault, final, _ = _run(kernels.track_loop, state, refs, params)
+        fault, final, _ = _run(loop, state, refs, params)
         assert faults[j] == fault
         assert _bits(states[:, j]) == _bits(final)
     return faults, states
@@ -290,6 +301,178 @@ class TestTrackLoopBatch:
             rows.append((_attached_state(rng), refs, params))
         faults, _ = _assert_columns_match_track_loop(rows)
         assert faults.tolist() == [-1, 7, -1, 0, 39]
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def at_rest_cases(draw, signed=True):
+    """A plant at the identity orientation with no spin, tracking identity
+    references at zero rates.
+
+    The references' quaternion vector parts and rates hold zeros of either
+    sign. With ``signed``, so do q's vector part and the angular velocity
+    in half the cases; the others hold +0.0 there, the only zeros the
+    kernels skip the rotational update for. The object starts free or
+    attached, within reach, and the gripper command flips at one or two
+    steps of the call, for a grasp, a release or both.
+    """
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spin = [0.0] * 6
+    if signed and draw(st.booleans()):
+        spin = draw(st.lists(_signed_zero, min_size=6, max_size=6))
+    state = np.zeros(kernels.STATE_SIZE)
+    state[0:3] = rng.normal(0.0, 0.02, 3)
+    state[3] = 1.0
+    state[4:7] = spin[:3]
+    state[7:10] = rng.normal(0.0, 0.2, 3)
+    state[10:13] = spin[3:]
+    grip = draw(st.sampled_from([0.0, 1.0]))
+    state[13] = grip
+    state[14:17] = state[0:3] + rng.normal(0.0, 0.005, 3)
+    state[17:21] = draw(_quat)
+    state[21] = float(draw(st.booleans()))
+    state[22:25] = rng.normal(0.0, 0.01, 3)
+    state[25:29] = draw(_quat)
+    state[29] = draw(st.floats(0.0, 10.0))
+
+    def signed_zeros(shape):
+        return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+    ref_pos = state[0:3] + np.cumsum(rng.normal(0.0, 0.002, (n, 3)), axis=0)
+    ref_vel = rng.normal(0.0, 0.3, (n, 3))
+    ref_quat = np.hstack((np.ones((n, 1)), signed_zeros((n, 3))))
+    ref_angvel = signed_zeros((n, 3))
+    flips = np.isin(np.arange(n), draw(st.lists(st.integers(0, n - 1),
+                                                min_size=2, max_size=2)))
+    ref_grip = np.abs(grip - np.cumsum(flips) % 2)
+    return state, [ref_pos, ref_vel, ref_quat, ref_angvel,
+                   ref_grip], _params(draw)
+
+
+# One input of an at-rest case set just off rest: (what, where, value),
+# where ``what`` names the state, the reference quaternions or rates, or the
+# params tuple. Each must take the full rotational update, which moves the
+# state or faults.
+NEAR_MISSES = {
+    "q vector 5e-324": ("state", 5, 5e-324),
+    "q w -1": ("state", 3, -1.0),
+    "q w 1 + ulp": ("state", 3, 1.0 + 2.0**-52),
+    "spin 5e-324": ("state", 11, 5e-324),
+    "spin 1e-3": ("state", 12, 1e-3),
+    "last ref quat": ("quat", -1, _unit([1.0, 1e-3, 0.0, 0.0])),
+    "last ref quat 5e-324": ("quat", (-1, 3), 5e-324),
+    "last ref quat w nan": ("quat", (-1, 0), np.nan),
+    "last ref rate 1e-3": ("rate", (-1, 0), 1e-3),
+    "last ref rate 5e-324": ("rate", (-1, 2), 5e-324),
+    "kp_ori inf": ("params", 2, np.inf),
+    "kv_ori nan": ("params", 3, np.nan),
+    "inertia inf": ("params", 5, np.inf),
+    "dt inf": ("params", 6, np.inf),
+}
+# the params a lockstep batch shares: mass, inertia, dt, grip_slew and
+# wrench_limit
+SHARED_PARAMS = (4, 5, 6, 7, 9)
+
+
+def _off_rest(case, what, where, value):
+    """The case with one input off rest, under non-zero orientation gains,
+    so that an orientation error or a rate error moves the state."""
+    state, refs, params = case
+    state, refs, params = state.copy(), [r.copy() for r in refs], list(params)
+    params[2:4] = 400.0, 40.0
+    target = {"state": state, "quat": refs[2], "rate": refs[3],
+              "params": params}[what]
+    target[where] = value
+    return state, refs, tuple(params)
+
+
+@st.composite
+def at_rest_batches(draw, kinds=("rest", "signed", "spinning")):
+    """At-rest cases as lockstep columns: with +0.0 in every state, with
+    zeros of either sign, or with one column a general plant case, whose
+    orientation and references move."""
+    kind = draw(st.sampled_from(kinds))
+    b = draw(st.integers(1, 12))
+    cases = [draw(at_rest_cases(kind == "signed")) for _ in range(b)]
+    if kind == "spinning":
+        cases[draw(st.integers(0, b - 1))] = draw(plant_cases())
+    return _lockstep_rows(draw, cases)
+
+
+NEAR_MISS_SETTINGS = settings(SETTINGS, max_examples=12)
+
+
+class TestAtRest:
+    """The identity orientation at rest is a fixed point of the rotational
+    update, which the kernels skip; every bit stays as the oracle's, and
+    an input just off rest takes the full update."""
+
+    @SETTINGS
+    @given(at_rest_cases())
+    def test_track_loop_matches_the_oracle_bit_for_bit(self, case):
+        _assert_same_run(*case)
+
+    @pytest.mark.parametrize("kind", sorted(NEAR_MISSES))
+    @NEAR_MISS_SETTINGS
+    @given(case=at_rest_cases(signed=False))
+    def test_track_loop_near_misses_match_the_oracle(self, kind, case):
+        _assert_same_run(*_off_rest(case, *NEAR_MISSES[kind]))
+
+    @SETTINGS
+    @given(at_rest_batches())
+    def test_batch_columns_match_the_oracle_bit_for_bit(self, rows):
+        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+
+    @pytest.mark.parametrize("kind", sorted(NEAR_MISSES))
+    @NEAR_MISS_SETTINGS
+    @given(rows=at_rest_batches(("rest",)), data=st.data())
+    def test_batch_near_misses_match_the_oracle(self, kind, rows, data):
+        what, where, value = NEAR_MISSES[kind]
+        j = data.draw(st.integers(0, len(rows) - 1))
+        shared = what == "params" and where in SHARED_PARAMS
+        rows = [_off_rest(row, what, where, value) if shared or k == j
+                else row for k, row in enumerate(rows)]
+        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+
+    def test_a_zero_inertia_is_not_at_rest(self):
+        rng = np.random.default_rng(6)
+        state = _attached_state(rng)
+        state[3:7] = IDENTITY
+        n = 8
+        refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
+                np.zeros((n, 3)), np.ones(n)]
+        params = (300.0, 34.6, 400.0, 40.0, 1.0, 0.0, 0.002, 8.0, 0.015, 0.0)
+        # the scalar loop's torque divides by the inertia, in Python floats
+        with pytest.raises(ZeroDivisionError):
+            _run(kernels.track_loop, state, refs, params)
+        faults, _ = _assert_columns_match_track_loop(
+            [(state, refs, params)], plant_oracle.track_loop)
+        assert faults.tolist() == [1]
+
+    def test_a_batch_at_rest_skips_the_rotation_helpers(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n = 20
+        refs = [np.full((n, 3), 0.01), np.zeros((n, 3)),
+                np.tile(IDENTITY, (n, 1)), np.zeros((n, 3)), np.zeros(n)]
+        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.5)
+        rows = []
+        for _ in range(3):
+            state = _attached_state(rng)
+            state[3:7] = IDENTITY
+            rows.append((state, refs, params))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("rotational update at rest")
+
+        monkeypatch.setattr(kernels, "_rotvec", unused)
+        monkeypatch.setattr(kernels, "_exp", unused)
+        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+        rows[1][0][11] = 1e-3  # one column spins
+        with pytest.raises(AssertionError, match="at rest"):
+            _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
 
 
 def _waypoints(draw, n):

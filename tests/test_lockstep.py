@@ -196,7 +196,8 @@ class TestGrouping:
         three knot grids, a 2-waypoint line among them."""
         rng = np.random.default_rng(8)
         # under the module defaults, each grid alone is wide enough to batch
-        per_grid = controller.LOCKSTEP_MIN_ROWS if plant == "default" else 3
+        per_grid = 10 if plant == "default" else 3
+        assert plant != "default" or per_grid >= controller.LOCKSTEP_MIN_ROWS
         refs = _spaced_refs(rng, (6, 2, 9), per_grid)
         n_rows = len(refs)
         gains = [GAIN_PRESETS["high" if r % 3 else "low"]

@@ -144,7 +144,7 @@ class TestSpeedProfile:
 
     def test_downsamples_to_target_rate(self):
         positions = np.zeros((1000, 3))
-        v = speed_profile(positions, dt=0.002, target_hz=50.0)
+        v = speed_profile(positions, dt=0.002)
         assert len(v) == 99
 
 
