@@ -15,7 +15,8 @@ import argparse
 import logging
 import os
 import sys
-from configparser import ConfigParser
+from configparser import (ConfigParser, Error as ConfigError,
+                          MissingSectionHeaderError, ParsingError)
 
 import numpy as np
 
@@ -242,9 +243,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     if not known.config:
         return argv
     if not os.path.exists(known.config):
-        parser.error(f"config file not found: {known.config}")
+        raise InvalidInputError(f"config file not found: {known.config}")
     ini = ConfigParser()
-    ini.read(known.config)
+    try:
+        ini.read(known.config)
+    except MissingSectionHeaderError as e:
+        raise InvalidInputError(f"config {known.config}, line {e.lineno}: "
+                                "no [section] header above it") from None
+    except ParsingError as e:
+        raise InvalidInputError(f"config {known.config}, line "
+                                f"{e.errors[0][0]}: expected 'key = value'"
+                                ) from None
+    except ConfigError as e:  # a repeated section or key
+        raise InvalidInputError(f"config {known.config}: {e}") from None
     commands = next(a.choices for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction))
     i = next((i for i, token in enumerate(argv) if token in commands), None)
@@ -263,9 +274,8 @@ def main(argv: list[str] | None = None) -> int:
         level=os.environ.get("SAILX_LOG", "WARNING").upper(),
         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    argv = _apply_config(parser, argv)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_apply_config(parser, argv))
         return args.func(args)
     except InvalidInputError as e:
         parser.exit(2, f"sailx: usage error: {e}\n")

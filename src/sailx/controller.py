@@ -19,7 +19,8 @@ from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
                       REF_TWIST, _hamilton, _rotvec, _signed, track_loop,
                       track_loop_batch)
-from .sim import DynamicsParams, WorldState
+from .sim import (GRIPPER_SLEW, INERTIA, MASS, PHYSICS_DT, TIME,
+                  normalise_poses)
 
 
 def _kv(kp: float, damping: float) -> float:
@@ -345,13 +346,14 @@ def _step_times(t, dt, n):
     return t + dt * (np.arange(n) + 1)
 
 
-def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
-                 params: DynamicsParams, untils, grasp_radius: float = 0.015):
+def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils,
+                 grasp_radius: float = 0.015):
     """Track ``ref`` from the packed plant ``state`` to each of ``untils``.
 
-    The slices compose as one ``track`` call per time in ``untils`` would:
-    slice k runs n_k = round((until_k - t_k) / physics_dt) physics steps at
-    the times t_k + physics_dt * (1, ..., n_k), where t_k is the plant clock
+    The slices compose as one ``track_loop`` run per time in ``untils``
+    would: slice k runs n_k = round((until_k - t_k) / PHYSICS_DT) physics
+    steps at the times t_k + PHYSICS_DT * (1, ..., n_k), where t_k is the
+    plant clock
     after slice k - 1, advanced by the same sequential additions that
     ``track_loop`` makes; a slice with n_k <= 0 runs no step. The reference
     is sampled once for all slices, and ``state`` is updated in place. A
@@ -359,9 +361,9 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
     the end of the slice, and the caller may change ``state`` before the
     next slice runs.
     """
-    dt = params.physics_dt
+    dt = PHYSICS_DT
     slices = [_step_times(t, dt, n)
-              for t, n in _slice_steps(float(state[29]), untils, dt)]
+              for t, n in _slice_steps(float(state[TIME]), untils, dt)]
     times = np.concatenate(slices)
     total = len(times)
     if total == 0:
@@ -381,9 +383,8 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile,
         if end > start:
             fault = track_loop(state, pos[s], vel[s], quat[s], angvel[s],
                                grip[s], gains.kp_pos, gains.kv_pos,
-                               gains.kp_ori, gains.kv_ori, params.mass,
-                               params.inertia, dt, params.gripper_slew,
-                               grasp_radius, params.wrench_limit, out_pos[s],
+                               gains.kp_ori, gains.kv_ori, MASS, INERTIA,
+                               dt, GRIPPER_SLEW, grasp_radius, out_pos[s],
                                out_quat[s], out_epos[s], out_eori[s],
                                out_events[s])
             if fault >= 0:
@@ -453,11 +454,10 @@ class _Subgroup:
             self.group = _ReferenceGroup([self.refs[r] for r in self.rows])
 
 
-def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
-                   grasp_radii):
+def track_lockstep(states, refs, gains, untils, grasp_radii):
     """Track column r of the (30, B) ``states`` along ``refs[r]``.
 
-    Every column starts on one plant clock, states[29]; a call whose
+    Every column starts on one plant clock, states[TIME]; a call whose
     columns start on two raises InvalidInputError before any step. Column
     r runs ``track_slices``'s slices to each time in ``untils[r]`` under
     ``gains[r]`` and ``grasp_radii[r]``, with the same bits. A batch of at
@@ -480,7 +480,7 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
     the first such column is raised, as a loop over the columns would raise
     it, with the column index in its ``row``.
     """
-    clocks = len(np.unique(states[29]))
+    clocks = len(np.unique(states[TIME]))
     if clocks > 1:
         raise InvalidInputError(
             f"lockstep columns start on {clocks} plant clocks; a call "
@@ -488,15 +488,13 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
     radii = np.asarray(grasp_radii, dtype=float)
     faults = {}
     if states.shape[1] >= LOCKSTEP_MIN_ROWS:
-        yield from _track_batch(states, refs, gains, radii, params, untils,
-                                faults)
+        yield from _track_batch(states, refs, gains, radii, untils, faults)
     else:
         for r in range(states.shape[1]):
             state = states[:, r].copy()
             try:
                 for k, trace in enumerate(track_slices(
-                        state, refs[r], gains[r], params, untils[r],
-                        radii[r])):
+                        state, refs[r], gains[r], untils[r], radii[r])):
                     states[:, r] = state
                     yield np.array([r]), k, len(trace.times)
                     state[:] = states[:, r]
@@ -510,11 +508,11 @@ def track_lockstep(states, refs, gains, params: DynamicsParams, untils,
         raise fault
 
 
-def _track_batch(states, refs, gains, radii, params, untils, faults):
+def _track_batch(states, refs, gains, radii, untils, faults):
     """``track_lockstep``'s lockstep run of every column of ``states``;
     faults go to ``faults`` by column."""
-    dt = params.physics_dt
-    t0 = float(states[29, 0])
+    dt = PHYSICS_DT
+    t0 = float(states[TIME, 0])
     gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
                           for g in gains]).T
     grids, members = {}, {}
@@ -569,8 +567,8 @@ def _track_batch(states, refs, gains, radii, params, untils, faults):
             stop = min(end, block_start + len(block))
             fault = track_loop_batch(
                 state, block[start - block_start:stop - block_start],
-                *gain_rows[:, live], params.mass, params.inertia, dt,
-                params.gripper_slew, radii[live], params.wrench_limit)
+                *gain_rows[:, live], MASS, INERTIA, dt, GRIPPER_SLEW,
+                radii[live])
             faulted = np.flatnonzero(fault >= 0)
             if len(faulted):
                 # the faulted columns leave at the next pass of the loop
@@ -589,12 +587,14 @@ def _track_batch(states, refs, gains, radii, params, untils, faults):
                 break
 
 
-def track(world: WorldState, ref: ReferenceTrack, gains: GainProfile,
-          params: DynamicsParams, until: float,
-          grasp_radius: float = 0.015) -> tuple[WorldState, TrackTrace]:
-    """Run the inner control loop at physics_dt until ``until``."""
-    state = world.to_vector()
-    trace, = track_slices(state, ref, gains, params, (until,), grasp_radius)
-    if len(trace.times) == 0:
-        return world, trace
-    return WorldState.from_vector(state), trace
+def track(state, ref: ReferenceTrack, gains: GainProfile, until: float,
+          grasp_radius: float = 0.015) -> TrackTrace:
+    """Run the inner control loop at PHYSICS_DT until ``until``.
+
+    The packed plant ``state`` advances in place, and a stretch that took a
+    step ends in ``sim.normalise_poses``.
+    """
+    trace, = track_slices(state, ref, gains, (until,), grasp_radius)
+    if len(trace.times):
+        normalise_poses(state)
+    return trace

@@ -47,22 +47,6 @@ class Pose:
 
 
 @dataclass(frozen=True)
-class Twist:
-    """Linear (m/s) and angular (rad/s) velocity."""
-
-    linear: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    angular: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        lin = _frozen(self.linear)
-        ang = _frozen(self.angular)
-        if not (np.all(np.isfinite(lin)) and np.all(np.isfinite(ang))):
-            raise InvalidInputError("twist components must be finite")
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "angular", ang)
-
-
-@dataclass(frozen=True)
 class TrackingError:
     """Position distance (m) and geodesic orientation angle (rad)."""
 
@@ -74,15 +58,16 @@ class TrackingError:
             raise InvalidInputError("tracking error out of range")
 
 
-def tracking_error(desired: Pose, current: Pose) -> TrackingError:
-    """Euclidean position error and geodesic rotation angle between poses.
+def tracking_error(desired: Pose, position, orientation) -> TrackingError:
+    """Euclidean position error and geodesic rotation angle from a pose.
 
-    The orientation error is arccos((tr(R_delta) - 1) / 2) with the argument
-    clamped to [-1, 1]; for unit quaternions tr(R_delta) = 4*dot(qa,qb)^2 - 1,
-    which makes the result independent of quaternion sign.
+    ``position`` and ``orientation`` are the current pose's arrays, a unit
+    quaternion. The orientation error is arccos((tr(R_delta) - 1) / 2) with
+    the argument clamped to [-1, 1]; for unit quaternions tr(R_delta) =
+    4*dot(qa,qb)^2 - 1, which makes the result independent of quaternion
+    sign.
     """
-    e_pos = float(np.linalg.norm(desired.position - current.position))
-    d = float(np.dot(desired.orientation, current.orientation))
+    e_pos = float(np.linalg.norm(desired.position - position))
+    d = float(np.dot(desired.orientation, orientation))
     trace_arg = np.clip(2.0 * d * d - 1.0, -1.0, 1.0)
     return TrackingError(e_pos=e_pos, e_ori=float(np.arccos(trace_arg)))
-

@@ -24,8 +24,8 @@ from .io import generate_demos
 from .metrics import aggregate
 from .policy import DemoLibrary, MockPolicy, PolicyConfig, infer_unconditional
 from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
-from .sim import (T_MAX, DynamicsParams, TaskSpec, WorldState, initial_world,
-                  success)
+from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
+                  normalise_poses, success)
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
 
@@ -108,13 +108,12 @@ def run_method_rollout(method: str, c: float, demos, seed: int,
     policy = setup.policy_class(demos, setup.policy_config, seed=seed,
                                 library=library)
     return run_rollout(policy, task, setup.exec_config,
-                       gain_profile(setup.gains), DynamicsParams(), start,
-                       seed=seed)
+                       gain_profile(setup.gains), start, seed=seed)
 
 
 def _replay_setup(demo, c: float, target: str, noise_scale: float,
                   seed: int):
-    """The reference, task, start world and last waypoint time of a replay."""
+    """The reference, task, start state and last waypoint time of a replay."""
     stream = demo.reached if target == "reached" else demo.commanded
     positions = stream[:, :3].copy()
     orientations = stream[:, 3:7].copy()
@@ -126,9 +125,9 @@ def _replay_setup(demo, c: float, target: str, noise_scale: float,
                          grippers=demo.grippers.copy(),
                          flags=demo.k.copy())
     task = task_for_demo(demo)
-    world = initial_world(Pose(stream[0, :3].copy(), stream[0, 3:7].copy()),
+    state = initial_world(Pose(stream[0, :3].copy(), stream[0, 3:7].copy()),
                           task)
-    return ref, task, world, float(times[-1])
+    return ref, task, state, float(times[-1])
 
 
 def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
@@ -141,10 +140,10 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
     perturbs the reference positions before tracking.
     """
     profile = gain_profile(gains)
-    ref, task, world, end = _replay_setup(demo, c, target, noise_scale, seed)
-    world, trace = track(world, ref, profile, DynamicsParams(),
-                         until=end + 0.5, grasp_radius=task.grasp_radius)
-    ok = success(world, task)
+    ref, task, state, end = _replay_setup(demo, c, target, noise_scale, seed)
+    trace = track(state, ref, profile, until=end + 0.5,
+                  grasp_radius=task.grasp_radius)
+    ok = success(state, task)
     samples, events = sample_trace(trace)
     return RolloutLog(success=ok, duration=end if ok else task.t_max,
                       stall_count=0, con_values=[], wed_values=[],
@@ -164,17 +163,16 @@ def _replay_successes(replays) -> list[bool]:
         chunk = replays[first:first + LOCKSTEP_MAX_ROWS]
         setups = [_replay_setup(demo, c, target, noise, seed)
                   for demo, c, _, target, noise, seed in chunk]
-        states = np.stack([world.to_vector() for _, _, world, _ in setups],
-                          axis=1)
+        states = np.stack([state for _, _, state, _ in setups], axis=1)
         for _ in track_lockstep(states, [ref for ref, *_ in setups],
                                 [gain_profile(r[2]) for r in chunk],
-                                DynamicsParams(),
                                 [(end + 0.5,) for *_, end in setups],
                                 [task.grasp_radius
                                  for _, task, *_ in setups]):
             pass
-        ok += [success(WorldState.from_vector(states[:, r]), task)
-               for r, (_, task, _, _) in enumerate(setups)]
+        normalise_poses(states.T)
+        ok += [success(state, task)
+               for state, (_, task, _, _) in zip(states.T, setups)]
     return ok
 
 
@@ -319,13 +317,13 @@ def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
     step = int(rng.integers(5, n - horizon - tail - 1))
 
     start = Pose(demo.reached[step, :3].copy(), demo.reached[step, 3:7].copy())
-    world = initial_world(start, task_for_demo(demo))
+    state = initial_world(start, task_for_demo(demo))
     idx = np.arange(step, step + horizon + 1)
-    times = world.sim_time + np.arange(len(idx)) * (c * demo.dt)
+    times = state[TIME] + np.arange(len(idx)) * (c * demo.dt)
     ref = ReferenceTrack(times, demo.reached[idx, :3].copy(),
                          demo.reached[idx, 3:7].copy(),
                          grippers=demo.grippers[idx].copy())
-    return world.to_vector(), ref, stride
+    return state, ref, stride
 
 
 def _track_stretches(setups) -> np.ndarray:
@@ -335,10 +333,10 @@ def _track_stretches(setups) -> np.ndarray:
     refs = [ref for _, ref, _ in setups]
     for _ in track_lockstep(states, refs,
                             [gain_profile("real-exec")] * len(refs),
-                            DynamicsParams(), [(float(ref.times[-1]),)
-                                               for ref in refs],
+                            [(float(ref.times[-1]),) for ref in refs],
                             [0.015] * len(refs)):
         pass
+    normalise_poses(states.T)
     return states
 
 
@@ -348,15 +346,14 @@ def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
     and the tail it would hand to the policy (the positions it will
     traverse next at speed c) scored against 64 unconditional draws."""
     cfg = policy.config
-    world = WorldState.from_vector(state)
     desired = ref.pose_at(float(ref.times[-1]))
-    e_pos = float(np.linalg.norm(desired.position - world.robot.position))
+    e_pos = float(np.linalg.norm(desired.position - state[ROBOT_POSITION]))
 
     # the tail is anchored at the retrieval match for the current state
-    _, demo_idx, near_step = policy.nearest_states(world)[0]
+    _, demo_idx, near_step = policy.nearest_states(state)[0]
     query = policy.positions(
         demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
-    chunks = infer_unconditional(policy, world, size=64)
+    chunks = infer_unconditional(policy, state, size=64)
     samples = SampleSet.from_chunks(chunks, cfg.h_c)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),

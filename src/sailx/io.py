@@ -2,9 +2,11 @@
 
 Files are line-delimited JSON: a header line carrying the format version
 ("sailx-v1") and per-file metadata, followed by one record per line. Poses
-serialize as 7 numbers (px, py, pz, qw, qx, qy, qz). Readers reject the
-non-standard JSON constants NaN and Infinity with the offending line, and a
-rollout file reads back as the ``scheduler.RolloutLog`` it was written from.
+serialize as 7 numbers (px, py, pz, qw, qx, qy, qz). Readers raise
+ParseError with the offending line number, the header being line 1, on the
+non-standard JSON constants NaN and Infinity, on a missing field, and on a
+field that is not a number or a list of the numbers it needs. A rollout
+file reads back as the ``scheduler.RolloutLog`` it was written from.
 
 Demonstrations are produced by a scripted teleoperator executed through the
 simulator with the low-gain profile, so commanded and reached poses genuinely
@@ -27,8 +29,8 @@ from .core import IDENTITY_QUAT, Pose
 from .errors import (FormatError, GenerationError, InvalidInputError,
                      ParseError, SimFault)
 from .scheduler import RolloutLog
-from .sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
-                  success)
+from .sim import (OBJECT_POSE, ROBOT_POSE, TaskSpec, initial_world,
+                  normalise_poses, success)
 from .speedmod import gripper_event_flags, label_critical
 
 FORMAT_VERSION = "sailx-v1"
@@ -112,11 +114,15 @@ def _read_lines(path: str, kind: str):
     parsed = []
     for no, line in enumerate(lines, start=1):
         try:
-            parsed.append((no, json.loads(line, parse_float=_finite_float,
-                                          parse_constant=_reject_constant)))
+            record = json.loads(line, parse_float=_finite_float,
+                                parse_constant=_reject_constant)
         except ValueError as exc:  # malformed JSON, or a non-finite number
             raise ParseError(f"{path}: malformed record: "
                              f"{getattr(exc, 'msg', exc)}", line=no) from None
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: a record must be a JSON object",
+                             line=no)
+        parsed.append((no, record))
     header = parsed[0][1]
     if header.get("format") != FORMAT_VERSION:
         raise FormatError(f"{path}: format {header.get('format')!r}, "
@@ -127,26 +133,44 @@ def _read_lines(path: str, kind: str):
     return header, parsed[1:]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field(rec: dict, key: str, path: str, line: int, size=None):
+    """rec[key], a number, or with ``size`` a list of that many numbers (of
+    any count for -1); ParseError at ``line`` otherwise."""
+    if key not in rec:
+        raise ParseError(f"{path}: missing field {key!r}", line=line)
+    value = rec[key]
+    if not (_is_number(value) if size is None else
+            isinstance(value, list) and size in (-1, len(value))
+            and all(map(_is_number, value))):
+        raise ParseError(f"{path}: malformed field {key!r}: {value!r}",
+                         line=line)
+    return value
+
+
 def read_demo(path: str) -> Demonstration:
     header, records = _read_lines(path, "demo")
     if header.get("n") != len(records):
         raise ParseError(f"{path}: header n={header.get('n')!r} but "
                          f"{len(records)} records", line=1)
+    dt = _field(header, "dt", path, 1)
+    object_start = _field(header, "object_start", path, 1, 7)
+    goal = _field(header, "goal", path, 1, 3)
     cmd, reached, grip, k, obj = [], [], [], [], []
     for no, rec in records:
-        try:
-            cmd.append(rec["cmd"])
-            reached.append(rec["reached"])
-            grip.append(rec["grip"])
-            k.append(rec.get("k", 0))
-            obj.append(rec["obj"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: missing field {exc}", line=no) from None
-    return Demonstration(dt=float(header["dt"]), commanded=np.array(cmd),
+        cmd.append(_field(rec, "cmd", path, no, 7))
+        reached.append(_field(rec, "reached", path, no, 7))
+        grip.append(_field(rec, "grip", path, no))
+        k.append(_field(rec, "k", path, no) if "k" in rec else 0)
+        obj.append(_field(rec, "obj", path, no, 7))
+    return Demonstration(dt=float(dt), commanded=np.array(cmd),
                          reached=np.array(reached), grippers=np.array(grip),
                          k=np.array(k), objects=np.array(obj),
-                         object_start=np.array(header["object_start"]),
-                         goal=np.array(header["goal"]))
+                         object_start=np.array(object_start),
+                         goal=np.array(goal))
 
 
 def save_demos(demos, directory: str) -> list:
@@ -160,6 +184,8 @@ def save_demos(demos, directory: str) -> list:
 
 
 def load_demos(directory: str) -> list:
+    if not os.path.isdir(directory):
+        raise InvalidInputError(f"no demo directory {directory}")
     names = sorted(n for n in os.listdir(directory)
                    if n.startswith("demo") and n.endswith(".jsonl"))
     if not names:
@@ -199,30 +225,36 @@ _EVENT_TAGS = ("splice", "stall", "grasp", "release")
 def read_rollout(path: str) -> RolloutLog:
     """The RolloutLog a file was written from, minus chunks and guidance."""
     header, records = _read_lines(path, "rollout")
+    seed = _field(header, "seed", path, 1)
+    success = header.get("success")
+    if not isinstance(success, bool):
+        raise ParseError(f"{path}: field 'success' must be true or false, "
+                         f"got {success!r}", line=1)
+    duration = _field(header, "duration", path, 1)
+    stall_count = _field(header, "stall_count", path, 1)
+    con_values, wed_values = (
+        _field(header, key, path, 1, -1) if key in header else []
+        for key in ("con_values", "wed_values"))
     times, ref, state, e_pos, e_ori, events = [], [], [], [], [], []
     for no, rec in records:
-        try:
-            if "event" in rec:
-                if rec["event"] not in _EVENT_TAGS:
-                    raise ParseError(f"{path}: unknown event "
-                                     f"{rec['event']!r}", line=no)
-                events.append((float(rec["time"]), rec["event"]))
-            else:
-                times.append(rec["time"])
-                ref.append(rec["ref"])
-                state.append(rec["state"])
-                e_pos.append(rec["e_pos"])
-                e_ori.append(rec["e_ori"])
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"{path}: missing field {exc}", line=no) from None
+        if "event" in rec:
+            if rec["event"] not in _EVENT_TAGS:
+                raise ParseError(f"{path}: unknown event "
+                                 f"{rec['event']!r}", line=no)
+            events.append((float(_field(rec, "time", path, no)),
+                           rec["event"]))
+        else:
+            times.append(_field(rec, "time", path, no))
+            ref.append(_field(rec, "ref", path, no, 7))
+            state.append(_field(rec, "state", path, no, 7))
+            e_pos.append(_field(rec, "e_pos", path, no))
+            e_ori.append(_field(rec, "e_ori", path, no))
     ref = np.array(ref, dtype=float).reshape(-1, 7)
     state = np.array(state, dtype=float).reshape(-1, 7)
     return RolloutLog(
-        seed=int(header["seed"]), success=bool(header["success"]),
-        duration=float(header["duration"]),
-        stall_count=int(header["stall_count"]),
-        con_values=list(header.get("con_values", [])),
-        wed_values=list(header.get("wed_values", [])),
+        seed=int(seed), success=success, duration=float(duration),
+        stall_count=int(stall_count), con_values=con_values,
+        wed_values=wed_values,
         times=np.array(times, dtype=float),
         positions=state[:, :3], orientations=state[:, 3:],
         ref_positions=ref[:, :3], ref_orientations=ref[:, 3:],
@@ -295,13 +327,6 @@ def _nominal_trajectory(segments, home_pos, dt: float):
     return times, positions, grips
 
 
-def _as_pose_quat(q) -> None:
-    """Renormalise quaternion ``q`` in place in the operation order of Pose."""
-    q /= np.linalg.norm(q)
-    if q[0] < 0.0:
-        q *= -1.0
-
-
 def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
                    dt: float = 0.05, jitter: float = 0.001,
                    gains: str = "real-demo") -> list:
@@ -318,7 +343,6 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
     profile = gain_profile(gains)
-    dynamics = DynamicsParams()
     rng = np.random.default_rng(seed)
     demos = []
     # the demos are tracked LOCKSTEP_MAX_ROWS at a time
@@ -360,7 +384,7 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
                                            task.object_start.orientation])
             scripts.append((demo_task, ref, home, object_start))
 
-        reached, objects = _track_scripts(scripts, profile, dynamics, first)
+        reached, objects = _track_scripts(scripts, profile, first)
         for (_, ref, _, object_start), reached_d, objects_d in zip(
                 scripts, reached, objects):
             flags = label_critical(ref.positions)
@@ -373,7 +397,7 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     return demos
 
 
-def _track_scripts(scripts, profile, dynamics, first):
+def _track_scripts(scripts, profile, first):
     """Track scripted demos first, first + 1, ... in one lockstep run.
 
     ``scripts`` holds (demo_task, ref, home, object_start) per demo, the
@@ -382,7 +406,7 @@ def _track_scripts(scripts, profile, dynamics, first):
     demos would have raised first.
     """
     # every demo's reference steps are slices of the lockstep run
-    states = np.stack([initial_world(Pose(home), demo_task).to_vector()
+    states = np.stack([initial_world(Pose(home), demo_task)
                        for demo_task, _, home, _ in scripts], axis=1)
     reached = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
     objects = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
@@ -393,25 +417,21 @@ def _track_scripts(scripts, profile, dynamics, first):
     try:
         for rows, k, steps in track_lockstep(
                 states, [ref for _, ref, _, _ in scripts],
-                [profile] * len(scripts), dynamics,
+                [profile] * len(scripts),
                 [ref.times[1:] for _, ref, _, _ in scripts],
                 [demo_task.grasp_radius for demo_task, *_ in scripts]):
             block = states[:, rows].T.copy()
             if steps:
-                # as between two track calls, whose WorldState passes both
-                # quaternions through Pose
-                for row in block:
-                    _as_pose_quat(row[3:7])
-                    _as_pose_quat(row[17:21])
+                normalise_poses(block)  # as between two track calls
                 states[:, rows] = block.T
             for row, r in zip(block, rows):
-                reached[r][k + 1] = row[0:7]
-                objects[r][k + 1] = row[14:21]
+                reached[r][k + 1] = row[ROBOT_POSE]
+                objects[r][k + 1] = row[OBJECT_POSE]
     except SimFault as exc:
         fault = exc
     # a demo loop would have stopped at the first failing demo
     for d in range(len(scripts) if fault is None else fault.row):
-        if not success(WorldState.from_vector(states[:, d]), scripts[d][0]):
+        if not success(states[:, d], scripts[d][0]):
             raise GenerationError(
                 f"scripted demo {first + d} failed the task predicate")
     if fault is not None:

@@ -70,8 +70,10 @@ in ``tests/plant_oracle.py``. The batched plant, the segment rates of
 ``controller.ReferenceTrack`` and the guided orientations of
 ``policy.cfg_blend`` all use them.
 
-Quaternions are (w, x, y, z), unit norm. The packed plant state vector used
-by ``track_loop`` (a column of ``track_loop_batch``'s state) has layout::
+Quaternions are (w, x, y, z), unit norm. The packed plant state vector,
+the program's only plant state, is what ``track_loop`` steps (a column of
+``track_loop_batch``'s state); ``sim`` names the slices other modules read.
+Its layout::
 
     [0:3]   robot position (m)
     [3:7]   robot orientation quaternion
@@ -114,8 +116,8 @@ def _identity_rows(quat, rate):
 
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt, grip_slew,
-               grasp_radius, wrench_limit, out_pos, out_quat, out_epos,
-               out_eori, out_events):
+               grasp_radius, out_pos, out_quat, out_epos, out_eori,
+               out_events):
     """Closed-loop tracking of a pre-sampled reference for len(ref_pos) steps.
 
     The wrench for step i is computed from the state before the step against
@@ -139,7 +141,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     inertia = float(inertia)
     dt = float(dt)
     grasp_radius = float(grasp_radius)
-    lim = float(wrench_limit)
     max_step = float(grip_slew) * dt
     (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip, ox, oy, oz,
      ow, oqx, oqy, oqz, attached, rx, ry, rz, rw, rqx, rqy, rqz,
@@ -198,14 +199,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                 and isfinite(f3) and isfinite(f4) and isfinite(f5)):
             fault = len(poses) // 7
             break
-        if lim > 0.0:
-            f0 = lim if f0 > lim else (-lim if f0 < -lim else f0)
-            f1 = lim if f1 > lim else (-lim if f1 < -lim else f1)
-            f2 = lim if f2 > lim else (-lim if f2 < -lim else f2)
-            if not at_rest:
-                f3 = lim if f3 > lim else (-lim if f3 < -lim else f3)
-                f4 = lim if f4 > lim else (-lim if f4 < -lim else f4)
-                f5 = lim if f5 > lim else (-lim if f5 < -lim else f5)
 
         # semi-implicit Euler step
         vx += (f0 / mass) * dt
@@ -360,7 +353,9 @@ def _hamilton(a, bb, index=_HAMILTON, out=None, work=(None, None)):
     """a * b (a * conj(b) with ``_CONJ``) of (4, B) quaternion columns.
 
     ``bb`` is (b; -b). The four terms are summed in order: ``add.reduce``
-    over the leading axis adds its rows one after another. ``out`` (4, B)
+    over the leading axis adds its rows one after another, from -0.0, which
+    leaves every sum as the scalar expression gives it; from its default
+    +0.0, four -0.0 terms would sum to +0.0. ``out`` (4, B)
     and the pair ``work`` of (4, 4, B) arrays are optional buffers. Both
     factors are gathered into full (4, 4, B) blocks, as a broadcast product
     costs more than a second gather.
@@ -368,7 +363,7 @@ def _hamilton(a, bb, index=_HAMILTON, out=None, work=(None, None)):
     factors = a.take(_FACTOR, 0, work[0], "clip")
     terms = bb.take(index, 0, work[1], "clip")
     np.multiply(factors, terms, terms)
-    return np.add.reduce(terms, 0, None, out)
+    return np.add.reduce(terms, 0, None, out, initial=-0.0)
 
 
 def _signed(q):
@@ -480,12 +475,13 @@ def _rotvec(m, out=None):
 
 
 def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass,
-                     inertia, dt, grip_slew, grasp_radius, wrench_limit):
+                     inertia, dt, grip_slew, grasp_radius):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep.
 
     Step i tracks ``ref[i]``, a (REF_ROWS, B) block of reference rows. The
     gains and ``grasp_radius`` are (B,) float arrays, one value per column,
-    the dynamics are shared, and ``grip_slew`` must not be negative.
+    the mass, inertia, dt and ``grip_slew`` are shared, and ``grip_slew``
+    must not be negative.
     Every column gets the bits ``track_loop`` gives that row; no per-step
     trace is written. ``state`` is updated in place. Returns a (B,) array
     holding, per column, the index of the step whose wrench was non-finite
@@ -494,11 +490,11 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass,
     with np.errstate(all="ignore"):  # the scalar loop never warns either
         return _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori,
                          float(mass), float(inertia), float(dt),
-                         float(grip_slew), grasp_radius, float(wrench_limit))
+                         float(grip_slew), grasp_radius)
 
 
 def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
-              grip_slew, grasp_radius, lim):
+              grip_slew, grasp_radius):
     n, b = ref.shape[0], state.shape[1]
     gains = np.stack((kp_pos, kv_pos, kp_ori, kv_ori))
     kp = np.repeat(gains[0::2], 3, axis=0)
@@ -507,7 +503,6 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
     dt_ = np.array(dt)
     max_step = np.array(grip_slew * dt)
     neg_max_step = -max_step
-    lim_, neg_lim = np.array(lim), np.array(-lim)
 
     # Every per-step value lives in a buffer allocated here. Step i reads
     # the robot pose and gripper from one half of each buffer and writes
@@ -588,13 +583,10 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
                     sub = state[:, live]
                     sub_fault = _lockstep(
                         sub, ref[i:, :, live], *gains[:, live], mass, inertia,
-                        dt, grip_slew, grasp_radius[live], lim)
+                        dt, grip_slew, grasp_radius[live])
                     state[:, live] = sub
                     fault[live] = np.where(sub_fault < 0, -1, sub_fault + i)
                 return fault
-        if lim > 0.0:
-            np.maximum(f, neg_lim, out=f)
-            np.minimum(f, lim_, out=f)
 
         # semi-implicit Euler step
         np.divide(f, mi, f)

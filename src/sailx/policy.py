@@ -8,6 +8,7 @@ the current tracking error and blends the two draws with the guidance
 weight.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .core import Pose, tracking_error
 from .errors import ConfigurationError, InvalidInputError
 from .kernels import _CONJ, _exp, _hamilton, _normalise, _rotvec, _signed
+from .sim import GRIPPER, OBJECT_POSITION, ROBOT_ORIENTATION, ROBOT_POSITION
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,6 @@ class ActionChunk:
 @dataclass(frozen=True)
 class PolicyConfig:
     h_p: int = 32              # prediction horizon
-    h_e: int = 8               # steps executed per cycle
     h_c: int = 4               # conditioning length
     w_cfg: float = 1.0         # guidance weight
     rho_pos: float = 0.02      # m, position tracking-error threshold
@@ -51,10 +52,18 @@ class PolicyConfig:
     target_mode: str = "reached"  # or "commanded"
 
     def __post_init__(self):
-        if not 1 <= self.h_c < self.h_e < self.h_p:
-            raise ConfigurationError("require 1 <= h_c < h_e < h_p")
+        if not 1 <= self.h_c < self.h_p:
+            raise ConfigurationError("require 1 <= h_c < h_p")
+        if not all(math.isfinite(v) for v in (
+                self.w_cfg, self.rho_pos, self.rho_ori, self.noise_sigma,
+                self.p_branch)):
+            raise ConfigurationError("guidance, noise and branch parameters "
+                                     "must be finite")
         if self.w_cfg < 0 or self.rho_pos <= 0 or self.rho_ori <= 0:
             raise ConfigurationError("invalid guidance parameters")
+        if self.noise_sigma < 0 or not 0 <= self.p_branch <= 1:
+            raise ConfigurationError("require noise_sigma >= 0 and "
+                                     "0 <= p_branch <= 1")
         if self.target_mode not in ("reached", "commanded"):
             raise ConfigurationError(f"unknown target_mode {self.target_mode!r}")
 
@@ -263,14 +272,15 @@ class MockPolicy:
         return _generators(self.seed, first, n)
 
     def _state_distances(self, obs) -> np.ndarray:
-        """Weighted squared distances of obs to every demo state, (D, L).
+        """Weighted squared distances of the packed plant state ``obs``
+        to every demo state, (D, L).
 
         The read-only matrix of the last query is served again while the
         robot position, object position and gripper are the same floats.
         """
-        q_pos = obs.robot.position.tolist()
-        q_obj = obs.object_pose.position.tolist()
-        q_grip = float(obs.gripper)
+        q_pos = obs[ROBOT_POSITION].tolist()
+        q_obj = obs[OBJECT_POSITION].tolist()
+        q_grip = float(obs[GRIPPER])
         query = (*q_pos, *q_obj, q_grip)
         if query == self._last_query:
             return self._last_dists
@@ -511,24 +521,25 @@ def cfg_blend(uncond: ActionChunk, cond: ActionChunk, w: float) -> ActionChunk:
 
 
 def infer_eag(policy: MockPolicy, obs, prev_chunk: ActionChunk,
-              current_desired: Pose, current_state: Pose,
-              delay_steps: int = 0,
-              exec_offset: int | None = None) -> tuple[ActionChunk, bool]:
+              current_desired: Pose, delay_steps: int = 0, *,
+              exec_offset: int) -> tuple[ActionChunk, bool]:
     """Error-adaptive guidance: gate conditioning on the tracking error.
 
-    If the current tracking error exceeds either threshold, the conditioning
-    tail from the superseded plan is considered unreliable and only the
-    unconditional draw is used (guidance_applied = False). Otherwise the
-    conditional draw continuing prev_chunk[off : off + h_c] is blended in
-    with weight w_cfg, where off is exec_offset (the number of waypoints of
-    the previous chunk that will have been consumed when the new one
-    arrives) or h_e when not given.
+    If the tracking error of the robot pose in ``obs``, the packed plant
+    state, from ``current_desired`` exceeds either threshold, the
+    conditioning tail from the superseded plan is considered unreliable
+    and only the unconditional draw is used (guidance_applied = False).
+    Otherwise the conditional draw continuing prev_chunk[off : off + h_c]
+    is blended in with weight w_cfg, where off is exec_offset, the number
+    of waypoints of the previous chunk that will have been consumed when
+    the new one arrives.
     """
     cfg = policy.config
-    off = cfg.h_e if exec_offset is None else int(exec_offset)
+    off = int(exec_offset)
     if len(prev_chunk) < off + cfg.h_c:
         raise InvalidInputError("previous chunk too short for a conditioning tail")
-    err = tracking_error(current_desired, current_state)
+    err = tracking_error(current_desired, obs[ROBOT_POSITION],
+                         obs[ROBOT_ORIENTATION])
     uncond = infer_unconditional(policy, obs, delay_steps=delay_steps)
     if err.e_pos > cfg.rho_pos or err.e_ori > cfg.rho_ori:
         return uncond, False

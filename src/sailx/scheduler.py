@@ -23,7 +23,7 @@ from .controller import GainProfile, ReferenceTrack, track
 from .errors import ConfigurationError
 from .metrics import con, speed_profile, wed
 from .policy import ActionChunk, MockPolicy, infer_eag, infer_unconditional
-from .sim import DynamicsParams, Pose, TaskSpec, initial_world, success
+from .sim import GRIPPER, TIME, Pose, TaskSpec, initial_world, success
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,13 @@ def sample_trace(trace):
 
 
 def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
-                gains: GainProfile, dynamics: DynamicsParams,
-                start_pose: Pose, seed: int = 0) -> RolloutLog:
+                gains: GainProfile, start_pose: Pose,
+                seed: int = 0) -> RolloutLog:
     """Execute the policy on the task until success or the time limit."""
     pcfg = policy.config
-    h_p, h_e, h_c = pcfg.h_p, pcfg.h_e, pcfg.h_c
+    h_p, h_c = pcfg.h_p, pcfg.h_c
     exec_n = h_p - h_c
-    world = initial_world(start_pose, task)
+    state = initial_world(start_pose, task)
 
     samples: list[dict] = []
     events: list[tuple[float, str]] = []
@@ -180,27 +180,24 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         events.extend(stretch_events)
 
     # first inference launched at t = 0; hold the start pose until it lands
-    chunk = infer_unconditional(policy, world)
+    chunk = infer_unconditional(policy, state)
     chunks.append(chunk)
     guidance.append(False)
+    grip = float(state[GRIPPER])
     hold = ReferenceTrack(
         [0.0, exec_cfg.delta_delay],
         np.tile(start_pose.position, (2, 1)),
         np.tile(start_pose.orientation, (2, 1)),
-        grippers=[world.gripper, world.gripper])
-    world, trace = track(world, hold, gains, dynamics,
-                         until=exec_cfg.delta_delay,
-                         grasp_radius=task.grasp_radius)
-    collect(trace)
+        grippers=[grip, grip])
+    collect(track(state, hold, gains, until=exec_cfg.delta_delay,
+                  grasp_radius=task.grasp_radius))
 
     t_a = exec_cfg.delta_delay
     prev_chunk: ActionChunk | None = None
     prev_ref: ReferenceTrack = hold
     done = False
-    duration = task.t_max
 
-    prev_offset = h_e
-    while world.sim_time < task.t_max - 1e-9 and not done:
+    while state[TIME] < task.t_max - 1e-9 and not done:
         if prev_chunk is not None:
             con_values.append(con(chunk, prev_chunk, prev_offset, 0))
             wed_values.append(wed(chunk, prev_chunk, overlap=h_c,
@@ -220,14 +217,12 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         # waypoints of this chunk consumed by the time the next one lands
         delay_steps = int(np.searchsorted(wp_times, t_next + 1e-12))
         exec_offset = min(delay_steps, exec_n)
-        prev_offset = exec_offset
         if exec_cfg.use_eag:
-            next_chunk, applied = infer_eag(policy, world, chunk, desired,
-                                            world.robot,
+            next_chunk, applied = infer_eag(policy, state, chunk, desired,
                                             delay_steps=delay_steps,
                                             exec_offset=exec_offset)
         else:
-            next_chunk = infer_unconditional(policy, world,
+            next_chunk = infer_unconditional(policy, state,
                                              delay_steps=delay_steps)
             applied = False
         chunks.append(next_chunk)
@@ -241,23 +236,22 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
             grippers=np.concatenate([grip_now, chunk.grippers[:exec_n]]),
             flags=np.concatenate([chunk.flags[:1], chunk.flags[:exec_n]]))
         until = min(t_next, task.t_max)
-        world, trace = track(world, ref, gains, dynamics, until=until,
-                             grasp_radius=task.grasp_radius)
-        collect(trace)
+        collect(track(state, ref, gains, until=until,
+                      grasp_radius=task.grasp_radius))
 
-        if success(world, task):
+        if success(state, task):
             releases = [t for t, tag in events if tag == "release"]
-            duration = releases[-1] if releases else world.sim_time
+            duration = releases[-1] if releases else state[TIME]
             done = True
             break
 
         t_a = t_next
-        prev_chunk = chunk
+        prev_chunk, prev_offset = chunk, exec_offset
         prev_ref = ref
         chunk = next_chunk
 
     if not done:
-        duration = world.sim_time
+        duration = state[TIME]
 
     return RolloutLog(
         success=done,

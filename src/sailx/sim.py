@@ -4,38 +4,34 @@ The robot is a free-floating 6-DoF body (mass + isotropic rotational
 inertia). Grasping is kinematic: when the gripper command crosses 0.5 while
 the end effector is within ``grasp_radius`` of the object, the object is
 rigidly attached; opening past 0.5 detaches it wherever it is.
+
+The plant state is the packed (30,) vector laid out in ``kernels``; the
+slices below are the parts of it that other modules read.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IDENTITY_QUAT, Pose, Twist
-from .errors import ConfigurationError
+from .core import Pose
+from .errors import ConfigurationError, InvalidInputError
 from .kernels import STATE_SIZE
 
 PHYSICS_DT = 0.002  # 2 ms per physics step
+MASS = 1.0          # kg
+INERTIA = 1.0       # kg m^2, isotropic
+GRIPPER_SLEW = 8.0  # full-range commands per second
 
-
-@dataclass(frozen=True)
-class DynamicsParams:
-    mass: float = 1.0                 # kg
-    inertia: float = 1.0              # kg m^2, isotropic
-    physics_dt: float = PHYSICS_DT    # s
-    gripper_slew: float = 8.0         # full-range commands per second
-    wrench_limit: float = 0.0         # saturation per component; 0 disables
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (
-                self.mass, self.inertia, self.physics_dt, self.gripper_slew,
-                self.wrench_limit)):
-            raise ConfigurationError("dynamics parameters must be finite")
-        if self.mass <= 0 or self.inertia <= 0 or self.physics_dt <= 0:
-            raise ConfigurationError("mass, inertia, physics_dt must be positive")
-        if self.gripper_slew < 0:
-            raise ConfigurationError("gripper_slew must be non-negative")
-
+ROBOT_POSE = slice(0, 7)
+ROBOT_POSITION = slice(0, 3)
+ROBOT_ORIENTATION = slice(3, 7)
+GRIPPER = 13
+OBJECT_POSE = slice(14, 21)
+OBJECT_POSITION = slice(14, 17)
+OBJECT_ORIENTATION = slice(17, 21)
+ATTACHED = 21
+TIME = 29
 
 # The time limit of a task (s): rollouts end there, and the metrics charge
 # a failed rollout -1 / T_MAX.
@@ -64,54 +60,40 @@ class TaskSpec:
             raise ConfigurationError("task tolerances and t_max must be positive")
 
 
-@dataclass(frozen=True)
-class WorldState:
-    robot: Pose
-    twist: Twist = field(default_factory=Twist)
-    gripper: float = 0.0
-    object_pose: Pose = field(default_factory=lambda: Pose(np.zeros(3)))
-    attached: bool = False
-    rel_position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rel_orientation: np.ndarray = field(default_factory=lambda: IDENTITY_QUAT.copy())
-    sim_time: float = 0.0
-
-    def to_vector(self) -> np.ndarray:
-        v = np.zeros(STATE_SIZE)
-        v[0:3] = self.robot.position
-        v[3:7] = self.robot.orientation
-        v[7:10] = self.twist.linear
-        v[10:13] = self.twist.angular
-        v[13] = self.gripper
-        v[14:17] = self.object_pose.position
-        v[17:21] = self.object_pose.orientation
-        v[21] = 1.0 if self.attached else 0.0
-        v[22:25] = self.rel_position
-        v[25:29] = self.rel_orientation
-        v[29] = self.sim_time
-        return v
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "WorldState":
-        return cls(
-            robot=Pose(v[0:3], v[3:7]),
-            twist=Twist(v[7:10], v[10:13]),
-            gripper=float(v[13]),
-            object_pose=Pose(v[14:17], v[17:21]),
-            attached=bool(v[21] > 0.5),
-            rel_position=v[22:25].copy(),
-            rel_orientation=v[25:29].copy(),
-            sim_time=float(v[29]),
-        )
+def initial_world(robot: Pose, task: TaskSpec) -> np.ndarray:
+    """The plant state at rest: the robot at ``robot``, the gripper open,
+    the object free at the task's start pose, the clock at 0."""
+    state = np.zeros(STATE_SIZE)
+    state[ROBOT_POSITION] = robot.position
+    state[ROBOT_ORIENTATION] = robot.orientation
+    state[OBJECT_POSITION] = task.object_start.position
+    state[OBJECT_ORIENTATION] = task.object_start.orientation
+    state[25] = 1.0  # the identity relative orientation
+    return state
 
 
-def initial_world(robot: Pose, task: TaskSpec) -> WorldState:
-    return WorldState(robot=robot, object_pose=task.object_start)
+def normalise_poses(states) -> None:
+    """Renormalise the robot's and the object's quaternion in place, in
+    Pose's operation order, in one packed state or in each row of a
+    (B, STATE_SIZE) array of them.
+
+    Every tracked stretch ends here once, so that the next one starts from
+    the bits a Pose of each would hold. Raises InvalidInputError, as Pose
+    does, when a pose or a velocity is not finite.
+    """
+    states = np.atleast_2d(states)
+    if not np.isfinite(states[:, :OBJECT_ORIENTATION.stop]).all():
+        raise InvalidInputError("plant state must be finite")
+    for state in states:
+        for q in (state[ROBOT_ORIENTATION], state[OBJECT_ORIENTATION]):
+            q /= np.linalg.norm(q)
+            if q[0] < 0.0:
+                q *= -1.0
 
 
-def success(world: WorldState, spec: TaskSpec) -> bool:
+def success(state, spec: TaskSpec) -> bool:
     """Object placed within tolerance, released, and within the time limit."""
-    if world.attached or world.sim_time > spec.t_max:
+    if state[ATTACHED] > 0.5 or state[TIME] > spec.t_max:
         return False
-    dist = np.linalg.norm(world.object_pose.position - spec.goal_position)
+    dist = np.linalg.norm(state[OBJECT_POSITION] - spec.goal_position)
     return bool(dist <= spec.place_tolerance)
-

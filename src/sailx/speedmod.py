@@ -6,6 +6,7 @@ and mark the spans between consecutive clustered waypoints as critical
 (k = 1). Gripper toggles provide a second, runtime-friendly flag source.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class LabelParams:
     min_pts: int = 4
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau) and math.isfinite(self.eps)):
+            raise InvalidInputError("labeling parameters must be finite")
         if self.tau <= 0 or self.eps <= 0 or self.min_pts <= 0:
             raise InvalidInputError("labeling parameters must be positive")
 

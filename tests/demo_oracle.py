@@ -1,8 +1,8 @@
 """Reference demo generation: the per-step generator ``sailx.io`` replaced.
 
-``generate_demos`` here calls ``controller.track`` once per demo step, with
-a ``WorldState`` between steps, and ``_nominal_trajectory`` evaluates the
-scripted path one time at a time. Both are kept unchanged so tests can
+``generate_demos`` here calls ``controller.track`` once per demo step, each
+call ending with both poses renormalised, and ``_nominal_trajectory``
+evaluates the scripted path one time at a time. Both are kept so tests can
 require ``sailx.io.generate_demos`` to reproduce them bit for bit.
 """
 
@@ -12,7 +12,7 @@ from sailx.controller import ReferenceTrack, gain_profile, track
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import GenerationError, InvalidInputError
 from sailx.io import _GRIP_OFFSET, Demonstration, _scripted_path, _smoothstep
-from sailx.sim import DynamicsParams, TaskSpec, initial_world, success
+from sailx.sim import TaskSpec, initial_world, success
 from sailx.speedmod import gripper_event_flags, label_critical
 
 
@@ -64,7 +64,6 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
     profile = gain_profile(gains)
-    dynamics = DynamicsParams()
     rng = np.random.default_rng(seed)
     demos = []
     for d in range(n):
@@ -95,20 +94,18 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
 
         ref = ReferenceTrack(times, commanded_pos, quat,
                              grippers=commanded_grip)
-        world = initial_world(Pose(home), demo_task)
+        state = initial_world(Pose(home), demo_task)
         reached = np.empty((n_steps, 7))
         objects = np.empty((n_steps, 7))
         reached[0] = np.concatenate([home, IDENTITY_QUAT])
         objects[0] = np.concatenate([obj_pos,
                                      task.object_start.orientation])
         for i in range(1, n_steps):
-            world, _ = track(world, ref, profile, dynamics, until=times[i],
-                             grasp_radius=demo_task.grasp_radius)
-            reached[i] = np.concatenate([world.robot.position,
-                                         world.robot.orientation])
-            objects[i] = np.concatenate([world.object_pose.position,
-                                         world.object_pose.orientation])
-        if not success(world, demo_task):
+            track(state, ref, profile, until=times[i],
+                  grasp_radius=demo_task.grasp_radius)
+            reached[i] = state[0:7]
+            objects[i] = state[14:21]
+        if not success(state, demo_task):
             raise GenerationError(
                 f"scripted demo {d} failed the task predicate")
 

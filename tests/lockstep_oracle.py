@@ -19,10 +19,8 @@ from sailx.errors import GenerationError, InvalidInputError
 from sailx.experiments import _trial_seed, replay_rollout, task_for_demo
 from sailx.policy import (DemoLibrary, MockPolicy, PolicyConfig,
                           infer_unconditional)
-from sailx.io import (Demonstration, _as_pose_quat, _nominal_trajectory,
-                      _scripted_path)
-from sailx.sim import (DynamicsParams, TaskSpec, WorldState, initial_world,
-                       success)
+from sailx.io import Demonstration, _nominal_trajectory, _scripted_path
+from sailx.sim import TaskSpec, initial_world, success
 from sailx.speedmod import gripper_event_flags, label_critical
 
 
@@ -77,7 +75,6 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
     profile = gain_profile(gains)
-    dynamics = DynamicsParams()
     rng = np.random.default_rng(seed)
     demos = []
     for d in range(n):
@@ -108,23 +105,23 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
 
         ref = ReferenceTrack(times, commanded_pos, quat,
                              grippers=commanded_grip)
-        state = initial_world(Pose(home), demo_task).to_vector()
+        state = initial_world(Pose(home), demo_task)
         reached = np.empty((n_steps, 7))
         objects = np.empty((n_steps, 7))
         reached[0] = np.concatenate([home, IDENTITY_QUAT])
         objects[0] = np.concatenate([obj_pos,
                                      task.object_start.orientation])
-        slices = track_slices(state, ref, profile, dynamics, times[1:],
+        slices = track_slices(state, ref, profile, times[1:],
                               grasp_radius=demo_task.grasp_radius)
         for i, trace in enumerate(slices, start=1):
             if len(trace.times):
-                # as between two track calls, whose WorldState passes both
-                # quaternions through Pose
-                _as_pose_quat(state[3:7])
-                _as_pose_quat(state[17:21])
+                # as between two track calls, which pass both poses
+                # through Pose
+                for q in (slice(3, 7), slice(17, 21)):
+                    state[q] = Pose(np.zeros(3), state[q]).orientation
             reached[i] = state[0:7]
             objects[i] = state[14:21]
-        if not success(WorldState.from_vector(state), demo_task):
+        if not success(state, demo_task):
             raise GenerationError(
                 f"scripted demo {d} failed the task predicate")
 
@@ -141,8 +138,8 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
 
 
 
-def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
-                      dynamics: DynamicsParams | None = None) -> dict:
+def diagnostics_trial(demos, policy: MockPolicy, c: float,
+                      seed: int) -> dict:
     """One single-step reset trial: track one sped-up cycle, score the tail.
 
     The robot is reset onto a random demo state, tracks the next stretch of
@@ -166,23 +163,22 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float, seed: int,
 
     start = Pose(demo.reached[step, :3].copy(), demo.reached[step, 3:7].copy())
     task = task_for_demo(demo)
-    world = initial_world(start, task)
+    state = initial_world(start, task)
     idx = np.arange(step, step + horizon + 1)
-    times = world.sim_time + np.arange(len(idx)) * (c * demo.dt)
+    times = state[29] + np.arange(len(idx)) * (c * demo.dt)
     ref = ReferenceTrack(times, demo.reached[idx, :3].copy(),
                          demo.reached[idx, 3:7].copy(),
                          grippers=demo.grippers[idx].copy())
-    world, _ = track(world, ref, GAIN_PRESETS["real-exec"],
-                     dynamics or DynamicsParams(), until=float(times[-1]))
+    track(state, ref, GAIN_PRESETS["real-exec"], until=float(times[-1]))
     desired = ref.pose_at(float(times[-1]))
-    e_pos = float(np.linalg.norm(desired.position - world.robot.position))
+    e_pos = float(np.linalg.norm(desired.position - state[0:3]))
 
     # the tail that will be handed to the policy: the positions traversed
     # next at speed c, anchored at the retrieval match for the current state
-    _, demo_idx, near_step = policy.nearest_states(world)[0]
+    _, demo_idx, near_step = policy.nearest_states(state)[0]
     query = policy.positions(
         demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
-    chunks = infer_unconditional(policy, world, size=64)
+    chunks = infer_unconditional(policy, state, size=64)
     samples = SampleSet.from_chunks(chunks, cfg.h_c)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),

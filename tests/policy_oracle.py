@@ -45,9 +45,9 @@ class OraclePolicy:
         return rng
 
     def _state_distances(self, obs):
-        q_pos = obs.robot.position
-        q_obj = obs.object_pose.position
-        q_grip = obs.gripper
+        q_pos = obs[0:3]
+        q_obj = obs[14:17]
+        q_grip = obs[13]
         per_demo = []
         for pos, obj, grip in zip(self._feat_pos, self._feat_obj, self._grip):
             d = (POS_WEIGHT * np.sum((pos - q_pos) ** 2, axis=1)
@@ -161,9 +161,9 @@ class PackedOracle:
                          pack([np.asarray(d.commanded)[:, :3] for d in demos]))
 
     def state_distances(self, obs) -> np.ndarray:
-        q_pos = obs.robot.position
-        q_obj = obs.object_pose.position
-        q_grip = obs.gripper
+        q_pos = obs[0:3]
+        q_obj = obs[14:17]
+        q_grip = obs[13]
         sq = self._feat_pos - q_pos
         sq *= sq
         d = np.sum(sq, axis=2)

@@ -14,12 +14,13 @@ from sailx.cli import main
 from sailx.core import tracking_error
 from sailx.diagnostics import SampleSet, knn_distance
 from sailx.experiments import (run_diagnostics, run_method_rollout,
-                               sweep_gain_replay, sweep_noise, sweep_speed)
+                               sweep_gain_replay, sweep_noise, sweep_speed,
+                               task_for_demo)
 from sailx.metrics import (SparcParams, aggregate, ldlj, sparc, tpr, wed)
 from sailx.policy import (MockPolicy, PolicyConfig, cfg_blend, infer_eag,
                           infer_unconditional)
 from sailx.scheduler import lower_bound_interval, simulate_timeline
-from sailx.sim import Pose, WorldState
+from sailx.sim import Pose, initial_world
 from sailx.speedmod import (NOISE, LabelParams, dbscan, extract_waypoints,
                             label_critical)
 
@@ -64,15 +65,16 @@ def test_criterion_01_scheduler_bound():
 def test_criterion_02_guidance_gating(demos50):
     policy = MockPolicy(demos50, PolicyConfig(), seed=0)
     demo = demos50[0]
-    world = WorldState(robot=Pose(demo.reached[0, :3], demo.reached[0, 3:7]),
-                       object_pose=Pose(demo.object_start[:3],
-                                        demo.object_start[3:7]))
+    world = initial_world(Pose(demo.reached[0, :3], demo.reached[0, 3:7]),
+                          task_for_demo(demo))
     prev = infer_unconditional(policy, world)
 
     rng = np.random.default_rng(202)
     pos_cases = [0.0, 0.0199, 0.02, 0.0201, 0.1]
     ori_cases = [0.0, 0.0499, 0.05, 0.0501, 0.5]
     base = Pose(np.array([0.1, 0.2, 0.3]))
+    # the gate reads the robot pose of the state it is given
+    at_base = initial_world(base, task_for_demo(demo))
     checked = mismatches = 0
     for e_pos in pos_cases:
         for e_ori in ori_cases:
@@ -85,9 +87,11 @@ def test_criterion_02_guidance_gating(demos50):
                     base.position + e_pos * u,
                     quat_normalize(quat_mul(quat_from_rotvec(e_ori * axis),
                                             base.orientation)))
-                err = tracking_error(desired, base)
+                err = tracking_error(desired, base.position,
+                                     base.orientation)
                 expected = err.e_pos <= 0.02 and err.e_ori <= 0.05
-                _, applied = infer_eag(policy, world, prev, desired, base)
+                _, applied = infer_eag(policy, at_base, prev, desired,
+                                       exec_offset=8)
                 checked += 1
                 mismatches += applied != expected
     a = infer_unconditional(policy, world)

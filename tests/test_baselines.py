@@ -9,7 +9,8 @@ from sailx.baselines import (DOT_THRESHOLD, NORM_THRESHOLD,
 from sailx.errors import InvalidInputError
 from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig,
                           infer_unconditional)
-from sailx.sim import Pose, WorldState
+from sailx.experiments import task_for_demo
+from sailx.sim import Pose, initial_world
 
 
 def displacement(deltas):
@@ -67,10 +68,9 @@ class TestAggregateActions:
 class TestAggregateChunk:
     def test_preserves_length_and_endpoints(self, demos20):
         policy = AggregatedActionsPolicy(demos20, PolicyConfig(), seed=0)
-        world = WorldState(robot=Pose(demos20[0].reached[0, :3],
-                                      demos20[0].reached[0, 3:7]),
-                           object_pose=Pose(demos20[0].object_start[:3],
-                                            demos20[0].object_start[3:7]))
+        world = initial_world(Pose(demos20[0].reached[0, :3],
+                                   demos20[0].reached[0, 3:7]),
+                              task_for_demo(demos20[0]))
         chunk = infer_unconditional(policy, world)
         assert len(chunk) == policy.config.h_p
         raw = MockPolicy(demos20, PolicyConfig(), seed=0)._extract(0, 0)

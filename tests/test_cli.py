@@ -166,6 +166,29 @@ class TestConfigFile:
             main(["--config", "/nonexistent.ini", "rollout"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("seed = 3\n[label]\n", 1),           # no section header
+        ("[label]\nseed = 3\njunk\n", 3),     # not key = value
+    ])
+    def test_malformed_config_exits_2_naming_the_line(self, tmp_path, capsys,
+                                                      text, line):
+        cfg = tmp_path / "sailx.ini"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "label"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error: ")
+        assert f"line {line}" in err and len(err.splitlines()) == 1
+
+    def test_missing_demo_directory_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--demos", str(tmp_path / "nowhere")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestDeterminism:
     def test_sweep_csv_reruns_identical(self, demo_dir, tmp_path, capsys):

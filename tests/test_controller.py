@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from sailx.controller import (GAIN_PRESETS, GainProfile, ReferenceTrack,
-                              gain_profile, track)
+                              gain_profile, track, track_slices)
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import InvalidInputError
-from sailx.sim import DynamicsParams, TaskSpec, WorldState, initial_world
+from sailx.sim import INERTIA, MASS, TaskSpec, initial_world
 
 from plant_oracle import pd_wrench
 
@@ -109,30 +109,29 @@ class TestReferenceTrack:
             ReferenceTrack(np.arange(8) * 0.0, positions, orientations)
 
 
-def _wrench(ref: Pose, cur: Pose, gains: GainProfile, params: DynamicsParams):
+def _wrench(ref: Pose, cur: Pose, gains: GainProfile, mass=MASS):
     """plant_oracle.pd_wrench from rest at ``cur`` towards a static ``ref``."""
-    state = WorldState(robot=cur).to_vector()
+    state = np.zeros(30)
+    state[0:3], state[3:7] = cur.position, cur.orientation
     return pd_wrench(state, ref.position, np.zeros(3), ref.orientation,
                      np.zeros(3), gains.kp_pos, gains.kv_pos, gains.kp_ori,
-                     gains.kv_ori, params.mass, params.inertia)
+                     gains.kv_ori, mass, INERTIA)
 
 
 class TestComputeWrench:
     def test_pd_force_at_rest(self):
         gains = GainProfile(100.0, 20.0, 100.0, 20.0)
-        params = DynamicsParams(mass=2.0)
         ref = Pose(np.array([1.0, 0.0, 0.0]))
         cur = Pose(np.zeros(3))
-        wrench = _wrench(ref, cur, gains, params)
+        wrench = _wrench(ref, cur, gains, mass=2.0)
         assert wrench[:3] == pytest.approx([200.0, 0.0, 0.0])
         assert wrench[3:] == pytest.approx(np.zeros(3))
 
     def test_orientation_torque_axis(self):
         gains = GainProfile(0.0, 0.0, 50.0, 0.0)
-        params = DynamicsParams()
         ref = Pose(np.zeros(3), rotz(0.2))
         cur = Pose(np.zeros(3))
-        wrench = _wrench(ref, cur, gains, params)
+        wrench = _wrench(ref, cur, gains)
         assert wrench[3:] == pytest.approx([0.0, 0.0, 50.0 * 0.2], abs=1e-9)
 
 
@@ -144,9 +143,8 @@ class TestTrack:
         target = np.array([0.05, -0.03, 0.08])
         ref = ReferenceTrack([0.0, 0.2], np.vstack([np.zeros(3), target]),
                              np.tile(IDENTITY_QUAT, (2, 1)))
-        world, trace = track(world, ref, GAIN_PRESETS["real-exec"],
-                             DynamicsParams(), until=2.0)
-        assert world.robot.position == pytest.approx(target, abs=1e-3)
+        trace = track(world, ref, GAIN_PRESETS["real-exec"], until=2.0)
+        assert world[0:3] == pytest.approx(target, abs=1e-3)
         assert trace.e_pos[-1] < 1e-3
         assert np.all(np.diff(trace.times) > 0)
 
@@ -160,8 +158,7 @@ class TestTrack:
         errs = {}
         for name in ("high", "low"):
             world = initial_world(Pose(np.zeros(3)), task)
-            _, trace = track(world, ref, GAIN_PRESETS[name],
-                             DynamicsParams(), until=1.0)
+            trace = track(world, ref, GAIN_PRESETS[name], until=1.0)
             errs[name] = float(np.mean(trace.e_pos))
         assert errs["high"] < errs["low"]
 
@@ -171,11 +168,35 @@ class TestTrack:
         world = initial_world(Pose(np.zeros(3)), task)
         ref = ReferenceTrack([0.0, 0.5], np.zeros((2, 3)),
                              np.vstack([rotz(0.0), rotz(0.4)]))
-        _, trace = track(world, ref, GAIN_PRESETS["real-exec"],
-                         DynamicsParams(), until=0.5)
+        trace = track(world, ref, GAIN_PRESETS["real-exec"], until=0.5)
         assert trace.orientations.shape == (len(trace.times), 4)
         assert np.linalg.norm(trace.orientations[-1]) == pytest.approx(
             1.0, abs=1e-6)
+
+
+def test_track_renormalises_both_poses_once():
+    # an object orientation that a second renormalisation moves, and a
+    # robot that turns: each ends with the bits of one Pose of what the
+    # plant left
+    rng = np.random.default_rng(1)
+    while True:
+        v = rng.normal(size=4)
+        obj = v / np.linalg.norm(v)
+        once = Pose(np.zeros(3), obj).orientation
+        if Pose(np.zeros(3), once).orientation.tobytes() != once.tobytes():
+            break
+    task = TaskSpec(object_start=Pose(np.array([9.0, 9.0, 9.0])),
+                    goal_position=np.array([9.0, 9.0, 9.5]))
+    state = initial_world(Pose(np.zeros(3)), task)
+    state[17:21] = obj
+    ref = ReferenceTrack([0.0, 0.5], np.zeros((2, 3)),
+                         np.vstack([rotz(0.0), rotz(0.4)]))
+    raw = state.copy()
+    next(track_slices(raw, ref, GAIN_PRESETS["real-exec"], (0.5,)))
+    track(state, ref, GAIN_PRESETS["real-exec"], until=0.5)
+    for q in (slice(3, 7), slice(17, 21)):
+        assert state[q].tobytes() == \
+            Pose(np.zeros(3), raw[q]).orientation.tobytes()
 
 
 class TestGainPresets:

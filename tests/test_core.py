@@ -17,30 +17,34 @@ def rotz(theta):
     return np.array([np.cos(theta / 2), 0.0, 0.0, np.sin(theta / 2)])
 
 
+def _error(desired, current):
+    return tracking_error(desired, current.position, current.orientation)
+
+
 class TestTrackingError:
     def test_identical_poses_zero_error(self):
         p = _pose([0.1, 0.2, 0.3])
-        err = tracking_error(p, p)
+        err = _error(p, p)
         assert err.e_pos == 0.0
         assert err.e_ori == pytest.approx(0.0, abs=1e-7)
 
     def test_position_error_is_euclidean(self):
         a = _pose([0.0, 0.0, 0.0])
         b = _pose([0.3, 0.4, 0.0])
-        assert tracking_error(a, b).e_pos == pytest.approx(0.5)
+        assert _error(a, b).e_pos == pytest.approx(0.5)
 
     def test_orientation_error_is_rotation_angle(self):
         a = _pose([0, 0, 0])
         for theta in [0.05, 0.5, 1.5, np.pi - 0.01]:
             b = _pose([0, 0, 0], rotz(theta))
-            assert tracking_error(a, b).e_ori == pytest.approx(theta, abs=1e-9)
+            assert _error(a, b).e_ori == pytest.approx(theta, abs=1e-9)
 
     def test_quaternion_sign_invariance(self):
+        # a Pose would flip -q to w >= 0; the current pose's arrays do not
         a = _pose([0, 0, 0], rotz(0.7))
-        b = _pose([0, 0, 0], -rotz(1.1))
-        c = _pose([0, 0, 0], rotz(1.1))
-        assert tracking_error(a, b).e_ori == pytest.approx(
-            tracking_error(a, c).e_ori, abs=1e-12)
+        q = rotz(1.1)
+        assert tracking_error(a, np.zeros(3), -q).e_ori == pytest.approx(
+            tracking_error(a, np.zeros(3), q).e_ori, abs=1e-12)
 
 
 def _column(q):

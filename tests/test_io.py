@@ -187,6 +187,98 @@ class TestRolloutRoundTrip:
             read_rollout(path)
 
 
+def _rewrite(path, line, edit):
+    """Apply ``edit`` to the JSON record on ``line`` of the file."""
+    lines = open(path).read().splitlines()
+    rec = json.loads(lines[line - 1])
+    edit(rec)
+    lines[line - 1] = json.dumps(rec)
+    open(path, "w").write("\n".join(lines) + "\n")
+
+
+def _set(key, value):
+    return lambda rec: rec.update({key: value})
+
+
+def _cut(key, size):
+    """The pose or list under ``key`` cut or padded to ``size`` numbers."""
+    return lambda rec: rec.update({key: (rec[key] + [0.0] * size)[:size]})
+
+
+class TestMalformedFields:
+    """A missing field, a field that is not a number, a pose of other than
+    7 numbers and a line that is not a JSON object each raise ParseError
+    with their line; the header is line 1."""
+
+    @pytest.mark.parametrize("line, edit", [
+        (1, lambda rec: rec.pop("dt")),
+        (1, _set("dt", "abc")),
+        (1, _cut("object_start", 6)),
+        (1, _cut("goal", 2)),
+        (4, _cut("cmd", 6)),
+        (4, _cut("reached", 8)),
+        (4, _set("grip", [1.0])),
+        (4, _set("k", "1")),
+        (4, _set("obj", None)),
+    ], ids=["no dt", "dt text", "object_start of 6", "goal of 2", "cmd of 6",
+            "reached of 8", "grip list", "k text", "obj null"])
+    def test_demo(self, demos20, tmp_path, line, edit):
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        _rewrite(path, line, edit)
+        with pytest.raises(ParseError) as exc:
+            read_demo(path)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("line, edit", [
+        (1, lambda rec: rec.pop("seed")),
+        (1, lambda rec: rec.pop("duration")),
+        (1, _set("stall_count", "0")),
+        (1, _set("success", 1)),
+        (1, _set("con_values", "abc")),
+        (3, _cut("ref", 6)),
+        (3, _cut("state", 8)),
+        (3, _set("e_pos", "abc")),
+        (3, lambda rec: rec.pop("e_ori")),
+        (-1, _set("time", "abc")),
+    ], ids=["no seed", "no duration", "stall_count text", "success 1",
+            "con_values text", "ref of 6", "state of 8", "e_pos text",
+            "no e_ori", "event time text"])
+    def test_rollout(self, demos20, tmp_path, line, edit):
+        path = str(tmp_path / "r.jsonl")
+        write_rollout(run_method_rollout("dp", 1.0, demos20, seed=0), path)
+        if line < 0:
+            line += len(open(path).read().splitlines()) + 1
+        _rewrite(path, line, edit)
+        with pytest.raises(ParseError) as exc:
+            read_rollout(path)
+        assert exc.value.line == line
+
+    def test_every_pose_of_six_numbers(self, demos20, tmp_path):
+        path = str(tmp_path / "r.jsonl")
+        write_rollout(run_method_rollout("dp", 1.0, demos20, seed=0), path)
+        lines = open(path).read().splitlines()
+        for line, text in enumerate(lines[1:], start=2):
+            if '"ref"' in text:
+                _rewrite(path, line, _cut("ref", 6))
+        with pytest.raises(ParseError) as exc:
+            read_rollout(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("line", [1, 3])
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "7"])
+    def test_a_line_that_is_not_an_object(self, demos20, tmp_path, line,
+                                          text):
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        lines = open(path).read().splitlines()
+        lines[line - 1] = text
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_demo(path)
+        assert exc.value.line == line
+
+
 class TestGenerateDemos:
     def test_basic_invariants(self, demos20):
         for demo in demos20:
@@ -277,8 +369,8 @@ class TestRoundTripProperties:
 def _rotated_task():
     """An object orientation that a second renormalisation changes.
 
-    ``Pose`` renormalises on every construction, so the generator must
-    renormalise between slices where per-step ``WorldState``s did.
+    Every ``track`` call renormalises both quaternions once, so the
+    generator must renormalise between slices where per-step calls do.
     """
     task = make_task()
     quat = np.array([-0.7, 0.9, 1.0, 0.9])

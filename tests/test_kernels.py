@@ -81,15 +81,20 @@ def plant_cases(draw):
 
 
 def _params(draw):
-    """Gains, dynamics, grasp radius and wrench limit of a plant case."""
+    """Gains, dynamics and grasp radius of a plant case."""
     kp_pos = draw(st.floats(0.0, 3000.0))
     kp_ori = draw(st.floats(0.0, 3000.0))
     return (kp_pos, np.float64(2.0 * np.sqrt(kp_pos)), kp_ori,
             draw(st.floats(0.0, 120.0)), draw(st.floats(0.1, 5.0)),
             draw(st.floats(0.01, 2.0)), 0.002,
             draw(st.sampled_from([8.0, 400.0])),
-            draw(st.sampled_from([0.015, 0.05])),
-            draw(st.sampled_from([0.0, 0.5, 40.0])))
+            draw(st.sampled_from([0.015, 0.05])))
+
+
+def _oracle_loop(state, *args):
+    """plant_oracle.track_loop with its wrench limit off: the kernels
+    have none."""
+    return plant_oracle.track_loop(state, *args[:14], 0.0, *args[14:])
 
 
 def _run(loop, state, refs, params):
@@ -104,8 +109,8 @@ def _run(loop, state, refs, params):
 
 def _assert_same_run(state, refs, params):
     fault, final, outs = _run(kernels.track_loop, state, refs, params)
-    want_fault, want_final, want_outs = _run(plant_oracle.track_loop, state,
-                                             refs, params)
+    want_fault, want_final, want_outs = _run(_oracle_loop, state, refs,
+                                             params)
     assert fault == want_fault
     assert _bits(final) == _bits(want_final)
     for got, want in zip(outs, want_outs):
@@ -130,8 +135,7 @@ class TestTrackLoop:
                 np.tile(_unit([0.8, -0.2, 0.4, 0.1]), (n, 1)),
                 np.zeros((n, 3)),
                 np.where(np.arange(n) < 60, 1.0, 0.0)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 100.0, 0.015,
-                  0.5)
+        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 100.0, 0.015)
         fault, events = _assert_same_run(state, refs, params)
         assert fault == -1
         assert sorted(set(events.tolist())) == [-1, 0, 1]
@@ -144,11 +148,11 @@ class TestTrackLoop:
                 np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((n, 3)),
                 np.zeros(n)]
         refs[1][4, 2] = np.nan
-        params = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.0)
+        params = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015)
         fault, _ = _assert_same_run(state, refs, params)
         assert fault == 4
 
-    PARAMS = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.0)
+    PARAMS = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015)
 
     @staticmethod
     def _refs(n):
@@ -166,7 +170,7 @@ class TestTrackLoop:
         state = np.zeros(kernels.STATE_SIZE)
         state[3] = state[17] = state[25] = 1.0
         state[29] = 0.25
-        for loop in (kernels.track_loop, plant_oracle.track_loop):
+        for loop in (kernels.track_loop, _oracle_loop):
             final = state.copy()
             outs = self._nan_outs(0)
             assert loop(final, *self._refs(0), *self.PARAMS, *outs) == -1
@@ -180,7 +184,7 @@ class TestTrackLoop:
         refs = self._refs(n)
         refs[3][fault_step, 1] = np.inf
         runs = []
-        for loop in (kernels.track_loop, plant_oracle.track_loop):
+        for loop in (kernels.track_loop, _oracle_loop):
             final = state.copy()
             outs = self._nan_outs(n)
             assert loop(final, *refs, *self.PARAMS, *outs) == fault_step
@@ -226,11 +230,11 @@ def _lockstep_rows(draw, cases):
     n = min(len(refs[0]) for _, refs, _ in cases)
     if n > 1 and n % 2 != draw(st.integers(0, 1)):
         n -= 1
-    dynamics = cases[0][2][4:8] + cases[0][2][9:]
+    dynamics = cases[0][2][4:8]
     rows = []
     for state, refs, params in cases:
         rows.append((state, [r[:n] for r in refs],
-                     params[:4] + dynamics[:4] + (params[8], dynamics[4])))
+                     params[:4] + dynamics + params[8:]))
     return rows
 
 
@@ -240,9 +244,9 @@ def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
-    shared = [float(p[0]) for p in params[4:8] + params[9:]]
-    faults = kernels.track_loop_batch(
-        states, block, *params[:4], *shared[:4], params[8], shared[4])
+    shared = [float(p[0]) for p in params[4:8]]
+    faults = kernels.track_loop_batch(states, block, *params[:4], *shared,
+                                      params[8])
     for j, (state, refs, params) in enumerate(rows):
         fault, final, _ = _run(loop, state, refs, params)
         assert faults[j] == fault
@@ -280,11 +284,26 @@ class TestTrackLoopBatch:
                     np.tile(_unit([0.9, 0.1, 0.2, -0.1]), (n, 1)),
                     np.zeros((n, 3)), grip]
             params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 400.0,
-                      0.015, 0.0)
+                      0.015)
             rows.append((_attached_state(rng), refs, params))
         _, states = _assert_columns_match_track_loop(rows)
         assert _bits(states[14:21, 0]) == _bits(rows[0][0][14:21])
         assert states[21].tolist() == [0.0, 0.0, 1.0]
+
+    def test_a_carried_pose_keeps_a_negative_zero(self):
+        # the first column turns, so the batch takes the full update; the
+        # second carries its object at a relative orientation with w = -0.0
+        rng = np.random.default_rng(8)
+        n = 4
+        refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
+                np.zeros((n, 3)), np.ones(n)]
+        params = (300.0, 34.6, 0.0, 0.0, 1.0, 1.0, 0.002, 8.0, 0.015)
+        carrying = _attached_state(rng)
+        carrying[3:7] = IDENTITY
+        carrying[25:29] = [-0.0, 0.0, 0.0, 1.0]
+        _, states = _assert_columns_match_track_loop(
+            [(_attached_state(rng), refs, params), (carrying, refs, params)])
+        assert np.signbit(states[17, 1])
 
     def test_a_faulted_column_stops_and_the_others_run_on(self):
         rng = np.random.default_rng(5)
@@ -297,7 +316,7 @@ class TestTrackLoopBatch:
             if bad_step is not None:
                 refs[1][bad_step, 1] = np.inf
             params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0,
-                      0.015, 0.5)
+                      0.015)
             rows.append((_attached_state(rng), refs, params))
         faults, _ = _assert_columns_match_track_loop(rows)
         assert faults.tolist() == [-1, 7, -1, 0, 39]
@@ -372,9 +391,8 @@ NEAR_MISSES = {
     "inertia inf": ("params", 5, np.inf),
     "dt inf": ("params", 6, np.inf),
 }
-# the params a lockstep batch shares: mass, inertia, dt, grip_slew and
-# wrench_limit
-SHARED_PARAMS = (4, 5, 6, 7, 9)
+# the params a lockstep batch shares: mass, inertia, dt and grip_slew
+SHARED_PARAMS = (4, 5, 6, 7)
 
 
 def _off_rest(case, what, where, value):
@@ -424,7 +442,7 @@ class TestAtRest:
     @SETTINGS
     @given(at_rest_batches())
     def test_batch_columns_match_the_oracle_bit_for_bit(self, rows):
-        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop)
 
     @pytest.mark.parametrize("kind", sorted(NEAR_MISSES))
     @NEAR_MISS_SETTINGS
@@ -435,7 +453,7 @@ class TestAtRest:
         shared = what == "params" and where in SHARED_PARAMS
         rows = [_off_rest(row, what, where, value) if shared or k == j
                 else row for k, row in enumerate(rows)]
-        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop)
 
     def test_a_zero_inertia_is_not_at_rest(self):
         rng = np.random.default_rng(6)
@@ -444,12 +462,12 @@ class TestAtRest:
         n = 8
         refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
                 np.zeros((n, 3)), np.ones(n)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 0.0, 0.002, 8.0, 0.015, 0.0)
+        params = (300.0, 34.6, 400.0, 40.0, 1.0, 0.0, 0.002, 8.0, 0.015)
         # the scalar loop's torque divides by the inertia, in Python floats
         with pytest.raises(ZeroDivisionError):
             _run(kernels.track_loop, state, refs, params)
         faults, _ = _assert_columns_match_track_loop(
-            [(state, refs, params)], plant_oracle.track_loop)
+            [(state, refs, params)], _oracle_loop)
         assert faults.tolist() == [1]
 
     def test_a_batch_at_rest_skips_the_rotation_helpers(self, monkeypatch):
@@ -457,7 +475,7 @@ class TestAtRest:
         n = 20
         refs = [np.full((n, 3), 0.01), np.zeros((n, 3)),
                 np.tile(IDENTITY, (n, 1)), np.zeros((n, 3)), np.zeros(n)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0, 0.015, 0.5)
+        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0, 0.015)
         rows = []
         for _ in range(3):
             state = _attached_state(rng)
@@ -469,10 +487,10 @@ class TestAtRest:
 
         monkeypatch.setattr(kernels, "_rotvec", unused)
         monkeypatch.setattr(kernels, "_exp", unused)
-        _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop)
         rows[1][0][11] = 1e-3  # one column spins
         with pytest.raises(AssertionError, match="at rest"):
-            _assert_columns_match_track_loop(rows, plant_oracle.track_loop)
+            _assert_columns_match_track_loop(rows, _oracle_loop)
 
 
 def _waypoints(draw, n):
@@ -612,6 +630,10 @@ def rotation_vectors(draw):
     return np.array(rows)
 
 
+def _column(q):
+    return np.asarray(q, dtype=float)[:, None]
+
+
 class TestColumnHelpers:
     """The kernels' column helpers against the per-quaternion oracle."""
 
@@ -626,6 +648,13 @@ class TestColumnHelpers:
         want = [plant_oracle.quat_mul(p, plant_oracle.quat_conj(q))
                 for p, q in zip(a, b)]
         assert _bits(got.T) == _bits(want)
+
+    def test_hamilton_keeps_a_sum_of_negative_zeros(self):
+        # each term of the product's w is -0.0, as in an attached object's
+        # pose formed from a relative orientation that holds a -0.0
+        a, b = np.array([1.0, 0.0, 0.0, 0.0]), np.array([-0.0, 0.0, 0.0, 1.0])
+        got = kernels._hamilton(_column(a), kernels._signed(_column(b)))
+        assert _bits(got[:, 0]) == _bits(plant_oracle.quat_mul(a, b))
 
     @SETTINGS
     @given(quat_pairs())

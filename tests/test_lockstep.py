@@ -20,7 +20,7 @@ from sailx.experiments import (make_task, rows_to_csv, run_diagnostics,
                                sweep_gain_replay, sweep_noise)
 from sailx.io import generate_demos
 from sailx.core import Pose
-from sailx.sim import DynamicsParams, TaskSpec
+from sailx.sim import TaskSpec
 
 import lockstep_oracle
 
@@ -203,7 +203,6 @@ class TestGrouping:
         gains = [GAIN_PRESETS["high" if r % 3 else "low"]
                  for r in range(n_rows)]
         radii = rng.uniform(0.01, 0.05, n_rows)
-        params = DynamicsParams()
         untils = (0.3, 0.7, 1.3)
         states = np.zeros((30, n_rows))
         states[3] = states[17] = states[25] = 1.0
@@ -213,10 +212,10 @@ class TestGrouping:
         for r in range(n_rows):
             state = want[:, r].copy()
             want_steps.append([len(trace.times) for trace in track_slices(
-                state, refs[r], gains[r], params, untils, radii[r])])
+                state, refs[r], gains[r], untils, radii[r])])
             want[:, r] = state
         got_steps = [[] for _ in range(n_rows)]
-        for rows, k, steps in track_lockstep(states, refs, gains, params,
+        for rows, k, steps in track_lockstep(states, refs, gains,
                                              [untils] * n_rows, radii):
             for r in rows:
                 assert len(got_steps[r]) == k
@@ -287,7 +286,6 @@ class TestMixedGrids:
     def test_every_column_matches_its_slices(self, plant, case):
         states, refs, gains, untils, radii = case
         n_rows = len(refs)
-        params = DynamicsParams()
         want = states.copy()
         want_slices = []
         want_faults = {}
@@ -296,8 +294,7 @@ class TestMixedGrids:
             slices = []
             try:
                 for k, trace in enumerate(track_slices(
-                        state, refs[r], gains[r], params, untils[r],
-                        radii[r])):
+                        state, refs[r], gains[r], untils[r], radii[r])):
                     slices.append((k, len(trace.times)))
             except SimFault as exc:
                 want_faults[r] = str(exc)
@@ -305,8 +302,8 @@ class TestMixedGrids:
             want[:, r] = state
         got_slices = [[] for _ in range(n_rows)]
         try:
-            for rows, k, steps in track_lockstep(states, refs, gains, params,
-                                                 untils, radii):
+            for rows, k, steps in track_lockstep(states, refs, gains, untils,
+                                                 radii):
                 for r in rows:
                     got_slices[r].append((k, steps))
         except SimFault as exc:
@@ -343,7 +340,7 @@ class TestClocks:
         with pytest.raises(InvalidInputError, match="start clock"):
             for _ in track_lockstep(states, refs,
                                     [GAIN_PRESETS["high"]] * n_rows,
-                                    DynamicsParams(), [(0.4, 1.2)] * n_rows,
+                                    [(0.4, 1.2)] * n_rows,
                                     [0.015] * n_rows):
                 pass
         assert states.tobytes() == before.tobytes()
@@ -358,7 +355,6 @@ class TestFaults:
         refs = _line_refs(n_rows, bad_rows)
         gains = [GAIN_PRESETS["high" if r % 2 else "low"]
                  for r in range(n_rows)]
-        params = DynamicsParams()
         states = np.zeros((30, n_rows))
         states[3] = 1.0
         states[17] = 1.0
@@ -368,14 +364,13 @@ class TestFaults:
         for r in range(n_rows):
             state = want_states[:, r].copy()
             try:
-                for _ in track_slices(state, refs[r], gains[r], params,
-                                      (0.4, 1.2)):
+                for _ in track_slices(state, refs[r], gains[r], (0.4, 1.2)):
                     pass
             except SimFault as exc:
                 want_faults[r] = str(exc)
             want_states[:, r] = state
         with pytest.raises(SimFault) as exc:
-            for _ in track_lockstep(states, refs, gains, params,
+            for _ in track_lockstep(states, refs, gains,
                                     [(0.4, 1.2)] * n_rows,
                                     [0.015] * n_rows):
                 pass

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sailx.core import Pose
+from sailx.core import Pose, tracking_error
 from sailx.errors import ConfigurationError, InvalidInputError
 from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig, cfg_blend,
                           infer_conditional, infer_eag, infer_unconditional)
@@ -55,15 +55,15 @@ class TestActionChunk:
 class TestPolicyConfig:
     def test_horizon_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=8, h_e=9, h_c=4)
+            PolicyConfig(h_p=4, h_c=4)
         with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=32, h_e=8, h_c=8)
+            PolicyConfig(h_p=8, h_c=9)
 
     @pytest.mark.parametrize("h_c", [0, -1])
     def test_conditioning_length_must_be_positive(self, h_c):
         # an empty tail used to pass and fail later, in the window scores
         with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=32, h_e=8, h_c=h_c)
+            PolicyConfig(h_p=32, h_c=h_c)
 
 
 class TestUnconditional:
@@ -105,11 +105,11 @@ class TestLastQueryCache:
     def test_never_serves_a_stale_matrix(self, demos20, change):
         cfg = PolicyConfig()
         obs = _obs(demos20[3])
+        other = obs.copy()
         if change == "gripper":
-            other = replace(obs, gripper=obs.gripper + 0.5)
+            other[13] += 0.5
         else:
-            other = replace(obs, object_pose=Pose(
-                obs.object_pose.position + np.array([0.0, 0.0, 0.01])))
+            other[16] += 0.01
         warm = MockPolicy(demos20, cfg, seed=0)
         first = warm._state_distances(obs)
         second = warm._state_distances(other)
@@ -254,8 +254,10 @@ class TestEag:
         obs = _obs(demos[1])
         prev = infer_unconditional(policy, obs)
         desired = Pose(np.zeros(3))
-        state = Pose(np.array([e_pos, 0.0, 0.0]), rotz(e_ori))
-        return infer_eag(policy, obs, prev, desired, state)
+        # the gate reads the robot pose of the state it is given
+        obs[0:3] = [e_pos, 0.0, 0.0]
+        obs[3:7] = Pose(np.zeros(3), rotz(e_ori)).orientation
+        return infer_eag(policy, obs, prev, desired, exec_offset=8)
 
     def test_gate_open_when_tracking_good(self, policy, demos20):
         _, applied = self._run(policy, demos20, e_pos=0.01, e_ori=0.01)
@@ -269,11 +271,31 @@ class TestEag:
         _, applied = self._run(policy, demos20, e_ori=0.06)
         assert not applied
 
+    def test_gate_reads_the_state_without_renormalising(self, demos20):
+        # an orientation that one more renormalisation moves, and the
+        # threshold at exactly its error: the gate compares the state's
+        # own bits, which every tracked stretch leaves normalised once
+        desired = Pose(np.zeros(3))
+        rng = np.random.default_rng(0)
+        while True:
+            v = rng.normal(size=4)
+            q = Pose(np.zeros(3), v / np.linalg.norm(v)).orientation
+            e_ori = tracking_error(desired, np.zeros(3), q).e_ori
+            again = Pose(np.zeros(3), q).orientation
+            if tracking_error(desired, np.zeros(3), again).e_ori > e_ori:
+                break
+        policy = MockPolicy(demos20, PolicyConfig(rho_ori=e_ori), seed=0)
+        obs = _obs(demos20[1])
+        prev = infer_unconditional(policy, obs)
+        obs[0:3], obs[3:7] = 0.0, q
+        _, applied = infer_eag(policy, obs, prev, desired, exec_offset=8)
+        assert applied
+
     def test_short_prev_chunk_rejected(self, policy, demos20):
         obs = _obs(demos20[1])
         prev = infer_unconditional(policy, obs).segment(0, 4)
         with pytest.raises(InvalidInputError):
-            infer_eag(policy, obs, prev, Pose(np.zeros(3)), Pose(np.zeros(3)))
+            infer_eag(policy, obs, prev, Pose(np.zeros(3)), exec_offset=8)
 
     def test_exec_offset_moves_tail(self, demos20):
         cfg = PolicyConfig(noise_sigma=0.0, p_branch=0.0, target_mode="reached")
@@ -281,8 +303,8 @@ class TestEag:
         obs = _obs(demos20[1])
         prev = infer_unconditional(policy, obs)
         h_c = cfg.h_c
-        chunk, applied = infer_eag(policy, obs, prev, Pose(np.zeros(3)),
-                                   Pose(np.zeros(3)), exec_offset=20)
+        chunk, applied = infer_eag(policy, obs, prev,
+                                   Pose(obs[0:3], obs[3:7]), exec_offset=20)
         assert applied
         assert chunk.positions[:h_c] == pytest.approx(
             prev.positions[20:20 + h_c], abs=1e-9)

@@ -15,7 +15,7 @@ from sailx.controller import GAIN_PRESETS, ReferenceTrack, track_slices
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
 from sailx.scheduler import TRACE_STRIDE, sample_trace
-from sailx.sim import DynamicsParams, initial_world
+from sailx.sim import initial_world
 
 from reference_oracle import OracleReferenceTrack
 
@@ -96,13 +96,12 @@ class TestTraceRows:
         # a track the plant can follow: centimetres over its time span
         positions = 0.01 * positions / (1.0 + np.abs(positions).max())
         ref = ReferenceTrack(times, positions, quats, grippers)
-        world = initial_world(Pose(np.zeros(3), IDENTITY_QUAT),
+        state = initial_world(Pose(np.zeros(3), IDENTITY_QUAT),
                               make_task())
-        state = world.to_vector()
         state[29] = times[0]
         untils = times[0] + np.cumsum(stretches)
         for trace in track_slices(state, ref, GAIN_PRESETS["real-exec"],
-                                  DynamicsParams(), untils):
+                                  untils):
             pos, _, quat, _, _ = ref.sample(trace.times)
             assert trace.ref_positions.tobytes() == pos.tobytes()
             assert trace.ref_orientations.tobytes() == quat.tobytes()

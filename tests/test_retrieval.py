@@ -11,7 +11,6 @@ as many single draws give. The window scores are not exposed; the sweep
 digests check their summation order.
 """
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from sailx.policy import (BATCH_SEEDING_MIN, ActionChunk, DemoLibrary,
                           MockPolicy, PolicyConfig, _best_window,
                           _pairwise_sum, _window_scores, infer_conditional,
                           infer_unconditional)
+from sailx.sim import GRIPPER, TaskSpec, initial_world
 
 import policy_oracle
 
@@ -63,9 +63,8 @@ def _demo(rng, base, n, offset, grip_step) -> Demonstration:
 def retrieval_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h_c = draw(st.integers(2, 5))
-    h_e = h_c + draw(st.integers(1, 4))
-    h_p = h_e + draw(st.integers(1, 12))
-    cfg = PolicyConfig(h_p=h_p, h_e=h_e, h_c=h_c,
+    h_p = h_c + draw(st.integers(1, 4)) + draw(st.integers(1, 12))
+    cfg = PolicyConfig(h_p=h_p, h_c=h_c,
                        noise_sigma=draw(st.sampled_from([0.0, 0.002])),
                        p_branch=draw(st.sampled_from([0.0, 0.5, 1.0])),
                        target_mode=draw(st.sampled_from(["reached",
@@ -90,10 +89,16 @@ def _query(rng, demos):
     demo = demos[int(rng.integers(0, len(demos)))]
     s = int(rng.integers(0, len(demo)))
     noise = rng.choice([0.0, 0.001, 0.02])
-    return SimpleNamespace(
-        robot=Pose(demo.reached[s, :3] + rng.normal(0.0, noise, 3)),
-        object_pose=Pose(demo.objects[s, :3] + rng.normal(0.0, noise, 3)),
-        gripper=float(rng.choice([demo.grippers[s], rng.random()])))
+    return _state(demo.reached[s, :3] + rng.normal(0.0, noise, 3),
+                  demo.objects[s, :3] + rng.normal(0.0, noise, 3),
+                  float(rng.choice([demo.grippers[s], rng.random()])))
+
+
+def _state(robot, obj, gripper):
+    """The packed plant state of a robot, object and gripper at rest."""
+    state = initial_world(Pose(robot), TaskSpec(Pose(obj), np.zeros(3)))
+    state[GRIPPER] = gripper
+    return state
 
 
 def _tail(rng, chunk, h_c):
@@ -274,9 +279,8 @@ def _library_demos():
 
 
 def _at_state(demo, step):
-    return SimpleNamespace(robot=Pose(demo.reached[step, :3]),
-                           object_pose=Pose(demo.objects[step, :3]),
-                           gripper=float(demo.grippers[step]))
+    return _state(demo.reached[step, :3], demo.objects[step, :3],
+                  float(demo.grippers[step]))
 
 
 # where a drawn window [start, start + h_p) ends against its demo's last
@@ -293,7 +297,7 @@ WINDOW_ENDS = {"inside": -1, "at_last_step": 0, "one_past": 1,
 def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
                                                         aggregated, mode):
     demos = _library_demos()
-    cfg = PolicyConfig(h_p=16, h_e=6, h_c=3, noise_sigma=noise_sigma,
+    cfg = PolicyConfig(h_p=16, h_c=3, noise_sigma=noise_sigma,
                        target_mode=mode)
     if aggregated:
         fast = AggregatedActionsPolicy(demos, cfg, seed=5)
@@ -315,7 +319,7 @@ def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
 
 def test_a_window_inside_a_demo_is_a_read_only_view_of_the_library():
     demos = _library_demos()
-    policy = MockPolicy(demos, PolicyConfig(h_p=16, h_e=6, h_c=3))
+    policy = MockPolicy(demos, PolicyConfig(h_p=16, h_c=3))
     obs = _at_state(demos[0], 5)
     _, nearest, step = policy.nearest_states(obs)[0]
     first = infer_unconditional(policy, obs)

@@ -11,7 +11,6 @@ from sailx.policy import MockPolicy, PolicyConfig
 from sailx.scheduler import (ExecutorConfig, lower_bound_interval,
                              plan_intervals, run_rollout, simulate_timeline,
                              speed_factor)
-from sailx.sim import DynamicsParams
 
 
 class TestLowerBound:
@@ -106,8 +105,7 @@ def rollout(demos20):
     ec = ExecutorConfig(c_slow=0.5, c_fast=0.2, use_eag=True)
     start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
     return run_rollout(policy, task_for_demo(demo), ec,
-                       GAIN_PRESETS["real-exec"], DynamicsParams(),
-                       start, seed=0)
+                       GAIN_PRESETS["real-exec"], start, seed=0)
 
 
 class TestRunRollout:

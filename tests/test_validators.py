@@ -1,7 +1,7 @@
 """Every validator rejects NaN and inf with the package's own error types.
 
-The lockstep plant takes per-row gain arrays and shared dynamics, so a
-non-finite gain, dynamics value or waypoint must not get past construction.
+The lockstep plant takes per-row gain arrays, so a non-finite gain or
+waypoint must not get past construction.
 The ``hypothesis`` properties cover ``Pose``, ``ReferenceTrack`` and
 ``read_demo`` over arbitrary positions of the bad value.
 """
@@ -17,8 +17,10 @@ from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import ConfigurationError, InvalidInputError, ParseError
 from sailx.experiments import replay_rollout, sweep_gain_replay, sweep_noise
 from sailx.io import Demonstration, read_demo, write_demo
+from sailx.policy import PolicyConfig
 from sailx.scheduler import ExecutorConfig
-from sailx.sim import DynamicsParams, TaskSpec
+from sailx.sim import TaskSpec
+from sailx.speedmod import LabelParams
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[
@@ -38,12 +40,25 @@ def test_gain_profile_rejects_non_finite_gains(slot, bad):
         GainProfile(*gains)
 
 
-@pytest.mark.parametrize("bad", BAD)
-@pytest.mark.parametrize("field", ["mass", "inertia", "physics_dt",
-                                   "gripper_slew", "wrench_limit"])
-def test_dynamics_params_reject_non_finite_values(field, bad):
+@pytest.mark.parametrize("kwargs", [
+    dict(w_cfg=np.nan), dict(w_cfg=np.inf), dict(rho_pos=np.nan),
+    dict(rho_pos=np.inf), dict(rho_ori=np.nan), dict(rho_ori=np.inf),
+    dict(noise_sigma=np.nan), dict(noise_sigma=np.inf),
+    dict(noise_sigma=-1.0), dict(p_branch=np.nan), dict(p_branch=2.0),
+    dict(p_branch=-0.5)])
+def test_policy_config_rejects_non_finite_or_out_of_range_values(kwargs):
     with pytest.raises(ConfigurationError):
-        DynamicsParams(**{field: bad})
+        PolicyConfig(**kwargs)
+    # the range ends stay valid
+    PolicyConfig(noise_sigma=0.0, p_branch=0.0)
+    PolicyConfig(p_branch=1.0)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("field", ["tau", "eps"])
+def test_label_params_reject_non_finite_values(field, bad):
+    with pytest.raises(InvalidInputError):
+        LabelParams(**{field: bad})
 
 
 def _task(**kwargs):
@@ -177,10 +192,3 @@ def test_read_demo_reports_the_line_of_any_non_finite_number(
     with pytest.raises(ParseError) as exc:
         read_demo(str(path))
     assert exc.value.line == line
-
-
-def test_dynamics_params_reject_a_negative_gripper_slew():
-    # a slew rate is a speed; the plants clamp each step to [-slew dt, slew dt]
-    with pytest.raises(ConfigurationError):
-        DynamicsParams(gripper_slew=-8.0)
-    assert DynamicsParams(gripper_slew=0.0).gripper_slew == 0.0
