@@ -100,7 +100,7 @@ def cmd_rollout(args) -> int:
               f"duration={rollout.duration:.3f}s stalls={rollout.stall_count}")
         if args.out:
             path = args.out if args.trials == 1 else \
-                f"{args.out.rsplit('.', 1)[0]}_{t:03d}.jsonl"
+                f"{os.path.splitext(args.out)[0]}_{t:03d}.jsonl"
             write_rollout(rollout, path)
     return 0
 
@@ -154,10 +154,11 @@ def cmd_sweep_noise(args) -> int:
 
 def cmd_report(args) -> int:
     import csv as _csv
-    rows = []
-    with open(args.input, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            rows.append(row)
+    try:
+        with open(args.input, newline="") as fh:
+            rows = list(_csv.DictReader(fh))
+    except FileNotFoundError:
+        raise InvalidInputError(f"no sweep CSV {args.input}") from None
     if not rows:
         raise InvalidInputError("empty sweep CSV")
     cols = [c for c in ("method", "gain", "target", "c", "noise", "n", "sr",

@@ -19,8 +19,7 @@ from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
                       REF_TWIST, _hamilton, _rotvec, _signed, track_loop,
                       track_loop_batch)
-from .sim import (GRIPPER_SLEW, INERTIA, MASS, PHYSICS_DT, TIME,
-                  normalise_poses)
+from .sim import GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
 
 def _kv(kp: float, damping: float) -> float:
@@ -33,7 +32,6 @@ class GainProfile:
     kv_pos: float
     kp_ori: float
     kv_ori: float
-    label: str = "low_gain"
 
     def __post_init__(self):
         gains = (self.kp_pos, self.kv_pos, self.kp_ori, self.kv_ori)
@@ -43,19 +41,16 @@ class GainProfile:
             raise InvalidInputError("gains must be non-negative")
 
 
-# Named presets. sim-* follow the simulated-task table (kp / damping pairs),
-# real-* the hardware table (explicit kp / kv).
+# Named presets. real-* follow the hardware table (explicit kp / kv), and
+# "high" the simulated lift task's kp / damping pair.
 GAIN_PRESETS = {
-    "sim-lift": GainProfile(3000.0, _kv(3000.0, 0.5), 3000.0, _kv(3000.0, 0.5),
-                            label="high_gain"),
-    "sim-square": GainProfile(1000.0, _kv(1000.0, 1.0), 1000.0, _kv(1000.0, 1.0),
-                              label="high_gain"),
-    "real-demo": GainProfile(150.0, 24.5, 250.0, 31.6, label="low_gain"),
-    "real-exec": GainProfile(300.0, 34.6, 400.0, 40.0, label="high_gain"),
+    "real-demo": GainProfile(150.0, 24.5, 250.0, 31.6),
+    "real-exec": GainProfile(300.0, 34.6, 400.0, 40.0),
+    "high": GainProfile(3000.0, _kv(3000.0, 0.5), 3000.0, _kv(3000.0, 0.5)),
+    # softer than the demo-collection controller: the low-gain replay
+    # condition
+    "low": GainProfile(100.0, 20.0, 180.0, 26.8),
 }
-GAIN_PRESETS["high"] = GAIN_PRESETS["sim-lift"]
-# softer than the demo-collection controller: the low-gain replay condition
-GAIN_PRESETS["low"] = GainProfile(100.0, 20.0, 180.0, 26.8, label="low_gain")
 
 
 def gain_profile(name: str) -> GainProfile:
@@ -68,7 +63,7 @@ def gain_profile(name: str) -> GainProfile:
 class ReferenceTrack:
     """Timed pose waypoints with spline position and per-waypoint twists."""
 
-    def __init__(self, times, positions, orientations, grippers=None, flags=None):
+    def __init__(self, times, positions, orientations, grippers=None):
         times = np.asarray(times, dtype=float)
         positions = np.asarray(positions, dtype=float)
         orientations = np.asarray(orientations, dtype=float)
@@ -82,13 +77,10 @@ class ReferenceTrack:
             raise InvalidInputError("waypoint times must be strictly increasing")
         grippers = (np.zeros(n) if grippers is None
                     else np.asarray(grippers, dtype=float))
-        flags = (np.zeros(n, dtype=np.int8) if flags is None
-                 else np.asarray(flags, dtype=np.int8))
         for name, array, shape in (("times", times, (n,)),
                                    ("positions", positions, (n, 3)),
                                    ("orientations", orientations, (n, 4)),
-                                   ("grippers", grippers, (n,)),
-                                   ("flags", flags, (n,))):
+                                   ("grippers", grippers, (n,))):
             if array.shape != shape:
                 raise InvalidInputError(f"{name} must have shape {shape}, "
                                         f"got {array.shape}")
@@ -103,7 +95,6 @@ class ReferenceTrack:
         self.positions = positions
         self.orientations = orientations
         self.grippers = grippers
-        self.flags = flags
         if n == 2:
             # the line through both waypoints: its start and its slope
             self._spline = None
@@ -319,12 +310,6 @@ class TrackTrace:
     ref_positions: np.ndarray
     ref_orientations: np.ndarray
 
-    @classmethod
-    def empty(cls) -> "TrackTrace":
-        return cls(np.empty(0), np.empty((0, 3)), np.empty((0, 4)),
-                   np.empty(0), np.empty(0), np.empty(0, dtype=np.int8),
-                   np.empty((0, 3)), np.empty((0, 4)))
-
 
 def _slice_steps(t, untils, dt):
     """(t_k, n_k) per slice: the plant clock at its start and its step count.
@@ -366,10 +351,6 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils,
               for t, n in _slice_steps(float(state[TIME]), untils, dt)]
     times = np.concatenate(slices)
     total = len(times)
-    if total == 0:
-        for _ in slices:
-            yield TrackTrace.empty()
-        return
     pos, vel, quat, angvel, grip = ref.sample(times)
     out_pos = np.empty((total, 3))
     out_quat = np.empty((total, 4))
@@ -383,10 +364,9 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils,
         if end > start:
             fault = track_loop(state, pos[s], vel[s], quat[s], angvel[s],
                                grip[s], gains.kp_pos, gains.kv_pos,
-                               gains.kp_ori, gains.kv_ori, MASS, INERTIA,
-                               dt, GRIPPER_SLEW, grasp_radius, out_pos[s],
-                               out_quat[s], out_epos[s], out_eori[s],
-                               out_events[s])
+                               gains.kp_ori, gains.kv_ori, dt, GRIPPER_SLEW,
+                               grasp_radius, out_pos[s], out_quat[s],
+                               out_epos[s], out_eori[s], out_events[s])
             if fault >= 0:
                 raise SimFault(
                     f"non-finite wrench at t={step_times[fault]:.4f}")
@@ -567,8 +547,7 @@ def _track_batch(states, refs, gains, radii, untils, faults):
             stop = min(end, block_start + len(block))
             fault = track_loop_batch(
                 state, block[start - block_start:stop - block_start],
-                *gain_rows[:, live], MASS, INERTIA, dt, GRIPPER_SLEW,
-                radii[live])
+                *gain_rows[:, live], dt, GRIPPER_SLEW, radii[live])
             faulted = np.flatnonzero(fault >= 0)
             if len(faulted):
                 # the faulted columns leave at the next pass of the loop

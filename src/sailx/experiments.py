@@ -122,8 +122,7 @@ def _replay_setup(demo, c: float, target: str, noise_scale: float,
         positions = positions + rng.normal(0.0, noise_scale, positions.shape)
     times = np.arange(len(stream)) * (c * demo.dt)
     ref = ReferenceTrack(times, positions, orientations,
-                         grippers=demo.grippers.copy(),
-                         flags=demo.k.copy())
+                         grippers=demo.grippers.copy())
     task = task_for_demo(demo)
     state = initial_world(Pose(stream[0, :3].copy(), stream[0, 3:7].copy()),
                           task)

@@ -107,8 +107,11 @@ def _finite_float(token: str) -> float:
 
 def _read_lines(path: str, kind: str):
     """Yield (line_no, parsed) for records; validates the header line."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except FileNotFoundError:
+        raise InvalidInputError(f"no {kind} file {path}") from None
     if not lines:
         raise FormatError(f"{path}: empty file")
     parsed = []

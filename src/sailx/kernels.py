@@ -21,19 +21,18 @@ the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains and grasp radii, with each
-column's bits equal to ``track_loop`` on that row. A step is about 55 numpy
+column's bits equal to ``track_loop`` on that row. A step is about 53 numpy
 calls whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns,
 against ~4.5-6 us per row for the scalar loop. At rest (below), the
-common case, a batched step is about 20 numpy calls, ~10-17 us, and a
+common case, a batched step is about 18 numpy calls, ~10-17 us, and a
 scalar step ~1.6-2.4 us (~3.3-4.9 us without the skip); timed on whole
 replay cells at rest, lockstep wins from 7 rows up
 (``controller.LOCKSTEP_MIN_ROWS``). Every per-step value lives in a buffer
 allocated once per call and written with ``out``, since a Python float
 operand or a broadcast costs more than the arithmetic on a few columns:
-constants are 0-d arrays, the mass and inertia rows are full (6, B) rows,
-q sits inside its signed (8, B) buffer, and the pose and gripper alternate
-between two buffers, so that a release still reads the pose from before
-its step. It keeps the scalar operation order:
+constants are 0-d arrays, q sits inside its signed (8, B) buffer, and the
+pose and gripper alternate between two buffers, so that a release still
+reads the pose from before its step. It keeps the scalar operation order:
 quaternion products are a[0] * b plus signed permutations of b, in the
 scalar term order, and the rare branches (sign flips, the < 1e-12 angle
 branches, gripper crossings, grasps and faults) run only on the columns
@@ -47,14 +46,13 @@ rollouts and small batches, and as the batched kernel's test oracle.
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
 its angular velocity +0.0, every reference orientation of the call is the
-identity and every reference rate zero, zeros of either sign there, dt is
-finite and the inertia non-zero. The scalar loop, which then forms no
-torque, also requires finite orientation gains and inertia, since a
-non-finite one makes the torque NaN, a fault; the batched step still
-multiplies the zero error by them. Each call checks this once, on its own
-inputs, at its start. Such a step is an exact fixed point: the
-orientation error and the torque are signed zeros, so ω + torque /
-inertia * dt stays +0.0; the exp map of that zero rotation is
+identity and every reference rate zero, zeros of either sign there, and
+dt is finite. The scalar loop, which then forms no torque, also requires
+finite orientation gains, since a non-finite one makes the torque NaN, a
+fault; the batched step still multiplies the zero error by them. Each call
+checks this once, on its own inputs, at its start. Such a step is an exact
+fixed point: the orientation error and the torque are signed zeros, so
+ω + torque * dt stays +0.0; the exp map of that zero rotation is
 (1, ±0, ±0, ±0), and its product with q adds zeros to q's +0.0 vector
 part, which leaves +0.0, and normalises to q bit for bit. Only that
 orientation qualifies: the update turns a -0.0 in q's vector part or in ω
@@ -115,14 +113,14 @@ def _identity_rows(quat, rate):
 
 
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
-               kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt, grip_slew,
-               grasp_radius, out_pos, out_quat, out_epos, out_eori,
-               out_events):
+               kp_pos, kv_pos, kp_ori, kv_ori, dt, grip_slew, grasp_radius,
+               out_pos, out_quat, out_epos, out_eori, out_events):
     """Closed-loop tracking of a pre-sampled reference for len(ref_pos) steps.
 
     The wrench for step i is computed from the state before the step against
-    reference sample i: the task-space PD law f = m(kp e_p + kv e_v), with
-    the torque analogous on SO(3). A semi-implicit Euler step then advances
+    reference sample i: the task-space PD law f = kp e_p + kv e_v, with the
+    torque analogous on SO(3), acting on a unit body, so that the wrench is
+    the commanded acceleration. A semi-implicit Euler step then advances
     the state, slews the gripper and attaches or detaches the object. Step i
     writes out_pos[i], out_quat[i], out_events[i] (+1 attach, -1 detach)
     and the tracking errors out_epos[i], out_eori[i] against sample i.
@@ -137,8 +135,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     kv_pos = float(kv_pos)
     kp_ori = float(kp_ori)
     kv_ori = float(kv_ori)
-    mass = float(mass)
-    inertia = float(inertia)
     dt = float(dt)
     grasp_radius = float(grasp_radius)
     max_step = float(grip_slew) * dt
@@ -150,7 +146,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     # at rest (see the module docstring) the rotational update is skipped
     at_rest = (qw == 1.0 and _positive_zero(state[_SPIN])
                and isfinite(kp_ori) and isfinite(kv_ori) and isfinite(dt)
-               and isfinite(inertia) and inertia != 0.0
                and _identity_rows(ref_quat.T, ref_angvel.T))
     if at_rest:
         quats = rates = itertools.repeat(None)
@@ -167,9 +162,9 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             ref_pos.tolist(), ref_vel.tolist(), quats, rates,
             ref_grip.tolist()):
         # PD wrench
-        f0 = mass * (kp_pos * (rpx - px) + kv_pos * (rvx - vx))
-        f1 = mass * (kp_pos * (rpy - py) + kv_pos * (rvy - vy))
-        f2 = mass * (kp_pos * (rpz - pz) + kv_pos * (rvz - vz))
+        f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
+        f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
+        f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
         if not at_rest:
             # the orientation error is the rotation vector of
             # ref * conj(q), taken on the shortest arc
@@ -189,9 +184,9 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                 scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
                 ex, ey, ez = scale * m1, scale * m2, scale * m3
             rwx, rwy, rwz = rate
-            f3 = inertia * (kp_ori * ex + kv_ori * (rwx - wx))
-            f4 = inertia * (kp_ori * ey + kv_ori * (rwy - wy))
-            f5 = inertia * (kp_ori * ez + kv_ori * (rwz - wz))
+            f3 = kp_ori * ex + kv_ori * (rwx - wx)
+            f4 = kp_ori * ey + kv_ori * (rwy - wy)
+            f5 = kp_ori * ez + kv_ori * (rwz - wz)
         # a finite sum means finite terms; an overflowing one is checked
         # term by term
         if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
@@ -201,16 +196,16 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             break
 
         # semi-implicit Euler step
-        vx += (f0 / mass) * dt
-        vy += (f1 / mass) * dt
-        vz += (f2 / mass) * dt
+        vx += f0 * dt
+        vy += f1 * dt
+        vz += f2 * dt
         px += vx * dt
         py += vy * dt
         pz += vz * dt
         if not at_rest:
-            wx += (f3 / inertia) * dt
-            wy += (f4 / inertia) * dt
-            wz += (f5 / inertia) * dt
+            wx += f3 * dt
+            wy += f4 * dt
+            wz += f5 * dt
             # q <- normalize(exp(w dt) * q)
             rv0, rv1, rv2 = wx * dt, wy * dt, wz * dt
             angle = sqrt(rv0 * rv0 + rv1 * rv1 + rv2 * rv2)
@@ -474,34 +469,26 @@ def _rotvec(m, out=None):
     return e
 
 
-def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass,
-                     inertia, dt, grip_slew, grasp_radius):
+@np.errstate(all="ignore")  # the scalar loop never warns either
+def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
+                     grip_slew, grasp_radius):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep.
 
     Step i tracks ``ref[i]``, a (REF_ROWS, B) block of reference rows. The
     gains and ``grasp_radius`` are (B,) float arrays, one value per column,
-    the mass, inertia, dt and ``grip_slew`` are shared, and ``grip_slew``
-    must not be negative.
+    dt and ``grip_slew`` are shared, and ``grip_slew`` must not be negative.
     Every column gets the bits ``track_loop`` gives that row; no per-step
     trace is written. ``state`` is updated in place. Returns a (B,) array
     holding, per column, the index of the step whose wrench was non-finite
     (the column keeps its state from before that step) or -1.
     """
-    with np.errstate(all="ignore"):  # the scalar loop never warns either
-        return _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori,
-                         float(mass), float(inertia), float(dt),
-                         float(grip_slew), grasp_radius)
-
-
-def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
-              grip_slew, grasp_radius):
     n, b = ref.shape[0], state.shape[1]
     gains = np.stack((kp_pos, kv_pos, kp_ori, kv_ori))
     kp = np.repeat(gains[0::2], 3, axis=0)
     kv = np.repeat(gains[1::2], 3, axis=0)
-    mi = np.repeat([mass, inertia], 3 * b).reshape(6, b)
+    dt = float(dt)
     dt_ = np.array(dt)
-    max_step = np.array(grip_slew * dt)
+    max_step = np.array(float(grip_slew) * dt)
     neg_max_step = -max_step
 
     # Every per-step value lives in a buffer allocated here. Step i reads
@@ -533,10 +520,10 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
     work = np.empty((2, 4, 4, b))
     crossed = np.empty(b, dtype=bool)
     # At rest (see the module docstring) the torque rows still multiply the
-    # zero error by the gains and the inertia, so a non-finite one faults
-    # there as in the full update and needs no check here.
+    # zero error by the gains, so a non-finite gain faults there as in the
+    # full update and needs no check here.
     at_rest = ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
-               and math.isfinite(dt) and inertia != 0.0
+               and math.isfinite(dt)
                and _identity_rows(ref_quat.swapaxes(0, 1), ref_twist[:, 3:]))
     if at_rest:
         # both halves hold the identity, and kp * e_rot stays a zero
@@ -569,7 +556,6 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
         np.subtract(ref_twist[i], vw, f)
         np.multiply(kv, f, f)
         np.add(err, f, f)
-        np.multiply(mi, f, f)
         if not math.isfinite(np.add.reduce(f, None)):
             bad = ~np.isfinite(f).all(axis=0)
             if np.count_nonzero(bad):
@@ -581,15 +567,14 @@ def _lockstep(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, mass, inertia, dt,
                 live = np.flatnonzero(~bad)
                 if len(live):
                     sub = state[:, live]
-                    sub_fault = _lockstep(
-                        sub, ref[i:, :, live], *gains[:, live], mass, inertia,
-                        dt, grip_slew, grasp_radius[live])
+                    sub_fault = track_loop_batch(
+                        sub, ref[i:, :, live], *gains[:, live], dt, grip_slew,
+                        grasp_radius[live])
                     state[:, live] = sub
                     fault[live] = np.where(sub_fault < 0, -1, sub_fault + i)
                 return fault
 
         # semi-implicit Euler step
-        np.divide(f, mi, f)
         np.multiply(f, dt_, f)
         np.add(vw, f, vw)
         np.multiply(vw, dt_, move)

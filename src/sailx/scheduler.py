@@ -233,8 +233,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
             np.concatenate([[t_a], wp_times]),
             np.vstack([desired.position, chunk.positions[:exec_n]]),
             np.vstack([desired.orientation, chunk.orientations[:exec_n]]),
-            grippers=np.concatenate([grip_now, chunk.grippers[:exec_n]]),
-            flags=np.concatenate([chunk.flags[:1], chunk.flags[:exec_n]]))
+            grippers=np.concatenate([grip_now, chunk.grippers[:exec_n]]))
         until = min(t_next, task.t_max)
         collect(track(state, ref, gains, until=until,
                       grasp_radius=task.grasp_radius))

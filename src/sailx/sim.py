@@ -1,9 +1,11 @@
 """Deterministic double-integrator end-effector world with a kinematic grasp.
 
-The robot is a free-floating 6-DoF body (mass + isotropic rotational
-inertia). Grasping is kinematic: when the gripper command crosses 0.5 while
-the end effector is within ``grasp_radius`` of the object, the object is
-rigidly attached; opening past 0.5 detaches it wherever it is.
+The robot is a free-floating 6-DoF unit body: unit mass and unit isotropic
+rotational inertia, so the PD law of ``controller`` commands its linear and
+angular accelerations. Grasping is kinematic: when the gripper command
+crosses 0.5 while the end effector is within ``grasp_radius`` of the
+object, the object is rigidly attached; opening past 0.5 detaches it
+wherever it is.
 
 The plant state is the packed (30,) vector laid out in ``kernels``; the
 slices below are the parts of it that other modules read.
@@ -19,8 +21,6 @@ from .errors import ConfigurationError, InvalidInputError
 from .kernels import STATE_SIZE
 
 PHYSICS_DT = 0.002  # 2 ms per physics step
-MASS = 1.0          # kg
-INERTIA = 1.0       # kg m^2, isotropic
 GRIPPER_SLEW = 8.0  # full-range commands per second
 
 ROBOT_POSE = slice(0, 7)

@@ -1,7 +1,26 @@
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sailx
 from sailx.experiments import build_demo_corpus, make_task
+
+# Hypothesis draws a share of its examples from the constants of every
+# loaded module of the project outside the test files, so a test's examples
+# would depend on which other test files a run collects: the full suite
+# also loads sailx.cli and perfbench's modules. Loading all of them here,
+# before any test runs, gives every run the same pool.
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+for _module in pkgutil.iter_modules(sailx.__path__):
+    importlib.import_module(f"sailx.{_module.name}")
+sys.path.insert(0, str(_PERFBENCH))
+for _path in sorted(_PERFBENCH.glob("*.py")):
+    if not _path.stem.startswith("test_"):
+        importlib.import_module(_path.stem)
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,17 @@ class TestBasicCommands:
         row = dict(zip(header, text.splitlines()[1].split(",")))
         assert row["n"] == "1" and row["sr"] == "1"
 
+    def test_rollout_trials_write_into_the_out_directory(self, demo_dir,
+                                                         tmp_path, capsys):
+        out_dir = tmp_path / "runs.v1"
+        out_dir.mkdir()
+        code, _ = run(capsys, "rollout", "--demos", demo_dir, "--method",
+                      "dp", "--trials", "2", "--out", str(out_dir / "r"))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "r_000.jsonl", "r_001.jsonl"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.v1"]
+
     def test_metrics_fills_sod_from_demos(self, demo_dir, tmp_path, capsys):
         rollout_path = str(tmp_path / "r.jsonl")
         run(capsys, "rollout", "--demos", demo_dir, "--method", "sail",
@@ -165,6 +176,18 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["--config", "/nonexistent.ini", "rollout"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command, name", [("metrics", "r.jsonl"),
+                                               ("report", "sweep.csv")])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, command,
+                                        name):
+        missing = str(tmp_path / name)
+        with pytest.raises(SystemExit) as exc:
+            main([command, missing])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error: ")
+        assert missing in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("text, line", [
         ("seed = 3\n[label]\n", 1),           # no section header

@@ -5,7 +5,7 @@ from sailx.controller import (GAIN_PRESETS, GainProfile, ReferenceTrack,
                               gain_profile, track, track_slices)
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import InvalidInputError
-from sailx.sim import INERTIA, MASS, TaskSpec, initial_world
+from sailx.sim import TaskSpec, initial_world
 
 from plant_oracle import pd_wrench
 
@@ -42,7 +42,6 @@ class TestReferenceTrack:
         ("orientations", np.tile(IDENTITY_QUAT, (2, 1))),
         ("orientations", np.zeros((3, 3))),
         ("grippers", np.zeros(4)),
-        ("flags", np.zeros(2)),
     ])
     def test_rejects_misshapen_waypoints(self, field, value):
         args = {"positions": np.zeros((3, 3)),
@@ -109,13 +108,13 @@ class TestReferenceTrack:
             ReferenceTrack(np.arange(8) * 0.0, positions, orientations)
 
 
-def _wrench(ref: Pose, cur: Pose, gains: GainProfile, mass=MASS):
+def _wrench(ref: Pose, cur: Pose, gains: GainProfile, mass=1.0):
     """plant_oracle.pd_wrench from rest at ``cur`` towards a static ``ref``."""
     state = np.zeros(30)
     state[0:3], state[3:7] = cur.position, cur.orientation
     return pd_wrench(state, ref.position, np.zeros(3), ref.orientation,
                      np.zeros(3), gains.kp_pos, gains.kv_pos, gains.kp_ori,
-                     gains.kv_ori, mass, INERTIA)
+                     gains.kv_ori, mass, 1.0)
 
 
 class TestComputeWrench:
@@ -172,6 +171,32 @@ class TestTrack:
         assert trace.orientations.shape == (len(trace.times), 4)
         assert np.linalg.norm(trace.orientations[-1]) == pytest.approx(
             1.0, abs=1e-6)
+
+    def test_slices_of_no_step_yield_empty_traces(self):
+        task = TaskSpec(object_start=Pose(np.array([9.0, 9.0, 9.0])),
+                        goal_position=np.array([9.0, 9.0, 9.5]))
+        state = initial_world(Pose(np.zeros(3)), task)
+        state[29] = 0.3
+        before = state.copy()
+        ref = ReferenceTrack([0.0, 0.5], np.zeros((2, 3)),
+                             np.vstack([rotz(0.0), rotz(0.4)]))
+        # until the clock, before it, and less than half a step after it
+        traces = list(track_slices(state, ref, GAIN_PRESETS["real-exec"],
+                                   (0.3, 0.1, 0.3009)))
+        assert len(traces) == 3
+        assert state.tobytes() == before.tobytes()
+        for trace in traces:
+            for name, shape, dtype in (
+                    ("times", (0,), np.float64),
+                    ("positions", (0, 3), np.float64),
+                    ("orientations", (0, 4), np.float64),
+                    ("e_pos", (0,), np.float64),
+                    ("e_ori", (0,), np.float64),
+                    ("events", (0,), np.int8),
+                    ("ref_positions", (0, 3), np.float64),
+                    ("ref_orientations", (0, 4), np.float64)):
+                array = getattr(trace, name)
+                assert array.shape == shape and array.dtype == dtype, name
 
 
 def test_track_renormalises_both_poses_once():

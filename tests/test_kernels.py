@@ -81,20 +81,20 @@ def plant_cases(draw):
 
 
 def _params(draw):
-    """Gains, dynamics and grasp radius of a plant case."""
+    """Gains, dt, gripper slew and grasp radius of a plant case."""
     kp_pos = draw(st.floats(0.0, 3000.0))
     kp_ori = draw(st.floats(0.0, 3000.0))
     return (kp_pos, np.float64(2.0 * np.sqrt(kp_pos)), kp_ori,
-            draw(st.floats(0.0, 120.0)), draw(st.floats(0.1, 5.0)),
-            draw(st.floats(0.01, 2.0)), 0.002,
+            draw(st.floats(0.0, 120.0)), 0.002,
             draw(st.sampled_from([8.0, 400.0])),
             draw(st.sampled_from([0.015, 0.05])))
 
 
 def _oracle_loop(state, *args):
-    """plant_oracle.track_loop with its wrench limit off: the kernels
-    have none."""
-    return plant_oracle.track_loop(state, *args[:14], 0.0, *args[14:])
+    """plant_oracle.track_loop on a unit body with its wrench limit off:
+    the kernels' plant has unit mass and inertia, and no limit."""
+    return plant_oracle.track_loop(state, *args[:9], 1.0, 1.0, *args[9:12],
+                                   0.0, *args[12:])
 
 
 def _run(loop, state, refs, params):
@@ -135,7 +135,7 @@ class TestTrackLoop:
                 np.tile(_unit([0.8, -0.2, 0.4, 0.1]), (n, 1)),
                 np.zeros((n, 3)),
                 np.where(np.arange(n) < 60, 1.0, 0.0)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 100.0, 0.015)
+        params = (300.0, 34.6, 400.0, 40.0, 0.002, 100.0, 0.015)
         fault, events = _assert_same_run(state, refs, params)
         assert fault == -1
         assert sorted(set(events.tolist())) == [-1, 0, 1]
@@ -148,11 +148,11 @@ class TestTrackLoop:
                 np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((n, 3)),
                 np.zeros(n)]
         refs[1][4, 2] = np.nan
-        params = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015)
+        params = (100.0, 20.0, 100.0, 20.0, 0.002, 8.0, 0.015)
         fault, _ = _assert_same_run(state, refs, params)
         assert fault == 4
 
-    PARAMS = (100.0, 20.0, 100.0, 20.0, 1.0, 1.0, 0.002, 8.0, 0.015)
+    PARAMS = (100.0, 20.0, 100.0, 20.0, 0.002, 8.0, 0.015)
 
     @staticmethod
     def _refs(n):
@@ -214,7 +214,8 @@ def _block(refs):
 
 @st.composite
 def batch_cases(draw):
-    """B plant cases cut to one step count, with the first case's dynamics.
+    """B plant cases cut to one step count, with the first case's dt and
+    gripper slew.
 
     Gains, grasp radii and states stay per row, faults included. The step
     count is odd or even as drawn, so that the kernel ends on either half
@@ -226,15 +227,15 @@ def batch_cases(draw):
 
 def _lockstep_rows(draw, cases):
     """``cases`` cut to their shortest step count, or one step fewer, as
-    drawn, under the first case's dynamics."""
+    drawn, under the first case's dt and gripper slew."""
     n = min(len(refs[0]) for _, refs, _ in cases)
     if n > 1 and n % 2 != draw(st.integers(0, 1)):
         n -= 1
-    dynamics = cases[0][2][4:8]
+    shared = cases[0][2][4:6]
     rows = []
     for state, refs, params in cases:
         rows.append((state, [r[:n] for r in refs],
-                     params[:4] + dynamics + params[8:]))
+                     params[:4] + shared + params[6:]))
     return rows
 
 
@@ -244,9 +245,9 @@ def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
-    shared = [float(p[0]) for p in params[4:8]]
+    shared = [float(p[0]) for p in params[4:6]]
     faults = kernels.track_loop_batch(states, block, *params[:4], *shared,
-                                      params[8])
+                                      params[6])
     for j, (state, refs, params) in enumerate(rows):
         fault, final, _ = _run(loop, state, refs, params)
         assert faults[j] == fault
@@ -283,8 +284,7 @@ class TestTrackLoopBatch:
             refs = [np.zeros((n, 3)), np.zeros((n, 3)),
                     np.tile(_unit([0.9, 0.1, 0.2, -0.1]), (n, 1)),
                     np.zeros((n, 3)), grip]
-            params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 400.0,
-                      0.015)
+            params = (300.0, 34.6, 400.0, 40.0, 0.002, 400.0, 0.015)
             rows.append((_attached_state(rng), refs, params))
         _, states = _assert_columns_match_track_loop(rows)
         assert _bits(states[14:21, 0]) == _bits(rows[0][0][14:21])
@@ -297,7 +297,7 @@ class TestTrackLoopBatch:
         n = 4
         refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
                 np.zeros((n, 3)), np.ones(n)]
-        params = (300.0, 34.6, 0.0, 0.0, 1.0, 1.0, 0.002, 8.0, 0.015)
+        params = (300.0, 34.6, 0.0, 0.0, 0.002, 8.0, 0.015)
         carrying = _attached_state(rng)
         carrying[3:7] = IDENTITY
         carrying[25:29] = [-0.0, 0.0, 0.0, 1.0]
@@ -315,8 +315,7 @@ class TestTrackLoopBatch:
                     np.where(np.arange(n) < 20, 1.0, 0.0)]
             if bad_step is not None:
                 refs[1][bad_step, 1] = np.inf
-            params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0,
-                      0.015)
+            params = (300.0, 34.6, 400.0, 40.0, 0.002, 8.0, 0.015)
             rows.append((_attached_state(rng), refs, params))
         faults, _ = _assert_columns_match_track_loop(rows)
         assert faults.tolist() == [-1, 7, -1, 0, 39]
@@ -388,11 +387,10 @@ NEAR_MISSES = {
     "last ref rate 5e-324": ("rate", (-1, 2), 5e-324),
     "kp_ori inf": ("params", 2, np.inf),
     "kv_ori nan": ("params", 3, np.nan),
-    "inertia inf": ("params", 5, np.inf),
-    "dt inf": ("params", 6, np.inf),
+    "dt inf": ("params", 4, np.inf),
 }
-# the params a lockstep batch shares: mass, inertia, dt and grip_slew
-SHARED_PARAMS = (4, 5, 6, 7)
+# the params a lockstep batch shares: dt and grip_slew
+SHARED_PARAMS = (4, 5)
 
 
 def _off_rest(case, what, where, value):
@@ -455,27 +453,12 @@ class TestAtRest:
                 else row for k, row in enumerate(rows)]
         _assert_columns_match_track_loop(rows, _oracle_loop)
 
-    def test_a_zero_inertia_is_not_at_rest(self):
-        rng = np.random.default_rng(6)
-        state = _attached_state(rng)
-        state[3:7] = IDENTITY
-        n = 8
-        refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
-                np.zeros((n, 3)), np.ones(n)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 0.0, 0.002, 8.0, 0.015)
-        # the scalar loop's torque divides by the inertia, in Python floats
-        with pytest.raises(ZeroDivisionError):
-            _run(kernels.track_loop, state, refs, params)
-        faults, _ = _assert_columns_match_track_loop(
-            [(state, refs, params)], _oracle_loop)
-        assert faults.tolist() == [1]
-
     def test_a_batch_at_rest_skips_the_rotation_helpers(self, monkeypatch):
         rng = np.random.default_rng(7)
         n = 20
         refs = [np.full((n, 3), 0.01), np.zeros((n, 3)),
                 np.tile(IDENTITY, (n, 1)), np.zeros((n, 3)), np.zeros(n)]
-        params = (300.0, 34.6, 400.0, 40.0, 1.0, 1.0, 0.002, 8.0, 0.015)
+        params = (300.0, 34.6, 400.0, 40.0, 0.002, 8.0, 0.015)
         rows = []
         for _ in range(3):
             state = _attached_state(rng)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from sailx.core import Pose
 from sailx.errors import ConfigurationError, InvalidInputError
-from sailx.sim import (ATTACHED, GRIPPER, GRIPPER_SLEW, INERTIA, MASS,
-                       OBJECT_POSITION, PHYSICS_DT, ROBOT_POSITION, TIME,
-                       TaskSpec, initial_world, normalise_poses, success)
+from sailx.sim import (ATTACHED, GRIPPER, GRIPPER_SLEW, OBJECT_POSITION,
+                       PHYSICS_DT, ROBOT_POSITION, TIME, TaskSpec,
+                       initial_world, normalise_poses, success)
 
 from plant_oracle import step_state
 
@@ -23,9 +23,9 @@ def _world(robot_pos=(0.3, 0.0, 0.02)):
 
 def _step(state, wrench, gripper_cmd, grasp_radius=0.015):
     """One plant_oracle.step_state on the packed state: one track_loop step,
-    under the plant's constants and no wrench limit."""
+    on the plant's unit body and constants, with no wrench limit."""
     event = step_state(state, np.asarray(wrench, dtype=float),
-                       float(gripper_cmd), MASS, INERTIA, PHYSICS_DT,
+                       float(gripper_cmd), 1.0, 1.0, PHYSICS_DT,
                        GRIPPER_SLEW, grasp_radius, 0.0)
     assert event != 2
     return state
@@ -99,7 +99,7 @@ class TestStep:
             v = _world()
             before = v.copy()
             event = step_state(v, np.array([bad, 0, 0, 0, 0, 0]), 0.0,
-                               MASS, INERTIA, PHYSICS_DT, GRIPPER_SLEW,
+                               1.0, 1.0, PHYSICS_DT, GRIPPER_SLEW,
                                0.015, 0.0)
             assert event == 2
             assert np.array_equal(v, before)
