@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from configparser import (ConfigParser, Error as ConfigError,
@@ -30,25 +31,44 @@ from .speedmod import label_critical, gripper_event_flags
 log = logging.getLogger("sailx")
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad float list: {text!r}") from e
-
-
-def _seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from e
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
-    return seed
-
-
 def _strings(text: str) -> list[str]:
     return [x.strip() for x in text.split(",") if x.strip() != ""]
+
+
+def _number(cast, ok, rule: str):
+    """An argparse type: ``cast(text)``, refused unless ``ok`` of it."""
+    def parse(text: str):
+        value = cast(text)  # argparse reports a ValueError as invalid
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value:g}")
+        return value
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+def _list_of(parse):
+    """An argparse type: a comma-separated list of ``parse`` values."""
+    def parse_list(text: str) -> list:
+        return [parse(x) for x in _strings(text)]
+    parse_list.__name__ = f"{parse.__name__} list"
+    return parse_list
+
+
+_floats = _list_of(float)
+_seed = _number(int, lambda v: v >= 0, ">= 0")
+_trials = _number(int, lambda v: v >= 1, ">= 1")
+_speedup = _number(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_speedups = _list_of(_speedup)
+_scales = _list_of(_number(float, lambda v: 0.0 <= v < math.inf,
+                           "finite and >= 0"))
+
+
+def _out_file(text: str) -> str:
+    """An argparse type: an output file path in an existing directory."""
+    folder = os.path.dirname(text) or os.curdir
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"no directory {folder!r}")
+    return text
 
 
 def _corpus(args):
@@ -173,7 +193,8 @@ def cmd_report(args) -> int:
 
 _SHARED_FLAGS = {
     "--seed": dict(type=_seed, default=0),
-    "--out": dict(help="output path (CSV unless noted)"),
+    "--out": dict(type=_out_file, help="output path (CSV unless noted); "
+                                       "its directory must exist"),
     "--demos": dict(help="directory of saved demos; generated fresh when "
                          "omitted"),
 }
@@ -190,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         if trials is not None:
-            p.add_argument("--trials", type=int, default=trials)
+            p.add_argument("--trials", type=_trials, default=trials)
         p.set_defaults(func=func)
         return p
 
@@ -203,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("rollout", cmd_rollout, "closed-loop rollouts of one method",
                 corpus, trials=1)
     p.add_argument("--method", default="sail", choices=ex.METHODS)
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=_speedup, default=1.0)
 
     p = command("metrics", cmd_metrics, "aggregate saved rollouts",
                 ("--out",))
@@ -220,16 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
                 corpus, trials=20)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--method", type=_strings, default=["sail", "dp-fast"])
-    p.add_argument("--c-values", type=_floats,
+    p.add_argument("--c-values", type=_speedups,
                    default=[1.0, 0.5, 0.33, 0.2, 0.1])
 
     p = command("sweep-gain-replay", cmd_sweep_gain_replay,
                 "gain x target x speedup replay", corpus)
-    p.add_argument("--c-values", type=_floats, default=[1.0, 0.5, 0.33, 0.2])
+    p.add_argument("--c-values", type=_speedups,
+                   default=[1.0, 0.5, 0.33, 0.2])
 
     p = command("sweep-noise", cmd_sweep_noise,
                 "reference-noise x gain replay", corpus, trials=100)
-    p.add_argument("--scales", type=_floats, default=[0.0, 0.002, 0.005, 0.01])
+    p.add_argument("--scales", type=_scales,
+                   default=[0.0, 0.002, 0.005, 0.01])
 
     p = command("report", cmd_report, "summary table from a sweep CSV")
     p.add_argument("input", help="sweep CSV file")

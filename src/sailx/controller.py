@@ -19,7 +19,7 @@ from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
                       REF_TWIST, _hamilton, _rotvec, _signed, track_loop,
                       track_loop_batch)
-from .sim import GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
+from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
 
 def _kv(kp: float, damping: float) -> float:
@@ -331,8 +331,7 @@ def _step_times(t, dt, n):
     return t + dt * (np.arange(n) + 1)
 
 
-def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils,
-                 grasp_radius: float = 0.015):
+def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
     """Track ``ref`` from the packed plant ``state`` to each of ``untils``.
 
     The slices compose as one ``track_loop`` run per time in ``untils``
@@ -365,7 +364,7 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils,
             fault = track_loop(state, pos[s], vel[s], quat[s], angvel[s],
                                grip[s], gains.kp_pos, gains.kv_pos,
                                gains.kp_ori, gains.kv_ori, dt, GRIPPER_SLEW,
-                               grasp_radius, out_pos[s], out_quat[s],
+                               GRASP_RADIUS, out_pos[s], out_quat[s],
                                out_epos[s], out_eori[s], out_events[s])
             if fault >= 0:
                 raise SimFault(
@@ -434,24 +433,23 @@ class _Subgroup:
             self.group = _ReferenceGroup([self.refs[r] for r in self.rows])
 
 
-def track_lockstep(states, refs, gains, untils, grasp_radii):
+def track_lockstep(states, refs, gains, untils):
     """Track column r of the (30, B) ``states`` along ``refs[r]``.
 
     Every column starts on one plant clock, states[TIME]; a call whose
-    columns start on two raises InvalidInputError before any step. Column
-    r runs ``track_slices``'s slices to each time in ``untils[r]`` under
-    ``gains[r]`` and ``grasp_radii[r]``, with the same bits. A batch of at
-    least LOCKSTEP_MIN_ROWS columns steps in lockstep on
-    ``track_loop_batch``, from one slice end of any column to the next, one
-    block of LOCKSTEP_BLOCK row-steps of reference at a time. Its columns
-    on equal knot times and equal slices form a subgroup, whose references
-    one ``_ReferenceGroup`` samples together into the subgroup's columns of
-    each block, at the times ``track_slices`` uses: those are built from
-    each slice's start clock, so columns on other slices would step at
-    other times. A column leaves the batch after its last slice. Fewer
-    columns run column by column through ``track_slices``. No per-step
-    trace is kept. Callers pass at most LOCKSTEP_MAX_ROWS columns at a
-    time.
+    columns start on two raises InvalidInputError before any step. Column r
+    runs ``track_slices``'s slices to each time in ``untils[r]`` under
+    ``gains[r]``, with the same bits. A batch of at least LOCKSTEP_MIN_ROWS
+    columns steps in lockstep on ``track_loop_batch``, from one slice end
+    of any column to the next, one block of LOCKSTEP_BLOCK row-steps of
+    reference at a time. Its columns on equal knot times and equal slices
+    form a subgroup, whose references one ``_ReferenceGroup`` samples
+    together into the subgroup's columns of each block, at the times
+    ``track_slices`` uses: those are built from each slice's start clock,
+    so columns on other slices would step at other times. A column leaves
+    the batch after its last slice. Fewer columns run column by column
+    through ``track_slices``. No per-step trace is kept. Callers pass at
+    most LOCKSTEP_MAX_ROWS columns at a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     once those columns reached the end of the slice, and the caller may
@@ -465,16 +463,15 @@ def track_lockstep(states, refs, gains, untils, grasp_radii):
         raise InvalidInputError(
             f"lockstep columns start on {clocks} plant clocks; a call "
             "takes columns on one start clock")
-    radii = np.asarray(grasp_radii, dtype=float)
     faults = {}
     if states.shape[1] >= LOCKSTEP_MIN_ROWS:
-        yield from _track_batch(states, refs, gains, radii, untils, faults)
+        yield from _track_batch(states, refs, gains, untils, faults)
     else:
         for r in range(states.shape[1]):
             state = states[:, r].copy()
             try:
                 for k, trace in enumerate(track_slices(
-                        state, refs[r], gains[r], untils[r], radii[r])):
+                        state, refs[r], gains[r], untils[r])):
                     states[:, r] = state
                     yield np.array([r]), k, len(trace.times)
                     state[:] = states[:, r]
@@ -488,7 +485,7 @@ def track_lockstep(states, refs, gains, untils, grasp_radii):
         raise fault
 
 
-def _track_batch(states, refs, gains, radii, untils, faults):
+def _track_batch(states, refs, gains, untils, faults):
     """``track_lockstep``'s lockstep run of every column of ``states``;
     faults go to ``faults`` by column."""
     dt = PHYSICS_DT
@@ -547,7 +544,7 @@ def _track_batch(states, refs, gains, radii, untils, faults):
             stop = min(end, block_start + len(block))
             fault = track_loop_batch(
                 state, block[start - block_start:stop - block_start],
-                *gain_rows[:, live], dt, GRIPPER_SLEW, radii[live])
+                *gain_rows[:, live], dt, GRIPPER_SLEW, GRASP_RADIUS)
             faulted = np.flatnonzero(fault >= 0)
             if len(faulted):
                 # the faulted columns leave at the next pass of the loop
@@ -566,14 +563,14 @@ def _track_batch(states, refs, gains, radii, untils, faults):
                 break
 
 
-def track(state, ref: ReferenceTrack, gains: GainProfile, until: float,
-          grasp_radius: float = 0.015) -> TrackTrace:
+def track(state, ref: ReferenceTrack, gains: GainProfile,
+          until: float) -> TrackTrace:
     """Run the inner control loop at PHYSICS_DT until ``until``.
 
     The packed plant ``state`` advances in place, and a stretch that took a
     step ends in ``sim.normalise_poses``.
     """
-    trace, = track_slices(state, ref, gains, (until,), grasp_radius)
+    trace, = track_slices(state, ref, gains, (until,))
     if len(trace.times):
         normalise_poses(state)
     return trace

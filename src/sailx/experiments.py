@@ -23,7 +23,8 @@ from .errors import InvalidInputError
 from .io import generate_demos
 from .metrics import aggregate
 from .policy import DemoLibrary, MockPolicy, PolicyConfig, infer_unconditional
-from .scheduler import ExecutorConfig, RolloutLog, run_rollout, sample_trace
+from .scheduler import (DELTA_DELAY, ExecutorConfig, RolloutLog, run_rollout,
+                        sample_trace)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
                   normalise_poses, success)
 
@@ -33,12 +34,11 @@ DEFAULT_OBJECT = np.array([0.3, 0.0, 0.02])
 DEFAULT_GOAL = np.array([0.3, 0.25, 0.02])
 
 
-def make_task(object_position=None, goal_position=None, **kwargs) -> TaskSpec:
+def make_task() -> TaskSpec:
     """The standard desk-scale pick-and-place task."""
-    obj = DEFAULT_OBJECT if object_position is None else np.asarray(object_position)
-    goal = DEFAULT_GOAL if goal_position is None else np.asarray(goal_position)
-    return TaskSpec(object_start=Pose(obj.astype(float), IDENTITY_QUAT.copy()),
-                    goal_position=goal.astype(float), **kwargs)
+    return TaskSpec(object_start=Pose(DEFAULT_OBJECT.copy(),
+                                      IDENTITY_QUAT.copy()),
+                    goal_position=DEFAULT_GOAL.copy())
 
 
 def build_demo_corpus(n: int = 50, seed: int = 0):
@@ -140,11 +140,10 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
     """
     profile = gain_profile(gains)
     ref, task, state, end = _replay_setup(demo, c, target, noise_scale, seed)
-    trace = track(state, ref, profile, until=end + 0.5,
-                  grasp_radius=task.grasp_radius)
+    trace = track(state, ref, profile, until=end + 0.5)
     ok = success(state, task)
     samples, events = sample_trace(trace)
-    return RolloutLog(success=ok, duration=end if ok else task.t_max,
+    return RolloutLog(success=ok, duration=end if ok else T_MAX,
                       stall_count=0, con_values=[], wed_values=[],
                       events=events, seed=seed, **samples)
 
@@ -165,9 +164,7 @@ def _replay_successes(replays) -> list[bool]:
         states = np.stack([state for _, _, state, _ in setups], axis=1)
         for _ in track_lockstep(states, [ref for ref, *_ in setups],
                                 [gain_profile(r[2]) for r in chunk],
-                                [(end + 0.5,) for *_, end in setups],
-                                [task.grasp_radius
-                                 for _, task, *_ in setups]):
+                                [(end + 0.5,) for *_, end in setups]):
             pass
         normalise_poses(states.T)
         ok += [success(state, task)
@@ -251,8 +248,13 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
                 seed: int = 0) -> list[dict]:
     """Replay SR under reference noise for high vs low controller gains.
 
-    The replays of the sweep run in lockstep batches.
+    Every scale must be finite and at least 0. The replays of the sweep run
+    in lockstep batches.
     """
+    for scale in scales:
+        if not 0.0 <= scale < math.inf:
+            raise InvalidInputError(
+                f"noise scales must be finite and >= 0, got {scale:g}")
     cells = [(gain, cell, scale) for gain in gains
              for cell, scale in enumerate(scales)]
     ok = _replay_successes([(demos[t % len(demos)], 1.0, gain, "reached",
@@ -269,9 +271,9 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
 # ---------------------------------------------------------------------------
 
 def _horizon(c: float, dt: float) -> int:
-    """Demo steps of interval dt that one 0.4 s inference latency covers at
-    speed c: the waypoint steps a diagnostics trial tracks."""
-    return int(round(0.4 / (c * dt)))
+    """Demo steps of interval dt that one DELTA_DELAY inference latency
+    covers at speed c: the waypoint steps a diagnostics trial tracks."""
+    return int(round(DELTA_DELAY / (c * dt)))
 
 
 def _check_speedups(demos, c_values) -> None:
@@ -292,7 +294,7 @@ def _check_speedups(demos, c_values) -> None:
         if horizon < 1:
             raise InvalidInputError(
                 f"diagnostics at c={c:g} track no {dt:g} s demo step in "
-                "one 0.4 s latency")
+                f"one {DELTA_DELAY:g} s latency")
 
 
 def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
@@ -332,8 +334,7 @@ def _track_stretches(setups) -> np.ndarray:
     refs = [ref for _, ref, _ in setups]
     for _ in track_lockstep(states, refs,
                             [gain_profile("real-exec")] * len(refs),
-                            [(float(ref.times[-1]),) for ref in refs],
-                            [0.015] * len(refs)):
+                            [(float(ref.times[-1]),) for ref in refs]):
         pass
     normalise_poses(states.T)
     return states

@@ -281,6 +281,9 @@ _GRIP_OFFSET = 0.0  # operator toggles this long after the dwell begins
 _LEAD = 0.25  # s, how far the commanded pose stream runs ahead of the path
 _SCATTER = 0.05  # m, half-width of the object's x/y start box
 _HOME_HEIGHT = 0.20  # m, start height of the arm above the object
+_DEMO_DT = 0.05  # s, the interval both streams are logged at
+_JITTER = 0.001  # m, the per-step hand jitter of the commanded stream
+_DEMO_GAINS = "real-demo"  # the gain preset demos are tracked under
 
 
 def _scripted_path(obj_pos, goal_pos, home_pos, hover: float = 0.12):
@@ -330,22 +333,21 @@ def _nominal_trajectory(segments, home_pos, dt: float):
     return times, positions, grips
 
 
-def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
-                   dt: float = 0.05, jitter: float = 0.001,
-                   gains: str = "real-demo") -> list:
-    """Scripted teleoperation through the simulator under ``gains``.
+def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0) -> list:
+    """Scripted teleoperation through the simulator under _DEMO_GAINS.
 
     Each demo randomizes the object start within a +-_SCATTER box in x/y,
     and starts the arm _HOME_HEIGHT above it. The operator model
     anticipates the sluggish arm by commanding the pose stream _LEAD
-    seconds ahead (with per-step hand ``jitter``), so the reached trace is
+    seconds ahead (with per-step hand _JITTER), so the reached trace is
     the smooth, roughly lag-cancelled closed-loop response; gripper toggles
     are issued at nominal (unled) timing, when the operator sees the arm
-    settled. Both streams are logged at ``dt``.
+    settled. Both streams are logged at _DEMO_DT. The scripted plan lasts
+    5.7 s, well inside the task's time limit.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
-    profile = gain_profile(gains)
+    profile = gain_profile(_DEMO_GAINS)
     rng = np.random.default_rng(seed)
     demos = []
     # the demos are tracked LOCKSTEP_MAX_ROWS at a time
@@ -356,29 +358,21 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
                                                  size=2), [0.0]])
             obj_pos = task.object_start.position + offset
             obj_pose = Pose(obj_pos, task.object_start.orientation)
-            demo_task = TaskSpec(obj_pose, task.goal_position,
-                                 grasp_radius=task.grasp_radius,
-                                 place_tolerance=task.place_tolerance,
-                                 t_max=task.t_max)
+            demo_task = TaskSpec(obj_pose, task.goal_position)
             home = np.concatenate([obj_pos[:2], [obj_pos[2] + _HOME_HEIGHT]])
             segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
                                       home)
-            times, nominal, grips = _nominal_trajectory(segments, home, dt)
+            times, nominal, grips = _nominal_trajectory(segments, home,
+                                                        _DEMO_DT)
             n_steps = len(times)
-            # the segment durations, and so the times, are the same for
-            # every demo: this raises at the first demo or never
-            if times[-1] > task.t_max:
-                raise GenerationError(
-                    "scripted plan exceeds the task time limit")
 
             # teleoperator: lead the pose stream, keep gripper at nominal
             # timing
-            lead_steps = int(round(_LEAD / dt))
+            lead_steps = int(round(_LEAD / _DEMO_DT))
             src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
             commanded_pos = nominal[src].copy()
-            if jitter > 0:
-                commanded_pos += rng.normal(0.0, jitter,
-                                            size=commanded_pos.shape)
+            commanded_pos += rng.normal(0.0, _JITTER,
+                                        size=commanded_pos.shape)
             commanded_grip = grips.copy()
             quat = np.tile(IDENTITY_QUAT, (n_steps, 1))
             ref = ReferenceTrack(times, commanded_pos, quat,
@@ -393,7 +387,8 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
             flags = label_critical(ref.positions)
             flags = np.maximum(flags, gripper_event_flags(ref.grippers))
             demos.append(Demonstration(
-                dt=dt, commanded=np.hstack([ref.positions, ref.orientations]),
+                dt=_DEMO_DT,
+                commanded=np.hstack([ref.positions, ref.orientations]),
                 reached=reached_d, grippers=ref.grippers, k=flags,
                 objects=objects_d, object_start=object_start,
                 goal=np.asarray(task.goal_position, dtype=float)))
@@ -421,8 +416,7 @@ def _track_scripts(scripts, profile, first):
         for rows, k, steps in track_lockstep(
                 states, [ref for _, ref, _, _ in scripts],
                 [profile] * len(scripts),
-                [ref.times[1:] for _, ref, _, _ in scripts],
-                [demo_task.grasp_radius for demo_task, *_ in scripts]):
+                [ref.times[1:] for _, ref, _, _ in scripts]):
             block = states[:, rows].T.copy()
             if steps:
                 normalise_poses(block)  # as between two track calls

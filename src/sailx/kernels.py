@@ -20,8 +20,8 @@ every sweep digest. ``tests/plant_oracle.py`` keeps the array helpers as
 the reference.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
-stepped in lockstep under per-column gains and grasp radii, with each
-column's bits equal to ``track_loop`` on that row. A step is about 53 numpy
+stepped in lockstep under per-column gains, with each column's bits equal
+to ``track_loop`` on that row. A step is about 53 numpy
 calls whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns,
 against ~4.5-6 us per row for the scalar loop. At rest (below), the
 common case, a batched step is about 18 numpy calls, ~10-17 us, and a
@@ -475,8 +475,8 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     """``track_loop`` on the B columns of a (30, B) state, in lockstep.
 
     Step i tracks ``ref[i]``, a (REF_ROWS, B) block of reference rows. The
-    gains and ``grasp_radius`` are (B,) float arrays, one value per column,
-    dt and ``grip_slew`` are shared, and ``grip_slew`` must not be negative.
+    gains are (B,) float arrays, one value per column; dt, ``grip_slew`` and
+    ``grasp_radius`` are shared, and ``grip_slew`` must not be negative.
     Every column gets the bits ``track_loop`` gives that row; no per-step
     trace is written. ``state`` is updated in place. Returns a (B,) array
     holding, per column, the index of the step whose wrench was non-finite
@@ -569,7 +569,7 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                     sub = state[:, live]
                     sub_fault = track_loop_batch(
                         sub, ref[i:, :, live], *gains[:, live], dt, grip_slew,
-                        grasp_radius[live])
+                        grasp_radius)
                     state[:, live] = sub
                     fault[live] = np.where(sub_fault < 0, -1, sub_fault + i)
                 return fault
@@ -598,7 +598,7 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
             if len(grasp):
                 d = o[:, grasp] - new_p[:, grasp]
                 sq = d * d
-                near = np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius[grasp]
+                near = np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius
                 grasp = grasp[near]
                 attached[grasp] = 1.0
                 r[:, grasp], rq[:, grasp] = _gripper_frame_pose(

@@ -11,19 +11,14 @@ import numpy as np
 
 from .errors import InvalidInputError, UndefinedMetricError
 
-
-@dataclass(frozen=True)
-class SparcParams:
-    pad_factor: int = 4          # zero-pad the profile to pad_factor * length
-    omega_c_max: float = 20.0    # Hz, cutoff upper limit
-    amplitude_threshold: float = 0.05
-    sample_interval: float = 0.02  # s (50 Hz)
-
-
 # The metric definitions' fixed constants: WED's weight decay per step and
 # the rate a speed profile is downsampled to.
 WED_DECAY = 0.9
 SPEED_PROFILE_HZ = 50.0
+# SPARC's zero-padding factor, cutoff amplitude threshold and cutoff cap (Hz)
+SPARC_PAD = 4
+SPARC_THRESHOLD = 0.05
+SPARC_OMEGA_MAX = 20.0
 
 
 def tpr(outcomes, t_max: float) -> float:
@@ -44,12 +39,13 @@ def tpr(outcomes, t_max: float) -> float:
     return total / len(outcomes)
 
 
-def sparc(speed, params: SparcParams = SparcParams()) -> float:
-    """Negative arc length of the normalized magnitude spectrum.
+def sparc(speed) -> float:
+    """Negative arc length of the normalized magnitude spectrum of a
+    SPEED_PROFILE_HZ speed profile.
 
     The profile is zero-padded, the spectrum normalized by its DC value, the
     cutoff chosen adaptively (largest frequency still above the amplitude
-    threshold, capped at omega_c_max), and the arc length accumulated as
+    threshold, capped at SPARC_OMEGA_MAX), and the arc length accumulated as
     Euclidean distances with a (1/omega_c) frequency normalization.
     """
     v = np.asarray(speed, dtype=float)
@@ -57,17 +53,17 @@ def sparc(speed, params: SparcParams = SparcParams()) -> float:
         raise InvalidInputError("speed profile too short for SPARC")
     if np.any(v < 0):
         raise InvalidInputError("speed samples must be non-negative")
-    nfft = params.pad_factor * len(v)
+    nfft = SPARC_PAD * len(v)
     spectrum = np.abs(np.fft.rfft(v, n=nfft))
     if spectrum[0] == 0.0:
         raise UndefinedMetricError("SPARC undefined for an all-zero profile")
     vhat = spectrum / spectrum[0]
-    freqs = np.fft.rfftfreq(nfft, d=params.sample_interval)
+    freqs = np.fft.rfftfreq(nfft, d=1.0 / SPEED_PROFILE_HZ)
 
-    above = np.nonzero(vhat >= params.amplitude_threshold)[0]
+    above = np.nonzero(vhat >= SPARC_THRESHOLD)[0]
     # smallest frequency beyond which the spectrum stays under the threshold
     cutoff = freqs[min(above[-1] + 1, len(freqs) - 1)]
-    omega_c = min(params.omega_c_max, max(cutoff, freqs[1]))
+    omega_c = min(SPARC_OMEGA_MAX, max(cutoff, freqs[1]))
     sel = freqs <= omega_c
     f_sel = freqs[sel]
     v_sel = vhat[sel]
@@ -158,11 +154,9 @@ class MetricReport:
 
 def aggregate(rollouts, t_max: float,
               mean_demo_duration: float | None = None) -> MetricReport:
-    """Aggregate a list of RolloutLog-like objects into one report.
+    """Aggregate a list of RolloutLogs into one report.
 
-    Each rollout must expose success, duration, and may expose con_values,
-    wed_values, speed (50 Hz profile), and stall_count. SPARC and LDLJ use
-    the default SparcParams.
+    SPARC and LDLJ read each rollout's SPEED_PROFILE_HZ speed profile.
     """
     rollouts = list(rollouts)
     if not rollouts:
@@ -176,24 +170,22 @@ def aggregate(rollouts, t_max: float,
         report.atr = float(np.mean(succ_durations))
         if mean_demo_duration is not None:
             report.sod = mean_demo_duration / report.atr
-    cons = [c for r in rollouts for c in getattr(r, "con_values", [])]
-    weds = [w for r in rollouts for w in getattr(r, "wed_values", [])]
+    cons = [c for r in rollouts for c in r.con_values]
+    weds = [w for r in rollouts for w in r.wed_values]
     if cons:
         report.con = float(np.mean(cons))
     if weds:
         report.wed = float(np.mean(weds))
     sparcs, ldljs = [], []
     for r in rollouts:
-        speed = getattr(r, "speed", None)
-        if speed is not None and len(speed) >= 4 and np.max(speed) > 0:
+        speed = r.speed
+        if len(speed) >= 4 and np.max(speed) > 0:
             sparcs.append(sparc(speed))
-            ldljs.append(ldlj(speed, SparcParams.sample_interval))
+            ldljs.append(ldlj(speed, 1.0 / SPEED_PROFILE_HZ))
     if sparcs:
         report.sparc = float(np.mean(sparcs))
         report.ldlj = float(np.mean(ldljs))
-    stalls = [getattr(r, "stall_count", None) for r in rollouts]
-    if all(s is not None for s in stalls):
-        report.stalls = float(np.mean(stalls))
+    report.stalls = float(np.mean([r.stall_count for r in rollouts]))
     return report
 
 

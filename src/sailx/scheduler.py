@@ -7,11 +7,13 @@ executable; the remainder is reserved as the conditioning tail for the next
 prediction. A cycle therefore stalls (the robot holds its last reference
 pose) exactly when the per-waypoint interval drops below
 
-    delta_lb = delta_delay / (H_p - H_c),
+    delta_lb = DELTA_DELAY / (H_p - H_c),
 
 the smallest interval at which the executable span still covers the
 inference delay. The executor floors its intervals at
-(1 + safety_margin) * delta_lb so closed-loop runs never stall by design.
+(1 + SAFETY_MARGIN) * delta_lb so closed-loop runs never stall by design.
+At the default horizons (H_p = 32, H_c = 4) that floor is
+1.05 * 0.4 s / 28, so a speed factor below 0.3 runs as 0.3.
 """
 
 import math
@@ -23,30 +25,26 @@ from .controller import GainProfile, ReferenceTrack, track
 from .errors import ConfigurationError
 from .metrics import con, speed_profile, wed
 from .policy import ActionChunk, MockPolicy, infer_eag, infer_unconditional
-from .sim import GRIPPER, TIME, Pose, TaskSpec, initial_world, success
+from .sim import (GRIPPER, T_MAX, TIME, Pose, TaskSpec, initial_world,
+                  success)
+
+
+DELTA_STAR = 0.05     # s, nominal waypoint interval (demo rate)
+DELTA_DELAY = 0.4     # s, inference latency
+SAFETY_MARGIN = 0.05  # interval floor margin over delta_lb
 
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    delta_star: float = 0.05     # s, nominal waypoint interval (demo rate)
-    delta_delay: float = 0.4     # s, inference latency
     c_slow: float = 0.5          # speed factor on critical waypoints
     c_fast: float = 0.2          # speed factor elsewhere
-    safety_margin: float = 0.05  # interval floor margin over delta_lb
     use_eag: bool = True         # error-adaptive guidance at replanning
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (
-                self.delta_star, self.delta_delay, self.c_slow, self.c_fast,
-                self.safety_margin)):
-            raise ConfigurationError("executor intervals and speed factors "
-                                     "must be finite")
-        if self.delta_star <= 0 or self.delta_delay < 0:
-            raise ConfigurationError("delta_star > 0 and delta_delay >= 0 required")
+        if not (math.isfinite(self.c_slow) and math.isfinite(self.c_fast)):
+            raise ConfigurationError("executor speed factors must be finite")
         if not 0 < self.c_fast <= self.c_slow:
             raise ConfigurationError("require 0 < c_fast <= c_slow")
-        if self.safety_margin < 0:
-            raise ConfigurationError("safety_margin >= 0 required")
 
 
 def lower_bound_interval(delta_delay: float, h_p: int, h_c: int) -> float:
@@ -70,9 +68,9 @@ def plan_intervals(flags, cfg: ExecutorConfig, h_p: int, h_c: int) -> np.ndarray
     factor is then exactly c.
     """
     c = speed_factor(flags, cfg)
-    floor = (1.0 + cfg.safety_margin) * lower_bound_interval(
-        cfg.delta_delay, h_p, h_c)
-    return np.maximum(c * cfg.delta_star, floor)
+    floor = (1.0 + SAFETY_MARGIN) * lower_bound_interval(
+        DELTA_DELAY, h_p, h_c)
+    return np.maximum(c * DELTA_STAR, floor)
 
 
 @dataclass
@@ -185,19 +183,18 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     guidance.append(False)
     grip = float(state[GRIPPER])
     hold = ReferenceTrack(
-        [0.0, exec_cfg.delta_delay],
+        [0.0, DELTA_DELAY],
         np.tile(start_pose.position, (2, 1)),
         np.tile(start_pose.orientation, (2, 1)),
         grippers=[grip, grip])
-    collect(track(state, hold, gains, until=exec_cfg.delta_delay,
-                  grasp_radius=task.grasp_radius))
+    collect(track(state, hold, gains, until=DELTA_DELAY))
 
-    t_a = exec_cfg.delta_delay
+    t_a = DELTA_DELAY
     prev_chunk: ActionChunk | None = None
     prev_ref: ReferenceTrack = hold
     done = False
 
-    while state[TIME] < task.t_max - 1e-9 and not done:
+    while state[TIME] < T_MAX - 1e-9 and not done:
         if prev_chunk is not None:
             con_values.append(con(chunk, prev_chunk, prev_offset, 0))
             wed_values.append(wed(chunk, prev_chunk, overlap=h_c,
@@ -205,7 +202,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
 
         intervals = plan_intervals(chunk.flags, exec_cfg, h_p, h_c)
         wp_times = t_a + np.cumsum(intervals[:exec_n])
-        t_next = t_a + exec_cfg.delta_delay
+        t_next = t_a + DELTA_DELAY
         events.append((float(t_a), "splice"))
         if wp_times[-1] < t_next - 1e-12:
             stall_count += 1
@@ -234,9 +231,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
             np.vstack([desired.position, chunk.positions[:exec_n]]),
             np.vstack([desired.orientation, chunk.orientations[:exec_n]]),
             grippers=np.concatenate([grip_now, chunk.grippers[:exec_n]]))
-        until = min(t_next, task.t_max)
-        collect(track(state, ref, gains, until=until,
-                      grasp_radius=task.grasp_radius))
+        collect(track(state, ref, gains, until=min(t_next, T_MAX)))
 
         if success(state, task):
             releases = [t for t, tag in events if tag == "release"]

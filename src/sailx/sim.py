@@ -3,7 +3,7 @@
 The robot is a free-floating 6-DoF unit body: unit mass and unit isotropic
 rotational inertia, so the PD law of ``controller`` commands its linear and
 angular accelerations. Grasping is kinematic: when the gripper command
-crosses 0.5 while the end effector is within ``grasp_radius`` of the
+crosses 0.5 while the end effector is within GRASP_RADIUS of the
 object, the object is rigidly attached; opening past 0.5 detaches it
 wherever it is.
 
@@ -11,7 +11,6 @@ The plant state is the packed (30,) vector laid out in ``kernels``; the
 slices below are the parts of it that other modules read.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,8 @@ TIME = 29
 # The time limit of a task (s): rollouts end there, and the metrics charge
 # a failed rollout -1 / T_MAX.
 T_MAX = 30.0
+GRASP_RADIUS = 0.015  # m, the largest end effector-object grasp distance
+PLACE_TOLERANCE = 0.02  # m, the largest object-goal distance of a success
 
 
 @dataclass(frozen=True)
@@ -44,20 +45,13 @@ class TaskSpec:
 
     object_start: Pose
     goal_position: np.ndarray
-    grasp_radius: float = 0.015   # m
-    place_tolerance: float = 0.02  # m
-    t_max: float = T_MAX           # s
 
     def __post_init__(self):
         goal = np.asarray(self.goal_position, dtype=float).copy()
         goal.setflags(write=False)
         object.__setattr__(self, "goal_position", goal)
-        if not (np.all(np.isfinite(goal)) and all(math.isfinite(v) for v in (
-                self.grasp_radius, self.place_tolerance, self.t_max))):
-            raise ConfigurationError("task goal, tolerances and t_max must "
-                                     "be finite")
-        if self.grasp_radius <= 0 or self.place_tolerance <= 0 or self.t_max <= 0:
-            raise ConfigurationError("task tolerances and t_max must be positive")
+        if not np.all(np.isfinite(goal)):
+            raise ConfigurationError("task goal must be finite")
 
 
 def initial_world(robot: Pose, task: TaskSpec) -> np.ndarray:
@@ -92,8 +86,8 @@ def normalise_poses(states) -> None:
 
 
 def success(state, spec: TaskSpec) -> bool:
-    """Object placed within tolerance, released, and within the time limit."""
-    if state[ATTACHED] > 0.5 or state[TIME] > spec.t_max:
+    """Object placed within PLACE_TOLERANCE, released, and within T_MAX."""
+    if state[ATTACHED] > 0.5 or state[TIME] > T_MAX:
         return False
     dist = np.linalg.norm(state[OBJECT_POSITION] - spec.goal_position)
-    return bool(dist <= spec.place_tolerance)
+    return bool(dist <= PLACE_TOLERANCE)

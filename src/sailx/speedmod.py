@@ -22,17 +22,11 @@ class WaypointSet:
     positions: np.ndarray  # (M, 3)
 
 
-@dataclass(frozen=True)
-class LabelParams:
-    tau: float = 0.005      # m, waypoint approximation error budget
-    eps: float = 0.02       # m, DBSCAN radius
-    min_pts: int = 4
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tau) and math.isfinite(self.eps)):
-            raise InvalidInputError("labeling parameters must be finite")
-        if self.tau <= 0 or self.eps <= 0 or self.min_pts <= 0:
-            raise InvalidInputError("labeling parameters must be positive")
+# the labelling parameters: the waypoint approximation error budget (m),
+# the DBSCAN radius (m) and its core-point neighbour count
+LABEL_TAU = 0.005
+LABEL_EPS = 0.02
+LABEL_MIN_PTS = 4
 
 
 def _point_segment_distances(points, a, b):
@@ -52,8 +46,8 @@ def extract_waypoints(positions, tau: float) -> WaypointSet:
     ``positions`` is an (N, 3) array-like of points. The first and last
     points are always waypoints.
     """
-    if tau <= 0:
-        raise InvalidInputError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise InvalidInputError("tau must be finite and positive")
     pts = np.asarray(positions, dtype=float)
     n = len(pts)
     if n < 2:
@@ -81,8 +75,9 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
 
     Deterministic: points are visited in ascending index order.
     """
-    if eps <= 0 or min_pts < 1:
-        raise InvalidInputError("eps must be > 0 and min_pts >= 1")
+    if not 0.0 < eps < math.inf or min_pts < 1:
+        raise InvalidInputError("eps must be finite and positive and "
+                                "min_pts >= 1")
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     labels = np.full(n, NOISE, dtype=int)
@@ -116,16 +111,18 @@ def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
     return labels
 
 
-def label_critical(positions, params: LabelParams = LabelParams()) -> np.ndarray:
+def label_critical(positions) -> np.ndarray:
     """Critical-action flags: spans between consecutive clustered waypoints.
 
-    Returns k in {0,1}^N, N = trajectory length. For each consecutive pair
-    of waypoints that are both assigned to a cluster, every step from the
-    first to the second (inclusive) is critical.
+    Returns k in {0,1}^N, N = trajectory length. The waypoints are
+    extracted within LABEL_TAU and clustered with DBSCAN at LABEL_EPS and
+    LABEL_MIN_PTS. For each consecutive pair of waypoints that are both
+    assigned to a cluster, every step from the first to the second
+    (inclusive) is critical.
     """
     pts = np.asarray(positions, dtype=float)
-    wps = extract_waypoints(pts, params.tau)
-    labels = dbscan(wps.positions, params.eps, params.min_pts)
+    wps = extract_waypoints(pts, LABEL_TAU)
+    labels = dbscan(wps.positions, LABEL_EPS, LABEL_MIN_PTS)
     k = np.zeros(len(pts), dtype=np.int8)
     for a, b in zip(range(len(labels) - 1), range(1, len(labels))):
         if labels[a] != NOISE and labels[b] != NOISE:

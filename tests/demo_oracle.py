@@ -71,17 +71,12 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
                                  [0.0]])
         obj_pos = task.object_start.position + offset
         obj_pose = Pose(obj_pos, task.object_start.orientation)
-        demo_task = TaskSpec(obj_pose, task.goal_position,
-                             grasp_radius=task.grasp_radius,
-                             place_tolerance=task.place_tolerance,
-                             t_max=task.t_max)
+        demo_task = TaskSpec(obj_pose, task.goal_position)
         home = np.concatenate([obj_pos[:2], [obj_pos[2] + home_height]])
         segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
                                   home)
         times, nominal, grips = _nominal_trajectory(segments, home, dt)
         n_steps = len(times)
-        if times[-1] > task.t_max:
-            raise GenerationError("scripted plan exceeds the task time limit")
 
         # teleoperator: lead the pose stream, keep gripper at nominal timing
         lead_steps = int(round(lead / dt))
@@ -101,8 +96,7 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0,
         objects[0] = np.concatenate([obj_pos,
                                      task.object_start.orientation])
         for i in range(1, n_steps):
-            track(state, ref, profile, until=times[i],
-                  grasp_radius=demo_task.grasp_radius)
+            track(state, ref, profile, until=times[i])
             reached[i] = state[0:7]
             objects[i] = state[14:21]
         if not success(state, demo_task):

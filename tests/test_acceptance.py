@@ -16,13 +16,12 @@ from sailx.diagnostics import SampleSet, knn_distance
 from sailx.experiments import (run_diagnostics, run_method_rollout,
                                sweep_gain_replay, sweep_noise, sweep_speed,
                                task_for_demo)
-from sailx.metrics import (SparcParams, aggregate, ldlj, sparc, tpr, wed)
+from sailx.metrics import aggregate, ldlj, sparc, tpr, wed
 from sailx.policy import (MockPolicy, PolicyConfig, cfg_blend, infer_eag,
                           infer_unconditional)
 from sailx.scheduler import lower_bound_interval, simulate_timeline
 from sailx.sim import Pose, initial_world
-from sailx.speedmod import (NOISE, LabelParams, dbscan, extract_waypoints,
-                            label_critical)
+from sailx.speedmod import NOISE, dbscan, extract_waypoints, label_critical
 
 from plant_oracle import quat_from_rotvec, quat_mul, quat_normalize
 
@@ -111,9 +110,10 @@ def test_criterion_02_guidance_gating(demos50):
 # ---------------------------------------------------------------------------
 # 3. metric oracle equivalence
 
-def _oracle_sparc(speed, params=SparcParams()):
+def _oracle_sparc(speed, pad_factor=4, sample_interval=0.02,
+                  amplitude_threshold=0.05, omega_c_max=20.0):
     v = np.asarray(speed, dtype=float)
-    nfft = params.pad_factor * len(v)
+    nfft = pad_factor * len(v)
     k = np.arange(nfft // 2 + 1)
     n = np.arange(nfft)
     padded = np.zeros(nfft)
@@ -121,10 +121,10 @@ def _oracle_sparc(speed, params=SparcParams()):
     mags = np.array([abs(np.sum(padded * np.exp(-2j * np.pi * kk * n / nfft)))
                      for kk in k])
     vhat = mags / mags[0]
-    freqs = k / (nfft * params.sample_interval)
-    above = np.nonzero(vhat >= params.amplitude_threshold)[0]
+    freqs = k / (nfft * sample_interval)
+    above = np.nonzero(vhat >= amplitude_threshold)[0]
     cutoff = freqs[min(above[-1] + 1, len(freqs) - 1)]
-    omega_c = min(params.omega_c_max, max(cutoff, freqs[1]))
+    omega_c = min(omega_c_max, max(cutoff, freqs[1]))
     sel = freqs <= omega_c
     f, vv = freqs[sel], vhat[sel]
     return -float(np.sum(np.sqrt((np.diff(f) / omega_c) ** 2
@@ -298,9 +298,9 @@ def test_criterion_09_ood_correlation(demos50):
 # ---------------------------------------------------------------------------
 # 10. labeling and aggregation oracles
 
-def _oracle_labels(pts, params):
-    wps = extract_waypoints(pts, params.tau)
-    labels = dbscan(wps.positions, params.eps, params.min_pts)
+def _oracle_labels(pts, tau=0.005, eps=0.02, min_pts=4):
+    wps = extract_waypoints(pts, tau)
+    labels = dbscan(wps.positions, eps, min_pts)
     expected = np.zeros(len(pts), dtype=np.int8)
     for a in range(len(labels) - 1):
         if labels[a] != NOISE and labels[a + 1] != NOISE:
@@ -310,7 +310,6 @@ def _oracle_labels(pts, params):
 
 def test_criterion_10_labeling_and_aggregation():
     rng = np.random.default_rng(1010)
-    params = LabelParams()
     label_ok = 0
     for _ in range(20):
         approach = np.linspace([0, 0, 0.4], [0.3, 0, 0.02], 15)
@@ -318,8 +317,7 @@ def test_criterion_10_labeling_and_aggregation():
                  + rng.normal(scale=0.012, size=(int(rng.integers(15, 30)), 3)))
         retreat = np.linspace([0.3, 0, 0.02], [0.3, 0.4, 0.3], 15)
         pts = np.vstack([approach, dwell, retreat])
-        label_ok += np.array_equal(label_critical(pts, params),
-                                   _oracle_labels(pts, params))
+        label_ok += np.array_equal(label_critical(pts), _oracle_labels(pts))
 
     worst = 0.0
     for _ in range(1000):

@@ -21,6 +21,14 @@ def demo_dir(tmp_path_factory):
     return str(d)
 
 
+@pytest.fixture()
+def no_corpus(monkeypatch):
+    """Fail a test that loads or generates a corpus."""
+    def corpus(*args, **kwargs):
+        raise AssertionError("the corpus was loaded")
+    monkeypatch.setattr("sailx.cli._corpus", corpus)
+
+
 class TestBasicCommands:
     def test_gen_demos_then_label(self, demo_dir, tmp_path, capsys):
         out = str(tmp_path / "labels.csv")
@@ -118,6 +126,40 @@ class TestBasicCommands:
             main(argv)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["rollout", "--c", "-1"], "--c"),
+        (["rollout", "--c", "inf"], "--c"),
+        (["rollout", "--c", "nan", "--method", "dp"], "--c"),
+        (["sweep-speed", "--c-values", "0"], "--c-values"),
+        (["sweep-gain-replay", "--c-values", "1,-0.5"], "--c-values"),
+        (["rollout", "--trials", "0"], "--trials"),
+        (["diagnose", "--trials", "0"], "--trials"),
+        (["sweep-speed", "--trials", "0"], "--trials"),
+        (["sweep-noise", "--trials", "0"], "--trials"),
+        (["sweep-noise", "--scales", "-0.01"], "--scales"),
+        (["sweep-noise", "--scales", "0,nan"], "--scales"),
+    ])
+    def test_out_of_range_numbers_exit_2_before_work(self, argv, flag,
+                                                     no_corpus, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["rollout", "--method", "replay", "--out", "r.jsonl"],
+        ["rollout", "--trials", "2", "--out", "r"],
+        ["label", "--out", "labels.csv"],
+        ["sweep-noise", "--trials", "1", "--out", "noise.csv"],
+    ])
+    def test_out_into_a_missing_directory_exits_2_before_work(
+            self, argv, tmp_path, no_corpus, capsys):
+        argv = argv[:-1] + [str(tmp_path / "missing" / argv[-1])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --out: no directory" in capsys.readouterr().err
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

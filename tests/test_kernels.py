@@ -214,10 +214,10 @@ def _block(refs):
 
 @st.composite
 def batch_cases(draw):
-    """B plant cases cut to one step count, with the first case's dt and
-    gripper slew.
+    """B plant cases cut to one step count, with the first case's dt,
+    gripper slew and grasp radius.
 
-    Gains, grasp radii and states stay per row, faults included. The step
+    Gains and states stay per row, faults included. The step
     count is odd or even as drawn, so that the kernel ends on either half
     of its swapped buffers.
     """
@@ -227,16 +227,13 @@ def batch_cases(draw):
 
 def _lockstep_rows(draw, cases):
     """``cases`` cut to their shortest step count, or one step fewer, as
-    drawn, under the first case's dt and gripper slew."""
+    drawn, under the first case's dt, gripper slew and grasp radius."""
     n = min(len(refs[0]) for _, refs, _ in cases)
     if n > 1 and n % 2 != draw(st.integers(0, 1)):
         n -= 1
-    shared = cases[0][2][4:6]
-    rows = []
-    for state, refs, params in cases:
-        rows.append((state, [r[:n] for r in refs],
-                     params[:4] + shared + params[6:]))
-    return rows
+    shared = cases[0][2][4:7]
+    return [(state, [r[:n] for r in refs], params[:4] + shared)
+            for state, refs, params in cases]
 
 
 def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
@@ -245,9 +242,8 @@ def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
-    shared = [float(p[0]) for p in params[4:6]]
-    faults = kernels.track_loop_batch(states, block, *params[:4], *shared,
-                                      params[6])
+    shared = [float(p[0]) for p in params[4:7]]
+    faults = kernels.track_loop_batch(states, block, *params[:4], *shared)
     for j, (state, refs, params) in enumerate(rows):
         fault, final, _ = _run(loop, state, refs, params)
         assert faults[j] == fault
@@ -389,8 +385,8 @@ NEAR_MISSES = {
     "kv_ori nan": ("params", 3, np.nan),
     "dt inf": ("params", 4, np.inf),
 }
-# the params a lockstep batch shares: dt and grip_slew
-SHARED_PARAMS = (4, 5)
+# the params a lockstep batch shares: dt, grip_slew and grasp_radius
+SHARED_PARAMS = (4, 5, 6)
 
 
 def _off_rest(case, what, where, value):

@@ -8,12 +8,14 @@ number of columns its callers pass per run are module constants, varied
 here so that both plants, several grid groups, several runs per call and
 slices that straddle blocks are all compared.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sailx import controller, experiments, io
+from sailx import controller, experiments, io, sim
 from sailx.controller import GAIN_PRESETS, track_lockstep, track_slices
 from sailx.errors import GenerationError, InvalidInputError, SimFault
 from sailx.experiments import (make_task, rows_to_csv, run_diagnostics,
@@ -49,8 +51,9 @@ def plant(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def mixed_demos(demos20):
-    """Demos of two lengths, so replays fall into two time grids."""
-    return demos20[:4] + generate_demos(make_task(), n=4, seed=4, dt=0.045)
+    """Demos at two intervals, so replays fall into two time grids."""
+    return demos20[:4] + [dataclasses.replace(demo, dt=0.045)
+                          for demo in demos20[4:8]]
 
 
 def _outcome(fn, *args, **kwargs):
@@ -136,17 +139,27 @@ def _rotated_task():
                          quat / np.linalg.norm(quat)), task.goal_position)
 
 
+def _far_goal_task():
+    return TaskSpec(make_task().object_start, [0.3, 1e306, 0.02])
+
+
 class TestGenerateDemos:
     @pytest.mark.parametrize("task, kwargs", [
-        # slices alternate 22 and 23 physics steps
-        (make_task(), dict(seed=0, dt=0.045, jitter=0.0, gains="real-exec")),
+        (make_task(), dict(seed=0)),
         (_rotated_task(), dict(seed=1)),
-        (make_task(place_tolerance=1e-4), dict(seed=0)),
-        (make_task(t_max=3.0), dict(seed=0)),
+        # every demo misses the goal by more than 0.1 mm
+        (make_task(), dict(seed=0, place_tolerance=1e-4)),
+        # demo 0 places within 1.5 mm of the goal, demo 1 does not
+        (make_task(), dict(seed=0, place_tolerance=0.0015)),
         # the transport overflows the PD force: every demo faults
-        (make_task(goal_position=[0.3, 1e306, 0.02]), dict(seed=0)),
+        (_far_goal_task(), dict(seed=0)),
     ])
-    def test_matches_the_per_demo_loop(self, plant, task, kwargs):
+    def test_matches_the_per_demo_loop(self, plant, task, kwargs,
+                                       monkeypatch):
+        kwargs = dict(kwargs)
+        if "place_tolerance" in kwargs:
+            monkeypatch.setattr(sim, "PLACE_TOLERANCE",
+                                kwargs.pop("place_tolerance"))
         want = _outcome(lockstep_oracle.generate_demos, task, n=3, **kwargs)
         got = _outcome(generate_demos, task, n=3, **kwargs)
         _assert_same_demos(got, want)
@@ -176,7 +189,7 @@ def _spaced_refs(rng, spacings, per_grid):
     """``per_grid`` references on each of the knot grids ``spacings``: every
     grid spans 0 to 1 s in its number of waypoints, so the grids share their
     start and end but not their knots. Each reference closes the gripper
-    halfway, on an object it starts beside."""
+    halfway."""
     refs = []
     for n in spacings:
         times = np.linspace(0.0, 1.0, n)
@@ -202,28 +215,33 @@ class TestGrouping:
         n_rows = len(refs)
         gains = [GAIN_PRESETS["high" if r % 3 else "low"]
                  for r in range(n_rows)]
-        radii = rng.uniform(0.01, 0.05, n_rows)
         untils = (0.3, 0.7, 1.3)
         states = np.zeros((30, n_rows))
         states[3] = states[17] = states[25] = 1.0
-        states[14:17] = rng.normal(0.0, 0.005, (3, n_rows))
+        # the objects of odd rows lie 5 cm off their reference's closing
+        # pose, beyond the grasp radius; the others lie beside it
+        for r, ref in enumerate(refs):
+            pos, *_ = ref.sample(np.array([0.6]))
+            states[14:17, r] = (pos[0] + rng.normal(0.0, 0.002, 3)
+                                + [0.05 * (r % 2), 0.0, 0.0])
         want = states.copy()
         want_steps = []
         for r in range(n_rows):
             state = want[:, r].copy()
             want_steps.append([len(trace.times) for trace in track_slices(
-                state, refs[r], gains[r], untils, radii[r])])
+                state, refs[r], gains[r], untils)])
             want[:, r] = state
         got_steps = [[] for _ in range(n_rows)]
         for rows, k, steps in track_lockstep(states, refs, gains,
-                                             [untils] * n_rows, radii):
+                                             [untils] * n_rows):
             for r in rows:
                 assert len(got_steps[r]) == k
                 got_steps[r].append(steps)
         assert got_steps == want_steps
         assert states.tobytes() == want.tobytes()
-        # some rows grasped their object, and some did not
-        assert 0 < np.count_nonzero(states[21]) < n_rows
+        # the even rows grasped their object, and the odd ones did not
+        assert states[21].tolist() == [float(r % 2 == 0)
+                                       for r in range(n_rows)]
 
 
 @st.composite
@@ -274,8 +292,7 @@ def mixed_grid_cases(draw):
     states[3] = states[17] = states[25] = 1.0
     states[14:17] = rng.normal(0.0, 0.005, (3, n_rows))
     states[29] = t0
-    return (states, refs, gains, [untils[i] for i in untils_of],
-            rng.uniform(0.01, 0.05, n_rows))
+    return states, refs, gains, [untils[i] for i in untils_of]
 
 
 class TestMixedGrids:
@@ -284,7 +301,7 @@ class TestMixedGrids:
                                      HealthCheck.too_slow])
     @given(mixed_grid_cases())
     def test_every_column_matches_its_slices(self, plant, case):
-        states, refs, gains, untils, radii = case
+        states, refs, gains, untils = case
         n_rows = len(refs)
         want = states.copy()
         want_slices = []
@@ -294,7 +311,7 @@ class TestMixedGrids:
             slices = []
             try:
                 for k, trace in enumerate(track_slices(
-                        state, refs[r], gains[r], untils[r], radii[r])):
+                        state, refs[r], gains[r], untils[r])):
                     slices.append((k, len(trace.times)))
             except SimFault as exc:
                 want_faults[r] = str(exc)
@@ -302,8 +319,8 @@ class TestMixedGrids:
             want[:, r] = state
         got_slices = [[] for _ in range(n_rows)]
         try:
-            for rows, k, steps in track_lockstep(states, refs, gains, untils,
-                                                 radii):
+            for rows, k, steps in track_lockstep(states, refs, gains,
+                                                 untils):
                 for r in rows:
                     got_slices[r].append((k, steps))
         except SimFault as exc:
@@ -340,8 +357,7 @@ class TestClocks:
         with pytest.raises(InvalidInputError, match="start clock"):
             for _ in track_lockstep(states, refs,
                                     [GAIN_PRESETS["high"]] * n_rows,
-                                    [(0.4, 1.2)] * n_rows,
-                                    [0.015] * n_rows):
+                                    [(0.4, 1.2)] * n_rows):
                 pass
         assert states.tobytes() == before.tobytes()
 
@@ -371,8 +387,7 @@ class TestFaults:
             want_states[:, r] = state
         with pytest.raises(SimFault) as exc:
             for _ in track_lockstep(states, refs, gains,
-                                    [(0.4, 1.2)] * n_rows,
-                                    [0.015] * n_rows):
+                                    [(0.4, 1.2)] * n_rows):
                 pass
         first = min(bad_rows)
         assert exc.value.row == first

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from sailx.errors import InvalidInputError, UndefinedMetricError
-from sailx.metrics import (MetricReport, SparcParams, aggregate, con, ldlj,
-                           sparc, speed_profile, tpr, wed)
+from sailx.metrics import (MetricReport, aggregate, con, ldlj, sparc,
+                           speed_profile, tpr, wed)
 
 
-def oracle_sparc(speed, params=SparcParams()):
+def oracle_sparc(speed, pad_factor=4, sample_interval=0.02,
+                 amplitude_threshold=0.05, omega_c_max=20.0):
     """Direct-DFT re-implementation of the spectral arc length."""
     v = np.asarray(speed, dtype=float)
-    nfft = params.pad_factor * len(v)
+    nfft = pad_factor * len(v)
     k = np.arange(nfft // 2 + 1)
     # O(n^2) DFT magnitudes
     n = np.arange(nfft)
@@ -18,10 +19,10 @@ def oracle_sparc(speed, params=SparcParams()):
     mags = np.array([abs(np.sum(padded * np.exp(-2j * np.pi * kk * n / nfft)))
                      for kk in k])
     vhat = mags / mags[0]
-    freqs = k / (nfft * params.sample_interval)
-    above = np.nonzero(vhat >= params.amplitude_threshold)[0]
+    freqs = k / (nfft * sample_interval)
+    above = np.nonzero(vhat >= amplitude_threshold)[0]
     cutoff = freqs[min(above[-1] + 1, len(freqs) - 1)]
-    omega_c = min(params.omega_c_max, max(cutoff, freqs[1]))
+    omega_c = min(omega_c_max, max(cutoff, freqs[1]))
     sel = freqs <= omega_c
     f, vv = freqs[sel], vhat[sel]
     return -float(np.sum(np.sqrt((np.diff(f) / omega_c) ** 2

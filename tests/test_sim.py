@@ -5,28 +5,29 @@ from hypothesis import strategies as st
 
 from sailx.core import Pose
 from sailx.errors import ConfigurationError, InvalidInputError
-from sailx.sim import (ATTACHED, GRIPPER, GRIPPER_SLEW, OBJECT_POSITION,
-                       PHYSICS_DT, ROBOT_POSITION, TIME, TaskSpec,
-                       initial_world, normalise_poses, success)
+from sailx.sim import (ATTACHED, GRASP_RADIUS, GRIPPER, GRIPPER_SLEW,
+                       OBJECT_POSITION, PHYSICS_DT, ROBOT_POSITION, T_MAX,
+                       TIME, TaskSpec, initial_world, normalise_poses,
+                       success)
 
 from plant_oracle import step_state
 
 
-def _task(**kwargs):
+def _task(goal=(0.3, 0.25, 0.02)):
     return TaskSpec(object_start=Pose(np.array([0.3, 0.0, 0.02])),
-                    goal_position=np.array([0.3, 0.25, 0.02]), **kwargs)
+                    goal_position=np.array(goal))
 
 
 def _world(robot_pos=(0.3, 0.0, 0.02)):
     return initial_world(Pose(np.array(robot_pos, dtype=float)), _task())
 
 
-def _step(state, wrench, gripper_cmd, grasp_radius=0.015):
+def _step(state, wrench, gripper_cmd):
     """One plant_oracle.step_state on the packed state: one track_loop step,
     on the plant's unit body and constants, with no wrench limit."""
     event = step_state(state, np.asarray(wrench, dtype=float),
                        float(gripper_cmd), 1.0, 1.0, PHYSICS_DT,
-                       GRIPPER_SLEW, grasp_radius, 0.0)
+                       GRIPPER_SLEW, GRASP_RADIUS, 0.0)
     assert event != 2
     return state
 
@@ -159,11 +160,11 @@ class TestSuccess:
         assert not success(off, task)
         late = _world()
         late[OBJECT_POSITION] = task.goal_position
-        late[TIME] = task.t_max + 1.0
+        late[TIME] = T_MAX + 1.0
         assert not success(late, task)
 
 
 class TestValidation:
     def test_bad_task_rejected(self):
         with pytest.raises(ConfigurationError):
-            _task(grasp_radius=0.0)
+            _task(goal=(0.3, np.nan, 0.02))

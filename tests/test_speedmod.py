@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sailx.errors import InvalidInputError
-from sailx.speedmod import (NOISE, LabelParams, dbscan, extract_waypoints,
+from sailx.speedmod import (NOISE, dbscan, extract_waypoints,
                             gripper_event_flags, label_critical)
 
 
@@ -110,10 +110,9 @@ class TestLabelCritical:
     def test_matches_cluster_membership_oracle(self, rng):
         for trial in range(5):
             pts = _dwell_trajectory(rng)
-            params = LabelParams()
-            k = label_critical(pts, params)
-            wps = extract_waypoints(pts, params.tau)
-            labels = oracle_dbscan(wps.positions, params.eps, params.min_pts)
+            k = label_critical(pts)
+            wps = extract_waypoints(pts, 0.005)
+            labels = oracle_dbscan(wps.positions, 0.02, 4)
             expected = np.zeros(len(pts), dtype=np.int8)
             for a, b in zip(range(len(labels) - 1), range(1, len(labels))):
                 if labels[a] != NOISE and labels[b] != NOISE:

@@ -20,7 +20,7 @@ from sailx.io import Demonstration, read_demo, write_demo
 from sailx.policy import PolicyConfig
 from sailx.scheduler import ExecutorConfig
 from sailx.sim import TaskSpec
-from sailx.speedmod import LabelParams
+from sailx.speedmod import dbscan, extract_waypoints
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[
@@ -57,20 +57,13 @@ def test_policy_config_rejects_non_finite_or_out_of_range_values(kwargs):
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("field", ["tau", "eps"])
 def test_label_params_reject_non_finite_values(field, bad):
+    """The labelling parameters are arguments of the two algorithms."""
+    points = np.linspace([0.0, 0.0, 0.0], [0.1, 0.0, 0.0], 5)
     with pytest.raises(InvalidInputError):
-        LabelParams(**{field: bad})
-
-
-def _task(**kwargs):
-    return TaskSpec(Pose(np.zeros(3)), np.array([0.3, 0.25, 0.02]), **kwargs)
-
-
-@pytest.mark.parametrize("kwargs", [
-    dict(grasp_radius=np.nan), dict(grasp_radius=np.inf),
-    dict(place_tolerance=np.nan), dict(t_max=np.inf), dict(t_max=np.nan)])
-def test_task_spec_rejects_non_finite_tolerances(kwargs):
-    with pytest.raises(ConfigurationError):
-        _task(**kwargs)
+        if field == "tau":
+            extract_waypoints(points, bad)
+        else:
+            dbscan(points, bad, 4)
 
 
 @pytest.mark.parametrize("bad", BAD)
@@ -80,11 +73,16 @@ def test_task_spec_rejects_a_non_finite_goal(bad):
 
 
 @pytest.mark.parametrize("bad", BAD)
-@pytest.mark.parametrize("field", ["delta_star", "delta_delay", "c_slow",
-                                   "c_fast", "safety_margin"])
+@pytest.mark.parametrize("field", ["c_slow", "c_fast"])
 def test_executor_config_rejects_non_finite_values(field, bad):
     with pytest.raises(ConfigurationError):
         ExecutorConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("scale", [-0.01, np.nan, np.inf])
+def test_sweep_noise_rejects_a_negative_or_non_finite_scale(demos20, scale):
+    with pytest.raises(InvalidInputError, match="noise scales"):
+        sweep_noise(demos20[:2], scales=(0.0, scale), trials=2)
 
 
 @pytest.mark.parametrize("run", [
