@@ -54,9 +54,8 @@ def _list_of(parse):
     return parse_list
 
 
-_floats = _list_of(float)
 _seed = _number(int, lambda v: v >= 0, ">= 0")
-_trials = _number(int, lambda v: v >= 1, ">= 1")
+_count = _number(int, lambda v: v >= 1, ">= 1")
 _speedup = _number(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _speedups = _list_of(_speedup)
 _scales = _list_of(_number(float, lambda v: 0.0 <= v < math.inf,
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_SHARED_FLAGS[flag])
         if trials is not None:
-            p.add_argument("--trials", type=_trials, default=trials)
+            p.add_argument("--trials", type=_count, default=trials)
         p.set_defaults(func=func)
         return p
 
@@ -235,11 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("diagnose", cmd_diagnose, "single-step OOD score trials",
                 corpus, trials=200)
-    p.add_argument("--c-values", type=_floats, default=[1.0, 0.33, 0.2])
+    p.add_argument("--c-values", type=_speedups, default=[1.0, 0.33, 0.2])
 
     p = command("sweep-speed", cmd_sweep_speed, "method x speedup sweep",
                 corpus, trials=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--method", type=_strings, default=["sail", "dp-fast"])
     p.add_argument("--c-values", type=_speedups,
                    default=[1.0, 0.5, 0.33, 0.2, 0.1])

@@ -106,6 +106,7 @@ class ReferenceTrack:
         # angular rate per segment, world frame
         self._seg_angvel = _segment_rates(times, orientations)
         self._slerp_segments = _slerp_segments(orientations)
+        self._identity = _identity_track(orientations)
 
     def sample(self, times):
         """Reference arrays at arbitrary times, clamped to the track span.
@@ -207,6 +208,18 @@ def _slerp_segments(quats):
     return a, b, theta, ~(theta < 1e-10)
 
 
+def _identity_track(quats) -> bool:
+    """Whether every row of ``quats`` has w == 1.0 and a zero vector part,
+    zeros of either sign.
+
+    A slerp at s >= 0 along such rows gives (1, +0.0, +0.0, +0.0): the dot
+    is 1, so the angle arccos(1) = 0 takes the lerp a + s (b - a), whose
+    vector part is a sum of two zeros that are not both -0.0 (b - a is
+    -0.0 only where a is +0.0), and the norm is 1.
+    """
+    return bool((quats[:, 0] == 1.0).all()) and not quats[:, 1:].any()
+
+
 def _slerp(segments, seg, s):
     """Shortest-arc slerp along segments ``seg`` at fractions s.
 
@@ -262,7 +275,13 @@ def _sample(track, times):
     seg = np.searchsorted(knots, tc, side="right") - 1
     np.minimum(seg, len(knots) - 2, out=seg)
     frac = (tc - knots[seg]) / track._seg_dt[seg]
-    quat = _slerp(track._slerp_segments, seg, frac)
+    # identity waypoints slerp to identity rows (see _identity_track), but
+    # a NaN time to a NaN row
+    if track._identity and not np.isnan(frac).any():
+        quat = np.zeros((len(frac),) + track._slerp_segments[0].shape[1:])
+        quat[:, 0] = 1.0
+    else:
+        quat = _slerp(track._slerp_segments, seg, frac)
     angvel = track._seg_angvel[seg]
     angvel[outside] = 0.0
     grip = track.grippers[seg + (frac >= 1.0)]
@@ -296,6 +315,7 @@ class _ReferenceGroup:
             map(stack, zip(*(r._slerp_segments for r in refs))))
         self._seg_angvel = stack([r._seg_angvel for r in refs])
         self.grippers = stack([r.grippers for r in refs])
+        self._identity = all(r._identity for r in refs)
 
 
 @dataclass
@@ -378,8 +398,12 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
 # REF_ROWS floats per row and step, 0.17 MB whatever the batch's width, and
 # costs one sample call per subgroup. Timed on replay-open-loop passes (24
 # columns, 64 steps a block) and 50-demo corpus builds (30) on a 2-core
-# x86-64 VM, 1,024-2,048 row-steps ran fastest, and 6,144, the size used
-# while each column cost a sample call, 40-70 % slower.
+# x86-64 VM with the 18-call step at rest, 1,024-2,048 row-steps ran
+# fastest, and 6,144, the size used while each column cost a sample call,
+# 40-70 % slower. With the 9-call step (medians of 9 alternated runs), a
+# replay pass took 39.0 ms at 768, 30.8 ms at 1,536 and 27.6 ms at 3,072,
+# and a corpus build 89, 77 and 74 ms: larger blocks now pay, as the
+# per-call costs weigh more against a cheaper step.
 LOCKSTEP_BLOCK = 64 * 24
 # Columns per lockstep run in the callers, which bounds the reference
 # tracks a caller holds at once and their stacked copy: about 55 kB a
@@ -388,15 +412,16 @@ LOCKSTEP_BLOCK = 64 * 24
 # twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
 # Batches of fewer columns run row by row on track_loop. Timed on whole
-# replay cells of B replays on one time grid, the plants at rest (2-core
-# x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7 and of 9
-# alternated runs, two sessions), row by row was faster in all 8 cells at
-# B = 6 (lockstep took 1.04-1.26x its time), lockstep in all 8 at B = 7
-# (0.93-0.97x) and at B = 8 (0.81-0.92x), and in all 12 at B = 9 to 12.
-# perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
-# replay-open-loop pass of 6 rows and a traced ood-diagnose pass of 3
-# trials, which holds only while both run row by row: perfbench has no
-# binding for track_loop_batch, so the threshold must stay above 6.
+# replay cells of B replays on one time grid, both plants at rest on their
+# lean steps (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2,
+# medians of 7 alternated runs), row by row was faster in all 4 cells at
+# B = 5 (lockstep took 1.05-1.29x its time), lockstep in all 4 at B = 6
+# (0.86-0.97x), at B = 7 (0.51-0.89x) and at B = 8 (0.73-0.81x), and at
+# B = 12 (0.42-0.65x). perfbench/test_perfbench.py requires
+# kernels.track_loop steps in a traced replay-open-loop pass of 6 rows and
+# a traced ood-diagnose pass of 3 trials, which holds only while both run
+# row by row: perfbench has no binding for track_loop_batch, so the
+# threshold stays at 7, one row above the measured break-even.
 LOCKSTEP_MIN_ROWS = 7
 
 

@@ -111,9 +111,17 @@ def run_method_rollout(method: str, c: float, demos, seed: int,
                        gain_profile(setup.gains), start, seed=seed)
 
 
+def _check_noise_scale(scale: float) -> None:
+    if not 0.0 <= scale < math.inf:
+        raise InvalidInputError(
+            f"noise scales must be finite and >= 0, got {scale:g}")
+
+
 def _replay_setup(demo, c: float, target: str, noise_scale: float,
                   seed: int):
-    """The reference, task, start state and last waypoint time of a replay."""
+    """The reference, task, start state and last waypoint time of a replay;
+    a negative or non-finite ``noise_scale`` raises InvalidInputError."""
+    _check_noise_scale(noise_scale)
     stream = demo.reached if target == "reached" else demo.commanded
     positions = stream[:, :3].copy()
     orientations = stream[:, 3:7].copy()
@@ -136,7 +144,8 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
 
     The commanded or reached stream is rescheduled at interval c * dt and
     tracked with the requested controller gains; optional Gaussian noise
-    perturbs the reference positions before tracking.
+    perturbs the reference positions before tracking. A negative or
+    non-finite ``noise_scale`` raises InvalidInputError.
     """
     profile = gain_profile(gains)
     ref, task, state, end = _replay_setup(demo, c, target, noise_scale, seed)
@@ -252,9 +261,7 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
     in lockstep batches.
     """
     for scale in scales:
-        if not 0.0 <= scale < math.inf:
-            raise InvalidInputError(
-                f"noise scales must be finite and >= 0, got {scale:g}")
+        _check_noise_scale(scale)
     cells = [(gain, cell, scale) for gain in gains
              for cell, scale in enumerate(scales)]
     ok = _replay_successes([(demos[t % len(demos)], 1.0, gain, "reached",

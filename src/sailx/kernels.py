@@ -19,46 +19,80 @@ bit for several percent of inputs, which would change every rollout and
 every sweep digest. ``tests/plant_oracle.py`` keeps the array helpers as
 the reference.
 
+An attached object's pose is a pure function of the robot pose and the
+stored relative pose, so both plants form it only at a release, from the
+robot pose before that step, and at the end of a call; a release at a
+call's first step keeps the incoming object pose.
+
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains, with each column's bits equal
-to ``track_loop`` on that row. A step is about 53 numpy
-calls whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns,
-against ~4.5-6 us per row for the scalar loop. At rest (below), the
-common case, a batched step is about 18 numpy calls, ~10-17 us, and a
-scalar step ~1.6-2.4 us (~3.3-4.9 us without the skip); timed on whole
-replay cells at rest, lockstep wins from 7 rows up
-(``controller.LOCKSTEP_MIN_ROWS``). Every per-step value lives in a buffer
-allocated once per call and written with ``out``, since a Python float
-operand or a broadcast costs more than the arithmetic on a few columns:
-constants are 0-d arrays, q sits inside its signed (8, B) buffer, and the
-pose and gripper alternate between two buffers, so that a release still
-reads the pose from before its step. It keeps the scalar operation order:
-quaternion products are a[0] * b plus signed permutations of b, in the
-scalar term order, and the rare branches (sign flips, the < 1e-12 angle
-branches, gripper crossings, grasps and faults) run only on the columns
-that take them. An attached object's pose is a pure function of the robot
-pose and the stored relative pose, so it is formed only at a release, from
-the robot pose before that step, and at the end of a call; a release at a
-call's first step keeps the incoming object pose, as the scalar loop does.
-It writes no per-step trace. The scalar loop stays as the plant for single
-rollouts and small batches, and as the batched kernel's test oracle.
+to ``track_loop`` on that row. A turning step is about 53 numpy calls
+whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns, against
+~4.5-6 us per row for the scalar loop. Every per-step value lives in a
+buffer allocated once per call and written with ``out``, since a Python
+float operand or a broadcast costs more than the arithmetic on a few
+columns: constants are 0-d arrays, q sits inside its signed (8, B) buffer,
+and the pose and gripper alternate between two buffers, so that a release
+still reads the pose from before its step. It keeps the scalar operation
+order: quaternion products are a[0] * b plus signed permutations of b, in
+the scalar term order, and the rare branches (sign flips, the < 1e-12
+angle branches, gripper crossings, grasps and faults) run only on the
+columns that take them. It writes no per-step trace. The scalar loop stays
+as the plant for single rollouts and small batches, and as the batched
+kernel's test oracle.
 
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
 its angular velocity +0.0, every reference orientation of the call is the
 identity and every reference rate zero, zeros of either sign there, and
-dt is finite. The scalar loop, which then forms no torque, also requires
+dt is finite. Each call checks this once, on its own inputs, at its start.
+Such a step is an exact fixed point: the orientation error and the torque
+are signed zeros, so ω + torque * dt stays +0.0; the exp map of that zero
+rotation is (1, ±0, ±0, ±0), and its product with q adds zeros to q's
++0.0 vector part, which leaves +0.0, and normalises to q bit for bit. Only
+that orientation qualifies: the update turns a -0.0 in q's vector part or
+in ω into +0.0, flips q = (-1, 0, 0, 0) to w > 0, and can move any other
+constant quaternion by an ulp when it normalises it. Both also require
 finite orientation gains, since a non-finite one makes the torque NaN, a
-fault; the batched step still multiplies the zero error by them. Each call
-checks this once, on its own inputs, at its start. Such a step is an exact
-fixed point: the orientation error and the torque are signed zeros, so
-ω + torque * dt stays +0.0; the exp map of that zero rotation is
-(1, ±0, ±0, ±0), and its product with q adds zeros to q's +0.0 vector
-part, which leaves +0.0, and normalises to q bit for bit. Only that
-orientation qualifies: the update turns a -0.0 in q's vector part or in ω
-into +0.0, flips q = (-1, 0, 0, 0) to w > 0, and can move any other
-constant quaternion by an ulp when it normalises it. Every demo, task and
-chunk in the corpus keeps the identity orientation.
+fault at step 0 that the full update finds. Every demo, task and chunk in
+the corpus keeps the identity orientation.
+
+At rest, the scalar loop steps only the position, the velocity and the
+gripper, collects 3-float position rows, and fills the constant
+quaternion rows once: ~0.75-0.95 us a step against ~0.95-1.15 us with the
+old loop, and 1.1 against 1.8 us a step on closed-loop rollouts, which
+also formed the carried object's pose at every attached step.
+
+At rest, the batched plant steps only [grip; p; v],
+the (7, B) rows of an (n + 1, 7, B) history buffer: step i reads row i and
+writes row i + 1, through views taken once per call, in nine ufunc calls:
+e = r_i - x (r the reference block's [grip; pos; vel] rows, gathered once);
+e *= [1; kp; kp; kp; kv; kv; kv], where x * 1.0 is x bit for bit;
+f = e_p + e_v into the velocity rows of an increment; the slew clamp, a
+maximum and a minimum, into its gripper row; the velocity rows times dt;
+y = x + increment, whose position rows hold -0.0, since x + (-0.0) is x
+bit for bit where +0.0 would turn -0.0 into +0.0; and p' = p + v' dt, a
+multiply and an add. Each column meets the scalar loop's operands in its
+order. That is ~4.6-7 us a step for 12-64 columns, call overhead included,
+against ~8-10 us for the previous 18-call step. After the loop:
+
+- Grasps and releases follow from the gripper history, g_i < 0.5 <= g_i+1
+  and the reverse, applied per (step, column) in step order. The robot's
+  motion never depends on the object, so a deferred grasp sees the poses
+  the loop saw, and a release forms the carried pose from row i.
+- One check of the final velocity stands for the per-step fault check. A
+  non-finite force makes the step's velocity non-finite (v + f dt, with dt
+  finite), and a non-finite velocity stays non-finite: its error rv - v is
+  non-finite, so is the next force, and inf + x is never finite while NaN
+  propagates. So a finite final velocity proves that no step faulted;
+  otherwise the call runs again, from the state the at-rest path left as it
+  was, on the full update, which finds the fault and leaves the orientation
+  at rest bit for bit.
+- The clock: when every column holds the same bits, n Python float
+  additions broadcast to all of them; otherwise n numpy additions.
+
+Timed on whole replay cells at rest (2-core x86-64 VM), lockstep now wins
+from 6 rows up (``controller.LOCKSTEP_MIN_ROWS`` says why it stays 7).
 
 The column helpers ``_hamilton``, ``_rotvec``, ``_exp`` and ``_normalise``
 are the package's one vectorised quaternion algebra: they act on (4, B)
@@ -86,7 +120,6 @@ Its layout::
     [29]    simulation time (s)
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -110,6 +143,53 @@ def _identity_rows(quat, rate):
     """Whether every (4, ...) ``quat`` column is the identity and every
     ``rate`` element zero, zeros of either sign."""
     return (quat[0] == 1.0).all() and not (quat[1:].any() or rate.any())
+
+
+def _carried(pose, rel):
+    """The pose of a carried object, robot ``pose`` * relative pose ``rel``,
+    both 7 floats (position, then quaternion), as a 7-float tuple."""
+    px, py, pz, qw, qx, qy, qz = pose
+    rx, ry, rz, rw, rqx, rqy, rqz = rel
+    tx = 2.0 * (qy * rz - qz * ry)
+    ty = 2.0 * (qz * rx - qx * rz)
+    tz = 2.0 * (qx * ry - qy * rx)
+    m0 = qw * rw - qx * rqx - qy * rqy - qz * rqz
+    m1 = qw * rqx + qx * rw + qy * rqz - qz * rqy
+    m2 = qw * rqy - qx * rqz + qy * rw + qz * rqx
+    m3 = qw * rqz + qx * rqy - qy * rqx + qz * rw
+    norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+    ow, oqx, oqy, oqz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
+    if ow < 0.0:
+        ow, oqx, oqy, oqz = -ow, -oqx, -oqy, -oqz
+    return (px + (rx + qw * tx + (qy * tz - qz * ty)),
+            py + (ry + qw * ty + (qz * tx - qx * tz)),
+            pz + (rz + qw * tz + (qx * ty - qy * tx)), ow, oqx, oqy, oqz)
+
+
+def _grasped(pose, obj, grasp_radius):
+    """The pose of ``obj`` in the gripper frame of ``pose`` (7 floats each):
+    conj(q) applied to both, as a 7-float tuple; None when the object lies
+    beyond ``grasp_radius``."""
+    px, py, pz, qw, qx, qy, qz = pose
+    ox, oy, oz, ow, oqx, oqy, oqz = obj
+    dx, dy, dz = ox - px, oy - py, oz - pz
+    if not math.sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
+        return None
+    bx, by, bz = -qx, -qy, -qz
+    tx = 2.0 * (by * dz - bz * dy)
+    ty = 2.0 * (bz * dx - bx * dz)
+    tz = 2.0 * (bx * dy - by * dx)
+    m0 = qw * ow - bx * oqx - by * oqy - bz * oqz
+    m1 = qw * oqx + bx * ow + by * oqz - bz * oqy
+    m2 = qw * oqy - bx * oqz + by * ow + bz * oqx
+    m3 = qw * oqz + bx * oqy - by * oqx + bz * ow
+    norm = math.sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
+    rw, rqx, rqy, rqz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
+    if rw < 0.0:
+        rw, rqx, rqy, rqz = -rw, -rqx, -rqy, -rqz
+    return (dx + qw * tx + (by * tz - bz * ty),
+            dy + qw * ty + (bz * tx - bx * tz),
+            dz + qw * tz + (bx * ty - by * tx), rw, rqx, rqy, rqz)
 
 
 def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
@@ -138,37 +218,71 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     dt = float(dt)
     grasp_radius = float(grasp_radius)
     max_step = float(grip_slew) * dt
-    (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip, ox, oy, oz,
-     ow, oqx, oqy, oqz, attached, rx, ry, rz, rw, rqx, rqy, rqz,
-     t) = state.tolist()
+    values = state.tolist()
+    px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip = values[:14]
+    obj, attached, rel, t = values[14:21], values[21], values[22:29], \
+        values[29]
     isfinite = math.isfinite
     sqrt = math.sqrt
-    # at rest (see the module docstring) the rotational update is skipped
+    # at rest (see the module docstring) only the translation and the
+    # gripper are stepped
     at_rest = (qw == 1.0 and _positive_zero(state[_SPIN])
                and isfinite(kp_ori) and isfinite(kv_ori) and isfinite(dt)
                and _identity_rows(ref_quat.T, ref_angvel.T))
-    if at_rest:
-        quats = rates = itertools.repeat(None)
-        f3 = f4 = f5 = 0.0
-    else:
-        quats, rates = ref_quat.tolist(), ref_angvel.tolist()
-
-    # px, py, pz, qw, qx, qy, qz of every completed step, so that the
-    # current step is len(poses) // 7
+    # the robot pose of every completed step, `width` floats a step: its
+    # position at rest, its position and orientation otherwise
+    width = 3 if at_rest else 7
     poses = []
     events = []  # (step, +1 or -1) of every attach and detach
     fault = -1
-    for (rpx, rpy, rpz), (rvx, rvy, rvz), quat, rate, rgrip in zip(
-            ref_pos.tolist(), ref_vel.tolist(), quats, rates,
-            ref_grip.tolist()):
-        # PD wrench
-        f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
-        f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
-        f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
-        if not at_rest:
-            # the orientation error is the rotation vector of
+    if at_rest:
+        quat = [qw, qx, qy, qz]
+        for (rpx, rpy, rpz), (rvx, rvy, rvz), rgrip in zip(
+                ref_pos.tolist(), ref_vel.tolist(), ref_grip.tolist()):
+            # PD force; the torque is a zero
+            f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
+            f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
+            f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
+            if not isfinite(f0 + f1 + f2) and not (
+                    isfinite(f0) and isfinite(f1) and isfinite(f2)):
+                fault = len(poses) // 3
+                break
+            vx += f0 * dt
+            vy += f1 * dt
+            vz += f2 * dt
+            px += vx * dt
+            py += vy * dt
+            pz += vz * dt
+
+            prev_grip = grip
+            delta = rgrip - prev_grip
+            if delta > max_step:
+                delta = max_step
+            elif delta < -max_step:
+                delta = -max_step
+            grip = prev_grip + delta
+            if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
+                held = _grasped([px, py, pz] + quat, obj, grasp_radius)
+                if held:
+                    attached, rel = 1.0, held
+                    events.append((len(poses) // 3, 1))
+            elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
+                attached = 0.0
+                if poses:  # the object was carried through the last step
+                    obj = _carried(poses[-3:] + quat, rel)
+                events.append((len(poses) // 3, -1))
+            t += dt
+            poses += (px, py, pz)
+    else:
+        for (rpx, rpy, rpz), (rvx, rvy, rvz), (aw, ax, ay, az), \
+                (rwx, rwy, rwz), rgrip in zip(
+                    ref_pos.tolist(), ref_vel.tolist(), ref_quat.tolist(),
+                    ref_angvel.tolist(), ref_grip.tolist()):
+            # PD wrench; the orientation error is the rotation vector of
             # ref * conj(q), taken on the shortest arc
-            aw, ax, ay, az = quat
+            f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
+            f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
+            f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
             bx, by, bz = -qx, -qy, -qz
             m0 = aw * qw - ax * bx - ay * by - az * bz
             m1 = aw * bx + ax * qw + ay * bz - az * by
@@ -183,26 +297,24 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
                 # np.arctan2, not math.atan2: the two differ in the last bit
                 scale = float(2.0 * np.arctan2(vec_norm, m0)) / vec_norm
                 ex, ey, ez = scale * m1, scale * m2, scale * m3
-            rwx, rwy, rwz = rate
             f3 = kp_ori * ex + kv_ori * (rwx - wx)
             f4 = kp_ori * ey + kv_ori * (rwy - wy)
             f5 = kp_ori * ez + kv_ori * (rwz - wz)
-        # a finite sum means finite terms; an overflowing one is checked
-        # term by term
-        if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
-                isfinite(f0) and isfinite(f1) and isfinite(f2)
-                and isfinite(f3) and isfinite(f4) and isfinite(f5)):
-            fault = len(poses) // 7
-            break
+            # a finite sum means finite terms; an overflowing one is checked
+            # term by term
+            if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
+                    isfinite(f0) and isfinite(f1) and isfinite(f2)
+                    and isfinite(f3) and isfinite(f4) and isfinite(f5)):
+                fault = len(poses) // 7
+                break
 
-        # semi-implicit Euler step
-        vx += f0 * dt
-        vy += f1 * dt
-        vz += f2 * dt
-        px += vx * dt
-        py += vy * dt
-        pz += vz * dt
-        if not at_rest:
+            # semi-implicit Euler step
+            vx += f0 * dt
+            vy += f1 * dt
+            vz += f2 * dt
+            px += vx * dt
+            py += vy * dt
+            pz += vz * dt
             wx += f3 * dt
             wy += f4 * dt
             wz += f5 * dt
@@ -230,68 +342,39 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             if qw < 0.0:
                 qw, qx, qy, qz = -qw, -qx, -qy, -qz
 
-        prev_grip = grip
-        delta = rgrip - prev_grip
-        if delta > max_step:
-            delta = max_step
-        elif delta < -max_step:
-            delta = -max_step
-        grip = prev_grip + delta
+            prev_grip = grip
+            delta = rgrip - prev_grip
+            if delta > max_step:
+                delta = max_step
+            elif delta < -max_step:
+                delta = -max_step
+            grip = prev_grip + delta
+            if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
+                held = _grasped((px, py, pz, qw, qx, qy, qz), obj,
+                                grasp_radius)
+                if held:
+                    attached, rel = 1.0, held
+                    events.append((len(poses) // 7, 1))
+            elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
+                attached = 0.0
+                if poses:  # the object was carried through the last step
+                    obj = _carried(poses[-7:], rel)
+                events.append((len(poses) // 7, -1))
+            t += dt
+            poses += (px, py, pz, qw, qx, qy, qz)
 
-        if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
-            dx, dy, dz = ox - px, oy - py, oz - pz
-            if sqrt(dx * dx + dy * dy + dz * dz) <= grasp_radius:
-                attached = 1.0
-                # object pose in the gripper frame: conj(q) applied to both
-                bx, by, bz = -qx, -qy, -qz
-                tx = 2.0 * (by * dz - bz * dy)
-                ty = 2.0 * (bz * dx - bx * dz)
-                tz = 2.0 * (bx * dy - by * dx)
-                rx = dx + qw * tx + (by * tz - bz * ty)
-                ry = dy + qw * ty + (bz * tx - bx * tz)
-                rz = dz + qw * tz + (bx * ty - by * tx)
-                m0 = qw * ow - bx * oqx - by * oqy - bz * oqz
-                m1 = qw * oqx + bx * ow + by * oqz - bz * oqy
-                m2 = qw * oqy - bx * oqz + by * ow + bz * oqx
-                m3 = qw * oqz + bx * oqy - by * oqx + bz * ow
-                norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
-                rw, rqx = m0 / norm, m1 / norm
-                rqy, rqz = m2 / norm, m3 / norm
-                if rw < 0.0:
-                    rw, rqx, rqy, rqz = -rw, -rqx, -rqy, -rqz
-                events.append((len(poses) // 7, 1))
-        elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
-            attached = 0.0
-            events.append((len(poses) // 7, -1))
-
-        if attached == 1.0:
-            # the object rides along: pose = robot pose * relative pose
-            tx = 2.0 * (qy * rz - qz * ry)
-            ty = 2.0 * (qz * rx - qx * rz)
-            tz = 2.0 * (qx * ry - qy * rx)
-            ox = px + (rx + qw * tx + (qy * tz - qz * ty))
-            oy = py + (ry + qw * ty + (qz * tx - qx * tz))
-            oz = pz + (rz + qw * tz + (qx * ty - qy * tx))
-            m0 = qw * rw - qx * rqx - qy * rqy - qz * rqz
-            m1 = qw * rqx + qx * rw + qy * rqz - qz * rqy
-            m2 = qw * rqy - qx * rqz + qy * rw + qz * rqx
-            m3 = qw * rqz + qx * rqy - qy * rqx + qz * rw
-            norm = sqrt(m0 * m0 + m1 * m1 + m2 * m2 + m3 * m3)
-            ow, oqx = m0 / norm, m1 / norm
-            oqy, oqz = m2 / norm, m3 / norm
-            if ow < 0.0:
-                ow, oqx, oqy, oqz = -ow, -oqx, -oqy, -oqz
-        t += dt
-        poses += (px, py, pz, qw, qx, qy, qz)
-
+    done = len(poses) // width
+    # an attached object's pose is formed only at a release and here, from
+    # the robot pose it rides on; with no step taken the incoming pose
+    # stands
+    if attached == 1.0 and done:
+        obj = _carried((px, py, pz, qw, qx, qy, qz), rel)
     state[:] = (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip,
-                ox, oy, oz, ow, oqx, oqy, oqz, attached, rx, ry, rz,
-                rw, rqx, rqy, rqz, t)
+                *obj, attached, *rel, t)
 
-    done = len(poses) // 7
-    rows = np.array(poses).reshape(done, 7)
+    rows = np.array(poses).reshape(done, width)
     out_pos[:done] = rows[:, :3]
-    out_quat[:done] = rows[:, 3:]
+    out_quat[:done] = rows[:, 3:] if width == 7 else (qw, qx, qy, qz)
     out_events[:done] = 0
     for i, event in events:
         out_events[i] = event
@@ -469,6 +552,12 @@ def _rotvec(m, out=None):
     return e
 
 
+# The rows of the at-rest history: the gripper, the position and the
+# linear velocity, in the state and in a reference block.
+_REST_STATE = [13, 0, 1, 2, 7, 8, 9]
+_REST_REF = [REF_GRIP, 0, 1, 2, 3, 4, 5]
+
+
 @np.errstate(all="ignore")  # the scalar loop never warns either
 def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                      grip_slew, grasp_radius):
@@ -482,15 +571,117 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     holding, per column, the index of the step whose wrench was non-finite
     (the column keeps its state from before that step) or -1.
     """
+    dt = float(dt)
+    # at rest (see the module docstring) only [grip; p; v] is stepped
+    at_rest = ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
+               and math.isfinite(dt) and np.isfinite(kp_ori).all()
+               and np.isfinite(kv_ori).all()
+               and _identity_rows(ref[:, REF_QUAT].swapaxes(0, 1),
+                                  ref[:, REF_TWIST][:, 3:]))
+    if at_rest and _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew,
+                                  grasp_radius):
+        return np.full(state.shape[1], -1)
+    return _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
+                        grip_slew, grasp_radius)
+
+
+def _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew, grasp_radius):
+    """``track_loop_batch`` at rest, unless a final velocity is not finite:
+    then it returns False and leaves ``state`` alone.
+
+    Each step is nine ufunc calls on the (7, B) rows [grip; p; v] of a
+    history buffer, from row i to row i + 1; grasps, releases and the clock
+    follow from the history after the loop.
+    """
+    n, b = ref.shape[0], state.shape[1]
+    dt_ = np.array(dt)
+    max_step = np.array(float(grip_slew) * dt)
+    neg_max_step = -max_step
+    hist = np.empty((n + 1, 7, b))
+    hist[0] = state[_REST_STATE]
+    gain = np.empty((7, b))
+    gain[0], gain[1:4], gain[4:] = 1.0, kp_pos, kv_pos
+    err = np.empty((7, b))
+    err_grip, err_pos, err_vel = err[0], err[1:4], err[4:]
+    # x + (-0.0) is x, bit for bit, so the position rows of the step added
+    # below leave the position as it was; +0.0 would turn -0.0 into +0.0
+    inc = np.full((7, b), -0.0)
+    inc_grip, inc_vel = inc[0], inc[4:]
+    move = np.empty((3, b))
+    for want, x, y, y_pos, y_vel in zip(ref[:, _REST_REF], hist, hist[1:],
+                                        hist[1:, 1:4], hist[1:, 4:]):
+        np.subtract(want, x, err)
+        np.multiply(err, gain, err)  # the gripper row times 1.0 keeps its bits
+        np.add(err_pos, err_vel, inc_vel)  # the PD force
+        # the gripper change, clamped to the slew
+        np.maximum(err_grip, neg_max_step, out=inc_grip)
+        np.minimum(inc_grip, max_step, out=inc_grip)
+        # semi-implicit Euler step
+        np.multiply(inc_vel, dt_, inc_vel)
+        np.add(x, inc, y)
+        np.multiply(y_vel, dt_, move)
+        np.add(y_pos, move, y_pos)
+    # A non-finite force makes its velocity non-finite, and a non-finite
+    # velocity stays so (module docstring): a finite one proves no fault.
+    if not np.isfinite(hist[n, 4:]).all():
+        return False
+
+    # Grasps and releases, in step order, where the command crosses 0.5. The
+    # robot's motion does not depend on the object, so a grasp found here
+    # sees the poses it saw in the loop.
+    grip = hist[:, 0]
+    below = grip < 0.5
+    q = state[3:7]
+    o, oq, attached = state[14:17], state[17:21], state[21]
+    r, rq = state[22:25], state[25:29]
+    steps, cols = np.nonzero(below[:-1] != below[1:])
+    for i, j in zip(steps.tolist(), cols.tolist()):
+        c = slice(j, j + 1)
+        if below[i, j] and grip[i + 1, j] >= 0.5:
+            if attached[j] == 0.0:
+                p = hist[i + 1, 1:4, c]
+                d = o[:, c] - p
+                sq = d * d
+                if np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius:
+                    attached[j] = 1.0
+                    r[:, c], rq[:, c] = _gripper_frame_pose(p, q[:, c],
+                                                            o[:, c], oq[:, c])
+        elif grip[i, j] >= 0.5 and attached[j] == 1.0:
+            attached[j] = 0.0
+            if i:  # the object was carried through the last step
+                o[:, c], oq[:, c] = _carried_pose(hist[i, 1:4, c], q[:, c],
+                                                  r[:, c], rq[:, c])
+    carried = np.flatnonzero(attached == 1.0)
+    if n and len(carried):
+        o[:, carried], oq[:, carried] = _carried_pose(
+            hist[n, 1:4][:, carried], q[:, carried], r[:, carried],
+            rq[:, carried])
+    state[_REST_STATE] = hist[n]
+
+    # the clock: one sum, broadcast, when every column holds the same bits
+    t = state[29]
+    bits = t.view(np.int64)
+    if not (bits == bits[:1]).all():
+        for _ in range(n):
+            np.add(t, dt_, t)
+    elif n and b:
+        clock = float(t[0])
+        for _ in range(n):
+            clock += dt
+        t[:] = clock
+    return True
+
+
+def _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt, grip_slew,
+                 grasp_radius):
+    """``track_loop_batch`` step by step, with the full update."""
     n, b = ref.shape[0], state.shape[1]
     gains = np.stack((kp_pos, kv_pos, kp_ori, kv_ori))
     kp = np.repeat(gains[0::2], 3, axis=0)
     kv = np.repeat(gains[1::2], 3, axis=0)
-    dt = float(dt)
     dt_ = np.array(dt)
     max_step = np.array(float(grip_slew) * dt)
     neg_max_step = -max_step
-
     # Every per-step value lives in a buffer allocated here. Step i reads
     # the robot pose and gripper from one half of each buffer and writes
     # the other, so a release still sees the pose from before its step;
@@ -519,16 +710,6 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     c_small = np.ones((4, b))
     work = np.empty((2, 4, 4, b))
     crossed = np.empty(b, dtype=bool)
-    # At rest (see the module docstring) the torque rows still multiply the
-    # zero error by the gains, so a non-finite gain faults there as in the
-    # full update and needs no check here.
-    at_rest = ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
-               and math.isfinite(dt)
-               and _identity_rows(ref_quat.swapaxes(0, 1), ref_twist[:, 3:]))
-    if at_rest:
-        # both halves hold the identity, and kp * e_rot stays a zero
-        qq2[1, :4] = qq2[0, :4]
-        e_rot[:] = 0.0
 
     def store(steps):
         # An attached object's pose is a function of the robot pose, so it
@@ -548,9 +729,8 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
         new_p, _, new_q, _, new_grip, now_below = halves[1 - (i & 1)]
         # PD wrench; the orientation error is the rotation vector of
         # ref * conj(q), taken on the shortest arc
-        if not at_rest:
-            np.negative(q, neg_q)
-            _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
+        np.negative(q, neg_q)
+        _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
         np.subtract(ref_pos[i], p, e_pos)
         np.multiply(kp, err, err)
         np.subtract(ref_twist[i], vw, f)
@@ -580,9 +760,8 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
         np.multiply(vw, dt_, move)
         np.add(p, move_p, new_p)
         # q <- normalize(exp(w dt) * q)
-        if not at_rest:
-            _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
-                                 work), new_q)
+        _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
+                             work), new_q)
 
         # the step's gripper change, clamped to the slew, goes to new_grip
         np.subtract(ref_grip[i], grip, new_grip)

@@ -31,6 +31,8 @@ OBJECT_POSITION = slice(14, 17)
 OBJECT_ORIENTATION = slice(17, 21)
 ATTACHED = 21
 TIME = 29
+# the vector parts of the robot's and the object's quaternion
+_VECTOR_PARTS = [4, 5, 6, 18, 19, 20]
 
 # The time limit of a task (s): rollouts end there, and the metrics charge
 # a failed rollout -1 / T_MAX.
@@ -73,12 +75,17 @@ def normalise_poses(states) -> None:
 
     Every tracked stretch ends here once, so that the next one starts from
     the bits a Pose of each would hold. Raises InvalidInputError, as Pose
-    does, when a pose or a velocity is not finite.
+    does, when a pose or a velocity is not finite. A row whose quaternions
+    both have w == 1.0 and a zero vector part, zeros of either sign, is
+    skipped: its norm is exactly 1, and dividing by 1 keeps every bit.
     """
     states = np.atleast_2d(states)
     if not np.isfinite(states[:, :OBJECT_ORIENTATION.stop]).all():
         raise InvalidInputError("plant state must be finite")
-    for state in states:
+    moving = ((states[:, 3] != 1.0) | (states[:, 17] != 1.0)
+              | states[:, _VECTOR_PARTS].any(axis=1))
+    for row in np.flatnonzero(moving):
+        state = states[row]
         for q in (state[ROBOT_ORIENTATION], state[OBJECT_ORIENTATION]):
             q /= np.linalg.norm(q)
             if q[0] < 0.0:

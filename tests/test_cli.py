@@ -102,7 +102,7 @@ class TestBasicCommands:
         assert err.startswith("sailx: usage error:") and "c=0.1" in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("c", ["0", "nan", "-0.5", "100"])
+    @pytest.mark.parametrize("c", ["100"])
     def test_diagnose_at_a_bad_speedup_exits_2(self, demo_dir, capsys, c):
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", "--demos", demo_dir, "--c-values", c,
@@ -139,6 +139,11 @@ class TestBasicCommands:
         (["sweep-noise", "--trials", "0"], "--trials"),
         (["sweep-noise", "--scales", "-0.01"], "--scales"),
         (["sweep-noise", "--scales", "0,nan"], "--scales"),
+        (["diagnose", "--c-values", "0"], "--c-values"),
+        (["diagnose", "--c-values", "nan"], "--c-values"),
+        (["diagnose", "--c-values", "1,-0.5"], "--c-values"),
+        (["sweep-speed", "--jobs", "0"], "--jobs"),
+        (["sweep-speed", "--jobs", "-3"], "--jobs"),
     ])
     def test_out_of_range_numbers_exit_2_before_work(self, argv, flag,
                                                      no_corpus, capsys):

@@ -236,14 +236,19 @@ def _lockstep_rows(draw, cases):
             for state, refs, params in cases]
 
 
-def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
-    """Every column of the lockstep kernel against track_loop (or ``loop``)
-    on that row."""
+def _batch_args(rows):
+    """(states, block, gains..., shared params...) of track_loop_batch."""
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
-    shared = [float(p[0]) for p in params[4:7]]
-    faults = kernels.track_loop_batch(states, block, *params[:4], *shared)
+    return states, block, params[:4], [float(p[0]) for p in params[4:7]]
+
+
+def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
+    """Every column of the lockstep kernel against track_loop (or ``loop``)
+    on that row."""
+    states, block, gains, shared = _batch_args(rows)
+    faults = kernels.track_loop_batch(states, block, *gains, *shared)
     for j, (state, refs, params) in enumerate(rows):
         fault, final, _ = _run(loop, state, refs, params)
         assert faults[j] == fault
@@ -470,6 +475,178 @@ class TestAtRest:
         rows[1][0][11] = 1e-3  # one column spins
         with pytest.raises(AssertionError, match="at rest"):
             _assert_columns_match_track_loop(rows, _oracle_loop)
+
+
+# Gains and shared params of the named at-rest cases: a gripper slew of 0.8
+# a step, so that a command flip between 0 and 1 crosses 0.5 at its step.
+REST_PARAMS = (300.0, 34.6, 400.0, 40.0, 0.002, 400.0, 0.015)
+
+
+def _rest_column(rng, n, flips=(), attached=False, travel=0.0):
+    """An at-rest case of n steps, the object in reach, whose gripper
+    command flips at each step in ``flips``: a grasp or a release there.
+
+    An attached object starts at a pose that does not follow from the
+    robot's, so that a pose formed at the wrong step shows. The reference
+    goes ``travel`` metres along x and back over the first half of the
+    call."""
+    state = np.zeros(kernels.STATE_SIZE)
+    state[0:3] = rng.normal(0.0, 0.02, 3)
+    state[3] = 1.0
+    state[7:10] = rng.normal(0.0, 0.005, 3)
+    state[13] = state[21] = float(attached)
+    state[14:17] = state[0:3] + [0.004, -0.003, 0.002]
+    state[17:21] = _unit(rng.normal(size=4))
+    state[22:25] = [0.003, 0.002, -0.004]
+    state[25:29] = _unit(rng.normal(size=4))
+    state[29] = 1.5
+    path = np.cumsum(rng.normal(0.0, 1e-5, (n, 3)), axis=0)
+    path[:n // 2, 0] += travel * np.sin(np.pi * np.arange(n // 2) / (n // 2))
+    refs = [state[0:3] + path,
+            rng.normal(0.0, 1e-3, (n, 3)), np.tile(IDENTITY, (n, 1)),
+            np.zeros((n, 3)),
+            np.abs(state[13] - np.cumsum(np.isin(np.arange(n), flips)) % 2)]
+    return state, refs
+
+
+def _assert_calls_match_the_oracle(rows, cuts):
+    """Both kernels, run in one call per span between ``cuts``, against the
+    oracle's single run of each row: the batch on the final states, the
+    scalar loop on them and on every out row. Returns the oracle's events
+    of each row."""
+    states, block, gains, shared = _batch_args(rows)
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    for start, stop in spans:
+        faults = kernels.track_loop_batch(states, block[start:stop], *gains,
+                                          *shared)
+        assert (faults == -1).all()
+    events = []
+    for j, (state, refs, params) in enumerate(rows):
+        fault, want, want_outs = _run(_oracle_loop, state, refs, params)
+        assert fault == -1
+        assert _bits(states[:, j]) == _bits(want)
+        got = state.copy()
+        for start, stop in spans:
+            fault, got, outs = _run(kernels.track_loop, got,
+                                    [r[start:stop] for r in refs], params)
+            assert fault == -1
+            for out, want_out in zip(outs, want_outs):
+                assert _bits(out) == _bits(want_out[start:stop])
+        assert _bits(got) == _bits(want)
+        events.append(want_outs[4])
+    return events
+
+
+class TestRestHistory:
+    """The batched step at rest: nine ufunc calls a step on a history of
+    [grip; p; v] rows, with grasps, releases, faults and the clock taken
+    from the history after the loop. Every column keeps the oracle's bits."""
+
+    def test_events_on_block_edges_and_call_starts(self):
+        b = 9
+        s = controller.LOCKSTEP_BLOCK // b  # the steps of one block
+        # (flips, attached, travel, the events they make)
+        columns = [((0,), False, 0.0, {0: 1}), ((0,), True, 0.0, {0: -1}),
+                   ((s - 1,), False, 0.0, {s - 1: 1}),
+                   ((s - 1,), True, 0.0, {s - 1: -1}),
+                   ((s,), False, 0.0, {s: 1}), ((s,), True, 0.0, {s: -1}),
+                   ((2 * s - 1,), False, 0.0, {2 * s - 1: 1}),
+                   ((3, 10, 20, s + 5), True, 0.0,
+                    {3: -1, 10: 1, 20: -1, s + 5: 1}),
+                   # dropped at the start, out of reach halfway, in reach
+                   # again at the end: the events' order decides
+                   ((3, s // 2, s, 2 * s - 5), True, 0.05,
+                    {3: -1, 2 * s - 5: 1})]
+        rng = np.random.default_rng(11)
+        rows = [(*_rest_column(rng, 2 * s, f, a, travel), REST_PARAMS)
+                for f, a, travel, _ in columns]
+        events = _assert_calls_match_the_oracle(rows, [0, s, 2 * s])
+        for (*_, want), got in zip(columns, events):
+            steps = np.flatnonzero(got)
+            assert dict(zip(steps.tolist(), got[steps].tolist())) == want
+
+    def test_columns_on_different_clocks_without_gripper_slew(self):
+        rng = np.random.default_rng(12)
+        clocks = [0.0, -0.0, 1.5, np.nextafter(1.5, 2.0), 3.0]
+        params = REST_PARAMS[:5] + (0.0,) + REST_PARAMS[6:]
+        rows = []
+        for k, clock in enumerate(clocks):
+            state, refs = _rest_column(rng, 40, (5, 9), attached=k % 2 == 1)
+            state[29] = clock
+            state[13] = [0.0, -0.0, 0.5, 1.0, 0.25][k]
+            refs[4][::3] = -0.0
+            rows.append((state, refs, params))
+        _assert_calls_match_the_oracle(rows, [0, 17, 40])
+        # one clock for every column takes the shared sum
+        for row in rows:
+            row[0][29] = 0.25
+        _assert_calls_match_the_oracle(rows, [0, 23, 40])
+
+    def test_a_negative_zero_position_keeps_its_sign(self):
+        # p = -0.0 and a velocity of -5e-324, whose step -5e-324 * dt rounds
+        # to -0.0: p + (-0.0) is p, where p + (+0.0) would be +0.0
+        rng = np.random.default_rng(13)
+        rows = []
+        for _ in range(2):
+            state, refs = _rest_column(rng, 30)
+            state[0], state[7] = -0.0, -5e-324
+            refs[0][:, 0] = -0.0
+            rows.append((state, refs, (300.0, 0.0) + REST_PARAMS[2:]))
+        _assert_calls_match_the_oracle(rows, [0, 30])
+        states, block, gains, shared = _batch_args(rows)
+        kernels.track_loop_batch(states, block, *gains, *shared)
+        assert np.signbit(states[0]).all()
+
+    def test_faults_at_rest_run_again_step_by_step(self):
+        rng = np.random.default_rng(14)
+        n = 50
+        rows = []
+        for bad_step, value in ((None, 0.0), (0, np.inf), (None, 0.0),
+                                (n // 2, np.nan), (n - 1, -np.inf),
+                                (n - 1, 1e300)):
+            state, refs = _rest_column(rng, n, (7, 31), attached=True)
+            if bad_step is not None:
+                refs[1][bad_step, 2] = value
+            rows.append((state, refs, REST_PARAMS))
+        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop)
+        assert faults.tolist() == [-1, 0, -1, n // 2, n - 1, -1]
+        for row in rows:
+            _assert_same_run(*row)
+
+    def test_non_finite_orientation_gains_fault_at_step_0(self):
+        rng = np.random.default_rng(15)
+        rows = []
+        for kp_ori, kv_ori in ((400.0, 40.0), (np.inf, 40.0), (400.0, np.nan),
+                               (0.0, 0.0), (-np.inf, 40.0)):
+            state, refs = _rest_column(rng, 20, (4,))
+            rows.append((state, refs,
+                         REST_PARAMS[:2] + (kp_ori, kv_ori) + REST_PARAMS[4:]))
+        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop)
+        assert faults.tolist() == [-1, 0, 0, -1, 0]
+        for row in rows:
+            _assert_same_run(*row)
+
+    def test_the_q_w_minus_1_near_miss(self):
+        # A case of test_batch_near_misses_match_the_oracle[q w -1] that
+        # failed only in the full tier-1 run: the column off rest sends the
+        # batch down the full update, where the other column grasps an
+        # object at (0, 0, -0.0, -1), whose gripper-frame orientation sums
+        # four -0.0 terms into its w.
+        state = np.zeros(kernels.STATE_SIZE)
+        state[0:3] = [0.0025, -0.0026, 0.0128]
+        state[3] = 1.0
+        state[7:10] = [0.02, -0.1, 0.07]
+        state[14:17] = [0.009, 0.002, 0.009]
+        state[17:21] = [0.0, 0.0, -0.0, -1.0]
+        state[25] = 1.0
+        refs = [np.array([[-0.002, -0.003, 0.01]]),
+                np.array([[-0.2, -0.16, -0.09]]),
+                np.array([[1.0, -0.0, -0.0, -0.0]]),
+                np.array([[-0.0, 0.0, 0.0]]), np.ones(1)]
+        case = (state, refs, (0.0, 0.0, 0.0, 0.0, 0.002, 400.0, 0.015))
+        rows = [_off_rest(case, *NEAR_MISSES["q w -1"]), case]
+        _, states = _assert_columns_match_track_loop(rows, _oracle_loop)
+        assert states[21].tolist() == [1.0, 1.0]
 
 
 def _waypoints(draw, n):

@@ -7,13 +7,16 @@ of ``reference_oracle.OracleReferenceTrack`` (``CubicSpline`` and the
 per-call slerp) or of a fresh sample.
 """
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from sailx import controller
 from sailx.controller import GAIN_PRESETS, ReferenceTrack, track_slices
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
+from sailx.kernels import REF_POS, REF_QUAT, REF_ROWS
 from sailx.scheduler import TRACE_STRIDE, sample_trace
 from sailx.sim import initial_world
 
@@ -109,3 +112,79 @@ class TestTraceRows:
             pos, _, quat, _, _ = ref.sample(trace.times[::TRACE_STRIDE])
             assert samples["ref_positions"].tobytes() == pos.tobytes()
             assert samples["ref_orientations"].tobytes() == quat.tobytes()
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _identity_waypoints(rng, n):
+    """n waypoints (1, z, z, z) with zeros z of either sign."""
+    quats = np.zeros((n, 4))
+    quats[:, 0] = 1.0
+    quats[:, 1:] = np.where(rng.random((n, 3)) < 0.5, -0.0, 0.0)
+    return quats
+
+
+class TestIdentityTracks:
+    """A track or group whose waypoints all have w == 1.0 and a zero vector
+    part samples identity rows without a slerp, with the oracle's bits; a
+    near miss, or a NaN sample time, still slerps."""
+
+    @staticmethod
+    def _count_slerps(monkeypatch):
+        calls = []
+        slerp = controller._slerp
+
+        def counted(*args):
+            calls.append(args)
+            return slerp(*args)
+
+        monkeypatch.setattr(controller, "_slerp", counted)
+        return calls
+
+    @pytest.mark.parametrize("near_miss, slerps", [
+        (None, False),
+        ([1.0, 1e-3, 0.0, 0.0], True),
+        ([1.0, 0.0, 0.0, -5e-324], True),
+        ([-1.0, 0.0, 0.0, 0.0], True),
+        ("nan time", True),
+    ])
+    def test_sample_matches_the_oracle(self, monkeypatch, near_miss, slerps):
+        calls = self._count_slerps(monkeypatch)
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 7):
+            times = np.cumsum(rng.uniform(0.05, 0.5, n))
+            quats = _identity_waypoints(rng, n)
+            positions = rng.normal(0.0, 0.01, (n, 3))
+            at = np.concatenate([rng.uniform(times[0] - 0.2, times[-1] + 0.2,
+                                             25), times])
+            if near_miss == "nan time":
+                at[3] = np.nan
+            elif near_miss is not None:
+                quats[n // 2] = near_miss
+            ref = ReferenceTrack(times, positions, quats)
+            oracle = OracleReferenceTrack(times, positions, quats)
+            for got, want in zip(ref.sample(at), oracle.sample(at)):
+                assert _bits(got) == _bits(want)
+        assert bool(calls) == slerps
+
+    def test_a_group_block_matches_each_oracle(self, monkeypatch):
+        calls = self._count_slerps(monkeypatch)
+        rng = np.random.default_rng(22)
+        times = np.cumsum(rng.uniform(0.05, 0.5, 5))
+        at = rng.uniform(times[0] - 0.2, times[-1] + 0.2, 30)
+        refs = [(rng.normal(0.0, 0.01, (5, 3)), _identity_waypoints(rng, 5))
+                for _ in range(4)]
+        for turning in (False, True):
+            if turning:  # one reference that turns makes the group slerp
+                refs[2][1][3] = [0.9, 0.1, -0.3, 0.2]
+            block = np.empty((len(at), REF_ROWS, len(refs)))
+            controller._reference_block(controller._ReferenceGroup(
+                [ReferenceTrack(times, p, q) for p, q in refs]), at, block)
+            for j, (p, q) in enumerate(refs):
+                want = OracleReferenceTrack(times, p, q).sample(at)
+                assert _bits(block[:, REF_QUAT, j]) == _bits(want[2])
+                assert _bits(block[:, REF_POS, j]) == _bits(want[0])
+            assert len(calls) == turning

@@ -67,6 +67,36 @@ class TestNormalisePoses:
         assert state[17:21].tobytes() == \
             Pose(np.zeros(3), obj).orientation.tobytes()
 
+    def test_identity_rows_match_the_per_row_path(self):
+        # rows whose robot quaternion, object quaternion, both or neither
+        # are (1, z, z, z) with zeros z of either sign, and near misses
+        rng = np.random.default_rng(3)
+
+        def identity():
+            return [1.0, *np.where(rng.random(3) < 0.5, -0.0, 0.0)]
+
+        quats = [identity, lambda: rng.normal(size=4),
+                 lambda: [1.0, 1e-3, 0.0, 0.0], lambda: [-1.0, 0.0, 0.0, 0.0]]
+        rows = []
+        for robot in quats:
+            for obj in quats:
+                for _ in range(3):
+                    state = _world()
+                    state[3:7], state[17:21] = robot(), obj()
+                    rows.append(state)
+        want = np.array(rows)
+        for state in want:
+            for q in (state[3:7], state[17:21]):
+                q /= np.linalg.norm(q)
+                if q[0] < 0.0:
+                    q *= -1.0
+        columns = np.array(rows).T.copy()  # the (30, B) lockstep layout
+        normalise_poses(columns.T)
+        assert columns.T.tobytes() == want.tobytes()
+        for state, wanted in zip(rows, want):
+            normalise_poses(state)
+            assert state.tobytes() == wanted.tobytes()
+
     @pytest.mark.parametrize("slot", [0, 4, 8, 12, 16, 19])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_a_non_finite_pose_or_velocity(self, slot, bad):

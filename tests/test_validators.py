@@ -85,6 +85,13 @@ def test_sweep_noise_rejects_a_negative_or_non_finite_scale(demos20, scale):
         sweep_noise(demos20[:2], scales=(0.0, scale), trials=2)
 
 
+@pytest.mark.parametrize("scale", [-0.01, -1e-300, np.nan, np.inf])
+def test_replay_rollout_rejects_a_negative_or_non_finite_noise_scale(
+        demos20, scale):
+    with pytest.raises(InvalidInputError, match="noise scales"):
+        replay_rollout(demos20[0], noise_scale=scale)
+
+
 @pytest.mark.parametrize("run", [
     lambda demos: replay_rollout(demos[0], gains="bogus"),
     lambda demos: sweep_gain_replay(demos[:2], c_values=(1.0,),
