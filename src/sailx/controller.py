@@ -6,6 +6,7 @@ velocity targets from the spline derivative / finite-difference geodesic
 rates. The damping convention for the presets is kv = 2 * damping * sqrt(kp).
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +18,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from .core import Pose
 from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
-                      REF_TWIST, _hamilton, _rotvec, _signed, track_loop,
+                      REF_TWIST, REST_ROWS, _hamilton, _rotvec, _signed,
+                      _track_at_rest, _track_steps, track_loop,
                       track_loop_batch)
 from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
@@ -103,10 +105,20 @@ class ReferenceTrack:
         else:
             self._spline = _natural_spline(times, positions)
         self._seg_dt = seg_dt
-        # angular rate per segment, world frame
-        self._seg_angvel = _segment_rates(times, orientations)
-        self._slerp_segments = _slerp_segments(orientations)
         self._identity = _identity_track(orientations)
+        # angular rate per segment, world frame: +0.0 between identity
+        # waypoints whose zeros are all +0.0 (tests/test_reference.py checks
+        # this against _segment_rates for every sign)
+        if self._identity and not np.signbit(orientations).any():
+            self._seg_angvel = np.zeros((n - 1, 3))
+        else:
+            self._seg_angvel = _segment_rates(times, orientations)
+
+    @functools.cached_property
+    def _slerp_segments(self):
+        """The slerp table of the waypoints, built when first sampled: an
+        identity track samples without it, except at a NaN time."""
+        return _slerp_table(self.orientations)
 
     def sample(self, times):
         """Reference arrays at arbitrary times, clamped to the track span.
@@ -188,7 +200,7 @@ def _natural_spline(x, y) -> PPoly:
     return PPoly.construct_fast(c, x)
 
 
-def _slerp_segments(quats):
+def _slerp_table(quats):
     """Per segment, what a slerp from quats[i] to quats[i + 1] needs.
 
     (a, b, theta, arc): b negated where dot(a, b) < 0, theta the arccos of
@@ -223,7 +235,7 @@ def _identity_track(quats) -> bool:
 def _slerp(segments, seg, s):
     """Shortest-arc slerp along segments ``seg`` at fractions s.
 
-    ``segments`` is ``_slerp_segments(quats)``, or several of them stacked
+    ``segments`` is ``_slerp_table(quats)``, or several of them stacked
     on a trailing column axis, which the result then has too. Element by
     element this takes the branches of a scalar slerp from a to b in the
     same operation order: b is negated when dot(a, b) < 0, the dot is
@@ -257,6 +269,23 @@ def _slerp(segments, seg, s):
 def _sample(track, times):
     """``ReferenceTrack.sample`` of ``track``, a ReferenceTrack, or of every
     reference of ``track``, a _ReferenceGroup, each in its trailing column."""
+    pos, vel, grip, seg, frac, outside = _sample_moves(track, times)
+    # identity waypoints slerp to identity rows (see _identity_track), but
+    # a NaN time to a NaN row
+    if track._identity and not np.isnan(frac).any():
+        quat = np.zeros((len(frac), 4) + track.grippers.shape[1:])
+        quat[:, 0] = 1.0
+    else:
+        quat = _slerp(track._slerp_segments, seg, frac)
+    angvel = track._seg_angvel[seg]
+    angvel[outside] = 0.0
+    return pos, vel, quat, angvel, grip
+
+
+def _sample_moves(track, times):
+    """The spline and gripper part of ``_sample``: (pos, vel, grip) at
+    ``times``, with the segment, the fraction into it and the
+    outside-the-span mask of each time."""
     t = np.asarray(times, dtype=float)
     knots = track.times
     tc = np.clip(t, knots[0], knots[-1])
@@ -275,17 +304,8 @@ def _sample(track, times):
     seg = np.searchsorted(knots, tc, side="right") - 1
     np.minimum(seg, len(knots) - 2, out=seg)
     frac = (tc - knots[seg]) / track._seg_dt[seg]
-    # identity waypoints slerp to identity rows (see _identity_track), but
-    # a NaN time to a NaN row
-    if track._identity and not np.isnan(frac).any():
-        quat = np.zeros((len(frac),) + track._slerp_segments[0].shape[1:])
-        quat[:, 0] = 1.0
-    else:
-        quat = _slerp(track._slerp_segments, seg, frac)
-    angvel = track._seg_angvel[seg]
-    angvel[outside] = 0.0
     grip = track.grippers[seg + (frac >= 1.0)]
-    return pos, vel, quat, angvel, grip
+    return pos, vel, grip, seg, frac, outside
 
 
 class _ReferenceGroup:
@@ -299,23 +319,30 @@ class _ReferenceGroup:
     """
 
     def __init__(self, refs):
-        def stack(arrays):
-            return np.stack(arrays, axis=-1)
-
         first = refs[0]
+        self._refs = refs
         self.times = first.times
         self._seg_dt = first._seg_dt
         if first._spline is None:
             self._spline = None
-            self._line = tuple(map(stack, zip(*(r._line for r in refs))))
+            self._line = tuple(map(_stack, zip(*(r._line for r in refs))))
         else:
             self._spline = PPoly.construct_fast(
-                stack([r._spline.c for r in refs]), first.times)
-        self._slerp_segments = tuple(
-            map(stack, zip(*(r._slerp_segments for r in refs))))
-        self._seg_angvel = stack([r._seg_angvel for r in refs])
-        self.grippers = stack([r.grippers for r in refs])
+                _stack([r._spline.c for r in refs]), first.times)
+        self._seg_angvel = _stack([r._seg_angvel for r in refs])
+        self.grippers = _stack([r.grippers for r in refs])
         self._identity = all(r._identity for r in refs)
+
+    @functools.cached_property
+    def _slerp_segments(self):
+        """The references' slerp tables, stacked when first needed: by a NaN
+        time, or by a group with a turning reference."""
+        return tuple(map(_stack, zip(*(r._slerp_segments
+                                       for r in self._refs))))
+
+
+def _stack(arrays):
+    return np.stack(arrays, axis=-1)
 
 
 @dataclass
@@ -395,16 +422,26 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
 
 
 # Row-steps per reference block of a lockstep batch: a block holds
-# REF_ROWS floats per row and step, 0.17 MB whatever the batch's width, and
-# costs one sample call per subgroup. Timed on replay-open-loop passes (24
-# columns, 64 steps a block) and 50-demo corpus builds (30) on a 2-core
-# x86-64 VM with the 18-call step at rest, 1,024-2,048 row-steps ran
-# fastest, and 6,144, the size used while each column cost a sample call,
-# 40-70 % slower. With the 9-call step (medians of 9 alternated runs), a
-# replay pass took 39.0 ms at 768, 30.8 ms at 1,536 and 27.6 ms at 3,072,
-# and a corpus build 89, 77 and 74 ms: larger blocks now pay, as the
-# per-call costs weigh more against a cheaper step.
-LOCKSTEP_BLOCK = 64 * 24
+# REST_ROWS floats per row and step when every reference of the batch has
+# identity waypoints (0.46 MB), REF_ROWS otherwise (0.92 MB, as does a
+# call's full fallback block), whatever the batch's width, and costs one
+# sample call per subgroup; 8,192 is about the most that keeps a 14-row
+# block under 1 MB. Re-timed on rest-form blocks and the 8-call step, 2-core
+# x86-64 VM, a replay-open-loop pass (24 columns) and a 50-demo corpus
+# build (50): best of 5 passes and of 3 builds in a fresh process, medians
+# of 12 processes per size in rotating order, in ms:
+#
+#     row-steps            1,536   3,072   4,096   6,144   8,192
+#     replay pass           26.9    28.5    23.4    23.7    23.6
+#     corpus build          78.3    85.0    76.4    70.7    72.6
+#
+# against 35.9 and 107.5 ms for the 14-row feed at 1,536. In worker
+# processes that alternate passes (12 rounds of 3), a pass took 0.79x the
+# 14-row feed's time at 1,536, 0.70x at 3,072, 0.68-0.73x at 4,096,
+# 0.63-0.71x at 6,144 and 0.61-0.68x at 8,192: fewer calls pay for the
+# per-call costs (the at-rest check of the state, the history set-up, the
+# carried pose, a sample call per subgroup).
+LOCKSTEP_BLOCK = 8192
 # Columns per lockstep run in the callers, which bounds the reference
 # tracks a caller holds at once and their stacked copy: about 55 kB a
 # column at 115 waypoints. Wider runs step fewer times per row: the
@@ -413,21 +450,33 @@ LOCKSTEP_BLOCK = 64 * 24
 LOCKSTEP_MAX_ROWS = 64
 # Batches of fewer columns run row by row on track_loop. Timed on whole
 # replay cells of B replays on one time grid, both plants at rest on their
-# lean steps (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2,
-# medians of 7 alternated runs), row by row was faster in all 4 cells at
-# B = 5 (lockstep took 1.05-1.29x its time), lockstep in all 4 at B = 6
-# (0.86-0.97x), at B = 7 (0.51-0.89x) and at B = 8 (0.73-0.81x), and at
-# B = 12 (0.42-0.65x). perfbench/test_perfbench.py requires
+# lean steps, the batched one on rest-form blocks (2-core x86-64 VM, numpy
+# 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7 alternated runs), row by row
+# was faster in all 4 cells at B = 4 (lockstep took 1.02-1.07x its time)
+# and lockstep in all 4 at B = 5 (0.86-0.93x), at B = 6 (0.58-0.70x), at
+# B = 7 (0.56-0.65x), at B = 8 (0.44-0.65x) and at B = 12 (0.35-0.54x).
+# The threshold is timed at rest: a batch whose orientation turns pays
+# ~31-57 us a step against ~4.4-5.7 us a scalar row, a break-even of about
+# 7-12 rows, and no workload turns. perfbench/test_perfbench.py requires
 # kernels.track_loop steps in a traced replay-open-loop pass of 6 rows and
 # a traced ood-diagnose pass of 3 trials, which holds only while both run
 # row by row: perfbench has no binding for track_loop_batch, so the
-# threshold stays at 7, one row above the measured break-even.
+# threshold stays at 7, two rows above the measured break-even.
 LOCKSTEP_MIN_ROWS = 7
 
 
 def _reference_block(group, times, out):
     """Sample the references of a _ReferenceGroup at ``times`` into ``out``,
-    a (len(times), REF_ROWS, columns) view of a block."""
+    a (len(times), REF_ROWS, columns) view of a block, or a rest-form
+    (len(times), REST_ROWS, columns) view: the [grip; pos; vel] rows that
+    the at-rest step reads, which are all an identity group needs at finite
+    times (its orientations are the identity and its rates zero)."""
+    if out.shape[1] == REST_ROWS:
+        pos, vel, grip, *_ = _sample_moves(group, times)
+        out[:, 0] = grip
+        out[:, 1:4] = pos
+        out[:, 4:] = vel
+        return
     pos, vel, quat, angvel, grip = _sample(group, times)
     out[:, REF_POS] = pos
     twist = out[:, REF_TWIST]
@@ -530,7 +579,13 @@ def _track_batch(states, refs, gains, untils, faults):
     # block are one slice of it
     live = np.concatenate([s.rows for s in subs])
     state = states[:, live]
-    block = np.empty((0, REF_ROWS, len(live)))
+    # Identity references give rest-form blocks: the step times are finite
+    # (_slice_steps fails on a clock that is not), so their orientations are
+    # the identity and their rates zero. Columns that do not start a call at
+    # rest, or that fault in it, take that call's full block.
+    rest = all(s.group._identity for s in subs)
+    ref_rows = REST_ROWS if rest else REF_ROWS
+    block = np.empty((0, ref_rows, len(live)))
     block_start = start = 0
     while True:
         if any(s.ends[s.k] == start for s in subs):
@@ -556,20 +611,18 @@ def _track_batch(states, refs, gains, untils, faults):
                 block_start, block = start, None
                 steps = max(1, LOCKSTEP_BLOCK // len(live))
                 last = max(s.ends[-1] for s in subs)
-                block = np.empty((min(steps, last - start), REF_ROWS,
-                                  len(live)))
-                column = 0
-                for s in subs:
-                    times = s.times[start:start + len(block)]
-                    width = len(s.rows)
-                    _reference_block(
-                        s.group, times,
-                        block[:len(times), :, column:column + width])
-                    column += width
+                block = _sample_block(subs, start, min(steps, last - start),
+                                      ref_rows, len(live))
             stop = min(end, block_start + len(block))
-            fault = track_loop_batch(
-                state, block[start - block_start:stop - block_start],
-                *gain_rows[:, live], dt, GRIPPER_SLEW, GRASP_RADIUS)
+            ref = block[start - block_start:stop - block_start]
+            args = (*gain_rows[:, live], dt, GRIPPER_SLEW, GRASP_RADIUS)
+            if not rest:
+                fault = track_loop_batch(state, ref, *args)
+            elif _track_at_rest(state, ref, *args):
+                fault = np.full(len(live), -1)
+            else:
+                fault = _track_steps(state, _sample_block(
+                    subs, start, stop - start, REF_ROWS, len(live)), *args)
             faulted = np.flatnonzero(fault >= 0)
             if len(faulted):
                 # the faulted columns leave at the next pass of the loop
@@ -586,6 +639,21 @@ def _track_batch(states, refs, gains, untils, faults):
             start = stop
             if len(faulted):
                 break
+
+
+def _sample_block(subs, start, steps, ref_rows, width):
+    """A (steps, ref_rows, width) reference block, ``ref_rows`` REF_ROWS or
+    REST_ROWS, from step ``start`` on: each _Subgroup of ``subs`` samples
+    its columns, in order; the steps past a subgroup's last are left
+    unset."""
+    block = np.empty((steps, ref_rows, width))
+    column = 0
+    for s in subs:
+        times = s.times[start:start + steps]
+        _reference_block(s.group, times,
+                         block[:len(times), :, column:column + len(s.rows)])
+        column += len(s.rows)
+    return block
 
 
 def track(state, ref: ReferenceTrack, gains: GainProfile,

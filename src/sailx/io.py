@@ -406,11 +406,13 @@ def _track_scripts(scripts, profile, first):
     # every demo's reference steps are slices of the lockstep run
     states = np.stack([initial_world(Pose(home), demo_task)
                        for demo_task, _, home, _ in scripts], axis=1)
-    reached = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
-    objects = [np.empty((len(ref.times), 7)) for _, ref, _, _ in scripts]
+    # demo d's poses at its reference times are rows [d, :lengths[d]]
+    lengths = [len(ref.times) for _, ref, _, _ in scripts]
+    reached = np.empty((len(scripts), max(lengths), 7))
+    objects = np.empty_like(reached)
     for d, (_, _, home, object_start) in enumerate(scripts):
-        reached[d][0] = np.concatenate([home, IDENTITY_QUAT])
-        objects[d][0] = object_start
+        reached[d, 0] = np.concatenate([home, IDENTITY_QUAT])
+        objects[d, 0] = object_start
     fault = None
     try:
         for rows, k, steps in track_lockstep(
@@ -421,9 +423,8 @@ def _track_scripts(scripts, profile, first):
             if steps:
                 normalise_poses(block)  # as between two track calls
                 states[:, rows] = block.T
-            for row, r in zip(block, rows):
-                reached[r][k + 1] = row[ROBOT_POSE]
-                objects[r][k + 1] = row[OBJECT_POSE]
+            reached[rows, k + 1] = block[:, ROBOT_POSE]
+            objects[rows, k + 1] = block[:, OBJECT_POSE]
     except SimFault as exc:
         fault = exc
     # a demo loop would have stopped at the first failing demo
@@ -433,4 +434,5 @@ def _track_scripts(scripts, profile, first):
                 f"scripted demo {first + d} failed the task predicate")
     if fault is not None:
         raise fault
-    return reached, objects
+    return ([reached[d, :n] for d, n in enumerate(lengths)],
+            [objects[d, :n] for d, n in enumerate(lengths)])

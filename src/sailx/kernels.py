@@ -26,7 +26,7 @@ call's first step keeps the incoming object pose.
 
 ``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
 stepped in lockstep under per-column gains, with each column's bits equal
-to ``track_loop`` on that row. A turning step is about 53 numpy calls
+to ``track_loop`` on that row. A turning step is about 52 numpy calls
 whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns, against
 ~4.5-6 us per row for the scalar loop. Every per-step value lives in a
 buffer allocated once per call and written with ``out``, since a Python
@@ -65,16 +65,28 @@ also formed the carried object's pose at every attached step.
 
 At rest, the batched plant steps only [grip; p; v],
 the (7, B) rows of an (n + 1, 7, B) history buffer: step i reads row i and
-writes row i + 1, through views taken once per call, in nine ufunc calls:
-e = r_i - x (r the reference block's [grip; pos; vel] rows, gathered once);
-e *= [1; kp; kp; kp; kv; kv; kv], where x * 1.0 is x bit for bit;
-f = e_p + e_v into the velocity rows of an increment; the slew clamp, a
-maximum and a minimum, into its gripper row; the velocity rows times dt;
-y = x + increment, whose position rows hold -0.0, since x + (-0.0) is x
-bit for bit where +0.0 would turn -0.0 into +0.0; and p' = p + v' dt, a
-multiply and an add. Each column meets the scalar loop's operands in its
-order. That is ~4.6-7 us a step for 12-64 columns, call overhead included,
-against ~8-10 us for the previous 18-call step. After the loop:
+writes row i + 1, through views taken once per call, in eight ufunc calls:
+e = r_i - x, r the reference's [grip; pos; vel] rows; e *= [1; kp; kp; kp;
+kv; kv; kv], where x * 1.0 is x bit for bit; f = e_p + e_v into the
+velocity rows of an increment; the slew clamp, numpy's ``clip`` ufunc,
+into its gripper row; the velocity rows times dt; y = x + increment, whose
+position rows hold -0.0, since x + (-0.0) is x bit for bit where +0.0
+would turn -0.0 into +0.0; and p' = p + v' dt, a multiply and an add. Each
+column meets the scalar loop's operands in its order. ``clip`` clamps as
+the scalar loop's two comparisons do, signed zeros included: a maximum
+then a minimum turn a change below -0.0 into +0.0 when the slew is 0,
+where the scalar loop keeps -0.0, which a -0.0 gripper then keeps.
+
+``track_loop_batch`` gathers those rows from its block once a call, after
+checking that its reference orientations are the identity and its rates
+zero. ``controller`` feeds ``_track_at_rest`` rest-form blocks, which hold
+only those rows, when every reference it stacks has identity waypoints:
+there is no block to check or gather. Best of 90 calls on a 2-core x86-64
+VM, a step costs ~3.6-4.1 us for 12-64 columns in calls of one block of
+``controller.LOCKSTEP_BLOCK`` row-steps and ~4.0-4.4 us in calls of 64
+steps, call overhead included, against ~4.9-6.2 us through
+``track_loop_batch`` with its check and gather and the maximum and minimum
+(~8-10 us for the 18-call step before that). After the loop:
 
 - Grasps and releases follow from the gripper history, g_i < 0.5 <= g_i+1
   and the reverse, applied per (step, column) in step order. The robot's
@@ -92,7 +104,7 @@ against ~8-10 us for the previous 18-call step. After the loop:
   additions broadcast to all of them; otherwise n numpy additions.
 
 Timed on whole replay cells at rest (2-core x86-64 VM), lockstep now wins
-from 6 rows up (``controller.LOCKSTEP_MIN_ROWS`` says why it stays 7).
+from 5 rows up (``controller.LOCKSTEP_MIN_ROWS`` says why it stays 7).
 
 The column helpers ``_hamilton``, ``_rotvec``, ``_exp`` and ``_normalise``
 are the package's one vectorised quaternion algebra: they act on (4, B)
@@ -123,6 +135,9 @@ Its layout::
 import math
 
 import numpy as np
+# the clip ufunc, which numpy 2 exposes here: one call, and no argument
+# handling in Python as np.clip has
+from numpy._core.umath import clip as _clip
 
 STATE_SIZE = 30
 
@@ -553,12 +568,13 @@ def _rotvec(m, out=None):
 
 
 # The rows of the at-rest history: the gripper, the position and the
-# linear velocity, in the state and in a reference block.
+# linear velocity, in the state and in a reference block. A rest-form
+# block holds only these REST_ROWS rows, in this order.
 _REST_STATE = [13, 0, 1, 2, 7, 8, 9]
 _REST_REF = [REF_GRIP, 0, 1, 2, 3, 4, 5]
+REST_ROWS = len(_REST_REF)
 
 
-@np.errstate(all="ignore")  # the scalar loop never warns either
 def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                      grip_slew, grasp_radius):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep.
@@ -573,27 +589,34 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     """
     dt = float(dt)
     # at rest (see the module docstring) only [grip; p; v] is stepped
-    at_rest = ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
-               and math.isfinite(dt) and np.isfinite(kp_ori).all()
-               and np.isfinite(kv_ori).all()
-               and _identity_rows(ref[:, REF_QUAT].swapaxes(0, 1),
-                                  ref[:, REF_TWIST][:, 3:]))
-    if at_rest and _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew,
-                                  grasp_radius):
+    if (_identity_rows(ref[:, REF_QUAT].swapaxes(0, 1),
+                       ref[:, REF_TWIST][:, 3:])
+            and _track_at_rest(state, ref[:, _REST_REF], kp_pos, kv_pos,
+                               kp_ori, kv_ori, dt, grip_slew, grasp_radius)):
         return np.full(state.shape[1], -1)
     return _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                         grip_slew, grasp_radius)
 
 
-def _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew, grasp_radius):
-    """``track_loop_batch`` at rest, unless a final velocity is not finite:
-    then it returns False and leaves ``state`` alone.
+@np.errstate(all="ignore")  # the scalar loop never warns either
+def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
+                   grip_slew, grasp_radius):
+    """``track_loop_batch`` on references at rest, when the columns start
+    at rest and no step faults; otherwise it returns False and leaves
+    ``state`` alone, for ``_track_steps`` on the full reference block.
 
-    Each step is nine ufunc calls on the (7, B) rows [grip; p; v] of a
-    history buffer, from row i to row i + 1; grasps, releases and the clock
-    follow from the history after the loop.
+    ``rest_ref`` is an (n, REST_ROWS, B) block of [grip; pos; vel]
+    reference rows, whose orientations must be the identity and whose
+    rates must be zero. Each step is eight ufunc calls on the (7, B) rows
+    [grip; p; v] of a history buffer, from row i to row i + 1; grasps,
+    releases and the clock follow from the history after the loop.
     """
-    n, b = ref.shape[0], state.shape[1]
+    dt = float(dt)
+    if not ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
+            and math.isfinite(dt) and np.isfinite(kp_ori).all()
+            and np.isfinite(kv_ori).all()):
+        return False
+    n, b = rest_ref.shape[0], state.shape[1]
     dt_ = np.array(dt)
     max_step = np.array(float(grip_slew) * dt)
     neg_max_step = -max_step
@@ -608,14 +631,13 @@ def _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew, grasp_radius):
     inc = np.full((7, b), -0.0)
     inc_grip, inc_vel = inc[0], inc[4:]
     move = np.empty((3, b))
-    for want, x, y, y_pos, y_vel in zip(ref[:, _REST_REF], hist, hist[1:],
+    for want, x, y, y_pos, y_vel in zip(rest_ref, hist, hist[1:],
                                         hist[1:, 1:4], hist[1:, 4:]):
         np.subtract(want, x, err)
         np.multiply(err, gain, err)  # the gripper row times 1.0 keeps its bits
         np.add(err_pos, err_vel, inc_vel)  # the PD force
         # the gripper change, clamped to the slew
-        np.maximum(err_grip, neg_max_step, out=inc_grip)
-        np.minimum(inc_grip, max_step, out=inc_grip)
+        _clip(err_grip, neg_max_step, max_step, inc_grip)
         # semi-implicit Euler step
         np.multiply(inc_vel, dt_, inc_vel)
         np.add(x, inc, y)
@@ -672,6 +694,7 @@ def _track_at_rest(state, ref, kp_pos, kv_pos, dt, grip_slew, grasp_radius):
     return True
 
 
+@np.errstate(all="ignore")
 def _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt, grip_slew,
                  grasp_radius):
     """``track_loop_batch`` step by step, with the full update."""
@@ -765,8 +788,7 @@ def _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt, grip_slew,
 
         # the step's gripper change, clamped to the slew, goes to new_grip
         np.subtract(ref_grip[i], grip, new_grip)
-        np.maximum(new_grip, neg_max_step, out=new_grip)
-        np.minimum(new_grip, max_step, out=new_grip)
+        _clip(new_grip, neg_max_step, max_step, new_grip)
         np.add(grip, new_grip, new_grip)
 
         # a grasp or a release needs the command to cross 0.5

@@ -538,7 +538,7 @@ def _assert_calls_match_the_oracle(rows, cuts):
 
 
 class TestRestHistory:
-    """The batched step at rest: nine ufunc calls a step on a history of
+    """The batched step at rest: eight ufunc calls a step on a history of
     [grip; p; v] rows, with grasps, releases, faults and the clock taken
     from the history after the loop. Every column keeps the oracle's bits."""
 
@@ -612,6 +612,26 @@ class TestRestHistory:
         assert faults.tolist() == [-1, 0, -1, n // 2, n - 1, -1]
         for row in rows:
             _assert_same_run(*row)
+
+    def test_a_negative_zero_gripper_without_slew(self):
+        """With no gripper slew, the clamp of a change below -0.0 is -0.0,
+        as in the scalar loop, so a -0.0 gripper keeps its sign; a maximum
+        then a minimum would give +0.0. At rest and turning."""
+        rng = np.random.default_rng(16)
+        params = REST_PARAMS[:5] + (0.0,) + REST_PARAMS[6:]
+        for turning in (False, True):
+            rows = []
+            for command in (-1.0, -0.0, 0.0, 0.3, -5e-324):
+                state, refs = _rest_column(rng, 12)
+                state[13] = -0.0
+                refs[4][:] = command
+                if turning:
+                    refs[2][:] = _unit([0.9, 0.1, -0.3, 0.2])
+                rows.append((state, refs, params))
+                _assert_same_run(state, refs, params)
+            _, states = _assert_columns_match_track_loop(rows, _oracle_loop)
+            assert np.signbit(states[13]).tolist() == [True, False, False,
+                                                       False, True]
 
     def test_non_finite_orientation_gains_fault_at_step_0(self):
         rng = np.random.default_rng(15)

@@ -25,6 +25,8 @@ from sailx.core import Pose
 from sailx.sim import TaskSpec
 
 import lockstep_oracle
+import plant_oracle
+from reference_oracle import OracleReferenceTrack
 
 # the faulting cases overflow on purpose, in both plants
 pytestmark = pytest.mark.filterwarnings(
@@ -394,3 +396,186 @@ class TestFaults:
         assert str(exc.value) == want_faults[first]
         assert sorted(want_faults) == sorted(bad_rows)
         assert states.tobytes() == want_states.tobytes()
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _slice_times(t, untils):
+    """The step times of each slice to ``untils`` from the clock ``t``, as
+    ``track_slices`` documents them: round((until - t) / dt) steps, at least
+    0, with t advanced by sequential additions."""
+    dt = sim.PHYSICS_DT
+    slices = []
+    for until in untils:
+        n = max(int(round((until - t) / dt)), 0)
+        slices.append(t + dt * (np.arange(n) + 1))
+        for _ in range(n):
+            t += dt
+    return slices
+
+
+@st.composite
+def identity_cases(draw, kind):
+    """Columns on identity references, enough to step in lockstep, on two
+    knot grids and two slices, run one block of LOCKSTEP_BLOCK row-steps
+    and 30 steps on. Column 0 holds the ``kind`` under test:
+
+    - "negative zero": waypoints whose vector parts hold -0.0;
+    - "fault": a reference that overflows the PD force inside a block, so
+      that the at-rest step gives up on the call for the full step;
+    - "edge": a grasp or a release on the last step of the first block or
+      the first step of the next;
+    - "turned": a robot that does not start at rest, so that every call
+      takes the full block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.integers(controller.LOCKSTEP_MIN_ROWS,
+                              controller.LOCKSTEP_MIN_ROWS + 2))
+    s = controller.LOCKSTEP_BLOCK // n_rows  # the steps of one block
+    dt = sim.PHYSICS_DT
+    t0 = draw(st.sampled_from([0.0, 0.1234]))
+    untils = (t0 + dt * draw(st.integers(1, s - 1)), t0 + dt * (s + 30))
+    step_times = np.concatenate(_slice_times(t0, untils))
+    span = (t0 - 0.01, step_times[-1] + 0.05)
+    grids = [np.linspace(*span, m) for m in draw(st.lists(
+        st.integers(2, 6), min_size=2, max_size=2, unique=True))]
+    states = np.zeros((30, n_rows))
+    states[3] = states[17] = states[25] = 1.0
+    states[14:17] = rng.normal(0.0, 0.005, (3, n_rows))
+    states[13] = states[21] = rng.choice([0.0, 1.0], n_rows)
+    states[29] = t0
+    refs, gains = [], []
+    for r in range(n_rows):
+        times = grids[draw(st.integers(0, 1))]
+        m = len(times)
+        positions = np.cumsum(rng.normal(0.0, 0.002, (m, 3)), axis=0)
+        grippers = rng.choice([0.0, 1.0], m)
+        quats = np.zeros((m, 4))
+        quats[:, 0] = 1.0
+        if kind == "negative zero":
+            quats[:, 1:] = np.where(rng.random((m, 3)) < 0.5, -0.0, 0.0)
+            if r == 0:
+                quats[draw(st.integers(0, m - 1)), 1:] = -0.0
+        if r == 0 and kind == "fault":
+            # a waypoint of 1e307 m per 0.3 s of knot spacing: the force
+            # overflows about two knots before it
+            times = np.linspace(*span, 9)
+            positions = np.zeros((9, 3))
+            positions[draw(st.integers(5, 7)), 0] = \
+                1e307 * (times[1] - times[0]) / 0.3
+            grippers = np.zeros(9)
+            quats = np.tile([1.0, 0.0, 0.0, 0.0], (9, 1))
+        elif r == 0 and kind == "edge":
+            # the command holds the gripper just short of 0.5, then crosses
+            # it at the step whose time is the middle waypoint's
+            edge = draw(st.sampled_from([s - 1, s]))
+            grasp = draw(st.booleans())
+            times = np.array([span[0], step_times[edge], span[1]])
+            positions = np.zeros((3, 3))
+            quats = np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))
+            states[13, 0] = 0.49 if grasp else 0.51
+            states[21, 0] = 0.0 if grasp else 1.0
+            grippers = np.array([states[13, 0], float(grasp), float(grasp)])
+            states[14:17, 0] = [0.004, -0.003, 0.002]
+        elif r == 0 and kind == "turned":
+            states[3:7, 0] = _unit([0.9, 0.1, -0.3, 0.2])
+        refs.append((times, positions, quats, grippers))
+        gains.append(GAIN_PRESETS["high" if r == 0 or rng.random() < 0.5
+                                  else "low"])
+    return states, refs, gains, untils
+
+
+def _oracle_column(state, ref, gain, untils):
+    """One column on ``reference_oracle`` samples and the ``plant_oracle``
+    plant, slice by slice: its steps per slice, the events of every step,
+    and the message of its fault, if one ends it."""
+    oracle = OracleReferenceTrack(*ref)
+    steps, events = [], []
+    for times in _slice_times(float(state[29]), untils):
+        n = len(times)
+        outs = [np.empty((n, 3)), np.empty((n, 4)), np.empty(n),
+                np.empty(n), np.zeros(n, dtype=np.int8)]
+        with np.errstate(all="ignore"):
+            fault = plant_oracle.track_loop(
+                state, *oracle.sample(times), gain.kp_pos, gain.kv_pos,
+                gain.kp_ori, gain.kv_ori, 1.0, 1.0, sim.PHYSICS_DT,
+                sim.GRIPPER_SLEW, sim.GRASP_RADIUS, 0.0, *outs)
+        if fault >= 0:
+            events.extend(outs[4][:fault])
+            return steps, events, f"non-finite wrench at t={times[fault]:.4f}"
+        steps.append(n)
+        events.extend(outs[4])
+    return steps, events, None
+
+
+class TestIdentityReferences:
+    """Lockstep runs on identity references, on rest-form blocks at the
+    module's LOCKSTEP_BLOCK, against the column loop of ``lockstep_oracle``
+    (``track_slices``) and against ``plant_oracle`` on ``reference_oracle``
+    samples, bit for bit; each case's fallback to the full step shows in
+    the calls of ``_track_steps``."""
+
+    @pytest.mark.parametrize("kind, full_steps", [
+        ("negative zero", False), ("fault", True), ("edge", False),
+        ("turned", True)])
+    def test_columns_match_both_oracles(self, kind, full_steps,
+                                        monkeypatch):
+        calls = []
+        full = controller._track_steps
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return full(*args)
+
+        monkeypatch.setattr(controller, "_track_steps", counted)
+
+        @settings(max_examples=3, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(identity_cases(kind))
+        def check(case):
+            states, refs, gains, untils = case
+            n_rows = len(refs)
+            want = states.copy()
+            oracle = [_oracle_column(want[:, r], refs[r], gains[r], untils)
+                      for r in range(n_rows)]
+            loop = states.copy()
+            loop_faults = {}
+            for r in range(n_rows):
+                state = loop[:, r].copy()
+                try:
+                    for _ in track_slices(state, controller.ReferenceTrack(
+                            *refs[r]), gains[r], untils):
+                        pass
+                except SimFault as exc:
+                    loop_faults[r] = str(exc)
+                loop[:, r] = state
+            calls.clear()
+            got_steps = [[] for _ in range(n_rows)]
+            tracks = [controller.ReferenceTrack(*ref) for ref in refs]
+            try:
+                for rows, k, steps in track_lockstep(states, tracks, gains,
+                                                     [untils] * n_rows):
+                    for r in rows:
+                        assert len(got_steps[r]) == k
+                        got_steps[r].append(steps)
+            except SimFault as exc:
+                assert exc.row == 0 and kind == "fault"
+                assert str(exc) == oracle[0][2] == loop_faults[0]
+            else:
+                assert kind != "fault" and not loop_faults
+            assert got_steps == [steps for steps, _, _ in oracle]
+            assert states.tobytes() == want.tobytes() == loop.tobytes()
+            assert bool(calls) == full_steps
+            s = controller.LOCKSTEP_BLOCK // n_rows
+            if kind == "fault":
+                # the first overflow lies inside a block, not on its edge
+                fault_step = len(oracle[0][1])
+                assert 0 < fault_step and fault_step % s
+            if kind == "edge":
+                events = np.flatnonzero(oracle[0][1])
+                assert events.tolist() in ([s - 1], [s])
+
+        check()

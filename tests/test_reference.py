@@ -6,6 +6,8 @@ rows ``track_slices`` sampled to ``sample_trace``. Each must give the bits
 of ``reference_oracle.OracleReferenceTrack`` (``CubicSpline`` and the
 per-call slerp) or of a fresh sample.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,10 +18,11 @@ from sailx import controller
 from sailx.controller import GAIN_PRESETS, ReferenceTrack, track_slices
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
-from sailx.kernels import REF_POS, REF_QUAT, REF_ROWS
+from sailx.kernels import REF_POS, REF_QUAT, REF_ROWS, REST_ROWS
 from sailx.scheduler import TRACE_STRIDE, sample_trace
 from sailx.sim import initial_world
 
+import reference_oracle
 from reference_oracle import OracleReferenceTrack
 
 # a fixed example sequence keeps every tier-1 run repeatable
@@ -180,11 +183,81 @@ class TestIdentityTracks:
         for turning in (False, True):
             if turning:  # one reference that turns makes the group slerp
                 refs[2][1][3] = [0.9, 0.1, -0.3, 0.2]
+            group = controller._ReferenceGroup(
+                [ReferenceTrack(times, p, q) for p, q in refs])
             block = np.empty((len(at), REF_ROWS, len(refs)))
-            controller._reference_block(controller._ReferenceGroup(
-                [ReferenceTrack(times, p, q) for p, q in refs]), at, block)
+            controller._reference_block(group, at, block)
+            # an identity group also fills the rest-form rows [grip; pos; vel]
+            rest = np.empty((len(at), REST_ROWS, len(refs)))
+            if not turning:
+                controller._reference_block(group, at, rest)
             for j, (p, q) in enumerate(refs):
                 want = OracleReferenceTrack(times, p, q).sample(at)
                 assert _bits(block[:, REF_QUAT, j]) == _bits(want[2])
                 assert _bits(block[:, REF_POS, j]) == _bits(want[0])
+                if not turning:
+                    assert _bits(rest[:, 0, j]) == _bits(want[4])
+                    assert _bits(rest[:, 1:4, j]) == _bits(want[0])
+                    assert _bits(rest[:, 4:, j]) == _bits(want[1])
             assert len(calls) == turning
+
+    def test_positive_zero_waypoints_turn_at_positive_zero_rates(self):
+        """ReferenceTrack stores +0.0 rates, without computing them, for
+        identity waypoints whose vector parts are all +0.0: the rates of
+        every pair of identity waypoints, with zeros of every sign, against
+        ``reference_oracle``'s, and +0.0 where both are all +0.0."""
+        signs = [np.array(s) for s in itertools.product([0.0, -0.0],
+                                                        repeat=3)]
+        times = np.array([0.0, 0.25, 0.2500001, 1e3])
+        for a, b in itertools.product(signs, repeat=2):
+            quats = np.array([[1.0, *a], [1.0, *b], [1.0, *a], [1.0, *b]])
+            want = reference_oracle._segment_rates(times, quats)
+            ref = ReferenceTrack(times, np.zeros((4, 3)), quats)
+            assert _bits(ref._seg_angvel) == _bits(want)
+            if not (np.signbit(a).any() or np.signbit(b).any()):
+                assert _bits(want) == _bits(np.zeros((3, 3)))
+
+    def test_a_track_without_its_rotational_tables(self, monkeypatch):
+        """An identity track at +0.0 is built without segment rates or a
+        slerp table, and samples the oracle's bits at times inside and
+        outside its span, at ±inf and at NaN, alone and stacked with a
+        turning reference."""
+        calls = []
+        rates = controller._segment_rates
+
+        def counted(*args):
+            calls.append(args)
+            return rates(*args)
+
+        monkeypatch.setattr(controller, "_segment_rates", counted)
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 7):
+            times = np.cumsum(rng.uniform(0.05, 0.5, n))
+            positions = rng.normal(0.0, 0.01, (n, 3))
+            quats = np.tile(IDENTITY_QUAT, (n, 1))
+            grippers = rng.choice([0.0, 1.0], n)
+            at = np.concatenate([rng.uniform(times[0] - 0.2, times[-1] + 0.2,
+                                             20), times,
+                                 [np.inf, -np.inf, np.nan]])
+            ref = ReferenceTrack(times, positions, quats, grippers)
+            assert not calls and "_slerp_segments" not in vars(ref)
+            want = OracleReferenceTrack(times, positions, quats,
+                                        grippers).sample(at)
+            for k in (len(at) - 1, len(at)):  # without and with the NaN
+                for got, want_k in zip(ref.sample(at[:k]),
+                                       (w[:k] for w in want)):
+                    assert _bits(got) == _bits(want_k)
+            turning = (positions[::-1].copy(), _unit_rows(rng, n), grippers)
+            group = controller._ReferenceGroup([
+                ReferenceTrack(times, positions, quats, grippers),
+                ReferenceTrack(times, *turning)])
+            for j, want_j in enumerate(
+                    (want, OracleReferenceTrack(times, *turning).sample(at))):
+                for got, w in zip(controller._sample(group, at), want_j):
+                    assert _bits(got[..., j]) == _bits(w)
+            calls.clear()
+
+
+def _unit_rows(rng, n):
+    q = rng.normal(size=(n, 4))
+    return q / np.linalg.norm(q, axis=1)[:, None]
