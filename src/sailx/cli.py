@@ -47,9 +47,14 @@ def _number(cast, ok, rule: str):
 
 
 def _list_of(parse):
-    """An argparse type: a comma-separated list of ``parse`` values."""
+    """An argparse type: a non-empty comma-separated list of ``parse``
+    values."""
     def parse_list(text: str) -> list:
-        return [parse(x) for x in _strings(text)]
+        values = [parse(x) for x in _strings(text)]
+        if not values:
+            raise argparse.ArgumentTypeError("must be a non-empty "
+                                             "comma-separated list")
+        return values
     parse_list.__name__ = f"{parse.__name__} list"
     return parse_list
 
@@ -60,6 +65,14 @@ _speedup = _number(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
 _speedups = _list_of(_speedup)
 _scales = _list_of(_number(float, lambda v: 0.0 <= v < math.inf,
                            "finite and >= 0"))
+
+
+def _method(text: str) -> str:
+    """An argparse type: one of ``experiments.METHODS``."""
+    if text not in ex.METHODS:
+        raise argparse.ArgumentTypeError(
+            f"must be one of {', '.join(ex.METHODS)}, got {text!r}")
+    return text
 
 
 def _out_file(text: str) -> str:
@@ -145,9 +158,6 @@ def cmd_diagnose(args) -> int:
 
 def cmd_sweep_speed(args) -> int:
     demos = _corpus(args)
-    for m in args.method:
-        if m not in ex.METHODS:
-            raise InvalidInputError(f"unknown method: {m}")
     rows = ex.sweep_speed(demos, methods=tuple(args.method),
                           c_values=tuple(args.c_values), trials=args.trials,
                           seed=args.seed, jobs=args.jobs)
@@ -239,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sweep-speed", cmd_sweep_speed, "method x speedup sweep",
                 corpus, trials=20)
     p.add_argument("--jobs", type=_count, default=1)
-    p.add_argument("--method", type=_strings, default=["sail", "dp-fast"])
+    p.add_argument("--method", type=_list_of(_method),
+                   default=["sail", "dp-fast"])
     p.add_argument("--c-values", type=_speedups,
                    default=[1.0, 0.5, 0.33, 0.2, 0.1])
 
@@ -291,13 +302,22 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     return argv[:i + 1] + extra + argv[i + 1:]
 
 
+def _log_level() -> str:
+    """SAILX_LOG's level name, WARNING when it is unset."""
+    level = os.environ.get("SAILX_LOG", "WARNING").upper()
+    # a registered name maps to its number, anything else to a string
+    if not isinstance(logging.getLevelName(level), int):
+        raise InvalidInputError(f"SAILX_LOG={level!r} is not a log level "
+                                "(DEBUG, INFO, WARNING, ERROR, CRITICAL)")
+    return level
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    logging.basicConfig(
-        level=os.environ.get("SAILX_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
+        logging.basicConfig(level=_log_level(),
+                            format="%(levelname)s %(name)s: %(message)s")
         args = parser.parse_args(_apply_config(parser, argv))
         return args.func(args)
     except InvalidInputError as e:

@@ -19,7 +19,7 @@ from .core import Pose
 from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
                       REF_TWIST, REST_ROWS, _hamilton, _rotvec, _signed,
-                      _track_at_rest, _track_steps, track_loop,
+                      _track_at_rest, _track_columns, track_loop,
                       track_loop_batch)
 from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
@@ -329,9 +329,14 @@ class _ReferenceGroup:
         else:
             self._spline = PPoly.construct_fast(
                 _stack([r._spline.c for r in refs]), first.times)
-        self._seg_angvel = _stack([r._seg_angvel for r in refs])
         self.grippers = _stack([r.grippers for r in refs])
         self._identity = all(r._identity for r in refs)
+
+    @functools.cached_property
+    def _seg_angvel(self):
+        """The references' segment rates, stacked when a full block is first
+        sampled: a rest-form block reads none."""
+        return _stack([r._seg_angvel for r in self._refs])
 
     @functools.cached_property
     def _slerp_segments(self):
@@ -455,9 +460,8 @@ LOCKSTEP_MAX_ROWS = 64
 # was faster in all 4 cells at B = 4 (lockstep took 1.02-1.07x its time)
 # and lockstep in all 4 at B = 5 (0.86-0.93x), at B = 6 (0.58-0.70x), at
 # B = 7 (0.56-0.65x), at B = 8 (0.44-0.65x) and at B = 12 (0.35-0.54x).
-# The threshold is timed at rest: a batch whose orientation turns pays
-# ~31-57 us a step against ~4.4-5.7 us a scalar row, a break-even of about
-# 7-12 rows, and no workload turns. perfbench/test_perfbench.py requires
+# A batch whose orientation turns runs track_loop column by column either
+# way. perfbench/test_perfbench.py requires
 # kernels.track_loop steps in a traced replay-open-loop pass of 6 rows and
 # a traced ood-diagnose pass of 3 trials, which holds only while both run
 # row by row: perfbench has no binding for track_loop_batch, so the
@@ -581,8 +585,9 @@ def _track_batch(states, refs, gains, untils, faults):
     state = states[:, live]
     # Identity references give rest-form blocks: the step times are finite
     # (_slice_steps fails on a clock that is not), so their orientations are
-    # the identity and their rates zero. Columns that do not start a call at
-    # rest, or that fault in it, take that call's full block.
+    # the identity and their rates zero. A call whose columns do not start
+    # at rest, or one that faults, runs track_loop column by column on that
+    # call's full block.
     rest = all(s.group._identity for s in subs)
     ref_rows = REST_ROWS if rest else REF_ROWS
     block = np.empty((0, ref_rows, len(live)))
@@ -621,7 +626,7 @@ def _track_batch(states, refs, gains, untils, faults):
             elif _track_at_rest(state, ref, *args):
                 fault = np.full(len(live), -1)
             else:
-                fault = _track_steps(state, _sample_block(
+                fault = _track_columns(state, _sample_block(
                     subs, start, stop - start, REF_ROWS, len(live)), *args)
             faulted = np.flatnonzero(fault >= 0)
             if len(faulted):

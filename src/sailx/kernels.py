@@ -24,22 +24,14 @@ stored relative pose, so both plants form it only at a release, from the
 robot pose before that step, and at the end of a call; a release at a
 call's first step keeps the incoming object pose.
 
-``track_loop_batch`` is the same plant on the B columns of a (30, B) state,
-stepped in lockstep under per-column gains, with each column's bits equal
-to ``track_loop`` on that row. A turning step is about 52 numpy calls
-whatever B is, ~35-55 us on a 2-core x86-64 VM for 8-50 columns, against
-~4.5-6 us per row for the scalar loop. Every per-step value lives in a
-buffer allocated once per call and written with ``out``, since a Python
-float operand or a broadcast costs more than the arithmetic on a few
-columns: constants are 0-d arrays, q sits inside its signed (8, B) buffer,
-and the pose and gripper alternate between two buffers, so that a release
-still reads the pose from before its step. It keeps the scalar operation
-order: quaternion products are a[0] * b plus signed permutations of b, in
-the scalar term order, and the rare branches (sign flips, the < 1e-12
-angle branches, gripper crossings, grasps and faults) run only on the
-columns that take them. It writes no per-step trace. The scalar loop stays
-as the plant for single rollouts and small batches, and as the batched
-kernel's test oracle.
+``track_loop_batch`` is the same plant on the B columns of a (30, B) state
+under per-column gains, with each column's bits equal to ``track_loop`` on
+that row, and no per-step trace. It steps its columns in lockstep only at
+rest (below). Any other call, one whose orientation turns or one that
+faults, runs ``track_loop`` on each column over that column's rows of the
+block, so the scalar loop is the one full, turning update: no workload
+turns, and a turning step in lockstep cost as much as 7-12 scalar rows.
+The scalar loop is also the plant for single rollouts and small batches.
 
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
@@ -89,17 +81,18 @@ steps, call overhead included, against ~4.9-6.2 us through
 (~8-10 us for the 18-call step before that). After the loop:
 
 - Grasps and releases follow from the gripper history, g_i < 0.5 <= g_i+1
-  and the reverse, applied per (step, column) in step order. The robot's
-  motion never depends on the object, so a deferred grasp sees the poses
-  the loop saw, and a release forms the carried pose from row i.
+  and the reverse, applied per (step, column) in step order by the scalar
+  loop's ``_grasped`` and ``_carried``. The robot's motion never depends
+  on the object, so a deferred grasp sees the poses the loop saw, and a
+  release forms the carried pose from row i.
 - One check of the final velocity stands for the per-step fault check. A
   non-finite force makes the step's velocity non-finite (v + f dt, with dt
   finite), and a non-finite velocity stays non-finite: its error rv - v is
   non-finite, so is the next force, and inf + x is never finite while NaN
   propagates. So a finite final velocity proves that no step faulted;
   otherwise the call runs again, from the state the at-rest path left as it
-  was, on the full update, which finds the fault and leaves the orientation
-  at rest bit for bit.
+  was, on ``track_loop`` column by column, which finds the fault and leaves
+  the orientation at rest bit for bit.
 - The clock: when every column holds the same bits, n Python float
   additions broadcast to all of them; otherwise n numpy additions.
 
@@ -110,9 +103,9 @@ The column helpers ``_hamilton``, ``_rotvec``, ``_exp`` and ``_normalise``
 are the package's one vectorised quaternion algebra: they act on (4, B)
 quaternion or (3, B) rotation-vector columns, in the scalar loop's
 operation order, so each column has the bits of the per-quaternion helpers
-in ``tests/plant_oracle.py``. The batched plant, the segment rates of
-``controller.ReferenceTrack`` and the guided orientations of
-``policy.cfg_blend`` all use them.
+in ``tests/plant_oracle.py``. The batched plant's carried poses, the
+segment rates of ``controller.ReferenceTrack`` and the guided orientations
+of ``policy.cfg_blend`` all use them.
 
 Quaternions are (w, x, y, z), unit norm. The packed plant state vector,
 the program's only plant state, is what ``track_loop`` steps (a column of
@@ -442,21 +435,20 @@ _FACTOR = np.repeat(np.arange(4), 4).reshape(4, 4)
 _ZERO, _HALF, _TWO, _TINY = (np.array(v) for v in (0.0, 0.5, 2.0, 1e-12))
 
 
-def _hamilton(a, bb, index=_HAMILTON, out=None, work=(None, None)):
+def _hamilton(a, bb, index=_HAMILTON):
     """a * b (a * conj(b) with ``_CONJ``) of (4, B) quaternion columns.
 
     ``bb`` is (b; -b). The four terms are summed in order: ``add.reduce``
     over the leading axis adds its rows one after another, from -0.0, which
     leaves every sum as the scalar expression gives it; from its default
-    +0.0, four -0.0 terms would sum to +0.0. ``out`` (4, B)
-    and the pair ``work`` of (4, 4, B) arrays are optional buffers. Both
-    factors are gathered into full (4, 4, B) blocks, as a broadcast product
-    costs more than a second gather.
+    +0.0, four -0.0 terms would sum to +0.0. Both factors are gathered into
+    full (4, 4, B) blocks, as a broadcast product costs more than a second
+    gather.
     """
-    factors = a.take(_FACTOR, 0, work[0], "clip")
-    terms = bb.take(index, 0, work[1], "clip")
+    factors = a.take(_FACTOR, 0, mode="clip")
+    terms = bb.take(index, 0, mode="clip")
     np.multiply(factors, terms, terms)
-    return np.add.reduce(terms, 0, None, out, initial=-0.0)
+    return np.add.reduce(terms, 0, initial=-0.0)
 
 
 def _signed(q):
@@ -476,8 +468,8 @@ def _norm(v):
     return np.sqrt(norm, norm)
 
 
-def _normalise(m, out=None):
-    return _flip_negative_w(np.divide(m, _norm(m), out))
+def _normalise(m):
+    return _flip_negative_w(np.divide(m, _norm(m)))
 
 
 def _carried_pose(p, q, r, rq):
@@ -493,23 +485,8 @@ def _carried_pose(p, q, r, rq):
     return o, _normalise(_hamilton(q, _signed(rq)))
 
 
-def _gripper_frame_pose(p, q, o, oq):
-    """Object pose in the gripper frame: conj(q) applied to both."""
-    qw = q[0]
-    bx, by, bz = -q[1], -q[2], -q[3]
-    dx, dy, dz = o[0] - p[0], o[1] - p[1], o[2] - p[2]
-    tx = 2.0 * (by * dz - bz * dy)
-    ty = 2.0 * (bz * dx - bx * dz)
-    tz = 2.0 * (bx * dy - by * dx)
-    r = np.array([dx + qw * tx + (by * tz - bz * ty),
-                  dy + qw * ty + (bz * tx - bx * tz),
-                  dz + qw * tz + (bx * ty - by * tx)])
-    return r, _normalise(_hamilton(np.array([qw, bx, by, bz]), _signed(oq)))
-
-
-def _rotation(rv, angle, out=None):
-    if out is None:
-        out = np.empty((4,) + angle.shape)
+def _rotation(rv, angle):
+    out = np.empty((4,) + angle.shape)
     half = np.multiply(_HALF, angle)
     np.cos(half, out[0])
     np.sin(half, half)
@@ -518,36 +495,32 @@ def _rotation(rv, angle, out=None):
     return out
 
 
-def _exp(rv, out=None, small_out=None):
+def _exp(rv):
     """exp(rv) of (3, B) rotation vector columns, as (4, B) quaternions.
 
     Columns with an angle below 1e-12 take the normalised first-order
-    form (1, rv / 2), formed in ``small_out`` when it is given: a (4, B)
-    buffer whose first row is 1.0. ``out`` is an optional (4, B) buffer
-    for the result.
+    form (1, rv / 2).
     """
     angle = _norm(rv)
     small = np.less(angle, _TINY)
     k = np.count_nonzero(small)
     if k == 0:
-        return _rotation(rv, angle, out)
+        return _rotation(rv, angle)
     # (1, h) / |(1, h)| with h = rv / 2; 1.0 * 1.0 keeps the scalar sum order
-    if small_out is None:
-        small_out = np.ones((4, rv.shape[1]))
-    np.multiply(_HALF, rv, small_out[1:])
-    c = np.divide(small_out, _norm(small_out), out)
+    c = np.ones((4, rv.shape[1]))
+    np.multiply(_HALF, rv, c[1:])
+    np.divide(c, _norm(c), c)
     if k < len(small):
         arc = ~small
         c[:, arc] = _rotation(rv[:, arc], angle[arc])
     return c
 
 
-def _rotvec(m, out=None):
+def _rotvec(m):
     """Rotation vectors (3, B) of the (4, B) quaternion columns ``m``.
 
     ``m`` is flipped to w >= 0 in place, so each vector takes the shortest
-    arc: 2 arctan2(|v|, w) / |v| * v, or 2 v where |v| < 1e-12. ``out`` is
-    an optional (3, B) buffer for the result.
+    arc: 2 arctan2(|v|, w) / |v| * v, or 2 v where |v| < 1e-12.
     """
     m = _flip_negative_w(m)
     v = m[1:]
@@ -558,8 +531,8 @@ def _rotvec(m, out=None):
         scale = np.arctan2(vec_norm, m[0])
         np.multiply(_TWO, scale, scale)
         np.divide(scale, vec_norm, scale)
-        return np.multiply(scale, v, out)
-    e = np.multiply(_TWO, v, out)
+        return np.multiply(scale, v)
+    e = np.multiply(_TWO, v)
     if k < len(small):
         arc = ~small
         e[:, arc] = (2.0 * np.arctan2(vec_norm[arc], m[0, arc])
@@ -594,8 +567,28 @@ def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
             and _track_at_rest(state, ref[:, _REST_REF], kp_pos, kv_pos,
                                kp_ori, kv_ori, dt, grip_slew, grasp_radius)):
         return np.full(state.shape[1], -1)
-    return _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                        grip_slew, grasp_radius)
+    return _track_columns(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
+                          grip_slew, grasp_radius)
+
+
+@np.errstate(all="ignore")  # the batched plant never warns
+def _track_columns(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
+                   grip_slew, grasp_radius):
+    """``track_loop_batch`` column by column: ``track_loop`` on each column
+    of ``state`` over that column's rows of the full block ``ref``, under
+    that column's gains, with scratch out rows."""
+    n = len(ref)
+    outs = (np.empty((n, 3)), np.empty((n, 4)), np.empty(n), np.empty(n),
+            np.empty(n, dtype=np.int8))
+    fault = np.empty(state.shape[1], dtype=int)
+    for j, column in enumerate(state.T):  # views: track_loop writes state
+        twist = ref[:, REF_TWIST, j]
+        fault[j] = track_loop(column, ref[:, REF_POS, j], twist[:, :3],
+                              ref[:, REF_QUAT, j], twist[:, 3:],
+                              ref[:, REF_GRIP, j], kp_pos[j], kv_pos[j],
+                              kp_ori[j], kv_ori[j], dt, grip_slew,
+                              grasp_radius, *outs)
+    return fault
 
 
 @np.errstate(all="ignore")  # the scalar loop never warns either
@@ -603,7 +596,7 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                    grip_slew, grasp_radius):
     """``track_loop_batch`` on references at rest, when the columns start
     at rest and no step faults; otherwise it returns False and leaves
-    ``state`` alone, for ``_track_steps`` on the full reference block.
+    ``state`` alone, for ``_track_columns`` on the full reference block.
 
     ``rest_ref`` is an (n, REST_ROWS, B) block of [grip; pos; vel]
     reference rows, whose orientations must be the identity and whose
@@ -648,36 +641,33 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     if not np.isfinite(hist[n, 4:]).all():
         return False
 
-    # Grasps and releases, in step order, where the command crosses 0.5. The
-    # robot's motion does not depend on the object, so a grasp found here
-    # sees the poses it saw in the loop.
+    # Grasps and releases, in step order, where the command crosses 0.5, on
+    # the scalar loop's helpers: a grasp from the pose after its step, a
+    # release from the pose before it. The robot's motion does not depend on
+    # the object, so a grasp found here sees the poses it saw in the loop.
     grip = hist[:, 0]
     below = grip < 0.5
-    q = state[3:7]
-    o, oq, attached = state[14:17], state[17:21], state[21]
-    r, rq = state[22:25], state[25:29]
+    q, attached = state[3:7], state[21]
     steps, cols = np.nonzero(below[:-1] != below[1:])
     for i, j in zip(steps.tolist(), cols.tolist()):
-        c = slice(j, j + 1)
+        quat = q[:, j].tolist()
         if below[i, j] and grip[i + 1, j] >= 0.5:
             if attached[j] == 0.0:
-                p = hist[i + 1, 1:4, c]
-                d = o[:, c] - p
-                sq = d * d
-                if np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius:
+                held = _grasped(hist[i + 1, 1:4, j].tolist() + quat,
+                                state[14:21, j].tolist(), grasp_radius)
+                if held:
                     attached[j] = 1.0
-                    r[:, c], rq[:, c] = _gripper_frame_pose(p, q[:, c],
-                                                            o[:, c], oq[:, c])
+                    state[22:29, j] = held
         elif grip[i, j] >= 0.5 and attached[j] == 1.0:
             attached[j] = 0.0
             if i:  # the object was carried through the last step
-                o[:, c], oq[:, c] = _carried_pose(hist[i, 1:4, c], q[:, c],
-                                                  r[:, c], rq[:, c])
+                state[14:21, j] = _carried(hist[i, 1:4, j].tolist() + quat,
+                                           state[22:29, j].tolist())
     carried = np.flatnonzero(attached == 1.0)
     if n and len(carried):
-        o[:, carried], oq[:, carried] = _carried_pose(
-            hist[n, 1:4][:, carried], q[:, carried], r[:, carried],
-            rq[:, carried])
+        state[14:17, carried], state[17:21, carried] = _carried_pose(
+            hist[n, 1:4][:, carried], q[:, carried], state[22:25, carried],
+            state[25:29, carried])
     state[_REST_STATE] = hist[n]
 
     # the clock: one sum, broadcast, when every column holds the same bits
@@ -692,129 +682,3 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
             clock += dt
         t[:] = clock
     return True
-
-
-@np.errstate(all="ignore")
-def _track_steps(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt, grip_slew,
-                 grasp_radius):
-    """``track_loop_batch`` step by step, with the full update."""
-    n, b = ref.shape[0], state.shape[1]
-    gains = np.stack((kp_pos, kv_pos, kp_ori, kv_ori))
-    kp = np.repeat(gains[0::2], 3, axis=0)
-    kv = np.repeat(gains[1::2], 3, axis=0)
-    dt_ = np.array(dt)
-    max_step = np.array(float(grip_slew) * dt)
-    neg_max_step = -max_step
-    # Every per-step value lives in a buffer allocated here. Step i reads
-    # the robot pose and gripper from one half of each buffer and writes
-    # the other, so a release still sees the pose from before its step;
-    # q sits in the first half of its signed (8, B) buffer (q; -q).
-    p2 = np.empty((2, 3, b))
-    qq2 = np.empty((2, 8, b))
-    grip2 = np.empty((2, b))
-    below2 = np.empty((2, b), dtype=bool)
-    p2[0], qq2[0, :4], grip2[0] = state[0:3], state[3:7], state[13]
-    np.less(grip2[0], _HALF, below2[0])
-    # (p, qq, q, -q, grip, grip < 0.5) of each half, as views taken once
-    halves = [(p2[k], qq2[k], qq2[k, :4], qq2[k, 4:], grip2[k], below2[k])
-              for k in (0, 1)]
-    vw = state[7:13].copy()
-    o, oq = state[14:17].copy(), state[17:21].copy()
-    attached = state[21].copy()
-    r, rq, t = state[22:25].copy(), state[25:29].copy(), state[29].copy()
-    ref_pos, ref_twist = ref[:, REF_POS], ref[:, REF_TWIST]
-    ref_quat, ref_grip = ref[:, REF_QUAT], ref[:, REF_GRIP]
-    f = np.empty((6, b))
-    err = np.empty((6, b))  # the position error, then the rotation vector
-    move = np.empty((6, b))  # vw * dt
-    e_pos, e_rot, move_p, move_w = err[:3], err[3:], move[:3], move[3:]
-    m = np.empty((4, b))
-    c = np.empty((4, b))
-    c_small = np.ones((4, b))
-    work = np.empty((2, 4, 4, b))
-    crossed = np.empty(b, dtype=bool)
-
-    def store(steps):
-        # An attached object's pose is a function of the robot pose, so it
-        # is only formed here and at a release; with no step taken, the
-        # incoming pose stands, as it does in the scalar loop.
-        if steps:
-            rows = np.flatnonzero(attached == 1.0)
-            if len(rows):
-                o[:, rows], oq[:, rows] = _carried_pose(
-                    p[:, rows], q[:, rows], r[:, rows], rq[:, rows])
-        state[0:3], state[3:7], state[7:13], state[13] = p, q, vw, grip
-        state[14:17], state[17:21], state[21] = o, oq, attached
-        state[22:25], state[25:29], state[29] = r, rq, t
-
-    for i in range(n):
-        p, qq, q, neg_q, grip, below = halves[i & 1]
-        new_p, _, new_q, _, new_grip, now_below = halves[1 - (i & 1)]
-        # PD wrench; the orientation error is the rotation vector of
-        # ref * conj(q), taken on the shortest arc
-        np.negative(q, neg_q)
-        _rotvec(_hamilton(ref_quat[i], qq, _CONJ, m, work), e_rot)
-        np.subtract(ref_pos[i], p, e_pos)
-        np.multiply(kp, err, err)
-        np.subtract(ref_twist[i], vw, f)
-        np.multiply(kv, f, f)
-        np.add(err, f, f)
-        if not math.isfinite(np.add.reduce(f, None)):
-            bad = ~np.isfinite(f).all(axis=0)
-            if np.count_nonzero(bad):
-                # store the state before this step, then go on without the
-                # faulted columns
-                store(i)
-                fault = np.full(b, -1)
-                fault[bad] = i
-                live = np.flatnonzero(~bad)
-                if len(live):
-                    sub = state[:, live]
-                    sub_fault = track_loop_batch(
-                        sub, ref[i:, :, live], *gains[:, live], dt, grip_slew,
-                        grasp_radius)
-                    state[:, live] = sub
-                    fault[live] = np.where(sub_fault < 0, -1, sub_fault + i)
-                return fault
-
-        # semi-implicit Euler step
-        np.multiply(f, dt_, f)
-        np.add(vw, f, vw)
-        np.multiply(vw, dt_, move)
-        np.add(p, move_p, new_p)
-        # q <- normalize(exp(w dt) * q)
-        _normalise(_hamilton(_exp(move_w, c, c_small), qq, _HAMILTON, m,
-                             work), new_q)
-
-        # the step's gripper change, clamped to the slew, goes to new_grip
-        np.subtract(ref_grip[i], grip, new_grip)
-        _clip(new_grip, neg_max_step, max_step, new_grip)
-        np.add(grip, new_grip, new_grip)
-
-        # a grasp or a release needs the command to cross 0.5
-        np.less(new_grip, _HALF, now_below)
-        if np.count_nonzero(np.not_equal(now_below, below, crossed)):
-            grasp = np.flatnonzero(below & (new_grip >= 0.5)
-                                   & (attached == 0.0))
-            if len(grasp):
-                d = o[:, grasp] - new_p[:, grasp]
-                sq = d * d
-                near = np.sqrt(sq[0] + sq[1] + sq[2]) <= grasp_radius
-                grasp = grasp[near]
-                attached[grasp] = 1.0
-                r[:, grasp], rq[:, grasp] = _gripper_frame_pose(
-                    new_p[:, grasp], new_q[:, grasp], o[:, grasp],
-                    oq[:, grasp])
-            release = np.flatnonzero((grip >= 0.5) & now_below
-                                     & (attached == 1.0))
-            if len(release):
-                attached[release] = 0.0
-                if i:  # the object was carried through the last step
-                    o[:, release], oq[:, release] = _carried_pose(
-                        p[:, release], q[:, release], r[:, release],
-                        rq[:, release])
-        np.add(t, dt_, t)
-
-    p, _, q, _, grip, _ = halves[n & 1]
-    store(n)
-    return np.full(b, -1)

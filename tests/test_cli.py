@@ -144,6 +144,11 @@ class TestBasicCommands:
         (["diagnose", "--c-values", "1,-0.5"], "--c-values"),
         (["sweep-speed", "--jobs", "0"], "--jobs"),
         (["sweep-speed", "--jobs", "-3"], "--jobs"),
+        (["sweep-speed", "--c-values", ","], "--c-values"),
+        (["diagnose", "--c-values", ""], "--c-values"),
+        (["sweep-noise", "--scales", ","], "--scales"),
+        (["sweep-speed", "--method", ","], "--method"),
+        (["sweep-speed", "--method", "sail,bogus"], "--method"),
     ])
     def test_out_of_range_numbers_exit_2_before_work(self, argv, flag,
                                                      no_corpus, capsys):
@@ -165,6 +170,16 @@ class TestBasicCommands:
             main(argv)
         assert exc.value.code == 2
         assert "argument --out: no directory" in capsys.readouterr().err
+
+    def test_an_unknown_log_level_exits_2_before_work(self, monkeypatch,
+                                                       no_corpus, capsys):
+        monkeypatch.setenv("SAILX_LOG", "bogus")
+        with pytest.raises(SystemExit) as exc:
+            main(["label"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sailx: usage error: ") and "SAILX_LOG" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

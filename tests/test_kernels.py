@@ -217,9 +217,7 @@ def batch_cases(draw):
     """B plant cases cut to one step count, with the first case's dt,
     gripper slew and grasp radius.
 
-    Gains and states stay per row, faults included. The step
-    count is odd or even as drawn, so that the kernel ends on either half
-    of its swapped buffers.
+    Gains and states stay per row, faults included.
     """
     b = draw(st.integers(1, 12))
     return _lockstep_rows(draw, [draw(plant_cases()) for _ in range(b)])
@@ -292,8 +290,9 @@ class TestTrackLoopBatch:
         assert states[21].tolist() == [0.0, 0.0, 1.0]
 
     def test_a_carried_pose_keeps_a_negative_zero(self):
-        # the first column turns, so the batch takes the full update; the
-        # second carries its object at a relative orientation with w = -0.0
+        # the first column turns, so the batch runs track_loop column by
+        # column; the second carries its object at a relative orientation
+        # with w = -0.0
         rng = np.random.default_rng(8)
         n = 4
         refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
@@ -425,7 +424,8 @@ NEAR_MISS_SETTINGS = settings(SETTINGS, max_examples=12)
 class TestAtRest:
     """The identity orientation at rest is a fixed point of the rotational
     update, which the kernels skip; every bit stays as the oracle's, and
-    an input just off rest takes the full update."""
+    an input just off rest takes the full update: in a batch, track_loop
+    on every column."""
 
     @SETTINGS
     @given(at_rest_cases())
@@ -466,15 +466,21 @@ class TestAtRest:
             state[3:7] = IDENTITY
             rows.append((state, refs, params))
 
-        def unused(*args, **kwargs):
-            raise AssertionError("rotational update at rest")
+        # track_loop is the only rotational update, which a batch runs
+        # column by column once it leaves rest
+        calls = []
+        full = kernels.track_loop
 
-        monkeypatch.setattr(kernels, "_rotvec", unused)
-        monkeypatch.setattr(kernels, "_exp", unused)
+        def counted(*args):
+            calls.append(args[0].copy())
+            return full(*args)
+
+        monkeypatch.setattr(kernels, "track_loop", counted)
         _assert_columns_match_track_loop(rows, _oracle_loop)
+        assert not calls
         rows[1][0][11] = 1e-3  # one column spins
-        with pytest.raises(AssertionError, match="at rest"):
-            _assert_columns_match_track_loop(rows, _oracle_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop)
+        assert [_bits(c) for c in calls] == [_bits(s) for s, _, _ in rows]
 
 
 # Gains and shared params of the named at-rest cases: a gripper slew of 0.8
@@ -649,9 +655,9 @@ class TestRestHistory:
     def test_the_q_w_minus_1_near_miss(self):
         # A case of test_batch_near_misses_match_the_oracle[q w -1] that
         # failed only in the full tier-1 run: the column off rest sends the
-        # batch down the full update, where the other column grasps an
-        # object at (0, 0, -0.0, -1), whose gripper-frame orientation sums
-        # four -0.0 terms into its w.
+        # batch to track_loop column by column, where the other column
+        # grasps an object at (0, 0, -0.0, -1), whose gripper-frame
+        # orientation sums four -0.0 terms into its w.
         state = np.zeros(kernels.STATE_SIZE)
         state[0:3] = [0.0025, -0.0026, 0.0128]
         state[3] = 1.0

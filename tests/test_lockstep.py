@@ -425,11 +425,12 @@ def identity_cases(draw, kind):
 
     - "negative zero": waypoints whose vector parts hold -0.0;
     - "fault": a reference that overflows the PD force inside a block, so
-      that the at-rest step gives up on the call for the full step;
+      that the at-rest step gives up on the call for track_loop, column
+      by column, on the full block;
     - "edge": a grasp or a release on the last step of the first block or
       the first step of the next;
     - "turned": a robot that does not start at rest, so that every call
-      takes the full block.
+      takes the full block, column by column.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_rows = draw(st.integers(controller.LOCKSTEP_MIN_ROWS,
@@ -515,8 +516,8 @@ class TestIdentityReferences:
     """Lockstep runs on identity references, on rest-form blocks at the
     module's LOCKSTEP_BLOCK, against the column loop of ``lockstep_oracle``
     (``track_slices``) and against ``plant_oracle`` on ``reference_oracle``
-    samples, bit for bit; each case's fallback to the full step shows in
-    the calls of ``_track_steps``."""
+    samples, bit for bit; each case's fallback to track_loop, column by
+    column, shows in the calls of ``_track_columns``."""
 
     @pytest.mark.parametrize("kind, full_steps", [
         ("negative zero", False), ("fault", True), ("edge", False),
@@ -524,13 +525,13 @@ class TestIdentityReferences:
     def test_columns_match_both_oracles(self, kind, full_steps,
                                         monkeypatch):
         calls = []
-        full = controller._track_steps
+        full = controller._track_columns
 
         def counted(*args):
             calls.append(args[1].shape)
             return full(*args)
 
-        monkeypatch.setattr(controller, "_track_steps", counted)
+        monkeypatch.setattr(controller, "_track_columns", counted)
 
         @settings(max_examples=3, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow])
