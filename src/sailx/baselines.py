@@ -14,12 +14,18 @@ from .policy import ActionChunk, MockPolicy
 NORM_THRESHOLD = 0.0005   # m; flush once the accumulated delta exceeds this
 DOT_THRESHOLD = 0.25      # flush when the incoming delta turns away this far
 
-__all__ = ["aggregate_actions", "aggregate_chunk", "AggregatedActionsPolicy",
-           "NORM_THRESHOLD", "DOT_THRESHOLD"]
+__all__ = ["aggregate_chunk", "AggregatedActionsPolicy", "NORM_THRESHOLD",
+           "DOT_THRESHOLD"]
 
 
 def _aggregate(deltas):
-    """Segment deltas into merged vectors; also return each segment's end.
+    """Merge consecutive 3-vector deltas while they stay small and aligned.
+
+    Deltas accumulate into one output vector; the accumulator is flushed when
+    its norm exceeds NORM_THRESHOLD or when the normalized dot product
+    between the incoming delta and the accumulator drops below DOT_THRESHOLD.
+    A non-empty final partial accumulator is always flushed, so the
+    componentwise sum of the outputs equals the sum of the inputs.
 
     Returns (outputs, ends) where ends[j] is the index one past the last
     input delta merged into outputs[j].
@@ -50,19 +56,6 @@ def _aggregate(deltas):
         out.append(acc)
         ends.append(count)
     return out, ends
-
-
-def aggregate_actions(deltas) -> list[np.ndarray]:
-    """Merge consecutive 3-vector deltas while they stay small and aligned.
-
-    Deltas accumulate into one output vector; the accumulator is flushed when
-    its norm exceeds NORM_THRESHOLD or when the normalized dot product
-    between the incoming delta and the accumulator drops below DOT_THRESHOLD.
-    A non-empty final partial accumulator is always flushed, so the
-    componentwise sum of the outputs equals the sum of the inputs.
-    """
-    out, _ = _aggregate(deltas)
-    return out
 
 
 def aggregate_chunk(chunk: ActionChunk) -> ActionChunk:
@@ -101,6 +94,5 @@ def aggregate_chunk(chunk: ActionChunk) -> ActionChunk:
 class AggregatedActionsPolicy(MockPolicy):
     """MockPolicy whose every drawn chunk is delta-aggregated."""
 
-    def _extract(self, demo_idx, start, **kwargs):
-        chunk = super()._extract(demo_idx, start, **kwargs)
-        return aggregate_chunk(chunk)
+    def _extract(self, demo_idx, start, rng=None):
+        return aggregate_chunk(super()._extract(demo_idx, start, rng))

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("rollout", cmd_rollout, "closed-loop rollouts of one method",
                 corpus, trials=1)
-    p.add_argument("--method", default="sail", choices=ex.METHODS)
+    p.add_argument("--method", type=_method, default="sail")
     p.add_argument("--c", type=_speedup, default=1.0)
 
     p = command("metrics", cmd_metrics, "aggregate saved rollouts",

@@ -22,7 +22,8 @@ from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError
 from .io import generate_demos
 from .metrics import aggregate
-from .policy import DemoLibrary, MockPolicy, PolicyConfig, infer_unconditional
+from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
+                     infer_unconditional)
 from .scheduler import (DELTA_DELAY, ExecutorConfig, RolloutLog, run_rollout,
                         sample_trace)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
@@ -58,7 +59,10 @@ def method_setup(method: str, c: float = 1.0, *,
                  use_eag: bool | None = None) -> MethodSetup:
     """Map a named method onto policy/executor/controller settings.
 
-    Every method draws with noise_sigma = 0.002 and p_branch = 0.2.
+    Every method draws H_P-waypoint chunks with p_branch = 0.2 and the
+    policy's NOISE_SIGMA position noise, and executes their first
+    H_P - H_C waypoints at intervals no shorter than
+    scheduler.INTERVAL_FLOOR.
     sail: high-gain controller, reached-pose targets, speed c_fast = c off
     and c_slow = max(c, 0.5) on critical waypoints, with error-adaptive
     guidance. dp: the unsped baseline (always c = 1), low gain, commanded
@@ -68,15 +72,13 @@ def method_setup(method: str, c: float = 1.0, *,
     handled by replay_rollout, not here.
     """
     if method == "sail":
-        pc = PolicyConfig(noise_sigma=0.002, p_branch=0.2,
-                          target_mode="reached")
+        pc = PolicyConfig(p_branch=0.2, target_mode="reached")
         ec = ExecutorConfig(c_slow=max(c, 0.5), c_fast=c,
                             use_eag=True if use_eag is None else use_eag)
         return MethodSetup(pc, ec, "real-exec")
     if method in ("dp", "dp-fast", "agg-actions"):
         fixed = 1.0 if method == "dp" else c
-        pc = PolicyConfig(noise_sigma=0.002, p_branch=0.2,
-                          target_mode="commanded")
+        pc = PolicyConfig(p_branch=0.2, target_mode="commanded")
         ec = ExecutorConfig(c_slow=fixed, c_fast=fixed,
                             use_eag=False if use_eag is None else use_eag)
         cls = AggregatedActionsPolicy if method == "agg-actions" else MockPolicy
@@ -304,7 +306,7 @@ def _check_speedups(demos, c_values) -> None:
                 f"one {DELTA_DELAY:g} s latency")
 
 
-def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
+def _diagnostics_setup(demos, c: float, seed: int):
     """A diagnostics trial's reset onto a random demo state.
 
     Returns (state, ref, stride): the packed plant state on the drawn demo
@@ -316,7 +318,7 @@ def _diagnostics_setup(demos, c: float, seed: int, h_c: int):
     n = len(demo)
     stride = max(1, int(round(1.0 / c)))
     horizon = _horizon(c, demo.dt)
-    tail = h_c * stride
+    tail = H_C * stride
     if n < horizon + tail + 7:
         raise InvalidInputError(
             f"diagnostics at c={c:g} need {horizon + tail + 7} demo steps "
@@ -352,16 +354,15 @@ def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
     """A trial's row, its stretch tracked to ``state``: the tracking error,
     and the tail it would hand to the policy (the positions it will
     traverse next at speed c) scored against 64 unconditional draws."""
-    cfg = policy.config
     desired = ref.pose_at(float(ref.times[-1]))
     e_pos = float(np.linalg.norm(desired.position - state[ROBOT_POSITION]))
 
     # the tail is anchored at the retrieval match for the current state
     _, demo_idx, near_step = policy.nearest_states(state)[0]
     query = policy.positions(
-        demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
+        demo_idx, near_step + 1 + stride * np.arange(H_C)).reshape(-1)
     chunks = infer_unconditional(policy, state, size=64)
-    samples = SampleSet.from_chunks(chunks, cfg.h_c)
+    samples = SampleSet.from_chunks(chunks, H_C)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),
             "kde": kde_score(samples, query),
@@ -379,7 +380,7 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
     ``run_diagnostics`` runs the same steps for many trials at once.
     """
     _check_speedups(demos, (c,))
-    setup = _diagnostics_setup(demos, c, seed, policy.config.h_c)
+    setup = _diagnostics_setup(demos, c, seed)
     states = _track_stretches([setup])
     return _diagnostics_score(policy, c, states[:, 0], *setup[1:])
 
@@ -394,15 +395,14 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     order, so that the first trial that cannot run raises, tracked in one
     lockstep run, then scored in trial order.
     """
-    pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
+    pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
     _check_speedups(demos, c_values)
     rows = []
     for first in range(0, trials, LOCKSTEP_MAX_ROWS):
         chunk = [(t, c_values[t % len(c_values)])
                  for t in range(first, min(trials, first + LOCKSTEP_MAX_ROWS))]
-        setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t),
-                                     pc.h_c)
+        setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t))
                   for t, c in chunk]
         states = _track_stretches(setups)
         for (t, c), state, (_, ref, stride) in zip(chunk, states.T, setups):

@@ -8,7 +8,6 @@ the current tracking error and blends the two draws with the guidance
 weight.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +39,22 @@ class ActionChunk:
                            self.grippers[start:stop], self.flags[start:stop])
 
 
+H_P = 32          # prediction horizon
+H_C = 4           # conditioning length
+W_CFG = 1.0       # guidance weight
+RHO_POS = 0.02    # m, position tracking-error threshold
+RHO_ORI = 0.05    # rad, orientation tracking-error threshold
+NOISE_SIGMA = 0.002  # m, per-waypoint position noise of an unconditional draw
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
-    h_p: int = 32              # prediction horizon
-    h_c: int = 4               # conditioning length
-    w_cfg: float = 1.0         # guidance weight
-    rho_pos: float = 0.02      # m, position tracking-error threshold
-    rho_ori: float = 0.05      # rad, orientation tracking-error threshold
-    noise_sigma: float = 0.0   # m, per-waypoint position noise
     p_branch: float = 0.0      # probability of switching among nearest demos
     target_mode: str = "reached"  # or "commanded"
 
     def __post_init__(self):
-        if not 1 <= self.h_c < self.h_p:
-            raise ConfigurationError("require 1 <= h_c < h_p")
-        if not all(math.isfinite(v) for v in (
-                self.w_cfg, self.rho_pos, self.rho_ori, self.noise_sigma,
-                self.p_branch)):
-            raise ConfigurationError("guidance, noise and branch parameters "
-                                     "must be finite")
-        if self.w_cfg < 0 or self.rho_pos <= 0 or self.rho_ori <= 0:
-            raise ConfigurationError("invalid guidance parameters")
-        if self.noise_sigma < 0 or not 0 <= self.p_branch <= 1:
-            raise ConfigurationError("require noise_sigma >= 0 and "
-                                     "0 <= p_branch <= 1")
+        if not 0 <= self.p_branch <= 1:  # also refuses NaN
+            raise ConfigurationError("require 0 <= p_branch <= 1")
         if self.target_mode not in ("reached", "commanded"):
             raise ConfigurationError(f"unknown target_mode {self.target_mode!r}")
 
@@ -323,15 +314,15 @@ class MockPolicy:
         positions = self._rows[demo_idx][0]
         return positions[np.minimum(steps, len(positions) - 1)]
 
-    def _extract(self, demo_idx: int, start: int, rng=None,
-                 noise_sigma: float = 0.0) -> ActionChunk:
-        """The chunk of h_p steps of one demo from ``start``, held at its end.
+    def _extract(self, demo_idx: int, start: int, rng=None) -> ActionChunk:
+        """The chunk of H_P steps of one demo from ``start``, held at its end,
+        its positions perturbed by NOISE_SIGMA noise from ``rng`` when given.
 
         A window inside the demo is cut as read-only views of its rows;
         only one that runs past the demo's last step is gathered.
         """
         positions, orientations, grippers, flags = self._rows[demo_idx]
-        stop = start + self.config.h_p
+        stop = start + H_P
         if 0 <= start and stop <= len(flags):
             positions = positions[start:stop]
             orientations = orientations[start:stop]
@@ -343,8 +334,8 @@ class MockPolicy:
             orientations = orientations[idx]
             grippers = grippers[idx]
             flags = flags[idx]
-        if noise_sigma > 0.0 and rng is not None:
-            positions = positions + rng.normal(0.0, noise_sigma,
+        if rng is not None:
+            positions = positions + rng.normal(0.0, NOISE_SIGMA,
                                                size=positions.shape)
         return ActionChunk(positions, orientations, grippers, flags)
 
@@ -433,8 +424,7 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
         if branching and rng.random() < cfg.p_branch:
             choice = int(rng.integers(0, eligible))
         _, demo_idx, step = best[choice]
-        chunks.append(policy._extract(demo_idx, step + 1 + delay_steps,
-                                      rng=rng, noise_sigma=cfg.noise_sigma))
+        chunks.append(policy._extract(demo_idx, step + 1 + delay_steps, rng))
     return chunks[0] if size is None else chunks
 
 
@@ -445,40 +435,39 @@ def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk
     """Conditional draw: retrieval re-ranked to continue the given tail.
 
     Candidate windows across all demos are scored by position and gripper
-    distance of their first h_c steps to the tail, with a small
+    distance of their first H_C steps to the tail, with a small
     state-distance tiebreak; the gripper term disambiguates spatially
     overlapping phases (e.g. the approach descent and the post-grasp lift
     traverse the same region with opposite gripper states). The returned
     chunk starts at the best-matching window, the first in library order
-    on a tie, so its first h_c waypoints continue the tail.
+    on a tie, so its first H_C waypoints continue the tail.
     """
     return policy._extract(*_best_window(policy, obs, tail))
 
 
 def _best_window(policy: MockPolicy, obs, tail: ActionChunk):
     """(demo, start) of the lowest-scoring window, the first on a tie."""
-    n_windows = policy._grip.shape[1] - policy.config.h_c + 1
-    if n_windows < 1:  # no demo has h_c steps: every window scores +inf
+    n_windows = policy._grip.shape[1] - H_C + 1
+    if n_windows < 1:  # no demo has H_C steps: every window scores +inf
         return 0, 0
     return divmod(int(np.argmin(_window_scores(policy, obs, tail))),
                   n_windows)
 
 
 def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
-    """The score of window j of demo i, (D, L - h_c + 1).
+    """The score of window j of demo i, (D, L - H_C + 1).
 
-    It is the sum of the 3 h_c squared position differences of the
-    window's steps j .. j + h_c - 1 to the tail, in the order np.sum adds
+    It is the sum of the 3 H_C squared position differences of the
+    window's steps j .. j + H_C - 1 to the tail, in the order np.sum adds
     them as one contiguous row, plus GRIP_MATCH_WEIGHT times the sum of
-    its h_c squared gripper differences, plus 0.01 times the state
+    its H_C squared gripper differences, plus 0.01 times the state
     distance of step j. A window that runs into the +inf padding scores
     +inf. The sums run plane by plane over all windows at once.
     """
-    h_c = policy.config.h_c
-    n_windows = policy._grip.shape[1] - h_c + 1
+    n_windows = policy._grip.shape[1] - H_C + 1
     planes = policy._out_planes
-    tail_pos = np.asarray(tail.positions[:h_c]).tolist()
-    tail_grip = np.asarray(tail.grippers[:h_c]).tolist()
+    tail_pos = np.asarray(tail.positions[:H_C]).tolist()
+    tail_grip = np.asarray(tail.grippers[:H_C]).tolist()
 
     def position_term(i):
         k, axis = divmod(i, 3)
@@ -487,8 +476,8 @@ def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
     def grip_term(k):
         return _squares(policy._grip[:, k:k + n_windows] - tail_grip[k])
 
-    scores = _pairwise_sum(position_term, 3 * h_c)
-    grip = _pairwise_sum(grip_term, h_c)
+    scores = _pairwise_sum(position_term, 3 * H_C)
+    grip = _pairwise_sum(grip_term, H_C)
     grip *= GRIP_MATCH_WEIGHT
     scores += grip
     scores += 0.01 * policy._state_distances(obs)[:, :n_windows]
@@ -526,23 +515,23 @@ def infer_eag(policy: MockPolicy, obs, prev_chunk: ActionChunk,
     """Error-adaptive guidance: gate conditioning on the tracking error.
 
     If the tracking error of the robot pose in ``obs``, the packed plant
-    state, from ``current_desired`` exceeds either threshold, the
-    conditioning tail from the superseded plan is considered unreliable
-    and only the unconditional draw is used (guidance_applied = False).
-    Otherwise the conditional draw continuing prev_chunk[off : off + h_c]
-    is blended in with weight w_cfg, where off is exec_offset, the number
-    of waypoints of the previous chunk that will have been consumed when
-    the new one arrives.
+    state, from ``current_desired`` exceeds either threshold (RHO_POS,
+    RHO_ORI), the conditioning tail from the superseded plan is considered
+    unreliable and only the unconditional draw is used (guidance_applied =
+    False). Otherwise the conditional draw continuing
+    prev_chunk[off : off + H_C] is blended in with weight W_CFG, where off
+    is exec_offset, the number of waypoints of the previous chunk that will
+    have been consumed when the new one arrives. At W_CFG = 1 the blend
+    returns the conditional draw.
     """
-    cfg = policy.config
     off = int(exec_offset)
-    if len(prev_chunk) < off + cfg.h_c:
+    if len(prev_chunk) < off + H_C:
         raise InvalidInputError("previous chunk too short for a conditioning tail")
     err = tracking_error(current_desired, obs[ROBOT_POSITION],
                          obs[ROBOT_ORIENTATION])
     uncond = infer_unconditional(policy, obs, delay_steps=delay_steps)
-    if err.e_pos > cfg.rho_pos or err.e_ori > cfg.rho_ori:
+    if err.e_pos > RHO_POS or err.e_ori > RHO_ORI:
         return uncond, False
-    tail = prev_chunk.segment(off, off + cfg.h_c)
+    tail = prev_chunk.segment(off, off + H_C)
     cond = infer_conditional(policy, obs, tail)
-    return cfg_blend(uncond, cond, cfg.w_cfg), True
+    return cfg_blend(uncond, cond, W_CFG), True

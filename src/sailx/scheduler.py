@@ -2,17 +2,17 @@
 
 Inference runs back-to-back: the moment a chunk arrives, the state is
 snapshotted and the next inference is launched, arriving one inference delay
-later. Of each H_p-waypoint chunk only the first H_p - H_c waypoints are
+later. Of each H_P-waypoint chunk only the first H_P - H_C waypoints are
 executable; the remainder is reserved as the conditioning tail for the next
 prediction. A cycle therefore stalls (the robot holds its last reference
 pose) exactly when the per-waypoint interval drops below
 
-    delta_lb = DELTA_DELAY / (H_p - H_c),
+    delta_lb = DELTA_DELAY / (H_P - H_C),
 
 the smallest interval at which the executable span still covers the
-inference delay. The executor floors its intervals at
+inference delay. The executor floors its intervals at INTERVAL_FLOOR =
 (1 + SAFETY_MARGIN) * delta_lb so closed-loop runs never stall by design.
-At the default horizons (H_p = 32, H_c = 4) that floor is
+At the policy's horizons (policy.H_P = 32, policy.H_C = 4) that floor is
 1.05 * 0.4 s / 28, so a speed factor below 0.3 runs as 0.3.
 """
 
@@ -24,7 +24,8 @@ import numpy as np
 from .controller import GainProfile, ReferenceTrack, track
 from .errors import ConfigurationError
 from .metrics import con, speed_profile, wed
-from .policy import ActionChunk, MockPolicy, infer_eag, infer_unconditional
+from .policy import (H_C, H_P, ActionChunk, MockPolicy, infer_eag,
+                     infer_unconditional)
 from .sim import (GRIPPER, T_MAX, TIME, Pose, TaskSpec, initial_world,
                   success)
 
@@ -32,6 +33,8 @@ from .sim import (GRIPPER, T_MAX, TIME, Pose, TaskSpec, initial_world,
 DELTA_STAR = 0.05     # s, nominal waypoint interval (demo rate)
 DELTA_DELAY = 0.4     # s, inference latency
 SAFETY_MARGIN = 0.05  # interval floor margin over delta_lb
+# s, the smallest planned interval: SAFETY_MARGIN over delta_lb
+INTERVAL_FLOOR = (1.0 + SAFETY_MARGIN) * (DELTA_DELAY / (H_P - H_C))
 
 
 @dataclass(frozen=True)
@@ -47,62 +50,19 @@ class ExecutorConfig:
             raise ConfigurationError("require 0 < c_fast <= c_slow")
 
 
-def lower_bound_interval(delta_delay: float, h_p: int, h_c: int) -> float:
-    """Smallest stall-free waypoint interval: delta_delay / (h_p - h_c)."""
-    if h_p <= h_c:
-        raise ConfigurationError("prediction horizon must exceed the "
-                                 "conditioning length")
-    return delta_delay / (h_p - h_c)
-
-
 def speed_factor(flags, cfg: ExecutorConfig):
     """Per-waypoint speed factor: c_slow on critical waypoints, c_fast else."""
     k = np.asarray(flags, dtype=float)
     return k * cfg.c_slow + (1.0 - k) * cfg.c_fast
 
 
-def plan_intervals(flags, cfg: ExecutorConfig, h_p: int, h_c: int) -> np.ndarray:
-    """Per-waypoint execution intervals with the stall-safety floor applied.
+def plan_intervals(flags, cfg: ExecutorConfig) -> np.ndarray:
+    """Per-waypoint execution intervals, floored at INTERVAL_FLOOR.
 
     A fixed speed c is c_slow = c_fast = c: for flags in {0, 1} the speed
     factor is then exactly c.
     """
-    c = speed_factor(flags, cfg)
-    floor = (1.0 + SAFETY_MARGIN) * lower_bound_interval(
-        DELTA_DELAY, h_p, h_c)
-    return np.maximum(c * DELTA_STAR, floor)
-
-
-@dataclass
-class TimelineResult:
-    cycles: int
-    stall_count: int
-    total_stall_time: float
-    makespan: float
-
-
-def simulate_timeline(h_p: int, h_c: int, delta_delay: float, intervals,
-                      cycles: int = 50) -> TimelineResult:
-    """Pure timing simulation of the replanning loop (no physics).
-
-    ``intervals`` is the per-waypoint interval, scalar or one value per
-    cycle. A cycle stalls when its interval is below the lower bound, i.e.
-    its executable span ends before the next chunk arrives.
-    """
-    lb = lower_bound_interval(delta_delay, h_p, h_c)
-    dts = np.broadcast_to(np.asarray(intervals, dtype=float), (cycles,))
-    if np.any(dts <= 0):
-        raise ConfigurationError("intervals must be positive")
-    stall_count = 0
-    stall_time = 0.0
-    t = delta_delay  # first chunk lands after one inference delay
-    for dt in dts:
-        span = (h_p - h_c) * dt
-        if dt < lb:
-            stall_count += 1
-            stall_time += delta_delay - span
-        t += max(span, delta_delay)
-    return TimelineResult(cycles, stall_count, stall_time, t)
+    return np.maximum(speed_factor(flags, cfg) * DELTA_STAR, INTERVAL_FLOOR)
 
 
 @dataclass
@@ -159,9 +119,7 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
                 gains: GainProfile, start_pose: Pose,
                 seed: int = 0) -> RolloutLog:
     """Execute the policy on the task until success or the time limit."""
-    pcfg = policy.config
-    h_p, h_c = pcfg.h_p, pcfg.h_c
-    exec_n = h_p - h_c
+    exec_n = H_P - H_C
     state = initial_world(start_pose, task)
 
     samples: list[dict] = []
@@ -197,10 +155,10 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     while state[TIME] < T_MAX - 1e-9 and not done:
         if prev_chunk is not None:
             con_values.append(con(chunk, prev_chunk, prev_offset, 0))
-            wed_values.append(wed(chunk, prev_chunk, overlap=h_c,
+            wed_values.append(wed(chunk, prev_chunk, overlap=H_C,
                                   offset=prev_offset))
 
-        intervals = plan_intervals(chunk.flags, exec_cfg, h_p, h_c)
+        intervals = plan_intervals(chunk.flags, exec_cfg)
         wp_times = t_a + np.cumsum(intervals[:exec_n])
         t_next = t_a + DELTA_DELAY
         events.append((float(t_a), "splice"))

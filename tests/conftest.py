@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 import sailx
 from sailx.experiments import build_demo_corpus, make_task
@@ -21,6 +22,15 @@ sys.path.insert(0, str(_PERFBENCH))
 for _path in sorted(_PERFBENCH.glob("*.py")):
     if not _path.stem.startswith("test_"):
         importlib.import_module(_path.stem)
+
+
+# A failing example is reported as found, not shrunk: shrinking a broken
+# kernel's examples ran for minutes, so that a fault looked like a hang.
+# The examples drawn and the assertions are the same, so every failure
+# still fails. Each test's own settings take the rest from this profile.
+settings.register_profile(
+    "tier1", phases=[phase for phase in Phase if phase is not Phase.shrink])
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from sailx.core import IDENTITY_QUAT, Pose
 from sailx.diagnostics import SampleSet, kde_score, knn_distance, mmd
 from sailx.errors import GenerationError, InvalidInputError
 from sailx.experiments import _trial_seed, replay_rollout, task_for_demo
-from sailx.policy import (DemoLibrary, MockPolicy, PolicyConfig,
+from sailx.policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                           infer_unconditional)
 from sailx.io import Demonstration, _nominal_trajectory, _scripted_path
 from sailx.sim import TaskSpec, initial_world, success
@@ -142,12 +142,11 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
     traverse next at speed c) is scored against N unconditional draws.
     """
     rng = np.random.default_rng((seed, 11))
-    cfg = policy.config
     demo = demos[int(rng.integers(0, len(demos)))]
     n = len(demo)
     stride = max(1, int(round(1.0 / c)))
     horizon = int(round(0.4 / (c * demo.dt)))
-    tail = cfg.h_c * stride
+    tail = H_C * stride
     if n < horizon + tail + 7:
         raise InvalidInputError(
             f"diagnostics at c={c:g} need {horizon + tail + 7} demo steps "
@@ -171,9 +170,9 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
     # next at speed c, anchored at the retrieval match for the current state
     _, demo_idx, near_step = policy.nearest_states(state)[0]
     query = policy.positions(
-        demo_idx, near_step + 1 + stride * np.arange(cfg.h_c)).reshape(-1)
+        demo_idx, near_step + 1 + stride * np.arange(H_C)).reshape(-1)
     chunks = infer_unconditional(policy, state, size=64)
-    samples = SampleSet.from_chunks(chunks, cfg.h_c)
+    samples = SampleSet.from_chunks(chunks, H_C)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),
             "kde": kde_score(samples, query),
@@ -183,7 +182,7 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
 def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
                     seed: int = 0) -> list[dict]:
     """Pooled single-step reset trials across speedup factors."""
-    pc = PolicyConfig(noise_sigma=0.002, p_branch=1.0, target_mode="reached")
+    pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
     rows = []
     for t in range(trials):

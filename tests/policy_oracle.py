@@ -7,11 +7,14 @@ so tests can require the vectorised draws to reproduce them bit for bit.
 did before it packed them. ``PackedOracle`` is the packed library and
 full window scoring the per-axis planes replaced. ``blend_orientations``
 is the per-waypoint loop ``policy.cfg_blend`` formed its orientations with.
+The loops read the policy's ``H_P``, ``H_C`` and ``NOISE_SIGMA`` from
+``sailx.policy`` when they run, so a test that patches them patches both.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from sailx import policy as sailx_policy
 from sailx.baselines import aggregate_chunk
 from sailx.policy import (BRANCH_SLACK, GRIP_MATCH_WEIGHT, GRIP_WEIGHT,
                           OBJ_WEIGHT, POS_WEIGHT, ActionChunk)
@@ -56,15 +59,15 @@ class OraclePolicy:
             per_demo.append(d)
         return per_demo
 
-    def _extract(self, demo_idx: int, start: int, rng=None,
-                 noise_sigma: float = 0.0) -> ActionChunk:
-        h = self.config.h_p
+    def _extract(self, demo_idx: int, start: int, rng=None) -> ActionChunk:
+        h = sailx_policy.H_P
         pos_src = self._out_pos[demo_idx]
         n = len(pos_src)
         idx = np.minimum(np.arange(start, start + h), n - 1)
         positions = pos_src[idx].copy()
-        if noise_sigma > 0.0 and rng is not None:
-            positions += rng.normal(0.0, noise_sigma, size=positions.shape)
+        if rng is not None:
+            positions += rng.normal(0.0, sailx_policy.NOISE_SIGMA,
+                                    size=positions.shape)
         return ActionChunk(positions, self._out_quat[demo_idx][idx].copy(),
                            self._grip[demo_idx][idx].copy(),
                            self._flags[demo_idx][idx].copy())
@@ -73,8 +76,8 @@ class OraclePolicy:
 class OracleAggregatedPolicy(OraclePolicy):
     """OraclePolicy whose every drawn chunk is delta-aggregated."""
 
-    def _extract(self, demo_idx, start, **kwargs):
-        return aggregate_chunk(super()._extract(demo_idx, start, **kwargs))
+    def _extract(self, demo_idx, start, rng=None):
+        return aggregate_chunk(super()._extract(demo_idx, start, rng))
 
 
 def nearest_match(policy: OraclePolicy, obs):
@@ -98,14 +101,12 @@ def infer_unconditional(policy: OraclePolicy, obs,
         choice = int(rng.integers(0, eligible))
     _, demo_idx, step = best[choice]
     start = step + 1 + delay_steps
-    return policy._extract(demo_idx, start, rng=rng,
-                           noise_sigma=cfg.noise_sigma)
+    return policy._extract(demo_idx, start, rng=rng)
 
 
 def infer_conditional(policy: OraclePolicy, obs,
                       tail: ActionChunk) -> ActionChunk:
-    cfg = policy.config
-    h_c = cfg.h_c
+    h_c = sailx_policy.H_C
     tail_pos = np.asarray(tail.positions[:h_c])
     tail_grip = np.asarray(tail.grippers[:h_c])
     state_dists = policy._state_distances(obs)
@@ -145,7 +146,7 @@ class PackedOracle:
         self.config = config
         key = "reached" if config.target_mode == "reached" else "commanded"
         self._lengths = [len(d.grippers) for d in demos]
-        width = max(max(self._lengths), config.h_c)
+        width = max(max(self._lengths), sailx_policy.H_C)
 
         def pack(rows):
             out = np.full((len(demos), width) + rows[0].shape[1:], np.inf)
@@ -180,7 +181,7 @@ class PackedOracle:
         return d
 
     def window_scores(self, obs, tail) -> np.ndarray:
-        h_c = self.config.h_c
+        h_c = sailx_policy.H_C
         tail_pos = np.asarray(tail.positions[:h_c]).reshape(-1)
         tail_grip = np.asarray(tail.grippers[:h_c])
         n_demos, width = self._grip.shape

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from sailx.baselines import aggregate_actions
 from sailx.cli import main
 from sailx.core import tracking_error
 from sailx.diagnostics import SampleSet, knn_distance
@@ -19,11 +18,12 @@ from sailx.experiments import (run_diagnostics, run_method_rollout,
 from sailx.metrics import aggregate, ldlj, sparc, tpr, wed
 from sailx.policy import (MockPolicy, PolicyConfig, cfg_blend, infer_eag,
                           infer_unconditional)
-from sailx.scheduler import lower_bound_interval, simulate_timeline
 from sailx.sim import Pose, initial_world
 from sailx.speedmod import NOISE, dbscan, extract_waypoints, label_critical
 
+from baseline_oracle import aggregate_actions
 from plant_oracle import quat_from_rotvec, quat_mul, quat_normalize
+from scheduler_oracle import lower_bound_interval, simulate_timeline
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sailx.baselines import (DOT_THRESHOLD, NORM_THRESHOLD,
-                             AggregatedActionsPolicy, aggregate_actions,
-                             aggregate_chunk)
+                             AggregatedActionsPolicy, aggregate_chunk)
 from sailx.errors import InvalidInputError
-from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig,
+from sailx.policy import (H_P, ActionChunk, MockPolicy, PolicyConfig,
                           infer_unconditional)
 from sailx.experiments import task_for_demo
 from sailx.sim import Pose, initial_world
+
+from baseline_oracle import aggregate_actions
 
 
 def displacement(deltas):
@@ -72,7 +73,7 @@ class TestAggregateChunk:
                                    demos20[0].reached[0, 3:7]),
                               task_for_demo(demos20[0]))
         chunk = infer_unconditional(policy, world)
-        assert len(chunk) == policy.config.h_p
+        assert len(chunk) == H_P
         raw = MockPolicy(demos20, PolicyConfig(), seed=0)._extract(0, 0)
         agg = aggregate_chunk(raw)
         assert len(agg) == len(raw)

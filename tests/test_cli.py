@@ -149,6 +149,7 @@ class TestBasicCommands:
         (["sweep-noise", "--scales", ","], "--scales"),
         (["sweep-speed", "--method", ","], "--method"),
         (["sweep-speed", "--method", "sail,bogus"], "--method"),
+        (["rollout", "--method", "bogus"], "--method"),
     ])
     def test_out_of_range_numbers_exit_2_before_work(self, argv, flag,
                                                      no_corpus, capsys):

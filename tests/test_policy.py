@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sailx.core import Pose, tracking_error
+from sailx import policy as sailx_policy
 from sailx.errors import ConfigurationError, InvalidInputError
-from sailx.policy import (ActionChunk, MockPolicy, PolicyConfig, cfg_blend,
-                          infer_conditional, infer_eag, infer_unconditional)
+from sailx.policy import (H_C, H_P, ActionChunk, MockPolicy, PolicyConfig,
+                          cfg_blend, infer_conditional, infer_eag,
+                          infer_unconditional)
 from sailx.sim import initial_world
 from sailx.experiments import task_for_demo
 
@@ -31,9 +33,15 @@ def _chunk(n=8, seed=0, theta=0.0):
                        rng.integers(0, 2, size=n).astype(np.int8))
 
 
-@pytest.fixture(scope="module")
-def policy(demos20):
-    cfg = PolicyConfig(noise_sigma=0.0, p_branch=0.0, target_mode="reached")
+@pytest.fixture()
+def noiseless(monkeypatch):
+    """Draws without position noise, so they land on demo waypoints."""
+    monkeypatch.setattr(sailx_policy, "NOISE_SIGMA", 0.0)
+
+
+@pytest.fixture()
+def policy(demos20, noiseless):
+    cfg = PolicyConfig(p_branch=0.0, target_mode="reached")
     return MockPolicy(demos20, cfg, seed=7)
 
 
@@ -52,20 +60,6 @@ class TestActionChunk:
         assert seg.positions == pytest.approx(c.positions[2:6])
 
 
-class TestPolicyConfig:
-    def test_horizon_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=4, h_c=4)
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=8, h_c=9)
-
-    @pytest.mark.parametrize("h_c", [0, -1])
-    def test_conditioning_length_must_be_positive(self, h_c):
-        # an empty tail used to pass and fail later, in the window scores
-        with pytest.raises(ConfigurationError):
-            PolicyConfig(h_p=32, h_c=h_c)
-
-
 class TestUnconditional:
     def test_negative_seed_rejected(self, demos20):
         # default_rng refuses negative keys, and only at the first draw
@@ -73,7 +67,7 @@ class TestUnconditional:
             MockPolicy(demos20, PolicyConfig(), seed=-1)
 
     def test_deterministic_per_seed(self, demos20):
-        cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.2)
+        cfg = PolicyConfig(p_branch=0.2)
         obs = _obs(demos20[0])
         chunks = []
         for _ in range(2):
@@ -96,8 +90,8 @@ class TestUnconditional:
 
     def test_chunk_shape(self, policy, demos20):
         chunk = infer_unconditional(policy, _obs(demos20[0]))
-        assert chunk.positions.shape == (policy.config.h_p, 3)
-        assert chunk.orientations.shape == (policy.config.h_p, 4)
+        assert chunk.positions.shape == (H_P, 3)
+        assert chunk.orientations.shape == (H_P, 4)
 
 
 class TestLastQueryCache:
@@ -125,7 +119,7 @@ class TestLastQueryCache:
             dists[0, 0] = 0.0
 
     def test_warm_and_cold_caches_draw_the_same_chunks(self, demos20):
-        cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.5)
+        cfg = PolicyConfig(p_branch=0.5)
         observations = [_obs(demos20[i]) for i in (0, 0, 5, 5, 0)]
         elsewhere = _obs(demos20[9])
 
@@ -137,7 +131,7 @@ class TestLastQueryCache:
                 evict()
                 chunks.append(infer_unconditional(policy, obs))
                 evict()
-                tail = chunks[-2].segment(0, cfg.h_c)
+                tail = chunks[-2].segment(0, H_C)
                 chunks.append(infer_conditional(policy, obs, tail))
             return chunks
 
@@ -154,10 +148,9 @@ class TestLastQueryCache:
 class TestConditional:
     def test_continues_tail(self, policy, demos20):
         obs = _obs(demos20[2])
-        h_c = policy.config.h_c
-        tail = infer_unconditional(policy, obs).segment(0, h_c)
+        tail = infer_unconditional(policy, obs).segment(0, H_C)
         cond = infer_conditional(policy, obs, tail)
-        assert cond.positions[:h_c] == pytest.approx(tail.positions, abs=1e-9)
+        assert cond.positions[:H_C] == pytest.approx(tail.positions, abs=1e-9)
 
     def test_gripper_state_disambiguates(self, policy, demos20):
         # a stationary tail with closed gripper must not match the demo's
@@ -165,12 +158,11 @@ class TestConditional:
         demo = demos20[0]
         closed = np.nonzero(demo.grippers >= 0.5)[0]
         start = int(closed[0])
-        h_c = policy.config.h_c
-        tail = ActionChunk(demo.reached[start:start + h_c, :3].copy(),
-                           demo.reached[start:start + h_c, 3:7].copy(),
-                           np.ones(h_c), np.zeros(h_c, dtype=np.int8))
+        tail = ActionChunk(demo.reached[start:start + H_C, :3].copy(),
+                           demo.reached[start:start + H_C, 3:7].copy(),
+                           np.ones(H_C), np.zeros(H_C, dtype=np.int8))
         cond = infer_conditional(policy, _obs(demo), tail)
-        assert np.all(cond.grippers[:h_c] >= 0.5)
+        assert np.all(cond.grippers[:H_C] >= 0.5)
 
 
 @st.composite
@@ -271,7 +263,8 @@ class TestEag:
         _, applied = self._run(policy, demos20, e_ori=0.06)
         assert not applied
 
-    def test_gate_reads_the_state_without_renormalising(self, demos20):
+    def test_gate_reads_the_state_without_renormalising(self, demos20,
+                                                         monkeypatch):
         # an orientation that one more renormalisation moves, and the
         # threshold at exactly its error: the gate compares the state's
         # own bits, which every tracked stretch leaves normalised once
@@ -284,7 +277,8 @@ class TestEag:
             again = Pose(np.zeros(3), q).orientation
             if tracking_error(desired, np.zeros(3), again).e_ori > e_ori:
                 break
-        policy = MockPolicy(demos20, PolicyConfig(rho_ori=e_ori), seed=0)
+        monkeypatch.setattr(sailx_policy, "RHO_ORI", e_ori)
+        policy = MockPolicy(demos20, PolicyConfig(), seed=0)
         obs = _obs(demos20[1])
         prev = infer_unconditional(policy, obs)
         obs[0:3], obs[3:7] = 0.0, q
@@ -297,14 +291,13 @@ class TestEag:
         with pytest.raises(InvalidInputError):
             infer_eag(policy, obs, prev, Pose(np.zeros(3)), exec_offset=8)
 
-    def test_exec_offset_moves_tail(self, demos20):
-        cfg = PolicyConfig(noise_sigma=0.0, p_branch=0.0, target_mode="reached")
+    def test_exec_offset_moves_tail(self, demos20, noiseless):
+        cfg = PolicyConfig(p_branch=0.0, target_mode="reached")
         policy = MockPolicy(demos20, cfg, seed=1)
         obs = _obs(demos20[1])
         prev = infer_unconditional(policy, obs)
-        h_c = cfg.h_c
         chunk, applied = infer_eag(policy, obs, prev,
                                    Pose(obs[0:3], obs[3:7]), exec_offset=20)
         assert applied
-        assert chunk.positions[:h_c] == pytest.approx(
-            prev.positions[20:20 + h_c], abs=1e-9)
+        assert chunk.positions[:H_C] == pytest.approx(
+            prev.positions[20:20 + H_C], abs=1e-9)

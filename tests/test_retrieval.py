@@ -10,6 +10,7 @@ aggregated baseline. A batch of unconditional draws must give the chunks
 as many single draws give. The window scores are not exposed; the sweep
 digests check their summation order.
 """
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sailx import policy as sailx_policy
 from sailx.baselines import AggregatedActionsPolicy
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.io import Demonstration
 from sailx.errors import ConfigurationError, InvalidInputError
-from sailx.policy import (BATCH_SEEDING_MIN, ActionChunk, DemoLibrary,
+from sailx.policy import (BATCH_SEEDING_MIN, H_C, ActionChunk, DemoLibrary,
                           MockPolicy, PolicyConfig, _best_window,
                           _pairwise_sum, _window_scores, infer_conditional,
                           infer_unconditional)
@@ -59,14 +61,24 @@ def _demo(rng, base, n, offset, grip_step) -> Demonstration:
         objects=np.hstack([obj, quat]))
 
 
+@contextmanager
+def _policy_constants(consts):
+    """Run with the policy's module constants set to ``consts``."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in consts.items():
+            mp.setattr(sailx_policy, name, value)
+        yield
+
+
 @st.composite
 def retrieval_cases(draw):
+    """(policy constants, config, demos, aggregated, seed, rng)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h_c = draw(st.integers(2, 5))
     h_p = h_c + draw(st.integers(1, 4)) + draw(st.integers(1, 12))
-    cfg = PolicyConfig(h_p=h_p, h_c=h_c,
-                       noise_sigma=draw(st.sampled_from([0.0, 0.002])),
-                       p_branch=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    consts = dict(H_P=h_p, H_C=h_c,
+                  NOISE_SIGMA=draw(st.sampled_from([0.0, 0.002])))
+    cfg = PolicyConfig(p_branch=draw(st.sampled_from([0.0, 0.5, 1.0])),
                        target_mode=draw(st.sampled_from(["reached",
                                                          "commanded"])))
     base = np.cumsum(rng.normal(0.0, 0.01, (60, 3)), axis=0)
@@ -81,7 +93,7 @@ def retrieval_cases(draw):
         demos.insert(int(rng.integers(0, len(demos) + 1)),
                      demos[int(rng.integers(0, len(demos)))])
     aggregated = draw(st.booleans())
-    return cfg, demos, aggregated, draw(st.integers(0, 2**16)), rng
+    return consts, cfg, demos, aggregated, draw(st.integers(0, 2**16)), rng
 
 
 def _query(rng, demos):
@@ -114,35 +126,36 @@ def _tail(rng, chunk, h_c):
 @SETTINGS
 @given(retrieval_cases())
 def test_draws_match_the_per_demo_loops(case):
-    cfg, demos, aggregated, seed, rng = case
-    if aggregated:
-        fast = AggregatedActionsPolicy(demos, cfg, seed=seed)
-        slow = policy_oracle.OracleAggregatedPolicy(demos, cfg, seed=seed)
-    else:
-        fast = MockPolicy(demos, cfg, seed=seed)
-        slow = policy_oracle.OraclePolicy(demos, cfg, seed=seed)
-    obs = _query(rng, demos)
-    for _ in range(6):
-        if rng.random() < 0.6:  # else repeat the last observation
-            obs = _query(rng, demos)
-        dists = fast._state_distances(obs)
-        for row, ref in zip(dists, slow._state_distances(obs)):
-            assert row[:len(ref)].tobytes() == ref.tobytes()
-            assert np.all(row[len(ref):] == np.inf)
-        assert fast.nearest_states(obs)[0] == \
-            policy_oracle.nearest_match(slow, obs)
-        delay = int(rng.integers(0, 10))
-        chunk = infer_unconditional(fast, obs, delay_steps=delay)
-        assert _same(chunk, policy_oracle.infer_unconditional(
-            slow, obs, delay_steps=delay))
-        tail = _tail(rng, chunk, cfg.h_c)
-        assert _same(infer_conditional(fast, obs, tail),
-                     policy_oracle.infer_conditional(slow, obs, tail))
+    consts, cfg, demos, aggregated, seed, rng = case
+    with _policy_constants(consts):
+        if aggregated:
+            fast = AggregatedActionsPolicy(demos, cfg, seed=seed)
+            slow = policy_oracle.OracleAggregatedPolicy(demos, cfg, seed=seed)
+        else:
+            fast = MockPolicy(demos, cfg, seed=seed)
+            slow = policy_oracle.OraclePolicy(demos, cfg, seed=seed)
+        obs = _query(rng, demos)
+        for _ in range(6):
+            if rng.random() < 0.6:  # else repeat the last observation
+                obs = _query(rng, demos)
+            dists = fast._state_distances(obs)
+            for row, ref in zip(dists, slow._state_distances(obs)):
+                assert row[:len(ref)].tobytes() == ref.tobytes()
+                assert np.all(row[len(ref):] == np.inf)
+            assert fast.nearest_states(obs)[0] == \
+                policy_oracle.nearest_match(slow, obs)
+            delay = int(rng.integers(0, 10))
+            chunk = infer_unconditional(fast, obs, delay_steps=delay)
+            assert _same(chunk, policy_oracle.infer_unconditional(
+                slow, obs, delay_steps=delay))
+            tail = _tail(rng, chunk, sailx_policy.H_C)
+            assert _same(infer_conditional(fast, obs, tail),
+                         policy_oracle.infer_conditional(slow, obs, tail))
 
 
 @st.composite
 def batch_cases(draw):
-    cfg, demos, aggregated, _, rng = draw(retrieval_cases())
+    consts, cfg, demos, aggregated, _, rng = draw(retrieval_cases())
     cfg = replace(cfg, p_branch=draw(st.sampled_from([0.0, 0.2, 1.0])))
     # policy seeds of 1, 2 and 3 uint32 words, and calls made before
     seed = draw(st.one_of(st.integers(0, 2**32 - 1),
@@ -151,32 +164,34 @@ def batch_cases(draw):
                                  BATCH_SEEDING_MIN, 64]))
     # demos hold at most 60 steps: large delays run windows past their end
     delay = draw(st.sampled_from([0, 1, 30, 70]))
-    return cfg, demos, aggregated, seed, draw(st.integers(0, 3)), size, \
-        delay, rng
+    return consts, cfg, demos, aggregated, seed, draw(st.integers(0, 3)), \
+        size, delay, rng
 
 
 @SETTINGS
 @given(batch_cases())
 def test_a_batch_of_draws_is_the_single_draws(case):
-    cfg, demos, aggregated, seed, before, size, delay, rng = case
-    fast_class = AggregatedActionsPolicy if aggregated else MockPolicy
-    slow_class = (policy_oracle.OracleAggregatedPolicy if aggregated
-                  else policy_oracle.OraclePolicy)
-    batched, twin = (fast_class(demos, cfg, seed=seed) for _ in range(2))
-    slow = slow_class(demos, cfg, seed=seed)
-    obs = _query(rng, demos)
-    for _ in range(before):
-        infer_unconditional(batched, obs)
-        infer_unconditional(twin, obs)
-        policy_oracle.infer_unconditional(slow, obs)
-    chunks = infer_unconditional(batched, obs, delay_steps=delay, size=size)
-    assert isinstance(chunks, list) and len(chunks) == size
-    for chunk in chunks:
-        assert _same(chunk, infer_unconditional(twin, obs,
-                                                delay_steps=delay))
-        assert _same(chunk, policy_oracle.infer_unconditional(
-            slow, obs, delay_steps=delay))
-    assert batched._calls == twin._calls == slow._calls == before + size
+    consts, cfg, demos, aggregated, seed, before, size, delay, rng = case
+    with _policy_constants(consts):
+        fast_class = AggregatedActionsPolicy if aggregated else MockPolicy
+        slow_class = (policy_oracle.OracleAggregatedPolicy if aggregated
+                      else policy_oracle.OraclePolicy)
+        batched, twin = (fast_class(demos, cfg, seed=seed) for _ in range(2))
+        slow = slow_class(demos, cfg, seed=seed)
+        obs = _query(rng, demos)
+        for _ in range(before):
+            infer_unconditional(batched, obs)
+            infer_unconditional(twin, obs)
+            policy_oracle.infer_unconditional(slow, obs)
+        chunks = infer_unconditional(batched, obs, delay_steps=delay,
+                                     size=size)
+        assert isinstance(chunks, list) and len(chunks) == size
+        for chunk in chunks:
+            assert _same(chunk, infer_unconditional(twin, obs,
+                                                    delay_steps=delay))
+            assert _same(chunk, policy_oracle.infer_unconditional(
+                slow, obs, delay_steps=delay))
+        assert batched._calls == twin._calls == slow._calls == before + size
 
 
 def test_an_empty_batch_draws_nothing(demos20):
@@ -204,23 +219,25 @@ def _tails(rng, demos, chunk, h_c):
 @SETTINGS
 @given(retrieval_cases())
 def test_planes_score_as_the_packed_library(case):
-    cfg, demos, _, seed, rng = case
-    policy = MockPolicy(demos, cfg, seed=seed)
-    packed = policy_oracle.PackedOracle(demos, cfg)
-    width = policy._grip.shape[1]
-    for _ in range(4):
-        obs = _query(rng, demos)
-        want = packed.state_distances(obs)
-        assert policy._state_distances(obs).tobytes() == \
-            np.ascontiguousarray(want[:, :width]).tobytes()
-        assert np.all(want[:, width:] == np.inf)
-        chunk = infer_unconditional(policy, obs)
-        for tail in _tails(rng, demos, chunk, cfg.h_c):
-            if width >= cfg.h_c:
-                assert _window_scores(policy, obs, tail).tobytes() == \
-                    packed.window_scores(obs, tail).tobytes()
-            assert _best_window(policy, obs, tail) == \
-                packed.best_window(obs, tail)
+    consts, cfg, demos, _, seed, rng = case
+    with _policy_constants(consts):
+        h_c = sailx_policy.H_C
+        policy = MockPolicy(demos, cfg, seed=seed)
+        packed = policy_oracle.PackedOracle(demos, cfg)
+        width = policy._grip.shape[1]
+        for _ in range(4):
+            obs = _query(rng, demos)
+            want = packed.state_distances(obs)
+            assert policy._state_distances(obs).tobytes() == \
+                np.ascontiguousarray(want[:, :width]).tobytes()
+            assert np.all(want[:, width:] == np.inf)
+            chunk = infer_unconditional(policy, obs)
+            for tail in _tails(rng, demos, chunk, h_c):
+                if width >= h_c:
+                    assert _window_scores(policy, obs, tail).tobytes() == \
+                        packed.window_scores(obs, tail).tobytes()
+                assert _best_window(policy, obs, tail) == \
+                    packed.best_window(obs, tail)
 
 
 @SETTINGS
@@ -238,7 +255,7 @@ def test_pairwise_sum_adds_in_the_order_of_np_sum(n, seed):
 @SETTINGS
 @given(retrieval_cases())
 def test_the_ranking_kept_with_a_query_is_a_fresh_ranking(case):
-    cfg, demos, _, seed, rng = case
+    _, cfg, demos, _, seed, rng = case
     warm = MockPolicy(demos, cfg, seed=seed)
     for _ in range(4):
         obs = _query(rng, demos)
@@ -251,14 +268,14 @@ def test_the_ranking_kept_with_a_query_is_a_fresh_ranking(case):
 def test_a_shared_library_draws_as_an_own_one(demos20):
     library = DemoLibrary(demos20)
     for mode in ("reached", "commanded"):
-        cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.5, target_mode=mode)
+        cfg = PolicyConfig(p_branch=0.5, target_mode=mode)
         shared = MockPolicy(demos20, cfg, seed=3, library=library)
         own = MockPolicy(demos20, cfg, seed=3)
         for demo in demos20[:5]:
             obs = _query(np.random.default_rng(len(demo)), [demo])
             a = infer_unconditional(shared, obs)
             assert _same(a, infer_unconditional(own, obs))
-            tail = a.segment(0, cfg.h_c)
+            tail = a.segment(0, H_C)
             assert _same(infer_conditional(shared, obs, tail),
                          infer_conditional(own, obs, tail))
 
@@ -283,7 +300,13 @@ def _at_state(demo, step):
                   float(demo.grippers[step]))
 
 
-# where a drawn window [start, start + h_p) ends against its demo's last
+def _short_horizons(monkeypatch):
+    """Draw 16-step chunks continuing 3-step tails, to fit the demos."""
+    monkeypatch.setattr(sailx_policy, "H_P", 16)
+    monkeypatch.setattr(sailx_policy, "H_C", 3)
+
+
+# where a drawn window [start, start + H_P) ends against its demo's last
 # step: one step before it, exactly at it, one step past it, and with
 # start itself past the demo
 WINDOW_ENDS = {"inside": -1, "at_last_step": 0, "one_past": 1,
@@ -295,10 +318,12 @@ WINDOW_ENDS = {"inside": -1, "at_last_step": 0, "one_past": 1,
 @pytest.mark.parametrize("noise_sigma", [0.0, 0.002])
 @pytest.mark.parametrize("end", list(WINDOW_ENDS))
 def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
-                                                        aggregated, mode):
+                                                        aggregated, mode,
+                                                        monkeypatch):
     demos = _library_demos()
-    cfg = PolicyConfig(h_p=16, h_c=3, noise_sigma=noise_sigma,
-                       target_mode=mode)
+    _short_horizons(monkeypatch)
+    monkeypatch.setattr(sailx_policy, "NOISE_SIGMA", noise_sigma)
+    cfg = PolicyConfig(target_mode=mode)
     if aggregated:
         fast = AggregatedActionsPolicy(demos, cfg, seed=5)
         slow = policy_oracle.OracleAggregatedPolicy(demos, cfg, seed=5)
@@ -309,7 +334,7 @@ def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
         obs = _at_state(demo, len(demo) // 2)
         _, nearest, step = fast.nearest_states(obs)[0]
         # the draw starts at step + 1 + delay_steps
-        start = len(demos[nearest]) - cfg.h_p + WINDOW_ENDS[end]
+        start = len(demos[nearest]) - sailx_policy.H_P + WINDOW_ENDS[end]
         delay = start - step - 1
         assert delay >= 0
         chunk = infer_unconditional(fast, obs, delay_steps=delay)
@@ -317,15 +342,21 @@ def test_draws_at_a_demos_end_match_the_per_demo_loops(end, noise_sigma,
             slow, obs, delay_steps=delay))
 
 
-def test_a_window_inside_a_demo_is_a_read_only_view_of_the_library():
+def test_a_window_inside_a_demo_is_a_read_only_view_of_the_library(
+        monkeypatch):
     demos = _library_demos()
-    policy = MockPolicy(demos, PolicyConfig(h_p=16, h_c=3))
+    _short_horizons(monkeypatch)
+    monkeypatch.setattr(sailx_policy, "NOISE_SIGMA", 0.0)
+    policy = MockPolicy(demos, PolicyConfig())
     obs = _at_state(demos[0], 5)
     _, nearest, step = policy.nearest_states(obs)[0]
     first = infer_unconditional(policy, obs)
     tail = ActionChunk(*(getattr(first, f)[:3] for f in FIELDS))
-    for chunk in (first, infer_conditional(policy, obs, tail)):
-        for field, rows in zip(FIELDS, policy._rows[nearest]):
+    cond = infer_conditional(policy, obs, tail)
+    # an unconditional draw adds its noise to a copy of the positions
+    assert not np.shares_memory(first.positions, policy._rows[nearest][0])
+    for chunk, start in ((first, 1), (cond, 0)):
+        for field, rows in list(zip(FIELDS, policy._rows[nearest]))[start:]:
             part = getattr(chunk, field)
             assert np.shares_memory(part, rows)
             with pytest.raises(ValueError, match="read-only"):

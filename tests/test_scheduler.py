@@ -7,10 +7,12 @@ from sailx.controller import GAIN_PRESETS
 from sailx.core import Pose
 from sailx.errors import ConfigurationError
 from sailx.experiments import task_for_demo
-from sailx.policy import MockPolicy, PolicyConfig
-from sailx.scheduler import (ExecutorConfig, lower_bound_interval,
-                             plan_intervals, run_rollout, simulate_timeline,
+from sailx.policy import H_C, H_P, MockPolicy, PolicyConfig
+from sailx.scheduler import (DELTA_DELAY, INTERVAL_FLOOR, SAFETY_MARGIN,
+                             ExecutorConfig, plan_intervals, run_rollout,
                              speed_factor)
+
+from scheduler_oracle import lower_bound_interval, simulate_timeline
 
 
 class TestLowerBound:
@@ -37,25 +39,29 @@ class TestSpeedFactor:
 
 class TestPlanIntervals:
     """The executor plans at a 0.05 s demo interval, floored at 1.05 times
-    the 0.4 s latency's stall bound: 0.015 s at h_p = 32, h_c = 4."""
+    the 0.4 s latency's stall bound: 0.015 s at H_P = 32, H_C = 4."""
 
     def test_adaptive_intervals(self):
         cfg = ExecutorConfig(c_slow=0.5, c_fast=0.4)
         flags = np.array([0, 1, 0, 1], dtype=np.int8)
-        out = plan_intervals(flags, cfg, 32, 4)
+        out = plan_intervals(flags, cfg)
         assert out == pytest.approx([0.02, 0.025, 0.02, 0.025])
 
     def test_floor_applies(self):
         cfg = ExecutorConfig(c_fast=0.2, c_slow=0.5)
-        out = plan_intervals(np.zeros(4, dtype=np.int8), cfg, 32, 4)
+        out = plan_intervals(np.zeros(4, dtype=np.int8), cfg)
         floor = 1.05 * 0.4 / 28
         assert np.all(out >= floor - 1e-15)
+        # the floor is the margin over criterion 1's bound, bit for bit
+        model = (1 + SAFETY_MARGIN) * lower_bound_interval(DELTA_DELAY, H_P,
+                                                           H_C)
+        assert INTERVAL_FLOOR.hex() == model.hex()
         # every c below 0.3 runs at the floor
         assert out == pytest.approx([0.015] * 4)
 
     def test_fixed_c(self):
         cfg = ExecutorConfig(c_slow=1.0, c_fast=1.0)
-        out = plan_intervals(np.ones(3, dtype=np.int8), cfg, 32, 4)
+        out = plan_intervals(np.ones(3, dtype=np.int8), cfg)
         assert out == pytest.approx([0.05, 0.05, 0.05])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -68,7 +74,7 @@ class TestPlanIntervals:
         flags = np.array(flags, dtype=np.int8)
         floor = 1.05 * lower_bound_interval(0.4, 32, 4)
         want = np.maximum(np.full(len(flags), c) * 0.05, floor)
-        assert plan_intervals(flags, cfg, 32, 4).tobytes() == want.tobytes()
+        assert plan_intervals(flags, cfg).tobytes() == want.tobytes()
 
 
 class TestSimulateTimeline:
@@ -77,6 +83,9 @@ class TestSimulateTimeline:
         res = simulate_timeline(32, 4, 0.4, 1.05 * lb, cycles=100)
         assert res.stall_count == 0
         assert res.cycles == 100
+        # nor does the executor's floor at the policy's horizons
+        assert simulate_timeline(H_P, H_C, DELTA_DELAY,
+                                 INTERVAL_FLOOR).stall_count == 0
 
     def test_every_cycle_stalls_below_bound(self):
         lb = lower_bound_interval(0.4, 32, 4)
@@ -98,7 +107,7 @@ class TestSimulateTimeline:
 @pytest.fixture(scope="module")
 def rollout(demos20):
     demo = demos20[0]
-    cfg = PolicyConfig(noise_sigma=0.002, p_branch=0.2, target_mode="reached")
+    cfg = PolicyConfig(p_branch=0.2, target_mode="reached")
     policy = MockPolicy(demos20, cfg, seed=0)
     ec = ExecutorConfig(c_slow=0.5, c_fast=0.2, use_eag=True)
     start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())

@@ -41,16 +41,15 @@ def test_gain_profile_rejects_non_finite_gains(slot, bad):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(w_cfg=np.nan), dict(w_cfg=np.inf), dict(rho_pos=np.nan),
-    dict(rho_pos=np.inf), dict(rho_ori=np.nan), dict(rho_ori=np.inf),
-    dict(noise_sigma=np.nan), dict(noise_sigma=np.inf),
-    dict(noise_sigma=-1.0), dict(p_branch=np.nan), dict(p_branch=2.0),
-    dict(p_branch=-0.5)])
+    dict(p_branch=np.nan), dict(p_branch=np.inf), dict(p_branch=-np.inf),
+    dict(p_branch=2.0), dict(p_branch=-0.5),
+    dict(p_branch=np.nextafter(1.0, np.inf)),
+    dict(p_branch=np.nextafter(0.0, -np.inf)), dict(target_mode="bogus")])
 def test_policy_config_rejects_non_finite_or_out_of_range_values(kwargs):
     with pytest.raises(ConfigurationError):
         PolicyConfig(**kwargs)
-    # the range ends stay valid
-    PolicyConfig(noise_sigma=0.0, p_branch=0.0)
+    # the range ends stay valid, the floats next to them outside do not
+    PolicyConfig(p_branch=0.0)
     PolicyConfig(p_branch=1.0)
 
 
