@@ -94,5 +94,6 @@ def aggregate_chunk(chunk: ActionChunk) -> ActionChunk:
 class AggregatedActionsPolicy(MockPolicy):
     """MockPolicy whose every drawn chunk is delta-aggregated."""
 
-    def _extract(self, demo_idx, start, rng=None):
-        return aggregate_chunk(super()._extract(demo_idx, start, rng))
+    def _chunk(self, positions, orientations, grippers, flags):
+        return aggregate_chunk(
+            super()._chunk(positions, orientations, grippers, flags))

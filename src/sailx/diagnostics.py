@@ -24,18 +24,23 @@ class SampleSet:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise InvalidInputError("sample set must be a non-empty (N, d) array")
+        if not np.isfinite(v).all():
+            raise InvalidInputError("sample set must be finite")
         object.__setattr__(self, "vectors", v)
 
     @classmethod
     def from_chunks(cls, chunks, length: int | None = None) -> "SampleSet":
         """Flatten chunk positions (optionally only the first ``length`` steps)."""
-        rows = []
-        for c in chunks:
-            p = np.asarray(c.positions, dtype=float)
-            if length is not None:
-                p = p[:length]
-            rows.append(p.reshape(-1))
-        return cls(np.array(rows))
+        rows = np.array([c.positions[:length] for c in chunks], dtype=float)
+        return cls(rows.reshape(len(rows), -1) if len(rows) else rows)
+
+
+def _query(query) -> np.ndarray:
+    """The query as a float array; refuses NaN and inf."""
+    q = np.asarray(query, dtype=float)
+    if not np.isfinite(q).all():
+        raise InvalidInputError("query must be finite")
+    return q
 
 
 def scott_bandwidths(samples: np.ndarray) -> np.ndarray:
@@ -55,7 +60,7 @@ def kde_score(samples: SampleSet, query) -> float:
     x = samples.vectors
     if x.shape[0] < 2:
         raise InvalidInputError("KDE needs at least 2 samples")
-    q = np.asarray(query, dtype=float)
+    q = _query(query)
     h = scott_bandwidths(x)
     z = (q[None, :] - x) / h
     log_norm = -0.5 * x.shape[1] * np.log(2 * np.pi) - np.sum(np.log(h))
@@ -68,7 +73,7 @@ def knn_distance(samples: SampleSet, query, k: int = 8) -> float:
     x = samples.vectors
     if k < 1 or k > x.shape[0]:
         raise InvalidInputError(f"k={k} outside [1, {x.shape[0]}]")
-    q = np.asarray(query, dtype=float)
+    q = _query(query)
     dists = np.linalg.norm(x - q[None, :], axis=1)
     nearest = np.partition(dists, k - 1)[:k]
     return float(np.mean(nearest))
@@ -79,10 +84,10 @@ def mmd(samples: SampleSet, query, bandwidth: float = 0.5) -> float:
 
     Returns sqrt of MMD^2 = mean_ij k(x_i, x_j) - 2 mean_i k(x_i, q) + k(q, q).
     """
-    if bandwidth <= 0:
-        raise InvalidInputError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:  # also refuses NaN
+        raise InvalidInputError("bandwidth must be positive and finite")
     x = samples.vectors
-    q = np.asarray(query, dtype=float)
+    q = _query(query)
     gamma = 1.0 / (2.0 * bandwidth**2)
     sq = np.sum(x * x, axis=1)
     d_xx = sq[:, None] + sq[None, :] - 2.0 * x @ x.T

@@ -22,7 +22,9 @@ from .sim import GRIPPER, OBJECT_POSITION, ROBOT_ORIENTATION, ROBOT_POSITION
 class ActionChunk:
     """A policy prediction: timed pose + gripper waypoints with critical flags.
 
-    A drawn chunk's arrays may be read-only views of the demo library.
+    A drawn chunk's arrays may be read-only and shared with the demo
+    library or with the other chunks of its batch, but for the positions
+    of an unconditional draw, which are its own row of the batch's noise.
     """
 
     positions: np.ndarray      # (H, 3)
@@ -203,8 +205,9 @@ def _generators(seed: int, first: int, n: int):
 
     A batch of at least BATCH_SEEDING_MIN keys that _pcg64_states covers
     is served by one Generator, set to each key's state in turn, so each
-    must be done with before the next is taken; other keys get their own
-    default_rng.
+    must be done with before the next is taken: infer_unconditional makes
+    all of a key's draws, branch and noise, before it takes the next.
+    Other keys get their own default_rng.
     """
     if n < BATCH_SEEDING_MIN or seed >= 2**96 or first + n > 2**32:
         for call in range(first, first + n):
@@ -226,7 +229,9 @@ class MockPolicy:
     derives its own RNG from (seed, call counter), so concurrent use of the
     returned chunks is safe and repeated runs produce identical sequences.
     ``infer_unconditional(..., size=n)`` draws n chunks in one call,
-    advancing the counter by n, with the chunks n single calls would give.
+    advancing the counter by n, with the chunks n single calls would give:
+    their noise fills one (n, H_P, 3) buffer, and each chunk's positions
+    are one row of it.
 
     ``library`` is a DemoLibrary packed from ``demos``, for policies that
     share one; it is packed here when not given.
@@ -314,30 +319,30 @@ class MockPolicy:
         positions = self._rows[demo_idx][0]
         return positions[np.minimum(steps, len(positions) - 1)]
 
-    def _extract(self, demo_idx: int, start: int, rng=None) -> ActionChunk:
-        """The chunk of H_P steps of one demo from ``start``, held at its end,
-        its positions perturbed by NOISE_SIGMA noise from ``rng`` when given.
+    def _window(self, demo_idx: int, start: int):
+        """The rows of H_P steps of one demo from ``start``, held at its end:
+        positions, orientations, grippers and flags.
 
         A window inside the demo is cut as read-only views of its rows;
-        only one that runs past the demo's last step is gathered.
+        only one that runs past the demo's last step is gathered, and is
+        read-only too, since the chunks of a batch share their window.
         """
         positions, orientations, grippers, flags = self._rows[demo_idx]
         stop = start + H_P
         if 0 <= start and stop <= len(flags):
-            positions = positions[start:stop]
-            orientations = orientations[start:stop]
-            grippers = grippers[start:stop]
-            flags = flags[start:stop]
-        else:
-            idx = np.minimum(np.arange(start, stop), len(flags) - 1)
-            positions = positions[idx]
-            orientations = orientations[idx]
-            grippers = grippers[idx]
-            flags = flags[idx]
-        if rng is not None:
-            positions = positions + rng.normal(0.0, NOISE_SIGMA,
-                                               size=positions.shape)
+            return (positions[start:stop], orientations[start:stop],
+                    grippers[start:stop], flags[start:stop])
+        idx = np.minimum(np.arange(start, stop), len(flags) - 1)
+        return (_read_only(positions[idx]), _read_only(orientations[idx]),
+                _read_only(grippers[idx]), _read_only(flags[idx]))
+
+    def _chunk(self, positions, orientations, grippers, flags) -> ActionChunk:
+        """The chunk a policy hands out for these rows."""
         return ActionChunk(positions, orientations, grippers, flags)
+
+    def _extract(self, demo_idx: int, start: int) -> ActionChunk:
+        """The chunk of one demo's window from ``start`` (see _window)."""
+        return self._chunk(*self._window(demo_idx, start))
 
 
 def _pairwise_sum(term, n: int) -> np.ndarray:
@@ -406,25 +411,47 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
 
     ``size`` follows numpy's Generator: None returns one chunk, and n
     returns a list of n chunks, the ones n successive single calls would
-    give. The nearest states and the eligible branches are found once for
-    all n, and their generators are seeded together (see _generators).
+    give; a single draw is a batch of one. The nearest states and the
+    eligible branches are found once for all n, and their generators are
+    seeded together (see _generators). The batch's noise fills one
+    (n, H_P, 3) buffer, which is scaled once and gets each draw's window
+    added in one indexed add, so chunk i's positions are row i of it;
+    its orientations, grippers and flags are its window's (see
+    MockPolicy._window).
     """
     if size is not None and size < 0:
         raise InvalidInputError(f"size must be >= 0, got {size}")
     cfg = policy.config
-    rngs = policy._rngs(1 if size is None else size)
+    n = 1 if size is None else size
+    rngs = policy._rngs(n)
     best = policy.nearest_states(obs, BRANCH_CANDIDATES)
     branching = cfg.p_branch > 0.0 and len(best) > 1
+    eligible = 1
     if branching:
         cutoff = best[0][0] + BRANCH_SLACK ** 2
         eligible = sum(1 for b in best if b[0] <= cutoff)
-    chunks = []
-    for rng in rngs:
-        choice = 0
+    # each draw reads, in key order, its branch draws and then H_P x 3
+    # standard normals into its row of one buffer; normal(0.0, s) returns
+    # 0.0 + s * z, so scaling the buffer and adding 0.0 (which turns -0.0
+    # into +0.0) gives the bits rng.normal would
+    choices = [0] * n
+    noise = np.empty((n, H_P, 3))
+    for i, rng in enumerate(rngs):
         if branching and rng.random() < cfg.p_branch:
-            choice = int(rng.integers(0, eligible))
-        _, demo_idx, step = best[choice]
-        chunks.append(policy._extract(demo_idx, step + 1 + delay_steps, rng))
+            choices[i] = int(rng.integers(0, eligible))
+        rng.standard_normal(out=noise[i])
+    noise *= NOISE_SIGMA
+    noise += 0.0
+    # the windows drawn, each gathered once
+    windows = [None] * eligible
+    positions = np.empty((eligible, H_P, 3))
+    for c in set(choices):
+        _, demo_idx, step = best[c]
+        windows[c] = policy._window(demo_idx, step + 1 + delay_steps)
+        positions[c] = windows[c][0]
+    noise += positions.take(choices, axis=0)
+    chunks = [policy._chunk(row, *windows[c][1:])
+              for row, c in zip(noise, choices)]
     return chunks[0] if size is None else chunks
 
 

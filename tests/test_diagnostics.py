@@ -21,6 +21,25 @@ class TestSampleSet:
         assert s.vectors.shape == (2, 6)
         assert s.vectors[0] == pytest.approx(np.arange(6, dtype=float))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_are_refused(self, bad):
+        # a NaN row used to pass, and knn_distance then dropped it: samples
+        # [0, NaN, 2], query 0.5, k = 1 gave 0.5
+        with pytest.raises(InvalidInputError, match="finite"):
+            SampleSet(np.array([[0.0], [bad], [2.0]]))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("score", [kde_score, knn_distance, mmd])
+def test_non_finite_queries_are_refused(score, bad):
+    # each score used to return nan for such a query
+    s = SampleSet(np.arange(16.0).reshape(8, 2))  # k = 8 for knn_distance
+    with pytest.raises(InvalidInputError, match="finite"):
+        score(s, np.array([0.5, bad]))
+
 
 class TestScottBandwidths:
     def test_formula(self, rng):
@@ -113,6 +132,13 @@ class TestMmd:
         s = SampleSet(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
             mmd(s, np.zeros(2), bandwidth=0.0)
+
+    # nan used to give nan, and inf 0.0
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf])
+    def test_finite_bandwidth_required(self, bandwidth):
+        s = SampleSet(np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="bandwidth"):
+            mmd(s, np.zeros(2), bandwidth=bandwidth)
 
 
 class TestDiagnosticsTrial:

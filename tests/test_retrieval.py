@@ -203,6 +203,47 @@ def test_an_empty_batch_draws_nothing(demos20):
         infer_unconditional(policy, obs, size=-1)
 
 
+def test_a_negative_zero_coordinate_draws_as_the_oracle_without_noise():
+    # normal(0.0, 0.0) gives +0.0, and -0.0 + +0.0 is +0.0; a batch's
+    # scaled standard normals are -0.0 where z < 0, so only the 0.0 it
+    # adds to them makes a -0.0 coordinate come out +0.0 as it did
+    demos = []
+    for demo in _library_demos():
+        reached = demo.reached.copy()
+        reached[:, 0] = -0.0
+        demos.append(replace(demo, reached=reached))
+    cfg = PolicyConfig(p_branch=0.5)
+    with _policy_constants({"NOISE_SIGMA": 0.0}):
+        fast = MockPolicy(demos, cfg, seed=4)
+        slow = policy_oracle.OraclePolicy(demos, cfg, seed=4)
+        obs = _at_state(demos[1], 30)
+        chunks = infer_unconditional(fast, obs, size=BATCH_SEEDING_MIN + 1)
+        for chunk in chunks:
+            assert _same(chunk, policy_oracle.infer_unconditional(slow, obs))
+        assert not np.signbit(chunks[0].positions[:, 0]).any()
+
+
+@pytest.mark.parametrize("policy_class", [MockPolicy, AggregatedActionsPolicy])
+@pytest.mark.parametrize("p_branch", [0.0, 1.0])
+def test_the_positions_of_a_batch_are_each_draws_own(policy_class, p_branch):
+    demos = _library_demos()  # a duplicate demo: branches tie
+    policy = policy_class(demos, PolicyConfig(p_branch=p_branch), seed=2)
+    library = [row for rows in policy._rows for row in rows]
+    before = [row.tobytes() for row in library]
+    obs = _at_state(demos[1], 30)
+    # windows inside the demos, and windows past their ends
+    for delay in (0, 40):
+        chunks = infer_unconditional(policy, obs, delay_steps=delay, size=8)
+        for chunk in chunks:
+            assert not any(np.shares_memory(chunk.positions, row)
+                           for row in library)
+        others = [c.positions.copy() for c in chunks[1:]]
+        chunks[0].positions[...] = 1.0
+        for chunk, want in zip(chunks[1:], others):
+            assert chunk.positions.tobytes() == want.tobytes()
+    assert [row.tobytes() for row in library] == before
+
+
 def _tails(rng, demos, chunk, h_c):
     """Tails a conditional draw may get, exact windows among them."""
     yield _tail(rng, chunk, h_c)

@@ -6,13 +6,17 @@ seeding step. ``policy._generators`` serves the keys it covers from one
 reused Generator and the others from ``default_rng``. Both must give the
 draws ``default_rng`` gives, through every drawing method the policy uses,
 for seeds of one, two and three uint32 words and calls up to 2**32 - 1.
-A numpy release that changes how it seeds fails here.
+A numpy release that changes how it seeds fails here, and one that
+changes how ``normal`` relates to ``standard_normal``, which a batch of
+unconditional draws fills its noise buffer with, fails here too.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sailx.policy import BATCH_SEEDING_MIN, _generators, _pcg64_states
+from sailx.policy import (BATCH_SEEDING_MIN, H_P, NOISE_SIGMA, _generators,
+                          _pcg64_states)
 
 # a fixed example sequence keeps every tier-1 run repeatable
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -86,3 +90,18 @@ def test_keys_outside_the_batch_pass_draw_as_default_rng(keys, k, m):
     for c, rng in zip(range(first, first + n), rngs):
         assert _draws(rng, k, m) == \
             _draws(np.random.default_rng((seed, c)), k, m)
+
+
+@pytest.mark.parametrize("sigma", [NOISE_SIGMA, 0.0])
+def test_normal_is_scaled_standard_normal_plus_zero(sigma):
+    # infer_unconditional scales one standard_normal buffer by sigma and
+    # adds 0.0 in place of rng.normal(0.0, sigma); at sigma = 0 the 0.0
+    # turns each -0.0 into the +0.0 normal returns
+    for call in range(200):
+        want = np.random.default_rng((7, call)).normal(0.0, sigma,
+                                                       size=(H_P, 3))
+        got = np.empty((H_P, 3))
+        np.random.default_rng((7, call)).standard_normal(out=got)
+        got *= sigma
+        got += 0.0
+        assert got.tobytes() == want.tobytes()
