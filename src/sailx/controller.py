@@ -17,10 +17,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import (_CONJ, REF_GRIP, REF_POS, REF_QUAT, REF_ROWS,
-                      REF_TWIST, REST_ROWS, _hamilton, _rotvec, _signed,
-                      _track_at_rest, _track_columns, track_loop,
-                      track_loop_batch)
+from .kernels import (_CONJ, REST_ROWS, _hamilton, _rotvec, _signed,
+                      _track_at_rest, track_loop)
 from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
 
@@ -126,7 +124,17 @@ class ReferenceTrack:
         Returns (pos, vel, quat, angvel, grip) arrays; beyond the span the
         endpoint pose is held with zero velocity.
         """
-        return _sample(self, times)
+        pos, vel, grip, seg, frac, outside = _sample_moves(self, times)
+        # identity waypoints slerp to identity rows (see _identity_track),
+        # but a NaN time to a NaN row
+        if self._identity and not np.isnan(frac).any():
+            quat = np.zeros((len(frac), 4))
+            quat[:, 0] = 1.0
+        else:
+            quat = _slerp(self._slerp_segments, seg, frac)
+        angvel = self._seg_angvel[seg]
+        angvel[outside] = 0.0
+        return pos, vel, quat, angvel, grip
 
     def pose_at(self, t: float) -> Pose:
         pos, _, quat, _, _ = self.sample(np.array([t]))
@@ -235,57 +243,39 @@ def _identity_track(quats) -> bool:
 def _slerp(segments, seg, s):
     """Shortest-arc slerp along segments ``seg`` at fractions s.
 
-    ``segments`` is ``_slerp_table(quats)``, or several of them stacked
-    on a trailing column axis, which the result then has too. Element by
-    element this takes the branches of a scalar slerp from a to b in the
-    same operation order: b is negated when dot(a, b) < 0, the dot is
-    clamped at 1, angles below 1e-10 fall back to a normalised lerp, and
-    the result is normalised and flipped to w >= 0.
+    ``segments`` is ``_slerp_table(quats)``. Row by row this takes the
+    branches of a scalar slerp from a to b in the same operation order: b
+    is negated when dot(a, b) < 0, the dot is clamped at 1, angles below
+    1e-10 fall back to a normalised lerp, and the result is normalised and
+    flipped to w >= 0.
     """
     a, b, theta, arc = segments
-    s = s.reshape(s.shape + (1,) * (a.ndim - 1))
+    s = s[:, None]
     start = a[seg]
     out = b[seg]
     out -= start
     out *= s
     out += start  # a + s * (b - a): both operations commute exactly
-    rows = arc[seg]
-    if np.any(rows):
-        # the step and column of every element on an arc, and its segment
-        i, *j = np.nonzero(rows)
-        at = (seg[i], slice(None), *j)
-        th = theta[(seg[i], *j)][:, None]
-        sa = s[i].reshape(-1, 1)
+    i = np.flatnonzero(arc[seg])  # the rows on an arc
+    if len(i):
+        k = seg[i]
+        th = theta[k][:, None]
+        sa = s[i]
         st = np.sin(th)
-        out[(i, slice(None), *j)] = (np.sin((1.0 - sa) * th) / st * a[at]
-                                     + np.sin(sa * th) / st * b[at])
-    # adds the 4 values left to right, along either axis
+        out[i] = (np.sin((1.0 - sa) * th) / st * a[k]
+                  + np.sin(sa * th) / st * b[k])
+    # adds the 4 values left to right
     norm = np.sqrt(np.sum(out * out, axis=1))
     out /= norm[:, None]
     np.negative(out, out=out, where=out[:, :1] < 0.0)
     return out
 
 
-def _sample(track, times):
-    """``ReferenceTrack.sample`` of ``track``, a ReferenceTrack, or of every
-    reference of ``track``, a _ReferenceGroup, each in its trailing column."""
-    pos, vel, grip, seg, frac, outside = _sample_moves(track, times)
-    # identity waypoints slerp to identity rows (see _identity_track), but
-    # a NaN time to a NaN row
-    if track._identity and not np.isnan(frac).any():
-        quat = np.zeros((len(frac), 4) + track.grippers.shape[1:])
-        quat[:, 0] = 1.0
-    else:
-        quat = _slerp(track._slerp_segments, seg, frac)
-    angvel = track._seg_angvel[seg]
-    angvel[outside] = 0.0
-    return pos, vel, quat, angvel, grip
-
-
 def _sample_moves(track, times):
-    """The spline and gripper part of ``_sample``: (pos, vel, grip) at
-    ``times``, with the segment, the fraction into it and the
-    outside-the-span mask of each time."""
+    """The spline and gripper part of a sample of ``track``, a
+    ReferenceTrack or a _ReferenceGroup: (pos, vel, grip) at ``times``,
+    with the segment, the fraction into it and the outside-the-span mask of
+    each time."""
     t = np.asarray(times, dtype=float)
     knots = track.times
     tc = np.clip(t, knots[0], knots[-1])
@@ -311,16 +301,16 @@ def _sample_moves(track, times):
 class _ReferenceGroup:
     """ReferenceTracks on one knot grid, stacked on a trailing column axis.
 
-    It holds what ``_sample`` reads of a ReferenceTrack, reference j's
-    arrays as column j, so that one ``_sample`` call samples them all. Each
-    column has the bits of that reference's ``sample``: scipy's PPoly
-    evaluates every trailing element of its coefficients by the same
-    routine, and the rest is elementwise or shared by the grid.
+    It holds what ``_sample_moves`` reads of a ReferenceTrack, reference
+    j's arrays as column j, so that one ``_sample_moves`` call samples the
+    positions, velocities and grippers of them all. Each column has the
+    bits of that reference's ``sample``: scipy's PPoly evaluates every
+    trailing element of its coefficients by the same routine, and the rest
+    is elementwise or shared by the grid.
     """
 
     def __init__(self, refs):
         first = refs[0]
-        self._refs = refs
         self.times = first.times
         self._seg_dt = first._seg_dt
         if first._spline is None:
@@ -330,20 +320,6 @@ class _ReferenceGroup:
             self._spline = PPoly.construct_fast(
                 _stack([r._spline.c for r in refs]), first.times)
         self.grippers = _stack([r.grippers for r in refs])
-        self._identity = all(r._identity for r in refs)
-
-    @functools.cached_property
-    def _seg_angvel(self):
-        """The references' segment rates, stacked when a full block is first
-        sampled: a rest-form block reads none."""
-        return _stack([r._seg_angvel for r in self._refs])
-
-    @functools.cached_property
-    def _slerp_segments(self):
-        """The references' slerp tables, stacked when first needed: by a NaN
-        time, or by a group with a turning reference."""
-        return tuple(map(_stack, zip(*(r._slerp_segments
-                                       for r in self._refs))))
 
 
 def _stack(arrays):
@@ -427,25 +403,18 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
 
 
 # Row-steps per reference block of a lockstep batch: a block holds
-# REST_ROWS floats per row and step when every reference of the batch has
-# identity waypoints (0.46 MB), REF_ROWS otherwise (0.92 MB, as does a
-# call's full fallback block), whatever the batch's width, and costs one
-# sample call per subgroup; 8,192 is about the most that keeps a 14-row
-# block under 1 MB. Re-timed on rest-form blocks and the 8-call step, 2-core
-# x86-64 VM, a replay-open-loop pass (24 columns) and a 50-demo corpus
-# build (50): best of 5 passes and of 3 builds in a fresh process, medians
-# of 12 processes per size in rotating order, in ms:
+# REST_ROWS floats per row and step (0.46 MB), whatever the batch's width,
+# and costs one sample call per subgroup. Timed on rest-form blocks and the
+# 8-call step, 2-core x86-64 VM, a replay-open-loop pass (24 columns) and a
+# 50-demo corpus build (50): best of 5 passes and of 3 builds in a fresh
+# process, medians of 12 processes per size in rotating order, in ms:
 #
 #     row-steps            1,536   3,072   4,096   6,144   8,192
 #     replay pass           26.9    28.5    23.4    23.7    23.6
 #     corpus build          78.3    85.0    76.4    70.7    72.6
 #
-# against 35.9 and 107.5 ms for the 14-row feed at 1,536. In worker
-# processes that alternate passes (12 rounds of 3), a pass took 0.79x the
-# 14-row feed's time at 1,536, 0.70x at 3,072, 0.68-0.73x at 4,096,
-# 0.63-0.71x at 6,144 and 0.61-0.68x at 8,192: fewer calls pay for the
-# per-call costs (the at-rest check of the state, the history set-up, the
-# carried pose, a sample call per subgroup).
+# Fewer calls pay for the per-call costs: the at-rest check of the state,
+# the history set-up, the carried pose and a sample call per subgroup.
 LOCKSTEP_BLOCK = 8192
 # Columns per lockstep run in the callers, which bounds the reference
 # tracks a caller holds at once and their stacked copy: about 55 kB a
@@ -453,41 +422,19 @@ LOCKSTEP_BLOCK = 8192
 # 800-replay noise sweep took 3.3 s at 64 columns and 2.4 s at 128, at
 # twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
-# Batches of fewer columns run row by row on track_loop. Timed on whole
-# replay cells of B replays on one time grid, both plants at rest on their
-# lean steps, the batched one on rest-form blocks (2-core x86-64 VM, numpy
-# 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7 alternated runs), row by row
-# was faster in all 4 cells at B = 4 (lockstep took 1.02-1.07x its time)
-# and lockstep in all 4 at B = 5 (0.86-0.93x), at B = 6 (0.58-0.70x), at
-# B = 7 (0.56-0.65x), at B = 8 (0.44-0.65x) and at B = 12 (0.35-0.54x).
-# A batch whose orientation turns runs track_loop column by column either
-# way. perfbench/test_perfbench.py requires
-# kernels.track_loop steps in a traced replay-open-loop pass of 6 rows and
-# a traced ood-diagnose pass of 3 trials, which holds only while both run
-# row by row: perfbench has no binding for track_loop_batch, so the
+# Batches of fewer columns run row by row on track_loop, as do batches with
+# a reference that turns. Timed on whole replay cells of B replays on one
+# time grid, both plants at rest on their lean steps, the batched one on
+# rest-form blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2,
+# medians of 7 alternated runs), row by row was faster in all 4 cells at
+# B = 4 (lockstep took 1.02-1.07x its time) and lockstep in all 4 at B = 5
+# (0.86-0.93x), at B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8
+# (0.44-0.65x) and at B = 12 (0.35-0.54x). perfbench/test_perfbench.py
+# requires kernels.track_loop steps in a traced replay-open-loop pass of 6
+# rows and a traced ood-diagnose pass of 3 trials, which holds only while
+# both run row by row: perfbench binds only the scalar track_loop, so the
 # threshold stays at 7, two rows above the measured break-even.
 LOCKSTEP_MIN_ROWS = 7
-
-
-def _reference_block(group, times, out):
-    """Sample the references of a _ReferenceGroup at ``times`` into ``out``,
-    a (len(times), REF_ROWS, columns) view of a block, or a rest-form
-    (len(times), REST_ROWS, columns) view: the [grip; pos; vel] rows that
-    the at-rest step reads, which are all an identity group needs at finite
-    times (its orientations are the identity and its rates zero)."""
-    if out.shape[1] == REST_ROWS:
-        pos, vel, grip, *_ = _sample_moves(group, times)
-        out[:, 0] = grip
-        out[:, 1:4] = pos
-        out[:, 4:] = vel
-        return
-    pos, vel, quat, angvel, grip = _sample(group, times)
-    out[:, REF_POS] = pos
-    twist = out[:, REF_TWIST]
-    twist[:, :3] = vel
-    twist[:, 3:] = angvel
-    out[:, REF_QUAT] = quat
-    out[:, REF_GRIP] = grip
 
 
 class _Subgroup:
@@ -518,16 +465,19 @@ def track_lockstep(states, refs, gains, untils):
     columns start on two raises InvalidInputError before any step. Column r
     runs ``track_slices``'s slices to each time in ``untils[r]`` under
     ``gains[r]``, with the same bits. A batch of at least LOCKSTEP_MIN_ROWS
-    columns steps in lockstep on ``track_loop_batch``, from one slice end
-    of any column to the next, one block of LOCKSTEP_BLOCK row-steps of
-    reference at a time. Its columns on equal knot times and equal slices
-    form a subgroup, whose references one ``_ReferenceGroup`` samples
-    together into the subgroup's columns of each block, at the times
-    ``track_slices`` uses: those are built from each slice's start clock,
-    so columns on other slices would step at other times. A column leaves
-    the batch after its last slice. Fewer columns run column by column
-    through ``track_slices``. No per-step trace is kept. Callers pass at
-    most LOCKSTEP_MAX_ROWS columns at a time.
+    columns whose references all have identity waypoints steps in lockstep
+    on ``kernels._track_at_rest``, from one slice end of any column to the
+    next, one rest-form block of LOCKSTEP_BLOCK row-steps of reference at a
+    time. Its columns on equal knot times and equal slices form a subgroup,
+    whose references one ``_ReferenceGroup`` samples together into the
+    subgroup's columns of each block, at the times ``track_slices`` uses:
+    those are built from each slice's start clock, so columns on other
+    slices would step at other times. A column leaves the batch after its
+    last slice. A block span that the at-rest step declines runs
+    ``track_loop`` column by column. Fewer columns, or a batch with a
+    reference that turns, run column by column through ``track_slices``.
+    No per-step trace is kept. Callers pass at most LOCKSTEP_MAX_ROWS
+    columns at a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     once those columns reached the end of the slice, and the caller may
@@ -542,7 +492,8 @@ def track_lockstep(states, refs, gains, untils):
             f"lockstep columns start on {clocks} plant clocks; a call "
             "takes columns on one start clock")
     faults = {}
-    if states.shape[1] >= LOCKSTEP_MIN_ROWS:
+    if (states.shape[1] >= LOCKSTEP_MIN_ROWS
+            and all(ref._identity for ref in refs)):
         yield from _track_batch(states, refs, gains, untils, faults)
     else:
         for r in range(states.shape[1]):
@@ -564,8 +515,9 @@ def track_lockstep(states, refs, gains, untils):
 
 
 def _track_batch(states, refs, gains, untils, faults):
-    """``track_lockstep``'s lockstep run of every column of ``states``;
-    faults go to ``faults`` by column."""
+    """``track_lockstep``'s lockstep run of every column of ``states``, on
+    references with identity waypoints; faults go to ``faults`` by
+    column."""
     dt = PHYSICS_DT
     t0 = float(states[TIME, 0])
     gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
@@ -585,12 +537,8 @@ def _track_batch(states, refs, gains, untils, faults):
     state = states[:, live]
     # Identity references give rest-form blocks: the step times are finite
     # (_slice_steps fails on a clock that is not), so their orientations are
-    # the identity and their rates zero. A call whose columns do not start
-    # at rest, or one that faults, runs track_loop column by column on that
-    # call's full block.
-    rest = all(s.group._identity for s in subs)
-    ref_rows = REST_ROWS if rest else REF_ROWS
-    block = np.empty((0, ref_rows, len(live)))
+    # the identity and their rates zero.
+    block = np.empty((0, REST_ROWS, len(live)))
     block_start = start = 0
     while True:
         if any(s.ends[s.k] == start for s in subs):
@@ -617,46 +565,65 @@ def _track_batch(states, refs, gains, untils, faults):
                 steps = max(1, LOCKSTEP_BLOCK // len(live))
                 last = max(s.ends[-1] for s in subs)
                 block = _sample_block(subs, start, min(steps, last - start),
-                                      ref_rows, len(live))
+                                      len(live))
             stop = min(end, block_start + len(block))
-            ref = block[start - block_start:stop - block_start]
-            args = (*gain_rows[:, live], dt, GRIPPER_SLEW, GRASP_RADIUS)
-            if not rest:
-                fault = track_loop_batch(state, ref, *args)
-            elif _track_at_rest(state, ref, *args):
-                fault = np.full(len(live), -1)
-            else:
-                fault = _track_columns(state, _sample_block(
-                    subs, start, stop - start, REF_ROWS, len(live)), *args)
+            if _track_at_rest(state, block[start - block_start:
+                                           stop - block_start],
+                              *gain_rows[:, live], dt, GRIPPER_SLEW,
+                              GRASP_RADIUS):
+                start = stop
+                continue
+            # the columns do not start at rest, or a step faulted
+            owner = np.repeat(np.arange(len(subs)),
+                              [len(s.rows) for s in subs])
+            times = [subs[i].times[start:stop] for i in owner]
+            fault = _track_columns(state, [refs[r] for r in live], times,
+                                   gain_rows[:, live])
             faulted = np.flatnonzero(fault >= 0)
+            start = stop
             if len(faulted):
                 # the faulted columns leave at the next pass of the loop
                 states[:, live] = state
-                owner = np.repeat(np.arange(len(subs)),
-                                  [len(s.rows) for s in subs])
                 for j in faulted:
                     faults[live[j]] = SimFault(
-                        "non-finite wrench at "
-                        f"t={subs[owner[j]].times[start + fault[j]]:.4f}")
+                        f"non-finite wrench at t={times[j][fault[j]]:.4f}")
                 for i in set(owner[faulted]):
                     subs[i].drop(live[faulted])
                 subs = [s for s in subs if len(s.rows)]
-            start = stop
-            if len(faulted):
                 break
 
 
-def _sample_block(subs, start, steps, ref_rows, width):
-    """A (steps, ref_rows, width) reference block, ``ref_rows`` REF_ROWS or
-    REST_ROWS, from step ``start`` on: each _Subgroup of ``subs`` samples
-    its columns, in order; the steps past a subgroup's last are left
-    unset."""
-    block = np.empty((steps, ref_rows, width))
+@np.errstate(all="ignore")  # the at-rest step never warns either
+def _track_columns(state, tracks, times, gain_rows):
+    """``track_loop`` on each column j of ``state`` along ``tracks[j]``,
+    sampled by its own ``ReferenceTrack.sample`` at ``times[j]``, under
+    column j's gains, with scratch out rows. Returns each column's fault
+    step, or -1."""
+    n = len(times[0])
+    outs = (np.empty((n, 3)), np.empty((n, 4)), np.empty(n), np.empty(n),
+            np.empty(n, dtype=np.int8))
+    fault = np.empty(state.shape[1], dtype=int)
+    for j, column in enumerate(state.T):  # views: track_loop writes state
+        fault[j] = track_loop(column, *tracks[j].sample(times[j]),
+                              *gain_rows[:, j], PHYSICS_DT, GRIPPER_SLEW,
+                              GRASP_RADIUS, *outs)
+    return fault
+
+
+def _sample_block(subs, start, steps, width):
+    """A (steps, REST_ROWS, width) rest-form block of [grip; pos; vel]
+    reference rows from step ``start`` on: each _Subgroup of ``subs``
+    samples its columns, in order; the steps past a subgroup's last are
+    left unset."""
+    block = np.empty((steps, REST_ROWS, width))
     column = 0
     for s in subs:
         times = s.times[start:start + steps]
-        _reference_block(s.group, times,
-                         block[:len(times), :, column:column + len(s.rows)])
+        pos, vel, grip, *_ = _sample_moves(s.group, times)
+        out = block[:len(times), :, column:column + len(s.rows)]
+        out[:, 0] = grip
+        out[:, 1:4] = pos
+        out[:, 4:] = vel
         column += len(s.rows)
     return block
 

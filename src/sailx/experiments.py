@@ -172,15 +172,24 @@ def _replay_successes(replays) -> list[bool]:
         chunk = replays[first:first + LOCKSTEP_MAX_ROWS]
         setups = [_replay_setup(demo, c, target, noise, seed)
                   for demo, c, _, target, noise, seed in chunk]
-        states = np.stack([state for _, _, state, _ in setups], axis=1)
-        for _ in track_lockstep(states, [ref for ref, *_ in setups],
+        states = _track_to_ends([state for _, _, state, _ in setups],
+                                [ref for ref, *_ in setups],
                                 [gain_profile(r[2]) for r in chunk],
-                                [(end + 0.5,) for *_, end in setups]):
-            pass
-        normalise_poses(states.T)
+                                [end + 0.5 for *_, end in setups])
         ok += [success(state, task)
                for state, (_, task, _, _) in zip(states.T, setups)]
     return ok
+
+
+def _track_to_ends(states, refs, gains, ends) -> np.ndarray:
+    """Track each packed plant state of ``states`` along its reference of
+    ``refs`` under its gains to its end time, in one lockstep run; returns
+    the (30, len(states)) end states, their poses normalised."""
+    states = np.stack(states, axis=1)
+    for _ in track_lockstep(states, refs, gains, [(end,) for end in ends]):
+        pass
+    normalise_poses(states.T)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +348,10 @@ def _diagnostics_setup(demos, c: float, seed: int):
 def _track_stretches(setups) -> np.ndarray:
     """Track every set-up trial's stretch to its end in one lockstep run,
     under the real-exec gains; returns the (30, trials) end states."""
-    states = np.stack([state for state, _, _ in setups], axis=1)
     refs = [ref for _, ref, _ in setups]
-    for _ in track_lockstep(states, refs,
-                            [gain_profile("real-exec")] * len(refs),
-                            [(float(ref.times[-1]),) for ref in refs]):
-        pass
-    normalise_poses(states.T)
-    return states
+    return _track_to_ends([state for state, _, _ in setups], refs,
+                          [gain_profile("real-exec")] * len(refs),
+                          [float(ref.times[-1]) for ref in refs])
 
 
 def _diagnostics_score(policy: MockPolicy, c: float, state, ref,

@@ -5,7 +5,8 @@ Files are line-delimited JSON: a header line carrying the format version
 serialize as 7 numbers (px, py, pz, qw, qx, qy, qz). Readers raise
 ParseError with the offending line number, the header being line 1, on the
 non-standard JSON constants NaN and Infinity, on a missing field, and on a
-field that is not a number or a list of the numbers it needs. A rollout
+field that is not a number or a list of the numbers it needs; a demo
+file also on a ``dt`` that is not > 0 and on no record at all. A rollout
 file reads back as the ``scheduler.RolloutLog`` it was written from.
 
 Demonstrations are produced by a scripted teleoperator executed through the
@@ -160,6 +161,11 @@ def read_demo(path: str) -> Demonstration:
         raise ParseError(f"{path}: header n={header.get('n')!r} but "
                          f"{len(records)} records", line=1)
     dt = _field(header, "dt", path, 1)
+    if not dt > 0:
+        raise ParseError(f"{path}: dt={dt!r}, but a demo's interval must be "
+                         "> 0", line=1)
+    if not records:
+        raise ParseError(f"{path}: a demo needs at least one record", line=1)
     object_start = _field(header, "object_start", path, 1, 7)
     goal = _field(header, "goal", path, 1, 3)
     cmd, reached, grip, k, obj = [], [], [], [], []

@@ -1,7 +1,7 @@
 """Hot numeric kernels: the plant tracking loop and quaternion algebra.
 
 Nothing here is compiled. ``track_loop`` reads its references as Python
-lists and collects its output rows in lists, and ``track_loop_batch`` and
+lists and collects its output rows in lists, and ``_track_at_rest`` and
 the quaternion column helpers are plain numpy.
 
 ``track_loop`` is the plant: a task-space PD law and a semi-implicit Euler
@@ -24,14 +24,15 @@ stored relative pose, so both plants form it only at a release, from the
 robot pose before that step, and at the end of a call; a release at a
 call's first step keeps the incoming object pose.
 
-``track_loop_batch`` is the same plant on the B columns of a (30, B) state
+``_track_at_rest`` is the same plant on the B columns of a (30, B) state
 under per-column gains, with each column's bits equal to ``track_loop`` on
-that row, and no per-step trace. It steps its columns in lockstep only at
-rest (below). Any other call, one whose orientation turns or one that
-faults, runs ``track_loop`` on each column over that column's rows of the
-block, so the scalar loop is the one full, turning update: no workload
-turns, and a turning step in lockstep cost as much as 7-12 scalar rows.
-The scalar loop is also the plant for single rollouts and small batches.
+that row, and no per-step trace. It steps only references at rest (below),
+and it declines a call whose columns do not start at rest, or in which a
+step faults, leaving the state as it was; ``controller`` then runs
+``track_loop`` on each column. So the scalar loop is the one full,
+turning update: no workload turns, and a turning step in lockstep cost as
+much as 7-12 scalar rows. The scalar loop is also the plant for single
+rollouts, small batches and batches whose references turn.
 
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
@@ -69,16 +70,12 @@ the scalar loop's two comparisons do, signed zeros included: a maximum
 then a minimum turn a change below -0.0 into +0.0 when the slew is 0,
 where the scalar loop keeps -0.0, which a -0.0 gripper then keeps.
 
-``track_loop_batch`` gathers those rows from its block once a call, after
-checking that its reference orientations are the identity and its rates
-zero. ``controller`` feeds ``_track_at_rest`` rest-form blocks, which hold
-only those rows, when every reference it stacks has identity waypoints:
-there is no block to check or gather. Best of 90 calls on a 2-core x86-64
-VM, a step costs ~3.6-4.1 us for 12-64 columns in calls of one block of
-``controller.LOCKSTEP_BLOCK`` row-steps and ~4.0-4.4 us in calls of 64
-steps, call overhead included, against ~4.9-6.2 us through
-``track_loop_batch`` with its check and gather and the maximum and minimum
-(~8-10 us for the 18-call step before that). After the loop:
+``controller`` feeds ``_track_at_rest`` rest-form blocks, which hold only
+those rows, and only when every reference of its batch has identity
+waypoints, so there is no block to check or gather. Best of 90 calls on a
+2-core x86-64 VM, a step costs ~3.6-4.1 us for 12-64 columns in calls of
+one block of ``controller.LOCKSTEP_BLOCK`` row-steps and ~4.0-4.4 us in
+calls of 64 steps, call overhead included. After the loop:
 
 - Grasps and releases follow from the gripper history, g_i < 0.5 <= g_i+1
   and the reverse, applied per (step, column) in step order by the scalar
@@ -90,9 +87,9 @@ steps, call overhead included, against ~4.9-6.2 us through
   finite), and a non-finite velocity stays non-finite: its error rv - v is
   non-finite, so is the next force, and inf + x is never finite while NaN
   propagates. So a finite final velocity proves that no step faulted;
-  otherwise the call runs again, from the state the at-rest path left as it
-  was, on ``track_loop`` column by column, which finds the fault and leaves
-  the orientation at rest bit for bit.
+  otherwise the call declines, with the state as it was, and runs again on
+  ``track_loop`` column by column, which finds the fault and leaves the
+  orientation at rest bit for bit.
 - The clock: when every column holds the same bits, n Python float
   additions broadcast to all of them; otherwise n numpy additions.
 
@@ -109,7 +106,7 @@ of ``policy.cfg_blend`` all use them.
 
 Quaternions are (w, x, y, z), unit norm. The packed plant state vector,
 the program's only plant state, is what ``track_loop`` steps (a column of
-``track_loop_batch``'s state); ``sim`` names the slices other modules read.
+``_track_at_rest``'s state); ``sim`` names the slices other modules read.
 Its layout::
 
     [0:3]   robot position (m)
@@ -414,13 +411,6 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     return fault
 
 
-# Rows of one step of a lockstep reference block; each row is (B,) wide.
-REF_ROWS = 14
-REF_POS = slice(0, 3)
-REF_TWIST = slice(3, 9)     # linear velocity, then angular velocity
-REF_QUAT = slice(9, 13)
-REF_GRIP = 13
-
 # The Hamilton product a * b is a[0] * b + a[1] * b' + a[2] * b'' + a[3] * b'''
 # with b', b'', b''' signed permutations of b: row k of _HAMILTON picks the
 # rows of (b; -b) that a[k] multiplies, in the scalar loop's term order.
@@ -540,69 +530,31 @@ def _rotvec(m):
     return e
 
 
-# The rows of the at-rest history: the gripper, the position and the
-# linear velocity, in the state and in a reference block. A rest-form
-# block holds only these REST_ROWS rows, in this order.
+# The state rows of the at-rest history: the gripper, the position and the
+# linear velocity. A rest-form reference block holds the references' same
+# REST_ROWS rows per step, in this order.
 _REST_STATE = [13, 0, 1, 2, 7, 8, 9]
-_REST_REF = [REF_GRIP, 0, 1, 2, 3, 4, 5]
-REST_ROWS = len(_REST_REF)
-
-
-def track_loop_batch(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                     grip_slew, grasp_radius):
-    """``track_loop`` on the B columns of a (30, B) state, in lockstep.
-
-    Step i tracks ``ref[i]``, a (REF_ROWS, B) block of reference rows. The
-    gains are (B,) float arrays, one value per column; dt, ``grip_slew`` and
-    ``grasp_radius`` are shared, and ``grip_slew`` must not be negative.
-    Every column gets the bits ``track_loop`` gives that row; no per-step
-    trace is written. ``state`` is updated in place. Returns a (B,) array
-    holding, per column, the index of the step whose wrench was non-finite
-    (the column keeps its state from before that step) or -1.
-    """
-    dt = float(dt)
-    # at rest (see the module docstring) only [grip; p; v] is stepped
-    if (_identity_rows(ref[:, REF_QUAT].swapaxes(0, 1),
-                       ref[:, REF_TWIST][:, 3:])
-            and _track_at_rest(state, ref[:, _REST_REF], kp_pos, kv_pos,
-                               kp_ori, kv_ori, dt, grip_slew, grasp_radius)):
-        return np.full(state.shape[1], -1)
-    return _track_columns(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                          grip_slew, grasp_radius)
-
-
-@np.errstate(all="ignore")  # the batched plant never warns
-def _track_columns(state, ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                   grip_slew, grasp_radius):
-    """``track_loop_batch`` column by column: ``track_loop`` on each column
-    of ``state`` over that column's rows of the full block ``ref``, under
-    that column's gains, with scratch out rows."""
-    n = len(ref)
-    outs = (np.empty((n, 3)), np.empty((n, 4)), np.empty(n), np.empty(n),
-            np.empty(n, dtype=np.int8))
-    fault = np.empty(state.shape[1], dtype=int)
-    for j, column in enumerate(state.T):  # views: track_loop writes state
-        twist = ref[:, REF_TWIST, j]
-        fault[j] = track_loop(column, ref[:, REF_POS, j], twist[:, :3],
-                              ref[:, REF_QUAT, j], twist[:, 3:],
-                              ref[:, REF_GRIP, j], kp_pos[j], kv_pos[j],
-                              kp_ori[j], kv_ori[j], dt, grip_slew,
-                              grasp_radius, *outs)
-    return fault
+REST_ROWS = len(_REST_STATE)
 
 
 @np.errstate(all="ignore")  # the scalar loop never warns either
 def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                    grip_slew, grasp_radius):
-    """``track_loop_batch`` on references at rest, when the columns start
-    at rest and no step faults; otherwise it returns False and leaves
-    ``state`` alone, for ``_track_columns`` on the full reference block.
+    """``track_loop`` on the B columns of a (30, B) state, in lockstep, on
+    references at rest; True once every column has stepped.
 
-    ``rest_ref`` is an (n, REST_ROWS, B) block of [grip; pos; vel]
-    reference rows, whose orientations must be the identity and whose
-    rates must be zero. Each step is eight ufunc calls on the (7, B) rows
-    [grip; p; v] of a history buffer, from row i to row i + 1; grasps,
-    releases and the clock follow from the history after the loop.
+    Step i tracks ``rest_ref[i]``, the (REST_ROWS, B) [grip; pos; vel]
+    reference rows of references whose orientations are the identity and
+    whose rates are zero. The gains are (B,) float arrays, one value per
+    column; dt, ``grip_slew`` and ``grasp_radius`` are shared, and
+    ``grip_slew`` must not be negative. Every column gets the bits
+    ``track_loop`` gives that row; no per-step trace is written, and
+    ``state`` is updated in place. When the columns do not start at rest,
+    or a step faults, it returns False and leaves ``state`` as it was.
+
+    Each step is eight ufunc calls on the (7, B) rows [grip; p; v] of a
+    history buffer, from row i to row i + 1; grasps, releases and the clock
+    follow from the history after the loop.
     """
     dt = float(dt)
     if not ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])

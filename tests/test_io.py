@@ -114,6 +114,17 @@ class TestDemoRoundTrip:
             read_demo(path)
         assert exc.value.line == 1
 
+    def test_a_demo_without_records_is_rejected(self, demos20, tmp_path):
+        # the header agrees with the file: n = 0 and no record
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        header = json.loads(open(path).readline())
+        header["n"] = 0
+        open(path, "w").write(json.dumps(header) + "\n")
+        with pytest.raises(ParseError) as exc:
+            read_demo(path)
+        assert exc.value.line == 1
+
     def test_wrong_kind_rejected(self, demos20, tmp_path):
         path = str(tmp_path / "d.jsonl")
         write_demo(demos20[0], path)
@@ -214,6 +225,8 @@ class TestMalformedFields:
     @pytest.mark.parametrize("line, edit", [
         (1, lambda rec: rec.pop("dt")),
         (1, _set("dt", "abc")),
+        (1, _set("dt", 0)),
+        (1, _set("dt", -0.05)),
         (1, _cut("object_start", 6)),
         (1, _cut("goal", 2)),
         (4, _cut("cmd", 6)),
@@ -221,7 +234,7 @@ class TestMalformedFields:
         (4, _set("grip", [1.0])),
         (4, _set("k", "1")),
         (4, _set("obj", None)),
-    ], ids=["no dt", "dt text", "object_start of 6", "goal of 2", "cmd of 6",
+    ], ids=["no dt", "dt text", "dt 0", "dt negative", "object_start of 6", "goal of 2", "cmd of 6",
             "reached of 8", "grip list", "k text", "obj null"])
     def test_demo(self, demos20, tmp_path, line, edit):
         path = str(tmp_path / "d.jsonl")

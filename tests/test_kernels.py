@@ -1,13 +1,13 @@
 """The fused plant loop and the vectorised reference against the oracle.
 
 ``kernels.track_loop`` runs the PD law and the Euler step on scalar locals,
-``kernels.track_loop_batch`` runs the same plant on the columns of a batch,
-``ReferenceTrack.sample`` interpolates every point at once,
+``kernels._track_at_rest`` runs the same plant at rest on the columns of a
+batch, ``ReferenceTrack.sample`` interpolates every point at once,
 ``ReferenceTrack`` computes every segment's angular rate at once, and a
-lockstep reference block samples the references of one knot grid at once.
+lockstep reference group samples the references of one knot grid at once.
 All must give the same bits as the per-step array kernels in
 ``plant_oracle`` (the batched plant: as ``track_loop`` on each column; a
-block: as each reference's ``sample``); NaN payloads are the only bits not
+group: as each reference's ``sample``); NaN payloads are the only bits not
 compared.
 """
 import numpy as np
@@ -201,17 +201,6 @@ class TestTrackLoop:
             assert _bits(a) == _bits(b)
 
 
-def _block(refs):
-    """One row's references as lockstep block rows, (n, REF_ROWS)."""
-    pos, vel, quat, angvel, grip = refs
-    block = np.empty((len(pos), kernels.REF_ROWS))
-    block[:, kernels.REF_POS] = pos
-    block[:, kernels.REF_TWIST] = np.hstack((vel, angvel))
-    block[:, kernels.REF_QUAT] = quat
-    block[:, kernels.REF_GRIP] = grip
-    return block
-
-
 @st.composite
 def batch_cases(draw):
     """B plant cases cut to one step count, with the first case's dt,
@@ -235,23 +224,45 @@ def _lockstep_rows(draw, cases):
 
 
 def _batch_args(rows):
-    """(states, block, gains..., shared params...) of track_loop_batch."""
+    """(states, rest-form block, gains..., shared params...) of
+    _track_at_rest: the block holds each row's [grip; pos; vel] reference
+    rows, (n, REST_ROWS, B)."""
     states = np.stack([state for state, _, _ in rows], axis=1)
-    block = np.stack([_block(refs) for _, refs, _ in rows], axis=2)
+    block = np.stack([np.column_stack((refs[4], refs[0], refs[1]))
+                      for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
     return states, block, params[:4], [float(p[0]) for p in params[4:7]]
 
 
-def _assert_columns_match_track_loop(rows, loop=kernels.track_loop):
-    """Every column of the lockstep kernel against track_loop (or ``loop``)
-    on that row."""
+def _assert_columns_match_track_loop(rows, loop=kernels.track_loop,
+                                     at_rest=None, rest_form=True):
+    """One lockstep step of ``rows`` as ``controller`` takes it, every
+    column against track_loop (or ``loop``) on that row: _track_at_rest on
+    their rest-form block, and where it declines, which must leave the
+    state as it was, track_loop column by column. ``at_rest``, when given,
+    is whether _track_at_rest steps. Without ``rest_form``, the references
+    are not at rest, and the rows run track_loop column by column, as
+    ``controller`` runs such a batch. Returns the faults and the final
+    states."""
     states, block, gains, shared = _batch_args(rows)
-    faults = kernels.track_loop_batch(states, block, *gains, *shared)
+    before = states.copy()
+    stepped = rest_form and kernels._track_at_rest(states, block, *gains,
+                                                   *shared)
+    if at_rest is not None:
+        assert stepped == at_rest
+    faults = []
     for j, (state, refs, params) in enumerate(rows):
         fault, final, _ = _run(loop, state, refs, params)
-        assert faults[j] == fault
+        if stepped:
+            assert fault == -1
+        else:
+            assert _bits(states[:, j]) == _bits(before[:, j])
+            got_fault, states[:, j], _ = _run(kernels.track_loop, state, refs,
+                                              params)
+            assert got_fault == fault
         assert _bits(states[:, j]) == _bits(final)
-    return faults, states
+        faults.append(fault)
+    return np.array(faults), states
 
 
 def _attached_state(rng):
@@ -268,7 +279,20 @@ def _attached_state(rng):
     return state
 
 
-class TestTrackLoopBatch:
+def _rest_state(state):
+    """``state`` with the robot at rest: the identity orientation and no
+    spin."""
+    state = state.copy()
+    state[3:7] = IDENTITY
+    state[10:13] = 0.0
+    return state
+
+
+class TestLockstepStep:
+    """The lockstep step: _track_at_rest steps a batch whose columns start
+    at rest and do not fault, and declines any other, leaving its state
+    alone for track_loop column by column."""
+
     @SETTINGS
     @given(batch_cases())
     def test_every_column_matches_track_loop_bit_for_bit(self, rows):
@@ -281,29 +305,32 @@ class TestTrackLoopBatch:
         for release_at in (0, 5, n):  # the last row stays attached
             grip = np.where(np.arange(n) < release_at, 1.0, 0.0)
             refs = [np.zeros((n, 3)), np.zeros((n, 3)),
-                    np.tile(_unit([0.9, 0.1, 0.2, -0.1]), (n, 1)),
-                    np.zeros((n, 3)), grip]
+                    np.tile(IDENTITY, (n, 1)), np.zeros((n, 3)), grip]
             params = (300.0, 34.6, 400.0, 40.0, 0.002, 400.0, 0.015)
-            rows.append((_attached_state(rng), refs, params))
-        _, states = _assert_columns_match_track_loop(rows)
+            rows.append((_rest_state(_attached_state(rng)), refs, params))
+        _, states = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                     at_rest=True)
         assert _bits(states[14:21, 0]) == _bits(rows[0][0][14:21])
         assert states[21].tolist() == [0.0, 0.0, 1.0]
 
     def test_a_carried_pose_keeps_a_negative_zero(self):
-        # the first column turns, so the batch runs track_loop column by
-        # column; the second carries its object at a relative orientation
-        # with w = -0.0
+        # the second column carries its object at a relative orientation
+        # with w = -0.0: alone it steps at rest, and beside a first column
+        # that turns, the batch runs track_loop column by column
         rng = np.random.default_rng(8)
         n = 4
         refs = [np.zeros((n, 3)), np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
                 np.zeros((n, 3)), np.ones(n)]
         params = (300.0, 34.6, 0.0, 0.0, 0.002, 8.0, 0.015)
-        carrying = _attached_state(rng)
-        carrying[3:7] = IDENTITY
+        carrying = _rest_state(_attached_state(rng))
         carrying[25:29] = [-0.0, 0.0, 0.0, 1.0]
-        _, states = _assert_columns_match_track_loop(
-            [(_attached_state(rng), refs, params), (carrying, refs, params)])
-        assert np.signbit(states[17, 1])
+        turning = _attached_state(rng)
+        for rows, at_rest in (([(carrying, refs, params)], True),
+                              ([(turning, refs, params),
+                                (carrying, refs, params)], False)):
+            _, states = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                         at_rest)
+            assert np.signbit(states[17, -1])
 
     def test_a_faulted_column_stops_and_the_others_run_on(self):
         rng = np.random.default_rng(5)
@@ -316,9 +343,15 @@ class TestTrackLoopBatch:
             if bad_step is not None:
                 refs[1][bad_step, 1] = np.inf
             params = (300.0, 34.6, 400.0, 40.0, 0.002, 8.0, 0.015)
-            rows.append((_attached_state(rng), refs, params))
-        faults, _ = _assert_columns_match_track_loop(rows)
+            rows.append((_rest_state(_attached_state(rng)), refs, params))
+        # a fault anywhere declines the whole step at rest
+        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                     at_rest=False)
         assert faults.tolist() == [-1, 7, -1, 0, 39]
+        faults, _ = _assert_columns_match_track_loop(rows[0:3:2],
+                                                     _oracle_loop,
+                                                     at_rest=True)
+        assert faults.tolist() == [-1, -1]
 
 
 _signed_zero = st.sampled_from([0.0, -0.0])
@@ -425,7 +458,8 @@ class TestAtRest:
     """The identity orientation at rest is a fixed point of the rotational
     update, which the kernels skip; every bit stays as the oracle's, and
     an input just off rest takes the full update: in a batch, track_loop
-    on every column."""
+    on every column, as _track_at_rest declines it or, for references off
+    rest, as ``controller`` runs it row by row."""
 
     @SETTINGS
     @given(at_rest_cases())
@@ -441,7 +475,13 @@ class TestAtRest:
     @SETTINGS
     @given(at_rest_batches())
     def test_batch_columns_match_the_oracle_bit_for_bit(self, rows):
-        _assert_columns_match_track_loop(rows, _oracle_loop)
+        # every column steps at rest unless one holds a signed zero in its
+        # spin rows or is a general plant case
+        at_rest = all(state[3] == 1.0
+                      and not np.signbit(state[kernels._SPIN]).any()
+                      and not state[kernels._SPIN].any()
+                      for state, _, _ in rows)
+        _assert_columns_match_track_loop(rows, _oracle_loop, at_rest)
 
     @pytest.mark.parametrize("kind", sorted(NEAR_MISSES))
     @NEAR_MISS_SETTINGS
@@ -452,7 +492,17 @@ class TestAtRest:
         shared = what == "params" and where in SHARED_PARAMS
         rows = [_off_rest(row, what, where, value) if shared or k == j
                 else row for k, row in enumerate(rows)]
-        _assert_columns_match_track_loop(rows, _oracle_loop)
+        if what in ("quat", "rate"):
+            # a rest-form block has no orientation or rate rows: references
+            # off rest never reach _track_at_rest, and track_loop takes
+            # their full update
+            _, refs, _ = rows[j]
+            assert not kernels._identity_rows(refs[2].T, refs[3].T)
+            _assert_columns_match_track_loop(rows, _oracle_loop,
+                                             rest_form=False)
+        else:
+            _assert_columns_match_track_loop(rows, _oracle_loop,
+                                             at_rest=False)
 
     def test_a_batch_at_rest_skips_the_rotation_helpers(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -476,10 +526,10 @@ class TestAtRest:
             return full(*args)
 
         monkeypatch.setattr(kernels, "track_loop", counted)
-        _assert_columns_match_track_loop(rows, _oracle_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop, at_rest=True)
         assert not calls
         rows[1][0][11] = 1e-3  # one column spins
-        _assert_columns_match_track_loop(rows, _oracle_loop)
+        _assert_columns_match_track_loop(rows, _oracle_loop, at_rest=False)
         assert [_bits(c) for c in calls] == [_bits(s) for s, _, _ in rows]
 
 
@@ -517,15 +567,14 @@ def _rest_column(rng, n, flips=(), attached=False, travel=0.0):
 
 def _assert_calls_match_the_oracle(rows, cuts):
     """Both kernels, run in one call per span between ``cuts``, against the
-    oracle's single run of each row: the batch on the final states, the
-    scalar loop on them and on every out row. Returns the oracle's events
-    of each row."""
+    oracle's single run of each row: the batch at rest on the final states,
+    the scalar loop on them and on every out row. Returns the oracle's
+    events of each row."""
     states, block, gains, shared = _batch_args(rows)
     spans = list(zip(cuts[:-1], cuts[1:]))
     for start, stop in spans:
-        faults = kernels.track_loop_batch(states, block[start:stop], *gains,
-                                          *shared)
-        assert (faults == -1).all()
+        assert kernels._track_at_rest(states, block[start:stop], *gains,
+                                      *shared)
     events = []
     for j, (state, refs, params) in enumerate(rows):
         fault, want, want_outs = _run(_oracle_loop, state, refs, params)
@@ -600,7 +649,7 @@ class TestRestHistory:
             rows.append((state, refs, (300.0, 0.0) + REST_PARAMS[2:]))
         _assert_calls_match_the_oracle(rows, [0, 30])
         states, block, gains, shared = _batch_args(rows)
-        kernels.track_loop_batch(states, block, *gains, *shared)
+        assert kernels._track_at_rest(states, block, *gains, *shared)
         assert np.signbit(states[0]).all()
 
     def test_faults_at_rest_run_again_step_by_step(self):
@@ -614,7 +663,9 @@ class TestRestHistory:
             if bad_step is not None:
                 refs[1][bad_step, 2] = value
             rows.append((state, refs, REST_PARAMS))
-        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop)
+        # a fault in any column declines the whole step at rest
+        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                     at_rest=False)
         assert faults.tolist() == [-1, 0, -1, n // 2, n - 1, -1]
         for row in rows:
             _assert_same_run(*row)
@@ -622,7 +673,8 @@ class TestRestHistory:
     def test_a_negative_zero_gripper_without_slew(self):
         """With no gripper slew, the clamp of a change below -0.0 is -0.0,
         as in the scalar loop, so a -0.0 gripper keeps its sign; a maximum
-        then a minimum would give +0.0. At rest and turning."""
+        then a minimum would give +0.0. At rest and, column by column,
+        turning."""
         rng = np.random.default_rng(16)
         params = REST_PARAMS[:5] + (0.0,) + REST_PARAMS[6:]
         for turning in (False, True):
@@ -635,7 +687,9 @@ class TestRestHistory:
                     refs[2][:] = _unit([0.9, 0.1, -0.3, 0.2])
                 rows.append((state, refs, params))
                 _assert_same_run(state, refs, params)
-            _, states = _assert_columns_match_track_loop(rows, _oracle_loop)
+            _, states = _assert_columns_match_track_loop(
+                rows, _oracle_loop, at_rest=not turning,
+                rest_form=not turning)
             assert np.signbit(states[13]).tolist() == [True, False, False,
                                                        False, True]
 
@@ -647,7 +701,8 @@ class TestRestHistory:
             state, refs = _rest_column(rng, 20, (4,))
             rows.append((state, refs,
                          REST_PARAMS[:2] + (kp_ori, kv_ori) + REST_PARAMS[4:]))
-        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop)
+        faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                     at_rest=False)
         assert faults.tolist() == [-1, 0, 0, -1, 0]
         for row in rows:
             _assert_same_run(*row)
@@ -657,7 +712,8 @@ class TestRestHistory:
         # failed only in the full tier-1 run: the column off rest sends the
         # batch to track_loop column by column, where the other column
         # grasps an object at (0, 0, -0.0, -1), whose gripper-frame
-        # orientation sums four -0.0 terms into its w.
+        # orientation sums four -0.0 terms into its w; alone, that column
+        # grasps it at rest.
         state = np.zeros(kernels.STATE_SIZE)
         state[0:3] = [0.0025, -0.0026, 0.0128]
         state[3] = 1.0
@@ -671,8 +727,12 @@ class TestRestHistory:
                 np.array([[-0.0, 0.0, 0.0]]), np.ones(1)]
         case = (state, refs, (0.0, 0.0, 0.0, 0.0, 0.002, 400.0, 0.015))
         rows = [_off_rest(case, *NEAR_MISSES["q w -1"]), case]
-        _, states = _assert_columns_match_track_loop(rows, _oracle_loop)
+        _, states = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                     at_rest=False)
         assert states[21].tolist() == [1.0, 1.0]
+        _, states = _assert_columns_match_track_loop(rows[1:], _oracle_loop,
+                                                     at_rest=True)
+        assert states[21].tolist() == [1.0]
 
 
 def _waypoints(draw, n):
@@ -750,12 +810,16 @@ class TestReferenceGroup:
     @SETTINGS
     @given(group_cases())
     def test_block_columns_match_each_sample_bit_for_bit(self, case):
+        # the group samples only the rows of a rest-form block: positions,
+        # velocities and grippers, whatever the orientations
         refs, at = case
-        block = np.empty((len(at), kernels.REF_ROWS, len(refs)))
-        controller._reference_block(controller._ReferenceGroup(refs), at,
-                                    block)
+        pos, vel, grip, *_ = controller._sample_moves(
+            controller._ReferenceGroup(refs), at)
         for j, ref in enumerate(refs):
-            assert _bits(block[:, :, j]) == _bits(_block(ref.sample(at)))
+            want_pos, want_vel, _, _, want_grip = ref.sample(at)
+            assert _bits(pos[..., j]) == _bits(want_pos)
+            assert _bits(vel[..., j]) == _bits(want_vel)
+            assert _bits(grip[..., j]) == _bits(want_grip)
 
 
 class TestSegmentRates:

@@ -174,14 +174,15 @@ class TestGenerateDemos:
 
     def test_reference_blocks_stay_under_1_mb(self, monkeypatch):
         """The blocks of a 50-demo corpus build, one run as in perfbench."""
-        sample = controller._reference_block
+        sample = controller._sample_block
         sizes = set()
 
-        def spy(group, times, out):
-            sample(group, times, out)
-            sizes.add((out.base.shape[2], out.base.nbytes))
+        def spy(*args):
+            block = sample(*args)
+            sizes.add((block.shape[2], block.nbytes))
+            return block
 
-        monkeypatch.setattr(controller, "_reference_block", spy)
+        monkeypatch.setattr(controller, "_sample_block", spy)
         generate_demos(make_task(), n=50, seed=0)
         assert {columns for columns, _ in sizes} == {50}
         assert max(nbytes for _, nbytes in sizes) < 1e6
@@ -190,15 +191,15 @@ class TestGenerateDemos:
 def _spaced_refs(rng, spacings, per_grid):
     """``per_grid`` references on each of the knot grids ``spacings``: every
     grid spans 0 to 1 s in its number of waypoints, so the grids share their
-    start and end but not their knots. Each reference closes the gripper
-    halfway."""
+    start and end but not their knots. Each reference holds the identity
+    orientation, so that a batch of them steps in lockstep, and closes the
+    gripper halfway."""
     refs = []
     for n in spacings:
         times = np.linspace(0.0, 1.0, n)
         for _ in range(per_grid):
             positions = np.cumsum(rng.normal(0.0, 0.003, (n, 3)), axis=0)
-            quats = rng.normal(size=(n, 4))
-            quats /= np.linalg.norm(quats, axis=1)[:, None]
+            quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
             refs.append(controller.ReferenceTrack(
                 times, positions, quats,
                 grippers=np.where(times < 0.5, 0.0, 1.0)))
@@ -251,7 +252,10 @@ def mixed_grid_cases(draw):
     """Columns on one start clock, on two or three knot grids and on slice
     lists of different lengths, one of which ends a few physics steps
     before the longest; the references of one column overflow the PD
-    force. The plant step is PHYSICS_DT = 0.002 s."""
+    force, so that a lockstep batch runs track_loop column by column on
+    each column's own step times. The references hold the identity
+    orientation, or in some cases turn, which runs the batch row by row.
+    The plant step is PHYSICS_DT = 0.002 s."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spacings = draw(st.lists(st.integers(2, 9), min_size=2, max_size=3,
                              unique=True))
@@ -274,6 +278,7 @@ def mixed_grid_cases(draw):
     untils_of = draw(st.lists(st.integers(0, len(untils) - 1),
                               min_size=n_rows, max_size=n_rows))
     bad = draw(st.integers(0, n_rows - 1))
+    turning = draw(st.booleans())
     refs = []
     for r in range(n_rows):
         n = spacings[grid_of[r]]
@@ -281,7 +286,8 @@ def mixed_grid_cases(draw):
         positions = np.cumsum(rng.normal(0.0, 0.003, (n, 3)), axis=0)
         if r == bad:
             positions[1:] = 1e306
-        quats = rng.normal(size=(n, 4))
+        quats = rng.normal(size=(n, 4)) if turning else np.tile(
+            [1.0, 0.0, 0.0, 0.0], (n, 1))
         quats /= np.linalg.norm(quats, axis=1)[:, None]
         refs.append(controller.ReferenceTrack(
             times, positions, quats,
@@ -420,17 +426,20 @@ def _slice_times(t, untils):
 @st.composite
 def identity_cases(draw, kind):
     """Columns on identity references, enough to step in lockstep, on two
-    knot grids and two slices, run one block of LOCKSTEP_BLOCK row-steps
-    and 30 steps on. Column 0 holds the ``kind`` under test:
+    knot grids and two slice grids of two slices, which end together one
+    block of LOCKSTEP_BLOCK row-steps and 30 steps on; the slice grids'
+    step times differ in their last bits after the first slice. Column 0,
+    on the first slice grid, holds the ``kind`` under test:
 
     - "negative zero": waypoints whose vector parts hold -0.0;
     - "fault": a reference that overflows the PD force inside a block, so
-      that the at-rest step gives up on the call for track_loop, column
-      by column, on the full block;
+      that the at-rest step declines the call for track_loop, column by
+      column, on each column's own samples;
     - "edge": a grasp or a release on the last step of the first block or
       the first step of the next;
     - "turned": a robot that does not start at rest, so that every call
-      takes the full block, column by column.
+      runs track_loop column by column, where it reads the signed-zero
+      rates of waypoints whose vector parts hold -0.0.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_rows = draw(st.integers(controller.LOCKSTEP_MIN_ROWS,
@@ -438,8 +447,10 @@ def identity_cases(draw, kind):
     s = controller.LOCKSTEP_BLOCK // n_rows  # the steps of one block
     dt = sim.PHYSICS_DT
     t0 = draw(st.sampled_from([0.0, 0.1234]))
-    untils = (t0 + dt * draw(st.integers(1, s - 1)), t0 + dt * (s + 30))
-    step_times = np.concatenate(_slice_times(t0, untils))
+    firsts = draw(st.lists(st.integers(1, s - 1), min_size=2, max_size=2,
+                           unique=True))
+    grid_untils = [(t0 + dt * first, t0 + dt * (s + 30)) for first in firsts]
+    step_times = np.concatenate(_slice_times(t0, grid_untils[0]))
     span = (t0 - 0.01, step_times[-1] + 0.05)
     grids = [np.linspace(*span, m) for m in draw(st.lists(
         st.integers(2, 6), min_size=2, max_size=2, unique=True))]
@@ -456,7 +467,7 @@ def identity_cases(draw, kind):
         grippers = rng.choice([0.0, 1.0], m)
         quats = np.zeros((m, 4))
         quats[:, 0] = 1.0
-        if kind == "negative zero":
+        if kind in ("negative zero", "turned"):
             quats[:, 1:] = np.where(rng.random((m, 3)) < 0.5, -0.0, 0.0)
             if r == 0:
                 quats[draw(st.integers(0, m - 1)), 1:] = -0.0
@@ -486,6 +497,7 @@ def identity_cases(draw, kind):
         refs.append((times, positions, quats, grippers))
         gains.append(GAIN_PRESETS["high" if r == 0 or rng.random() < 0.5
                                   else "low"])
+    untils = [grid_untils[r % 2] for r in range(n_rows)]
     return states, refs, gains, untils
 
 
@@ -527,9 +539,9 @@ class TestIdentityReferences:
         calls = []
         full = controller._track_columns
 
-        def counted(*args):
-            calls.append(args[1].shape)
-            return full(*args)
+        def counted(state, tracks, times, gain_rows):
+            calls.append(len(times[0]))
+            return full(state, tracks, times, gain_rows)
 
         monkeypatch.setattr(controller, "_track_columns", counted)
 
@@ -540,7 +552,8 @@ class TestIdentityReferences:
             states, refs, gains, untils = case
             n_rows = len(refs)
             want = states.copy()
-            oracle = [_oracle_column(want[:, r], refs[r], gains[r], untils)
+            oracle = [_oracle_column(want[:, r], refs[r], gains[r],
+                                     untils[r])
                       for r in range(n_rows)]
             loop = states.copy()
             loop_faults = {}
@@ -548,7 +561,7 @@ class TestIdentityReferences:
                 state = loop[:, r].copy()
                 try:
                     for _ in track_slices(state, controller.ReferenceTrack(
-                            *refs[r]), gains[r], untils):
+                            *refs[r]), gains[r], untils[r]):
                         pass
                 except SimFault as exc:
                     loop_faults[r] = str(exc)
@@ -558,7 +571,7 @@ class TestIdentityReferences:
             tracks = [controller.ReferenceTrack(*ref) for ref in refs]
             try:
                 for rows, k, steps in track_lockstep(states, tracks, gains,
-                                                     [untils] * n_rows):
+                                                     untils):
                     for r in rows:
                         assert len(got_steps[r]) == k
                         got_steps[r].append(steps)
@@ -580,3 +593,57 @@ class TestIdentityReferences:
                 assert events.tolist() in ([s - 1], [s])
 
         check()
+
+
+class TestTurningBatches:
+    @pytest.mark.parametrize("waypoint", [
+        [0.9, 0.1, -0.3, 0.2], [1.0, 0.0, 0.0, 5e-324], [-1.0, 0.0, 0.0, 0.0],
+        [1.0 + 2.0**-52, 0.0, 0.0, 0.0]],
+        ids=["turning", "vector 5e-324", "w -1", "w 1 + ulp"])
+    def test_a_turning_reference_runs_the_batch_row_by_row(
+            self, waypoint, monkeypatch):
+        """A batch wide enough for lockstep, with one reference whose
+        waypoint is off the identity, never reaches ``_track_at_rest`` and
+        matches ``track_slices`` bit for bit; on identity waypoints alone
+        the same batch steps at rest."""
+        calls = []
+        at_rest = controller._track_at_rest
+
+        def counted(*args):
+            calls.append(args[1].shape)
+            return at_rest(*args)
+
+        monkeypatch.setattr(controller, "_track_at_rest", counted)
+        n_rows = controller.LOCKSTEP_MIN_ROWS + 1
+        gains = [GAIN_PRESETS["high" if r % 2 else "low"]
+                 for r in range(n_rows)]
+        untils = (0.4, 1.2)
+        for turning in (False, True):
+            refs = _line_refs(n_rows, ())
+            if turning:
+                quats = refs[3].orientations.copy()
+                quats[2] = waypoint
+                refs[3] = controller.ReferenceTrack(
+                    refs[3].times, refs[3].positions, quats,
+                    grippers=np.where(refs[3].times < 0.5, 0.0, 1.0))
+            states = np.zeros((30, n_rows))
+            states[3] = states[17] = states[25] = 1.0
+            states[14:17] = np.outer([0.0, 0.002, 0.0], np.arange(n_rows))
+            want = states.copy()
+            want_steps = []
+            for r in range(n_rows):
+                state = want[:, r].copy()
+                want_steps.append([len(trace.times) for trace in
+                                   track_slices(state, refs[r], gains[r],
+                                                untils)])
+                want[:, r] = state
+            got_steps = [[] for _ in range(n_rows)]
+            calls.clear()
+            for rows, k, steps in track_lockstep(states, refs, gains,
+                                                 [untils] * n_rows):
+                for r in rows:
+                    assert len(got_steps[r]) == k
+                    got_steps[r].append(steps)
+            assert got_steps == want_steps
+            assert states.tobytes() == want.tobytes()
+            assert bool(calls) != turning

@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from sailx import controller
-from sailx.controller import GAIN_PRESETS, ReferenceTrack, track_slices
+from sailx.controller import (GAIN_PRESETS, ReferenceTrack, _Subgroup,
+                              _sample_block, track_slices)
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
-from sailx.kernels import REF_POS, REF_QUAT, REF_ROWS, REST_ROWS
 from sailx.scheduler import TRACE_STRIDE, sample_trace
 from sailx.sim import initial_world
 
@@ -174,32 +174,25 @@ class TestIdentityTracks:
         assert bool(calls) == slerps
 
     def test_a_group_block_matches_each_oracle(self, monkeypatch):
+        """A lockstep subgroup's rest-form block, [grip; pos; vel] rows at
+        step times before, inside and after the span, without a slerp."""
         calls = self._count_slerps(monkeypatch)
         rng = np.random.default_rng(22)
         times = np.cumsum(rng.uniform(0.05, 0.5, 5))
-        at = rng.uniform(times[0] - 0.2, times[-1] + 0.2, 30)
-        refs = [(rng.normal(0.0, 0.01, (5, 3)), _identity_waypoints(rng, 5))
-                for _ in range(4)]
-        for turning in (False, True):
-            if turning:  # one reference that turns makes the group slerp
-                refs[2][1][3] = [0.9, 0.1, -0.3, 0.2]
-            group = controller._ReferenceGroup(
-                [ReferenceTrack(times, p, q) for p, q in refs])
-            block = np.empty((len(at), REF_ROWS, len(refs)))
-            controller._reference_block(group, at, block)
-            # an identity group also fills the rest-form rows [grip; pos; vel]
-            rest = np.empty((len(at), REST_ROWS, len(refs)))
-            if not turning:
-                controller._reference_block(group, at, rest)
-            for j, (p, q) in enumerate(refs):
-                want = OracleReferenceTrack(times, p, q).sample(at)
-                assert _bits(block[:, REF_QUAT, j]) == _bits(want[2])
-                assert _bits(block[:, REF_POS, j]) == _bits(want[0])
-                if not turning:
-                    assert _bits(rest[:, 0, j]) == _bits(want[4])
-                    assert _bits(rest[:, 1:4, j]) == _bits(want[0])
-                    assert _bits(rest[:, 4:, j]) == _bits(want[1])
-            assert len(calls) == turning
+        refs = [(rng.normal(0.0, 0.01, (5, 3)), _identity_waypoints(rng, 5),
+                 rng.choice([0.0, 1.0], 5)) for _ in range(4)]
+        steps = 30
+        dt = (times[-1] - times[0] + 0.4) / steps
+        sub = _Subgroup(range(len(refs)),
+                        [ReferenceTrack(times, *ref) for ref in refs],
+                        ((times[0] - 0.2, steps),), dt)
+        block = _sample_block([sub], 0, steps, len(refs))
+        for j, ref in enumerate(refs):
+            want = OracleReferenceTrack(times, *ref).sample(sub.times)
+            assert _bits(block[:, 0, j]) == _bits(want[4])
+            assert _bits(block[:, 1:4, j]) == _bits(want[0])
+            assert _bits(block[:, 4:, j]) == _bits(want[1])
+        assert not calls
 
     def test_positive_zero_waypoints_turn_at_positive_zero_rates(self):
         """ReferenceTrack stores +0.0 rates, without computing them, for
@@ -220,8 +213,9 @@ class TestIdentityTracks:
     def test_a_track_without_its_rotational_tables(self, monkeypatch):
         """An identity track at +0.0 is built without segment rates or a
         slerp table, and samples the oracle's bits at times inside and
-        outside its span, at ±inf and at NaN, alone and stacked with a
-        turning reference."""
+        outside its span, at ±inf and at NaN, alone, and stacked with a
+        turning reference in a lockstep group, which samples positions,
+        velocities and grippers."""
         calls = []
         rates = controller._segment_rates
 
@@ -251,9 +245,10 @@ class TestIdentityTracks:
             group = controller._ReferenceGroup([
                 ReferenceTrack(times, positions, quats, grippers),
                 ReferenceTrack(times, *turning)])
-            for j, want_j in enumerate(
+            stacked = controller._sample_moves(group, at)[:3]
+            for j, (pos, vel, _, _, grip) in enumerate(
                     (want, OracleReferenceTrack(times, *turning).sample(at))):
-                for got, w in zip(controller._sample(group, at), want_j):
+                for got, w in zip(stacked, (pos, vel, grip)):
                     assert _bits(got[..., j]) == _bits(w)
             calls.clear()
 
