@@ -10,7 +10,8 @@ to a temporary directory, and ``label``, ``diagnose``, ``sweep-speed``,
 seed 0, each writing its CSV there. One line per output, ``<name>
 <sha256>``; the corpus line digests every demo file's name and bytes, in
 name order. Two checkouts whose lines are equal wrote byte-identical
-outputs.
+outputs. ``tests/output_digests.txt`` holds the lines this program must
+print, and ``tests/test_output_digests.py`` compares them in tier-1.
 """
 from __future__ import annotations
 
@@ -45,7 +46,8 @@ def _run(argv: list[str]) -> None:
         sys.exit(f"sailx {' '.join(argv)} exited {code}")
 
 
-def main() -> None:
+def digests():
+    """Yield the ``<name> <sha256>`` line of each output, in order."""
     with tempfile.TemporaryDirectory() as tmp:
         corpus = Path(tmp) / "corpus"
         corpus.mkdir()
@@ -54,12 +56,17 @@ def main() -> None:
         digest = hashlib.sha256()
         for path in sorted(corpus.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
-        print(f"gen-demos {digest.hexdigest()}")
+        yield f"gen-demos {digest.hexdigest()}"
         for name, flags in COMMANDS.items():
             out = Path(tmp) / f"{name}.csv"
             _run([name, "--demos", str(corpus), "--seed", "0",
                   "--out", str(out), *flags])
-            print(f"{name} {hashlib.sha256(out.read_bytes()).hexdigest()}")
+            yield f"{name} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+
+
+def main() -> None:
+    for line in digests():
+        print(line)
 
 
 if __name__ == "__main__":

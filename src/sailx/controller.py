@@ -404,17 +404,19 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
 
 # Row-steps per reference block of a lockstep batch: a block holds
 # REST_ROWS floats per row and step (0.46 MB), whatever the batch's width,
-# and costs one sample call per subgroup. Timed on rest-form blocks and the
-# 8-call step, 2-core x86-64 VM, a replay-open-loop pass (24 columns) and a
-# 50-demo corpus build (50): best of 5 passes and of 3 builds in a fresh
-# process, medians of 12 processes per size in rotating order, in ms:
+# and costs one sample call per subgroup and one at-rest call. Timed on
+# rest-form blocks and the 8-call step, 2-core x86-64 VM, a replay-open-loop
+# pass (24 columns) and a 50-demo corpus build (50): best of 5 passes and
+# of 3 builds in a fresh process, medians of 12 processes per size in
+# rotating order, in ms; the corpus row since its at-rest calls run through
+# slice ends:
 #
 #     row-steps            1,536   3,072   4,096   6,144   8,192
 #     replay pass           26.9    28.5    23.4    23.7    23.6
-#     corpus build          78.3    85.0    76.4    70.7    72.6
+#     corpus build          59.9    52.9    51.2    51.0    52.1
 #
 # Fewer calls pay for the per-call costs: the at-rest check of the state,
-# the history set-up, the carried pose and a sample call per subgroup.
+# the history set-up, the carried poses and a sample call per subgroup.
 LOCKSTEP_BLOCK = 8192
 # Columns per lockstep run in the callers, which bounds the reference
 # tracks a caller holds at once and their stacked copy: about 55 kB a
@@ -466,25 +468,32 @@ def track_lockstep(states, refs, gains, untils):
     runs ``track_slices``'s slices to each time in ``untils[r]`` under
     ``gains[r]``, with the same bits. A batch of at least LOCKSTEP_MIN_ROWS
     columns whose references all have identity waypoints steps in lockstep
-    on ``kernels._track_at_rest``, from one slice end of any column to the
-    next, one rest-form block of LOCKSTEP_BLOCK row-steps of reference at a
-    time. Its columns on equal knot times and equal slices form a subgroup,
-    whose references one ``_ReferenceGroup`` samples together into the
-    subgroup's columns of each block, at the times ``track_slices`` uses:
-    those are built from each slice's start clock, so columns on other
-    slices would step at other times. A column leaves the batch after its
-    last slice. A block span that the at-rest step declines runs
-    ``track_loop`` column by column. Fewer columns, or a batch with a
-    reference that turns, run column by column through ``track_slices``.
-    No per-step trace is kept. Callers pass at most LOCKSTEP_MAX_ROWS
-    columns at a time.
+    on ``kernels._track_at_rest``, one rest-form block of LOCKSTEP_BLOCK
+    row-steps of reference at a time. Each at-rest call runs to the end of
+    its block or to the end of a column's last slice, whichever comes
+    first, through the slice ends between, at which it reports every
+    column's state. Its columns on equal knot times and equal slices form a
+    subgroup, whose references one ``_ReferenceGroup`` samples together
+    into the subgroup's columns of each block, at the times
+    ``track_slices`` uses: those are built from each slice's start clock,
+    so columns on other slices would step at other times. A column leaves
+    the batch after its last slice. A block span that the at-rest step
+    declines runs ``track_loop`` column by column, from one slice end of
+    any column to the next. Fewer columns, or a batch with a reference that
+    turns, run column by column through ``track_slices``. No per-step trace
+    is kept. Callers pass at most LOCKSTEP_MAX_ROWS columns at a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
-    once those columns reached the end of the slice, and the caller may
-    change them before the next slice runs. A column whose wrench turns
-    non-finite stops there. Once every column is done, the ``SimFault`` of
-    the first such column is raised, as a loop over the columns would raise
-    it, with the column index in its ``row``.
+    with those columns' states at the end of the slice in ``states``. The
+    caller may read them, and may renormalise their poses with
+    ``sim.normalise_poses``; a run passes a slice end only while that
+    leaves every column as it is (every robot, object and relative
+    orientation at the identity), and stops at each otherwise, so that the
+    change takes effect. No other change to ``states`` between two slices
+    is allowed. A column whose wrench turns non-finite stops there. Once
+    every column is done, the ``SimFault`` of the first such column is
+    raised, as a loop over the columns would raise it, with the column
+    index in its ``row``.
     """
     clocks = len(np.unique(states[TIME]))
     if clocks > 1:
@@ -517,7 +526,18 @@ def track_lockstep(states, refs, gains, untils):
 def _track_batch(states, refs, gains, untils, faults):
     """``track_lockstep``'s lockstep run of every column of ``states``, on
     references with identity waypoints; faults go to ``faults`` by
-    column."""
+    column.
+
+    Each at-rest call runs from ``start`` to ``end``, where the first
+    column to finish ends its last slice, or to the end of its block before
+    that, and marks every slice end it passes, a block end among them, so
+    that the slices ending there are yielded from its report. Where a
+    column's pose is off the identity, ``end`` is the next slice end of any
+    column instead, and the caller's changes there are read back before
+    the next call. A call that the at-rest step declines runs again to its
+    first mark, so that a column that does not start at rest, or faults,
+    runs ``track_loop`` from one slice end to the next, as before.
+    """
     dt = PHYSICS_DT
     t0 = float(states[TIME, 0])
     gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
@@ -543,10 +563,7 @@ def _track_batch(states, refs, gains, untils, faults):
     while True:
         if any(s.ends[s.k] == start for s in subs):
             states[:, live] = state
-            for s in subs:
-                while s.k < len(s.ends) and s.ends[s.k] == start:
-                    yield s.rows, s.k, s.steps[s.k]
-                    s.k += 1
+            yield from _slices_ending(subs, start)
             subs = [s for s in subs if s.k < len(s.ends)]
             state = states[:, live]
         if not subs:
@@ -557,7 +574,12 @@ def _track_batch(states, refs, gains, untils, faults):
             live, state = live[keep], state[:, keep]
             block = block[start - block_start:, :, keep]
             block_start = start
-        end = min(s.ends[s.k] for s in subs)
+        # a call runs through slice ends to a column's last, unless a
+        # caller may need to renormalise a pose at each slice end
+        if _identity_poses(state):
+            end = min(s.ends[-1] for s in subs)
+        else:
+            end = min(s.ends[s.k] for s in subs)
         while start < end:
             if start == block_start + len(block):
                 # drop the spent block before sampling the next one
@@ -567,11 +589,24 @@ def _track_batch(states, refs, gains, untils, faults):
                 block = _sample_block(subs, start, min(steps, last - start),
                                       len(live))
             stop = min(end, block_start + len(block))
+            # the slice ends the call passes, a block end among them, in
+            # steps from its start; one at ``end`` is yielded at the top
+            marks = sorted({e - start for s in subs for e in s.ends[s.k:]
+                            if start < e <= stop and e < end})
+            report = np.empty((len(marks),) + state.shape)
             if _track_at_rest(state, block[start - block_start:
                                            stop - block_start],
                               *gain_rows[:, live], dt, GRIPPER_SLEW,
-                              GRASP_RADIUS):
+                              GRASP_RADIUS, marks, report):
+                for mark, after in zip(marks, report):
+                    states[:, live] = after
+                    yield from _slices_ending(subs, start + mark)
                 start = stop
+                continue
+            if marks:
+                # run again to the first slice end only, where a decline
+                # runs track_loop as a call that stopped there would
+                end = start + marks[0]
                 continue
             # the columns do not start at rest, or a step faulted
             owner = np.repeat(np.arange(len(subs)),
@@ -591,6 +626,34 @@ def _track_batch(states, refs, gains, untils, faults):
                     subs[i].drop(live[faulted])
                 subs = [s for s in subs if len(s.rows)]
                 break
+
+
+def _slices_ending(subs, step):
+    """Yield (columns, k, n_k) for every slice of ``subs`` that ends at
+    ``step``, subgroup by subgroup, and count it done."""
+    for s in subs:
+        while s.k < len(s.ends) and s.ends[s.k] == step:
+            yield s.rows, s.k, s.steps[s.k]
+            s.k += 1
+
+
+# the state rows of the w and of the vector parts of the robot's, the
+# object's and the relative orientation
+_W_ROWS = [3, 17, 25]
+_VECTOR_ROWS = [4, 5, 6, 18, 19, 20, 26, 27, 28]
+
+
+def _identity_poses(state):
+    """Whether every column's robot, object and relative orientation have
+    w == 1.0 and a zero vector part, zeros of either sign.
+
+    A call at rest keeps them so: the robot's stays (1, +0.0, +0.0, +0.0),
+    and a grasp or a carried pose multiplies and normalises two such
+    quaternions into a third. So ``sim.normalise_poses`` leaves each column
+    as it is at every slice end of the call.
+    """
+    return bool((state[_W_ROWS] == 1.0).all()) and not state[
+        _VECTOR_ROWS].any()
 
 
 @np.errstate(all="ignore")  # the at-rest step never warns either

@@ -6,7 +6,7 @@ serialize as 7 numbers (px, py, pz, qw, qx, qy, qz). Readers raise
 ParseError with the offending line number, the header being line 1, on the
 non-standard JSON constants NaN and Infinity, on a missing field, and on a
 field that is not a number or a list of the numbers it needs; a demo
-file also on a ``dt`` that is not > 0 and on no record at all. A rollout
+file also on a ``dt`` that is not > 0 and on fewer than 2 records. A rollout
 file reads back as the ``scheduler.RolloutLog`` it was written from.
 
 Demonstrations are produced by a scripted teleoperator executed through the
@@ -164,8 +164,9 @@ def read_demo(path: str) -> Demonstration:
     if not dt > 0:
         raise ParseError(f"{path}: dt={dt!r}, but a demo's interval must be "
                          "> 0", line=1)
-    if not records:
-        raise ParseError(f"{path}: a demo needs at least one record", line=1)
+    if len(records) < 2:  # a replay's reference needs 2 waypoints
+        raise ParseError(f"{path}: n={len(records)}, but a demo needs at "
+                         "least 2 records", line=1)
     object_start = _field(header, "object_start", path, 1, 7)
     goal = _field(header, "goal", path, 1, 3)
     cmd, reached, grip, k, obj = [], [], [], [], []
@@ -425,7 +426,9 @@ def _track_scripts(scripts, profile, first):
                 states, [ref for _, ref, _, _ in scripts],
                 [profile] * len(scripts),
                 [ref.times[1:] for _, ref, _, _ in scripts]):
-            block = states[:, rows].T.copy()
+            if len(rows) == len(scripts):  # every demo, in order
+                rows = slice(None)
+            block = states[:, rows].T
             if steps:
                 normalise_poses(block)  # as between two track calls
                 states[:, rows] = block.T

@@ -26,7 +26,9 @@ call's first step keeps the incoming object pose.
 
 ``_track_at_rest`` is the same plant on the B columns of a (30, B) state
 under per-column gains, with each column's bits equal to ``track_loop`` on
-that row, and no per-step trace. It steps only references at rest (below),
+that row. It keeps no per-step trace, but reports the state after each of
+the steps it is asked for: ``controller`` marks the slice ends a call runs
+through. It steps only references at rest (below),
 and it declines a call whose columns do not start at rest, or in which a
 step faults, leaving the state as it was; ``controller`` then runs
 ``track_loop`` on each column. So the scalar loop is the one full,
@@ -92,6 +94,12 @@ calls of 64 steps, call overhead included. After the loop:
   orientation at rest bit for bit.
 - The clock: when every column holds the same bits, n Python float
   additions broadcast to all of them; otherwise n numpy additions.
+- The state after a marked step m is the one a call of m steps leaves:
+  [grip; p; v] from history row m, the attached flag and the relative
+  and object poses as the scan leaves them before its first event at
+  step m or later, a carried object's pose formed from row m by the
+  ``_carried_pose`` the end of a call uses (one call for every carried
+  column of every mark), and the clock after m of the same additions.
 
 Timed on whole replay cells at rest (2-core x86-64 VM), lockstep now wins
 from 5 rows up (``controller.LOCKSTEP_MIN_ROWS`` says why it stays 7).
@@ -539,7 +547,7 @@ REST_ROWS = len(_REST_STATE)
 
 @np.errstate(all="ignore")  # the scalar loop never warns either
 def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                   grip_slew, grasp_radius):
+                   grip_slew, grasp_radius, marks=(), report=None):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep, on
     references at rest; True once every column has stepped.
 
@@ -548,13 +556,18 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     whose rates are zero. The gains are (B,) float arrays, one value per
     column; dt, ``grip_slew`` and ``grasp_radius`` are shared, and
     ``grip_slew`` must not be negative. Every column gets the bits
-    ``track_loop`` gives that row; no per-step trace is written, and
-    ``state`` is updated in place. When the columns do not start at rest,
-    or a step faults, it returns False and leaves ``state`` as it was.
+    ``track_loop`` gives that row, and ``state`` is updated in place. When
+    the columns do not start at rest, or a step faults, it returns False
+    and leaves ``state`` as it was.
+
+    ``marks`` are ascending step counts, from 1 to the call's steps: after
+    the call, ``report[k]``, a (len(marks), 30, B) array, holds the state
+    as a call that ended after ``marks[k]`` steps would have left it, bit
+    for bit. No other per-step trace is written.
 
     Each step is eight ufunc calls on the (7, B) rows [grip; p; v] of a
-    history buffer, from row i to row i + 1; grasps, releases and the clock
-    follow from the history after the loop.
+    history buffer, from row i to row i + 1; grasps, releases, the clock
+    and the states at the marks follow from the history after the loop.
     """
     dt = float(dt)
     if not ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
@@ -576,32 +589,48 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     inc = np.full((7, b), -0.0)
     inc_grip, inc_vel = inc[0], inc[4:]
     move = np.empty((3, b))
+    # local names: a global and an attribute lookup per call cost ~10 % of
+    # a step
+    subtract, multiply, add, clip = np.subtract, np.multiply, np.add, _clip
     for want, x, y, y_pos, y_vel in zip(rest_ref, hist, hist[1:],
                                         hist[1:, 1:4], hist[1:, 4:]):
-        np.subtract(want, x, err)
-        np.multiply(err, gain, err)  # the gripper row times 1.0 keeps its bits
-        np.add(err_pos, err_vel, inc_vel)  # the PD force
+        subtract(want, x, err)
+        multiply(err, gain, err)  # the gripper row times 1.0 keeps its bits
+        add(err_pos, err_vel, inc_vel)  # the PD force
         # the gripper change, clamped to the slew
-        _clip(err_grip, neg_max_step, max_step, inc_grip)
+        clip(err_grip, neg_max_step, max_step, inc_grip)
         # semi-implicit Euler step
-        np.multiply(inc_vel, dt_, inc_vel)
-        np.add(x, inc, y)
-        np.multiply(y_vel, dt_, move)
-        np.add(y_pos, move, y_pos)
+        multiply(inc_vel, dt_, inc_vel)
+        add(x, inc, y)
+        multiply(y_vel, dt_, move)
+        add(y_pos, move, y_pos)
     # A non-finite force makes its velocity non-finite, and a non-finite
     # velocity stays so (module docstring): a finite one proves no fault.
     if not np.isfinite(hist[n, 4:]).all():
         return False
 
+    # The state after each mark and after the last step, as calls that
+    # ended there would leave it: the orientation and the spin as they
+    # were, and [grip; p; v] from the history.
+    ends = [*marks, n]
+    after = np.empty((len(ends), STATE_SIZE, b))
+    after[:] = state
+    after[:, _REST_STATE] = hist[ends]
     # Grasps and releases, in step order, where the command crosses 0.5, on
     # the scalar loop's helpers: a grasp from the pose after its step, a
     # release from the pose before it. The robot's motion does not depend on
     # the object, so a grasp found here sees the poses it saw in the loop.
+    # The object rows [14:29] of the state after m steps are those before
+    # the first event at step m or later.
     grip = hist[:, 0]
     below = grip < 0.5
     q, attached = state[3:7], state[21]
     steps, cols = np.nonzero(below[:-1] != below[1:])
+    k = 0
     for i, j in zip(steps.tolist(), cols.tolist()):
+        while ends[k] <= i:
+            after[k, 14:29] = state[14:29]
+            k += 1
         quat = q[:, j].tolist()
         if below[i, j] and grip[i + 1, j] >= 0.5:
             if attached[j] == 0.0:
@@ -615,22 +644,33 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
             if i:  # the object was carried through the last step
                 state[14:21, j] = _carried(hist[i, 1:4, j].tolist() + quat,
                                            state[22:29, j].tolist())
-    carried = np.flatnonzero(attached == 1.0)
-    if n and len(carried):
-        state[14:17, carried], state[17:21, carried] = _carried_pose(
-            hist[n, 1:4][:, carried], q[:, carried], state[22:25, carried],
-            state[25:29, carried])
-    state[_REST_STATE] = hist[n]
+    after[k:, 14:29] = state[14:29]
+    # A call's carried objects ride on its last robot pose, where it took a
+    # step: one _carried_pose call, whose columns are those of every state
+    # that carries one, each with the bits of its own call.
+    stepped = np.array(ends)
+    at, col = np.nonzero((after[:, 21] == 1.0) & (stepped > 0)[:, None])
+    if len(at):
+        obj = _carried_pose(hist[stepped[at], 1:4, col].T.copy(), q[:, col],
+                            after[at, 22:25, col].T.copy(),
+                            after[at, 25:29, col].T.copy())
+        after[at, 14:17, col], after[at, 17:21, col] = (o.T for o in obj)
 
     # the clock: one sum, broadcast, when every column holds the same bits
-    t = state[29]
+    t = state[29].copy()
     bits = t.view(np.int64)
-    if not (bits == bits[:1]).all():
-        for _ in range(n):
-            np.add(t, dt_, t)
-    elif n and b:
-        clock = float(t[0])
-        for _ in range(n):
-            clock += dt
-        t[:] = clock
+    shared = b and (bits == bits[:1]).all()
+    clock = float(t[0]) if shared else t
+    done = 0
+    for m, row in zip(ends, after):
+        for _ in range(m - done):
+            if shared:
+                clock += dt
+            else:
+                np.add(t, dt_, t)
+        row[29] = clock
+        done = m
+    state[:] = after[-1]
+    if marks:
+        report[:] = after[:-1]
     return True

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Pose
+from .core import IDENTITY_QUAT, Pose
 from .errors import ConfigurationError, InvalidInputError
 from .kernels import STATE_SIZE
 
@@ -31,8 +31,9 @@ OBJECT_POSITION = slice(14, 17)
 OBJECT_ORIENTATION = slice(17, 21)
 ATTACHED = 21
 TIME = 29
-# the vector parts of the robot's and the object's quaternion
-_VECTOR_PARTS = [4, 5, 6, 18, 19, 20]
+# the robot's and the object's quaternion, and both at the identity
+_QUATERNIONS = [3, 4, 5, 6, 17, 18, 19, 20]
+_IDENTITIES = np.tile(IDENTITY_QUAT, 2)
 
 # The time limit of a task (s): rollouts end there, and the metrics charge
 # a failed rollout -1 / T_MAX.
@@ -82,9 +83,10 @@ def normalise_poses(states) -> None:
     states = np.atleast_2d(states)
     if not np.isfinite(states[:, :OBJECT_ORIENTATION.stop]).all():
         raise InvalidInputError("plant state must be finite")
-    moving = ((states[:, 3] != 1.0) | (states[:, 17] != 1.0)
-              | states[:, _VECTOR_PARTS].any(axis=1))
-    for row in np.flatnonzero(moving):
+    moving = states[:, _QUATERNIONS] != _IDENTITIES
+    if not moving.any():
+        return
+    for row in np.flatnonzero(moving.any(axis=1)):
         state = states[row]
         for q in (state[ROBOT_ORIENTATION], state[OBJECT_ORIENTATION]):
             q /= np.linalg.norm(q)

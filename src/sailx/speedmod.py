@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# the clip ufunc, which numpy 2 exposes here
+from numpy._core.umath import clip as _clip
 
 from .errors import InvalidInputError
 
@@ -29,26 +31,40 @@ LABEL_EPS = 0.02
 LABEL_MIN_PTS = 4
 
 
+def _norms(v):
+    """``np.linalg.norm(v, axis=1)`` of a real (N, 3) array, in its
+    operation order, without its argument handling."""
+    return np.sqrt(np.add.reduce(v * v, axis=1))
+
+
 def _point_segment_distances(points, a, b):
     """Distances from each point to segment a-b."""
     d = b - a
     denom = float(d @ d)
     if denom == 0.0:
-        return np.linalg.norm(points - a, axis=1)
-    t = np.clip((points - a) @ d / denom, 0.0, 1.0)
+        return _norms(points - a)
+    # the clip ufunc that np.clip calls, without its argument handling
+    t = _clip((points - a) @ d / denom, 0.0, 1.0)
     proj = a + t[:, None] * d
-    return np.linalg.norm(points - proj, axis=1)
+    return _norms(points - proj)
+
+
+def _finite_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("points must be finite")
+    return pts
 
 
 def extract_waypoints(positions, tau: float) -> WaypointSet:
     """Recursive maximal-deviation split until all points lie within tau.
 
-    ``positions`` is an (N, 3) array-like of points. The first and last
-    points are always waypoints.
+    ``positions`` is an (N, 3) array-like of finite points. The first and
+    last points are always waypoints.
     """
     if not 0.0 < tau < math.inf:
         raise InvalidInputError("tau must be finite and positive")
-    pts = np.asarray(positions, dtype=float)
+    pts = _finite_points(positions)
     n = len(pts)
     if n < 2:
         raise InvalidInputError("trajectory must contain at least 2 points")
@@ -60,7 +76,7 @@ def extract_waypoints(positions, tau: float) -> WaypointSet:
         if j - i < 2:
             continue
         dists = _point_segment_distances(pts[i + 1:j], pts[i], pts[j])
-        k = int(np.argmax(dists))
+        k = int(dists.argmax())
         if dists[k] > tau:
             m = i + 1 + k
             keep.add(m)
@@ -71,14 +87,14 @@ def extract_waypoints(positions, tau: float) -> WaypointSet:
 
 
 def dbscan(points, eps: float, min_pts: int) -> np.ndarray:
-    """Plain DBSCAN over 3-D points; noise labeled -1.
+    """Plain DBSCAN over finite 3-D points; noise labeled -1.
 
     Deterministic: points are visited in ascending index order.
     """
     if not 0.0 < eps < math.inf or min_pts < 1:
         raise InvalidInputError("eps must be finite and positive and "
                                 "min_pts >= 1")
-    pts = np.asarray(points, dtype=float)
+    pts = _finite_points(points)
     n = len(pts)
     labels = np.full(n, NOISE, dtype=int)
     if n == 0:

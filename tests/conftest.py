@@ -13,15 +13,18 @@ from sailx.experiments import build_demo_corpus, make_task
 # Hypothesis draws a share of its examples from the constants of every
 # loaded module of the project outside the test files, so a test's examples
 # would depend on which other test files a run collects: the full suite
-# also loads sailx.cli and perfbench's modules. Loading all of them here,
-# before any test runs, gives every run the same pool.
-_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# also loads sailx.cli, perfbench's modules and scripts/output_digests.py.
+# Loading all of them here, before any test runs, gives every run the same
+# pool.
+_ROOT = Path(__file__).resolve().parent.parent
 for _module in pkgutil.iter_modules(sailx.__path__):
     importlib.import_module(f"sailx.{_module.name}")
-sys.path.insert(0, str(_PERFBENCH))
-for _path in sorted(_PERFBENCH.glob("*.py")):
+sys.path.insert(0, str(_ROOT / "perfbench"))
+for _path in sorted((_ROOT / "perfbench").glob("*.py")):
     if not _path.stem.startswith("test_"):
         importlib.import_module(_path.stem)
+sys.path.insert(0, str(_ROOT / "scripts"))
+importlib.import_module("output_digests")
 
 
 # A failing example is reported as found, not shrunk: shrinking a broken

@@ -278,24 +278,26 @@ class TestConfigFile:
 
 
     @pytest.mark.parametrize("command", ["sweep-gain-replay", "diagnose"])
-    @pytest.mark.parametrize("header", [{"dt": 0.0}, {"n": 0}],
-                             ids=["dt 0", "no record"])
+    @pytest.mark.parametrize("header", [{"dt": 0.0}, {"n": 0}, {"n": 1}],
+                             ids=["dt 0", "no record", "one record"])
     def test_a_demo_it_cannot_run_fails_at_line_1(self, demo_dir, tmp_path,
                                                   caplog, command, header):
-        """A demo file whose interval is not positive, or that holds no
-        record, fails to load as any malformed file does, naming its line,
-        before a replay or a diagnostics trial runs on it."""
+        """A demo file whose interval is not positive, or that holds fewer
+        than 2 records, fails to load as any malformed file does, naming
+        its file and line, before a replay or a diagnostics trial runs on
+        it."""
         demos = load_demos(demo_dir)[:2]
         save_demos(demos, str(tmp_path))
         path = sorted(tmp_path.iterdir())[0]
         lines = path.read_text().splitlines()
         lines[0] = json.dumps({**json.loads(lines[0]), **header})
-        if header.get("n") == 0:
-            lines = lines[:1]
+        if "n" in header:
+            lines = lines[:1 + header["n"]]
         path.write_text("\n".join(lines) + "\n")
         assert main([command, "--demos", str(tmp_path), "--trials", "1"]
                     if command == "diagnose" else
                     [command, "--demos", str(tmp_path)]) == 1
+        assert f"{path}: " in caplog.text
         assert "line 1" in caplog.text
 
 

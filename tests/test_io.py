@@ -125,6 +125,18 @@ class TestDemoRoundTrip:
             read_demo(path)
         assert exc.value.line == 1
 
+    def test_a_demo_with_one_record_is_rejected(self, demos20, tmp_path):
+        # no replay can run on it: a reference needs 2 waypoints
+        path = str(tmp_path / "d.jsonl")
+        write_demo(demos20[0], path)
+        lines = open(path).read().splitlines()[:2]
+        lines[0] = json.dumps({**json.loads(lines[0]), "n": 1})
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="at least 2 records") as exc:
+            read_demo(path)
+        assert exc.value.line == 1
+        assert path in str(exc.value)
+
     def test_wrong_kind_rejected(self, demos20, tmp_path):
         path = str(tmp_path / "d.jsonl")
         write_demo(demos20[0], path)
@@ -322,7 +334,7 @@ def _rows(draw, n, width):
 
 @st.composite
 def demos(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 5))  # read_demo refuses fewer than 2 records
     rows = lambda width: _rows(draw, n, width)  # noqa: E731
     return Demonstration(
         dt=draw(st.floats(1e-6, 1.0)), commanded=rows(7), reached=rows(7),

@@ -568,13 +568,23 @@ def _rest_column(rng, n, flips=(), attached=False, travel=0.0):
 def _assert_calls_match_the_oracle(rows, cuts):
     """Both kernels, run in one call per span between ``cuts``, against the
     oracle's single run of each row: the batch at rest on the final states,
-    the scalar loop on them and on every out row. Returns the oracle's
-    events of each row."""
+    the scalar loop on them and on every out row. One batch call through
+    the inner cuts, marked there, reports the states the calls that end at
+    them leave. Returns the oracle's events of each row."""
     states, block, gains, shared = _batch_args(rows)
+    through = states.copy()
     spans = list(zip(cuts[:-1], cuts[1:]))
+    ends = []
     for start, stop in spans:
         assert kernels._track_at_rest(states, block[start:stop], *gains,
                                       *shared)
+        ends.append(states.copy())
+    marks = [cut - cuts[0] for cut in cuts[1:-1]]
+    report = np.full((len(marks),) + states.shape, np.nan)
+    assert kernels._track_at_rest(through, block[cuts[0]:cuts[-1]], *gains,
+                                  *shared, marks, report)
+    assert _bits(through) == _bits(states)
+    assert _bits(report) == _bits(ends[:-1])
     events = []
     for j, (state, refs, params) in enumerate(rows):
         fault, want, want_outs = _run(_oracle_loop, state, refs, params)
@@ -619,6 +629,34 @@ class TestRestHistory:
         for (*_, want), got in zip(columns, events):
             steps = np.flatnonzero(got)
             assert dict(zip(steps.tolist(), got[steps].tolist())) == want
+
+    def test_reports_at_slice_ends(self):
+        """A call that runs through slice ends reports each column's state
+        at each, as a call that ended there leaves it, with grasps and
+        releases two steps before, one step before, on and one step after
+        a slice end, the last step of the one before it being "on" it; a
+        release and a grasp again on either side of it; and a slice end on
+        the call's last step."""
+        m, n = 40, 90  # the slice end under test and the call's steps
+        columns = [((flip,), attached) for flip in (m - 2, m - 1, m, m + 1)
+                   for attached in (False, True)]
+        columns.append(((m - 1, m), True))
+        assert len(columns) >= controller.LOCKSTEP_MIN_ROWS
+        rng = np.random.default_rng(17)
+        rows = [(*_rest_column(rng, n, flips, attached), REST_PARAMS)
+                for flips, attached in columns]
+        events = _assert_calls_match_the_oracle(rows, [0, 25, m, n])
+        for (flips, attached), got in zip(columns, events):
+            want = {flip: (-1 if attached else 1) * (-1) ** k
+                    for k, flip in enumerate(flips)}
+            steps = np.flatnonzero(got)
+            assert dict(zip(steps.tolist(), got[steps].tolist())) == want
+        # a mark on the last step reports the final state
+        states, block, gains, shared = _batch_args(rows)
+        report = np.empty((2,) + states.shape)
+        assert kernels._track_at_rest(states, block, *gains, *shared,
+                                      [m, n], report)
+        assert _bits(report[1]) == _bits(states)
 
     def test_columns_on_different_clocks_without_gripper_slew(self):
         rng = np.random.default_rng(12)

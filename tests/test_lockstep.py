@@ -9,6 +9,8 @@ here so that both plants, several grid groups, several runs per call and
 slices that straddle blocks are all compared.
 """
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -134,11 +136,24 @@ class TestDiagnostics:
         assert "c=0.1 " in errors[0]
 
 
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
 def _rotated_task():
     task = make_task()
     quat = np.array([-0.7, 0.9, 1.0, 0.9])
     return TaskSpec(Pose(task.object_start.position,
                          quat / np.linalg.norm(quat)), task.goal_position)
+
+
+def _wobbling_task():
+    """A task whose object orientation every renormalisation moves by an
+    ulp, back and forth."""
+    task = make_task()
+    return TaskSpec(Pose(task.object_start.position,
+                         _unit([-1.0, 0.7, -0.1, 0.5])), task.goal_position)
 
 
 def _far_goal_task():
@@ -172,6 +187,46 @@ class TestGenerateDemos:
         want = lockstep_oracle.generate_demos(make_task(), n=n, seed=6)
         _assert_same_demos(generate_demos(make_task(), n=n, seed=6), want)
 
+    @pytest.mark.parametrize("task", [_rotated_task(), _wobbling_task()],
+                             ids=["rotated", "wobbling"])
+    def test_a_rotated_object_stops_at_each_slice_end(self, task,
+                                                      monkeypatch):
+        """A batch wide enough for lockstep on a task whose object is not at
+        the identity orientation: every at-rest call stops at the next
+        slice end, where the corpus build renormalises the object's pose,
+        as the per-demo loop does between two slices; the wobbling pose
+        records a different bit at each."""
+        marks = []
+        at_rest = controller._track_at_rest
+
+        def marked(*args):
+            marks.append(list(args[9]))
+            return at_rest(*args)
+
+        monkeypatch.setattr(controller, "_track_at_rest", marked)
+        n = controller.LOCKSTEP_MIN_ROWS + 1
+        want = lockstep_oracle.generate_demos(task, n=n, seed=1)
+        got = generate_demos(task, n=n, seed=1)
+        _assert_same_demos(got, want)
+        slices = len(want[0]) - 1
+        assert len(marks) >= slices and not any(marks)
+
+    def test_a_50_demo_build_runs_through_slice_ends(self, monkeypatch):
+        """A 50-demo corpus build, one run as in perfbench: one at-rest call
+        per reference block, each through the slice ends inside it."""
+        calls = {"_track_at_rest": [], "_sample_block": []}
+        for name, spied in calls.items():
+            monkeypatch.setattr(controller, name, functools.partial(
+                _spy, getattr(controller, name), spied))
+        demos = generate_demos(make_task(), n=50, seed=0)
+        slices = len(demos[0]) - 1
+        blocks = len(calls["_sample_block"])
+        steps = controller.LOCKSTEP_BLOCK // 50
+        assert slices == 114 and blocks == math.ceil(slices * 25 / steps)
+        assert len(calls["_track_at_rest"]) == blocks == 18
+        marks = sum(len(args[9]) for args in calls["_track_at_rest"])
+        assert marks == slices - 1
+
     def test_reference_blocks_stay_under_1_mb(self, monkeypatch):
         """The blocks of a 50-demo corpus build, one run as in perfbench."""
         sample = controller._sample_block
@@ -186,6 +241,11 @@ class TestGenerateDemos:
         generate_demos(make_task(), n=50, seed=0)
         assert {columns for columns, _ in sizes} == {50}
         assert max(nbytes for _, nbytes in sizes) < 1e6
+
+
+def _spy(fn, calls, *args):
+    calls.append(args)
+    return fn(*args)
 
 
 def _spaced_refs(rng, spacings, per_grid):
@@ -404,11 +464,6 @@ class TestFaults:
         assert states.tobytes() == want_states.tobytes()
 
 
-def _unit(v):
-    v = np.asarray(v, dtype=float)
-    return v / np.linalg.norm(v)
-
-
 def _slice_times(t, untils):
     """The step times of each slice to ``untils`` from the clock ``t``, as
     ``track_slices`` documents them: round((until - t) / dt) steps, at least
@@ -424,7 +479,7 @@ def _slice_times(t, untils):
 
 
 @st.composite
-def identity_cases(draw, kind):
+def identity_cases(draw, kind, offset=0):
     """Columns on identity references, enough to step in lockstep, on two
     knot grids and two slice grids of two slices, which end together one
     block of LOCKSTEP_BLOCK row-steps and 30 steps on; the slice grids'
@@ -437,6 +492,12 @@ def identity_cases(draw, kind):
       column, on each column's own samples;
     - "edge": a grasp or a release on the last step of the first block or
       the first step of the next;
+    - "slice end": a grasp or a release ``offset`` steps after the first
+      slice's end, which the lockstep run passes without stopping: at -1
+      on the slice's last step, at 0 on the next slice's first;
+    - "rotated object": an object whose orientation and gripper-frame
+      orientation are not the identity, which makes the run stop at every
+      slice end;
     - "turned": a robot that does not start at rest, so that every call
       runs track_loop column by column, where it reads the signed-zero
       rates of waypoints whose vector parts hold -0.0.
@@ -447,7 +508,8 @@ def identity_cases(draw, kind):
     s = controller.LOCKSTEP_BLOCK // n_rows  # the steps of one block
     dt = sim.PHYSICS_DT
     t0 = draw(st.sampled_from([0.0, 0.1234]))
-    firsts = draw(st.lists(st.integers(1, s - 1), min_size=2, max_size=2,
+    firsts = draw(st.lists(st.integers(2 if kind == "slice end" else 1,
+                                       s - 1), min_size=2, max_size=2,
                            unique=True))
     grid_untils = [(t0 + dt * first, t0 + dt * (s + 30)) for first in firsts]
     step_times = np.concatenate(_slice_times(t0, grid_untils[0]))
@@ -480,10 +542,11 @@ def identity_cases(draw, kind):
                 1e307 * (times[1] - times[0]) / 0.3
             grippers = np.zeros(9)
             quats = np.tile([1.0, 0.0, 0.0, 0.0], (9, 1))
-        elif r == 0 and kind == "edge":
+        elif r == 0 and kind in ("edge", "slice end"):
             # the command holds the gripper just short of 0.5, then crosses
             # it at the step whose time is the middle waypoint's
-            edge = draw(st.sampled_from([s - 1, s]))
+            edge = (draw(st.sampled_from([s - 1, s])) if kind == "edge"
+                    else firsts[0] + offset)
             grasp = draw(st.booleans())
             times = np.array([span[0], step_times[edge], span[1]])
             positions = np.zeros((3, 3))
@@ -494,6 +557,10 @@ def identity_cases(draw, kind):
             states[14:17, 0] = [0.004, -0.003, 0.002]
         elif r == 0 and kind == "turned":
             states[3:7, 0] = _unit([0.9, 0.1, -0.3, 0.2])
+        elif r == 0 and kind == "rotated object":
+            # carried or not, the object keeps a rotation
+            states[17:21, 0] = states[25:29, 0] = _unit([0.9, 0.1, -0.3,
+                                                         0.2])
         refs.append((times, positions, quats, grippers))
         gains.append(GAIN_PRESETS["high" if r == 0 or rng.random() < 0.5
                                   else "low"])
@@ -529,13 +596,31 @@ class TestIdentityReferences:
     module's LOCKSTEP_BLOCK, against the column loop of ``lockstep_oracle``
     (``track_slices``) and against ``plant_oracle`` on ``reference_oracle``
     samples, bit for bit; each case's fallback to track_loop, column by
-    column, shows in the calls of ``_track_columns``."""
+    column, shows in the calls of ``_track_columns``, and whether its
+    at-rest calls run through a slice end in the marks they take."""
+
+    # whether a case's at-rest calls run through a slice end; a fault's
+    # calls may or may not
+    THROUGH = {"negative zero": True, "fault": None, "edge": True,
+               "slice end": True, "rotated object": False, "turned": False}
 
     @pytest.mark.parametrize("kind, full_steps", [
         ("negative zero", False), ("fault", True), ("edge", False),
         ("turned", True)])
     def test_columns_match_both_oracles(self, kind, full_steps,
                                         monkeypatch):
+        self._check(kind, 0, full_steps, monkeypatch)
+
+    @pytest.mark.parametrize("kind, offset", [
+        ("slice end", -2), ("slice end", -1), ("slice end", 0),
+        ("slice end", 1), ("rotated object", 0)],
+        ids=["slice end -2", "slice end -1", "slice end 0", "slice end +1",
+             "rotated object"])
+    def test_slice_ends_match_both_oracles(self, kind, offset, monkeypatch):
+        self._check(kind, offset, False, monkeypatch)
+
+    def _check(self, kind, offset, full_steps, monkeypatch):
+        through = self.THROUGH[kind]
         calls = []
         full = controller._track_columns
 
@@ -544,10 +629,18 @@ class TestIdentityReferences:
             return full(state, tracks, times, gain_rows)
 
         monkeypatch.setattr(controller, "_track_columns", counted)
+        marks = []
+        at_rest = controller._track_at_rest
+
+        def marked(*args):
+            marks.extend(args[9])
+            return at_rest(*args)
+
+        monkeypatch.setattr(controller, "_track_at_rest", marked)
 
         @settings(max_examples=3, deadline=None, derandomize=True,
                   suppress_health_check=[HealthCheck.too_slow])
-        @given(identity_cases(kind))
+        @given(identity_cases(kind, offset))
         def check(case):
             states, refs, gains, untils = case
             n_rows = len(refs)
@@ -567,6 +660,7 @@ class TestIdentityReferences:
                     loop_faults[r] = str(exc)
                 loop[:, r] = state
             calls.clear()
+            marks.clear()
             got_steps = [[] for _ in range(n_rows)]
             tracks = [controller.ReferenceTrack(*ref) for ref in refs]
             try:
@@ -583,6 +677,8 @@ class TestIdentityReferences:
             assert got_steps == [steps for steps, _, _ in oracle]
             assert states.tobytes() == want.tobytes() == loop.tobytes()
             assert bool(calls) == full_steps
+            if through is not None:
+                assert bool(marks) == through
             s = controller.LOCKSTEP_BLOCK // n_rows
             if kind == "fault":
                 # the first overflow lies inside a block, not on its edge
@@ -591,6 +687,12 @@ class TestIdentityReferences:
             if kind == "edge":
                 events = np.flatnonzero(oracle[0][1])
                 assert events.tolist() in ([s - 1], [s])
+            if kind == "slice end":
+                # on column 0's first slice end, which a call ran through
+                first = oracle[0][0][0]
+                assert first in marks
+                events = np.flatnonzero(oracle[0][1])
+                assert events.tolist() == [first + offset]
 
         check()
 

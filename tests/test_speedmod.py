@@ -82,6 +82,19 @@ class TestExtractWaypoints:
         with pytest.raises(InvalidInputError):
             extract_waypoints(np.zeros((5, 3)), 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 7, 19], ids=["first", "middle",
+                                                      "last"])
+    def test_a_non_finite_point_is_refused(self, value, where):
+        # with a NaN inside, the split kept only the two ends, and an inf
+        # warned in a matmul; both labelled every step 0
+        pts = np.linspace([0, 0, 0], [1, 0, 0], 20)
+        pts[where, 1] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            extract_waypoints(pts, 0.005)
+        with pytest.raises(InvalidInputError, match="finite"):
+            label_critical(pts)
+
 
 class TestDbscan:
     def test_matches_oracle_on_random_sets(self, rng):
@@ -104,6 +117,14 @@ class TestDbscan:
 
     def test_empty_input(self):
         assert len(dbscan(np.zeros((0, 3)), 0.1, 3)) == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_point_is_refused(self, rng, value):
+        # a NaN point was labelled noise
+        pts = rng.normal(0.0, 0.01, size=(10, 3))
+        pts[4, 2] = value
+        with pytest.raises(InvalidInputError, match="finite"):
+            dbscan(pts, 0.1, 3)
 
 
 class TestLabelCritical:
