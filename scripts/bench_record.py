@@ -14,9 +14,12 @@ for BENCHMARK.json's ``run_seconds`` in PAIRS parent/change pairs, one
 fresh seed per pair, the order alternating from pair to pair so that a
 drifting host favours neither side. Each end-to-end metric gets its
 values, median and quartiles per side and the number of pairs the change
-won. The tier-1 suite then runs once per side with ``--junitxml``, for its
-wall time and the duration of each acceptance criterion. Both git shas,
-nproc and the Python, numpy and scipy versions are recorded.
+won. Each workload then runs with ``--trace 1`` on seeds TRACE_SEEDS, per
+side, and its per-layer metrics are recorded beside the end-to-end ones,
+with the ratio of the change's to the parent's mean per metric. The
+tier-1 suite then runs once per side with ``--junitxml``, for its wall
+time and the duration of each acceptance criterion. Both git shas, nproc
+and the Python, numpy and scipy versions are recorded.
 """
 from __future__ import annotations
 
@@ -40,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 # perfbench checks its digests on seeds 0 and 1; pairs use other seeds
 FIRST_SEED = 100
+# the seeds of the traced runs, whose per-layer counts the digests pin
+TRACE_SEEDS = (0, 1)
 
 
 def git(*args) -> str:
@@ -55,11 +60,12 @@ def export(sha: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def perfbench(tree: Path, workload: str, seed: int, seconds: float,
+              trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+         "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         str(trace)], cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench failed in {tree}:\n{proc.stderr}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -110,6 +116,24 @@ def compare(parent_runs, change_runs, spec) -> dict:
     return out
 
 
+def per_layer(parent_tree: Path, workload: str, seconds: float) -> dict:
+    """The traced runs on TRACE_SEEDS per side, and for each per-layer
+    metric the ratio of the change's mean over those seeds to the
+    parent's (None where the parent's is 0)."""
+    runs = {side: [perfbench(tree, workload, seed, seconds, trace=1)
+                   for seed in TRACE_SEEDS]
+            for side, tree in (("parent", parent_tree), ("change", ROOT))}
+    ratios = {}
+    for name in runs["parent"][0]:
+        if name in ("correct", "failed", "attempted"):
+            continue
+        before, after = (float(np.mean([r[name] for r in runs[side]]))
+                         for side in ("parent", "change"))
+        ratios[name] = after / before if before else None
+    return {"seeds": list(TRACE_SEEDS), "runs": runs,
+            "change_over_parent": ratios}
+
+
 def record(parent: dict, parent_tree: Path, spec) -> dict:
     seconds = spec["run_seconds"]
     seeds = list(range(FIRST_SEED, FIRST_SEED + PAIRS))
@@ -130,7 +154,8 @@ def record(parent: dict, parent_tree: Path, spec) -> dict:
                                for r in side),
             "failed": {side: sum(r["failed"] for r in v)
                        for side, v in runs.items()},
-            "metrics": compare(runs["parent"], runs["change"], spec)}
+            "metrics": compare(runs["parent"], runs["change"], spec),
+            "per_layer": per_layer(parent_tree, workload, seconds)}
     tests = {side: tier1(tree) for side, tree in
              (("parent", parent_tree), ("change", ROOT))}
     return {

@@ -35,9 +35,13 @@ class SampleSet:
         return cls(rows.reshape(len(rows), -1) if len(rows) else rows)
 
 
-def _query(query) -> np.ndarray:
-    """The query as a float array; refuses NaN and inf."""
+def _query(query, d: int) -> np.ndarray:
+    """The query as a float array of shape (d,); refuses any other shape,
+    and NaN and inf."""
     q = np.asarray(query, dtype=float)
+    if q.shape != (d,):
+        raise InvalidInputError(
+            f"query must have shape ({d},), got {q.shape}")
     if not np.isfinite(q).all():
         raise InvalidInputError("query must be finite")
     return q
@@ -60,7 +64,7 @@ def kde_score(samples: SampleSet, query) -> float:
     x = samples.vectors
     if x.shape[0] < 2:
         raise InvalidInputError("KDE needs at least 2 samples")
-    q = _query(query)
+    q = _query(query, x.shape[1])
     h = scott_bandwidths(x)
     z = (q[None, :] - x) / h
     log_norm = -0.5 * x.shape[1] * np.log(2 * np.pi) - np.sum(np.log(h))
@@ -73,7 +77,7 @@ def knn_distance(samples: SampleSet, query, k: int = 8) -> float:
     x = samples.vectors
     if k < 1 or k > x.shape[0]:
         raise InvalidInputError(f"k={k} outside [1, {x.shape[0]}]")
-    q = _query(query)
+    q = _query(query, x.shape[1])
     dists = np.linalg.norm(x - q[None, :], axis=1)
     nearest = np.partition(dists, k - 1)[:k]
     return float(np.mean(nearest))
@@ -87,7 +91,7 @@ def mmd(samples: SampleSet, query, bandwidth: float = 0.5) -> float:
     if not 0 < bandwidth < np.inf:  # also refuses NaN
         raise InvalidInputError("bandwidth must be positive and finite")
     x = samples.vectors
-    q = _query(query)
+    q = _query(query, x.shape[1])
     gamma = 1.0 / (2.0 * bandwidth**2)
     sq = np.sum(x * x, axis=1)
     d_xx = sq[:, None] + sq[None, :] - 2.0 * x @ x.T

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io as _stdio
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,13 +24,15 @@ from .errors import InvalidInputError
 from .io import generate_demos
 from .metrics import aggregate
 from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
-                     infer_unconditional)
-from .scheduler import (DELTA_DELAY, ExecutorConfig, RolloutLog, run_rollout,
-                        sample_trace)
+                     infer_unconditional, seed_ahead)
+from .scheduler import (DELTA_DELAY, DELTA_STAR, INTERVAL_FLOOR,
+                        ExecutorConfig, RolloutLog, run_rollout, sample_trace)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
                   normalise_poses, success)
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
+
+log = logging.getLogger(__name__)
 
 DEFAULT_OBJECT = np.array([0.3, 0.0, 0.02])
 DEFAULT_GOAL = np.array([0.3, 0.25, 0.02])
@@ -229,11 +232,21 @@ def _run_cell(method, c, demos, seeds, jobs, library):
 def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.2, 0.1),
                 trials: int = 20, seed: int = 0, jobs: int = 1,
                 t_max: float = T_MAX) -> list[dict]:
-    """Success/throughput metrics per (method, speedup) grid point."""
+    """Success/throughput metrics per (method, speedup) grid point.
+
+    A closed-loop method other than dp runs every interval at least
+    INTERVAL_FLOOR long, so below c = INTERVAL_FLOOR / DELTA_STAR it runs
+    at that c off its critical waypoints; each such (method, c) cell logs
+    one WARNING naming the c that runs.
+    """
     mean_demo = float(np.mean([d.duration for d in demos]))
     library = DemoLibrary(demos)
     rows = []
     for cell, (method, c) in enumerate((m, c) for m in methods for c in c_values):
+        if method not in ("dp", "replay") and c * DELTA_STAR < INTERVAL_FLOOR:
+            log.warning("%s at c=%g runs at c=%g: its intervals are floored "
+                        "at INTERVAL_FLOOR = %g s", method, c,
+                        INTERVAL_FLOOR / DELTA_STAR, INTERVAL_FLOOR)
         seeds = [_trial_seed(seed, cell, t) for t in range(trials)]
         logs = _run_cell(method, c, demos, seeds, jobs, library)
         report = aggregate(logs, t_max=t_max, mean_demo_duration=mean_demo)
@@ -354,11 +367,15 @@ def _track_stretches(setups) -> np.ndarray:
                           [float(ref.times[-1]) for ref in refs])
 
 
+DIAG_DRAWS = 64  # unconditional draws a diagnostics tail is scored against
+
+
 def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
                        stride: int) -> dict:
     """A trial's row, its stretch tracked to ``state``: the tracking error,
     and the tail it would hand to the policy (the positions it will
-    traverse next at speed c) scored against 64 unconditional draws."""
+    traverse next at speed c) scored against DIAG_DRAWS unconditional
+    draws."""
     desired = ref.pose_at(float(ref.times[-1]))
     e_pos = float(np.linalg.norm(desired.position - state[ROBOT_POSITION]))
 
@@ -366,7 +383,7 @@ def _diagnostics_score(policy: MockPolicy, c: float, state, ref,
     _, demo_idx, near_step = policy.nearest_states(state)[0]
     query = policy.positions(
         demo_idx, near_step + 1 + stride * np.arange(H_C)).reshape(-1)
-    chunks = infer_unconditional(policy, state, size=64)
+    chunks = infer_unconditional(policy, state, size=DIAG_DRAWS)
     samples = SampleSet.from_chunks(chunks, H_C)
     return {"c": c, "e_pos": e_pos,
             "knn": knn_distance(samples, query),
@@ -398,7 +415,8 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     its own policy, with the same results. Every c is checked before any
     trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: set up in trial
     order, so that the first trial that cannot run raises, tracked in one
-    lockstep run, then scored in trial order.
+    lockstep run, their policies' draws seeded together (seed_ahead), then
+    scored in trial order.
     """
     pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
@@ -410,9 +428,13 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
         setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t))
                   for t, c in chunk]
         states = _track_stretches(setups)
+        policies = [MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
+                               library=library) for t, _ in chunk]
+        seed_ahead(policies, DIAG_DRAWS)
         for (t, c), state, (_, ref, stride) in zip(chunk, states.T, setups):
-            policy = MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
-                                library=library)
+            # each policy is let go once scored, with the distance matrix
+            # it keeps, so that only one is alive at a time
+            policy = policies.pop(0)
             rows.append({"trial": t, **_diagnostics_score(policy, c, state,
                                                           ref, stride)})
     return rows

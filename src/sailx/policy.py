@@ -129,17 +129,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # default_rng((seed, call)) hashes the key's uint32 words, the seed's low
 # word first and then the call's, with numpy's SeedSequence, and seeds PCG64
 # with four of the 64-bit words it generates. _pcg64_states runs the same
-# arithmetic on arrays, one column per call: SeedSequence's pool mixing and
-# generate_state(4, uint64), then PCG64's seeding step in Python ints. It
-# covers seeds below 2**96 with calls below 2**32, the keys that fit the
-# pool's 4 words and so skip SeedSequence's mixing of words past the pool.
+# arithmetic on arrays, one column per key: SeedSequence's pool mixing and
+# generate_state(4, uint64) (_seed_words64), then PCG64's seeding step in
+# Python ints (_seeded). It covers seeds below 2**96 with calls below
+# 2**32, the keys that fit the pool's 4 words and so skip SeedSequence's
+# mixing of words past the pool.
+# _draw_states then takes each key's branch draws from its raw PCG64 words
+# and only its noise from a Generator.
 
 # keys from which seeding them together is faster: the vectorised pass
-# costs about 100 us plus 5 us a key, default_rng about 20 us a key
-# (numpy 2.4, 2-core x86-64 host)
-BATCH_SEEDING_MIN = 7
+# costs about 60 us plus 1 us a key, and a seeded key's draws about 5 us,
+# against about 16 us a key through default_rng (13 us of it seeding); the
+# two break even at about 8 keys (numpy 2.4, 2-core x86-64 host)
+BATCH_SEEDING_MIN = 9
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _SHIFT = np.uint32(16)
@@ -171,16 +176,39 @@ def _hash(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pcg64_states(seed: int, first: int, n: int) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) as default_rng((seed, call)) seeds it, for each
-    call in first .. first + n - 1; requires 0 <= seed < 2**96 and
-    first + n <= 2**32."""
+def _covered(seed: int, first: int, n: int) -> bool:
+    """Whether _pcg64_states covers the keys (seed, first .. first + n - 1)."""
+    return seed < 2**96 and first + n <= 2**32
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The seed's uint32 words, low first; 0 is one word."""
     words = [seed & _MASK32]
     while seed >> 32 * len(words):
         words.append(seed >> 32 * len(words) & _MASK32)
-    pool = np.zeros((4, n), dtype=np.uint32)
-    pool[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    pool[len(words)] = np.arange(first, first + n, dtype=np.uint32)
+    return words
+
+
+def _pcg64_states(seeds, first: int, n: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) as default_rng((seed, call)) seeds it, for each
+    seed of ``seeds`` (one int, or a list of them) and, within a seed, each
+    call in first .. first + n - 1, in one vectorised pass over all keys;
+    requires 0 <= seed < 2**96 and first + n <= 2**32 (see _covered)."""
+    return _seeded(_seed_words64(seeds, first, n))
+
+
+def _seed_words64(seeds, first: int, n: int) -> np.ndarray:
+    """The 4 uint64 words SeedSequence hands PCG64 for each key of
+    _pcg64_states, one column per key: the seed's high and low 64 bits,
+    then the stream's."""
+    seeds = [seeds] if isinstance(seeds, int) else list(seeds)
+    words = [_seed_words(seed) for seed in seeds]
+    # a key's pool: its seed's words, its call's word, then zeros
+    pool = np.repeat(np.array([w + [0] * (4 - len(w)) for w in words],
+                              dtype=np.uint32).T, n, axis=1)
+    pool[np.repeat([len(w) for w in words], n),
+         np.arange(len(seeds) * n)] = np.tile(
+        np.arange(first, first + n, dtype=np.uint32), len(seeds))
     pool = _hash(pool, _HASH_A[:5])
     for s, others in enumerate(_OTHERS):
         k = 4 + 3 * s
@@ -189,37 +217,122 @@ def _pcg64_states(seed: int, first: int, n: int) -> list[tuple[int, int]]:
         mixed ^= mixed >> _SHIFT
         pool[others] = mixed
     half = _hash(pool[_CYCLE], _HASH_B).astype(np.uint64)
-    # little-endian uint32 pairs: the seed's high and low 64 bits, then
-    # the stream's
-    words64 = half[1::2] << np.uint64(32) | half[0::2]
+    # little-endian uint32 pairs
+    return half[1::2] << np.uint64(32) | half[0::2]
+
+
+def _seeded(words64: np.ndarray) -> list[tuple[int, int]]:
+    """PCG64's seeding step, in Python ints, on the columns of
+    _seed_words64: each key's (state, inc)."""
     states = []
-    for s_hi, s_lo, i_hi, i_lo in words64.T.tolist():
+    for s_hi, s_lo, i_hi, i_lo in zip(*words64.tolist()):
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
         state = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128
         states.append((state, inc))
     return states
 
 
-def _generators(seed: int, first: int, n: int):
-    """default_rng((seed, call)) for each call in first .. first + n - 1.
+def _xsl_rr(state: int) -> int:
+    """The 64-bit word PCG64 outputs for a state: XSL-RR."""
+    x = ((state >> 64) ^ state) & _MASK64
+    rot = state >> 122
+    return (x >> rot | x << (64 - rot)) & _MASK64
 
-    A batch of at least BATCH_SEEDING_MIN keys that _pcg64_states covers
-    is served by one Generator, set to each key's state in turn, so each
-    must be done with before the next is taken: infer_unconditional makes
-    all of a key's draws, branch and noise, before it takes the next.
-    Other keys get their own default_rng.
+
+def _branch(rng: np.random.Generator, p_branch: float, eligible: int) -> int:
+    """A draw's branch choice: with probability p_branch one of the
+    ``eligible`` nearest demos, else the nearest; p_branch = 0 draws
+    nothing."""
+    if p_branch > 0.0 and rng.random() < p_branch:
+        return int(rng.integers(0, eligible))
+    return 0
+
+
+def _draw_states(states, p_branch: float, eligible: int,
+                 noise: np.ndarray) -> list[int]:
+    """The branch choices of the keys whose PCG64 (state, inc) are
+    ``states``, each key's standard normals written to its row of
+    ``noise``: what _branch and standard_normal draw from a Generator set
+    to the key's state.
+
+    A key's branch draws come from its raw words w1, w2: random() is
+    (w1 >> 11) * 2**-53, always below p_branch = 1, and integers(0,
+    eligible) is Lemire's product of w2's low 32 bits with eligible
+    (integers(0, 1) takes no word). One Generator is then set to the state
+    after those words for the key's noise, so a key costs one state set
+    and one standard_normal call. A key whose product falls in Lemire's
+    resample zone (its low half below eligible) draws on the Generator
+    instead, from its seeded state.
     """
-    if n < BATCH_SEEDING_MIN or seed >= 2**96 or first + n > 2**32:
-        for call in range(first, first + n):
-            yield np.random.default_rng((seed, call))
-        return
     bits = np.random.PCG64(0)  # its state is replaced before each key
     rng = np.random.Generator(bits)
-    for state, inc in _pcg64_states(seed, first, n):
-        bits.state = {"bit_generator": "PCG64",
-                      "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield rng
+    # the state setter reads this one dict, updated for each key
+    key = {"state": 0, "inc": 0}
+    value = {"bit_generator": "PCG64", "state": key,
+             "has_uint32": 0, "uinteger": 0}
+    choices = []
+    for row, (seeded, inc) in zip(noise, states):
+        state, choice = seeded, 0
+        if p_branch > 0.0:
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            if eligible > 1 and (p_branch == 1.0 or
+                                 (_xsl_rr(state) >> 11) * 2**-53 < p_branch):
+                state = (state * _PCG64_MULT + inc) & _MASK128
+                product = (_xsl_rr(state) & _MASK32) * eligible
+                if product & _MASK32 < eligible:
+                    key["state"], key["inc"] = seeded, inc
+                    bits.state = value
+                    choices.append(_branch(rng, p_branch, eligible))
+                    rng.standard_normal(out=row)
+                    continue
+                choice = product >> 32
+        key["state"], key["inc"] = state, inc
+        bits.state = value
+        rng.standard_normal(out=row)
+        choices.append(choice)
+    return choices
+
+
+def _draw_keys(seed: int, first: int, n: int, p_branch: float,
+               eligible: int, states=None) -> tuple[list[int], np.ndarray]:
+    """The branch choices and (n, H_P, 3) standard normals of the keys
+    (seed, first) .. (seed, first + n - 1), with default_rng's bits.
+
+    ``states``, when given, are the keys' PCG64 (state, inc) seeded ahead;
+    otherwise a batch of at least BATCH_SEEDING_MIN keys that
+    _pcg64_states covers is seeded in one pass. Seeded keys draw through
+    _draw_states; other keys each get their own default_rng.
+    """
+    noise = np.empty((n, H_P, 3))
+    if states is None and n >= BATCH_SEEDING_MIN and _covered(seed, first, n):
+        states = _pcg64_states(seed, first, n)
+    if states is not None:
+        return _draw_states(states, p_branch, eligible, noise), noise
+    choices = []
+    for row, call in zip(noise, range(first, first + n)):
+        rng = np.random.default_rng((seed, call))
+        choices.append(_branch(rng, p_branch, eligible))
+        rng.standard_normal(out=row)
+    return choices, noise
+
+
+def seed_ahead(policies, n: int) -> None:
+    """Seed the next n draws of every policy together.
+
+    The keys of all policies on one call counter are hashed in one
+    vectorised pass (see _pcg64_states), and each policy keeps its own n
+    columns of words, seeded when it draws, for its next batch if that
+    batch is exactly n draws; any other draw, and a policy whose keys
+    _pcg64_states does not cover, draws as usual.
+    """
+    groups = {}
+    for policy in policies:
+        if _covered(policy.seed, policy._calls, n):
+            groups.setdefault(policy._calls, []).append(policy)
+    for first, group in groups.items():
+        words64 = _seed_words64([p.seed for p in group], first, n)
+        for i, policy in enumerate(group):
+            policy._ahead = words64[:, i * n:(i + 1) * n]
 
 
 class MockPolicy:
@@ -251,6 +364,7 @@ class MockPolicy:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         self._calls = 0
+        self._ahead = None  # words of the next calls, from seed_ahead
         self._grip = library.grippers
         key = "reached" if config.target_mode == "reached" else "commanded"
         self._out_planes, self._rows = library.stream(key)
@@ -261,11 +375,18 @@ class MockPolicy:
         self._last_dists = None
         self._last_rank = None
 
-    def _rngs(self, n: int):
-        """The generators of the next n calls; the counter advances now."""
+    def _draws(self, n: int, p_branch: float, eligible: int):
+        """The branch choices and standard normals of the next n calls
+        (see _draw_keys), from the words seed_ahead left when it left
+        exactly n; the counter advances by n, and any words left are
+        dropped, since they are for calls now taken."""
         first = self._calls
         self._calls += n
-        return _generators(self.seed, first, n)
+        ahead, self._ahead = self._ahead, None
+        states = None
+        if ahead is not None and ahead.shape[1] == n:
+            states = _seeded(ahead)
+        return _draw_keys(self.seed, first, n, p_branch, eligible, states)
 
     def _state_distances(self, obs) -> np.ndarray:
         """Weighted squared distances of the packed plant state ``obs``
@@ -412,34 +533,30 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
     ``size`` follows numpy's Generator: None returns one chunk, and n
     returns a list of n chunks, the ones n successive single calls would
     give; a single draw is a batch of one. The nearest states and the
-    eligible branches are found once for all n, and their generators are
-    seeded together (see _generators). The batch's noise fills one
-    (n, H_P, 3) buffer, which is scaled once and gets each draw's window
-    added in one indexed add, so chunk i's positions are row i of it;
-    its orientations, grippers and flags are its window's (see
-    MockPolicy._window).
+    eligible branches are found once for all n. Each draw keeps the bits
+    of default_rng((seed, call)): a single draw, or a batch below
+    BATCH_SEEDING_MIN, gets its own default_rng; a larger batch is seeded
+    in one _pcg64_states pass, or takes the states seed_ahead left, and
+    takes its branch draws from the raw PCG64 words (see _draw_keys). The
+    batch's noise fills one (n, H_P, 3) buffer, which is scaled once and
+    gets each draw's window added in one indexed add, so chunk i's
+    positions are row i of it; its orientations, grippers and flags are
+    its window's (see MockPolicy._window).
     """
     if size is not None and size < 0:
         raise InvalidInputError(f"size must be >= 0, got {size}")
-    cfg = policy.config
     n = 1 if size is None else size
-    rngs = policy._rngs(n)
     best = policy.nearest_states(obs, BRANCH_CANDIDATES)
-    branching = cfg.p_branch > 0.0 and len(best) > 1
-    eligible = 1
-    if branching:
+    p_branch, eligible = 0.0, 1
+    if policy.config.p_branch > 0.0 and len(best) > 1:
+        p_branch = policy.config.p_branch
         cutoff = best[0][0] + BRANCH_SLACK ** 2
         eligible = sum(1 for b in best if b[0] <= cutoff)
     # each draw reads, in key order, its branch draws and then H_P x 3
     # standard normals into its row of one buffer; normal(0.0, s) returns
     # 0.0 + s * z, so scaling the buffer and adding 0.0 (which turns -0.0
     # into +0.0) gives the bits rng.normal would
-    choices = [0] * n
-    noise = np.empty((n, H_P, 3))
-    for i, rng in enumerate(rngs):
-        if branching and rng.random() < cfg.p_branch:
-            choices[i] = int(rng.integers(0, eligible))
-        rng.standard_normal(out=noise[i])
+    choices, noise = policy._draws(n, p_branch, eligible)
     noise *= NOISE_SIGMA
     noise += 0.0
     # the windows drawn, each gathered once

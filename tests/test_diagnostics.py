@@ -41,6 +41,18 @@ def test_non_finite_queries_are_refused(score, bad):
         score(s, np.array([0.5, bad]))
 
 
+@pytest.mark.parametrize("query", [[0.5], [[0.5, 0.5]], [0.5, 0.5, 0.5],
+                                   0.5], ids=["1", "1x2", "3", "scalar"])
+@pytest.mark.parametrize("score", [kde_score, knn_distance, mmd])
+def test_queries_of_the_wrong_shape_are_refused(score, query):
+    # on samples of dimension 2, a 1-element query used to be broadcast
+    # (knn 0.340, kde 1.171, mmd 0.411 here), and a (1, 2) query failed
+    # inside numpy
+    x = np.linspace(0.0, 1.0, 18).reshape(9, 2)
+    with pytest.raises(InvalidInputError, match="shape"):
+        score(SampleSet(x), np.array(query))
+
+
 class TestScottBandwidths:
     def test_formula(self, rng):
         x = rng.normal(size=(64, 12))

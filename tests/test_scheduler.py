@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from sailx.controller import GAIN_PRESETS
 from sailx.core import Pose
 from sailx.errors import ConfigurationError
-from sailx.experiments import task_for_demo
+from sailx.experiments import sweep_speed, task_for_demo
 from sailx.policy import H_C, H_P, MockPolicy, PolicyConfig
 from sailx.scheduler import (DELTA_DELAY, INTERVAL_FLOOR, SAFETY_MARGIN,
                              ExecutorConfig, plan_intervals, run_rollout,
@@ -35,6 +37,19 @@ class TestSpeedFactor:
     def test_ordering_enforced(self):
         with pytest.raises(ConfigurationError):
             ExecutorConfig(c_slow=0.2, c_fast=0.5)
+
+
+def test_sweep_speed_warns_where_the_floor_caps_c(demos20, caplog):
+    # sail and dp-fast run c = 0.2 as c = 0.3 off critical waypoints; dp
+    # always runs at c = 1, and no method is floored at c = 1
+    caplog.set_level(logging.WARNING, logger="sailx.experiments")
+    sweep_speed(demos20, methods=("sail", "dp-fast", "dp"),
+                c_values=(1.0, 0.2), trials=1)
+    assert [(r.name, r.levelno, r.getMessage().split(":")[0])
+            for r in caplog.records] == [
+        ("sailx.experiments", logging.WARNING, "sail at c=0.2 runs at c=0.3"),
+        ("sailx.experiments", logging.WARNING,
+         "dp-fast at c=0.2 runs at c=0.3")]
 
 
 class TestPlanIntervals:
