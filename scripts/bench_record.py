@@ -20,6 +20,12 @@ with the ratio of the change's to the parent's mean per metric. The
 tier-1 suite then runs once per side with ``--junitxml``, for its wall
 time and the duration of each acceptance criterion. Both git shas, nproc
 and the Python, numpy and scipy versions are recorded.
+
+perfbench's ``setup_s`` times one cold corpus build per run, so a single
+run can move it by a third. The set-up is therefore also timed warm: in
+PROBE_RUNS fresh processes per side, alternating, each the median of
+WARM_BUILDS warm ``build_demo_corpus(n=50)`` builds and, per workload, the
+share of a pass spent setting its trials up (see SETUP_PROBE).
 """
 from __future__ import annotations
 
@@ -45,6 +51,69 @@ PAIRS = 10
 FIRST_SEED = 100
 # the seeds of the traced runs, whose per-layer counts the digests pin
 TRACE_SEEDS = (0, 1)
+# fresh processes per side of the warm set-up probe, and the warm builds
+# and timed passes of each
+PROBE_RUNS = 3
+WARM_BUILDS = 15
+PROBE_PASSES = 5
+
+# Run in a fresh process from a tree's root: the median of WARM_BUILDS
+# warm 50-demo builds, and per workload the median over PROBE_PASSES
+# passes (after one warm-up pass) of the pass time and of the time spent
+# in the sweeps' set-up helpers, those of them the tree has, counting only
+# outermost calls: each replay's and diagnostics trial's set-up, the
+# grouped reference fit that follows them where it is separate, every
+# task_for_demo and the pass's DemoLibrary. Prints one JSON line.
+SETUP_PROBE = r"""
+import functools, json, logging, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+import workloads
+from sailx import experiments
+
+logging.disable(logging.WARNING)
+HELPERS = ("_replay_setup", "_diagnostics_setup", "_grouped_tracks",
+           "task_for_demo", "DemoLibrary")
+spent = [0.0]
+depth = [0]
+
+def timed(fn):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        depth[0] += 1
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+            if not depth[0]:
+                spent[0] += time.perf_counter() - start
+    return wrapper
+
+builds = []
+for _ in range(%(builds)d + 1):
+    start = time.perf_counter()
+    demos = experiments.build_demo_corpus(n=workloads.CORPUS_SIZE, seed=0)
+    builds.append(time.perf_counter() - start)
+for name in HELPERS:
+    if hasattr(experiments, name):
+        setattr(experiments, name, timed(getattr(experiments, name)))
+out = {"warm_build_s": float(np.median(builds[1:])), "workloads": {}}
+for name, w in workloads.WORKLOADS.items():
+    passes, setups = [], []
+    for p in range(%(passes)d + 1):
+        spent[0] = 0.0
+        start = time.perf_counter()
+        w.run(demos, p, w.trials_per_cell)
+        passes.append(time.perf_counter() - start)
+        setups.append(spent[0])
+    passes, setups = passes[1:], setups[1:]
+    out["workloads"][name] = {
+        "pass_s": float(np.median(passes)),
+        "setup_s": float(np.median(setups)),
+        "setup_share": sum(setups) / sum(passes)}
+print(json.dumps(out))
+""" % {"builds": WARM_BUILDS, "passes": PROBE_PASSES}
 
 
 def git(*args) -> str:
@@ -72,6 +141,34 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float,
     return {"correct": result["correct"], "failed": result["failed"],
             "attempted": result["attempted"],
             **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def setup_probe(tree: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", SETUP_PROBE], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"set-up probe failed in {tree}:\n{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def setup_probes(parent_tree: Path) -> dict:
+    """PROBE_RUNS set-up probes per side, alternating, with the medians of
+    each number over a side's runs."""
+    runs = {"parent": [], "change": []}
+    for i in range(PROBE_RUNS):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            runs[side].append(setup_probe(parent_tree if side == "parent"
+                                          else ROOT))
+    medians = {}
+    for side, side_runs in runs.items():
+        medians[side] = {"warm_build_s": float(np.median(
+            [r["warm_build_s"] for r in side_runs]))}
+        for name in side_runs[0]["workloads"]:
+            medians[side][name] = {key: float(np.median(
+                [r["workloads"][name][key] for r in side_runs]))
+                for key in ("pass_s", "setup_s", "setup_share")}
+    return {"runs": runs, "medians": medians}
 
 
 def tier1(tree: Path) -> dict:
@@ -156,6 +253,7 @@ def record(parent: dict, parent_tree: Path, spec) -> dict:
                        for side, v in runs.items()},
             "metrics": compare(runs["parent"], runs["change"], spec),
             "per_layer": per_layer(parent_tree, workload, seconds)}
+    probes = setup_probes(parent_tree)
     tests = {side: tier1(tree) for side, tree in
              (("parent", parent_tree), ("change", ROOT))}
     return {
@@ -168,6 +266,8 @@ def record(parent: dict, parent_tree: Path, spec) -> dict:
                  "machine": platform.machine()},
         "perfbench": {"seconds": seconds, "pairs": PAIRS,
                       "seeds": seeds, "workloads": workloads},
+        "setup_probe": {"runs": PROBE_RUNS, "warm_builds": WARM_BUILDS,
+                        "passes": PROBE_PASSES, **probes},
         "tier1": tests}
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from .core import Pose
+from .core import IDENTITY_QUAT, Pose
 from .errors import InvalidInputError, SimFault
 from .kernels import (_CONJ, REST_ROWS, _hamilton, _rotvec, _signed,
                       _track_at_rest, track_loop)
@@ -61,56 +61,17 @@ def gain_profile(name: str) -> GainProfile:
 
 
 class ReferenceTrack:
-    """Timed pose waypoints with spline position and per-waypoint twists."""
+    """Timed pose waypoints with spline position and per-waypoint twists.
+
+    A track is the one-reference case of ``reference_tracks``: the same
+    validation and the same spline fit.
+    """
 
     def __init__(self, times, positions, orientations, grippers=None):
-        times = np.asarray(times, dtype=float)
-        positions = np.asarray(positions, dtype=float)
-        orientations = np.asarray(orientations, dtype=float)
-        n = len(times)
-        if n < 2:
-            raise InvalidInputError("a reference needs at least 2 waypoints")
-        if not np.isfinite(times).all():
-            raise InvalidInputError("waypoint times must be finite")
-        seg_dt = times[1:] - times[:-1]
-        if (seg_dt <= 0).any():
-            raise InvalidInputError("waypoint times must be strictly increasing")
-        grippers = (np.zeros(n) if grippers is None
-                    else np.asarray(grippers, dtype=float))
-        for name, array, shape in (("times", times, (n,)),
-                                   ("positions", positions, (n, 3)),
-                                   ("orientations", orientations, (n, 4)),
-                                   ("grippers", grippers, (n,))):
-            if array.shape != shape:
-                raise InvalidInputError(f"{name} must have shape {shape}, "
-                                        f"got {array.shape}")
-        for name, array in (("positions", positions),
-                            ("orientations", orientations),
-                            ("grippers", grippers)):
-            if not np.isfinite(array).all():
-                raise InvalidInputError(f"{name} must be finite")
-        if not (orientations != 0.0).any(axis=1).all():
-            raise InvalidInputError("orientations must not be all zero")
-        self.times = times
-        self.positions = positions
-        self.orientations = orientations
-        self.grippers = grippers
-        if n == 2:
-            # the line through both waypoints: its start and its slope
-            self._spline = None
-            slope = (positions[1] - positions[0]) / (times[1] - times[0])
-            self._line = (positions[0], slope)
-        else:
-            self._spline = _natural_spline(times, positions)
-        self._seg_dt = seg_dt
-        self._identity = _identity_track(orientations)
-        # angular rate per segment, world frame: +0.0 between identity
-        # waypoints whose zeros are all +0.0 (tests/test_reference.py checks
-        # this against _segment_rates for every sign)
-        if self._identity and not np.signbit(orientations).any():
-            self._seg_angvel = np.zeros((n - 1, 3))
-        else:
-            self._seg_angvel = _segment_rates(times, orientations)
+        _build([self], times, np.asarray(positions, dtype=float)[None],
+               np.asarray(orientations, dtype=float)[None],
+               None if grippers is None
+               else np.asarray(grippers, dtype=float)[None])
 
     @functools.cached_property
     def _slerp_segments(self):
@@ -125,7 +86,7 @@ class ReferenceTrack:
         endpoint pose is held with zero velocity.
         """
         pos, vel, grip, seg, frac, outside = _sample_moves(self, times)
-        # identity waypoints slerp to identity rows (see _identity_track),
+        # identity waypoints slerp to identity rows (see _identity_tracks),
         # but a NaN time to a NaN row
         if self._identity and not np.isnan(frac).any():
             quat = np.zeros((len(frac), 4))
@@ -139,6 +100,107 @@ class ReferenceTrack:
     def pose_at(self, t: float) -> Pose:
         pos, _, quat, _, _ = self.sample(np.array([t]))
         return Pose(pos[0], quat[0])
+
+
+def reference_tracks(times, positions, orientations, grippers=None):
+    """ReferenceTracks on the shared knot times ``times``: track j of the
+    (B, n, 3) ``positions``, (B, n, 4) ``orientations`` and (B, n)
+    ``grippers`` (all 0.0 if None).
+
+    Each track has the bits of ``ReferenceTrack`` built alone on row j of
+    each array, and the arrays are validated in one pass: an invalid batch
+    raises the error that the first failing reference would raise in a
+    loop. The splines of all B references are one ``_natural_spline`` fit,
+    of which each track's coefficients are a slice.
+    """
+    positions = np.asarray(positions, dtype=float)
+    tracks = [ReferenceTrack.__new__(ReferenceTrack)
+              for _ in range(len(positions))]
+    _build(tracks, times, positions, np.asarray(orientations, dtype=float),
+           None if grippers is None else np.asarray(grippers, dtype=float))
+    return tracks
+
+
+def _build(tracks, times, positions, orientations, grippers):
+    """Validate and fit the stacked waypoints of ``tracks`` on the knot
+    times ``times``, and set each track's attributes to its row."""
+    times = np.asarray(times, dtype=float)
+    count = len(tracks)
+    n = len(times)
+    if n < 2:
+        raise InvalidInputError("a reference needs at least 2 waypoints")
+    if not np.isfinite(times).all():
+        raise InvalidInputError("waypoint times must be finite")
+    seg_dt = times[1:] - times[:-1]
+    if (seg_dt <= 0).any():
+        raise InvalidInputError("waypoint times must be strictly increasing")
+    if times.shape != (n,):
+        raise InvalidInputError(f"times must have shape {(n,)}, "
+                                f"got {times.shape}")
+    if grippers is None:
+        grippers = np.zeros((count, n))
+    for name, array, shape in (("positions", positions, (n, 3)),
+                               ("orientations", orientations, (n, 4)),
+                               ("grippers", grippers, (n,))):
+        if len(array) != count:
+            raise InvalidInputError(f"{name} stack {len(array)} references, "
+                                    f"not {count}")
+        if array.shape[1:] != shape:
+            raise InvalidInputError(f"{name} must have shape {shape}, "
+                                    f"got {array.shape[1:]}")
+    identity, at_rest = _identity_tracks(orientations)
+    invalid = _first_invalid(positions, orientations, grippers,
+                             at_rest.all())
+    valid = count if invalid is None else invalid[0]
+    # a reference before the first invalid one may overflow the spline,
+    # which a loop would have raised first
+    if n == 2:
+        # the line through both waypoints: its start and its slope
+        slopes = (positions[:valid, 1] - positions[:valid, 0]) / seg_dt[0]
+    elif valid:
+        coefficients = _natural_spline(
+            times, positions[:valid].transpose(1, 0, 2).reshape(n, -1))
+    if invalid is not None:
+        raise InvalidInputError(invalid[1])
+    for j, track in enumerate(tracks):
+        track.times = times
+        track.positions = positions[j]
+        track.orientations = orientations[j]
+        track.grippers = grippers[j]
+        if n == 2:
+            track._spline = None
+            track._line = (positions[j, 0], slopes[j])
+        else:
+            track._spline = PPoly.construct_fast(
+                coefficients if count == 1
+                else coefficients[:, :, 3 * j:3 * j + 3], times)
+        track._seg_dt = seg_dt
+        track._identity = bool(identity[j])
+        # angular rate per segment, world frame: +0.0 between identity
+        # waypoints whose zeros are all +0.0 (tests/test_reference.py checks
+        # this against _segment_rates for every sign)
+        track._seg_angvel = (np.zeros((n - 1, 3)) if at_rest[j]
+                             else _segment_rates(times, orientations[j]))
+
+
+def _first_invalid(positions, orientations, grippers, identity):
+    """(j, message) for the first reference j whose waypoints are not
+    finite or have an all-zero orientation, with the message of its first
+    failing check; None if every reference passes. ``identity`` tells that
+    every orientation is IDENTITY_QUAT, and so passes."""
+    if (np.isfinite(positions).all() and np.isfinite(grippers).all()
+            and (identity or (np.isfinite(orientations).all()
+                              and (orientations != 0.0).any(axis=2).all()))):
+        return None
+    failing = np.array([~np.isfinite(positions).all(axis=(1, 2)),
+                        ~np.isfinite(orientations).all(axis=(1, 2)),
+                        ~np.isfinite(grippers).all(axis=1),
+                        ~(orientations != 0.0).any(axis=2).all(axis=1)])
+    j = int(np.flatnonzero(failing.any(axis=0))[0])
+    return j, ("positions must be finite", "orientations must be finite",
+               "grippers must be finite",
+               "orientations must not be all zero")[int(
+                   np.argmax(failing[:, j]))]
 
 
 def _segment_rates(times, quats):
@@ -156,14 +218,17 @@ def _segment_rates(times, quats):
 _GTSV, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
-def _natural_spline(x, y) -> PPoly:
-    """The natural cubic spline through the rows of y at the knots x.
+def _natural_spline(x, y) -> np.ndarray:
+    """The (4, n - 1, m) PPoly coefficients of the natural cubic spline
+    through the rows of the (n, m) y at the knots x.
 
     These are the steps of scipy's ``CubicSpline(x, y, bc_type="natural")``
     in its operation order, without its input checks and set-up: the
     banded system for the knot slopes with zero second derivatives at both
     ends, the LAPACK ``gtsv`` call its ``solve_banded`` makes, and the
-    Hermite coefficients. Knot slopes that overflow raise
+    Hermite coefficients. Every column is solved on its own by the same
+    elimination, so a column has the bits of a fit of that column alone,
+    or of any set of columns that holds it. Knot slopes that overflow raise
     InvalidInputError, where CubicSpline raised ValueError; finite slopes
     with overflowing coefficients build, as they did, and fault in the
     plant.
@@ -173,7 +238,8 @@ def _natural_spline(x, y) -> PPoly:
     dxr = dx[:, None]
     slope = (y[1:] - y[:-1]) / dxr
     A = np.zeros((3, n))
-    b = np.empty((n, 3))
+    # Fortran order, which gtsv overwrites without a copy
+    b = np.empty(y.shape, order="F")
     A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
     A[0, 2:] = dx[:-1]
     A[-1, :-2] = dx[1:]
@@ -198,14 +264,14 @@ def _natural_spline(x, y) -> PPoly:
     if not np.isfinite(s).all():
         raise InvalidInputError("positions overflow the spline's knot slopes")
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    c = np.empty((4, n - 1, 3))
+    c = np.empty((4,) + t.shape)
     np.divide(t, dxr, out=c[0])
     np.subtract(slope, s[:-1], out=c[1])
     c[1] /= dxr
     c[1] -= t
     c[2] = s[:-1]
     c[3] = y[:-1]
-    return PPoly.construct_fast(c, x)
+    return c
 
 
 def _slerp_table(quats):
@@ -228,16 +294,23 @@ def _slerp_table(quats):
     return a, b, theta, ~(theta < 1e-10)
 
 
-def _identity_track(quats) -> bool:
-    """Whether every row of ``quats`` has w == 1.0 and a zero vector part,
-    zeros of either sign.
+def _identity_tracks(quats):
+    """Per reference of the stacked (B, n, 4) ``quats``: whether every row
+    has w == 1.0 and a zero vector part, zeros of either sign, and whether
+    every row has the bits of IDENTITY_QUAT, its zeros all +0.0.
 
     A slerp at s >= 0 along such rows gives (1, +0.0, +0.0, +0.0): the dot
     is 1, so the angle arccos(1) = 0 takes the lerp a + s (b - a), whose
     vector part is a sum of two zeros that are not both -0.0 (b - a is
     -0.0 only where a is +0.0), and the norm is 1.
     """
-    return bool((quats[:, 0] == 1.0).all()) and not quats[:, 1:].any()
+    exact = (quats.view(np.uint64) == _IDENTITY_BITS).all(axis=(1, 2))
+    if exact.all():  # the usual case, at one comparison
+        return exact, exact
+    return (quats == IDENTITY_QUAT).all(axis=(1, 2)), exact
+
+
+_IDENTITY_BITS = IDENTITY_QUAT.view(np.uint64)
 
 
 def _slerp(segments, seg, s):

@@ -17,10 +17,10 @@ import numpy as np
 
 from .baselines import AggregatedActionsPolicy
 from .controller import (LOCKSTEP_MAX_ROWS, ReferenceTrack, gain_profile,
-                         track, track_lockstep)
+                         reference_tracks, track, track_lockstep)
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
-from .errors import InvalidInputError
+from .errors import InvalidInputError, SailxError
 from .io import generate_demos
 from .metrics import aggregate
 from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
@@ -124,22 +124,65 @@ def _check_noise_scale(scale: float) -> None:
 
 def _replay_setup(demo, c: float, target: str, noise_scale: float,
                   seed: int):
-    """The reference, task, start state and last waypoint time of a replay;
-    a negative or non-finite ``noise_scale`` raises InvalidInputError."""
+    """The reference waypoints (times, positions, orientations, grippers),
+    task, start state and last waypoint time of a replay; a negative or
+    non-finite ``noise_scale`` raises InvalidInputError."""
     _check_noise_scale(noise_scale)
     stream = demo.reached if target == "reached" else demo.commanded
-    positions = stream[:, :3].copy()
-    orientations = stream[:, 3:7].copy()
+    positions = stream[:, :3]
     if noise_scale > 0.0:
         rng = np.random.default_rng((seed, 77))
         positions = positions + rng.normal(0.0, noise_scale, positions.shape)
     times = np.arange(len(stream)) * (c * demo.dt)
-    ref = ReferenceTrack(times, positions, orientations,
-                         grippers=demo.grippers.copy())
     task = task_for_demo(demo)
     state = initial_world(Pose(stream[0, :3].copy(), stream[0, 3:7].copy()),
                           task)
-    return ref, task, state, float(times[-1])
+    return ((times, positions, stream[:, 3:7], demo.grippers), task, state,
+            float(times[-1]))
+
+
+def _set_up(setup, args):
+    """(set-ups, tracks): ``setup(*a)`` for each ``a`` of ``args`` in
+    order, each set-up's first element the waypoints (times, positions,
+    orientations, grippers) of its reference, and the ReferenceTrack of
+    each set-up's waypoints, from one ``reference_tracks`` fit per group
+    of equal knot times.
+
+    It raises what a loop would raise first that set each item up and then
+    built its reference: a set-up that fails raises after the references
+    of the items before it are built.
+    """
+    setups = []
+    try:
+        for a in args:
+            setups.append(setup(*a))
+    except SailxError:
+        _grouped_tracks([s[0] for s in setups])
+        raise
+    return setups, _grouped_tracks([s[0] for s in setups])
+
+
+def _grouped_tracks(waypoints) -> list:
+    """One ReferenceTrack per waypoints of ``waypoints``, in order, fitted
+    one group of equal knot times at a time; an invalid reference raises
+    what a loop over them would raise first."""
+    groups = {}
+    for i, (times, *_) in enumerate(waypoints):
+        groups.setdefault(times.tobytes(), []).append(i)
+    tracks = [None] * len(waypoints)
+    try:
+        for rows in groups.values():
+            stacked = [np.stack([waypoints[i][k] for i in rows])
+                       for k in (1, 2, 3)]
+            for i, track in zip(rows, reference_tracks(waypoints[rows[0]][0],
+                                                       *stacked)):
+                tracks[i] = track
+    except ValueError:
+        # the group's first failing reference need not be the first of all
+        for w in waypoints:
+            ReferenceTrack(*w)
+        raise
+    return tracks
 
 
 def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
@@ -153,8 +196,9 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
     non-finite ``noise_scale`` raises InvalidInputError.
     """
     profile = gain_profile(gains)
-    ref, task, state, end = _replay_setup(demo, c, target, noise_scale, seed)
-    trace = track(state, ref, profile, until=end + 0.5)
+    waypoints, task, state, end = _replay_setup(demo, c, target, noise_scale,
+                                                seed)
+    trace = track(state, ReferenceTrack(*waypoints), profile, until=end + 0.5)
     ok = success(state, task)
     samples, events = sample_trace(trace)
     return RolloutLog(success=ok, duration=end if ok else T_MAX,
@@ -168,15 +212,15 @@ def _replay_successes(replays) -> list[bool]:
     Each replay is (demo, c, gains, target, noise_scale, seed) and succeeds
     exactly when ``replay_rollout`` with those arguments does. The replays
     run LOCKSTEP_MAX_ROWS at a time, so memory does not grow with their
-    number.
+    number; the references of a run on equal knot times are one fit.
     """
     ok = []
     for first in range(0, len(replays), LOCKSTEP_MAX_ROWS):
         chunk = replays[first:first + LOCKSTEP_MAX_ROWS]
-        setups = [_replay_setup(demo, c, target, noise, seed)
-                  for demo, c, _, target, noise, seed in chunk]
-        states = _track_to_ends([state for _, _, state, _ in setups],
-                                [ref for ref, *_ in setups],
+        setups, refs = _set_up(_replay_setup,
+                               [(demo, c, target, noise, seed)
+                                for demo, c, _, target, noise, seed in chunk])
+        states = _track_to_ends([state for _, _, state, _ in setups], refs,
                                 [gain_profile(r[2]) for r in chunk],
                                 [end + 0.5 for *_, end in setups])
         ok += [success(state, task)
@@ -235,9 +279,10 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     """Success/throughput metrics per (method, speedup) grid point.
 
     A closed-loop method other than dp runs every interval at least
-    INTERVAL_FLOOR long, so below c = INTERVAL_FLOOR / DELTA_STAR it runs
-    at that c off its critical waypoints; each such (method, c) cell logs
-    one WARNING naming the c that runs.
+    INTERVAL_FLOOR long, so where c * DELTA_STAR < INTERVAL_FLOOR, at c =
+    0.3 and below (0.3 itself by one ulp), it runs at c = INTERVAL_FLOOR /
+    DELTA_STAR off its critical waypoints; each such (method, c) cell logs
+    one WARNING naming the c that runs and the floor's exact value.
     """
     mean_demo = float(np.mean([d.duration for d in demos]))
     library = DemoLibrary(demos)
@@ -245,7 +290,7 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     for cell, (method, c) in enumerate((m, c) for m in methods for c in c_values):
         if method not in ("dp", "replay") and c * DELTA_STAR < INTERVAL_FLOOR:
             log.warning("%s at c=%g runs at c=%g: its intervals are floored "
-                        "at INTERVAL_FLOOR = %g s", method, c,
+                        "at INTERVAL_FLOOR = %r s", method, c,
                         INTERVAL_FLOOR / DELTA_STAR, INTERVAL_FLOOR)
         seeds = [_trial_seed(seed, cell, t) for t in range(trials)]
         logs = _run_cell(method, c, demos, seeds, jobs, library)
@@ -331,9 +376,11 @@ def _check_speedups(demos, c_values) -> None:
 def _diagnostics_setup(demos, c: float, seed: int):
     """A diagnostics trial's reset onto a random demo state.
 
-    Returns (state, ref, stride): the packed plant state on the drawn demo
-    step, the next stretch of that demo rescheduled at interval c * dt for
-    one inference latency, and the step stride of the tail at speed c.
+    Returns (waypoints, state, stride): the waypoints (times, positions,
+    orientations, grippers) of the next stretch of the drawn demo
+    rescheduled at interval c * dt for one inference latency, the packed
+    plant state on the drawn demo step, and the step stride of the tail at
+    speed c.
     """
     rng = np.random.default_rng((seed, 11))
     demo = demos[int(rng.integers(0, len(demos)))]
@@ -352,17 +399,15 @@ def _diagnostics_setup(demos, c: float, seed: int):
     state = initial_world(start, task_for_demo(demo))
     idx = np.arange(step, step + horizon + 1)
     times = state[TIME] + np.arange(len(idx)) * (c * demo.dt)
-    ref = ReferenceTrack(times, demo.reached[idx, :3].copy(),
-                         demo.reached[idx, 3:7].copy(),
-                         grippers=demo.grippers[idx].copy())
-    return state, ref, stride
+    reached = demo.reached[idx]
+    return ((times, reached[:, :3], reached[:, 3:7], demo.grippers[idx]),
+            state, stride)
 
 
-def _track_stretches(setups) -> np.ndarray:
+def _track_stretches(states, refs) -> np.ndarray:
     """Track every set-up trial's stretch to its end in one lockstep run,
     under the real-exec gains; returns the (30, trials) end states."""
-    refs = [ref for _, ref, _ in setups]
-    return _track_to_ends([state for state, _, _ in setups], refs,
+    return _track_to_ends(states, refs,
                           [gain_profile("real-exec")] * len(refs),
                           [float(ref.times[-1]) for ref in refs])
 
@@ -402,9 +447,10 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
     ``run_diagnostics`` runs the same steps for many trials at once.
     """
     _check_speedups(demos, (c,))
-    setup = _diagnostics_setup(demos, c, seed)
-    states = _track_stretches([setup])
-    return _diagnostics_score(policy, c, states[:, 0], *setup[1:])
+    waypoints, state, stride = _diagnostics_setup(demos, c, seed)
+    ref = ReferenceTrack(*waypoints)
+    states = _track_stretches([state], [ref])
+    return _diagnostics_score(policy, c, states[:, 0], ref, stride)
 
 
 def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
@@ -414,9 +460,9 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     Trial t runs ``diagnostics_trial`` at c_values[t % len(c_values)] with
     its own policy, with the same results. Every c is checked before any
     trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: set up in trial
-    order, so that the first trial that cannot run raises, tracked in one
-    lockstep run, their policies' draws seeded together (seed_ahead), then
-    scored in trial order.
+    order, so that the first trial that cannot run raises, their references
+    fitted once per c, tracked in one lockstep run, their policies' draws
+    seeded together (seed_ahead), then scored in trial order.
     """
     pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
@@ -425,13 +471,15 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     for first in range(0, trials, LOCKSTEP_MAX_ROWS):
         chunk = [(t, c_values[t % len(c_values)])
                  for t in range(first, min(trials, first + LOCKSTEP_MAX_ROWS))]
-        setups = [_diagnostics_setup(demos, c, _trial_seed(seed, 13, t))
-                  for t, c in chunk]
-        states = _track_stretches(setups)
+        setups, refs = _set_up(_diagnostics_setup,
+                               [(demos, c, _trial_seed(seed, 13, t))
+                                for t, c in chunk])
+        states = _track_stretches([state for _, state, _ in setups], refs)
         policies = [MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
                                library=library) for t, _ in chunk]
         seed_ahead(policies, DIAG_DRAWS)
-        for (t, c), state, (_, ref, stride) in zip(chunk, states.T, setups):
+        for (t, c), state, ref, (_, _, stride) in zip(chunk, states.T, refs,
+                                                      setups):
             # each policy is let go once scored, with the distance matrix
             # it keeps, so that only one is alive at a time
             policy = policies.pop(0)

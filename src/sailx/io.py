@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (LOCKSTEP_MAX_ROWS, ReferenceTrack, gain_profile,
+from .controller import (LOCKSTEP_MAX_ROWS, gain_profile, reference_tracks,
                          track_lockstep)
-from .controller import track  # noqa: F401 (perfbench wraps sailx.io.track)
+# perfbench wraps sailx.io.ReferenceTrack and sailx.io.track
+from .controller import ReferenceTrack, track  # noqa: F401
 from .core import IDENTITY_QUAT, Pose
 from .errors import (FormatError, GenerationError, InvalidInputError,
                      ParseError, SimFault)
@@ -279,10 +280,6 @@ def _smoothstep(s: float) -> float:
     return s * s * (3.0 - 2.0 * s)
 
 
-# segment layout of the scripted pick-place: (duration s, target, eased).
-# The lift and retreat are deliberately uneased: the operator yanks away the
-# instant the dwell ends, which is what makes badly-timed gripper events
-# expensive.
 _DWELL = 0.5
 _GRIP_OFFSET = 0.0  # operator toggles this long after the dwell begins
 _LEAD = 0.25  # s, how far the commanded pose stream runs ahead of the path
@@ -293,35 +290,45 @@ _JITTER = 0.001  # m, the per-step hand jitter of the commanded stream
 _DEMO_GAINS = "real-demo"  # the gain preset demos are tracked under
 
 
+# the scripted pick-place, segment by segment: (duration s, eased). The
+# lift and retreat are deliberately uneased: the operator yanks away the
+# instant the dwell ends, which is what makes badly-timed gripper events
+# expensive.
+_SCRIPT = (
+    (1.2, True),     # approach over the object
+    (0.8, True),     # descend
+    (_DWELL, True),  # grasp dwell (close mid-dwell)
+    (0.2, False),    # lift
+    (1.5, True),     # transport
+    (0.8, True),     # descend
+    (_DWELL, True),  # place dwell (open mid-dwell)
+    (0.2, False),    # retreat
+)
+
+
 def _scripted_path(obj_pos, goal_pos, home_pos, hover: float = 0.12):
+    """_SCRIPT's segments as (duration s, target, eased); ``obj_pos`` may
+    stack the objects of several paths on a leading axis."""
     above_obj = obj_pos + np.array([0.0, 0.0, hover])
     above_goal = np.concatenate([goal_pos[:2], [goal_pos[2] + hover]])
     at_goal = np.asarray(goal_pos, dtype=float)
-    return [
-        (1.2, above_obj, True),    # approach over the object
-        (0.8, obj_pos, True),      # descend
-        (_DWELL, obj_pos, True),   # grasp dwell (close mid-dwell)
-        (0.2, above_obj, False),   # lift
-        (1.5, above_goal, True),   # transport
-        (0.8, at_goal, True),      # descend
-        (_DWELL, at_goal, True),   # place dwell (open mid-dwell)
-        (0.2, above_goal, False),  # retreat
-    ]
+    targets = (above_obj, obj_pos, obj_pos, above_obj, above_goal, at_goal,
+               at_goal, above_goal)
+    return [(dur, target, eased)
+            for (dur, eased), target in zip(_SCRIPT, targets)]
 
 
-def _nominal_trajectory(segments, home_pos, dt: float):
-    """Sample the piecewise path at ``dt``; returns (times, pos, grip).
+def _nominal_timing(script, dt: float):
+    """(times, seg, w, grip) of a path of segments (duration s, eased)
+    sampled at ``dt``: every path with these segments shares them. Sample i
+    lies in segment seg[i], at the (eased) weight w[i] of its end, a column.
 
     The gripper closes _GRIP_OFFSET into the grasp dwell and opens
     _GRIP_OFFSET into the place dwell.
     """
     knots_t = [0.0]
-    knots_p = [np.asarray(home_pos, dtype=float)]
-    eased = []
-    for dur, target, ease in segments:
+    for dur, _ in script:
         knots_t.append(knots_t[-1] + dur)
-        knots_p.append(np.asarray(target, dtype=float))
-        eased.append(ease)
     total = knots_t[-1]
     t_close = knots_t[2] + _GRIP_OFFSET   # into the grasp dwell
     t_open = knots_t[6] + _GRIP_OFFSET    # into the place dwell
@@ -329,15 +336,32 @@ def _nominal_trajectory(segments, home_pos, dt: float):
     times = np.arange(n) * dt
 
     knots_t = np.array(knots_t)
-    knots_p = np.array(knots_p)
     t = np.clip(times, 0.0, total)
     seg = np.minimum(np.searchsorted(knots_t, t, side="right") - 1,
                      len(knots_t) - 2)
     s = (t - knots_t[seg]) / (knots_t[seg + 1] - knots_t[seg])
-    w = np.where(np.array(eased)[seg], _smoothstep(s), s)[:, None]
-    positions = (1.0 - w) * knots_p[seg] + w * knots_p[seg + 1]
+    eased = np.array([ease for _, ease in script])
+    w = np.where(eased[seg], _smoothstep(s), s)[:, None]
     grips = ((times >= t_close) & (times < t_open)).astype(float)
-    return times, positions, grips
+    return times, seg, w, grips
+
+
+def _path_positions(segments, home_pos, seg, w):
+    """The positions of the path from ``home_pos`` through the segments'
+    targets at ``_nominal_timing``'s ``seg`` and ``w``: (n, 3), or (B, n,
+    3) where the home and the targets stack B paths on a leading axis."""
+    knots = np.stack(np.broadcast_arrays(
+        np.asarray(home_pos, dtype=float),
+        *(np.asarray(target, dtype=float) for _, target, _ in segments)),
+        axis=-2)
+    return (1.0 - w) * knots[..., seg, :] + w * knots[..., seg + 1, :]
+
+
+def _nominal_trajectory(segments, home_pos, dt: float):
+    """Sample the piecewise path at ``dt``; returns (times, pos, grip)."""
+    times, seg, w, grips = _nominal_timing(
+        [(dur, ease) for dur, _, ease in segments], dt)
+    return times, _path_positions(segments, home_pos, seg, w), grips
 
 
 def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0) -> list:
@@ -351,43 +375,42 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0) -> list:
     are issued at nominal (unled) timing, when the operator sees the arm
     settled. Both streams are logged at _DEMO_DT. The scripted plan lasts
     5.7 s, well inside the task's time limit.
+
+    The demos are built LOCKSTEP_MAX_ROWS at a time: their random draws in
+    demo order (the object offset, then the jitter), then their nominal
+    paths on the script's shared times in one pass, their references in
+    one ``reference_tracks`` fit, and their tracking in one lockstep run.
     """
     if n < 1:
         raise InvalidInputError("need n >= 1 demos")
     profile = gain_profile(_DEMO_GAINS)
     rng = np.random.default_rng(seed)
+    goal = np.asarray(task.goal_position)
+    times, seg, w, grips = _nominal_timing(_SCRIPT, _DEMO_DT)
+    n_steps = len(times)
+    # teleoperator: lead the pose stream, keep gripper at nominal timing
+    lead_steps = int(round(_LEAD / _DEMO_DT))
+    src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
     demos = []
-    # the demos are tracked LOCKSTEP_MAX_ROWS at a time
     for first in range(0, n, LOCKSTEP_MAX_ROWS):
-        scripts = []
-        for _ in range(min(n - first, LOCKSTEP_MAX_ROWS)):
-            offset = np.concatenate([rng.uniform(-_SCATTER, _SCATTER,
-                                                 size=2), [0.0]])
-            obj_pos = task.object_start.position + offset
-            obj_pose = Pose(obj_pos, task.object_start.orientation)
-            demo_task = TaskSpec(obj_pose, task.goal_position)
-            home = np.concatenate([obj_pos[:2], [obj_pos[2] + _HOME_HEIGHT]])
-            segments = _scripted_path(obj_pos, np.asarray(task.goal_position),
-                                      home)
-            times, nominal, grips = _nominal_trajectory(segments, home,
-                                                        _DEMO_DT)
-            n_steps = len(times)
-
-            # teleoperator: lead the pose stream, keep gripper at nominal
-            # timing
-            lead_steps = int(round(_LEAD / _DEMO_DT))
-            src = np.minimum(np.arange(n_steps) + lead_steps, n_steps - 1)
-            commanded_pos = nominal[src].copy()
-            commanded_pos += rng.normal(0.0, _JITTER,
-                                        size=commanded_pos.shape)
-            commanded_grip = grips.copy()
-            quat = np.tile(IDENTITY_QUAT, (n_steps, 1))
-            ref = ReferenceTrack(times, commanded_pos, quat,
-                                 grippers=commanded_grip)
-            object_start = np.concatenate([obj_pos,
-                                           task.object_start.orientation])
-            scripts.append((demo_task, ref, home, object_start))
-
+        size = min(n - first, LOCKSTEP_MAX_ROWS)
+        offsets = np.zeros((size, 3))
+        jitter = np.empty((size, n_steps, 3))
+        for d in range(size):
+            offsets[d, :2] = rng.uniform(-_SCATTER, _SCATTER, size=2)
+            jitter[d] = rng.normal(0.0, _JITTER, size=(n_steps, 3))
+        obj = task.object_start.position + offsets
+        home = obj.copy()
+        home[:, 2] += _HOME_HEIGHT
+        nominal = _path_positions(_scripted_path(obj, goal, home), home,
+                                  seg, w)
+        refs = reference_tracks(times, nominal[:, src] + jitter,
+                                np.tile(IDENTITY_QUAT, (size, n_steps, 1)),
+                                np.tile(grips, (size, 1)))
+        scripts = [(TaskSpec(Pose(obj[d], task.object_start.orientation),
+                             task.goal_position), refs[d], home[d],
+                    np.concatenate([obj[d], task.object_start.orientation]))
+                   for d in range(size)]
         reached, objects = _track_scripts(scripts, profile, first)
         for (_, ref, _, object_start), reached_d, objects_d in zip(
                 scripts, reached, objects):

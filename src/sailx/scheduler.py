@@ -13,7 +13,9 @@ the smallest interval at which the executable span still covers the
 inference delay. The executor floors its intervals at INTERVAL_FLOOR =
 (1 + SAFETY_MARGIN) * delta_lb so closed-loop runs never stall by design.
 At the policy's horizons (policy.H_P = 32, policy.H_C = 4) that floor is
-1.05 * 0.4 s / 28, so a speed factor below 0.3 runs as 0.3.
+1.05 * 0.4 s / 28, which evaluates to 0.015000000000000001 s, so a speed
+factor of 0.3 and below runs as 0.3: 0.3 itself by one ulp, as 0.3 *
+DELTA_STAR = 0.015 is below the floor.
 """
 
 import math

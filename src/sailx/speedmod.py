@@ -149,8 +149,11 @@ def label_critical(positions) -> np.ndarray:
 def gripper_event_flags(grippers, window: int = 2) -> np.ndarray:
     """k=1 where the binarized gripper command (threshold 0.5) toggles.
 
-    ``window`` dilates each toggle to [t - window, t + window].
+    ``window`` dilates each toggle to [t - window, t + window]; a negative
+    one raises InvalidInputError.
     """
+    if window < 0:
+        raise InvalidInputError(f"window must be >= 0, got {window}")
     g = np.asarray(grippers, dtype=float)
     binary = g >= 0.5
     k = np.zeros(len(g), dtype=np.int8)

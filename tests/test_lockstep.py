@@ -104,6 +104,29 @@ class TestSweeps:
         assert rows_to_csv(got) == rows_to_csv(want)
         assert got == want
 
+    @pytest.mark.parametrize("faults", [
+        # a commanded position at replay 9 fails the 0.05 s grid's fit,
+        # but replay 5, on the 0.045 s grid, fails first
+        {1: ("commanded", (10, 0)), 5: ("reached", (10, 6))},
+        # replay 6's object start fails its set-up, after replay 5's
+        # reference
+        {5: ("reached", (10, 6)), 6: ("object_start", 0)},
+    ], ids=["two grids", "a set-up after"])
+    def test_an_invalid_replay_raises_as_in_the_replay_loop(self, plant,
+                                                            mixed_demos,
+                                                            faults):
+        demos = list(mixed_demos)
+        for d, (field, at) in faults.items():
+            values = getattr(demos[d], field).copy()
+            values[at] = np.nan
+            demos[d] = dataclasses.replace(demos[d], **{field: values})
+        errors = []
+        for fn in (sweep_gain_replay, lockstep_oracle.sweep_gain_replay):
+            with pytest.raises(InvalidInputError) as exc:
+                fn(demos, c_values=(1.0,), seed=0)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1] == "orientations must be finite"
+
     @pytest.mark.filterwarnings("ignore:Mean of empty slice")
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_empty_sweeps(self, demos20):

@@ -10,13 +10,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from sailx import controller
 from sailx.controller import (GAIN_PRESETS, ReferenceTrack, _Subgroup,
-                              _sample_block, track_slices)
+                              _sample_block, reference_tracks, track_slices)
+from sailx.errors import InvalidInputError
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
 from sailx.scheduler import TRACE_STRIDE, sample_trace
@@ -256,3 +257,113 @@ class TestIdentityTracks:
 def _unit_rows(rng, n):
     q = rng.normal(size=(n, 4))
     return q / np.linalg.norm(q, axis=1)[:, None]
+
+
+@st.composite
+def batches(draw, min_size=2, max_size=25):
+    """B references on one uneven knot grid: positions over several scales
+    with some -0.0 entries, and per reference identity waypoints (zeros of
+    +0.0, or of either sign) or turning ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(min_size, max_size))
+    count = draw(st.integers(1, 8))
+    steps = 10.0 ** rng.uniform(-3.0, 0.5, n - 1)
+    times = draw(st.floats(-5.0, 5.0)) + np.concatenate([[0.0],
+                                                         np.cumsum(steps)])
+    scale = draw(st.sampled_from([1e-6, 0.01, 1.0, 1e6]))
+    positions = rng.normal(0.0, scale, (count, n, 3))
+    positions[rng.random(positions.shape) < 0.2] = -0.0
+    orientations = np.empty((count, n, 4))
+    for j in range(count):
+        kind = draw(st.sampled_from(["identity", "signed", "turning"]))
+        if kind == "turning":
+            orientations[j] = _unit_rows(rng, n)
+        else:
+            orientations[j] = (np.tile(IDENTITY_QUAT, (n, 1))
+                               if kind == "identity"
+                               else _identity_waypoints(rng, n))
+    grippers = rng.choice([0.0, 1.0], (count, n))
+    span = times[-1] - times[0]
+    at = np.concatenate([rng.uniform(times[0] - 0.1 * span,
+                                     times[-1] + 0.1 * span, 20), times])
+    return times, positions, orientations, grippers, at
+
+
+def _loop_error(times, positions, orientations, grippers):
+    """The message of the first error a loop of ReferenceTracks raises."""
+    for ref in zip(positions, orientations, grippers):
+        try:
+            ReferenceTrack(times, *ref)
+        except InvalidInputError as exc:
+            return str(exc)
+    return None
+
+
+class TestReferenceTracks:
+    """``reference_tracks`` fits B references on one knot grid in one
+    spline solve: each track has the bits of a ReferenceTrack built alone,
+    and an invalid batch raises what a loop would raise first."""
+
+    @SETTINGS
+    @given(batches())
+    def test_each_track_is_the_track_built_alone(self, case):
+        times, positions, orientations, grippers, at = case
+        tracks = reference_tracks(times, positions, orientations, grippers)
+        assert len(tracks) == len(positions)
+        for track, ref in zip(tracks, zip(positions, orientations,
+                                          grippers)):
+            alone = ReferenceTrack(times, *ref)
+            if len(times) == 2:
+                assert track._spline is None and alone._spline is None
+                for got, want in zip(track._line, alone._line):
+                    assert _bits(got) == _bits(want)
+            else:
+                assert _bits(track._spline.c) == _bits(alone._spline.c)
+            assert _bits(track._seg_angvel) == _bits(alone._seg_angvel)
+            assert track._identity == alone._identity
+            for got, want in zip(track.sample(at), alone.sample(at)):
+                assert got.dtype == want.dtype
+                assert _bits(got) == _bits(want)
+
+    def test_grippers_default_to_zero(self):
+        times = np.array([0.0, 0.5, 1.25])
+        positions = np.zeros((2, 3, 3))
+        quats = np.tile(IDENTITY_QUAT, (2, 3, 1))
+        for track in reference_tracks(times, positions, quats):
+            assert _bits(track.grippers) == _bits(np.zeros(3))
+
+    @SETTINGS
+    @example(case=(np.array([0.0, 0.05, 0.1]), np.zeros((3, 3, 3)),
+                   np.tile(IDENTITY_QUAT, (3, 3, 1)), np.zeros((3, 3)),
+                   None),
+             faults=[(1, "zero"), (0, "overflow")])
+    @given(batches(max_size=8),
+           st.lists(st.tuples(st.integers(0, 7),
+                              st.sampled_from(["positions", "orientations",
+                                               "grippers", "zero",
+                                               "overflow"])),
+                    min_size=1, max_size=3))
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_an_invalid_batch_raises_as_the_loop(self, case, faults):
+        times, positions, orientations, grippers, _ = case
+        count = len(positions)
+        for j, kind in faults:
+            j = 1 + j % (count - 1) if count > 1 else 0
+            row = j * 7 % len(times)
+            if kind == "zero":
+                orientations[j, row] = 0.0
+            elif kind == "overflow":
+                positions[j, row, 0] = 1.7e308
+            else:
+                array = {"positions": positions,
+                         "orientations": orientations,
+                         "grippers": grippers}[kind]
+                array[j, row] = (np.nan, np.inf, -np.inf)[row % 3]
+        want = _loop_error(times, positions, orientations, grippers)
+        if want is None:  # a line's slope or a spline that still builds
+            reference_tracks(times, positions, orientations, grippers)
+            return
+        with pytest.raises(InvalidInputError) as exc:
+            reference_tracks(times, positions, orientations, grippers)
+        assert str(exc.value) == want

@@ -52,6 +52,21 @@ def test_sweep_speed_warns_where_the_floor_caps_c(demos20, caplog):
          "dp-fast at c=0.2 runs at c=0.3")]
 
 
+def test_c_of_0_3_is_floored_by_one_ulp(demos20, caplog):
+    """INTERVAL_FLOOR evaluates to one ulp above 0.3 * DELTA_STAR = 0.015,
+    so c = 0.3 plans the floor, and its cell warns with the floor's exact
+    value."""
+    assert INTERVAL_FLOOR == np.nextafter(0.015, 1.0)
+    cfg = ExecutorConfig(c_slow=0.3, c_fast=0.3)
+    out = plan_intervals(np.array([0, 1], dtype=np.int8), cfg)
+    assert out.tobytes() == np.full(2, INTERVAL_FLOOR).tobytes()
+    caplog.set_level(logging.WARNING, logger="sailx.experiments")
+    sweep_speed(demos20, methods=("sail",), c_values=(0.3,), trials=1)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sail at c=0.3 runs at c=0.3: its intervals are floored at "
+        "INTERVAL_FLOOR = 0.015000000000000001 s"]
+
+
 class TestPlanIntervals:
     """The executor plans at a 0.05 s demo interval, floored at 1.05 times
     the 0.4 s latency's stall bound: 0.015 s at H_P = 32, H_C = 4."""

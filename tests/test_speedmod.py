@@ -185,3 +185,9 @@ class TestGripperEventFlags:
         g = np.array([0.0, 1.0, 1.0])
         k = gripper_event_flags(g, window=5)
         assert np.array_equal(k, np.ones(3, dtype=np.int8))
+
+    @pytest.mark.parametrize("window", [-1, -3])
+    def test_negative_window_is_refused(self, window):
+        # a negative window used to flag nothing, not even the toggle
+        with pytest.raises(InvalidInputError, match="window"):
+            gripper_event_flags([0.0, 0.0, 0.0, 1.0, 1.0, 1.0], window=window)
