@@ -25,7 +25,9 @@ perfbench's ``setup_s`` times one cold corpus build per run, so a single
 run can move it by a third. The set-up is therefore also timed warm: in
 PROBE_RUNS fresh processes per side, alternating, each the median of
 WARM_BUILDS warm ``build_demo_corpus(n=50)`` builds and, per workload, the
-share of a pass spent setting its trials up (see SETUP_PROBE).
+share of a pass spent setting its trials up (see SETUP_PROBE). Where a
+closed-loop-sail pass spends its time is probed the same way, in PROBE_RUNS
+fresh processes per side (see CLOSED_LOOP_PROBE).
 """
 from __future__ import annotations
 
@@ -115,6 +117,83 @@ for name, w in workloads.WORKLOADS.items():
 print(json.dumps(out))
 """ % {"builds": WARM_BUILDS, "passes": PROBE_PASSES}
 
+# Run in a fresh process from a tree's root: over PROBE_PASSES
+# closed-loop-sail passes (after one warm-up pass), the median pass time
+# and the median outermost time spent in each layer of the closed loop,
+# timed through the bindings of sailx.scheduler that the tree has: the
+# plant (track, and the generator track_lockstep, timed per step it
+# yields), the reference builds (ReferenceTrack, _grouped_tracks) and the
+# inference (infer_unconditional, infer_eag). A traced perfbench pass
+# sees neither a lockstep run's plant nor its reference fits. Prints one
+# JSON line.
+CLOSED_LOOP_PROBE = r"""
+import functools, inspect, json, logging, sys, time
+sys.path[:0] = ["src", "perfbench"]
+import numpy as np
+import workloads
+from sailx import experiments, scheduler
+
+logging.disable(logging.WARNING)
+LAYERS = {"plant": ("track", "track_lockstep"),
+          "reference": ("ReferenceTrack", "_grouped_tracks"),
+          "inference": ("infer_unconditional", "infer_eag")}
+spent = dict.fromkeys(LAYERS, 0.0)
+depth = dict.fromkeys(LAYERS, 0)
+
+def timed(layer, fn):
+    def enter():
+        depth[layer] += 1
+        return time.perf_counter()
+
+    def leave(start):
+        depth[layer] -= 1
+        if not depth[layer]:
+            spent[layer] += time.perf_counter() - start
+
+    if inspect.isgeneratorfunction(fn):
+        @functools.wraps(fn)
+        def steps(*args, **kwargs):
+            inner = fn(*args, **kwargs)
+            while True:
+                start = enter()
+                try:
+                    item = next(inner)
+                except StopIteration:
+                    return
+                finally:
+                    leave(start)
+                yield item
+        return steps
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        start = enter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            leave(start)
+    return call
+
+for layer, names in LAYERS.items():
+    for name in names:
+        if hasattr(scheduler, name):
+            setattr(scheduler, name, timed(layer, getattr(scheduler, name)))
+demos = experiments.build_demo_corpus(n=workloads.CORPUS_SIZE, seed=0)
+w = workloads.WORKLOADS["closed-loop-sail"]
+passes, layers = [], []
+for p in range(%(passes)d + 1):
+    for layer in LAYERS:
+        spent[layer] = 0.0
+    start = time.perf_counter()
+    w.run(demos, p, w.trials_per_cell)
+    passes.append(time.perf_counter() - start)
+    layers.append(dict(spent))
+out = {"pass_s": float(np.median(passes[1:]))}
+for layer in LAYERS:
+    out[layer + "_s"] = float(np.median([l[layer] for l in layers[1:]]))
+print(json.dumps(out))
+""" % {"passes": PROBE_PASSES}
+
 
 def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
@@ -143,23 +222,39 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: float,
             **{k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def setup_probe(tree: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", SETUP_PROBE], cwd=tree,
+def probe(tree: Path, script: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree,
                           capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"set-up probe failed in {tree}:\n{proc.stderr}")
+        raise RuntimeError(f"probe failed in {tree}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def setup_probes(parent_tree: Path) -> dict:
-    """PROBE_RUNS set-up probes per side, alternating, with the medians of
-    each number over a side's runs."""
+def probe_runs(parent_tree: Path, script: str) -> dict:
+    """PROBE_RUNS runs of a probe per side, alternating."""
     runs = {"parent": [], "change": []}
     for i in range(PROBE_RUNS):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(setup_probe(parent_tree if side == "parent"
-                                          else ROOT))
+            runs[side].append(probe(parent_tree if side == "parent"
+                                    else ROOT, script))
+    return runs
+
+
+def closed_loop_probes(parent_tree: Path) -> dict:
+    """CLOSED_LOOP_PROBE per side, with the medians of each number over a
+    side's runs."""
+    runs = probe_runs(parent_tree, CLOSED_LOOP_PROBE)
+    return {"runs": runs, "medians": {
+        side: {key: float(np.median([r[key] for r in side_runs]))
+               for key in side_runs[0]}
+        for side, side_runs in runs.items()}}
+
+
+def setup_probes(parent_tree: Path) -> dict:
+    """SETUP_PROBE per side, with the medians of each number over a side's
+    runs."""
+    runs = probe_runs(parent_tree, SETUP_PROBE)
     medians = {}
     for side, side_runs in runs.items():
         medians[side] = {"warm_build_s": float(np.median(
@@ -254,6 +349,7 @@ def record(parent: dict, parent_tree: Path, spec) -> dict:
             "metrics": compare(runs["parent"], runs["change"], spec),
             "per_layer": per_layer(parent_tree, workload, seconds)}
     probes = setup_probes(parent_tree)
+    closed_loop = closed_loop_probes(parent_tree)
     tests = {side: tier1(tree) for side, tree in
              (("parent", parent_tree), ("change", ROOT))}
     return {
@@ -268,6 +364,8 @@ def record(parent: dict, parent_tree: Path, spec) -> dict:
                       "seeds": seeds, "workloads": workloads},
         "setup_probe": {"runs": PROBE_RUNS, "warm_builds": WARM_BUILDS,
                         "passes": PROBE_PASSES, **probes},
+        "closed_loop_probe": {"runs": PROBE_RUNS, "passes": PROBE_PASSES,
+                              **closed_loop},
         "tier1": tests}
 
 

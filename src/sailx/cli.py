@@ -125,9 +125,10 @@ def cmd_label(args) -> int:
 
 def cmd_rollout(args) -> int:
     demos = _corpus(args)
-    for t in range(args.trials):
-        seed = args.seed + t
-        rollout = ex.run_method_rollout(args.method, args.c, demos, seed)
+    rollouts = ex.run_method_rollouts(
+        [(args.method, args.c, args.seed + t) for t in range(args.trials)],
+        demos)
+    for t, rollout in enumerate(rollouts):
         print(f"trial {t}: success={rollout.success} "
               f"duration={rollout.duration:.3f}s stalls={rollout.stall_count}")
         if args.out:

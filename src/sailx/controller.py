@@ -17,8 +17,8 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import IDENTITY_QUAT, Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import (_CONJ, REST_ROWS, _hamilton, _rotvec, _signed,
-                      _track_at_rest, track_loop)
+from .kernels import (_CONJ, REST_ROWS, _hamilton, _orientation_errors,
+                      _rotvec, _signed, _track_at_rest, track_loop)
 from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
 
@@ -111,13 +111,39 @@ def reference_tracks(times, positions, orientations, grippers=None):
     each array, and the arrays are validated in one pass: an invalid batch
     raises the error that the first failing reference would raise in a
     loop. The splines of all B references are one ``_natural_spline`` fit,
-    of which each track's coefficients are a slice.
+    of which each track's coefficients are a slice, and a
+    ``_ReferenceGroup`` of all B tracks, in order, takes its arrays as
+    views of that fit.
     """
     positions = np.asarray(positions, dtype=float)
     tracks = [ReferenceTrack.__new__(ReferenceTrack)
               for _ in range(len(positions))]
     _build(tracks, times, positions, np.asarray(orientations, dtype=float),
            None if grippers is None else np.asarray(grippers, dtype=float))
+    return tracks
+
+
+def _grouped_tracks(waypoints) -> list:
+    """One ReferenceTrack per waypoints (times, positions, orientations,
+    grippers) of ``waypoints``, in order, fitted with one
+    ``reference_tracks`` call per group of equal knot times; an invalid
+    reference raises what a loop over them would raise first."""
+    groups = {}
+    for i, (times, *_) in enumerate(waypoints):
+        groups.setdefault(times.tobytes(), []).append(i)
+    tracks = [None] * len(waypoints)
+    try:
+        for rows in groups.values():
+            stacked = [np.stack([waypoints[i][k] for i in rows])
+                       for k in (1, 2, 3)]
+            for i, track in zip(rows, reference_tracks(waypoints[rows[0]][0],
+                                                       *stacked)):
+                tracks[i] = track
+    except ValueError:
+        # the group's first failing reference need not be the first of all
+        for w in waypoints:
+            ReferenceTrack(*w)
+        raise
     return tracks
 
 
@@ -158,10 +184,17 @@ def _build(tracks, times, positions, orientations, grippers):
         # the line through both waypoints: its start and its slope
         slopes = (positions[:valid, 1] - positions[:valid, 0]) / seg_dt[0]
     elif valid:
+        # coordinate by coordinate: column k * B + j is coordinate k of
+        # reference j, the layout of a _ReferenceGroup
         coefficients = _natural_spline(
-            times, positions[:valid].transpose(1, 0, 2).reshape(n, -1))
+            times, positions[:valid].transpose(1, 2, 0).reshape(n, -1))
     if invalid is not None:
         raise InvalidInputError(invalid[1])
+    # the fit's arrays, of which a _ReferenceGroup of all its tracks takes
+    # views: the spline's coefficients or the lines' starts and slopes, and
+    # the grippers
+    fit = (count, (positions[:, 0], slopes) if n == 2 else coefficients,
+           grippers)
     for j, track in enumerate(tracks):
         track.times = times
         track.positions = positions[j]
@@ -173,7 +206,8 @@ def _build(tracks, times, positions, orientations, grippers):
         else:
             track._spline = PPoly.construct_fast(
                 coefficients if count == 1
-                else coefficients[:, :, 3 * j:3 * j + 3], times)
+                else coefficients[:, :, j::count], times)
+        track._fit = (fit, j)
         track._seg_dt = seg_dt
         track._identity = bool(identity[j])
         # angular rate per segment, world frame: +0.0 between identity
@@ -379,20 +413,29 @@ class _ReferenceGroup:
     positions, velocities and grippers of them all. Each column has the
     bits of that reference's ``sample``: scipy's PPoly evaluates every
     trailing element of its coefficients by the same routine, and the rest
-    is elementwise or shared by the grid.
+    is elementwise or shared by the grid. References that are one whole
+    ``reference_tracks`` fit, in its order, are held as views of the fit's
+    arrays; others are stacked.
     """
 
     def __init__(self, refs):
         first = refs[0]
         self.times = first.times
         self._seg_dt = first._seg_dt
-        if first._spline is None:
-            self._spline = None
-            self._line = tuple(map(_stack, zip(*(r._line for r in refs))))
-        else:
+        fit = first._fit[0]
+        count, moves, grippers = fit
+        whole = len(refs) == count and all(
+            r._fit[0] is fit and r._fit[1] == j for j, r in enumerate(refs))
+        if first._spline is not None:
             self._spline = PPoly.construct_fast(
-                _stack([r._spline.c for r in refs]), first.times)
-        self.grippers = _stack([r.grippers for r in refs])
+                moves.reshape(moves.shape[:2] + (3, count)) if whole
+                else _stack([r._spline.c for r in refs]), first.times)
+        else:
+            self._spline = None
+            self._line = (tuple(a.T for a in moves) if whole else
+                          tuple(map(_stack, zip(*(r._line for r in refs)))))
+        self.grippers = (grippers.T if whole
+                         else _stack([r.grippers for r in refs]))
 
 
 def _stack(arrays):
@@ -410,6 +453,27 @@ class TrackTrace:
     # the tracked reference's position and orientation at each step time
     ref_positions: np.ndarray
     ref_orientations: np.ndarray
+
+
+TRACE_STRIDE = 10  # physics steps per logged sample (2 ms -> 50 Hz)
+
+
+def sample_trace(trace):
+    """The 50 Hz log of one tracked stretch, and its grasp/release events.
+
+    Returns a dict of the RolloutLog sample arrays (times, positions,
+    orientations, ref_positions, ref_orientations, e_pos, e_ori), taken every
+    TRACE_STRIDE physics steps, and the (time, tag) events of every step.
+    The arrays are copies, so the per-step trace can be freed.
+    """
+    samples = {name: getattr(trace, name)[::TRACE_STRIDE].copy()
+               for name in ("times", "positions", "orientations",
+                            "ref_positions", "ref_orientations", "e_pos",
+                            "e_ori")}
+    events = [(float(trace.times[i]),
+               "grasp" if trace.events[i] > 0 else "release")
+              for i in np.nonzero(trace.events)[0]]
+    return samples, events
 
 
 def _slice_steps(t, untils, dt):
@@ -504,11 +568,16 @@ LOCKSTEP_MAX_ROWS = 64
 # medians of 7 alternated runs), row by row was faster in all 4 cells at
 # B = 4 (lockstep took 1.02-1.07x its time) and lockstep in all 4 at B = 5
 # (0.86-0.93x), at B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8
-# (0.44-0.65x) and at B = 12 (0.35-0.54x). perfbench/test_perfbench.py
+# (0.44-0.65x) and at B = 12 (0.35-0.54x). The closed loop uses the same
+# size: a cycle of scheduler.run_rollouts with fewer live rollouts runs
+# them row by row, and experiments.run_method_rollouts runs a chunk of
+# fewer rollouts one by one through run_rollout. perfbench/test_perfbench.py
 # requires kernels.track_loop steps in a traced replay-open-loop pass of 6
-# rows and a traced ood-diagnose pass of 3 trials, which holds only while
-# both run row by row: perfbench binds only the scalar track_loop, so the
-# threshold stays at 7, two rows above the measured break-even.
+# rows and a traced ood-diagnose pass of 3 trials, and run_rollout calls
+# and one unconditional draw per replan in a traced closed-loop-sail pass
+# of 3 rollouts, which holds only while all three run row by row:
+# perfbench binds only the scalar track_loop and the single-rollout entry,
+# so the threshold stays at 7, two rows above the measured break-even.
 LOCKSTEP_MIN_ROWS = 7
 
 
@@ -533,7 +602,7 @@ class _Subgroup:
             self.group = _ReferenceGroup([self.refs[r] for r in self.rows])
 
 
-def track_lockstep(states, refs, gains, untils):
+def track_lockstep(states, refs, gains, untils, traces=None):
     """Track column r of the (30, B) ``states`` along ``refs[r]``.
 
     Every column starts on one plant clock, states[TIME]; a call whose
@@ -554,7 +623,8 @@ def track_lockstep(states, refs, gains, untils):
     declines runs ``track_loop`` column by column, from one slice end of
     any column to the next. Fewer columns, or a batch with a reference that
     turns, run column by column through ``track_slices``. No per-step trace
-    is kept. Callers pass at most LOCKSTEP_MAX_ROWS columns at a time.
+    is kept, but a traced call samples one (below). Callers pass at most
+    LOCKSTEP_MAX_ROWS columns at a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     with those columns' states at the end of the slice in ``states``. The
@@ -567,16 +637,27 @@ def track_lockstep(states, refs, gains, untils):
     every column is done, the ``SimFault`` of the first such column is
     raised, as a loop over the columns would raise it, with the column
     index in its ``row``.
+
+    ``traces``, a list of B entries, asks for what ``sample_trace`` makes
+    of each column's ``track_slices`` trace: before the slice of column r
+    is yielded, ``traces[r]`` is set to its (samples, events). A traced
+    call takes one slice per column. The lockstep run reads the samples
+    from its at-rest calls' history after their loops (see
+    ``kernels._track_at_rest``), or from ``track_loop``'s out rows where it
+    runs column by column.
     """
     clocks = len(np.unique(states[TIME]))
     if clocks > 1:
         raise InvalidInputError(
             f"lockstep columns start on {clocks} plant clocks; a call "
             "takes columns on one start clock")
+    if traces is not None and any(len(u) != 1 for u in untils):
+        raise InvalidInputError("a traced lockstep call takes one slice "
+                                "per column")
     faults = {}
     if (states.shape[1] >= LOCKSTEP_MIN_ROWS
             and all(ref._identity for ref in refs)):
-        yield from _track_batch(states, refs, gains, untils, faults)
+        yield from _track_batch(states, refs, gains, untils, faults, traces)
     else:
         for r in range(states.shape[1]):
             state = states[:, r].copy()
@@ -584,6 +665,8 @@ def track_lockstep(states, refs, gains, untils):
                 for k, trace in enumerate(track_slices(
                         state, refs[r], gains[r], untils[r])):
                     states[:, r] = state
+                    if traces is not None:
+                        traces[r] = sample_trace(trace)
                     yield np.array([r]), k, len(trace.times)
                     state[:] = states[:, r]
             except SimFault as fault:
@@ -596,10 +679,10 @@ def track_lockstep(states, refs, gains, untils):
         raise fault
 
 
-def _track_batch(states, refs, gains, untils, faults):
+def _track_batch(states, refs, gains, untils, faults, traces):
     """``track_lockstep``'s lockstep run of every column of ``states``, on
     references with identity waypoints; faults go to ``faults`` by
-    column.
+    column, and the samples of a traced run to ``traces``.
 
     Each at-rest call runs from ``start`` to ``end``, where the first
     column to finish ends its last slice, or to the end of its block before
@@ -624,6 +707,7 @@ def _track_batch(states, refs, gains, untils, faults):
                            []).append(r)
     subs = [_Subgroup(sub_rows, refs, grid, dt)
             for (_, grid), sub_rows in members.items()]
+    stretches = None if traces is None else _Stretches(traces, subs)
     # the columns in subgroup order, so that each subgroup's columns of a
     # block are one slice of it
     live = np.concatenate([s.rows for s in subs])
@@ -636,7 +720,7 @@ def _track_batch(states, refs, gains, untils, faults):
     while True:
         if any(s.ends[s.k] == start for s in subs):
             states[:, live] = state
-            yield from _slices_ending(subs, start)
+            yield from _slices_ending(subs, start, stretches)
             subs = [s for s in subs if s.k < len(s.ends)]
             state = states[:, live]
         if not subs:
@@ -667,13 +751,18 @@ def _track_batch(states, refs, gains, untils, faults):
             marks = sorted({e - start for s in subs for e in s.ends[s.k:]
                             if start < e <= stop and e < end})
             report = np.empty((len(marks),) + state.shape)
-            if _track_at_rest(state, block[start - block_start:
-                                           stop - block_start],
-                              *gain_rows[:, live], dt, GRIPPER_SLEW,
-                              GRASP_RADIUS, marks, report):
+            sampled = (None if stretches is None
+                       else _Stretches.sampled(start, stop))
+            rest = _track_at_rest(state, block[start - block_start:
+                                               stop - block_start],
+                                  *gain_rows[:, live], dt, GRIPPER_SLEW,
+                                  GRASP_RADIUS, marks, report, sampled)
+            if rest:
+                if stretches is not None:
+                    stretches.add_rest(live, start, state, rest)
                 for mark, after in zip(marks, report):
                     states[:, live] = after
-                    yield from _slices_ending(subs, start + mark)
+                    yield from _slices_ending(subs, start + mark, stretches)
                 start = stop
                 continue
             if marks:
@@ -685,8 +774,15 @@ def _track_batch(states, refs, gains, untils, faults):
             owner = np.repeat(np.arange(len(subs)),
                               [len(s.rows) for s in subs])
             times = [subs[i].times[start:stop] for i in owner]
-            fault = _track_columns(state, [refs[r] for r in live], times,
-                                   gain_rows[:, live])
+            tracks = [refs[r] for r in live]
+            if stretches is None:
+                fault = _track_columns(state, tracks, times,
+                                       gain_rows[:, live])
+            else:
+                fault, records = _track_columns(
+                    state, tracks, times, gain_rows[:, live],
+                    _Stretches.sampled(start, stop))
+                stretches.add_columns(live, start, records)
             faulted = np.flatnonzero(fault >= 0)
             start = stop
             if len(faulted):
@@ -701,13 +797,78 @@ def _track_batch(states, refs, gains, untils, faults):
                 break
 
 
-def _slices_ending(subs, step):
+def _slices_ending(subs, step, stretches=None):
     """Yield (columns, k, n_k) for every slice of ``subs`` that ends at
-    ``step``, subgroup by subgroup, and count it done."""
+    ``step``, subgroup by subgroup, and count it done; ``stretches`` first
+    hands the columns of a traced run their samples."""
     for s in subs:
         while s.k < len(s.ends) and s.ends[s.k] == step:
+            if stretches is not None:
+                stretches.finish(s.rows, s.times)
             yield s.rows, s.k, s.steps[s.k]
             s.k += 1
+
+
+class _Stretches:
+    """The samples of a traced lockstep run, gathered call by call: for
+    every column, a row of ``FIELDS`` per TRACE_STRIDE-th step of its one
+    slice, and its (step, +1 or -1) events, steps counted from the run's
+    start."""
+
+    FIELDS = {"positions": slice(0, 3), "orientations": slice(3, 7),
+              "ref_positions": slice(7, 10),
+              "ref_orientations": slice(10, 14), "e_pos": 14, "e_ori": 15}
+
+    def __init__(self, traces, subs):
+        self.traces = traces
+        most = max(s.steps[0] for s in subs)
+        self.rows = np.empty((len(traces), -(-most // TRACE_STRIDE), 16))
+        self.events = [[] for _ in traces]
+
+    @staticmethod
+    def sampled(start, stop):
+        """The sampled steps of the run in [start, stop), from start."""
+        return np.arange(-start % TRACE_STRIDE, stop - start, TRACE_STRIDE)
+
+    def add_rest(self, live, start, state, rest):
+        """Record the kernels.RestTrace ``rest`` of an at-rest call from
+        step ``start`` on the columns ``live``, whose (30, len(live))
+        ``state`` kept its orientations through the call."""
+        a = -(-start // TRACE_STRIDE)
+        b = a + len(rest.e_pos)
+        rows = self.rows
+        e_ori = np.empty(len(live))
+        # the reference orientation of a rest-form block is the identity
+        _orientation_errors(IDENTITY_QUAT[:, None], state[3:7], e_ori)
+        rows[live, a:b, 0:3] = rest.positions.transpose(2, 0, 1)
+        rows[live, a:b, 3:7] = state[3:7].T[:, None]
+        rows[live, a:b, 7:10] = rest.ref_positions.transpose(2, 0, 1)
+        rows[live, a:b, 10:14] = IDENTITY_QUAT
+        rows[live, a:b, 14] = rest.e_pos.T
+        rows[live, a:b, 15] = e_ori[:, None]
+        for i, j, code in rest.events:
+            self.events[live[j]].append((start + i, code))
+
+    def add_columns(self, live, start, records):
+        """Record ``_track_columns``' sampled rows and events of a span from
+        step ``start`` on the columns ``live``."""
+        first = -(-start // TRACE_STRIDE)
+        for r, (rows, events) in zip(live, records):
+            self.rows[r, first:first + len(rows)] = rows
+            self.events[r] += [(start + i, code) for i, code in events]
+
+    def finish(self, columns, times):
+        """Set ``traces`` of the ``columns`` whose slice, of step times
+        ``times``, has ended."""
+        sampled = times[::TRACE_STRIDE]
+        for r in columns:
+            rows = self.rows[r, :len(sampled)]
+            self.traces[r] = (
+                {"times": sampled.copy(),
+                 **{name: rows[:, k].copy()
+                    for name, k in self.FIELDS.items()}},
+                [(float(times[i]), "grasp" if code > 0 else "release")
+                 for i, code in self.events[r]])
 
 
 # the state rows of the w and of the vector parts of the robot's, the
@@ -730,20 +891,30 @@ def _identity_poses(state):
 
 
 @np.errstate(all="ignore")  # the at-rest step never warns either
-def _track_columns(state, tracks, times, gain_rows):
+def _track_columns(state, tracks, times, gain_rows, sampled=None):
     """``track_loop`` on each column j of ``state`` along ``tracks[j]``,
     sampled by its own ``ReferenceTrack.sample`` at ``times[j]``, under
     column j's gains, with scratch out rows. Returns each column's fault
-    step, or -1."""
+    step, or -1; with ``sampled``, steps of the span from 0, also each
+    column's rows of ``_Stretches.FIELDS`` at those steps and its (step,
+    +1 or -1) events, which a column that faults leaves unfinished."""
     n = len(times[0])
     outs = (np.empty((n, 3)), np.empty((n, 4)), np.empty(n), np.empty(n),
             np.empty(n, dtype=np.int8))
     fault = np.empty(state.shape[1], dtype=int)
+    records = []
     for j, column in enumerate(state.T):  # views: track_loop writes state
-        fault[j] = track_loop(column, *tracks[j].sample(times[j]),
-                              *gain_rows[:, j], PHYSICS_DT, GRIPPER_SLEW,
-                              GRASP_RADIUS, *outs)
-    return fault
+        ref = tracks[j].sample(times[j])
+        fault[j] = track_loop(column, *ref, *gain_rows[:, j], PHYSICS_DT,
+                              GRIPPER_SLEW, GRASP_RADIUS, *outs)
+        if sampled is not None:
+            pos, quat, e_pos, e_ori, events = outs
+            records.append((
+                np.column_stack([pos[sampled], quat[sampled],
+                                 ref[0][sampled], ref[2][sampled],
+                                 e_pos[sampled], e_ori[sampled]]),
+                [(i, int(events[i])) for i in np.flatnonzero(events)]))
+    return fault if sampled is None else (fault, records)
 
 
 def _sample_block(subs, start, steps, width):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import AggregatedActionsPolicy
-from .controller import (LOCKSTEP_MAX_ROWS, ReferenceTrack, gain_profile,
-                         reference_tracks, track, track_lockstep)
+from .controller import (LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_ROWS,
+                         ReferenceTrack, _grouped_tracks, gain_profile,
+                         sample_trace, track, track_lockstep)
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError, SailxError
@@ -26,7 +27,7 @@ from .metrics import aggregate
 from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                      infer_unconditional, seed_ahead)
 from .scheduler import (DELTA_DELAY, DELTA_STAR, INTERVAL_FLOOR,
-                        ExecutorConfig, RolloutLog, run_rollout, sample_trace)
+                        ExecutorConfig, RolloutLog, run_rollout, run_rollouts)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
                   normalise_poses, success)
 
@@ -98,22 +99,60 @@ def task_for_demo(demo) -> TaskSpec:
 def run_method_rollout(method: str, c: float, demos, seed: int,
                        library: DemoLibrary | None = None,
                        use_eag: bool | None = None) -> RolloutLog:
-    """One closed-loop rollout of a named method on a demo-aligned task.
+    """One closed-loop rollout of a named method on a demo-aligned task:
+    the one-seed case of ``run_method_rollouts``."""
+    return run_method_rollouts([(method, c, seed)], demos, library,
+                               use_eag)[0]
 
-    ``library``, when given, is the DemoLibrary of ``demos`` the policy
-    retrieves from, shared with the other rollouts of a sweep; ``use_eag``
-    is passed to ``method_setup``.
+
+def run_method_rollouts(rollouts, demos,
+                        library: DemoLibrary | None = None,
+                        use_eag: bool | None = None) -> list[RolloutLog]:
+    """The rollout of each (method, c, seed) of ``rollouts``, in order,
+    each of a named method on the task of demo ``seed % len(demos)``.
+
+    ``library``, when given, is the DemoLibrary of ``demos`` the policies
+    retrieve from; otherwise one is packed for all of them. ``use_eag`` is
+    passed to ``method_setup``. A replay runs ``replay_rollout``. The
+    closed-loop rollouts run LOCKSTEP_MAX_ROWS at a time, a run of
+    consecutive ones stepped together by ``scheduler.run_rollouts``, or
+    one by one through ``run_rollout`` when fewer than LOCKSTEP_MIN_ROWS;
+    each has the bits of its run alone, and an error raises what a loop
+    over the rollouts would raise first.
     """
-    if method == "replay":
-        return replay_rollout(demos[seed % len(demos)], c=c, seed=seed)
-    setup = method_setup(method, c, use_eag=use_eag)
-    demo = demos[seed % len(demos)]
-    task = task_for_demo(demo)
-    start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
-    policy = setup.policy_class(demos, setup.policy_config, seed=seed,
-                                library=library)
-    return run_rollout(policy, task, setup.exec_config,
-                       gain_profile(setup.gains), start, seed=seed)
+    if library is None and any(m != "replay" for m, _, _ in rollouts):
+        library = DemoLibrary(demos)
+    logs = []
+    batch = []
+
+    def flush():
+        if len(batch) < LOCKSTEP_MIN_ROWS:
+            logs.extend(run_rollout(*args) for args in batch)
+        else:
+            logs.extend(run_rollouts(batch))
+        batch.clear()
+
+    for method, c, seed in rollouts:
+        demo = demos[seed % len(demos)]
+        if method == "replay":
+            flush()
+            logs.append(replay_rollout(demo, c=c, seed=seed))
+            continue
+        try:
+            setup = method_setup(method, c, use_eag=use_eag)
+            start = Pose(demo.reached[0, :3].copy(),
+                         demo.reached[0, 3:7].copy())
+            policy = setup.policy_class(demos, setup.policy_config,
+                                        seed=seed, library=library)
+            batch.append((policy, task_for_demo(demo), setup.exec_config,
+                          gain_profile(setup.gains), start, seed))
+        except SailxError:
+            flush()  # the rollouts before it raise first
+            raise
+        if len(batch) == LOCKSTEP_MAX_ROWS:
+            flush()
+    flush()
+    return logs
 
 
 def _check_noise_scale(scale: float) -> None:
@@ -160,29 +199,6 @@ def _set_up(setup, args):
         _grouped_tracks([s[0] for s in setups])
         raise
     return setups, _grouped_tracks([s[0] for s in setups])
-
-
-def _grouped_tracks(waypoints) -> list:
-    """One ReferenceTrack per waypoints of ``waypoints``, in order, fitted
-    one group of equal knot times at a time; an invalid reference raises
-    what a loop over them would raise first."""
-    groups = {}
-    for i, (times, *_) in enumerate(waypoints):
-        groups.setdefault(times.tobytes(), []).append(i)
-    tracks = [None] * len(waypoints)
-    try:
-        for rows in groups.values():
-            stacked = [np.stack([waypoints[i][k] for i in rows])
-                       for k in (1, 2, 3)]
-            for i, track in zip(rows, reference_tracks(waypoints[rows[0]][0],
-                                                       *stacked)):
-                tracks[i] = track
-    except ValueError:
-        # the group's first failing reference need not be the first of all
-        for w in waypoints:
-            ReferenceTrack(*w)
-        raise
-    return tracks
 
 
 def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
@@ -263,20 +279,17 @@ def _pool_rollout(args):
                               library=_POOL_LIBRARY)
 
 
-def _run_cell(method, c, demos, seeds, jobs, library):
-    if jobs <= 1:
-        return [run_method_rollout(method, c, demos, s, library=library)
-                for s in seeds]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                             initargs=(demos,)) as pool:
-        return list(pool.map(_pool_rollout,
-                             [(method, c, s) for s in seeds]))
-
-
 def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.2, 0.1),
                 trials: int = 20, seed: int = 0, jobs: int = 1,
                 t_max: float = T_MAX) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point.
+
+    ``trials`` and ``jobs`` must be at least 1, and every closed-loop cell's
+    ``method_setup`` is made before any rollout runs, so that a bad
+    argument raises InvalidInputError, and an unknown method or a c its
+    executor refuses raises, before any cell is simulated. The rollouts of
+    every cell run in cell-then-trial order through
+    ``run_method_rollouts``, or in a pool of ``jobs`` worker processes.
 
     A closed-loop method other than dp runs every interval at least
     INTERVAL_FLOOR long, so where c * DELTA_STAR < INTERVAL_FLOOR, at c =
@@ -284,17 +297,33 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     DELTA_STAR off its critical waypoints; each such (method, c) cell logs
     one WARNING naming the c that runs and the floor's exact value.
     """
-    mean_demo = float(np.mean([d.duration for d in demos]))
-    library = DemoLibrary(demos)
-    rows = []
-    for cell, (method, c) in enumerate((m, c) for m in methods for c in c_values):
+    for name, value in (("trials", trials), ("jobs", jobs)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise InvalidInputError(f"{name} must be an integer >= 1, "
+                                    f"got {value!r}")
+    cells = [(m, c) for m in methods for c in c_values]
+    for method, c in cells:
+        if method != "replay":
+            method_setup(method, c)
+    for method, c in cells:
         if method not in ("dp", "replay") and c * DELTA_STAR < INTERVAL_FLOOR:
             log.warning("%s at c=%g runs at c=%g: its intervals are floored "
                         "at INTERVAL_FLOOR = %r s", method, c,
                         INTERVAL_FLOOR / DELTA_STAR, INTERVAL_FLOOR)
-        seeds = [_trial_seed(seed, cell, t) for t in range(trials)]
-        logs = _run_cell(method, c, demos, seeds, jobs, library)
-        report = aggregate(logs, t_max=t_max, mean_demo_duration=mean_demo)
+    mean_demo = float(np.mean([d.duration for d in demos]))
+    rollouts = [(method, c, _trial_seed(seed, cell, t))
+                for cell, (method, c) in enumerate(cells)
+                for t in range(trials)]
+    if jobs == 1:
+        logs = run_method_rollouts(rollouts, demos)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
+                                 initargs=(demos,)) as pool:
+            logs = list(pool.map(_pool_rollout, rollouts))
+    rows = []
+    for cell, (method, c) in enumerate(cells):
+        report = aggregate(logs[cell * trials:(cell + 1) * trials],
+                           t_max=t_max, mean_demo_duration=mean_demo)
         rows.append({"method": method, "c": c, **report.as_row()})
     return rows
 

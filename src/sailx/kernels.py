@@ -27,14 +27,17 @@ call's first step keeps the incoming object pose.
 ``_track_at_rest`` is the same plant on the B columns of a (30, B) state
 under per-column gains, with each column's bits equal to ``track_loop`` on
 that row. It keeps no per-step trace, but reports the state after each of
-the steps it is asked for: ``controller`` marks the slice ends a call runs
-through. It steps only references at rest (below),
+the steps it is asked for (``controller`` marks the slice ends a call runs
+through) and, for the steps it is asked to sample, what a rollout's log
+keeps of them (a closed-loop cycle samples every TRACE_STRIDE-th step).
+It steps only references at rest (below),
 and it declines a call whose columns do not start at rest, or in which a
 step faults, leaving the state as it was; ``controller`` then runs
 ``track_loop`` on each column. So the scalar loop is the one full,
 turning update: no workload turns, and a turning step in lockstep cost as
-much as 7-12 scalar rows. The scalar loop is also the plant for single
-rollouts, small batches and batches whose references turn.
+much as 7-12 scalar rows. The scalar loop is also the plant for small
+batches, a single rollout's among them, and batches whose references
+turn.
 
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
@@ -100,6 +103,11 @@ calls of 64 steps, call overhead included. After the loop:
   step m or later, a carried object's pose formed from row m by the
   ``_carried_pose`` the end of a call uses (one call for every carried
   column of every mark), and the clock after m of the same additions.
+- A sampled step i: the robot position after it is history row i + 1, its
+  reference position row i of the block, and the position error between
+  them follows in ``track_loop``'s operation order (``_position_errors``,
+  which both plants use); the events are the scan's grasps and releases.
+  The per-step loop is the same whether or not a call samples.
 
 Timed on whole replay cells at rest (2-core x86-64 VM), lockstep now wins
 from 5 rows up (``controller.LOCKSTEP_MIN_ROWS`` says why it stays 7).
@@ -131,6 +139,7 @@ Its layout::
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 # the clip ufunc, which numpy 2 exposes here: one call, and no argument
@@ -392,31 +401,45 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     for i, event in events:
         out_events[i] = event
 
-    # tracking errors of every completed step, vectorised in the per-step
-    # operation order (elementwise numpy gives the same bits), accumulated
-    # in place so that one temporary row of floats is the only allocation
-    e = out_epos[:done]
-    tmp = np.empty(done)
-    np.subtract(ref_pos[:done, 0], out_pos[:done, 0], e)
-    np.multiply(e, e, e)
+    # tracking errors of every completed step
+    _position_errors(ref_pos[:done].T, out_pos[:done].T, out_epos[:done])
+    _orientation_errors(ref_quat[:done].T, out_quat[:done].T,
+                        out_eori[:done])
+    return fault
+
+
+# The tracking errors of the plant, vectorised in the per-step operation
+# order (elementwise numpy gives the same bits) and accumulated in place in
+# ``out``, so that one temporary of its shape is the only allocation. The
+# operands hold the components of each vector or quaternion on their first
+# axis, as the transposed out rows of track_loop or any (k, steps, B) stack.
+
+def _position_errors(ref, pos, out):
+    """|ref - pos| of the 3-vectors ref[:, ...] and pos[:, ...] into out."""
+    tmp = np.empty(out.shape)
+    np.subtract(ref[0], pos[0], out)
+    np.multiply(out, out, out)
     for k in (1, 2):
-        np.subtract(ref_pos[:done, k], out_pos[:done, k], tmp)
+        np.subtract(ref[k], pos[k], tmp)
         np.multiply(tmp, tmp, tmp)
-        np.add(e, tmp, e)
-    np.sqrt(e, e)
-    # geodesic angle arccos(2 dot^2 - 1) via the trace of the relative
-    # rotation, independent of quaternion sign
-    dot = out_eori[:done]
-    np.multiply(ref_quat[:done, 0], out_quat[:done, 0], dot)
+        np.add(out, tmp, out)
+    np.sqrt(out, out)
+
+
+def _orientation_errors(ref, quat, out):
+    """The geodesic angle arccos(2 dot^2 - 1) between the quaternions
+    ref[:, ...] and quat[:, ...], via the trace of the relative rotation,
+    independent of quaternion sign, into out."""
+    tmp = np.empty(out.shape)
+    np.multiply(ref[0], quat[0], out)
     for k in (1, 2, 3):
-        np.multiply(ref_quat[:done, k], out_quat[:done, k], tmp)
-        np.add(dot, tmp, dot)
-    np.multiply(dot, 2.0, tmp)
-    np.multiply(tmp, dot, tmp)
+        np.multiply(ref[k], quat[k], tmp)
+        np.add(out, tmp, out)
+    np.multiply(out, 2.0, tmp)
+    np.multiply(tmp, out, tmp)
     np.subtract(tmp, 1.0, tmp)
     np.clip(tmp, -1.0, 1.0, tmp)
-    np.arccos(tmp, dot)
-    return fault
+    np.arccos(tmp, out)
 
 
 # The Hamilton product a * b is a[0] * b + a[1] * b' + a[2] * b'' + a[3] * b'''
@@ -547,7 +570,8 @@ REST_ROWS = len(_REST_STATE)
 
 @np.errstate(all="ignore")  # the scalar loop never warns either
 def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                   grip_slew, grasp_radius, marks=(), report=None):
+                   grip_slew, grasp_radius, marks=(), report=None,
+                   sampled=None):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep, on
     references at rest; True once every column has stepped.
 
@@ -563,7 +587,16 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     ``marks`` are ascending step counts, from 1 to the call's steps: after
     the call, ``report[k]``, a (len(marks), 30, B) array, holds the state
     as a call that ended after ``marks[k]`` steps would have left it, bit
-    for bit. No other per-step trace is written.
+    for bit.
+
+    ``sampled``, when given, is an ascending integer array of steps of the
+    call, from 0. A call that steps then returns a ``RestTrace`` in place
+    of True: the robot positions after those steps and the reference
+    positions they tracked, each (len(sampled), 3, B), their position
+    errors in ``track_loop``'s operation order, (len(sampled), B), and the
+    (step, column, +1 or -1) attach and detach events of the call, in step
+    order, as track_loop's out rows give them. No other per-step trace is
+    written.
 
     Each step is eight ufunc calls on the (7, B) rows [grip; p; v] of a
     history buffer, from row i to row i + 1; grasps, releases, the clock
@@ -627,6 +660,7 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     q, attached = state[3:7], state[21]
     steps, cols = np.nonzero(below[:-1] != below[1:])
     k = 0
+    events = []
     for i, j in zip(steps.tolist(), cols.tolist()):
         while ends[k] <= i:
             after[k, 14:29] = state[14:29]
@@ -639,11 +673,13 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
                 if held:
                     attached[j] = 1.0
                     state[22:29, j] = held
+                    events.append((i, j, 1))
         elif grip[i, j] >= 0.5 and attached[j] == 1.0:
             attached[j] = 0.0
             if i:  # the object was carried through the last step
                 state[14:21, j] = _carried(hist[i, 1:4, j].tolist() + quat,
                                            state[22:29, j].tolist())
+            events.append((i, j, -1))
     after[k:, 14:29] = state[14:29]
     # A call's carried objects ride on its last robot pose, where it took a
     # step: one _carried_pose call, whose columns are those of every state
@@ -673,4 +709,21 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     state[:] = after[-1]
     if marks:
         report[:] = after[:-1]
-    return True
+    if sampled is None:
+        return True
+    # the robot after step i is history row i + 1
+    positions = hist[sampled + 1, 1:4]
+    ref_positions = rest_ref[sampled, 1:4]
+    e_pos = np.empty((len(sampled), b))
+    _position_errors(ref_positions.transpose(1, 0, 2),
+                     positions.transpose(1, 0, 2), e_pos)
+    return RestTrace(positions, ref_positions, e_pos, events)
+
+
+class RestTrace(NamedTuple):
+    """What ``_track_at_rest`` reports of the steps it is asked to sample."""
+
+    positions: np.ndarray      # (steps, 3, B) robot positions
+    ref_positions: np.ndarray  # (steps, 3, B) reference positions
+    e_pos: np.ndarray          # (steps, B) position errors
+    events: list               # (step, column, +1 or -1) of the call

@@ -16,6 +16,19 @@ At the policy's horizons (policy.H_P = 32, policy.H_C = 4) that floor is
 1.05 * 0.4 s / 28, which evaluates to 0.015000000000000001 s, so a speed
 factor of 0.3 and below runs as 0.3: 0.3 itself by one ulp, as 0.3 *
 DELTA_STAR = 0.015 is below the floor.
+
+Every rollout starts at t = 0 and replans at k * DELTA_DELAY, whatever its
+method or speed, so the rollouts of a sweep share one plant clock and step
+together. ``_plan`` is one rollout's planning as a generator: each cycle
+it computes CON and WED against the previous chunk, plans the intervals,
+records the splice and any stall, snapshots the superseded reference at
+t_a and runs the next inference on the rollout's own policy, then yields
+the cycle's reference waypoints and receives the tracked stretch.
+``run_rollouts`` is the one driver: each cycle it fits the live rollouts'
+references once per knot grid, tracks all of them in one
+``controller.track_lockstep`` call, which samples every TRACE_STRIDE-th
+step for the log, renormalises their poses and drops each rollout that
+succeeds or reaches T_MAX. ``run_rollout`` is its one-rollout case.
 """
 
 import math
@@ -23,13 +36,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import GainProfile, ReferenceTrack, track
-from .errors import ConfigurationError
+from .controller import (GainProfile, ReferenceTrack, _grouped_tracks,
+                         track_lockstep)
+# perfbench/tracing.py wraps this module's binding of track, so it stays
+# bound here, though the rollouts track through track_lockstep
+from .controller import track  # noqa: F401
+from .errors import ConfigurationError, SailxError, SimFault
 from .metrics import con, speed_profile, wed
 from .policy import (H_C, H_P, ActionChunk, MockPolicy, infer_eag,
                      infer_unconditional)
 from .sim import (GRIPPER, T_MAX, TIME, Pose, TaskSpec, initial_world,
-                  success)
+                  normalise_poses, success)
 
 
 DELTA_STAR = 0.05     # s, nominal waypoint interval (demo rate)
@@ -96,33 +113,19 @@ class RolloutLog:
         return speed_profile(self.positions, dt)
 
 
-TRACE_STRIDE = 10  # physics steps per logged sample (2 ms -> 50 Hz)
+def _plan(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
+          start_pose: Pose, seed: int, state):
+    """The planning of one rollout, cycle by cycle, from the packed plant
+    ``state``, which the driver advances in place.
 
-
-def sample_trace(trace):
-    """The 50 Hz log of one tracked stretch, and its grasp/release events.
-
-    Returns a dict of the RolloutLog sample arrays (times, positions,
-    orientations, ref_positions, ref_orientations, e_pos, e_ori), taken every
-    TRACE_STRIDE physics steps, and the (time, tag) events of every step.
-    The arrays are copies, so the per-step trace can be freed.
+    A generator: it yields the waypoints (times, positions, orientations,
+    grippers) of each stretch's reference and the time to track it until,
+    and receives the stretch's ReferenceTrack and what ``sample_trace``
+    makes of it, with ``state`` at the stretch's end, its poses
+    renormalised. It returns the RolloutLog once the task succeeds or the
+    time limit is reached.
     """
-    samples = {name: getattr(trace, name)[::TRACE_STRIDE].copy()
-               for name in ("times", "positions", "orientations",
-                            "ref_positions", "ref_orientations", "e_pos",
-                            "e_ori")}
-    events = [(float(trace.times[i]),
-               "grasp" if trace.events[i] > 0 else "release")
-              for i in np.nonzero(trace.events)[0]]
-    return samples, events
-
-
-def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
-                gains: GainProfile, start_pose: Pose,
-                seed: int = 0) -> RolloutLog:
-    """Execute the policy on the task until success or the time limit."""
     exec_n = H_P - H_C
-    state = initial_world(start_pose, task)
 
     samples: list[dict] = []
     events: list[tuple[float, str]] = []
@@ -132,26 +135,20 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     guidance: list[bool] = []
     stall_count = 0
 
-    def collect(trace):
-        stretch, stretch_events = sample_trace(trace)
-        samples.append(stretch)
-        events.extend(stretch_events)
-
     # first inference launched at t = 0; hold the start pose until it lands
     chunk = infer_unconditional(policy, state)
     chunks.append(chunk)
     guidance.append(False)
     grip = float(state[GRIPPER])
-    hold = ReferenceTrack(
-        [0.0, DELTA_DELAY],
-        np.tile(start_pose.position, (2, 1)),
-        np.tile(start_pose.orientation, (2, 1)),
-        grippers=[grip, grip])
-    collect(track(state, hold, gains, until=DELTA_DELAY))
+    hold = (np.array([0.0, DELTA_DELAY]),
+            np.tile(start_pose.position, (2, 1)),
+            np.tile(start_pose.orientation, (2, 1)), np.array([grip, grip]))
+    prev_ref, stretch, stretch_events = yield hold, DELTA_DELAY
+    samples.append(stretch)
+    events.extend(stretch_events)
 
     t_a = DELTA_DELAY
     prev_chunk: ActionChunk | None = None
-    prev_ref: ReferenceTrack = hold
     done = False
 
     while state[TIME] < T_MAX - 1e-9 and not done:
@@ -186,12 +183,14 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         guidance.append(applied)
 
         # splice: continue from the superseded reference at t_a
-        ref = ReferenceTrack(
-            np.concatenate([[t_a], wp_times]),
-            np.vstack([desired.position, chunk.positions[:exec_n]]),
-            np.vstack([desired.orientation, chunk.orientations[:exec_n]]),
-            grippers=np.concatenate([grip_now, chunk.grippers[:exec_n]]))
-        collect(track(state, ref, gains, until=min(t_next, T_MAX)))
+        splice = (np.concatenate([[t_a], wp_times]),
+                  np.vstack([desired.position, chunk.positions[:exec_n]]),
+                  np.vstack([desired.orientation,
+                             chunk.orientations[:exec_n]]),
+                  np.concatenate([grip_now, chunk.grippers[:exec_n]]))
+        prev_ref, stretch, stretch_events = yield splice, min(t_next, T_MAX)
+        samples.append(stretch)
+        events.extend(stretch_events)
 
         if success(state, task):
             releases = [t for t, tag in events if tag == "release"]
@@ -201,7 +200,6 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
 
         t_a = t_next
         prev_chunk, prev_offset = chunk, exec_offset
-        prev_ref = ref
         chunk = next_chunk
 
     if not done:
@@ -220,3 +218,107 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         **{name: np.concatenate([stretch[name] for stretch in samples])
            for name in samples[0]},
     )
+
+
+def run_rollouts(rollouts) -> list[RolloutLog]:
+    """``run_rollout(*args)`` for each ``args`` of ``rollouts``, stepped
+    together: the rollouts' RolloutLogs, in order, with the bits of each
+    run alone.
+
+    Every rollout starts at t = 0 and replans at k * DELTA_DELAY, so the
+    rollouts of a cycle share one plant clock. Each cycle, every live
+    rollout plans on its own policy; the references of all of them are
+    fitted once per knot grid (``controller._grouped_tracks``) and tracked
+    to the cycle's end in one ``track_lockstep`` call, whose poses are then
+    renormalised as ``track`` does; a rollout leaves once it succeeds or
+    reaches T_MAX. Callers pass at most LOCKSTEP_MAX_ROWS rollouts at a
+    time. An error raises what a loop over the rollouts would raise first:
+    the rollouts after the first one to fail stop there, and those before
+    it run on until they end or fail.
+    """
+    logs = [None] * len(rollouts)
+    failed = [len(rollouts), None]  # the first rollout to fail, its error
+
+    def fail(i, error):
+        if i < failed[0]:
+            failed[:] = i, error
+
+    states, planners, plans = {}, {}, {}
+    for i, (policy, task, exec_cfg, _, start, seed) in enumerate(rollouts):
+        try:
+            states[i] = initial_world(start, task)
+            planners[i] = _plan(policy, task, exec_cfg, start, seed,
+                                states[i])
+            plans[i] = next(planners[i])
+        except SailxError as error:
+            fail(i, error)
+            break
+    while plans:
+        live = list(plans)
+        waypoints = [plans[i][0] for i in live]
+        try:
+            refs = _grouped_tracks(waypoints)
+        except SailxError:
+            refs = []
+            for i, w in zip(live, waypoints):
+                try:
+                    refs.append(ReferenceTrack(*w))
+                except SailxError as error:
+                    fail(i, error)
+                    break
+            live = live[:len(refs)]
+        stacked = np.stack([states[i] for i in live], axis=1)
+        traces = [None] * len(live)
+        stepped = np.zeros(len(live), dtype=bool)
+        try:
+            for columns, _, steps in track_lockstep(
+                    stacked, refs, [rollouts[i][3] for i in live],
+                    [(plans[i][1],) for i in live], traces):
+                stepped[columns] = steps > 0
+        except SimFault as fault:
+            fail(live[fault.row], fault)
+            live = live[:fault.row]
+        raised = _renormalise(stacked, stepped[:len(live)])
+        if raised is not None:
+            fail(live[raised[0]], raised[1])
+            live = live[:raised[0]]
+        plans = {}
+        for j, i in enumerate(live):
+            states[i][:] = stacked[:, j]
+            try:
+                plans[i] = planners[i].send((refs[j], *traces[j]))
+            except StopIteration as stop:
+                logs[i] = stop.value
+            except SailxError as error:
+                fail(i, error)
+                break
+    if failed[1] is not None:
+        raise failed[1]
+    return logs
+
+
+def _renormalise(states, stepped):
+    """``sim.normalise_poses`` on each column of the (30, B) ``states``
+    that ``stepped``, in one call where all did; (column, error) of the
+    first that raises, the columns before it renormalised, or None."""
+    if stepped.all():
+        try:
+            normalise_poses(states.T)
+            return None
+        except SailxError:
+            pass  # which column raised: it changed none
+    for j in np.flatnonzero(stepped):
+        try:
+            normalise_poses(states[:, j])
+        except SailxError as error:
+            return j, error
+    return None
+
+
+def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
+                gains: GainProfile, start_pose: Pose,
+                seed: int = 0) -> RolloutLog:
+    """Execute the policy on the task until success or the time limit: the
+    one-rollout case of ``run_rollouts``."""
+    return run_rollouts([(policy, task, exec_cfg, gains, start_pose,
+                          seed)])[0]

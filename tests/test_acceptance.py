@@ -12,7 +12,7 @@ from scipy.stats import spearmanr
 from sailx.cli import main
 from sailx.core import tracking_error
 from sailx.diagnostics import SampleSet, knn_distance
-from sailx.experiments import (run_diagnostics, run_method_rollout,
+from sailx.experiments import (run_diagnostics, run_method_rollouts,
                                sweep_gain_replay, sweep_noise, sweep_speed,
                                task_for_demo)
 from sailx.metrics import aggregate, ldlj, sparc, tpr, wed
@@ -261,13 +261,9 @@ def test_criterion_07_throughput_scaling(demos50):
 # 8. guidance improves chunk-to-chunk consistency
 
 def test_criterion_08_consistency_effect(demos50):
-    logs_on, logs_off = [], []
-    for trial in range(100):
-        seed = 808 + trial
-        logs_on.append(run_method_rollout("sail", 0.2, demos50, seed,
-                                          use_eag=True))
-        logs_off.append(run_method_rollout("sail", 0.2, demos50, seed,
-                                           use_eag=False))
+    rollouts = [("sail", 0.2, 808 + trial) for trial in range(100)]
+    logs_on = run_method_rollouts(rollouts, demos50, use_eag=True)
+    logs_off = run_method_rollouts(rollouts, demos50, use_eag=False)
     rep_on = aggregate(logs_on, t_max=30.0)
     rep_off = aggregate(logs_off, t_max=30.0)
     ok = (rep_on.con <= rep_off.con and rep_on.wed <= rep_off.wed

@@ -658,6 +658,63 @@ class TestRestHistory:
                                       [m, n], report)
         assert _bits(report[1]) == _bits(states)
 
+    @staticmethod
+    def _assert_sampled_steps_match_track_loop(rows, sampled, marks=()):
+        """_track_at_rest asked for ``sampled`` steps against track_loop's
+        out rows of each column: the robot positions, the reference
+        positions, the position errors and every event, in step order,
+        with the final state and the reports of a call not asked."""
+        states, block, gains, shared = _batch_args(rows)
+        want_states = states.copy()
+        want_report = np.empty((len(marks),) + states.shape)
+        assert kernels._track_at_rest(want_states, block, *gains, *shared,
+                                      list(marks), want_report) is True
+        report = np.empty_like(want_report)
+        rest = kernels._track_at_rest(states, block, *gains, *shared,
+                                      list(marks), report, sampled)
+        assert isinstance(rest, kernels.RestTrace)
+        assert _bits(states) == _bits(want_states)
+        assert _bits(report) == _bits(want_report)
+        events = []
+        for j, (state, refs, params) in enumerate(rows):
+            fault, _, outs = _run(kernels.track_loop, state, refs, params)
+            assert fault == -1
+            assert _bits(rest.positions[:, :, j]) == _bits(outs[0][sampled])
+            assert _bits(rest.ref_positions[:, :, j]) == \
+                _bits(refs[0][sampled])
+            assert _bits(rest.e_pos[:, j]) == _bits(outs[2][sampled])
+            events += [(int(i), j, int(outs[4][i]))
+                       for i in np.flatnonzero(outs[4])]
+        assert rest.events == sorted(events)
+        return rest.events
+
+    def test_sampled_steps_and_events_match_track_loop(self):
+        """A grasp and a release in one call, a release and a grasp at the
+        call's first step, and events on and between sampled steps."""
+        n, stride = 47, controller.TRACE_STRIDE
+        columns = [((5, 20), False), ((0,), True), ((0,), False),
+                   ((10, 11), True), ((46,), True), ((), False),
+                   ((stride, 2 * stride + 3), False), ((), True)]
+        rng = np.random.default_rng(18)
+        rows = [(*_rest_column(rng, n, flips, attached), REST_PARAMS)
+                for flips, attached in columns]
+        events = self._assert_sampled_steps_match_track_loop(
+            rows, np.arange(0, n, stride), marks=(20, 40))
+        assert (0, 1, -1) in events and (0, 2, 1) in events
+        assert (5, 0, 1) in events and (20, 0, -1) in events
+        # any ascending steps, none, and every step
+        for sampled in (np.array([3, 4, 46]), np.array([], dtype=int),
+                        np.arange(n)):
+            self._assert_sampled_steps_match_track_loop(rows, sampled)
+
+    @settings(SETTINGS, max_examples=50)
+    @given(rows=at_rest_batches(("rest",)), data=st.data())
+    def test_sampled_steps_of_any_batch_at_rest(self, rows, data):
+        n = len(rows[0][1][0])
+        sampled = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))),
+                           dtype=int)
+        self._assert_sampled_steps_match_track_loop(rows, sampled)
+
     def test_columns_on_different_clocks_without_gripper_slew(self):
         rng = np.random.default_rng(12)
         clocks = [0.0, -0.0, 1.5, np.nextafter(1.5, 2.0), 3.0]

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from sailx import controller
-from sailx.controller import (GAIN_PRESETS, ReferenceTrack, _Subgroup,
-                              _sample_block, reference_tracks, track_slices)
+from sailx.controller import (GAIN_PRESETS, TRACE_STRIDE, ReferenceTrack,
+                              _Subgroup, _sample_block, reference_tracks,
+                              sample_trace, track_slices)
 from sailx.errors import InvalidInputError
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.experiments import make_task
-from sailx.scheduler import TRACE_STRIDE, sample_trace
 from sailx.sim import initial_world
 
 import reference_oracle
@@ -324,6 +324,30 @@ class TestReferenceTracks:
             for got, want in zip(track.sample(at), alone.sample(at)):
                 assert got.dtype == want.dtype
                 assert _bits(got) == _bits(want)
+
+    @SETTINGS
+    @given(batches())
+    def test_a_group_of_the_whole_fit_takes_views(self, case):
+        """A _ReferenceGroup of every track of one fit, in order, holds
+        views of the fit's arrays; of some of them, or in another order,
+        stacked copies. Each column samples the bits of its track."""
+        times, positions, orientations, grippers, at = case
+        tracks = reference_tracks(times, positions, orientations, grippers)
+        for refs, whole in ((tracks, True), (tracks[::-1], len(tracks) == 1),
+                            (tracks[1:], False)):
+            if not refs:
+                continue
+            group = controller._ReferenceGroup(refs)
+            moves = (group._line[0] if group._spline is None
+                     else group._spline.c)
+            fit = tracks[0]._fit[0][1]
+            fit = fit[0] if isinstance(fit, tuple) else fit
+            assert np.shares_memory(moves, fit) == whole
+            stacked = controller._sample_moves(group, at)[:3]
+            for j, ref in enumerate(refs):
+                pos, vel, _, _, grip = ref.sample(at)
+                for got, want in zip(stacked, (pos, vel, grip)):
+                    assert _bits(got[..., j]) == _bits(want)
 
     def test_grippers_default_to_zero(self):
         times = np.array([0.0, 0.5, 1.25])

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from sailx.controller import GAIN_PRESETS
 from sailx.core import Pose
-from sailx.errors import ConfigurationError
+from sailx import experiments
+from sailx.errors import ConfigurationError, InvalidInputError
 from sailx.experiments import sweep_speed, task_for_demo
 from sailx.policy import H_C, H_P, MockPolicy, PolicyConfig
 from sailx.scheduler import (DELTA_DELAY, INTERVAL_FLOOR, SAFETY_MARGIN,
@@ -65,6 +67,42 @@ def test_c_of_0_3_is_floored_by_one_ulp(demos20, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "sail at c=0.3 runs at c=0.3: its intervals are floored at "
         "INTERVAL_FLOOR = 0.015000000000000001 s"]
+
+
+class TestSweepSpeedArguments:
+    """sweep_speed refuses a bad argument before it simulates anything."""
+
+    @pytest.fixture()
+    def no_rollouts(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rollout ran")
+
+        monkeypatch.setattr(experiments, "run_rollout", refuse)
+        monkeypatch.setattr(experiments, "run_rollouts", refuse,
+                            raising=False)
+        monkeypatch.setattr(experiments, "replay_rollout", refuse)
+
+    @pytest.mark.parametrize("name,value", [("trials", 0), ("trials", -1),
+                                            ("jobs", 0), ("jobs", -3),
+                                            ("trials", 2.5)])
+    def test_a_count_below_1_is_refused(self, demos20, no_rollouts, name,
+                                        value):
+        with pytest.raises(InvalidInputError, match=f"{name} .*{value}"):
+            sweep_speed(demos20, methods=("sail",), c_values=(1.0,),
+                        **{"trials": 1, name: value})
+
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan])
+    def test_a_bad_c_raises_before_any_cell_runs(self, demos20, no_rollouts,
+                                                 c):
+        with pytest.raises(ConfigurationError):
+            sweep_speed(demos20, methods=("sail", "dp-fast"),
+                        c_values=(1.0, c), trials=1)
+
+    def test_an_unknown_method_raises_before_any_cell_runs(self, demos20,
+                                                           no_rollouts):
+        with pytest.raises(InvalidInputError, match="unknown method"):
+            sweep_speed(demos20, methods=("sail", "bogus"), c_values=(1.0,),
+                        trials=1)
 
 
 class TestPlanIntervals:
