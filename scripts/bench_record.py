@@ -64,18 +64,25 @@ PROBE_PASSES = 5
 # passes (after one warm-up pass) of the pass time and of the time spent
 # in the sweeps' set-up helpers, those of them the tree has, counting only
 # outermost calls: each replay's and diagnostics trial's set-up, the
-# grouped reference fit that follows them where it is separate, every
-# task_for_demo and the pass's DemoLibrary. Prints one JSON line.
+# grouped reference fit that follows them, every task_for_demo and the
+# pass's DemoLibrary. The grouped fit is timed where it runs: through
+# sailx.experiments where that module fits the set-ups itself, and through
+# sailx.scheduler's rollout driver for the workloads whose rows are
+# replays or diagnostics trials, each one stretch, so that every driver
+# fit is theirs; the closed loop's per-cycle fits there are planning, not
+# set-up, and stay untimed. Prints one JSON line.
 SETUP_PROBE = r"""
 import functools, json, logging, sys, time
 sys.path[:0] = ["src", "perfbench"]
 import numpy as np
 import workloads
-from sailx import experiments
+from sailx import experiments, scheduler
 
 logging.disable(logging.WARNING)
 HELPERS = ("_replay_setup", "_diagnostics_setup", "_grouped_tracks",
            "task_for_demo", "DemoLibrary")
+# workloads of one-stretch rows, whose driver fits are set-up
+DRIVER_FIT = ("replay-open-loop", "ood-diagnose")
 spent = [0.0]
 depth = [0]
 
@@ -100,8 +107,10 @@ for _ in range(%(builds)d + 1):
 for name in HELPERS:
     if hasattr(experiments, name):
         setattr(experiments, name, timed(getattr(experiments, name)))
+fit = scheduler._grouped_tracks
 out = {"warm_build_s": float(np.median(builds[1:])), "workloads": {}}
 for name, w in workloads.WORKLOADS.items():
+    scheduler._grouped_tracks = timed(fit) if name in DRIVER_FIT else fit
     passes, setups = [], []
     for p in range(%(passes)d + 1):
         spent[0] = 0.0

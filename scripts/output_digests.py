@@ -7,11 +7,12 @@ Run from any directory; the ``sailx`` package is imported from this
 checkout's ``src/``. A ``gen-demos`` corpus of 50 demos (seed 0) is written
 to a temporary directory, and ``label``, ``diagnose``, ``sweep-speed``,
 ``sweep-gain-replay`` and ``sweep-noise`` then run in-process on it at
-seed 0, each writing its CSV there. One line per output, ``<name>
-<sha256>``; the corpus line digests every demo file's name and bytes, in
-name order. Two checkouts whose lines are equal wrote byte-identical
-outputs. ``tests/output_digests.txt`` holds the lines this program must
-print, and ``tests/test_output_digests.py`` compares them in tier-1.
+seed 0, each writing its CSV there (``sweep-speed`` twice: closed-loop
+rows, and replay and dp rows). One line per output, ``<name> <sha256>``;
+the corpus line digests every demo file's name and bytes, in name order.
+Two checkouts whose lines are equal wrote byte-identical outputs.
+``tests/output_digests.txt`` holds the lines this program must print, and
+``tests/test_output_digests.py`` compares them in tier-1.
 """
 from __future__ import annotations
 
@@ -26,15 +27,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from sailx import cli  # noqa: E402
 
-# each CSV subcommand's flags besides --demos, --seed and --out: enough
-# rows for every lockstep caller to batch
+# each output's CSV subcommand and its flags besides --demos, --seed and
+# --out: enough rows for every lockstep caller to batch
 COMMANDS = {
-    "label": [],
-    "diagnose": ["--trials", "24"],
-    "sweep-speed": ["--trials", "2", "--method", "sail,dp-fast",
-                    "--c-values", "1,0.5"],
-    "sweep-gain-replay": [],
-    "sweep-noise": ["--trials", "20"],
+    "label": ["label"],
+    "diagnose": ["diagnose", "--trials", "24"],
+    "sweep-speed": ["sweep-speed", "--trials", "2", "--method",
+                    "sail,dp-fast", "--c-values", "1,0.5"],
+    "sweep-gain-replay": ["sweep-gain-replay"],
+    "sweep-noise": ["sweep-noise", "--trials", "20"],
+    # 8 replays, batched with 8 dp rollouts
+    "sweep-speed-replay": ["sweep-speed", "--trials", "4", "--method",
+                           "replay,dp", "--c-values", "1,0.2"],
 }
 
 
@@ -57,9 +61,9 @@ def digests():
         for path in sorted(corpus.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
         yield f"gen-demos {digest.hexdigest()}"
-        for name, flags in COMMANDS.items():
+        for name, (command, *flags) in COMMANDS.items():
             out = Path(tmp) / f"{name}.csv"
-            _run([name, "--demos", str(corpus), "--seed", "0",
+            _run([command, "--demos", str(corpus), "--seed", "0",
                   "--out", str(out), *flags])
             yield f"{name} {hashlib.sha256(out.read_bytes()).hexdigest()}"
 

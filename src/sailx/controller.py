@@ -568,16 +568,16 @@ LOCKSTEP_MAX_ROWS = 64
 # medians of 7 alternated runs), row by row was faster in all 4 cells at
 # B = 4 (lockstep took 1.02-1.07x its time) and lockstep in all 4 at B = 5
 # (0.86-0.93x), at B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8
-# (0.44-0.65x) and at B = 12 (0.35-0.54x). The closed loop uses the same
-# size: a cycle of scheduler.run_rollouts with fewer live rollouts runs
-# them row by row, and experiments.run_method_rollouts runs a chunk of
-# fewer rollouts one by one through run_rollout. perfbench/test_perfbench.py
-# requires kernels.track_loop steps in a traced replay-open-loop pass of 6
-# rows and a traced ood-diagnose pass of 3 trials, and run_rollout calls
-# and one unconditional draw per replan in a traced closed-loop-sail pass
-# of 3 rollouts, which holds only while all three run row by row:
-# perfbench binds only the scalar track_loop and the single-rollout entry,
-# so the threshold stays at 7, two rows above the measured break-even.
+# (0.44-0.65x) and at B = 12 (0.35-0.54x). A scheduler.run_rollouts cycle
+# of fewer live rows (rollouts, replays or diagnostics trials) runs them
+# row by row, and experiments.run_method_rollouts a chunk of fewer rollouts
+# one by one. perfbench/test_perfbench.py requires kernels.track_loop steps
+# in a traced replay-open-loop pass of 6 rows and a traced ood-diagnose
+# pass of 3 trials, and run_rollout calls and one unconditional draw per
+# replan in a traced closed-loop-sail pass of 3 rollouts, which holds only
+# while all three run row by row: perfbench binds only the scalar
+# track_loop and the single-rollout entry, so the threshold stays at 7,
+# two rows above the measured break-even.
 LOCKSTEP_MIN_ROWS = 7
 
 

@@ -7,7 +7,9 @@ writer formats floats reproducibly.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -16,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import AggregatedActionsPolicy
-from .controller import (LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_ROWS,
-                         ReferenceTrack, _grouped_tracks, gain_profile,
-                         sample_trace, track, track_lockstep)
+from .controller import LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_ROWS, gain_profile
+# perfbench/tracing.py wraps this module's bindings of track and
+# ReferenceTrack, so they stay bound here, though replays and diagnostics
+# trials track through scheduler.run_rollouts
+from .controller import ReferenceTrack, track  # noqa: F401
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError, SailxError
@@ -29,7 +33,7 @@ from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
 from .scheduler import (DELTA_DELAY, DELTA_STAR, INTERVAL_FLOOR,
                         ExecutorConfig, RolloutLog, run_rollout, run_rollouts)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
-                  normalise_poses, success)
+                  success)
 
 METHODS = ("sail", "dp", "dp-fast", "agg-actions", "replay")
 
@@ -72,8 +76,9 @@ def method_setup(method: str, c: float = 1.0, *,
     guidance. dp: the unsped baseline (always c = 1), low gain, commanded
     targets, no guidance. dp-fast: dp naively sped up to c on every
     waypoint. agg-actions: dp-fast drawing delta-aggregated chunks.
-    ``use_eag``, when given, overrides the method's guidance. replay is
-    handled by replay_rollout, not here.
+    ``use_eag``, when given, overrides the method's guidance. replay, an
+    open-loop replay of the demo's reached stream under the real-exec
+    gains, is a planner of its own (``replay_rollout``), not set up here.
     """
     if method == "sail":
         pc = PolicyConfig(p_branch=0.2, target_mode="reached")
@@ -113,12 +118,12 @@ def run_method_rollouts(rollouts, demos,
 
     ``library``, when given, is the DemoLibrary of ``demos`` the policies
     retrieve from; otherwise one is packed for all of them. ``use_eag`` is
-    passed to ``method_setup``. A replay runs ``replay_rollout``. The
-    closed-loop rollouts run LOCKSTEP_MAX_ROWS at a time, a run of
-    consecutive ones stepped together by ``scheduler.run_rollouts``, or
-    one by one through ``run_rollout`` when fewer than LOCKSTEP_MIN_ROWS;
-    each has the bits of its run alone, and an error raises what a loop
-    over the rollouts would raise first.
+    passed to ``method_setup``. A replay is ``replay_rollout`` at c. The
+    rollouts run LOCKSTEP_MAX_ROWS at a time, stepped together by
+    ``scheduler.run_rollouts``, or one by one (a closed-loop one through
+    ``run_rollout``) when fewer than LOCKSTEP_MIN_ROWS; each has the bits
+    of its run alone, and an error raises what a loop over the rollouts
+    would raise first.
     """
     if library is None and any(m != "replay" for m, _, _ in rollouts):
         library = DemoLibrary(demos)
@@ -127,46 +132,53 @@ def run_method_rollouts(rollouts, demos,
 
     def flush():
         if len(batch) < LOCKSTEP_MIN_ROWS:
-            logs.extend(run_rollout(*args) for args in batch)
+            logs.extend(run_rollouts([row])[0] if callable(row)
+                        else run_rollout(*row) for row in batch)
         else:
             logs.extend(run_rollouts(batch))
         batch.clear()
 
     for method, c, seed in rollouts:
         demo = demos[seed % len(demos)]
-        if method == "replay":
-            flush()
-            logs.append(replay_rollout(demo, c=c, seed=seed))
-            continue
         try:
-            setup = method_setup(method, c, use_eag=use_eag)
-            start = Pose(demo.reached[0, :3].copy(),
-                         demo.reached[0, 3:7].copy())
-            policy = setup.policy_class(demos, setup.policy_config,
-                                        seed=seed, library=library)
-            batch.append((policy, task_for_demo(demo), setup.exec_config,
-                          gain_profile(setup.gains), start, seed))
+            if method == "replay":  # replay_rollout's defaults
+                row = functools.partial(_replay_row, demo, c, "real-exec",
+                                        "reached", 0.0, seed)
+            else:
+                setup = method_setup(method, c, use_eag=use_eag)
+                start = Pose(demo.reached[0, :3].copy(),
+                             demo.reached[0, 3:7].copy())
+                policy = setup.policy_class(demos, setup.policy_config,
+                                            seed=seed, library=library)
+                row = (policy, task_for_demo(demo), setup.exec_config,
+                       gain_profile(setup.gains), start, seed)
         except SailxError:
             flush()  # the rollouts before it raise first
             raise
+        batch.append(row)
         if len(batch) == LOCKSTEP_MAX_ROWS:
             flush()
     flush()
     return logs
 
 
-def _check_noise_scale(scale: float) -> None:
-    if not 0.0 <= scale < math.inf:
+def _check_replay(c: float, target: str, noise_scale: float) -> None:
+    if not (math.isfinite(c) and c > 0.0):
+        raise InvalidInputError(f"replays need a finite c > 0, got c={c:g}")
+    if target not in ("reached", "commanded"):
+        raise InvalidInputError(f"unknown replay target {target!r}: "
+                                "expected 'reached' or 'commanded'")
+    if not 0.0 <= noise_scale < math.inf:
         raise InvalidInputError(
-            f"noise scales must be finite and >= 0, got {scale:g}")
+            f"noise scales must be finite and >= 0, got {noise_scale:g}")
 
 
 def _replay_setup(demo, c: float, target: str, noise_scale: float,
                   seed: int):
     """The reference waypoints (times, positions, orientations, grippers),
-    task, start state and last waypoint time of a replay; a negative or
-    non-finite ``noise_scale`` raises InvalidInputError."""
-    _check_noise_scale(noise_scale)
+    task, start state and last waypoint time of a replay, whose arguments
+    ``_check_replay`` checks first."""
+    _check_replay(c, target, noise_scale)
     stream = demo.reached if target == "reached" else demo.commanded
     positions = stream[:, :3]
     if noise_scale > 0.0:
@@ -180,79 +192,53 @@ def _replay_setup(demo, c: float, target: str, noise_scale: float,
             float(times[-1]))
 
 
-def _set_up(setup, args):
-    """(set-ups, tracks): ``setup(*a)`` for each ``a`` of ``args`` in
-    order, each set-up's first element the waypoints (times, positions,
-    orientations, grippers) of its reference, and the ReferenceTrack of
-    each set-up's waypoints, from one ``reference_tracks`` fit per group
-    of equal knot times.
+def _replay_row(demo, c, gains, target, noise_scale, seed):
+    """A replay as a row of ``scheduler.run_rollouts``, one stretch to 0.5 s
+    past its last waypoint, whose planner returns the replay's RolloutLog,
+    or its success when the run is not traced."""
+    profile = gain_profile(gains)
+    waypoints, task, state, end = _replay_setup(demo, c, target, noise_scale,
+                                                seed)
 
-    It raises what a loop would raise first that set each item up and then
-    built its reference: a set-up that fails raises after the references
-    of the items before it are built.
-    """
-    setups = []
-    try:
-        for a in args:
-            setups.append(setup(*a))
-    except SailxError:
-        _grouped_tracks([s[0] for s in setups])
-        raise
-    return setups, _grouped_tracks([s[0] for s in setups])
+    def plan():
+        _, samples, events = yield waypoints, end + 0.5
+        ok = success(state, task)
+        if samples is None:
+            return ok
+        return RolloutLog(success=ok, duration=end if ok else T_MAX,
+                          stall_count=0, con_values=[], wed_values=[],
+                          events=events, seed=seed, **samples)
+
+    return state, profile, plan()
 
 
 def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
                    target: str = "reached", noise_scale: float = 0.0,
                    seed: int = 0) -> RolloutLog:
-    """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog.
+    """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog: the
+    one-replay case of ``scheduler.run_rollouts``.
 
     The commanded or reached stream is rescheduled at interval c * dt and
     tracked with the requested controller gains; optional Gaussian noise
-    perturbs the reference positions before tracking. A negative or
-    non-finite ``noise_scale`` raises InvalidInputError.
+    perturbs the reference positions before tracking. An unknown gain
+    preset or target stream, a c that is not finite and > 0, or a negative
+    or non-finite ``noise_scale`` raises InvalidInputError.
     """
-    profile = gain_profile(gains)
-    waypoints, task, state, end = _replay_setup(demo, c, target, noise_scale,
-                                                seed)
-    trace = track(state, ReferenceTrack(*waypoints), profile, until=end + 0.5)
-    ok = success(state, task)
-    samples, events = sample_trace(trace)
-    return RolloutLog(success=ok, duration=end if ok else T_MAX,
-                      stall_count=0, con_values=[], wed_values=[],
-                      events=events, seed=seed, **samples)
+    return run_rollouts([functools.partial(_replay_row, demo, c, gains, target,
+                                           noise_scale, seed)])[0]
 
 
 def _replay_successes(replays) -> list[bool]:
-    """Whether each replay succeeds, the replays run in lockstep.
-
-    Each replay is (demo, c, gains, target, noise_scale, seed) and succeeds
-    exactly when ``replay_rollout`` with those arguments does. The replays
-    run LOCKSTEP_MAX_ROWS at a time, so memory does not grow with their
-    number; the references of a run on equal knot times are one fit.
-    """
+    """Whether ``replay_rollout(*replay)`` succeeds for each replay (demo,
+    c, gains, target, noise_scale, seed) of ``replays``, run as untraced
+    rows of ``scheduler.run_rollouts``, LOCKSTEP_MAX_ROWS at a time, so
+    that memory does not grow with their number."""
     ok = []
     for first in range(0, len(replays), LOCKSTEP_MAX_ROWS):
-        chunk = replays[first:first + LOCKSTEP_MAX_ROWS]
-        setups, refs = _set_up(_replay_setup,
-                               [(demo, c, target, noise, seed)
-                                for demo, c, _, target, noise, seed in chunk])
-        states = _track_to_ends([state for _, _, state, _ in setups], refs,
-                                [gain_profile(r[2]) for r in chunk],
-                                [end + 0.5 for *_, end in setups])
-        ok += [success(state, task)
-               for state, (_, task, _, _) in zip(states.T, setups)]
+        ok += run_rollouts([functools.partial(_replay_row, *replay) for replay
+                            in replays[first:first + LOCKSTEP_MAX_ROWS]],
+                           traced=False)
     return ok
-
-
-def _track_to_ends(states, refs, gains, ends) -> np.ndarray:
-    """Track each packed plant state of ``states`` along its reference of
-    ``refs`` under its gains to its end time, in one lockstep run; returns
-    the (30, len(states)) end states, their poses normalised."""
-    states = np.stack(states, axis=1)
-    for _ in track_lockstep(states, refs, gains, [(end,) for end in ends]):
-        pass
-    normalise_poses(states.T)
-    return states
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +270,11 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
                 t_max: float = T_MAX) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point.
 
-    ``trials`` and ``jobs`` must be at least 1, and every closed-loop cell's
-    ``method_setup`` is made before any rollout runs, so that a bad
-    argument raises InvalidInputError, and an unknown method or a c its
-    executor refuses raises, before any cell is simulated. The rollouts of
+    ``trials`` and ``jobs`` must be at least 1, every replay cell's c
+    finite and > 0, and every closed-loop cell's ``method_setup`` is made
+    before any rollout runs, so that a bad argument raises
+    InvalidInputError, and an unknown method or a c its executor refuses
+    raises, before any cell is simulated. The rollouts of
     every cell run in cell-then-trial order through
     ``run_method_rollouts``, or in a pool of ``jobs`` worker processes.
 
@@ -303,7 +290,9 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
                                     f"got {value!r}")
     cells = [(m, c) for m in methods for c in c_values]
     for method, c in cells:
-        if method != "replay":
+        if method == "replay":
+            _check_replay(c, "reached", 0.0)
+        else:
             method_setup(method, c)
     for method, c in cells:
         if method not in ("dp", "replay") and c * DELTA_STAR < INTERVAL_FLOOR:
@@ -334,20 +323,20 @@ def sweep_gain_replay(demos, c_values=(1.0, 0.5, 0.33, 0.2),
                       seed: int = 0) -> list[dict]:
     """Replay SR for every (gain, target stream, speedup) combination.
 
-    The replays of one speedup run in lockstep batches.
+    Every target and c is checked before any replay runs. The replays of
+    the sweep run in lockstep batches.
     """
-    cells = [(gain, target) for gain in gains for target in targets]
-    sr = {}
-    for c in c_values:
-        ok = _replay_successes([(d, c, gain, target, 0.0, seed + i)
-                               for gain, target in cells
-                               for i, d in enumerate(demos)])
-        for k, cell in enumerate(cells):
-            sr[cell, c] = float(np.mean(ok[k * len(demos):
-                                           (k + 1) * len(demos)]))
-    return [{"gain": gain, "target": target, "c": c, "n": len(demos),
-             "sr": sr[(gain, target), c]}
-            for gain, target in cells for c in c_values]
+    for c, target in itertools.product(c_values, targets):
+        _check_replay(c, target, 0.0)
+    cells = [(gain, target, c) for gain in gains for target in targets
+             for c in c_values]
+    n = len(demos)
+    ok = _replay_successes([(d, c, gain, target, 0.0, seed + i)
+                           for gain, target, c in cells
+                           for i, d in enumerate(demos)])
+    return [{"gain": gain, "target": target, "c": c, "n": n,
+             "sr": float(np.mean(ok[k * n:(k + 1) * n]))}
+            for k, (gain, target, c) in enumerate(cells)]
 
 
 def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
@@ -359,7 +348,7 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
     in lockstep batches.
     """
     for scale in scales:
-        _check_noise_scale(scale)
+        _check_replay(1.0, "reached", scale)
     cells = [(gain, cell, scale) for gain in gains
              for cell, scale in enumerate(scales)]
     ok = _replay_successes([(demos[t % len(demos)], 1.0, gain, "reached",
@@ -403,14 +392,11 @@ def _check_speedups(demos, c_values) -> None:
 
 
 def _diagnostics_setup(demos, c: float, seed: int):
-    """A diagnostics trial's reset onto a random demo state.
-
-    Returns (waypoints, state, stride): the waypoints (times, positions,
-    orientations, grippers) of the next stretch of the drawn demo
-    rescheduled at interval c * dt for one inference latency, the packed
-    plant state on the drawn demo step, and the step stride of the tail at
-    speed c.
-    """
+    """A diagnostics trial's reset onto a random demo state: (waypoints,
+    state, stride), the waypoints (times, positions, orientations,
+    grippers) of the drawn demo's next stretch rescheduled at interval c *
+    dt for one inference latency, the packed plant state on the drawn
+    step, and the step stride of the tail at speed c."""
     rng = np.random.default_rng((seed, 11))
     demo = demos[int(rng.integers(0, len(demos)))]
     n = len(demo)
@@ -433,12 +419,17 @@ def _diagnostics_setup(demos, c: float, seed: int):
             state, stride)
 
 
-def _track_stretches(states, refs) -> np.ndarray:
-    """Track every set-up trial's stretch to its end in one lockstep run,
-    under the real-exec gains; returns the (30, trials) end states."""
-    return _track_to_ends(states, refs,
-                          [gain_profile("real-exec")] * len(refs),
-                          [float(ref.times[-1]) for ref in refs])
+def _diagnostics_row(demos, c: float, seed: int):
+    """A diagnostics trial as a row of ``scheduler.run_rollouts``, one
+    stretch under the real-exec gains, whose planner returns (state,
+    reference, stride) for ``_diagnostics_score``."""
+    waypoints, state, stride = _diagnostics_setup(demos, c, seed)
+
+    def plan():
+        ref, _, _ = yield waypoints, float(waypoints[0][-1])
+        return state, ref, stride
+
+    return state, gain_profile("real-exec"), plan()
 
 
 DIAG_DRAWS = 64  # unconditional draws a diagnostics tail is scored against
@@ -473,13 +464,12 @@ def diagnostics_trial(demos, policy: MockPolicy, c: float,
     that demo rescheduled at interval c * dt for one inference latency, and
     the conditioning tail it would hand to the policy (the positions it will
     traverse next at speed c) is scored against N unconditional draws.
-    ``run_diagnostics`` runs the same steps for many trials at once.
+    It is the one-trial case of ``run_diagnostics``'s steps.
     """
     _check_speedups(demos, (c,))
-    waypoints, state, stride = _diagnostics_setup(demos, c, seed)
-    ref = ReferenceTrack(*waypoints)
-    states = _track_stretches([state], [ref])
-    return _diagnostics_score(policy, c, states[:, 0], ref, stride)
+    end, = run_rollouts([functools.partial(_diagnostics_row, demos, c,
+                                           seed)], traced=False)
+    return _diagnostics_score(policy, c, *end)
 
 
 def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
@@ -488,10 +478,10 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
 
     Trial t runs ``diagnostics_trial`` at c_values[t % len(c_values)] with
     its own policy, with the same results. Every c is checked before any
-    trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: set up in trial
-    order, so that the first trial that cannot run raises, their references
-    fitted once per c, tracked in one lockstep run, their policies' draws
-    seeded together (seed_ahead), then scored in trial order.
+    trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: their stretches
+    on ``scheduler.run_rollouts``, untraced, which raises what the first
+    trial that cannot run raises, then their policies' draws seeded
+    together (seed_ahead), then scored in trial order.
     """
     pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
@@ -500,20 +490,18 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     for first in range(0, trials, LOCKSTEP_MAX_ROWS):
         chunk = [(t, c_values[t % len(c_values)])
                  for t in range(first, min(trials, first + LOCKSTEP_MAX_ROWS))]
-        setups, refs = _set_up(_diagnostics_setup,
-                               [(demos, c, _trial_seed(seed, 13, t))
-                                for t, c in chunk])
-        states = _track_stretches([state for _, state, _ in setups], refs)
+        ends = run_rollouts([functools.partial(_diagnostics_row, demos, c,
+                                               _trial_seed(seed, 13, t))
+                             for t, c in chunk], traced=False)
         policies = [MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
                                library=library) for t, _ in chunk]
         seed_ahead(policies, DIAG_DRAWS)
-        for (t, c), state, ref, (_, _, stride) in zip(chunk, states.T, refs,
-                                                      setups):
+        for (t, c), end in zip(chunk, ends):
             # each policy is let go once scored, with the distance matrix
             # it keeps, so that only one is alive at a time
             policy = policies.pop(0)
-            rows.append({"trial": t, **_diagnostics_score(policy, c, state,
-                                                          ref, stride)})
+            rows.append({"trial": t,
+                         **_diagnostics_score(policy, c, *end)})
     return rows
 
 

@@ -24,11 +24,13 @@ it computes CON and WED against the previous chunk, plans the intervals,
 records the splice and any stall, snapshots the superseded reference at
 t_a and runs the next inference on the rollout's own policy, then yields
 the cycle's reference waypoints and receives the tracked stretch.
-``run_rollouts`` is the one driver: each cycle it fits the live rollouts'
-references once per knot grid, tracks all of them in one
-``controller.track_lockstep`` call, which samples every TRACE_STRIDE-th
-step for the log, renormalises their poses and drops each rollout that
-succeeds or reaches T_MAX. ``run_rollout`` is its one-rollout case.
+``run_rollouts`` is the one driver, also of ``experiments``' open-loop
+replays and diagnostics trials, each a planner of one stretch: each cycle
+it fits the live rows' references once per knot grid, tracks all of them
+in one ``controller.track_lockstep`` call, which samples every
+TRACE_STRIDE-th step for the log of a traced run, renormalises their poses
+and drops each row whose planner returns. ``run_rollout`` is its
+one-rollout case.
 """
 
 import math
@@ -220,35 +222,42 @@ def _plan(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     )
 
 
-def run_rollouts(rollouts) -> list[RolloutLog]:
-    """``run_rollout(*args)`` for each ``args`` of ``rollouts``, stepped
-    together: the rollouts' RolloutLogs, in order, with the bits of each
-    run alone.
+def run_rollouts(rollouts, traced: bool = True) -> list:
+    """What the planner of each row of ``rollouts`` returns, in order, the
+    rows stepped together, with the bits of each row run alone.
 
-    Every rollout starts at t = 0 and replans at k * DELTA_DELAY, so the
-    rollouts of a cycle share one plant clock. Each cycle, every live
-    rollout plans on its own policy; the references of all of them are
-    fitted once per knot grid (``controller._grouped_tracks``) and tracked
-    to the cycle's end in one ``track_lockstep`` call, whose poses are then
-    renormalised as ``track`` does; a rollout leaves once it succeeds or
-    reaches T_MAX. Callers pass at most LOCKSTEP_MAX_ROWS rollouts at a
-    time. An error raises what a loop over the rollouts would raise first:
-    the rollouts after the first one to fail stop there, and those before
-    it run on until they end or fail.
+    A row is ``run_rollout``'s arguments (a closed-loop rollout, which
+    needs ``traced``), or a function of no arguments that returns a packed
+    plant state, its gains and a planner on that state: a generator like
+    ``_plan``, which receives None for the samples and events of an
+    untraced run.
+
+    Every row starts at t = 0, and a closed-loop one replans at k *
+    DELTA_DELAY, so the rows of a cycle share one plant clock. Each cycle
+    the live rows' references are fitted once per knot grid
+    (``controller._grouped_tracks``), tracked in one ``track_lockstep``
+    call and renormalised as ``track`` does. Callers pass at most
+    LOCKSTEP_MAX_ROWS rows at a time. An error raises what a loop over the
+    rows would raise first: the rows after the first one to fail stop
+    there, and those before it run on until they end or fail.
     """
-    logs = [None] * len(rollouts)
-    failed = [len(rollouts), None]  # the first rollout to fail, its error
+    results = [None] * len(rollouts)
+    failed = [len(rollouts), None]  # the first row to fail, its error
 
     def fail(i, error):
         if i < failed[0]:
             failed[:] = i, error
 
-    states, planners, plans = {}, {}, {}
-    for i, (policy, task, exec_cfg, _, start, seed) in enumerate(rollouts):
+    states, gains, planners, plans = {}, {}, {}, {}
+    for i, row in enumerate(rollouts):
         try:
-            states[i] = initial_world(start, task)
-            planners[i] = _plan(policy, task, exec_cfg, start, seed,
-                                states[i])
+            if callable(row):
+                states[i], gains[i], planners[i] = row()
+            else:
+                policy, task, exec_cfg, gains[i], start, seed = row
+                states[i] = initial_world(start, task)
+                planners[i] = _plan(policy, task, exec_cfg, start, seed,
+                                    states[i])
             plans[i] = next(planners[i])
         except SailxError as error:
             fail(i, error)
@@ -268,12 +277,13 @@ def run_rollouts(rollouts) -> list[RolloutLog]:
                     break
             live = live[:len(refs)]
         stacked = np.stack([states[i] for i in live], axis=1)
-        traces = [None] * len(live)
+        traces = [(None, None)] * len(live)
         stepped = np.zeros(len(live), dtype=bool)
         try:
             for columns, _, steps in track_lockstep(
-                    stacked, refs, [rollouts[i][3] for i in live],
-                    [(plans[i][1],) for i in live], traces):
+                    stacked, refs, [gains[i] for i in live],
+                    [(plans[i][1],) for i in live],
+                    traces if traced else None):
                 stepped[columns] = steps > 0
         except SimFault as fault:
             fail(live[fault.row], fault)
@@ -288,13 +298,13 @@ def run_rollouts(rollouts) -> list[RolloutLog]:
             try:
                 plans[i] = planners[i].send((refs[j], *traces[j]))
             except StopIteration as stop:
-                logs[i] = stop.value
+                results[i] = stop.value
             except SailxError as error:
                 fail(i, error)
                 break
     if failed[1] is not None:
         raise failed[1]
-    return logs
+    return results
 
 
 def _renormalise(states, stepped):

@@ -1,12 +1,13 @@
 """Per-row references for the lockstep sweeps, corpus build and diagnostics.
 
-``sweep_gain_replay`` and ``sweep_noise`` here run one ``replay_rollout``
-per replay, ``generate_demos`` runs ``controller.track_slices`` over one
-demo at a time, and ``run_diagnostics`` runs one ``diagnostics_trial`` after
-another, each tracking its stretch with ``controller.track``: the loops
-``sailx.experiments`` and ``sailx.io`` replaced with
-``controller.track_lockstep``. They are kept unchanged so tests can require
-the lockstep versions to reproduce them exactly.
+``sweep_gain_replay`` and ``sweep_noise`` here run one
+``rollout_oracle.replay_rollout`` per replay, ``generate_demos`` runs
+``controller.track_slices`` over one demo at a time, and
+``run_diagnostics`` runs one ``diagnostics_trial`` after another, each
+tracking its stretch with ``controller.track``: the loops that
+``sailx.experiments`` replaced with rows of ``scheduler.run_rollouts``, and
+``sailx.io`` with ``controller.track_lockstep``. They are kept unchanged so
+tests can require the lockstep versions to reproduce them exactly.
 """
 
 import numpy as np
@@ -16,12 +17,14 @@ from sailx.controller import (GAIN_PRESETS, ReferenceTrack, gain_profile,
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.diagnostics import SampleSet, kde_score, knn_distance, mmd
 from sailx.errors import GenerationError, InvalidInputError
-from sailx.experiments import _trial_seed, replay_rollout, task_for_demo
+from sailx.experiments import _trial_seed, task_for_demo
 from sailx.policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                           infer_unconditional)
 from sailx.io import Demonstration, _nominal_trajectory, _scripted_path
 from sailx.sim import TaskSpec, initial_world, success
 from sailx.speedmod import gripper_event_flags, label_critical
+
+from rollout_oracle import replay_rollout
 
 
 def sweep_gain_replay(demos, c_values=(1.0, 0.5, 0.33, 0.2),

@@ -1,15 +1,20 @@
-"""The closed-loop rollout executor as one loop per rollout (reference).
+"""The rollout executor and the open-loop replay, one at a time (reference).
 
 ``run_rollout`` is ``sailx.scheduler.run_rollout`` as it was before the
 rollouts of a sweep were stepped together: one rollout at a time, each
-stretch tracked by ``controller.track`` on its own ReferenceTrack. It is
-kept unchanged so tests can require that ``scheduler.run_rollouts`` gives
-every rollout its bits.
+stretch tracked by ``controller.track`` on its own ReferenceTrack.
+``replay_rollout`` is ``sailx.experiments.replay_rollout`` as it was before
+replays ran on ``scheduler.run_rollouts``: the replay's set-up, one
+``controller.track`` call and ``sample_trace``. They are kept unchanged so
+tests can require that ``scheduler.run_rollouts`` gives every rollout and
+replay its bits.
 """
 
 import numpy as np
 
-from sailx.controller import GainProfile, ReferenceTrack, sample_trace, track
+from sailx.controller import (GainProfile, ReferenceTrack, gain_profile,
+                              sample_trace, track)
+from sailx.experiments import _replay_setup
 from sailx.metrics import con, wed
 from sailx.policy import (H_C, H_P, ActionChunk, MockPolicy, infer_eag,
                           infer_unconditional)
@@ -122,3 +127,24 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
         **{name: np.concatenate([stretch[name] for stretch in samples])
            for name in samples[0]},
     )
+
+
+def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
+                   target: str = "reached", noise_scale: float = 0.0,
+                   seed: int = 0) -> RolloutLog:
+    """Open-loop replay of one demo, sped up by 1/c, as a RolloutLog.
+
+    The commanded or reached stream is rescheduled at interval c * dt and
+    tracked with the requested controller gains; optional Gaussian noise
+    perturbs the reference positions before tracking. A negative or
+    non-finite ``noise_scale`` raises InvalidInputError.
+    """
+    profile = gain_profile(gains)
+    waypoints, task, state, end = _replay_setup(demo, c, target, noise_scale,
+                                                seed)
+    trace = track(state, ReferenceTrack(*waypoints), profile, until=end + 0.5)
+    ok = success(state, task)
+    samples, events = sample_trace(trace)
+    return RolloutLog(success=ok, duration=end if ok else T_MAX,
+                      stall_count=0, con_values=[], wed_values=[],
+                      events=events, seed=seed, **samples)

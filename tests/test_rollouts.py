@@ -3,12 +3,14 @@
 ``scheduler.run_rollouts`` plans every rollout on its own policy and tracks
 all of them, cycle by cycle, in one ``controller.track_lockstep`` call;
 ``run_rollout`` is its one-rollout case, and ``experiments.
-run_method_rollouts`` hands it a sweep's rollouts in chunks. Every field of
-every rollout's RolloutLog must have the bits of ``rollout_oracle.
-run_rollout``, the loop they replaced, and an error must be the one that
-loop raises first.
+run_method_rollouts`` hands it a sweep's rollouts in chunks. Open-loop
+replays run on the same driver, alone or among closed-loop rollouts. Every
+field of every rollout's RolloutLog must have the bits of ``rollout_oracle.
+run_rollout`` or ``rollout_oracle.replay_rollout``, the loops they
+replaced, and an error must be the one that loop raises first.
 """
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -82,6 +84,45 @@ def _oracle_logs(demos, batch):
     return [rollout_oracle.run_rollout(*_args(demos, *row)) for row in batch]
 
 
+def _replay(k, gains=None):
+    """("replay", c, gains, target, noise_scale, seed) of replay k: k =
+    0-11 take every pair of c and gains, and both streams with and without
+    noise."""
+    return ("replay", (1.0, 0.5, 0.2, 0.1)[k % 4],
+            gains or ("high", "low", "real-exec")[k % 3],
+            ("reached", "commanded")[k // 2 % 2], (0.0, 0.004)[k // 4 % 2], k)
+
+
+def _closed(k):
+    return ("sail", (1.0, 0.5, 0.2)[k % 3], None, k)
+
+
+# replays alone and among closed-loop rollouts, in batches on both sides
+# of LOCKSTEP_MIN_ROWS; in the last, replay 3's plant goes unstable
+REPLAY_BATCHES = {
+    "1 replay": [_replay(0)],
+    "6 replays": [_replay(k) for k in range(6)],
+    "7 replays": [_replay(k) for k in range(7)],
+    "13 replays": [_replay(k) for k in range(13)],
+    "8 mixed": [_replay(k) if k % 2 else _closed(k) for k in range(8)],
+    "13 mixed": [_replay(k) if k % 3 else _closed(k) for k in range(13)],
+    "a replay faults": [_replay(k, "unstable" if k == 3 else None)
+                        if k % 4 else _closed(k) for k in range(8)],
+}
+
+
+def _row(demos, row):
+    """A row of ``scheduler.run_rollouts`` and the oracle call that gives
+    its result, each with a fresh policy."""
+    if row[0] != "replay":
+        return (_args(demos, *row),
+                lambda: rollout_oracle.run_rollout(*_args(demos, *row)))
+    _, c, gains, target, noise_scale, seed = row
+    args = (demos[seed % len(demos)], c, gains, target, noise_scale, seed)
+    return (functools.partial(experiments._replay_row, *args),
+            lambda: rollout_oracle.replay_rollout(*args))
+
+
 class TestRunRollouts:
     @settings(max_examples=6, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow,
@@ -124,6 +165,31 @@ class TestRunRollouts:
         assert str(got.value) == str(want.value)
 
 
+class TestReplays:
+    @pytest.mark.parametrize("name", REPLAY_BATCHES)
+    def test_every_field_matches_the_replay_loop(self, demos20, monkeypatch,
+                                                 name):
+        monkeypatch.setitem(controller.GAIN_PRESETS, "unstable",
+                            GainProfile(1e306, 1e306, 400.0, 40.0))
+        batch = REPLAY_BATCHES[name]
+        want = []
+        try:
+            for row in batch:
+                want.append(_row(demos20, row)[1]())
+        except SimFault as fault:
+            with pytest.raises(SimFault) as got:
+                scheduler.run_rollouts([_row(demos20, row)[0]
+                                        for row in batch])
+            assert str(got.value) == str(fault)
+            return
+        got = scheduler.run_rollouts([_row(demos20, row)[0] for row in batch])
+        _assert_same_logs(got, want)
+        if all(row[0] == "replay" for row in batch):
+            assert scheduler.run_rollouts(
+                [_row(demos20, row)[0] for row in batch],
+                traced=False) == [log.success for log in want]
+
+
 class TestRunMethodRollouts:
     def test_chunks_match_the_loop(self, demos20, monkeypatch):
         """13 rollouts in chunks of 8: one lockstep run, then 5 rollouts
@@ -153,7 +219,7 @@ class TestRunMethodRollouts:
     def test_a_replay_keeps_its_place(self, demos20):
         got = experiments.run_method_rollouts(
             [("replay", 0.5, 1), ("sail", 1.0, 2)], demos20)
-        want = experiments.replay_rollout(demos20[1], c=0.5, seed=1)
+        want = rollout_oracle.replay_rollout(demos20[1], c=0.5, seed=1)
         _assert_same_logs(got[:1], [want])
         _assert_same_logs(got[1:], _oracle_logs(demos20,
                                                 [("sail", 1.0, None, 2)]))

@@ -105,6 +105,15 @@ class TestSweepSpeedArguments:
                         trials=1)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf])
+    def test_a_bad_replay_c_raises_before_any_cell_runs(self, demos20,
+                                                        no_rollouts, c):
+        with pytest.raises(InvalidInputError, match=f"c={c:g}"):
+            sweep_speed(demos20, methods=("replay",), c_values=(1.0, c),
+                        trials=1)
+
+
 class TestPlanIntervals:
     """The executor plans at a 0.05 s demo interval, floored at 1.05 times
     the 0.4 s latency's stall bound: 0.015 s at H_P = 32, H_C = 4."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from sailx.controller import GainProfile, ReferenceTrack
 from sailx.core import IDENTITY_QUAT, Pose
 from sailx.errors import ConfigurationError, InvalidInputError, ParseError
+from sailx import experiments
 from sailx.experiments import replay_rollout, sweep_gain_replay, sweep_noise
 from sailx.io import Demonstration, read_demo, write_demo
 from sailx.policy import PolicyConfig
@@ -101,6 +102,45 @@ def test_replay_rollout_rejects_a_negative_or_non_finite_noise_scale(
 def test_replays_reject_an_unknown_gain_preset(demos20, run):
     with pytest.raises(InvalidInputError, match="unknown gain preset 'bogus'"):
         run(demos20)
+
+
+BAD_SPEEDUPS = [0.0, -0.5, np.nan, np.inf]
+
+
+@pytest.fixture()
+def no_replays(monkeypatch):
+    """Every replay set-up fails the test: a bad argument must raise
+    before any replay is set up."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a replay ran")
+
+    monkeypatch.setattr(experiments, "_replay_setup", refuse)
+
+
+def test_replay_rollout_rejects_an_unknown_target(demos20):
+    with pytest.raises(InvalidInputError, match="'bogus'"):
+        replay_rollout(demos20[0], target="bogus")
+
+
+def test_sweep_gain_replay_checks_every_target_first(demos20, no_replays):
+    with pytest.raises(InvalidInputError, match="'reach'"):
+        sweep_gain_replay(demos20[:2], c_values=(1.0,),
+                          targets=("reached", "reach"))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", BAD_SPEEDUPS)
+def test_replay_rollout_rejects_a_speedup_not_finite_and_positive(demos20,
+                                                                 c):
+    with pytest.raises(InvalidInputError, match=f"c={c:g}"):
+        replay_rollout(demos20[0], c=c)
+
+
+@pytest.mark.parametrize("c", BAD_SPEEDUPS)
+def test_sweep_gain_replay_checks_every_speedup_first(demos20, no_replays,
+                                                      c):
+    with pytest.raises(InvalidInputError, match=f"c={c:g}"):
+        sweep_gain_replay(demos20[:2], c_values=(1.0, c))
 
 
 def _waypoints(n=3):
