@@ -17,8 +17,9 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import IDENTITY_QUAT, Pose
 from .errors import InvalidInputError, SimFault
-from .kernels import (_CONJ, REST_ROWS, _hamilton, _orientation_errors,
-                      _rotvec, _signed, _track_at_rest, track_loop)
+from .kernels import (_CONJ, _SPIN, REST_ROWS, RestFault, _hamilton,
+                      _orientation_errors, _positive_zero, _rotvec, _signed,
+                      _track_at_rest, track_loop)
 from .sim import GRASP_RADIUS, GRIPPER_SLEW, PHYSICS_DT, TIME, normalise_poses
 
 
@@ -561,8 +562,8 @@ LOCKSTEP_BLOCK = 8192
 # 800-replay noise sweep took 3.3 s at 64 columns and 2.4 s at 128, at
 # twice the peak memory (3.7 against 7.2 MB under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
-# Batches of fewer columns run row by row on track_loop, as do batches with
-# a reference that turns. Timed on whole replay cells of B replays on one
+# Batches of fewer columns run row by row on track_loop, as do turning or
+# off-rest batches. Timed on whole replay cells of B replays on one
 # time grid, both plants at rest on their lean steps, the batched one on
 # rest-form blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2,
 # medians of 7 alternated runs), row by row was faster in all 4 cells at
@@ -608,23 +609,23 @@ def track_lockstep(states, refs, gains, untils, traces=None):
     Every column starts on one plant clock, states[TIME]; a call whose
     columns start on two raises InvalidInputError before any step. Column r
     runs ``track_slices``'s slices to each time in ``untils[r]`` under
-    ``gains[r]``, with the same bits. A batch of at least LOCKSTEP_MIN_ROWS
-    columns whose references all have identity waypoints steps in lockstep
-    on ``kernels._track_at_rest``, one rest-form block of LOCKSTEP_BLOCK
-    row-steps of reference at a time. Each at-rest call runs to the end of
-    its block or to the end of a column's last slice, whichever comes
-    first, through the slice ends between, at which it reports every
-    column's state. Its columns on equal knot times and equal slices form a
-    subgroup, whose references one ``_ReferenceGroup`` samples together
-    into the subgroup's columns of each block, at the times
-    ``track_slices`` uses: those are built from each slice's start clock,
-    so columns on other slices would step at other times. A column leaves
-    the batch after its last slice. A block span that the at-rest step
-    declines runs ``track_loop`` column by column, from one slice end of
-    any column to the next. Fewer columns, or a batch with a reference that
-    turns, run column by column through ``track_slices``. No per-step trace
-    is kept, but a traced call samples one (below). Callers pass at most
-    LOCKSTEP_MAX_ROWS columns at a time.
+    ``gains[r]``, with the same bits. The plant is picked once, from the
+    inputs: a batch of at least LOCKSTEP_MIN_ROWS columns whose references
+    all have identity waypoints and whose robots all start at rest (see
+    ``kernels``) steps in lockstep on ``kernels._track_at_rest``, one
+    rest-form block of LOCKSTEP_BLOCK row-steps of reference at a time.
+    Each at-rest call runs to the end of its block or to the end of a
+    column's last slice, whichever comes first, through the slice ends
+    between, at which it reports every column's state. Its columns on equal
+    knot times and equal slices form a subgroup, whose references one
+    ``_ReferenceGroup`` samples together into the subgroup's columns of
+    each block, at the times ``track_slices`` uses: those are built from
+    each slice's start clock, so columns on other slices would step at
+    other times. A column leaves the batch after its last slice. Any other
+    batch, turning or off rest or of fewer columns, runs column by column
+    through ``track_slices``. No per-step trace is kept, but a traced call
+    samples one (below). Callers pass at most LOCKSTEP_MAX_ROWS columns at
+    a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     with those columns' states at the end of the slice in ``states``. The
@@ -643,8 +644,7 @@ def track_lockstep(states, refs, gains, untils, traces=None):
     is yielded, ``traces[r]`` is set to its (samples, events). A traced
     call takes one slice per column. The lockstep run reads the samples
     from its at-rest calls' history after their loops (see
-    ``kernels._track_at_rest``), or from ``track_loop``'s out rows where it
-    runs column by column.
+    ``kernels._track_at_rest``).
     """
     clocks = len(np.unique(states[TIME]))
     if clocks > 1:
@@ -656,7 +656,8 @@ def track_lockstep(states, refs, gains, untils, traces=None):
                                 "per column")
     faults = {}
     if (states.shape[1] >= LOCKSTEP_MIN_ROWS
-            and all(ref._identity for ref in refs)):
+            and all(ref._identity for ref in refs)
+            and (states[3] == 1.0).all() and _positive_zero(states[_SPIN])):
         yield from _track_batch(states, refs, gains, untils, faults, traces)
     else:
         for r in range(states.shape[1]):
@@ -680,9 +681,9 @@ def track_lockstep(states, refs, gains, untils, traces=None):
 
 
 def _track_batch(states, refs, gains, untils, faults, traces):
-    """``track_lockstep``'s lockstep run of every column of ``states``, on
-    references with identity waypoints; faults go to ``faults`` by
-    column, and the samples of a traced run to ``traces``.
+    """``track_lockstep``'s lockstep run of every column of ``states``,
+    robots at rest on references with identity waypoints; faults go to
+    ``faults`` by column, and the samples of a traced run to ``traces``.
 
     Each at-rest call runs from ``start`` to ``end``, where the first
     column to finish ends its last slice, or to the end of its block before
@@ -690,14 +691,13 @@ def _track_batch(states, refs, gains, untils, faults, traces):
     that the slices ending there are yielded from its report. Where a
     column's pose is off the identity, ``end`` is the next slice end of any
     column instead, and the caller's changes there are read back before
-    the next call. A call that the at-rest step declines runs again to its
-    first mark, so that a column that does not start at rest, or faults,
-    runs ``track_loop`` from one slice end to the next, as before.
+    the next call. A call in which a column faults runs again up to the
+    first step that faults, as ``track_slices`` runs each column up to its
+    fault, and the columns that fault there stop; the others run on.
     """
     dt = PHYSICS_DT
     t0 = float(states[TIME, 0])
-    gain_rows = np.array([[g.kp_pos, g.kv_pos, g.kp_ori, g.kv_ori]
-                          for g in gains]).T
+    gain_rows = np.array([[g.kp_pos, g.kv_pos] for g in gains]).T
     grids, members = {}, {}
     for r in range(states.shape[1]):
         key = tuple(untils[r])
@@ -751,48 +751,38 @@ def _track_batch(states, refs, gains, untils, faults, traces):
             marks = sorted({e - start for s in subs for e in s.ends[s.k:]
                             if start < e <= stop and e < end})
             report = np.empty((len(marks),) + state.shape)
-            sampled = (None if stretches is None
-                       else _Stretches.sampled(start, stop))
-            rest = _track_at_rest(state, block[start - block_start:
-                                               stop - block_start],
-                                  *gain_rows[:, live], dt, GRIPPER_SLEW,
-                                  GRASP_RADIUS, marks, report, sampled)
-            if rest:
-                if stretches is not None:
-                    stretches.add_rest(live, start, state, rest)
-                for mark, after in zip(marks, report):
-                    states[:, live] = after
-                    yield from _slices_ending(subs, start + mark, stretches)
-                start = stop
-                continue
-            if marks:
-                # run again to the first slice end only, where a decline
-                # runs track_loop as a call that stopped there would
-                end = start + marks[0]
-                continue
-            # the columns do not start at rest, or a step faulted
-            owner = np.repeat(np.arange(len(subs)),
-                              [len(s.rows) for s in subs])
-            times = [subs[i].times[start:stop] for i in owner]
-            tracks = [refs[r] for r in live]
-            if stretches is None:
-                fault = _track_columns(state, tracks, times,
-                                       gain_rows[:, live])
-            else:
-                fault, records = _track_columns(
-                    state, tracks, times, gain_rows[:, live],
-                    _Stretches.sampled(start, stop))
-                stretches.add_columns(live, start, records)
-            faulted = np.flatnonzero(fault >= 0)
+            fault = None
+            while True:
+                sampled = (None if stretches is None
+                           else _Stretches.sampled(start, stop))
+                rest = _track_at_rest(state, block[start - block_start:
+                                                   stop - block_start],
+                                      *gain_rows[:, live], dt, GRIPPER_SLEW,
+                                      GRASP_RADIUS, marks,
+                                      report[:len(marks)], sampled)
+                if not isinstance(rest, RestFault):
+                    break
+                # run again up to the first faulting step, before which
+                # no column faults
+                fault = rest
+                stop = start + fault.step
+                marks = [m for m in marks if m <= fault.step]
+            if stretches is not None:
+                stretches.add_rest(live, start, state, rest)
+            for mark, after in zip(marks, report):
+                states[:, live] = after
+                yield from _slices_ending(subs, start + mark, stretches)
             start = stop
-            if len(faulted):
+            if fault is not None:
                 # the faulted columns leave at the next pass of the loop
                 states[:, live] = state
-                for j in faulted:
-                    faults[live[j]] = SimFault(
-                        f"non-finite wrench at t={times[j][fault[j]]:.4f}")
-                for i in set(owner[faulted]):
-                    subs[i].drop(live[faulted])
+                for s in subs:
+                    hit = s.rows[np.isin(s.rows, live[fault.columns])]
+                    for r in hit:
+                        faults[r] = SimFault(
+                            f"non-finite wrench at t={s.times[start]:.4f}")
+                    if len(hit):
+                        s.drop(hit)
                 subs = [s for s in subs if len(s.rows)]
                 break
 
@@ -849,14 +839,6 @@ class _Stretches:
         for i, j, code in rest.events:
             self.events[live[j]].append((start + i, code))
 
-    def add_columns(self, live, start, records):
-        """Record ``_track_columns``' sampled rows and events of a span from
-        step ``start`` on the columns ``live``."""
-        first = -(-start // TRACE_STRIDE)
-        for r, (rows, events) in zip(live, records):
-            self.rows[r, first:first + len(rows)] = rows
-            self.events[r] += [(start + i, code) for i, code in events]
-
     def finish(self, columns, times):
         """Set ``traces`` of the ``columns`` whose slice, of step times
         ``times``, has ended."""
@@ -888,33 +870,6 @@ def _identity_poses(state):
     """
     return bool((state[_W_ROWS] == 1.0).all()) and not state[
         _VECTOR_ROWS].any()
-
-
-@np.errstate(all="ignore")  # the at-rest step never warns either
-def _track_columns(state, tracks, times, gain_rows, sampled=None):
-    """``track_loop`` on each column j of ``state`` along ``tracks[j]``,
-    sampled by its own ``ReferenceTrack.sample`` at ``times[j]``, under
-    column j's gains, with scratch out rows. Returns each column's fault
-    step, or -1; with ``sampled``, steps of the span from 0, also each
-    column's rows of ``_Stretches.FIELDS`` at those steps and its (step,
-    +1 or -1) events, which a column that faults leaves unfinished."""
-    n = len(times[0])
-    outs = (np.empty((n, 3)), np.empty((n, 4)), np.empty(n), np.empty(n),
-            np.empty(n, dtype=np.int8))
-    fault = np.empty(state.shape[1], dtype=int)
-    records = []
-    for j, column in enumerate(state.T):  # views: track_loop writes state
-        ref = tracks[j].sample(times[j])
-        fault[j] = track_loop(column, *ref, *gain_rows[:, j], PHYSICS_DT,
-                              GRIPPER_SLEW, GRASP_RADIUS, *outs)
-        if sampled is not None:
-            pos, quat, e_pos, e_ori, events = outs
-            records.append((
-                np.column_stack([pos[sampled], quat[sampled],
-                                 ref[0][sampled], ref[2][sampled],
-                                 e_pos[sampled], e_ori[sampled]]),
-                [(i, int(events[i])) for i in np.flatnonzero(events)]))
-    return fault if sampled is None else (fault, records)
 
 
 def _sample_block(subs, start, steps, width):

@@ -194,14 +194,15 @@ def _replay_setup(demo, c: float, target: str, noise_scale: float,
 
 def _replay_row(demo, c, gains, target, noise_scale, seed):
     """A replay as a row of ``scheduler.run_rollouts``, one stretch to 0.5 s
-    past its last waypoint, whose planner returns the replay's RolloutLog,
-    or its success when the run is not traced."""
+    past its last waypoint or to T_MAX, whichever comes first, whose
+    planner returns the replay's RolloutLog, or its success when the run
+    is not traced."""
     profile = gain_profile(gains)
     waypoints, task, state, end = _replay_setup(demo, c, target, noise_scale,
                                                 seed)
 
     def plan():
-        _, samples, events = yield waypoints, end + 0.5
+        _, samples, events = yield waypoints, min(end + 0.5, T_MAX)
         ok = success(state, task)
         if samples is None:
             return ok
@@ -219,7 +220,8 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
     one-replay case of ``scheduler.run_rollouts``.
 
     The commanded or reached stream is rescheduled at interval c * dt and
-    tracked with the requested controller gains; optional Gaussian noise
+    tracked with the requested controller gains, to 0.5 s past its last
+    waypoint or to T_MAX, whichever comes first; optional Gaussian noise
     perturbs the reference positions before tracking. An unknown gain
     preset or target stream, a c that is not finite and > 0, or a negative
     or non-finite ``noise_scale`` raises InvalidInputError.

@@ -357,13 +357,6 @@ def _path_positions(segments, home_pos, seg, w):
     return (1.0 - w) * knots[..., seg, :] + w * knots[..., seg + 1, :]
 
 
-def _nominal_trajectory(segments, home_pos, dt: float):
-    """Sample the piecewise path at ``dt``; returns (times, pos, grip)."""
-    times, seg, w, grips = _nominal_timing(
-        [(dur, ease) for dur, _, ease in segments], dt)
-    return times, _path_positions(segments, home_pos, seg, w), grips
-
-
 def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0) -> list:
     """Scripted teleoperation through the simulator under _DEMO_GAINS.
 

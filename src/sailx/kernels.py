@@ -30,29 +30,29 @@ that row. It keeps no per-step trace, but reports the state after each of
 the steps it is asked for (``controller`` marks the slice ends a call runs
 through) and, for the steps it is asked to sample, what a rollout's log
 keeps of them (a closed-loop cycle samples every TRACE_STRIDE-th step).
-It steps only references at rest (below),
-and it declines a call whose columns do not start at rest, or in which a
-step faults, leaving the state as it was; ``controller`` then runs
-``track_loop`` on each column. So the scalar loop is the one full,
-turning update: no workload turns, and a turning step in lockstep cost as
-much as 7-12 scalar rows. The scalar loop is also the plant for small
-batches, a single rollout's among them, and batches whose references
-turn.
+It steps only columns that start at rest, on references at rest (below):
+``controller`` picks it once per lockstep run, from the run's inputs, and
+runs any other batch row by row on ``track_loop``. So the scalar loop is
+the one full, turning update: no workload turns, and a turning step in
+lockstep cost as much as 7-12 scalar rows. The scalar loop is also the
+plant for small batches, a single rollout's among them.
 
 Both plants skip the rotational half of every step of a call that starts
 at rest: every column's orientation is exactly (1, +0.0, +0.0, +0.0) and
 its angular velocity +0.0, every reference orientation of the call is the
 identity and every reference rate zero, zeros of either sign there, and
-dt is finite. Each call checks this once, on its own inputs, at its start.
+dt is finite. ``track_loop`` checks this once a call on its own inputs,
+and ``controller.track_lockstep`` once a lockstep run on all of them.
 Such a step is an exact fixed point: the orientation error and the torque
 are signed zeros, so ω + torque * dt stays +0.0; the exp map of that zero
 rotation is (1, ±0, ±0, ±0), and its product with q adds zeros to q's
 +0.0 vector part, which leaves +0.0, and normalises to q bit for bit. Only
 that orientation qualifies: the update turns a -0.0 in q's vector part or
 in ω into +0.0, flips q = (-1, 0, 0, 0) to w > 0, and can move any other
-constant quaternion by an ulp when it normalises it. Both also require
-finite orientation gains, since a non-finite one makes the torque NaN, a
-fault at step 0 that the full update finds. Every demo, task and chunk in
+constant quaternion by an ulp when it normalises it. ``track_loop`` also
+requires finite orientation gains, since a non-finite one makes the
+torque NaN, a fault at step 0 that the full update finds; ``controller``'s
+are finite (``GainProfile`` refuses others). Every demo, task and chunk in
 the corpus keeps the identity orientation.
 
 At rest, the scalar loop steps only the position, the velocity and the
@@ -91,10 +91,11 @@ calls of 64 steps, call overhead included. After the loop:
   non-finite force makes the step's velocity non-finite (v + f dt, with dt
   finite), and a non-finite velocity stays non-finite: its error rv - v is
   non-finite, so is the next force, and inf + x is never finite while NaN
-  propagates. So a finite final velocity proves that no step faulted;
-  otherwise the call declines, with the state as it was, and runs again on
-  ``track_loop`` column by column, which finds the fault and leaves the
-  orientation at rest bit for bit.
+  propagates. So a finite final velocity proves that no step faulted.
+  Otherwise every step's force is formed again from the history, in the
+  loop's operation order, to find the first step at which one is not
+  finite: a velocity that overflows on the last step under finite forces
+  is no fault, as in ``track_loop``.
 - The clock: when every column holds the same bits, n Python float
   additions broadcast to all of them; otherwise n numpy additions.
 - The state after a marked step m is the one a call of m steps leaves:
@@ -569,20 +570,22 @@ REST_ROWS = len(_REST_STATE)
 
 
 @np.errstate(all="ignore")  # the scalar loop never warns either
-def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
-                   grip_slew, grasp_radius, marks=(), report=None,
-                   sampled=None):
+def _track_at_rest(state, rest_ref, kp_pos, kv_pos, dt, grip_slew,
+                   grasp_radius, marks=(), report=None, sampled=None):
     """``track_loop`` on the B columns of a (30, B) state, in lockstep, on
     references at rest; True once every column has stepped.
 
-    Step i tracks ``rest_ref[i]``, the (REST_ROWS, B) [grip; pos; vel]
-    reference rows of references whose orientations are the identity and
-    whose rates are zero. The gains are (B,) float arrays, one value per
-    column; dt, ``grip_slew`` and ``grasp_radius`` are shared, and
-    ``grip_slew`` must not be negative. Every column gets the bits
-    ``track_loop`` gives that row, and ``state`` is updated in place. When
-    the columns do not start at rest, or a step faults, it returns False
-    and leaves ``state`` as it was.
+    Every column starts at rest, orientation (1, +0.0, +0.0, +0.0) and
+    spin +0.0, and step i tracks ``rest_ref[i]``, the (REST_ROWS, B) [grip;
+    pos; vel] reference rows of references whose orientations are the
+    identity and whose rates are zero. The position gains are (B,) float
+    arrays, one value per column; dt, ``grip_slew`` and ``grasp_radius``
+    are shared, dt finite and ``grip_slew`` not negative. Every column gets
+    the bits ``track_loop`` gives that row under finite orientation gains,
+    and ``state`` is updated in place. Where a force is not finite, the
+    call returns a ``RestFault`` instead, with ``state`` and ``report`` as
+    they were: the first such step, ``track_loop``'s fault step for each
+    column it names. A call that stops before that step has no fault.
 
     ``marks`` are ascending step counts, from 1 to the call's steps: after
     the call, ``report[k]``, a (len(marks), 30, B) array, holds the state
@@ -590,8 +593,8 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     for bit.
 
     ``sampled``, when given, is an ascending integer array of steps of the
-    call, from 0. A call that steps then returns a ``RestTrace`` in place
-    of True: the robot positions after those steps and the reference
+    call, from 0. A call without a fault then returns a ``RestTrace`` in
+    place of True: the robot positions after those steps and the reference
     positions they tracked, each (len(sampled), 3, B), their position
     errors in ``track_loop``'s operation order, (len(sampled), B), and the
     (step, column, +1 or -1) attach and detach events of the call, in step
@@ -603,10 +606,6 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     and the states at the marks follow from the history after the loop.
     """
     dt = float(dt)
-    if not ((state[3] == 1.0).all() and _positive_zero(state[_SPIN])
-            and math.isfinite(dt) and np.isfinite(kp_ori).all()
-            and np.isfinite(kv_ori).all()):
-        return False
     n, b = rest_ref.shape[0], state.shape[1]
     dt_ = np.array(dt)
     max_step = np.array(float(grip_slew) * dt)
@@ -640,7 +639,11 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     # A non-finite force makes its velocity non-finite, and a non-finite
     # velocity stays so (module docstring): a finite one proves no fault.
     if not np.isfinite(hist[n, 4:]).all():
-        return False
+        err = (rest_ref[:, 1:] - hist[:-1, 1:]) * gain[1:]
+        bad = ~np.isfinite(err[:, :3] + err[:, 3:]).all(axis=1)
+        if bad.any():
+            step = int(bad.any(axis=1).argmax())
+            return RestFault(step, np.flatnonzero(bad[step]))
 
     # The state after each mark and after the last step, as calls that
     # ended there would leave it: the orientation and the spin as they
@@ -718,6 +721,13 @@ def _track_at_rest(state, rest_ref, kp_pos, kv_pos, kp_ori, kv_ori, dt,
     _position_errors(ref_positions.transpose(1, 0, 2),
                      positions.transpose(1, 0, 2), e_pos)
     return RestTrace(positions, ref_positions, e_pos, events)
+
+
+class RestFault(NamedTuple):
+    """The first step of a call with a non-finite force, and its columns."""
+
+    step: int
+    columns: np.ndarray
 
 
 class RestTrace(NamedTuple):

@@ -20,10 +20,11 @@ from sailx.errors import GenerationError, InvalidInputError
 from sailx.experiments import _trial_seed, task_for_demo
 from sailx.policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                           infer_unconditional)
-from sailx.io import Demonstration, _nominal_trajectory, _scripted_path
+from sailx.io import Demonstration, _scripted_path
 from sailx.sim import TaskSpec, initial_world, success
 from sailx.speedmod import gripper_event_flags, label_critical
 
+from demo_oracle import _nominal_trajectory
 from rollout_oracle import replay_rollout
 
 

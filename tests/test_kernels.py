@@ -224,45 +224,73 @@ def _lockstep_rows(draw, cases):
 
 
 def _batch_args(rows):
-    """(states, rest-form block, gains..., shared params...) of
+    """(states, rest-form block, position gains..., shared params...) of
     _track_at_rest: the block holds each row's [grip; pos; vel] reference
     rows, (n, REST_ROWS, B)."""
     states = np.stack([state for state, _, _ in rows], axis=1)
     block = np.stack([np.column_stack((refs[4], refs[0], refs[1]))
                       for _, refs, _ in rows], axis=2)
     params = [np.array(p) for p in zip(*(params for _, _, params in rows))]
-    return states, block, params[:4], [float(p[0]) for p in params[4:7]]
+    return states, block, params[:2], [float(p[0]) for p in params[4:7]]
+
+
+def _starts_at_rest(rows):
+    """Whether every robot of ``rows`` starts at rest, under finite
+    orientation gains and dt: what ``controller`` runs on _track_at_rest,
+    given references at rest. (Its gains are finite, as GainProfile
+    refuses others, and its dt is PHYSICS_DT.)"""
+    return all(state[3] == 1.0 and kernels._positive_zero(
+        state[kernels._SPIN]) and np.isfinite(params[2:5]).all()
+               for state, _, params in rows)
 
 
 def _assert_columns_match_track_loop(rows, loop=kernels.track_loop,
                                      at_rest=None, rest_form=True):
     """One lockstep step of ``rows`` as ``controller`` takes it, every
-    column against track_loop (or ``loop``) on that row: _track_at_rest on
-    their rest-form block, and where it declines, which must leave the
-    state as it was, track_loop column by column. ``at_rest``, when given,
-    is whether _track_at_rest steps. Without ``rest_form``, the references
-    are not at rest, and the rows run track_loop column by column, as
-    ``controller`` runs such a batch. Returns the faults and the final
-    states."""
+    column against track_loop (or ``loop``) on that row.
+
+    Rows on their rest-form block that start at rest (``_starts_at_rest``)
+    step on _track_at_rest. Where a column faults, the call must name the
+    first step at which any column does and exactly the columns that fault
+    there, and leave the state as it was; the call up to that step must
+    not fault. Those columns stop there, and the others step on from it,
+    as ``controller`` runs them. Other rows, and rows without
+    ``rest_form``, whose references are not at rest, run track_loop column
+    by column. ``at_rest``, when given, is whether the rows step on
+    _track_at_rest. Returns the faults and the final states."""
     states, block, gains, shared = _batch_args(rows)
-    before = states.copy()
-    stepped = rest_form and kernels._track_at_rest(states, block, *gains,
-                                                   *shared)
+    stepped = rest_form and _starts_at_rest(rows)
     if at_rest is not None:
         assert stepped == at_rest
-    faults = []
+    runs = [_run(loop, state, refs, params) for state, refs, params in rows]
+    faults = np.array([fault for fault, _, _ in runs])
+    live, start = np.arange(len(rows)), 0
+    while stepped and len(live):
+        part = states[:, live]
+        before = part.copy()
+        args = (*(g[live] for g in gains), *shared)
+        rest = kernels._track_at_rest(part, block[start:, :, live], *args)
+        ahead = faults[live]
+        if (ahead < 0).all():
+            assert rest is True
+            states[:, live] = part
+            break
+        first = ahead[ahead >= 0].min()
+        assert isinstance(rest, kernels.RestFault)
+        assert rest.step == first - start
+        assert rest.columns.tolist() == np.flatnonzero(ahead == first).tolist()
+        assert _bits(part) == _bits(before)
+        assert kernels._track_at_rest(part, block[start:first, :, live],
+                                      *args) is True
+        states[:, live] = part
+        live, start = live[ahead != first], first
     for j, (state, refs, params) in enumerate(rows):
-        fault, final, _ = _run(loop, state, refs, params)
-        if stepped:
-            assert fault == -1
-        else:
-            assert _bits(states[:, j]) == _bits(before[:, j])
-            got_fault, states[:, j], _ = _run(kernels.track_loop, state, refs,
-                                              params)
-            assert got_fault == fault
-        assert _bits(states[:, j]) == _bits(final)
-        faults.append(fault)
-    return np.array(faults), states
+        if not stepped:
+            fault, states[:, j], _ = _run(kernels.track_loop, state, refs,
+                                          params)
+            assert fault == faults[j]
+        assert _bits(states[:, j]) == _bits(runs[j][1])
+    return faults, states
 
 
 def _attached_state(rng):
@@ -290,8 +318,8 @@ def _rest_state(state):
 
 class TestLockstepStep:
     """The lockstep step: _track_at_rest steps a batch whose columns start
-    at rest and do not fault, and declines any other, leaving its state
-    alone for track_loop column by column."""
+    at rest, and names the first step at which a column faults, with the
+    state as it was; any other batch runs track_loop column by column."""
 
     @SETTINGS
     @given(batch_cases())
@@ -344,14 +372,37 @@ class TestLockstepStep:
                 refs[1][bad_step, 1] = np.inf
             params = (300.0, 34.6, 400.0, 40.0, 0.002, 8.0, 0.015)
             rows.append((_rest_state(_attached_state(rng)), refs, params))
-        # a fault anywhere declines the whole step at rest
+        # each fault stops its column, in step order, and the batch steps
+        # on at rest
         faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop,
-                                                     at_rest=False)
+                                                     at_rest=True)
         assert faults.tolist() == [-1, 7, -1, 0, 39]
         faults, _ = _assert_columns_match_track_loop(rows[0:3:2],
                                                      _oracle_loop,
                                                      at_rest=True)
         assert faults.tolist() == [-1, -1]
+
+    def test_a_velocity_that_overflows_on_the_last_step_is_no_fault(self):
+        # Column 1 holds a velocity near the largest float, which its
+        # reference velocity matches until the last step; there a finite
+        # force takes it past the largest float. track_loop reports no
+        # fault, as every force is finite, so the kernel must test the
+        # forces, not the final velocity.
+        rng = np.random.default_rng(6)
+        n = 5
+        rows = []
+        for overflow in (False, True):
+            state, refs = _rest_column(rng, n)
+            params = REST_PARAMS
+            if overflow:
+                state[7] = refs[1][:, 0] = 1.797e308
+                refs[1][-1, 0] = np.finfo(float).max
+                params = (0.0, 1000.0) + REST_PARAMS[2:]
+            rows.append((state, refs, params))
+        faults, states = _assert_columns_match_track_loop(rows, _oracle_loop,
+                                                          at_rest=True)
+        assert faults.tolist() == [-1, -1]
+        assert np.isinf(states[7, 1]) and np.isfinite(states[7, 0])
 
 
 _signed_zero = st.sampled_from([0.0, -0.0])
@@ -458,8 +509,8 @@ class TestAtRest:
     """The identity orientation at rest is a fixed point of the rotational
     update, which the kernels skip; every bit stays as the oracle's, and
     an input just off rest takes the full update: in a batch, track_loop
-    on every column, as _track_at_rest declines it or, for references off
-    rest, as ``controller`` runs it row by row."""
+    on every column, as ``controller`` runs a batch that is not at rest
+    row by row."""
 
     @SETTINGS
     @given(at_rest_cases())
@@ -517,7 +568,7 @@ class TestAtRest:
             rows.append((state, refs, params))
 
         # track_loop is the only rotational update, which a batch runs
-        # column by column once it leaves rest
+        # column by column when it does not start at rest
         calls = []
         full = kernels.track_loop
 
@@ -758,9 +809,10 @@ class TestRestHistory:
             if bad_step is not None:
                 refs[1][bad_step, 2] = value
             rows.append((state, refs, REST_PARAMS))
-        # a fault in any column declines the whole step at rest
+        # each fault stops its column, in step order, and the batch steps
+        # on at rest
         faults, _ = _assert_columns_match_track_loop(rows, _oracle_loop,
-                                                     at_rest=False)
+                                                     at_rest=True)
         assert faults.tolist() == [-1, 0, -1, n // 2, n - 1, -1]
         for row in rows:
             _assert_same_run(*row)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sailx import controller, experiments, io, sim
+from sailx import controller, experiments, io, kernels, sim
 from sailx.controller import GAIN_PRESETS, track_lockstep, track_slices
 from sailx.errors import GenerationError, InvalidInputError, SimFault
 from sailx.experiments import (make_task, rows_to_csv, run_diagnostics,
@@ -223,7 +223,7 @@ class TestGenerateDemos:
         at_rest = controller._track_at_rest
 
         def marked(*args):
-            marks.append(list(args[9]))
+            marks.append(list(args[7]))
             return at_rest(*args)
 
         monkeypatch.setattr(controller, "_track_at_rest", marked)
@@ -247,7 +247,7 @@ class TestGenerateDemos:
         steps = controller.LOCKSTEP_BLOCK // 50
         assert slices == 114 and blocks == math.ceil(slices * 25 / steps)
         assert len(calls["_track_at_rest"]) == blocks == 18
-        marks = sum(len(args[9]) for args in calls["_track_at_rest"])
+        marks = sum(len(args[7]) for args in calls["_track_at_rest"])
         assert marks == slices - 1
 
     def test_reference_blocks_stay_under_1_mb(self, monkeypatch):
@@ -335,8 +335,8 @@ def mixed_grid_cases(draw):
     """Columns on one start clock, on two or three knot grids and on slice
     lists of different lengths, one of which ends a few physics steps
     before the longest; the references of one column overflow the PD
-    force, so that a lockstep batch runs track_loop column by column on
-    each column's own step times. The references hold the identity
+    force, so that a lockstep batch stops that column at its fault, on its
+    own step times. The references hold the identity
     orientation, or in some cases turn, which runs the batch row by row.
     The plant step is PHYSICS_DT = 0.002 s."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -486,6 +486,47 @@ class TestFaults:
         assert sorted(want_faults) == sorted(bad_rows)
         assert states.tobytes() == want_states.tobytes()
 
+    def test_a_fault_just_after_a_slice_end_yields_that_slice(self, plant):
+        """Row 3 is unstable, and its first slice ends just before the step
+        whose force overflows: the run yields that slice, as
+        ``track_slices`` does, and then stops the row; a lockstep call runs
+        through that slice end and finds the fault right after it."""
+        n_rows = 9
+        refs = _line_refs(n_rows, ())
+        gains = [GAIN_PRESETS["high" if r % 2 else "low"]
+                 for r in range(n_rows)]
+        gains[3] = controller.GainProfile(1e8, 0.0, 400.0, 40.0)
+        states = np.zeros((30, n_rows))
+        states[3] = states[17] = states[25] = 1.0
+        state = states[:, 3].copy()
+        with pytest.raises(SimFault) as exc:
+            for _ in track_slices(state, refs[3], gains[3], (1.2,)):
+                pass
+        step = round(float(str(exc.value).split("=")[1]) / sim.PHYSICS_DT)
+        untils = (sim.PHYSICS_DT * (step - 1), 1.2)
+        want_states = states.copy()
+        want_steps, want_faults = [], {}
+        for r in range(n_rows):
+            state = want_states[:, r].copy()
+            want_steps.append([])
+            try:
+                for trace in track_slices(state, refs[r], gains[r], untils):
+                    want_steps[r].append(len(trace.times))
+            except SimFault as fault:
+                want_faults[r] = str(fault)
+            want_states[:, r] = state
+        assert want_steps[3] == [step - 1] and list(want_faults) == [3]
+        got_steps = [[] for _ in range(n_rows)]
+        with pytest.raises(SimFault) as exc:
+            for rows, k, steps in track_lockstep(states, refs, gains,
+                                                 [untils] * n_rows):
+                for r in rows:
+                    assert len(got_steps[r]) == k
+                    got_steps[r].append(steps)
+        assert exc.value.row == 3 and str(exc.value) == want_faults[3]
+        assert got_steps == want_steps
+        assert states.tobytes() == want_states.tobytes()
+
 
 def _slice_times(t, untils):
     """The step times of each slice to ``untils`` from the clock ``t``, as
@@ -511,8 +552,8 @@ def identity_cases(draw, kind, offset=0):
 
     - "negative zero": waypoints whose vector parts hold -0.0;
     - "fault": a reference that overflows the PD force inside a block, so
-      that the at-rest step declines the call for track_loop, column by
-      column, on each column's own samples;
+      that an at-rest call names the step, runs again up to it, and the
+      column stops there;
     - "edge": a grasp or a release on the last step of the first block or
       the first step of the next;
     - "slice end": a grasp or a release ``offset`` steps after the first
@@ -521,8 +562,8 @@ def identity_cases(draw, kind, offset=0):
     - "rotated object": an object whose orientation and gripper-frame
       orientation are not the identity, which makes the run stop at every
       slice end;
-    - "turned": a robot that does not start at rest, so that every call
-      runs track_loop column by column, where it reads the signed-zero
+    - "turned": a robot that does not start at rest, so that the batch
+      runs row by row on ``track_slices``, where it reads the signed-zero
       rates of waypoints whose vector parts hold -0.0.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -618,21 +659,22 @@ class TestIdentityReferences:
     """Lockstep runs on identity references, on rest-form blocks at the
     module's LOCKSTEP_BLOCK, against the column loop of ``lockstep_oracle``
     (``track_slices``) and against ``plant_oracle`` on ``reference_oracle``
-    samples, bit for bit; each case's fallback to track_loop, column by
-    column, shows in the calls of ``_track_columns``, and whether its
-    at-rest calls run through a slice end in the marks they take."""
+    samples, bit for bit. Whether a column leaves the at-rest plant before
+    its last slice shows in what ``_track_at_rest`` returns: a
+    ``RestFault`` where a column faults, and no call at all where the
+    batch runs row by row. Whether a case's at-rest calls run through a
+    slice end shows in the marks they take."""
 
     # whether a case's at-rest calls run through a slice end; a fault's
     # calls may or may not
     THROUGH = {"negative zero": True, "fault": None, "edge": True,
                "slice end": True, "rotated object": False, "turned": False}
 
-    @pytest.mark.parametrize("kind, full_steps", [
+    @pytest.mark.parametrize("kind, leaves", [
         ("negative zero", False), ("fault", True), ("edge", False),
         ("turned", True)])
-    def test_columns_match_both_oracles(self, kind, full_steps,
-                                        monkeypatch):
-        self._check(kind, 0, full_steps, monkeypatch)
+    def test_columns_match_both_oracles(self, kind, leaves, monkeypatch):
+        self._check(kind, 0, leaves, monkeypatch)
 
     @pytest.mark.parametrize("kind, offset", [
         ("slice end", -2), ("slice end", -1), ("slice end", 0),
@@ -642,22 +684,16 @@ class TestIdentityReferences:
     def test_slice_ends_match_both_oracles(self, kind, offset, monkeypatch):
         self._check(kind, offset, False, monkeypatch)
 
-    def _check(self, kind, offset, full_steps, monkeypatch):
+    def _check(self, kind, offset, leaves, monkeypatch):
         through = self.THROUGH[kind]
-        calls = []
-        full = controller._track_columns
-
-        def counted(state, tracks, times, gain_rows):
-            calls.append(len(times[0]))
-            return full(state, tracks, times, gain_rows)
-
-        monkeypatch.setattr(controller, "_track_columns", counted)
+        calls = []  # what each _track_at_rest call returns
         marks = []
         at_rest = controller._track_at_rest
 
         def marked(*args):
-            marks.extend(args[9])
-            return at_rest(*args)
+            marks.extend(args[7])
+            calls.append(at_rest(*args))
+            return calls[-1]
 
         monkeypatch.setattr(controller, "_track_at_rest", marked)
 
@@ -699,7 +735,10 @@ class TestIdentityReferences:
                 assert kind != "fault" and not loop_faults
             assert got_steps == [steps for steps, _, _ in oracle]
             assert states.tobytes() == want.tobytes() == loop.tobytes()
-            assert bool(calls) == full_steps
+            assert leaves == (not calls or any(
+                isinstance(rest, kernels.RestFault) for rest in calls))
+            if kind == "turned":
+                assert not calls
             if through is not None:
                 assert bool(marks) == through
             s = controller.LOCKSTEP_BLOCK // n_rows

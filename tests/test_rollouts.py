@@ -190,6 +190,14 @@ class TestReplays:
                 traced=False) == [log.success for log in want]
 
 
+    def test_a_slow_replay_stops_at_t_max(self, demos20):
+        # at c = 20 the demo's last waypoint lies past 110 s
+        log = experiments.replay_rollout(demos20[0], c=20.0)
+        assert log.times[-1] <= scheduler.T_MAX
+        assert not log.success
+        assert log.duration == scheduler.T_MAX
+
+
 class TestRunMethodRollouts:
     def test_chunks_match_the_loop(self, demos20, monkeypatch):
         """13 rollouts in chunks of 8: one lockstep run, then 5 rollouts
@@ -238,8 +246,8 @@ class TestRunMethodRollouts:
 
 class TestTracedLockstep:
     """track_lockstep's traces against sample_trace of track_slices, on
-    the lockstep plant, its column-by-column fallback after a decline, and
-    row by row."""
+    the lockstep plant, with a column that faults there, and row by row,
+    where a robot starts off rest or the batch is small."""
 
     @staticmethod
     def _case(demos, n_rows, turned=()):
@@ -271,28 +279,49 @@ class TestTracedLockstep:
             untils.append((0.4 + 0.002 * (150 + 7 * r),))
         return np.stack(states, axis=1), refs, untils
 
-    @pytest.mark.parametrize("n_rows,turned", [(9, ()), (9, (4,)), (3, ())],
-                             ids=["lockstep", "declined", "row by row"])
+    @pytest.mark.parametrize("n_rows,turned,faulted", [
+        (9, (), None), (9, (4,), None), (9, (), 4), (3, (), None)],
+        ids=["lockstep", "off rest", "a column faults", "row by row"])
     def test_traces_match_sample_trace(self, demos20, n_rows, turned,
-                                       monkeypatch):
+                                       faulted, monkeypatch):
         monkeypatch.setattr(controller, "LOCKSTEP_BLOCK", 700)
         states, refs, untils = self._case(demos20, n_rows, turned)
         gains = [gain_profile("real-exec")] * n_rows
+        if faulted is not None:
+            # unstable under these gains, the column faults at step 118 of
+            # its slice, inside the second block of 700 // 9 steps
+            gains[faulted] = GainProfile(1e8, 0.0, 400.0, 40.0)
         want = []
         for r in range(n_rows):
             state = states[:, r].copy()
-            trace, = controller.track_slices(state, refs[r], gains[r],
-                                             untils[r])
-            want.append((state, controller.sample_trace(trace)))
+            try:
+                trace, = controller.track_slices(state, refs[r], gains[r],
+                                                 untils[r])
+                want.append((state, controller.sample_trace(trace)))
+            except SimFault as fault:
+                want.append((state, fault))
         traces = [None] * n_rows
-        for _ in controller.track_lockstep(states, refs, gains, untils,
-                                           traces):
-            pass
-        tags = {tag for _, (_, events) in want for _, tag in events}
+        try:
+            for _ in controller.track_lockstep(states, refs, gains, untils,
+                                               traces):
+                pass
+        except SimFault as fault:
+            assert fault.row == faulted
+            assert str(fault) == str(want[faulted][1])
+            assert str(fault) == "non-finite wrench at t=0.6380"
+            assert 118 % (controller.LOCKSTEP_BLOCK // n_rows)
+        else:
+            assert faulted is None
+        tags = {tag for _, sampled in want if not isinstance(sampled, SimFault)
+                for _, tag in sampled[1]}
         assert tags == {"grasp", "release"}
-        for r, (state, (samples, events)) in enumerate(want):
-            got_samples, got_events = traces[r]
+        for r, (state, sampled) in enumerate(want):
             assert states[:, r].tobytes() == state.tobytes()
+            if r == faulted:
+                assert traces[r] is None
+                continue
+            samples, events = sampled
+            got_samples, got_events = traces[r]
             assert got_samples.keys() == samples.keys()
             for name, array in samples.items():
                 assert _bits(got_samples[name]) == _bits(array), name
