@@ -7,8 +7,9 @@ Run from any directory; the ``sailx`` package is imported from this
 checkout's ``src/``. A ``gen-demos`` corpus of 50 demos (seed 0) is written
 to a temporary directory, and ``label``, ``diagnose``, ``sweep-speed``,
 ``sweep-gain-replay`` and ``sweep-noise`` then run in-process on it at
-seed 0, each writing its CSV there (``sweep-speed`` twice: closed-loop
-rows, and replay and dp rows). One line per output, ``<name> <sha256>``;
+seed 0, each writing its CSV there (``sweep-speed`` three times:
+closed-loop rows, replay and dp rows, and the closed-loop rows again on
+two worker processes). One line per output, ``<name> <sha256>``;
 the corpus line digests every demo file's name and bytes, in name order.
 Two checkouts whose lines are equal wrote byte-identical outputs.
 ``tests/output_digests.txt`` holds the lines this program must print, and
@@ -39,6 +40,10 @@ COMMANDS = {
     # 8 replays, batched with 8 dp rollouts
     "sweep-speed-replay": ["sweep-speed", "--trials", "4", "--method",
                            "replay,dp", "--c-values", "1,0.2"],
+    # sweep-speed's rollouts in two worker processes: the same bytes
+    "sweep-speed-jobs": ["sweep-speed", "--trials", "2", "--method",
+                         "sail,dp-fast", "--c-values", "1,0.5", "--jobs",
+                         "2"],
 }
 
 

@@ -556,29 +556,31 @@ def track_slices(state, ref: ReferenceTrack, gains: GainProfile, untils):
 # Fewer calls pay for the per-call costs: the at-rest check of the state,
 # the history set-up, the carried poses and a sample call per subgroup.
 LOCKSTEP_BLOCK = 8192
-# Columns per lockstep run in the callers, which bounds the reference
-# tracks a caller holds at once and their stacked copy: about 55 kB a
-# column at 115 waypoints. Wider runs step fewer times per row: the
-# 800-replay noise sweep took 3.3 s at 64 columns and 2.4 s at 128, at
-# twice the peak memory (3.7 against 7.2 MB under tracemalloc).
+# Columns per lockstep run in its two callers, scheduler.run_rollouts (every
+# rollout, replay and diagnostics trial) and the corpus build
+# (io.generate_demos), which bounds the reference tracks a caller holds at
+# once and their stacked copy: about 55 kB a column at 115 waypoints. Wider
+# runs step fewer times per row: the 800-replay noise sweep took 3.3 s at 64
+# columns and 2.4 s at 128, at twice the peak memory (3.7 against 7.2 MB
+# under tracemalloc).
 LOCKSTEP_MAX_ROWS = 64
 # Batches of fewer columns run row by row on track_loop, as do turning or
-# off-rest batches. Timed on whole replay cells of B replays on one
-# time grid, both plants at rest on their lean steps, the batched one on
-# rest-form blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2,
-# medians of 7 alternated runs), row by row was faster in all 4 cells at
-# B = 4 (lockstep took 1.02-1.07x its time) and lockstep in all 4 at B = 5
-# (0.86-0.93x), at B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8
-# (0.44-0.65x) and at B = 12 (0.35-0.54x). A scheduler.run_rollouts cycle
-# of fewer live rows (rollouts, replays or diagnostics trials) runs them
-# row by row, and experiments.run_method_rollouts a chunk of fewer rollouts
-# one by one. perfbench/test_perfbench.py requires kernels.track_loop steps
-# in a traced replay-open-loop pass of 6 rows and a traced ood-diagnose
-# pass of 3 trials, and run_rollout calls and one unconditional draw per
-# replan in a traced closed-loop-sail pass of 3 rollouts, which holds only
-# while all three run row by row: perfbench binds only the scalar
-# track_loop and the single-rollout entry, so the threshold stays at 7,
-# two rows above the measured break-even.
+# off-rest batches. Timed on whole replay cells of B replays on one time
+# grid, both plants at rest on their lean steps, the batched one on rest-form
+# blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7
+# alternated runs), row by row was faster in all 4 cells at B = 4 (lockstep
+# took 1.02-1.07x its time) and lockstep in all 4 at B = 5 (0.86-0.93x), at
+# B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8 (0.44-0.65x) and at
+# B = 12 (0.35-0.54x). A scheduler.run_rollouts cycle of fewer live rows
+# (rollouts, replays or diagnostics trials) runs them row by row, and
+# experiments.run_method_rollouts a request of fewer rollouts one by one.
+# perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
+# replay-open-loop pass of 6 rows and a traced ood-diagnose pass of 3 trials,
+# and run_rollout calls and one unconditional draw per replan in a traced
+# closed-loop-sail pass of 3 rollouts, which holds only while all three run
+# row by row: perfbench binds only the scalar track_loop and the
+# single-rollout entry, so the threshold stays at 7, two rows above the
+# measured break-even.
 LOCKSTEP_MIN_ROWS = 7
 
 
@@ -624,8 +626,8 @@ def track_lockstep(states, refs, gains, untils, traces=None):
     other times. A column leaves the batch after its last slice. Any other
     batch, turning or off rest or of fewer columns, runs column by column
     through ``track_slices``. No per-step trace is kept, but a traced call
-    samples one (below). Callers pass at most LOCKSTEP_MAX_ROWS columns at
-    a time.
+    samples one (below). Its callers, ``scheduler.run_rollouts`` and the
+    corpus build, pass at most LOCKSTEP_MAX_ROWS columns at a time.
 
     A generator: after slice k of a subgroup it yields (columns, k, n_k)
     with those columns' states at the end of the slice in ``states``. The

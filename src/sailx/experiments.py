@@ -2,7 +2,9 @@
 
 Every driver is deterministic for a fixed seed: per-trial seeds derive from
 the root seed by simple arithmetic, results keep trial order, and the CSV
-writer formats floats reproducibly.
+writer formats floats reproducibly. Each hands all its rows (closed-loop
+rollouts, replays or diagnostics trials) to ``scheduler.run_rollouts``,
+the one place that batches them.
 """
 from __future__ import annotations
 
@@ -18,20 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import AggregatedActionsPolicy
-from .controller import LOCKSTEP_MAX_ROWS, LOCKSTEP_MIN_ROWS, gain_profile
+from .controller import LOCKSTEP_MIN_ROWS, gain_profile
 # perfbench/tracing.py wraps this module's bindings of track and
 # ReferenceTrack, so they stay bound here, though replays and diagnostics
 # trials track through scheduler.run_rollouts
 from .controller import ReferenceTrack, track  # noqa: F401
 from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
-from .errors import InvalidInputError, SailxError
+from .errors import InvalidInputError
 from .io import generate_demos
 from .metrics import aggregate
 from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                      infer_unconditional, seed_ahead)
 from .scheduler import (DELTA_DELAY, DELTA_STAR, INTERVAL_FLOOR,
-                        ExecutorConfig, RolloutLog, run_rollout, run_rollouts)
+                        ExecutorConfig, RolloutLog, _rollout_row, run_rollout,
+                        run_rollouts)
 from .sim import (ROBOT_POSITION, T_MAX, TIME, TaskSpec, initial_world,
                   success)
 
@@ -101,65 +104,41 @@ def task_for_demo(demo) -> TaskSpec:
                     goal_position=demo.goal.copy())
 
 
-def run_method_rollout(method: str, c: float, demos, seed: int,
-                       library: DemoLibrary | None = None,
-                       use_eag: bool | None = None) -> RolloutLog:
-    """One closed-loop rollout of a named method on a demo-aligned task:
-    the one-seed case of ``run_method_rollouts``."""
-    return run_method_rollouts([(method, c, seed)], demos, library,
-                               use_eag)[0]
-
-
 def run_method_rollouts(rollouts, demos,
-                        library: DemoLibrary | None = None,
                         use_eag: bool | None = None) -> list[RolloutLog]:
-    """The rollout of each (method, c, seed) of ``rollouts``, in order,
-    each of a named method on the task of demo ``seed % len(demos)``.
-
-    ``library``, when given, is the DemoLibrary of ``demos`` the policies
-    retrieve from; otherwise one is packed for all of them. ``use_eag`` is
-    passed to ``method_setup``. A replay is ``replay_rollout`` at c. The
-    rollouts run LOCKSTEP_MAX_ROWS at a time, stepped together by
-    ``scheduler.run_rollouts``, or one by one (a closed-loop one through
-    ``run_rollout``) when fewer than LOCKSTEP_MIN_ROWS; each has the bits
-    of its run alone, and an error raises what a loop over the rollouts
-    would raise first.
+    """The rollout of each (method, c, seed) of ``rollouts``, in order, of
+    a named method on the task of demo ``seed % len(demos)``, retrieving
+    from one DemoLibrary of ``demos``, with ``use_eag`` passed to
+    ``method_setup``; a replay is ``replay_rollout`` at c. The rollouts
+    are rows of one ``scheduler.run_rollouts`` call, each policy made when
+    its chunk starts, or, fewer than LOCKSTEP_MIN_ROWS, run one by one (a
+    closed-loop one through ``run_rollout``). Each has the bits of its run
+    alone, and an error raises what a loop over them would raise first.
     """
-    if library is None and any(m != "replay" for m, _, _ in rollouts):
-        library = DemoLibrary(demos)
-    logs = []
-    batch = []
+    library = (DemoLibrary(demos) if any(m != "replay" for m, _, _ in rollouts)
+               else None)
 
-    def flush():
-        if len(batch) < LOCKSTEP_MIN_ROWS:
-            logs.extend(run_rollouts([row])[0] if callable(row)
-                        else run_rollout(*row) for row in batch)
-        else:
-            logs.extend(run_rollouts(batch))
-        batch.clear()
-
-    for method, c, seed in rollouts:
+    def closed_loop(method, c, seed):  # run_rollout's arguments
+        setup = method_setup(method, c, use_eag=use_eag)
         demo = demos[seed % len(demos)]
-        try:
-            if method == "replay":  # replay_rollout's defaults
-                row = functools.partial(_replay_row, demo, c, "real-exec",
-                                        "reached", 0.0, seed)
-            else:
-                setup = method_setup(method, c, use_eag=use_eag)
-                start = Pose(demo.reached[0, :3].copy(),
-                             demo.reached[0, 3:7].copy())
-                policy = setup.policy_class(demos, setup.policy_config,
-                                            seed=seed, library=library)
-                row = (policy, task_for_demo(demo), setup.exec_config,
-                       gain_profile(setup.gains), start, seed)
-        except SailxError:
-            flush()  # the rollouts before it raise first
-            raise
-        batch.append(row)
-        if len(batch) == LOCKSTEP_MAX_ROWS:
-            flush()
-    flush()
-    return logs
+        start = Pose(demo.reached[0, :3].copy(), demo.reached[0, 3:7].copy())
+        policy = setup.policy_class(demos, setup.policy_config, seed=seed,
+                                    library=library)
+        return (policy, task_for_demo(demo), setup.exec_config,
+                gain_profile(setup.gains), start, seed)
+
+    def row(method, c, seed):
+        if method == "replay":  # replay_rollout's defaults
+            return _replay_row(demos[seed % len(demos)], c, "real-exec",
+                               "reached", 0.0, seed)
+        return _rollout_row(*closed_loop(method, c, seed))
+
+    rows = [functools.partial(row, *r) for r in rollouts]
+    if len(rows) >= LOCKSTEP_MIN_ROWS:
+        return run_rollouts(rows)
+    return [run_rollouts([one])[0] if r[0] == "replay"
+            else run_rollout(*closed_loop(*r))
+            for r, one in zip(rollouts, rows)]
 
 
 def _check_replay(c: float, target: str, noise_scale: float) -> None:
@@ -230,19 +209,6 @@ def replay_rollout(demo, c: float = 1.0, gains: str = "real-exec",
                                            noise_scale, seed)])[0]
 
 
-def _replay_successes(replays) -> list[bool]:
-    """Whether ``replay_rollout(*replay)`` succeeds for each replay (demo,
-    c, gains, target, noise_scale, seed) of ``replays``, run as untraced
-    rows of ``scheduler.run_rollouts``, LOCKSTEP_MAX_ROWS at a time, so
-    that memory does not grow with their number."""
-    ok = []
-    for first in range(0, len(replays), LOCKSTEP_MAX_ROWS):
-        ok += run_rollouts([functools.partial(_replay_row, *replay) for replay
-                            in replays[first:first + LOCKSTEP_MAX_ROWS]],
-                           traced=False)
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -251,20 +217,15 @@ def _trial_seed(seed: int, cell: int, trial: int) -> int:
     return seed * 1_000_003 + cell * 1_009 + trial
 
 
-_POOL_DEMOS = None
-_POOL_LIBRARY = None
-
-
-def _pool_init(demos):
-    global _POOL_DEMOS, _POOL_LIBRARY
-    _POOL_DEMOS = demos
-    _POOL_LIBRARY = DemoLibrary(demos)
-
-
-def _pool_rollout(args):
-    method, c, seed = args
-    return run_method_rollout(method, c, _POOL_DEMOS, seed,
-                              library=_POOL_LIBRARY)
+def _check_sweep(demos, **counts) -> None:
+    """Refuse an empty ``demos``, and each of ``counts`` that is not an
+    integer >= 1, with InvalidInputError."""
+    for name, value in counts.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise InvalidInputError(f"{name} must be an integer >= 1, "
+                                    f"got {value!r}")
+    if not demos:
+        raise InvalidInputError("sweeps need at least one demo")
 
 
 def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.2, 0.1),
@@ -272,13 +233,14 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
                 t_max: float = T_MAX) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point.
 
-    ``trials`` and ``jobs`` must be at least 1, every replay cell's c
-    finite and > 0, and every closed-loop cell's ``method_setup`` is made
-    before any rollout runs, so that a bad argument raises
-    InvalidInputError, and an unknown method or a c its executor refuses
-    raises, before any cell is simulated. The rollouts of
-    every cell run in cell-then-trial order through
-    ``run_method_rollouts``, or in a pool of ``jobs`` worker processes.
+    ``trials`` and ``jobs`` must be at least 1 and ``demos`` non-empty,
+    every replay cell's c finite and > 0, and every closed-loop cell's
+    ``method_setup`` is made before any rollout runs, so that a bad
+    argument raises InvalidInputError, and an unknown method or a c its
+    executor refuses raises, before any cell is simulated. The rollouts of
+    every cell, in cell-then-trial order, run through
+    ``run_method_rollouts``, or, when ``jobs`` > 1, in as many contiguous
+    shares, each through ``run_method_rollouts`` in a worker process.
 
     A closed-loop method other than dp runs every interval at least
     INTERVAL_FLOOR long, so where c * DELTA_STAR < INTERVAL_FLOOR, at c =
@@ -286,10 +248,7 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     DELTA_STAR off its critical waypoints; each such (method, c) cell logs
     one WARNING naming the c that runs and the floor's exact value.
     """
-    for name, value in (("trials", trials), ("jobs", jobs)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise InvalidInputError(f"{name} must be an integer >= 1, "
-                                    f"got {value!r}")
+    _check_sweep(demos, trials=trials, jobs=jobs)
     cells = [(m, c) for m in methods for c in c_values]
     for method, c in cells:
         if method == "replay":
@@ -308,9 +267,12 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     if jobs == 1:
         logs = run_method_rollouts(rollouts, demos)
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_pool_init,
-                                 initargs=(demos,)) as pool:
-            logs = list(pool.map(_pool_rollout, rollouts))
+        n = len(rollouts)
+        shares = [rollouts[k * n // jobs:(k + 1) * n // jobs]
+                  for k in range(jobs)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            logs = list(itertools.chain.from_iterable(pool.map(
+                run_method_rollouts, shares, itertools.repeat(demos))))
     rows = []
     for cell, (method, c) in enumerate(cells):
         report = aggregate(logs[cell * trials:(cell + 1) * trials],
@@ -325,17 +287,20 @@ def sweep_gain_replay(demos, c_values=(1.0, 0.5, 0.33, 0.2),
                       seed: int = 0) -> list[dict]:
     """Replay SR for every (gain, target stream, speedup) combination.
 
-    Every target and c is checked before any replay runs. The replays of
-    the sweep run in lockstep batches.
+    ``demos`` must be non-empty, and every target and c is checked before
+    any replay runs. The replays of the sweep are untraced rows of one
+    ``scheduler.run_rollouts`` call.
     """
+    _check_sweep(demos)
     for c, target in itertools.product(c_values, targets):
         _check_replay(c, target, 0.0)
     cells = [(gain, target, c) for gain in gains for target in targets
              for c in c_values]
     n = len(demos)
-    ok = _replay_successes([(d, c, gain, target, 0.0, seed + i)
-                           for gain, target, c in cells
-                           for i, d in enumerate(demos)])
+    ok = run_rollouts([functools.partial(_replay_row, d, c, gain, target,
+                                         0.0, seed + i)
+                       for gain, target, c in cells
+                       for i, d in enumerate(demos)], traced=False)
     return [{"gain": gain, "target": target, "c": c, "n": n,
              "sr": float(np.mean(ok[k * n:(k + 1) * n]))}
             for k, (gain, target, c) in enumerate(cells)]
@@ -346,17 +311,20 @@ def sweep_noise(demos, scales=(0.0, 0.002, 0.005, 0.01),
                 seed: int = 0) -> list[dict]:
     """Replay SR under reference noise for high vs low controller gains.
 
-    Every scale must be finite and at least 0. The replays of the sweep run
-    in lockstep batches.
+    ``trials`` must be an integer >= 1, ``demos`` non-empty and every scale
+    finite and at least 0. The replays of the sweep are untraced rows of
+    one ``scheduler.run_rollouts`` call.
     """
+    _check_sweep(demos, trials=trials)
     for scale in scales:
         _check_replay(1.0, "reached", scale)
     cells = [(gain, cell, scale) for gain in gains
              for cell, scale in enumerate(scales)]
-    ok = _replay_successes([(demos[t % len(demos)], 1.0, gain, "reached",
-                            scale, _trial_seed(seed, cell, t))
-                           for gain, cell, scale in cells
-                           for t in range(trials)])
+    ok = run_rollouts([functools.partial(_replay_row, demos[t % len(demos)],
+                                         1.0, gain, "reached", scale,
+                                         _trial_seed(seed, cell, t))
+                       for gain, cell, scale in cells
+                       for t in range(trials)], traced=False)
     return [{"gain": gain, "noise": scale, "n": trials,
              "sr": float(np.mean(ok[k * trials:(k + 1) * trials]))}
             for k, (gain, _, scale) in enumerate(cells)]
@@ -479,31 +447,30 @@ def run_diagnostics(demos, c_values=(1.0, 0.33, 0.2), trials: int = 200,
     """Pooled single-step reset trials across speedup factors.
 
     Trial t runs ``diagnostics_trial`` at c_values[t % len(c_values)] with
-    its own policy, with the same results. Every c is checked before any
-    trial runs. The trials run LOCKSTEP_MAX_ROWS at a time: their stretches
-    on ``scheduler.run_rollouts``, untraced, which raises what the first
-    trial that cannot run raises, then their policies' draws seeded
-    together (seed_ahead), then scored in trial order.
+    its own policy, with the same results. ``trials`` must be an integer
+    >= 1 and ``demos`` non-empty, and every c is checked before any trial
+    runs. The trials' stretches are untraced rows of one
+    ``scheduler.run_rollouts`` call, which raises what the first trial that
+    cannot run raises; then their policies' draws are seeded together
+    (``seed_ahead``) and scored in trial order.
     """
+    _check_sweep(demos, trials=trials)
+    _check_speedups(demos, c_values)
+    cs = [c_values[t % len(c_values)] for t in range(trials)]
+    ends = run_rollouts([functools.partial(_diagnostics_row, demos, c,
+                                           _trial_seed(seed, 13, t))
+                         for t, c in enumerate(cs)], traced=False)
     pc = PolicyConfig(p_branch=1.0, target_mode="reached")
     library = DemoLibrary(demos)
-    _check_speedups(demos, c_values)
+    policies = [MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
+                           library=library) for t in range(trials)]
+    seed_ahead(policies, DIAG_DRAWS)
     rows = []
-    for first in range(0, trials, LOCKSTEP_MAX_ROWS):
-        chunk = [(t, c_values[t % len(c_values)])
-                 for t in range(first, min(trials, first + LOCKSTEP_MAX_ROWS))]
-        ends = run_rollouts([functools.partial(_diagnostics_row, demos, c,
-                                               _trial_seed(seed, 13, t))
-                             for t, c in chunk], traced=False)
-        policies = [MockPolicy(demos, pc, seed=_trial_seed(seed, 7, t),
-                               library=library) for t, _ in chunk]
-        seed_ahead(policies, DIAG_DRAWS)
-        for (t, c), end in zip(chunk, ends):
-            # each policy is let go once scored, with the distance matrix
-            # it keeps, so that only one is alive at a time
-            policy = policies.pop(0)
-            rows.append({"trial": t,
-                         **_diagnostics_score(policy, c, *end)})
+    for t, (c, end) in enumerate(zip(cs, ends)):
+        # each policy is let go once scored, with the distance matrix it
+        # keeps, so that only one is alive at a time
+        policy, policies[t] = policies[t], None
+        rows.append({"trial": t, **_diagnostics_score(policy, c, *end)})
     return rows
 
 

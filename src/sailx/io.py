@@ -318,29 +318,29 @@ def _scripted_path(obj_pos, goal_pos, home_pos, hover: float = 0.12):
             for (dur, eased), target in zip(_SCRIPT, targets)]
 
 
-def _nominal_timing(script, dt: float):
-    """(times, seg, w, grip) of a path of segments (duration s, eased)
-    sampled at ``dt``: every path with these segments shares them. Sample i
+def _nominal_timing():
+    """(times, seg, w, grip) of a path of _SCRIPT's segments (duration s,
+    eased) sampled at _DEMO_DT: every scripted path shares them. Sample i
     lies in segment seg[i], at the (eased) weight w[i] of its end, a column.
 
     The gripper closes _GRIP_OFFSET into the grasp dwell and opens
     _GRIP_OFFSET into the place dwell.
     """
     knots_t = [0.0]
-    for dur, _ in script:
+    for dur, _ in _SCRIPT:
         knots_t.append(knots_t[-1] + dur)
     total = knots_t[-1]
     t_close = knots_t[2] + _GRIP_OFFSET   # into the grasp dwell
     t_open = knots_t[6] + _GRIP_OFFSET    # into the place dwell
-    n = int(round(total / dt)) + 1
-    times = np.arange(n) * dt
+    n = int(round(total / _DEMO_DT)) + 1
+    times = np.arange(n) * _DEMO_DT
 
     knots_t = np.array(knots_t)
     t = np.clip(times, 0.0, total)
     seg = np.minimum(np.searchsorted(knots_t, t, side="right") - 1,
                      len(knots_t) - 2)
     s = (t - knots_t[seg]) / (knots_t[seg + 1] - knots_t[seg])
-    eased = np.array([ease for _, ease in script])
+    eased = np.array([ease for _, ease in _SCRIPT])
     w = np.where(eased[seg], _smoothstep(s), s)[:, None]
     grips = ((times >= t_close) & (times < t_open)).astype(float)
     return times, seg, w, grips
@@ -379,7 +379,7 @@ def generate_demos(task: TaskSpec, n: int = 50, seed: int = 0) -> list:
     profile = gain_profile(_DEMO_GAINS)
     rng = np.random.default_rng(seed)
     goal = np.asarray(task.goal_position)
-    times, seg, w, grips = _nominal_timing(_SCRIPT, _DEMO_DT)
+    times, seg, w, grips = _nominal_timing()
     n_steps = len(times)
     # teleoperator: lead the pose stream, keep gripper at nominal timing
     lead_steps = int(round(_LEAD / _DEMO_DT))

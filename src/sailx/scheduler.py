@@ -24,8 +24,10 @@ it computes CON and WED against the previous chunk, plans the intervals,
 records the splice and any stall, snapshots the superseded reference at
 t_a and runs the next inference on the rollout's own policy, then yields
 the cycle's reference waypoints and receives the tracked stretch.
-``run_rollouts`` is the one driver, also of ``experiments``' open-loop
-replays and diagnostics trials, each a planner of one stretch: each cycle
+``run_rollouts`` is the one driver and the one place that batches rows:
+closed-loop rollouts (``_rollout_row``), and ``experiments``' open-loop
+replays and diagnostics trials, each a planner of one stretch. It takes
+any number of rows and steps them LOCKSTEP_MAX_ROWS at a time: each cycle
 it fits the live rows' references once per knot grid, tracks all of them
 in one ``controller.track_lockstep`` call, which samples every
 TRACE_STRIDE-th step for the log of a traced run, renormalises their poses
@@ -33,13 +35,14 @@ and drops each row whose planner returns. ``run_rollout`` is its
 one-rollout case.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (GainProfile, ReferenceTrack, _grouped_tracks,
-                         track_lockstep)
+from .controller import (LOCKSTEP_MAX_ROWS, GainProfile, ReferenceTrack,
+                         _grouped_tracks, track_lockstep)
 # perfbench/tracing.py wraps this module's binding of track, so it stays
 # bound here, though the rollouts track through track_lockstep
 from .controller import track  # noqa: F401
@@ -222,88 +225,86 @@ def _plan(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
     )
 
 
-def run_rollouts(rollouts, traced: bool = True) -> list:
-    """What the planner of each row of ``rollouts`` returns, in order, the
-    rows stepped together, with the bits of each row run alone.
+def _rollout_row(policy, task, exec_cfg, gains, start_pose, seed):
+    """A closed-loop rollout as a row of ``run_rollouts``."""
+    state = initial_world(start_pose, task)
+    return state, gains, _plan(policy, task, exec_cfg, start_pose, seed,
+                               state)
 
-    A row is ``run_rollout``'s arguments (a closed-loop rollout, which
-    needs ``traced``), or a function of no arguments that returns a packed
-    plant state, its gains and a planner on that state: a generator like
-    ``_plan``, which receives None for the samples and events of an
-    untraced run.
+
+def run_rollouts(rows, traced: bool = True) -> list:
+    """What the planner of each row of ``rows`` returns, in order, the
+    rows stepped together LOCKSTEP_MAX_ROWS at a time, with the bits of
+    each row run alone.
+
+    A row is a function of no arguments that returns a packed plant state,
+    its gains and a planner on that state: a generator like ``_plan``
+    (``_rollout_row``), which receives None for the samples and events of
+    an untraced run. A chunk's rows are set up when it starts, so that
+    memory does not grow with their number.
 
     Every row starts at t = 0, and a closed-loop one replans at k *
     DELTA_DELAY, so the rows of a cycle share one plant clock. Each cycle
     the live rows' references are fitted once per knot grid
     (``controller._grouped_tracks``), tracked in one ``track_lockstep``
-    call and renormalised as ``track`` does. Callers pass at most
-    LOCKSTEP_MAX_ROWS rows at a time. An error raises what a loop over the
-    rows would raise first: the rows after the first one to fail stop
-    there, and those before it run on until they end or fail.
+    call and renormalised as ``track`` does. An error raises what a loop
+    over the rows would raise first, once its chunk is done: the rows
+    after the first one to fail stop there or are never set up, and those
+    before it run on until they end or fail.
     """
-    results = [None] * len(rollouts)
-    failed = [len(rollouts), None]  # the first row to fail, its error
-
-    def fail(i, error):
-        if i < failed[0]:
-            failed[:] = i, error
-
-    states, gains, planners, plans = {}, {}, {}, {}
-    for i, row in enumerate(rollouts):
-        try:
-            if callable(row):
-                states[i], gains[i], planners[i] = row()
-            else:
-                policy, task, exec_cfg, gains[i], start, seed = row
-                states[i] = initial_world(start, task)
-                planners[i] = _plan(policy, task, exec_cfg, start, seed,
-                                    states[i])
-            plans[i] = next(planners[i])
-        except SailxError as error:
-            fail(i, error)
-            break
-    while plans:
-        live = list(plans)
-        waypoints = [plans[i][0] for i in live]
-        try:
-            refs = _grouped_tracks(waypoints)
-        except SailxError:
-            refs = []
-            for i, w in zip(live, waypoints):
-                try:
-                    refs.append(ReferenceTrack(*w))
-                except SailxError as error:
-                    fail(i, error)
-                    break
-            live = live[:len(refs)]
-        stacked = np.stack([states[i] for i in live], axis=1)
-        traces = [(None, None)] * len(live)
-        stepped = np.zeros(len(live), dtype=bool)
-        try:
-            for columns, _, steps in track_lockstep(
-                    stacked, refs, [gains[i] for i in live],
-                    [(plans[i][1],) for i in live],
-                    traces if traced else None):
-                stepped[columns] = steps > 0
-        except SimFault as fault:
-            fail(live[fault.row], fault)
-            live = live[:fault.row]
-        raised = _renormalise(stacked, stepped[:len(live)])
-        if raised is not None:
-            fail(live[raised[0]], raised[1])
-            live = live[:raised[0]]
-        plans = {}
-        for j, i in enumerate(live):
-            states[i][:] = stacked[:, j]
+    results = [None] * len(rows)
+    for first in range(0, len(rows), LOCKSTEP_MAX_ROWS):
+        errors = {}  # row -> the error it raised
+        states, gains, planners, plans = {}, {}, {}, {}
+        for i in range(first, min(first + LOCKSTEP_MAX_ROWS, len(rows))):
             try:
-                plans[i] = planners[i].send((refs[j], *traces[j]))
-            except StopIteration as stop:
-                results[i] = stop.value
+                states[i], gains[i], planners[i] = rows[i]()
+                plans[i] = next(planners[i])
             except SailxError as error:
-                fail(i, error)
+                errors[i] = error
                 break
-    if failed[1] is not None:
-        raise failed[1]
+        while plans:
+            live = list(plans)
+            waypoints = [plans[i][0] for i in live]
+            try:
+                refs = _grouped_tracks(waypoints)
+            except SailxError:
+                refs = []
+                for i, w in zip(live, waypoints):
+                    try:
+                        refs.append(ReferenceTrack(*w))
+                    except SailxError as error:
+                        errors[i] = error
+                        break
+                live = live[:len(refs)]
+            stacked = np.stack([states[i] for i in live], axis=1)
+            traces = [(None, None)] * len(live)
+            stepped = np.zeros(len(live), dtype=bool)
+            try:
+                for columns, _, steps in track_lockstep(
+                        stacked, refs, [gains[i] for i in live],
+                        [(plans[i][1],) for i in live],
+                        traces if traced else None):
+                    stepped[columns] = steps > 0
+            except SimFault as fault:
+                errors[live[fault.row]] = fault
+                live = live[:fault.row]
+            raised = _renormalise(stacked, stepped[:len(live)])
+            if raised is not None:
+                errors[live[raised[0]]] = raised[1]
+                live = live[:raised[0]]
+            plans = {}
+            for j, i in enumerate(live):
+                states[i][:] = stacked[:, j]
+                try:
+                    plans[i] = planners[i].send((refs[j], *traces[j]))
+                except StopIteration as stop:
+                    results[i] = stop.value
+                except SailxError as error:
+                    errors[i] = error
+                    break
+        if errors:
+            raise errors[min(errors)]
     return results
 
 
@@ -330,5 +331,6 @@ def run_rollout(policy: MockPolicy, task: TaskSpec, exec_cfg: ExecutorConfig,
                 seed: int = 0) -> RolloutLog:
     """Execute the policy on the task until success or the time limit: the
     one-rollout case of ``run_rollouts``."""
-    return run_rollouts([(policy, task, exec_cfg, gains, start_pose,
-                          seed)])[0]
+    return run_rollouts([functools.partial(_rollout_row, policy, task,
+                                           exec_cfg, gains, start_pose,
+                                           seed)])[0]

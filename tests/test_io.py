@@ -14,7 +14,7 @@ from sailx.io import (_EVENT_TAGS, Demonstration, generate_demos, load_demos,
                       read_demo, read_rollout, save_demos, write_demo,
                       write_rollout)
 from sailx.experiments import (build_demo_corpus, make_task, replay_rollout,
-                               run_method_rollout)
+                               run_method_rollouts)
 from sailx.metrics import aggregate
 from sailx.scheduler import RolloutLog
 from sailx.sim import PHYSICS_DT, TaskSpec
@@ -163,7 +163,7 @@ class TestDemoRoundTrip:
 class TestRolloutRoundTrip:
     def test_roundtrip(self, demos20, tmp_path):
         for method in ("dp", "replay"):
-            log = run_method_rollout(method, 1.0, demos20, seed=0)
+            log = run_method_rollouts([(method, 1.0, 0)], demos20)[0]
             path = str(tmp_path / f"{method}.jsonl")
             write_rollout(log, path)
             back = read_rollout(path)
@@ -188,7 +188,7 @@ class TestRolloutRoundTrip:
                     == aggregate([log], t_max=30.0).as_row())
 
     def test_overflowing_number_reports_line(self, demos20, tmp_path):
-        log = run_method_rollout("dp", 1.0, demos20, seed=0)
+        log = run_method_rollouts([("dp", 1.0, 0)], demos20)[0]
         path = str(tmp_path / "r.jsonl")
         write_rollout(log, path)
         lines = open(path).read().splitlines()
@@ -202,7 +202,7 @@ class TestRolloutRoundTrip:
         assert exc.value.line == 4
 
     def test_unknown_event_tag_rejected(self, demos20, tmp_path):
-        log = run_method_rollout("dp", 1.0, demos20, seed=0)
+        log = run_method_rollouts([("dp", 1.0, 0)], demos20)[0]
         path = str(tmp_path / "r.jsonl")
         write_rollout(log, path)
         with open(path, "a") as fh:
@@ -272,7 +272,8 @@ class TestMalformedFields:
             "no e_ori", "event time text"])
     def test_rollout(self, demos20, tmp_path, line, edit):
         path = str(tmp_path / "r.jsonl")
-        write_rollout(run_method_rollout("dp", 1.0, demos20, seed=0), path)
+        write_rollout(run_method_rollouts([("dp", 1.0, 0)], demos20)[0],
+                      path)
         if line < 0:
             line += len(open(path).read().splitlines()) + 1
         _rewrite(path, line, edit)
@@ -282,7 +283,8 @@ class TestMalformedFields:
 
     def test_every_pose_of_six_numbers(self, demos20, tmp_path):
         path = str(tmp_path / "r.jsonl")
-        write_rollout(run_method_rollout("dp", 1.0, demos20, seed=0), path)
+        write_rollout(run_method_rollouts([("dp", 1.0, 0)], demos20)[0],
+                      path)
         lines = open(path).read().splitlines()
         for line, text in enumerate(lines[1:], start=2):
             if '"ref"' in text:

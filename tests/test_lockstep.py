@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sailx import controller, experiments, io, kernels, sim
+from sailx import controller, io, kernels, scheduler, sim
 from sailx.controller import GAIN_PRESETS, track_lockstep, track_slices
 from sailx.errors import GenerationError, InvalidInputError, SimFault
 from sailx.experiments import (make_task, rows_to_csv, run_diagnostics,
@@ -46,7 +46,7 @@ def plant(request, monkeypatch):
     if request.param == "batched":
         monkeypatch.setattr(controller, "LOCKSTEP_MIN_ROWS", 1)
         monkeypatch.setattr(controller, "LOCKSTEP_BLOCK", 37)
-        for module in (experiments, io):
+        for module in (scheduler, io):
             monkeypatch.setattr(module, "LOCKSTEP_MAX_ROWS", 2)
     elif request.param == "row by row":
         monkeypatch.setattr(controller, "LOCKSTEP_MIN_ROWS", 10**9)
@@ -127,13 +127,14 @@ class TestSweeps:
             errors.append(str(exc.value))
         assert errors[0] == errors[1] == "orientations must be finite"
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_empty_sweeps(self, demos20):
-        assert rows_to_csv(sweep_noise(demos20, trials=0)) == \
-            rows_to_csv(lockstep_oracle.sweep_noise(demos20, trials=0))
-        assert rows_to_csv(sweep_gain_replay([])) == \
-            rows_to_csv(lockstep_oracle.sweep_gain_replay([]))
+        """A sweep of no trials or no demos is refused, where the replay
+        loop writes rows of NaN."""
+        with pytest.raises(InvalidInputError, match="trials"):
+            sweep_noise(demos20, trials=0)
+        with pytest.raises(InvalidInputError, match="demo"):
+            sweep_gain_replay([])
 
 
 class TestDiagnostics:

@@ -3,11 +3,12 @@
 ``scheduler.run_rollouts`` plans every rollout on its own policy and tracks
 all of them, cycle by cycle, in one ``controller.track_lockstep`` call;
 ``run_rollout`` is its one-rollout case, and ``experiments.
-run_method_rollouts`` hands it a sweep's rollouts in chunks. Open-loop
-replays run on the same driver, alone or among closed-loop rollouts. Every
-field of every rollout's RolloutLog must have the bits of ``rollout_oracle.
-run_rollout`` or ``rollout_oracle.replay_rollout``, the loops they
-replaced, and an error must be the one that loop raises first.
+run_method_rollouts`` hands it a sweep's rollouts, which it steps in
+chunks of LOCKSTEP_MAX_ROWS. Open-loop replays run on the same driver,
+alone or among closed-loop rollouts. Every field of every rollout's
+RolloutLog must have the bits of ``rollout_oracle.run_rollout`` or
+``rollout_oracle.replay_rollout``, the loops they replaced, and an error
+must be the one that loop raises first.
 """
 import dataclasses
 import functools
@@ -49,7 +50,7 @@ T_MAX_BATCH = [("dp", 1.0, None, 0), ("sail", 1.0, None, 1),
 
 
 def _args(demos, method, c, use_eag, seed, gains=None):
-    """The run_rollout arguments of a rollout, as run_method_rollout sets
+    """The run_rollout arguments of a rollout, as run_method_rollouts sets
     it up, with a fresh policy."""
     setup = experiments.method_setup(method, c, use_eag=use_eag)
     demo = demos[seed % len(demos)]
@@ -78,6 +79,12 @@ def _assert_same_logs(got, want):
         for f in dataclasses.fields(scheduler.RolloutLog):
             assert _bits(getattr(a, f.name)) == _bits(getattr(b, f.name)), \
                 f.name
+
+
+def _closed_row(demos, *row, gains=None):
+    """A closed-loop rollout as a row of ``scheduler.run_rollouts``."""
+    return functools.partial(scheduler._rollout_row,
+                             *_args(demos, *row, gains=gains))
 
 
 def _oracle_logs(demos, batch):
@@ -115,7 +122,7 @@ def _row(demos, row):
     """A row of ``scheduler.run_rollouts`` and the oracle call that gives
     its result, each with a fresh policy."""
     if row[0] != "replay":
-        return (_args(demos, *row),
+        return (_closed_row(demos, *row),
                 lambda: rollout_oracle.run_rollout(*_args(demos, *row)))
     _, c, gains, target, noise_scale, seed = row
     args = (demos[seed % len(demos)], c, gains, target, noise_scale, seed)
@@ -135,11 +142,12 @@ class TestRunRollouts:
         (m, c, e) for m in METHODS for c in (1.0, 0.2)
         for e in (True, False))][:13])
     def test_every_field_matches_the_loop(self, demos20, batch):
-        got = scheduler.run_rollouts([_args(demos20, *row) for row in batch])
+        got = scheduler.run_rollouts([_closed_row(demos20, *row)
+                                      for row in batch])
         _assert_same_logs(got, _oracle_logs(demos20, batch))
 
     def test_a_rollout_to_t_max_beside_rollouts_that_succeed(self, demos20):
-        got = scheduler.run_rollouts([_args(demos20, *row)
+        got = scheduler.run_rollouts([_closed_row(demos20, *row)
                                       for row in T_MAX_BATCH])
         assert not got[0].success
         assert got[0].duration == pytest.approx(scheduler.T_MAX)
@@ -160,7 +168,7 @@ class TestRunRollouts:
             for row, g in zip(batch, gains):
                 rollout_oracle.run_rollout(*_args(demos20, *row, gains=g))
         with pytest.raises(SimFault) as got:
-            scheduler.run_rollouts([_args(demos20, *row, gains=g)
+            scheduler.run_rollouts([_closed_row(demos20, *row, gains=g)
                                     for row, g in zip(batch, gains)])
         assert str(got.value) == str(want.value)
 
@@ -198,11 +206,64 @@ class TestReplays:
         assert log.duration == scheduler.T_MAX
 
 
+class TestChunks:
+    """run_rollouts steps LOCKSTEP_MAX_ROWS rows at a time, here 4, and
+    sets up each chunk's rows when the chunk starts."""
+
+    @pytest.mark.parametrize("min_rows", [None, 1],
+                             ids=["default plant", "lockstep plant"])
+    def test_mixed_rows_match_the_loops(self, demos20, monkeypatch,
+                                        min_rows):
+        monkeypatch.setattr(scheduler, "LOCKSTEP_MAX_ROWS", 4)
+        if min_rows is not None:
+            monkeypatch.setattr(controller, "LOCKSTEP_MIN_ROWS", min_rows)
+        batch = [_replay(k) if k % 3 else _closed(k) for k in range(10)]
+        rows, oracles = zip(*(_row(demos20, row) for row in batch))
+        got = scheduler.run_rollouts(list(rows))
+        _assert_same_logs(got, [oracle() for oracle in oracles])
+
+    def test_a_row_that_fails_in_the_second_chunk(self, demos20,
+                                                  monkeypatch):
+        """Replay 5's plant goes unstable: its SimFault raises once the
+        first chunk's rows have run and the second chunk is done, and no
+        row of the third chunk is set up."""
+        monkeypatch.setattr(scheduler, "LOCKSTEP_MAX_ROWS", 4)
+        monkeypatch.setitem(controller.GAIN_PRESETS, "unstable",
+                            GainProfile(1e306, 1e306, 400.0, 40.0))
+        batch = [_replay(k, "unstable" if k == 5 else None)
+                 for k in range(12)]
+        with pytest.raises(SimFault) as want:
+            for row in batch:
+                _row(demos20, row)[1]()
+        set_up, finished = [], []
+
+        def recorded(k, row):
+            def set_up_row():
+                set_up.append(k)
+                state, gains, planner = row()
+
+                def plan():
+                    result = yield from planner
+                    finished.append(k)
+                    return result
+
+                return state, gains, plan()
+            return set_up_row
+
+        with pytest.raises(SimFault) as got:
+            scheduler.run_rollouts([recorded(k, _row(demos20, row)[0])
+                                    for k, row in enumerate(batch)])
+        assert str(got.value) == str(want.value)
+        assert set_up == list(range(8))
+        assert sorted(finished) == [0, 1, 2, 3, 4]
+
+
 class TestRunMethodRollouts:
     def test_chunks_match_the_loop(self, demos20, monkeypatch):
-        """13 rollouts in chunks of 8: one lockstep run, then 5 rollouts
-        one by one through run_rollout, which the traced sweep counts."""
-        monkeypatch.setattr(experiments, "LOCKSTEP_MAX_ROWS", 8)
+        """13 rollouts in run_rollouts' chunks of 8, and none one by one
+        through run_rollout, which the traced sweep counts: only a whole
+        request of fewer than LOCKSTEP_MIN_ROWS runs one by one."""
+        monkeypatch.setattr(scheduler, "LOCKSTEP_MAX_ROWS", 8)
         calls = []
         single = experiments.run_rollout
 
@@ -216,7 +277,7 @@ class TestRunMethodRollouts:
         got = experiments.run_method_rollouts(
             [(m, c, s) for m, c, _, s in batch], demos20)
         _assert_same_logs(got, _oracle_logs(demos20, batch))
-        assert calls == [s for *_, s in batch[8:]]
+        assert calls == []
 
     def test_use_eag_applies_to_every_rollout(self, demos20):
         batch = [("sail", 0.2, False, s) for s in range(8)]

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,18 +70,18 @@ def test_c_of_0_3_is_floored_by_one_ulp(demos20, caplog):
         "INTERVAL_FLOOR = 0.015000000000000001 s"]
 
 
+@pytest.fixture()
+def no_rollouts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout ran")
+
+    monkeypatch.setattr(experiments, "run_rollout", refuse)
+    monkeypatch.setattr(experiments, "run_rollouts", refuse)
+    monkeypatch.setattr(experiments, "replay_rollout", refuse)
+
+
 class TestSweepSpeedArguments:
     """sweep_speed refuses a bad argument before it simulates anything."""
-
-    @pytest.fixture()
-    def no_rollouts(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a rollout ran")
-
-        monkeypatch.setattr(experiments, "run_rollout", refuse)
-        monkeypatch.setattr(experiments, "run_rollouts", refuse,
-                            raising=False)
-        monkeypatch.setattr(experiments, "replay_rollout", refuse)
 
     @pytest.mark.parametrize("name,value", [("trials", 0), ("trials", -1),
                                             ("jobs", 0), ("jobs", -3),
@@ -112,6 +113,27 @@ class TestSweepSpeedArguments:
         with pytest.raises(InvalidInputError, match=f"c={c:g}"):
             sweep_speed(demos20, methods=("replay",), c_values=(1.0, c),
                         trials=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSweepArguments:
+    """The replay sweeps and diagnostics refuse a trial count that is not
+    an integer >= 1, and every sweep an empty corpus, as sweep_speed
+    refuses its counts, before they simulate anything."""
+
+    @pytest.mark.parametrize("trials", [0, -2, 2.5])
+    @pytest.mark.parametrize("sweep", ["sweep_noise", "run_diagnostics"])
+    def test_a_trial_count_below_1_is_refused(self, demos20, no_rollouts,
+                                              sweep, trials):
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"trials must be an integer >= 1, got {trials!r}")):
+            getattr(experiments, sweep)(demos20, trials=trials)
+
+    @pytest.mark.parametrize("sweep", ["sweep_noise", "sweep_gain_replay",
+                                       "sweep_speed", "run_diagnostics"])
+    def test_an_empty_corpus_is_refused(self, no_rollouts, sweep):
+        with pytest.raises(InvalidInputError, match="at least one demo"):
+            getattr(experiments, sweep)([])
 
 
 class TestPlanIntervals:
