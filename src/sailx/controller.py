@@ -16,7 +16,7 @@ from scipy.interpolate import PPoly
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from .core import IDENTITY_QUAT, Pose
-from .errors import InvalidInputError, SimFault
+from .errors import InvalidInputError, SailxError, SimFault
 from .kernels import (_CONJ, _SPIN, REST_ROWS, RestFault, _hamilton,
                       _orientation_errors, _positive_zero, _rotvec, _signed,
                       _track_at_rest, track_loop)
@@ -124,11 +124,12 @@ def reference_tracks(times, positions, orientations, grippers=None):
     return tracks
 
 
-def _grouped_tracks(waypoints) -> list:
+def _grouped_tracks(waypoints) -> tuple[list, SailxError | None]:
     """One ReferenceTrack per waypoints (times, positions, orientations,
     grippers) of ``waypoints``, in order, fitted with one
-    ``reference_tracks`` call per group of equal knot times; an invalid
-    reference raises what a loop over them would raise first."""
+    ``reference_tracks`` call per group of equal knot times, and None; or,
+    where a reference is invalid, the tracks before the first invalid one
+    and the error it raises, each built alone once."""
     groups = {}
     for i, (times, *_) in enumerate(waypoints):
         groups.setdefault(times.tobytes(), []).append(i)
@@ -142,10 +143,13 @@ def _grouped_tracks(waypoints) -> list:
                 tracks[i] = track
     except ValueError:
         # the group's first failing reference need not be the first of all
+        tracks = []
         for w in waypoints:
-            ReferenceTrack(*w)
-        raise
-    return tracks
+            try:
+                tracks.append(ReferenceTrack(*w))
+            except SailxError as error:
+                return tracks, error
+    return tracks, None
 
 
 def _build(tracks, times, positions, orientations, grippers):

@@ -14,6 +14,7 @@ import io as _stdio
 import itertools
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -239,8 +240,10 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     argument raises InvalidInputError, and an unknown method or a c its
     executor refuses raises, before any cell is simulated. The rollouts of
     every cell, in cell-then-trial order, run through
-    ``run_method_rollouts``, or, when ``jobs`` > 1, in as many contiguous
-    shares, each through ``run_method_rollouts`` in a worker process.
+    ``run_method_rollouts``, or, when ``jobs`` > 1, in contiguous shares,
+    each through ``run_method_rollouts`` in a worker process: one share to
+    each of min(jobs, rollouts, os.cpu_count()) workers, and serially when
+    that is 1. The rows do not depend on the split.
 
     A closed-loop method other than dp runs every interval at least
     INTERVAL_FLOOR long, so where c * DELTA_STAR < INTERVAL_FLOOR, at c =
@@ -264,13 +267,14 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     rollouts = [(method, c, _trial_seed(seed, cell, t))
                 for cell, (method, c) in enumerate(cells)
                 for t in range(trials)]
-    if jobs == 1:
+    n = len(rollouts)
+    workers = min(jobs, n, os.cpu_count() or 1)
+    if workers <= 1:
         logs = run_method_rollouts(rollouts, demos)
     else:
-        n = len(rollouts)
-        shares = [rollouts[k * n // jobs:(k + 1) * n // jobs]
-                  for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        shares = [rollouts[k * n // workers:(k + 1) * n // workers]
+                  for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             logs = list(itertools.chain.from_iterable(pool.map(
                 run_method_rollouts, shares, itertools.repeat(demos))))
     rows = []

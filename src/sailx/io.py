@@ -43,7 +43,11 @@ FORMAT_VERSION = "sailx-v1"
 
 @dataclass
 class Demonstration:
-    """A teleoperated trajectory sampled at a fixed interval ``dt``."""
+    """A teleoperated trajectory sampled at a fixed interval ``dt``.
+
+    ``dt`` must be finite and > 0, and every pose, gripper and object value
+    finite: construction raises InvalidInputError otherwise.
+    """
 
     dt: float
     commanded: np.ndarray   # (N, 7) pose rows
@@ -68,6 +72,13 @@ class Demonstration:
         for name in ("reached", "grippers", "k", "objects"):
             if len(getattr(self, name)) != n:
                 raise InvalidInputError(f"demo field {name} length mismatch")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise InvalidInputError(f"demo dt must be finite and > 0, "
+                                    f"got {self.dt!r}")
+        for name in ("commanded", "reached", "grippers", "objects",
+                     "object_start", "goal"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise InvalidInputError(f"demo field {name} must be finite")
 
     def __len__(self) -> int:
         return len(self.commanded)

@@ -128,20 +128,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 #
 # default_rng((seed, call)) hashes the key's uint32 words, the seed's low
 # word first and then the call's, with numpy's SeedSequence, and seeds PCG64
-# with four of the 64-bit words it generates. _pcg64_states runs the same
-# arithmetic on arrays, one column per key: SeedSequence's pool mixing and
-# generate_state(4, uint64) (_seed_words64), then PCG64's seeding step in
-# Python ints (_seeded). It covers seeds below 2**96 with calls below
-# 2**32, the keys that fit the pool's 4 words and so skip SeedSequence's
-# mixing of words past the pool.
+# with four of the 64-bit words it generates. seed_ahead runs the same
+# hashing on arrays, one column per key: SeedSequence's pool mixing and
+# generate_state(4, uint64) (_seed_words64); the policy then runs PCG64's
+# seeding step in Python ints (_seeded) when it draws. It covers seeds below
+# 2**96 with calls below 2**32, the keys that fit the pool's 4 words and so
+# skip SeedSequence's mixing of words past the pool.
 # _draw_states then takes each key's branch draws from its raw PCG64 words
 # and only its noise from a Generator.
-
-# keys from which seeding them together is faster: the vectorised pass
-# costs about 60 us plus 1 us a key, and a seeded key's draws about 5 us,
-# against about 16 us a key through default_rng (13 us of it seeding); the
-# two break even at about 8 keys (numpy 2.4, 2-core x86-64 host)
-BATCH_SEEDING_MIN = 9
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -177,7 +171,7 @@ def _hash(values: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _covered(seed: int, first: int, n: int) -> bool:
-    """Whether _pcg64_states covers the keys (seed, first .. first + n - 1)."""
+    """Whether _seed_words64 covers the keys (seed, first .. first + n - 1)."""
     return seed < 2**96 and first + n <= 2**32
 
 
@@ -189,19 +183,12 @@ def _seed_words(seed: int) -> list[int]:
     return words
 
 
-def _pcg64_states(seeds, first: int, n: int) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) as default_rng((seed, call)) seeds it, for each
-    seed of ``seeds`` (one int, or a list of them) and, within a seed, each
-    call in first .. first + n - 1, in one vectorised pass over all keys;
-    requires 0 <= seed < 2**96 and first + n <= 2**32 (see _covered)."""
-    return _seeded(_seed_words64(seeds, first, n))
-
-
 def _seed_words64(seeds, first: int, n: int) -> np.ndarray:
-    """The 4 uint64 words SeedSequence hands PCG64 for each key of
-    _pcg64_states, one column per key: the seed's high and low 64 bits,
-    then the stream's."""
-    seeds = [seeds] if isinstance(seeds, int) else list(seeds)
+    """The 4 uint64 words SeedSequence hands PCG64 as default_rng((seed,
+    call)) seeds it, for each seed of the list ``seeds`` and, within a
+    seed, each call in first .. first + n - 1, one column per key: the
+    seed's high and low 64 bits, then the stream's; requires 0 <= seed <
+    2**96 and first + n <= 2**32 (see _covered)."""
     words = [_seed_words(seed) for seed in seeds]
     # a key's pool: its seed's words, its call's word, then zeros
     pool = np.repeat(np.array([w + [0] * (4 - len(w)) for w in words],
@@ -298,14 +285,11 @@ def _draw_keys(seed: int, first: int, n: int, p_branch: float,
     """The branch choices and (n, H_P, 3) standard normals of the keys
     (seed, first) .. (seed, first + n - 1), with default_rng's bits.
 
-    ``states``, when given, are the keys' PCG64 (state, inc) seeded ahead;
-    otherwise a batch of at least BATCH_SEEDING_MIN keys that
-    _pcg64_states covers is seeded in one pass. Seeded keys draw through
-    _draw_states; other keys each get their own default_rng.
+    ``states``, when given, are the keys' PCG64 (state, inc), seeded from
+    the words seed_ahead left, and the keys draw through _draw_states;
+    otherwise each key gets its own default_rng.
     """
     noise = np.empty((n, H_P, 3))
-    if states is None and n >= BATCH_SEEDING_MIN and _covered(seed, first, n):
-        states = _pcg64_states(seed, first, n)
     if states is not None:
         return _draw_states(states, p_branch, eligible, noise), noise
     choices = []
@@ -319,11 +303,12 @@ def _draw_keys(seed: int, first: int, n: int, p_branch: float,
 def seed_ahead(policies, n: int) -> None:
     """Seed the next n draws of every policy together.
 
-    The keys of all policies on one call counter are hashed in one
-    vectorised pass (see _pcg64_states), and each policy keeps its own n
-    columns of words, seeded when it draws, for its next batch if that
-    batch is exactly n draws; any other draw, and a policy whose keys
-    _pcg64_states does not cover, draws as usual.
+    This is the one place that hashes keys in a batch: the keys of all
+    policies on one call counter are hashed in one vectorised pass
+    (_seed_words64), and each policy keeps its own n columns of words,
+    seeded when it draws, for its next batch if that batch is exactly n
+    draws; any other draw, and a policy whose keys _seed_words64 does not
+    cover (see _covered), gets a default_rng per key.
     """
     groups = {}
     for policy in policies:
@@ -344,7 +329,8 @@ class MockPolicy:
     ``infer_unconditional(..., size=n)`` draws n chunks in one call,
     advancing the counter by n, with the chunks n single calls would give:
     their noise fills one (n, H_P, 3) buffer, and each chunk's positions
-    are one row of it.
+    are one row of it. A batch that seed_ahead seeded takes its branch
+    draws from raw PCG64 words; any other draw gets a default_rng per key.
 
     ``library`` is a DemoLibrary packed from ``demos``, for policies that
     share one; it is packed here when not given.
@@ -467,42 +453,28 @@ class MockPolicy:
 
 
 def _pairwise_sum(term, n: int) -> np.ndarray:
-    """term(0) + ... + term(n - 1), elementwise, in numpy's pairwise order.
+    """term(0) + ... + term(n - 1), elementwise, for n < 16, in the order
+    in which np.sum adds n contiguous float64 values.
 
-    This is the order in which np.sum adds n contiguous float64 values:
-    one after another below 8 values; up to 128 values, into 8 interleaved
-    partial sums r0..r7, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
-    + (r6 + r7)), and the last n % 8 one after another; above 128, the
-    sums of two halves. Each ``term(i)`` is a new array, made when it is
+    Below 8 terms it adds them in turn. From 8 it adds the first 8 as a
+    balanced tree, ((t0 + t1) + (t2 + t3)) + ((t4 + t5) + (t6 + t7)), and
+    then the rest in turn. Each ``term(i)`` is a new array, made when it is
     added, so that only a few are alive at once.
     """
-    if n < 8:
-        total = term(0)
-        for i in range(1, n):
-            total += term(i)
-        return total
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        total = _pairwise_sum(term, half)
-        total += _pairwise_sum(lambda i: term(half + i), n - half)
-        return total
-    blocked = n - n % 8
-    total = _partial_sums(term, blocked, 0, 8)
-    for i in range(blocked, n):
+    first = 8 if n >= 8 else 1
+    total = _tree_sum(term, 0, first)
+    for i in range(first, n):
         total += term(i)
     return total
 
 
-def _partial_sums(term, blocked: int, j: int, width: int) -> np.ndarray:
-    """r_j + ... + r_(j + width - 1) as a balanced tree, where r_j sums
-    term(j), term(j + 8), ... below ``blocked``."""
+def _tree_sum(term, j: int, width: int) -> np.ndarray:
+    """term(j) + ... + term(j + width - 1) as a balanced tree, for a width
+    that is a power of 2."""
     if width == 1:
-        total = term(j)
-        for i in range(j + 8, blocked, 8):
-            total += term(i)
-        return total
-    total = _partial_sums(term, blocked, j, width // 2)
-    total += _partial_sums(term, blocked, j + width // 2, width // 2)
+        return term(j)
+    total = _tree_sum(term, j, width // 2)
+    total += _tree_sum(term, j + width // 2, width // 2)
     return total
 
 
@@ -534,14 +506,13 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
     returns a list of n chunks, the ones n successive single calls would
     give; a single draw is a batch of one. The nearest states and the
     eligible branches are found once for all n. Each draw keeps the bits
-    of default_rng((seed, call)): a single draw, or a batch below
-    BATCH_SEEDING_MIN, gets its own default_rng; a larger batch is seeded
-    in one _pcg64_states pass, or takes the states seed_ahead left, and
-    takes its branch draws from the raw PCG64 words (see _draw_keys). The
-    batch's noise fills one (n, H_P, 3) buffer, which is scaled once and
-    gets each draw's window added in one indexed add, so chunk i's
-    positions are row i of it; its orientations, grippers and flags are
-    its window's (see MockPolicy._window).
+    of default_rng((seed, call)): a batch that seed_ahead seeded takes its
+    branch draws from the raw PCG64 words of its keys, and any other draw
+    gets its own default_rng (see _draw_keys). The batch's noise fills one
+    (n, H_P, 3) buffer, which is scaled once and gets each draw's window
+    added in one indexed add, so chunk i's positions are row i of it; its
+    orientations, grippers and flags are its window's (see
+    MockPolicy._window).
     """
     if size is not None and size < 0:
         raise InvalidInputError(f"size must be >= 0, got {size}")

@@ -41,11 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import (LOCKSTEP_MAX_ROWS, GainProfile, ReferenceTrack,
-                         _grouped_tracks, track_lockstep)
-# perfbench/tracing.py wraps this module's binding of track, so it stays
-# bound here, though the rollouts track through track_lockstep
-from .controller import track  # noqa: F401
+from .controller import (LOCKSTEP_MAX_ROWS, GainProfile, _grouped_tracks,
+                         track_lockstep)
+# perfbench/tracing.py wraps this module's bindings of track and
+# ReferenceTrack, so they stay bound here, though the rollouts track through
+# track_lockstep and build their references in _grouped_tracks
+from .controller import ReferenceTrack, track  # noqa: F401
 from .errors import ConfigurationError, SailxError, SimFault
 from .metrics import con, speed_profile, wed
 from .policy import (H_C, H_P, ActionChunk, MockPolicy, infer_eag,
@@ -246,11 +247,12 @@ def run_rollouts(rows, traced: bool = True) -> list:
     Every row starts at t = 0, and a closed-loop one replans at k *
     DELTA_DELAY, so the rows of a cycle share one plant clock. Each cycle
     the live rows' references are fitted once per knot grid
-    (``controller._grouped_tracks``), tracked in one ``track_lockstep``
-    call and renormalised as ``track`` does. An error raises what a loop
-    over the rows would raise first, once its chunk is done: the rows
-    after the first one to fail stop there or are never set up, and those
-    before it run on until they end or fail.
+    (``controller._grouped_tracks``, which also names the first invalid
+    reference), tracked in one ``track_lockstep`` call and renormalised as
+    ``track`` does. An error raises what a loop over the rows would raise
+    first, once its chunk is done: the rows after the first one to fail
+    stop there or are never set up, and those before it run on until they
+    end or fail; a cycle whose first live row fails ends the chunk there.
     """
     results = [None] * len(rows)
     for first in range(0, len(rows), LOCKSTEP_MAX_ROWS):
@@ -265,18 +267,12 @@ def run_rollouts(rows, traced: bool = True) -> list:
                 break
         while plans:
             live = list(plans)
-            waypoints = [plans[i][0] for i in live]
-            try:
-                refs = _grouped_tracks(waypoints)
-            except SailxError:
-                refs = []
-                for i, w in zip(live, waypoints):
-                    try:
-                        refs.append(ReferenceTrack(*w))
-                    except SailxError as error:
-                        errors[i] = error
-                        break
+            refs, error = _grouped_tracks([plans[i][0] for i in live])
+            if error is not None:
+                errors[live[len(refs)]] = error
                 live = live[:len(refs)]
+                if not live:
+                    break
             stacked = np.stack([states[i] for i in live], axis=1)
             traces = [(None, None)] * len(live)
             stepped = np.zeros(len(live), dtype=bool)

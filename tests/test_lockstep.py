@@ -117,9 +117,10 @@ class TestSweeps:
                                                             faults):
         demos = list(mixed_demos)
         for d, (field, at) in faults.items():
+            # set after construction, which refuses a NaN
             values = getattr(demos[d], field).copy()
-            values[at] = np.nan
             demos[d] = dataclasses.replace(demos[d], **{field: values})
+            values[at] = np.nan
         errors = []
         for fn in (sweep_gain_replay, lockstep_oracle.sweep_gain_replay):
             with pytest.raises(InvalidInputError) as exc:

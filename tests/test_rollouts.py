@@ -172,6 +172,40 @@ class TestRunRollouts:
                                     for row, g in zip(batch, gains)])
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("cycle", [0, 1])
+    @pytest.mark.parametrize("order", ["alone", "first", "second"])
+    def test_an_invalid_reference_raises_its_error(self, demos20, cycle,
+                                                   order):
+        """A row whose planner yields a NaN position in the given cycle
+        raises what its ReferenceTrack raises, also when it is the cycle's
+        first live row, which leaves no row to track."""
+        bad = _invalid_at(_closed_row(demos20, *_closed(0)), cycle)
+        good = _closed_row(demos20, *_closed(1))
+        rows = {"alone": [bad], "first": [bad, good],
+                "second": [good, bad]}[order]
+        with pytest.raises(InvalidInputError,
+                           match="positions must be finite"):
+            scheduler.run_rollouts(rows)
+
+
+def _invalid_at(row, cycle):
+    """``row`` with a NaN position in the reference its planner yields in
+    the given cycle."""
+    def set_up():
+        state, gains, planner = row()
+
+        def plan():
+            waypoints, until = next(planner)
+            for _ in range(cycle):
+                waypoints, until = planner.send((yield waypoints, until))
+            times, positions, *rest = waypoints
+            positions = positions.copy()
+            positions[-1, 0] = np.nan
+            yield (times, positions, *rest), until
+
+        return state, gains, plan()
+    return set_up
+
 
 class TestReplays:
     @pytest.mark.parametrize("name", REPLAY_BATCHES)

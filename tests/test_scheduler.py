@@ -115,6 +115,48 @@ class TestSweepSpeedArguments:
                         trials=1)
 
 
+class _InProcessPool:
+    """A ProcessPoolExecutor stand-in that records its workers and shares
+    and maps in this process."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.shares = None
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, shares, *args):
+        self.shares = list(shares)
+        return map(fn, self.shares, *args)
+
+
+class TestSweepSpeedWorkers:
+    """sweep_speed starts at most one worker per rollout and per core, each
+    with a non-empty contiguous share, and writes jobs=1's rows."""
+
+    # (max_workers, share sizes) of each pool made, for 3 rollouts at
+    # jobs=8: one worker per rollout, one per core, or no pool on one core
+    @pytest.mark.parametrize("cores,pools", [
+        (64, [(3, [1, 1, 1])]), (2, [(2, [1, 2])]), (None, [])])
+    def test_workers_are_capped(self, demos20, monkeypatch, cores, pools):
+        kwargs = dict(methods=("sail",), c_values=(1.0,), trials=3)
+        want = sweep_speed(demos20, **kwargs)
+        monkeypatch.setattr(_InProcessPool, "made", [])
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            _InProcessPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        assert sweep_speed(demos20, jobs=8, **kwargs) == want
+        assert [(pool.max_workers, [len(share) for share in pool.shares])
+                for pool in _InProcessPool.made] == pools
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweepArguments:
     """The replay sweeps and diagnostics refuse a trial count that is not

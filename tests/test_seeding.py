@@ -1,16 +1,16 @@
 """Seeding many (seed, call) keys at once against numpy's own seeding.
 
-``policy._pcg64_states`` repeats on arrays what ``default_rng((seed,
-call))`` does one key at a time: SeedSequence's hashing and PCG64's
-seeding step, for the calls of one seed or of several. ``policy._draw_keys``
-makes a batch's branch choices and noise: the keys it seeds together take
-their branch draws from their raw PCG64 words (``_draw_states``), the
-others their own ``default_rng``. Both must give the bits ``default_rng``
-gives, for seeds of one, two and three uint32 words and calls up to
-2**32 - 1. A numpy release that changes how it seeds, how ``random`` and
-``integers`` use PCG64's words, or how ``normal`` relates to
-``standard_normal``, which a batch of unconditional draws fills its noise
-buffer with, fails here.
+``policy._seed_words64`` repeats on arrays SeedSequence's hashing, which
+``default_rng((seed, call))`` does one key at a time, for the calls of one
+seed or of several, and ``policy._seeded`` PCG64's seeding step; they are
+what ``seed_ahead`` runs. ``policy._draw_keys`` makes a batch's branch
+choices and noise: keys seeded ahead take their branch draws from their
+raw PCG64 words (``_draw_states``), any other key its own
+``default_rng``. Both must give the bits ``default_rng`` gives, for seeds
+of one, two and three uint32 words and calls up to 2**32 - 1. A numpy
+release that changes how it seeds, how ``random`` and ``integers`` use
+PCG64's words, or how ``normal`` relates to ``standard_normal``, which a
+batch of unconditional draws fills its noise buffer with, fails here.
 """
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from sailx.core import Pose
 from sailx.experiments import task_for_demo
-from sailx.policy import (BATCH_SEEDING_MIN, H_P, NOISE_SIGMA, MockPolicy,
-                          PolicyConfig, _draw_keys, _draw_states,
-                          _pcg64_states, infer_unconditional, seed_ahead)
+from sailx.policy import (H_P, NOISE_SIGMA, MockPolicy, PolicyConfig,
+                          _draw_keys, _draw_states, _seed_words64, _seeded,
+                          infer_unconditional, seed_ahead)
 from sailx.sim import initial_world
 
 # a fixed example sequence keeps every tier-1 run repeatable
@@ -67,19 +67,20 @@ def test_states_are_default_rngs(seed, call, n):
     want = [np.random.default_rng((seed, c)).bit_generator.state["state"]
             for c in range(first, first + n)]
     assert [{"state": s, "inc": i}
-            for s, i in _pcg64_states(seed, first, n)] == want
+            for s, i in _seeded(_seed_words64([seed], first, n))] == want
 
 
 P_BRANCH = st.sampled_from([0.0, 0.2, 1.0])
 
 
 @SETTINGS
-@given(SEEDS, CALLS, st.integers(BATCH_SEEDING_MIN, 40), P_BRANCH,
-       st.integers(1, 3))
+@given(SEEDS, CALLS, st.integers(1, 40), P_BRANCH, st.integers(1, 3))
 def test_a_covered_batch_draws_as_default_rng_from_raw_words(
         seed, call, n, p_branch, eligible):
     seed, first, n = _keys(seed, call, n)
-    _assert_draws_match(_draw_keys(seed, first, n, p_branch, eligible),
+    states = _seeded(_seed_words64([seed], first, n))
+    _assert_draws_match(_draw_keys(seed, first, n, p_branch, eligible,
+                                   states),
                         _default_draws(seed, first, n, p_branch, eligible))
 
 
@@ -96,7 +97,7 @@ def test_several_seeds_are_seeded_in_one_pass(seeds, call, n):
     want = [np.random.default_rng((seed, c)).bit_generator.state["state"]
             for seed in seeds for c in range(first, first + n)]
     assert [{"state": s, "inc": i}
-            for s, i in _pcg64_states(seeds, first, n)] == want
+            for s, i in _seeded(_seed_words64(seeds, first, n))] == want
 
 
 @SETTINGS
@@ -105,7 +106,7 @@ def test_several_seeds_are_seeded_in_one_pass(seeds, call, n):
 def test_states_seeded_with_other_seeds_draw_as_default_rng(
         seeds, call, n, p_branch, eligible):
     _, first, n = _keys(0, call, n)
-    states = _pcg64_states(seeds, first, n)
+    states = _seeded(_seed_words64(seeds, first, n))
     for i, seed in enumerate(seeds):
         _assert_draws_match(
             _draw_keys(seed, first, n, p_branch, eligible,
@@ -158,9 +159,9 @@ def test_a_branch_word_in_lemires_resample_zone_draws_on_the_generator():
 
 @st.composite
 def fallback_keys(draw):
-    """Keys the vectorised pass leaves to default_rng: seeds of four or
-    more words, batches running past one word of calls, and batches too
-    small to gain."""
+    """Keys _draw_keys draws on default_rng: seeds of four or more words
+    and batches running past one word of calls, which seed_ahead leaves
+    alone, and any batch not seeded ahead."""
     n = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["wide seed", "wide call", "small batch"]))
     if kind == "wide seed":
@@ -169,7 +170,7 @@ def fallback_keys(draw):
     if kind == "wide call":
         return draw(SEEDS), 2**32 - n + draw(st.integers(1, 2**32)), n
     return _keys(draw(SEEDS), draw(CALLS),
-                 draw(st.integers(1, BATCH_SEEDING_MIN - 1)))
+                 draw(st.integers(1, 40)))
 
 
 @SETTINGS

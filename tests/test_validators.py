@@ -2,8 +2,9 @@
 
 The lockstep plant takes per-row gain arrays, so a non-finite gain or
 waypoint must not get past construction.
-The ``hypothesis`` properties cover ``Pose``, ``ReferenceTrack`` and
-``read_demo`` over arbitrary positions of the bad value.
+The ``hypothesis`` properties cover ``Pose``, ``ReferenceTrack``,
+``Demonstration`` and ``read_demo`` over arbitrary positions of the bad
+value.
 """
 import json
 
@@ -164,6 +165,21 @@ def test_reference_track_rejects_an_all_zero_quaternion():
         ReferenceTrack(times, positions, orientations, grippers)
 
 
+def _demo_fields(n=3):
+    """The fields of a valid Demonstration of n steps."""
+    rng = np.random.default_rng(n)
+    return dict(dt=0.05, commanded=rng.normal(size=(n, 7)),
+                reached=rng.normal(size=(n, 7)), grippers=rng.uniform(size=n),
+                k=np.zeros(n), objects=rng.normal(size=(n, 7)),
+                object_start=rng.normal(size=7), goal=rng.normal(size=3))
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.05, *BAD])
+def test_demonstration_rejects_a_dt_not_finite_and_positive(dt):
+    with pytest.raises(InvalidInputError, match="dt"):
+        Demonstration(**{**_demo_fields(), "dt": dt})
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -208,6 +224,19 @@ def test_reference_track_rejects_any_non_finite_entry(args, which, at, bad):
     flat[at % len(flat)] = bad
     with pytest.raises(InvalidInputError):
         ReferenceTrack(*args)
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.sampled_from(
+    ["commanded", "reached", "grippers", "objects", "object_start", "goal"]),
+    st.integers(0, 100), _bad)
+def test_demonstration_rejects_any_non_finite_value(n, name, at, bad):
+    fields = _demo_fields(n)
+    Demonstration(**fields)
+    flat = fields[name].reshape(-1)
+    flat[at % len(flat)] = bad
+    with pytest.raises(InvalidInputError, match=f"field {name} "):
+        Demonstration(**fields)
 
 
 @SETTINGS
