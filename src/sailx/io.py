@@ -46,7 +46,9 @@ class Demonstration:
     """A teleoperated trajectory sampled at a fixed interval ``dt``.
 
     ``dt`` must be finite and > 0, and every pose, gripper and object value
-    finite: construction raises InvalidInputError otherwise.
+    finite: construction raises InvalidInputError otherwise. The demo keeps
+    its own read-only copy of each array, so that no write after
+    construction gets past that check.
     """
 
     dt: float
@@ -59,15 +61,14 @@ class Demonstration:
     goal: np.ndarray = field(default=None)           # (3,)
 
     def __post_init__(self):
-        self.commanded = np.asarray(self.commanded, dtype=float)
-        self.reached = np.asarray(self.reached, dtype=float)
-        self.grippers = np.asarray(self.grippers, dtype=float)
-        self.k = np.asarray(self.k, dtype=np.int8)
-        self.objects = np.asarray(self.objects, dtype=float)
         if self.object_start is None:
-            self.object_start = self.objects[0].copy()
+            self.object_start = self.objects[0]
         if self.goal is None:
-            self.goal = self.objects[-1, :3].copy()
+            self.goal = self.objects[-1][:3]
+        for name in ("commanded", "reached", "grippers", "objects",
+                     "object_start", "goal"):
+            setattr(self, name, _read_only_copy(getattr(self, name), float))
+        self.k = _read_only_copy(self.k, np.int8)
         n = len(self.commanded)
         for name in ("reached", "grippers", "k", "objects"):
             if len(getattr(self, name)) != n:
@@ -86,6 +87,12 @@ class Demonstration:
     @property
     def duration(self) -> float:
         return (len(self) - 1) * self.dt
+
+
+def _read_only_copy(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 def _pose7(p) -> list:

@@ -8,9 +8,11 @@ the current tracking error and blends the two draws with the guidance
 weight.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import Pose, tracking_error
 from .errors import ConfigurationError, InvalidInputError
@@ -76,6 +78,10 @@ class DemoLibrary:
     squares plane by plane, (x*x + y*y) + z*z, takes the order in which
     np.sum adds the last axis of a (D, L, 3) array. Drawn chunks are cut
     from read-only per-demo rows, so a window inside a demo is a view.
+
+    Conditional retrieval searches a k-d tree of the windows of one output
+    stream (see window_tree), built on that stream's first conditional
+    call: a library whose policies only draw unconditionally builds none.
     """
 
     def __init__(self, demos):
@@ -92,6 +98,7 @@ class DemoLibrary:
         self.object_planes = self._pack([np.asarray(d.objects)[:, :3].T
                                          for d in demos])
         self._streams = {}
+        self._trees = {}
 
     def _pack(self, rows) -> np.ndarray:
         """Per-demo arrays (..., L_i) stacked as (..., D, L)."""
@@ -116,6 +123,40 @@ class DemoLibrary:
                   self.grippers[i, :n], self.flags[i])
                  for i, (p, n) in enumerate(zip(poses, self.lengths))])
         return self._streams[key]
+
+    def window_tree(self, key: str) -> "_WindowTree":
+        """The tree of every window of the "reached" or "commanded" stream
+        that lies inside its demo, built on first use.
+
+        A window's features are its H_C positions, its H_C grippers and
+        the state features of its first step (reached position, gripper,
+        object position), in the order of the query _best_window makes,
+        each with its weight in _window_scores. The windows that run into
+        the +inf padding score +inf and are left out.
+        """
+        if key not in self._trees:
+            n = self.width - H_C + 1
+            out = self.stream(key)[0]
+            state = zip((*self.stream("reached")[0], self.grippers,
+                         *self.object_planes),
+                        [POS_WEIGHT] * 3 + [GRIP_WEIGHT] + [OBJ_WEIGHT] * 3)
+            # each feature's (D, L) plane, the window step it is read at
+            # and its weight
+            planes = ([(out[axis], k, 1.0)
+                       for k in range(H_C) for axis in range(3)]
+                      + [(self.grippers, k, GRIP_MATCH_WEIGHT)
+                         for k in range(H_C)]
+                      + [(plane, 0, STATE_MATCH_WEIGHT * w)
+                         for plane, w in state])
+            demo, start = np.nonzero(np.arange(n) + H_C
+                                     <= np.array(self.lengths)[:, None])
+            features = np.empty((len(demo), len(planes)))
+            for c, (plane, k, _) in enumerate(planes):
+                features[:, c] = plane[demo, start + k]
+            self._trees[key] = _WindowTree(
+                features, demo * n + start,
+                np.array([w for *_, w in planes]))
+        return self._trees[key]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -353,6 +394,7 @@ class MockPolicy:
         self._ahead = None  # words of the next calls, from seed_ahead
         self._grip = library.grippers
         key = "reached" if config.target_mode == "reached" else "commanded"
+        self._library, self._out_key = library, key
         self._out_planes, self._rows = library.stream(key)
         # the reached positions are the robot's state feature
         self._pos_planes = library.stream("reached")[0]
@@ -374,6 +416,17 @@ class MockPolicy:
             states = _seeded(ahead)
         return _draw_keys(self.seed, first, n, p_branch, eligible, states)
 
+    def _state_query(self, obs) -> tuple[list, list, float]:
+        """The robot position, object position and gripper of the packed
+        plant state ``obs``, the state retrieval matches; raises
+        InvalidInputError unless all 7 are finite."""
+        q_pos = obs[ROBOT_POSITION].tolist()
+        q_obj = obs[OBJECT_POSITION].tolist()
+        q_grip = float(obs[GRIPPER])
+        if not all(map(math.isfinite, (*q_pos, *q_obj, q_grip))):
+            raise InvalidInputError("retrieval state must be finite")
+        return q_pos, q_obj, q_grip
+
     def _state_distances(self, obs) -> np.ndarray:
         """Weighted squared distances of the packed plant state ``obs``
         to every demo state, (D, L).
@@ -381,9 +434,7 @@ class MockPolicy:
         The read-only matrix of the last query is served again while the
         robot position, object position and gripper are the same floats.
         """
-        q_pos = obs[ROBOT_POSITION].tolist()
-        q_obj = obs[OBJECT_POSITION].tolist()
-        q_grip = float(obs[GRIPPER])
+        q_pos, q_obj, q_grip = self._state_query(obs)
         query = (*q_pos, *q_obj, q_grip)
         if query == self._last_query:
             return self._last_dists
@@ -544,6 +595,74 @@ def infer_unconditional(policy: MockPolicy, obs, delay_steps: int = 0,
 
 
 GRIP_MATCH_WEIGHT = 0.01  # m^2 per mismatched gripper step in window scores
+STATE_MATCH_WEIGHT = 0.01  # weight of the state distance in window scores
+
+
+# The tree's margin. Let S be a window's score as _window_scores rounds
+# it, T the same sum in exact arithmetic, and u = 2**-53; the bounds are
+# to first order in u.
+# - Each of T's 4 H_C + 7 terms is a weighted square >= 0 that takes at
+#   most 24 roundings (a difference, a square, a weight, and the adds of
+#   _pairwise_sum and of the state distance), so sqrt(S) is sqrt(T)
+#   within 12 u.
+# - The tree holds A = fl(c a), the features a scaled by c = fl(sqrt(w))
+#   (c**2 is w within 3 u), and the query Q = fl(c q). A - Q = c (a - q)
+#   + E, where E, the rounding of the two products, is absolute: |E| <=
+#   u (|A| + |Q|) however small a - q is. So D = |A - Q| is sqrt(S)
+#   within 14 u relative, plus u (reach + |Q|), reach the largest |A|.
+# - The distance r the tree returns for a window is its D within 14 u:
+#   25 roundings of the squares and adds, halved by the square root, and
+#   the root's own.
+# - The tree passes over a window only when a squared distance bound of
+#   it exceeds the second-nearest r2**2 it holds: a partial sum of its
+#   squares in a leaf, or the bound of a box, which is updated by a
+#   difference and an add per level, 2 u relative per level. A tree of n
+#   windows is less than n levels deep (a split leaves windows on both
+#   sides), so every window but the nearest has D >= r2 within
+#   (15 + 2 n) u.
+# Doubling these, with eta = (64 + 4 n) u and eps = 8 u, every window but
+# the nearest has sqrt(S) >= (1 - eta) r2 - eps (reach + |Q|), and the
+# nearest sqrt(S) <= (1 + eta) r1 + eps (reach + |Q|). So the nearest has
+# the one lowest score when
+#     (1 - eta) r2 - (1 + eta) r1 > 2 eps (reach + |Q|).
+# Anything else (ties, near-ties, an overflow to inf or NaN) falls back on
+# the full scan.
+_U = 2.0 ** -53
+_EPS = 8 * _U
+
+
+class _WindowTree:
+    """A k-d tree of window features (see DemoLibrary.window_tree) that
+    answers only when its nearest window has the one lowest score."""
+
+    def __init__(self, features: np.ndarray, windows: np.ndarray,
+                 weights: np.ndarray):
+        """``features`` (one row per window, at least one; the windows'
+        flat indices are ``windows``) are scaled in place by the square
+        roots of ``weights`` and kept as the tree's data, their one
+        copy."""
+        self.scales = np.sqrt(weights)
+        features *= self.scales
+        # 5,600 windows build in 1.2 ms so, against 2.0 ms with the
+        # defaults, and a query costs the same at leaf sizes 8 to 256
+        # (2-core x86-64 VM)
+        self.tree = cKDTree(features, leafsize=32, balanced_tree=False,
+                            compact_nodes=False)
+        self.windows = windows
+        self.eta = (64 + 4 * len(windows)) * _U
+        self.reach = math.sqrt(np.max(np.einsum("ij,ij->i", features,
+                                                features)))
+
+    def nearest(self, query: np.ndarray) -> int | None:
+        """The flat (D, L - H_C + 1) index of the window of the lowest
+        score for the unscaled features ``query``, scaled in place, or
+        None when the margin cannot tell it from the second nearest."""
+        query *= self.scales
+        (r1, r2), (i, _) = self.tree.query(query, k=2)
+        slack = 2 * _EPS * (self.reach + math.sqrt(query @ query))
+        if (1.0 - self.eta) * r2 - (1.0 + self.eta) * r1 > slack:
+            return int(self.windows[i])
+        return None
 
 
 def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk:
@@ -555,18 +674,43 @@ def infer_conditional(policy: MockPolicy, obs, tail: ActionChunk) -> ActionChunk
     overlapping phases (e.g. the approach descent and the post-grasp lift
     traverse the same region with opposite gripper states). The returned
     chunk starts at the best-matching window, the first in library order
-    on a tie, so its first H_C waypoints continue the tail.
+    on a tie, so its first H_C waypoints continue the tail. The window is
+    looked up in the library's k-d tree of the output stream, built on
+    the first conditional call, and found by a full scan of the scores
+    only when the tree's two nearest windows are too close to tell apart
+    (see _best_window). The tail's positions and grippers, and the state
+    read from ``obs``, must be finite.
     """
     return policy._extract(*_best_window(policy, obs, tail))
 
 
 def _best_window(policy: MockPolicy, obs, tail: ActionChunk):
-    """(demo, start) of the lowest-scoring window, the first on a tie."""
+    """(demo, start) of the lowest-scoring window, the first on a tie.
+
+    One k=2 query of the library's window tree answers when the second
+    nearest window is farther than the nearest by more than the rounding
+    margin derived above _WindowTree; otherwise (ties from duplicated demos,
+    near-ties) the argmin of _window_scores, the one exact scorer, does.
+    Raises InvalidInputError on a tail of fewer than H_C waypoints, and
+    on a tail or state that is not finite, which the tree would answer
+    with an index past its windows.
+    """
+    tail_pos = np.asarray(tail.positions[:H_C], dtype=float)
+    tail_grip = np.asarray(tail.grippers[:H_C], dtype=float)
+    if tail_pos.shape != (H_C, 3) or tail_grip.shape != (H_C,):
+        raise InvalidInputError(f"conditioning tail needs {H_C} waypoints")
+    if not (np.isfinite(tail_pos).all() and np.isfinite(tail_grip).all()):
+        raise InvalidInputError("conditioning tail must be finite")
+    q_pos, q_obj, q_grip = policy._state_query(obs)
     n_windows = policy._grip.shape[1] - H_C + 1
     if n_windows < 1:  # no demo has H_C steps: every window scores +inf
         return 0, 0
-    return divmod(int(np.argmin(_window_scores(policy, obs, tail))),
-                  n_windows)
+    query = np.concatenate([tail_pos.ravel(), tail_grip,
+                            [*q_pos, q_grip, *q_obj]])
+    best = policy._library.window_tree(policy._out_key).nearest(query)
+    if best is None:
+        best = int(np.argmin(_window_scores(policy, obs, tail)))
+    return divmod(best, n_windows)
 
 
 def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
@@ -575,8 +719,8 @@ def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
     It is the sum of the 3 H_C squared position differences of the
     window's steps j .. j + H_C - 1 to the tail, in the order np.sum adds
     them as one contiguous row, plus GRIP_MATCH_WEIGHT times the sum of
-    its H_C squared gripper differences, plus 0.01 times the state
-    distance of step j. A window that runs into the +inf padding scores
+    its H_C squared gripper differences, plus STATE_MATCH_WEIGHT times the
+    state distance of step j. A window that runs into the +inf padding scores
     +inf. The sums run plane by plane over all windows at once.
     """
     n_windows = policy._grip.shape[1] - H_C + 1
@@ -595,7 +739,7 @@ def _window_scores(policy: MockPolicy, obs, tail: ActionChunk) -> np.ndarray:
     grip = _pairwise_sum(grip_term, H_C)
     grip *= GRIP_MATCH_WEIGHT
     scores += grip
-    scores += 0.01 * policy._state_distances(obs)[:, :n_windows]
+    scores += STATE_MATCH_WEIGHT * policy._state_distances(obs)[:, :n_windows]
     return scores
 
 

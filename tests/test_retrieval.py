@@ -8,7 +8,10 @@ length, demos shorter than the conditioning length, duplicated demos
 (exact ties), branch switching among up to three eligible demos, and the
 aggregated baseline. A batch of unconditional draws seeded ahead must
 give the chunks as many single draws give. The window scores are not
-exposed; the sweep digests check their summation order.
+exposed; the sweep digests check their summation order. A conditional
+draw's window comes from the library's k-d tree, which must find the
+window the full scan of the scores finds, the first in library order on
+a tie, and which a library whose policies never condition never builds.
 """
 from contextlib import contextmanager
 from dataclasses import replace
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sailx import experiments
 from sailx import policy as sailx_policy
 from sailx.baselines import AggregatedActionsPolicy
 from sailx.core import IDENTITY_QUAT, Pose
@@ -423,3 +427,193 @@ def test_nearest_states_under_alternating_queries_match_the_per_demo_loops():
             got[0] = None
             got.append(got[-1])
             assert fast.nearest_states(obs, k) == ranked[:k]
+
+
+# ---------------------------------------------------------------------------
+# the window tree against the full scan
+
+def _scan(policy, obs, tail):
+    """(demo, start) of the full scan: the first argmin of the scores."""
+    n_windows = policy._grip.shape[1] - sailx_policy.H_C + 1
+    return divmod(int(np.argmin(_window_scores(policy, obs, tail))),
+                  n_windows)
+
+
+@pytest.fixture()
+def answers(monkeypatch):
+    """The tree's answers, None where it left the window to the scan."""
+    got = []
+    nearest = sailx_policy._WindowTree.nearest
+
+    def recorded(tree, query):
+        got.append(nearest(tree, query))
+        return got[-1]
+
+    monkeypatch.setattr(sailx_policy._WindowTree, "nearest", recorded)
+    return got
+
+
+def _between(rng, policy, demos, h_c):
+    """A state and a tail midway between two windows of the library, which
+    score the same in exact arithmetic and apart only by rounding."""
+    picks = []
+    for _ in range(2):
+        i = int(rng.integers(0, len(demos)))
+        j = int(rng.integers(0, max(len(demos[i]) - h_c, 0) + 1))
+        picks.append((demos[i], min(j, len(demos[i]) - 1)))
+    (a, i), (b, j) = picks
+    mode = policy.config.target_mode
+    steps_a = np.minimum(np.arange(i, i + h_c), len(a) - 1)
+    steps_b = np.minimum(np.arange(j, j + h_c), len(b) - 1)
+    tail = ActionChunk(
+        (getattr(a, mode)[steps_a, :3] + getattr(b, mode)[steps_b, :3]) / 2,
+        np.tile(IDENTITY_QUAT, (h_c, 1)),
+        (a.grippers[steps_a] + b.grippers[steps_b]) / 2,
+        np.zeros(h_c, dtype=np.int8))
+    obs = _state((a.reached[i, :3] + b.reached[j, :3]) / 2,
+                 (a.objects[i, :3] + b.objects[j, :3]) / 2,
+                 float(a.grippers[i] + b.grippers[j]) / 2)
+    return obs, tail
+
+
+@SETTINGS
+@given(retrieval_cases())
+def test_the_tree_finds_the_window_of_the_full_scan(case):
+    consts, cfg, demos, aggregated, seed, rng = case
+    with _policy_constants(consts):
+        h_c = sailx_policy.H_C
+        policy_class = AggregatedActionsPolicy if aggregated else MockPolicy
+        policy = policy_class(demos, cfg, seed=seed)
+        for _ in range(4):
+            obs = _query(rng, demos)
+            chunk = infer_unconditional(policy, obs)
+            queries = [(obs, tail) for tail in _tails(rng, demos, chunk, h_c)]
+            queries.append(_between(rng, policy, demos, h_c))
+            for obs, tail in queries:
+                got = _best_window(policy, obs, tail)
+                if policy._grip.shape[1] >= h_c:
+                    assert got == _scan(policy, obs, tail)
+                else:  # no window inside a demo
+                    assert got == (0, 0)
+
+
+def _at_window(demo, stream, start, h_c):
+    """The state at a demo step and the tail of the window from it."""
+    steps = np.arange(start, start + h_c)
+    tail = ActionChunk(stream[steps, :3], stream[steps, 3:7],
+                       demo.grippers[steps], demo.k[steps])
+    return _at_state(demo, start), tail
+
+
+@pytest.mark.parametrize("mode", ["reached", "commanded"])
+@pytest.mark.parametrize("horizons", ["default", "short"])
+class TestWindowTree:
+    @pytest.fixture(autouse=True)
+    def _horizons(self, horizons, monkeypatch):
+        if horizons == "short":
+            _short_horizons(monkeypatch)
+
+    def test_a_tail_on_a_window_is_answered_by_the_tree(self, mode, answers):
+        demos = _library_demos()[:3]  # no duplicate
+        policy = MockPolicy(demos, PolicyConfig(target_mode=mode))
+        h_c = sailx_policy.H_C
+        for d, demo in enumerate(demos):
+            stream = getattr(demo, mode)
+            for start in (0, 11, len(demo) - h_c):  # the last inside
+                obs, tail = _at_window(demo, stream, start, h_c)
+                got = _best_window(policy, obs, tail)
+                assert got == _scan(policy, obs, tail) == (d, start)
+        assert None not in answers
+
+    def test_a_duplicated_demo_ties_and_the_first_wins(self, mode, answers):
+        demos = _library_demos()  # demo 3 is demo 1
+        policy = MockPolicy(demos, PolicyConfig(target_mode=mode))
+        obs, tail = _at_window(demos[1], getattr(demos[1], mode), 17,
+                               sailx_policy.H_C)
+        assert _best_window(policy, obs, tail) == \
+            _scan(policy, obs, tail) == (1, 17)
+        assert answers == [None]
+
+    def test_a_tail_at_the_end_of_a_shorter_demo(self, mode):
+        # the windows of the 40-step demo from step 37 run into the +inf
+        # padding and are not in the tree; its last steps held give a tail
+        # that no window inside it matches exactly
+        demos = _library_demos()
+        policy = MockPolicy(demos, PolicyConfig(target_mode=mode))
+        h_c = sailx_policy.H_C
+        demo = demos[0]
+        stream = getattr(demo, mode)
+        for start in range(len(demo) - h_c - 1, len(demo)):
+            steps = np.minimum(np.arange(start, start + h_c), len(demo) - 1)
+            tail = ActionChunk(stream[steps, :3], stream[steps, 3:7],
+                               demo.grippers[steps], demo.k[steps])
+            obs = _at_state(demo, min(start, len(demo) - 1))
+            assert _best_window(policy, obs, tail) == \
+                _scan(policy, obs, tail)
+
+    def test_tails_midway_between_two_windows(self, mode, answers):
+        # pairs of windows that score the same in exact arithmetic
+        demos = _library_demos()[:3]
+        policy = MockPolicy(demos, PolicyConfig(target_mode=mode))
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            obs, tail = _between(rng, policy, demos, sailx_policy.H_C)
+            assert _best_window(policy, obs, tail) == \
+                _scan(policy, obs, tail)
+        assert None in answers
+
+    def test_windows_all_at_one_distance(self, mode, answers):
+        # demos along circles about the tail's point: in exact arithmetic
+        # every window scores the same, and only rounding tells them apart
+        h_c = sailx_policy.H_C
+        centre = np.array([0.31, -0.17, 0.23])
+        demos = []
+        for k in range(5):
+            angles = 0.013 * np.arange(40) + 0.7 * k
+            ring = np.stack([np.cos(angles), np.sin(angles),
+                             np.zeros(40)], axis=1)
+            pos = centre + 0.05 * ring
+            quat = np.tile(IDENTITY_QUAT, (40, 1))
+            demos.append(Demonstration(
+                dt=0.05, commanded=np.hstack([pos, quat]),
+                reached=np.hstack([pos, quat]), grippers=np.zeros(40),
+                k=np.zeros(40), objects=np.hstack([np.tile(centre, (40, 1)),
+                                                   quat])))
+        policy = MockPolicy(demos, PolicyConfig(target_mode=mode))
+        tail = ActionChunk(np.tile(centre, (h_c, 1)),
+                           np.tile(IDENTITY_QUAT, (h_c, 1)), np.zeros(h_c),
+                           np.zeros(h_c, dtype=np.int8))
+        obs = _state(centre, centre, 0.0)
+        assert _best_window(policy, obs, tail) == _scan(policy, obs, tail)
+        assert answers == [None]
+
+
+def test_a_library_that_never_conditions_builds_no_tree(demos20):
+    library = DemoLibrary(demos20)
+    policies = {mode: MockPolicy(demos20, PolicyConfig(target_mode=mode),
+                                 library=library)
+                for mode in ("reached", "commanded")}
+    obs = _at_state(demos20[3], 10)
+    for policy in policies.values():
+        infer_unconditional(policy, obs, size=4)
+    assert library._trees == {}
+    tail = infer_unconditional(policies["commanded"], obs).segment(0, H_C)
+    infer_conditional(policies["commanded"], obs, tail)
+    tree = library._trees["commanded"]
+    assert list(library._trees) == ["commanded"]
+    # a second policy on the stream queries the same tree
+    twin = MockPolicy(demos20, PolicyConfig(target_mode="commanded"),
+                      library=library)
+    infer_conditional(twin, obs, tail)
+    assert library._trees == {"commanded": tree}
+
+
+def test_replays_and_diagnostics_build_no_tree(demos20, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a window tree was built")
+
+    monkeypatch.setattr(sailx_policy._WindowTree, "__init__", refused)
+    experiments.run_diagnostics(demos20[:6], c_values=(1.0,), trials=2,
+                                seed=0)
+    experiments.sweep_noise(demos20[:6], scales=(0.0, 0.005), trials=2,
+                            seed=0)

@@ -19,9 +19,11 @@ from sailx.errors import ConfigurationError, InvalidInputError, ParseError
 from sailx import experiments
 from sailx.experiments import replay_rollout, sweep_gain_replay, sweep_noise
 from sailx.io import Demonstration, read_demo, write_demo
-from sailx.policy import PolicyConfig
+from sailx.policy import (H_C, ActionChunk, MockPolicy, PolicyConfig,
+                          infer_conditional, infer_unconditional)
 from sailx.scheduler import ExecutorConfig
-from sailx.sim import TaskSpec
+from sailx.sim import (GRIPPER, OBJECT_POSITION, ROBOT_POSITION, TaskSpec,
+                       initial_world)
 from sailx.speedmod import dbscan, extract_waypoints
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -178,6 +180,72 @@ def _demo_fields(n=3):
 def test_demonstration_rejects_a_dt_not_finite_and_positive(dt):
     with pytest.raises(InvalidInputError, match="dt"):
         Demonstration(**{**_demo_fields(), "dt": dt})
+
+
+def test_a_demonstration_keeps_read_only_copies_of_its_arrays():
+    fields = _demo_fields()
+    demo = Demonstration(**fields)
+    for name in ("commanded", "reached", "grippers", "k", "objects",
+                 "object_start", "goal"):
+        values = getattr(demo, name)
+        assert not np.shares_memory(values, fields[name])
+        with pytest.raises(ValueError, match="read-only"):
+            values.reshape(-1)[0] = np.nan
+    # the caller's arrays stay writable and apart from the demo's
+    before = demo.reached.copy()
+    fields["reached"][1, 2] = np.nan
+    assert demo.reached.tobytes() == before.tobytes()
+
+
+def _retrieval_query(demo, step=5):
+    """The packed plant state at a demo step, and the tail of its window."""
+    obs = initial_world(Pose(demo.reached[step, :3]),
+                        TaskSpec(Pose(demo.objects[step, :3]), np.zeros(3)))
+    obs[GRIPPER] = demo.grippers[step]
+    steps = slice(step, step + H_C)
+    tail = ActionChunk(demo.reached[steps, :3].copy(),
+                       demo.reached[steps, 3:7], demo.grippers[steps].copy(),
+                       demo.k[steps])
+    return obs, tail
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("where", ["tail_position", "tail_gripper",
+                                   "robot_position", "object_position",
+                                   "gripper"])
+@pytest.mark.parametrize("mode", ["reached", "commanded"])
+def test_a_conditional_draw_rejects_a_non_finite_query(demos20, mode, where,
+                                                       bad):
+    policy = MockPolicy(demos20[:6], PolicyConfig(target_mode=mode))
+    obs, tail = _retrieval_query(demos20[2])
+    if where == "tail_position":
+        tail.positions[1, 2] = bad
+    elif where == "tail_gripper":
+        tail.grippers[H_C - 1] = bad
+    else:
+        slot = {"robot_position": ROBOT_POSITION,
+                "object_position": OBJECT_POSITION, "gripper": GRIPPER}[where]
+        obs[np.arange(len(obs))[slot].reshape(-1)[0]] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        infer_conditional(policy, obs, tail)
+
+
+def test_a_conditional_draw_rejects_a_short_tail(demos20):
+    policy = MockPolicy(demos20[:6], PolicyConfig())
+    obs, tail = _retrieval_query(demos20[2])
+    with pytest.raises(InvalidInputError, match=f"{H_C} waypoints"):
+        infer_conditional(policy, obs, tail.segment(0, H_C - 1))
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("slot", [ROBOT_POSITION, OBJECT_POSITION, GRIPPER])
+def test_an_unconditional_draw_rejects_a_non_finite_state(demos20, slot, bad):
+    policy = MockPolicy(demos20[:6], PolicyConfig())
+    obs, _ = _retrieval_query(demos20[2])
+    obs[np.arange(len(obs))[slot].reshape(-1)[-1]] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        infer_unconditional(policy, obs)
+    assert policy._calls == 0
 
 
 # ---------------------------------------------------------------------------
