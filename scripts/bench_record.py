@@ -14,9 +14,10 @@ for BENCHMARK.json's ``run_seconds`` in PAIRS parent/change pairs, one
 fresh seed per pair, the order alternating from pair to pair so that a
 drifting host favours neither side. Each end-to-end metric gets its
 values, median and quartiles per side and the number of pairs the change
-won. Each workload then runs with ``--trace 1`` on seeds TRACE_SEEDS, per
-side, and its per-layer metrics are recorded beside the end-to-end ones,
-with the ratio of the change's to the parent's mean per metric. The
+won. Each workload then runs with ``--trace 1`` TRACE_RUNS times per side
+on each of the seeds TRACE_SEEDS, the sides alternating, and its per-layer
+metrics are recorded beside the end-to-end ones: every run, and per seed
+each side's median and the ratio of the change's to the parent's. The
 tier-1 suite then runs once per side with ``--junitxml``, for its wall
 time and the duration of each acceptance criterion. Both git shas, nproc
 and the Python, numpy and scipy versions are recorded.
@@ -51,8 +52,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 # perfbench checks its digests on seeds 0 and 1; pairs use other seeds
 FIRST_SEED = 100
-# the seeds of the traced runs, whose per-layer counts the digests pin
+# the seeds of the traced runs, whose per-layer counts the digests pin,
+# and the runs per side and seed: one traced run per side is swamped by
+# the host's drift
 TRACE_SEEDS = (0, 1)
+TRACE_RUNS = 3
 # fresh processes per side of the warm set-up probe, and the warm builds
 # and timed passes of each
 PROBE_RUNS = 3
@@ -318,21 +322,31 @@ def compare(parent_runs, change_runs, spec) -> dict:
 
 
 def per_layer(parent_tree: Path, workload: str, seconds: float) -> dict:
-    """The traced runs on TRACE_SEEDS per side, and for each per-layer
-    metric the ratio of the change's mean over those seeds to the
-    parent's (None where the parent's is 0)."""
-    runs = {side: [perfbench(tree, workload, seed, seconds, trace=1)
-                   for seed in TRACE_SEEDS]
-            for side, tree in (("parent", parent_tree), ("change", ROOT))}
-    ratios = {}
-    for name in runs["parent"][0]:
-        if name in ("correct", "failed", "attempted"):
-            continue
-        before, after = (float(np.mean([r[name] for r in runs[side]]))
-                         for side in ("parent", "change"))
-        ratios[name] = after / before if before else None
-    return {"seeds": list(TRACE_SEEDS), "runs": runs,
-            "change_over_parent": ratios}
+    """TRACE_RUNS traced runs per side on each of TRACE_SEEDS, the sides
+    alternating, and per seed and per-layer metric each side's median and
+    the ratio of the change's to the parent's (None where the parent's is
+    0)."""
+    out = {"seeds": list(TRACE_SEEDS), "runs_per_seed": TRACE_RUNS}
+    for seed in TRACE_SEEDS:
+        runs = {"parent": [], "change": []}
+        for i in range(TRACE_RUNS):
+            order = ["parent", "change"] if i % 2 == 0 else ["change",
+                                                             "parent"]
+            for side in order:
+                tree = parent_tree if side == "parent" else ROOT
+                runs[side].append(perfbench(tree, workload, seed, seconds,
+                                            trace=1))
+        medians = {side: {name: float(np.median([r[name] for r in v]))
+                          for name in v[0]
+                          if name not in ("correct", "failed", "attempted")}
+                   for side, v in runs.items()}
+        out[str(seed)] = {
+            "runs": runs, "medians": medians,
+            "change_over_parent": {
+                name: (after / medians["parent"][name]
+                       if medians["parent"][name] else None)
+                for name, after in medians["change"].items()}}
+    return out
 
 
 def record(parent: dict, parent_tree: Path, spec) -> dict:

@@ -570,13 +570,15 @@ LOCKSTEP_BLOCK = 8192
 LOCKSTEP_MAX_ROWS = 64
 # Batches of fewer columns run row by row on track_loop, as do turning or
 # off-rest batches. Timed on whole replay cells of B replays on one time
-# grid, both plants at rest on their lean steps, the batched one on rest-form
-# blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5, 0.33 and 0.2, medians of 7
-# alternated runs), row by row was faster in all 4 cells at B = 4 (lockstep
-# took 1.02-1.07x its time) and lockstep in all 4 at B = 5 (0.86-0.93x), at
-# B = 6 (0.58-0.70x), at B = 7 (0.56-0.65x), at B = 8 (0.44-0.65x) and at
-# B = 12 (0.35-0.54x). A scheduler.run_rollouts cycle of fewer live rows
-# (rollouts, replays or diagnostics trials) runs them row by row, and
+# grid, both plants at rest, the scalar one before its at-rest and full
+# step loops became one (its at-rest step now costs ~0.1 us more), the
+# batched one on rest-form blocks (2-core x86-64 VM, numpy 2.4, c = 1, 0.5,
+# 0.33 and 0.2, medians of 7 alternated runs), row by row was faster in
+# all 4 cells at B = 4 (lockstep took 1.02-1.07x its time) and lockstep in
+# all 4 at B = 5 (0.86-0.93x), at B = 6 (0.58-0.70x), at B = 7
+# (0.56-0.65x), at B = 8 (0.44-0.65x) and at B = 12 (0.35-0.54x). A
+# scheduler.run_rollouts cycle of fewer live rows (rollouts, replays or
+# diagnostics trials) runs them row by row, and
 # experiments.run_method_rollouts a request of fewer rollouts one by one.
 # perfbench/test_perfbench.py requires kernels.track_loop steps in a traced
 # replay-open-loop pass of 6 rows and a traced ood-diagnose pass of 3 trials,

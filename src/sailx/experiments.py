@@ -30,7 +30,7 @@ from .core import Pose, IDENTITY_QUAT
 from .diagnostics import SampleSet, knn_distance, kde_score, mmd
 from .errors import InvalidInputError
 from .io import generate_demos
-from .metrics import aggregate
+from .metrics import aggregate, check_t_max
 from .policy import (H_C, DemoLibrary, MockPolicy, PolicyConfig,
                      infer_unconditional, seed_ahead)
 from .scheduler import (DELTA_DELAY, DELTA_STAR, INTERVAL_FLOOR,
@@ -234,12 +234,12 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
                 t_max: float = T_MAX) -> list[dict]:
     """Success/throughput metrics per (method, speedup) grid point.
 
-    ``trials`` and ``jobs`` must be at least 1 and ``demos`` non-empty,
-    every replay cell's c finite and > 0, and every closed-loop cell's
-    ``method_setup`` is made before any rollout runs, so that a bad
-    argument raises InvalidInputError, and an unknown method or a c its
-    executor refuses raises, before any cell is simulated. The rollouts of
-    every cell, in cell-then-trial order, run through
+    ``trials`` and ``jobs`` must be at least 1, ``demos`` non-empty,
+    ``t_max`` and every replay cell's c finite and > 0, and every
+    closed-loop cell's ``method_setup`` is made before any rollout runs,
+    so that a bad argument raises InvalidInputError, and an unknown method
+    or a c its executor refuses raises, before any cell is simulated. The
+    rollouts of every cell, in cell-then-trial order, run through
     ``run_method_rollouts``, or, when ``jobs`` > 1, in contiguous shares,
     each through ``run_method_rollouts`` in a worker process: one share to
     each of min(jobs, rollouts, os.cpu_count()) workers, and serially when
@@ -252,6 +252,7 @@ def sweep_speed(demos, methods=("sail", "dp-fast"), c_values=(1.0, 0.5, 0.33, 0.
     one WARNING naming the c that runs and the floor's exact value.
     """
     _check_sweep(demos, trials=trials, jobs=jobs)
+    check_t_max(t_max)
     cells = [(m, c) for m in methods for c in c_values]
     for method, c in cells:
         if method == "replay":

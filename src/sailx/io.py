@@ -440,16 +440,15 @@ def _track_scripts(scripts, profile, first):
     """Track scripted demos first, first + 1, ... in one lockstep run.
 
     ``scripts`` holds (demo_task, ref, home, object_start) per demo, the
-    last the object's start pose as a 7-vector. Returns the reached and
-    object poses at every reference time, or raises what a loop over the
+    last the object's start pose as a 7-vector; every ref has
+    ``_nominal_timing``'s times. Returns the reached and object poses at
+    those times, (demos, times, 7) each, or raises what a loop over the
     demos would have raised first.
     """
     # every demo's reference steps are slices of the lockstep run
     states = np.stack([initial_world(Pose(home), demo_task)
                        for demo_task, _, home, _ in scripts], axis=1)
-    # demo d's poses at its reference times are rows [d, :lengths[d]]
-    lengths = [len(ref.times) for _, ref, _, _ in scripts]
-    reached = np.empty((len(scripts), max(lengths), 7))
+    reached = np.empty((len(scripts), len(scripts[0][1].times), 7))
     objects = np.empty_like(reached)
     for d, (_, _, home, object_start) in enumerate(scripts):
         reached[d, 0] = np.concatenate([home, IDENTITY_QUAT])
@@ -477,5 +476,4 @@ def _track_scripts(scripts, profile, first):
                 f"scripted demo {first + d} failed the task predicate")
     if fault is not None:
         raise fault
-    return ([reached[d, :n] for d, n in enumerate(lengths)],
-            [objects[d, :n] for d, n in enumerate(lengths)])
+    return reached, objects

@@ -55,11 +55,12 @@ torque NaN, a fault at step 0 that the full update finds; ``controller``'s
 are finite (``GainProfile`` refuses others). Every demo, task and chunk in
 the corpus keeps the identity orientation.
 
-At rest, the scalar loop steps only the position, the velocity and the
-gripper, collects 3-float position rows, and fills the constant
-quaternion rows once: ~0.75-0.95 us a step against ~0.95-1.15 us with the
-old loop, and 1.1 against 1.8 us a step on closed-loop rollouts, which
-also formed the carried object's pose at every attached step.
+The scalar loop has one per-step loop. At rest its rotational half is
+the force's three-term fault check alone, and every pose row it collects
+holds the orientation the call started with: ~0.97-1.01 us a step, ~0.08
+us more than a separate at-rest loop of 3-float rows took, against
+~3.56-3.62 us a turning step (best of 15 rounds of 50 calls on a
+200-step reference, call overhead included, 2-core x86-64 VM).
 
 At rest, the batched plant steps only [grip; p; v],
 the (7, B) rows of an (n + 1, 7, B) history buffer: step i reads row i and
@@ -140,6 +141,7 @@ Its layout::
 """
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -247,65 +249,28 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
         values[29]
     isfinite = math.isfinite
     sqrt = math.sqrt
-    # at rest (see the module docstring) only the translation and the
-    # gripper are stepped
+    # at rest (see the module docstring) a step's rotational half is only
+    # its fault check; otherwise each step reads its reference orientation
+    # and rate
     at_rest = (qw == 1.0 and _positive_zero(state[_SPIN])
                and isfinite(kp_ori) and isfinite(kv_ori) and isfinite(dt)
                and _identity_rows(ref_quat.T, ref_angvel.T))
-    # the robot pose of every completed step, `width` floats a step: its
-    # position at rest, its position and orientation otherwise
-    width = 3 if at_rest else 7
-    poses = []
+    turns = (repeat(None) if at_rest
+             else zip(ref_quat.tolist(), ref_angvel.tolist()))
+    poses = []  # the 7-float robot pose of every completed step
     events = []  # (step, +1 or -1) of every attach and detach
-    fault = -1
-    if at_rest:
-        quat = [qw, qx, qy, qz]
-        for (rpx, rpy, rpz), (rvx, rvy, rvz), rgrip in zip(
-                ref_pos.tolist(), ref_vel.tolist(), ref_grip.tolist()):
-            # PD force; the torque is a zero
-            f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
-            f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
-            f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
-            if not isfinite(f0 + f1 + f2) and not (
-                    isfinite(f0) and isfinite(f1) and isfinite(f2)):
-                fault = len(poses) // 3
-                break
-            vx += f0 * dt
-            vy += f1 * dt
-            vz += f2 * dt
-            px += vx * dt
-            py += vy * dt
-            pz += vz * dt
-
-            prev_grip = grip
-            delta = rgrip - prev_grip
-            if delta > max_step:
-                delta = max_step
-            elif delta < -max_step:
-                delta = -max_step
-            grip = prev_grip + delta
-            if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
-                held = _grasped([px, py, pz] + quat, obj, grasp_radius)
-                if held:
-                    attached, rel = 1.0, held
-                    events.append((len(poses) // 3, 1))
-            elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
-                attached = 0.0
-                if poses:  # the object was carried through the last step
-                    obj = _carried(poses[-3:] + quat, rel)
-                events.append((len(poses) // 3, -1))
-            t += dt
-            poses += (px, py, pz)
-    else:
-        for (rpx, rpy, rpz), (rvx, rvy, rvz), (aw, ax, ay, az), \
-                (rwx, rwy, rwz), rgrip in zip(
-                    ref_pos.tolist(), ref_vel.tolist(), ref_quat.tolist(),
-                    ref_angvel.tolist(), ref_grip.tolist()):
-            # PD wrench; the orientation error is the rotation vector of
+    for (rpx, rpy, rpz), (rvx, rvy, rvz), rgrip, turn in zip(
+            ref_pos.tolist(), ref_vel.tolist(), ref_grip.tolist(), turns):
+        # PD force
+        f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
+        f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
+        f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
+        # a finite sum of the wrench means finite terms; an overflowing one
+        # is checked term by term
+        if turn is not None:
+            # PD torque; the orientation error is the rotation vector of
             # ref * conj(q), taken on the shortest arc
-            f0 = kp_pos * (rpx - px) + kv_pos * (rvx - vx)
-            f1 = kp_pos * (rpy - py) + kv_pos * (rvy - vy)
-            f2 = kp_pos * (rpz - pz) + kv_pos * (rvz - vz)
+            (aw, ax, ay, az), (rwx, rwy, rwz) = turn
             bx, by, bz = -qx, -qy, -qz
             m0 = aw * qw - ax * bx - ay * by - az * bz
             m1 = aw * bx + ax * qw + ay * bz - az * by
@@ -323,21 +288,12 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             f3 = kp_ori * ex + kv_ori * (rwx - wx)
             f4 = kp_ori * ey + kv_ori * (rwy - wy)
             f5 = kp_ori * ez + kv_ori * (rwz - wz)
-            # a finite sum means finite terms; an overflowing one is checked
-            # term by term
             if not isfinite(f0 + f1 + f2 + f3 + f4 + f5) and not (
                     isfinite(f0) and isfinite(f1) and isfinite(f2)
                     and isfinite(f3) and isfinite(f4) and isfinite(f5)):
-                fault = len(poses) // 7
                 break
-
-            # semi-implicit Euler step
-            vx += f0 * dt
-            vy += f1 * dt
-            vz += f2 * dt
-            px += vx * dt
-            py += vy * dt
-            pz += vz * dt
+            # semi-implicit Euler step of the orientation, which shares no
+            # variable with the translation's below
             wx += f3 * dt
             wy += f4 * dt
             wz += f5 * dt
@@ -364,29 +320,40 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
             qw, qx, qy, qz = m0 / norm, m1 / norm, m2 / norm, m3 / norm
             if qw < 0.0:
                 qw, qx, qy, qz = -qw, -qx, -qy, -qz
+        # at rest the torque is a zero
+        elif not isfinite(f0 + f1 + f2) and not (
+                isfinite(f0) and isfinite(f1) and isfinite(f2)):
+            break
 
-            prev_grip = grip
-            delta = rgrip - prev_grip
-            if delta > max_step:
-                delta = max_step
-            elif delta < -max_step:
-                delta = -max_step
-            grip = prev_grip + delta
-            if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
-                held = _grasped((px, py, pz, qw, qx, qy, qz), obj,
-                                grasp_radius)
-                if held:
-                    attached, rel = 1.0, held
-                    events.append((len(poses) // 7, 1))
-            elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
-                attached = 0.0
-                if poses:  # the object was carried through the last step
-                    obj = _carried(poses[-7:], rel)
-                events.append((len(poses) // 7, -1))
-            t += dt
-            poses += (px, py, pz, qw, qx, qy, qz)
+        # semi-implicit Euler step of the translation
+        vx += f0 * dt
+        vy += f1 * dt
+        vz += f2 * dt
+        px += vx * dt
+        py += vy * dt
+        pz += vz * dt
 
-    done = len(poses) // width
+        prev_grip = grip
+        delta = rgrip - prev_grip
+        if delta > max_step:
+            delta = max_step
+        elif delta < -max_step:
+            delta = -max_step
+        grip = prev_grip + delta
+        if prev_grip < 0.5 and grip >= 0.5 and attached == 0.0:
+            held = _grasped((px, py, pz, qw, qx, qy, qz), obj, grasp_radius)
+            if held:
+                attached, rel = 1.0, held
+                events.append((len(poses) // 7, 1))
+        elif prev_grip >= 0.5 and grip < 0.5 and attached == 1.0:
+            attached = 0.0
+            if poses:  # the object was carried through the last step
+                obj = _carried(poses[-7:], rel)
+            events.append((len(poses) // 7, -1))
+        t += dt
+        poses += (px, py, pz, qw, qx, qy, qz)
+
+    done = len(poses) // 7
     # an attached object's pose is formed only at a release and here, from
     # the robot pose it rides on; with no step taken the incoming pose
     # stands
@@ -395,9 +362,11 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     state[:] = (px, py, pz, qw, qx, qy, qz, vx, vy, vz, wx, wy, wz, grip,
                 *obj, attached, *rel, t)
 
-    rows = np.array(poses).reshape(done, width)
+    # fromiter with a count converts faster than np.array, which first
+    # scans the list for its dtype
+    rows = np.fromiter(poses, float, len(poses)).reshape(done, 7)
     out_pos[:done] = rows[:, :3]
-    out_quat[:done] = rows[:, 3:] if width == 7 else (qw, qx, qy, qz)
+    out_quat[:done] = rows[:, 3:]
     out_events[:done] = 0
     for i, event in events:
         out_events[i] = event
@@ -406,7 +375,8 @@ def track_loop(state, ref_pos, ref_vel, ref_quat, ref_angvel, ref_grip,
     _position_errors(ref_pos[:done].T, out_pos[:done].T, out_epos[:done])
     _orientation_errors(ref_quat[:done].T, out_quat[:done].T,
                         out_eori[:done])
-    return fault
+    # the loop stops early only at a fault
+    return done if done < len(ref_pos) else -1
 
 
 # The tracking errors of the plant, vectorised in the per-step operation

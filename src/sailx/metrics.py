@@ -5,6 +5,7 @@ is better. Smoothness metrics operate on scalar speed profiles, by default
 the finite-difference speed of executed positions downsampled to 50 Hz.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +22,26 @@ SPARC_THRESHOLD = 0.05
 SPARC_OMEGA_MAX = 20.0
 
 
+def check_t_max(t_max: float) -> None:
+    """Refuse a TPR time limit that is not finite and > 0 with
+    InvalidInputError."""
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise InvalidInputError(f"t_max must be finite and > 0, got {t_max!r}")
+
+
 def tpr(outcomes, t_max: float) -> float:
     """Throughput-with-regret: mean of 1/t_i over successes, -1/t_max per failure."""
     outcomes = list(outcomes)
     if not outcomes:
         raise UndefinedMetricError("TPR needs at least one rollout")
-    if t_max <= 0:
-        raise InvalidInputError("t_max must be positive")
+    check_t_max(t_max)
     total = 0.0
     for success, duration in outcomes:
         if success:
-            if duration <= 0:
-                raise InvalidInputError("success durations must be positive")
+            if not (math.isfinite(duration) and duration > 0):
+                raise InvalidInputError(
+                    "success durations must be finite and > 0, got "
+                    f"{duration!r}")
             total += 1.0 / duration
         else:
             total -= 1.0 / t_max

@@ -454,6 +454,26 @@ def at_rest_cases(draw, signed=True):
                    ref_grip], _params(draw)
 
 
+def _rest_example(n, grip, attached, flip, first_x=0.0):
+    """An at-rest case of n steps whose robot holds still at the origin,
+    within grasp reach of the object: the gripper starts at ``grip`` and
+    its command switches to 1 - grip from step ``flip`` on, which the
+    slew of 0.8 a step carries across 0.5 in that step; ``first_x`` is the
+    first reference x position."""
+    state = np.zeros(kernels.STATE_SIZE)
+    state[[3, 17, 25]] = 1.0  # identity robot, object and relative poses
+    state[13] = grip
+    state[14:17] = state[22:25] = 0.004, -0.003, 0.002
+    state[21] = float(attached)
+    ref_pos = np.zeros((n, 3))
+    ref_pos[0, 0] = first_x
+    ref_grip = np.full(n, float(grip))
+    ref_grip[flip:] = 1.0 - grip
+    refs = [ref_pos, np.zeros((n, 3)), np.tile(IDENTITY, (n, 1)),
+            np.zeros((n, 3)), ref_grip]
+    return state, refs, (400.0, 40.0, 400.0, 40.0, 0.002, 400.0, 0.05)
+
+
 # One input of an at-rest case set just off rest: (what, where, value),
 # where ``what`` names the state, the reference quaternions or rates, or the
 # params tuple. Each must take the full rotational update, which moves the
@@ -514,6 +534,12 @@ class TestAtRest:
 
     @SETTINGS
     @given(at_rest_cases())
+    # a release at the first step, where the incoming object pose stands; a
+    # fault at the first step; a grasp at the last step
+    @example(_rest_example(5, grip=1.0, attached=True, flip=0))
+    @example(_rest_example(5, grip=0.0, attached=False, flip=5,
+                           first_x=np.nan))
+    @example(_rest_example(5, grip=0.0, attached=False, flip=4))
     def test_track_loop_matches_the_oracle_bit_for_bit(self, case):
         _assert_same_run(*case)
 

@@ -19,6 +19,7 @@ from sailx.errors import ConfigurationError, InvalidInputError, ParseError
 from sailx import experiments
 from sailx.experiments import replay_rollout, sweep_gain_replay, sweep_noise
 from sailx.io import Demonstration, read_demo, write_demo
+from sailx.metrics import tpr
 from sailx.policy import (H_C, ActionChunk, MockPolicy, PolicyConfig,
                           infer_conditional, infer_unconditional)
 from sailx.scheduler import ExecutorConfig
@@ -144,6 +145,33 @@ def test_sweep_gain_replay_checks_every_speedup_first(demos20, no_replays,
                                                       c):
     with pytest.raises(InvalidInputError, match=f"c={c:g}"):
         sweep_gain_replay(demos20[:2], c_values=(1.0, c))
+
+
+# TPR's time limit and success durations, and sweep_speed's t_max
+BAD_TIMES = [0.0, -1.0, np.nan, np.inf]
+
+
+@pytest.mark.parametrize("t_max", BAD_TIMES)
+def test_tpr_rejects_a_t_max_not_finite_and_positive(t_max):
+    with pytest.raises(InvalidInputError, match="t_max"):
+        tpr([(False, 1.0), (True, 2.0)], t_max)
+
+
+@pytest.mark.parametrize("duration", BAD_TIMES)
+def test_tpr_rejects_a_success_duration_not_finite_and_positive(duration):
+    with pytest.raises(InvalidInputError, match="success durations"):
+        tpr([(False, 1.0), (True, duration)], 60.0)
+
+
+@pytest.mark.parametrize("t_max", BAD_TIMES)
+def test_sweep_speed_checks_t_max_first(demos20, monkeypatch, t_max):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rollout ran")
+
+    monkeypatch.setattr(experiments, "run_method_rollouts", refuse)
+    with pytest.raises(InvalidInputError, match="t_max"):
+        experiments.sweep_speed(demos20[:2], methods=("sail",),
+                                c_values=(1.0,), trials=1, t_max=t_max)
 
 
 def _waypoints(n=3):
